@@ -754,9 +754,9 @@ def _q_sampling_contracts(sf_dir: str):
     # compiler (pipelines/builder.py — the batch analogue of
     # receivercreator's templated sub-pipeline instantiation,
     # observerhandler.go:68-164) assembles source → fused stage chain
-    # (templated metadata + restructure move) → routing table → salted
-    # aggregate from a config dict; the built pipeline's output must
-    # reproduce the routing closed form: every row routed
+    # (templated metadata + restructure move) → routing table →
+    # two-phase aggregate from a config dict; the built pipeline's
+    # output must reproduce the routing closed form: every row routed
     # (bld_rows == COUNT(*)) and one (sink, templated-service) group
     # per event type (bld_groups == COUNT DISTINCT event_type).
     from opentelemetry_collector_contrib_ray.pipelines.builder import build
@@ -815,7 +815,7 @@ def _q_delta_conversion(sf_dir: str):
     delta = value - previous (first point keeps its value)."""
     import pandas as pd
 
-    from opentelemetry_collector_contrib_ray.stages.aggregate import bucketed_group_apply
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -826,7 +826,7 @@ def _q_delta_conversion(sf_dir: str):
             {"event_id": df["event_id"], "delta": df["value"] - lag.fillna(0.0)}
         )
 
-    return bucketed_group_apply(ds, "user_id", delta_bucket)
+    return keyed_apply(ds, "user_id", delta_bucket)
 
 
 def _q_time_window_agg(sf_dir: str):
@@ -2823,7 +2823,7 @@ def _q_loki_streams(sf_dir: str):
     # the agg leaves few blocks; spread the per-event JSON render/parse
     # across the cluster (rows are unique per (labels, ts) after the
     # agg, so splitting blocks cannot break first-wins merging)
-    from opentelemetry_collector_contrib_ray.stages.join import (
+    from opentelemetry_collector_contrib_ray.stages.aggregate import (
         derived_num_partitions,
     )
 

@@ -7,7 +7,7 @@
 Headline: the flagship parse→enrich→route→aggregate pipeline over the
 synthetic pre-tokenized corpus (rows scaled from $GRAFT_SF_DIR's scale
 factor), including the partitioned per-sink Parquet write and the
-salted grouped aggregate. Metric value = wall seconds; seq/sec and
+two-phase grouped aggregate. Metric value = wall seconds; seq/sec and
 per-query timings are included in the JSON payload.
 """
 
@@ -306,7 +306,7 @@ def run_headline_steady(ncpu: int) -> dict:
     disk bandwidth scales with node count, so a fixed single-VM disk
     would measure the disk, not the engine — tmpfs is the in-sandbox
     proxy for per-node storage. The job is the identical full pipeline
-    (read → parse → enrich → route → partitioned sink write → salted
+    (read → parse → enrich → route → partitioned sink write → two-phase
     aggregate) at both parallelism levels.
     """
     import ray

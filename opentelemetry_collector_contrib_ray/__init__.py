@@ -12,8 +12,8 @@ Design rules (see SURVEY.md §1.4, §7):
   kernels — never a Python loop over rows;
 - stateful stages (lookup caches, compiled pattern sets) are callable
   classes run as actor pools (state built once per actor in ``__init__``);
-- wide operations (groupby/sort) are explicit, pre-aggregated per batch
-  and salted against key skew before the shuffle;
+- wide operations are explicit and pre-aggregated per batch; every
+  keyed shuffle goes through ``stages.aggregate.keyed_apply``;
 - sinks are partitioned Parquet directories with per-partition checkpoint
   manifests so a failed run resumes without recomputing finished shards.
 """

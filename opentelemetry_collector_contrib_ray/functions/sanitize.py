@@ -1,14 +1,10 @@
 """Label sanitization (spanmetricsprocessor/processor.go:398-426).
 
 Replace every non-alphanumeric rune with '_'; prefix 'key_' if the
-result starts with a digit, 'key' if it starts with '_'. Vectorized
-via pyarrow regex replace for column use; scalar helper for keys.
+result starts with a digit, 'key' if it starts with '_'.
 """
 
 from __future__ import annotations
-
-import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def sanitize(s: str) -> str:
@@ -19,11 +15,4 @@ def sanitize(s: str) -> str:
         out = "key_" + out
     elif out[0] == "_":
         out = "key" + out
-    return out
-
-
-def sanitize_column(arr: pa.Array) -> pa.Array:
-    out = pc.replace_substring_regex(arr, pattern=r"[^\pL\pN]", replacement="_")
-    out = pc.replace_substring_regex(out, pattern=r"^(\pN)", replacement=r"key_\1")
-    out = pc.replace_substring_regex(out, pattern=r"^_", replacement="key_")
     return out

@@ -81,8 +81,7 @@ def build(config: dict) -> Any:
         stages:  [ {op: <registry name>, ...params} ]        # fused chain
         enrich:  {table: {key: {attr: val}}, association: [cols], prefix: ""}
         routing: {from_attribute: col, table: {v: [sinks]}, default: [sink]}
-        aggregate: {keys: [...], aggs: {col: [fns]}, num_salts: N,
-                    driver_finalize: bool}
+        aggregate: {keys: [...], aggs: {col: [fns]}, driver_finalize: bool}
         sink:    {path: ..., partition_cols: [...]}
 
     Mirrors the reference's YAML service pipelines + receivercreator's
@@ -145,7 +144,6 @@ def build(config: dict) -> Any:
             ds,
             agg_cfg["keys"],
             agg_cfg.get("aggs", {"*": ["count"]}),
-            num_salts=agg_cfg.get("num_salts", 16),
             driver_finalize=agg_cfg.get("driver_finalize", False),
             exact_sums=agg_cfg.get("exact_sums"),
         )

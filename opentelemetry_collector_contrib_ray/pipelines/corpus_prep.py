@@ -142,45 +142,18 @@ def _anti_filter_ids(ds, drop_ids, id_col: str, *, broadcast_max: int, num_bucke
 
         return ds.map_batches(anti, batch_format="pyarrow")
 
-    # distributed path: bucketed anti-join on id
-    from ..stages.aggregate import bucketed_group_apply
+    # distributed path: keyed anti-join on id
+    from ..stages.aggregate import keyed_apply
+    from ..stages.join import tag_union
 
-    drop_tbl = pa.table({id_col: pa.array(drop_ids), "_drop": pa.array(np.ones(len(drop_ids), np.int8))})
-    drop_ds = _ds_from_table(drop_tbl)
-
-    def pad_drop(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_drop", pa.array(np.zeros(len(batch), np.int8)))
-
-    padded = ds.map_batches(pad_drop, batch_format="pyarrow")
-    # align schemas: the drop side has only (id, _drop); pad the rest
-    # with TYPED nulls so the union's schemas match exactly
-    schema = padded.schema()
-    names = list(schema.names)
-    types = {
-        n: (t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-        for n, t in zip(schema.names, schema.types)
-    }
-
-    def widen(batch: pa.Table) -> pa.Table:
-        out = {}
-        for n in names:
-            if n in batch.column_names:
-                out[n] = batch[n].cast(types[n])
-            else:
-                out[n] = pa.nulls(len(batch), types[n])
-        return pa.table(out)
-
-    sides = padded.select_columns(names).union(
-        drop_ds.map_batches(widen, batch_format="pyarrow")
-    )
+    sides, schema, _ = tag_union(ds, _ds_from_table(pa.table({id_col: pa.array(drop_ids)})))
+    cols = list(schema)
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        dropped = set(df.loc[df["_drop"] == 1, id_col].to_numpy())
-        keep = df[(df["_drop"] == 0) & ~df[id_col].isin(dropped)]
-        return keep.drop(columns=["_drop"])
+        dropped = df.loc[df["_side"] == 1, id_col].to_numpy()
+        return df.loc[(df["_side"] == 0) & ~df[id_col].isin(dropped), cols]
 
-    kwargs = {"num_buckets": num_buckets} if num_buckets else {}
-    return bucketed_group_apply(sides, id_col, per_bucket, **kwargs)
+    return keyed_apply(sides, id_col, per_bucket, num_buckets=num_buckets)
 
 
 def _ds_from_table(tbl: pa.Table):
@@ -232,7 +205,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
     pairs pre-sort, the bucketed merge computes per-hash (min, ids...)
     and emits the non-winners.  Returns the sorted drop-id array —
     O(duplicate count) on the driver, same bound as ``near_dedup``."""
-    from ..stages.aggregate import bucketed_group_apply
+    from ..stages.aggregate import keyed_apply
     from ..stages.dedup import add_content_hash
 
     pairs = ds.map_batches(
@@ -245,7 +218,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
         out = df.loc[df[id_col] != m, [id_col]]
         return out
 
-    drops = bucketed_group_apply(pairs, "content_hash", losers)
+    drops = keyed_apply(pairs, "content_hash", losers)
     batches = list(drops.iter_batches(batch_format="pyarrow", batch_size=None))
     if not batches:
         return np.empty(0, np.int64)
@@ -515,7 +488,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
                 tokens_col="tokens",
                 seq_len=cfg.seq_len,
                 emit_tokens=cfg.pack_emit_tokens,
-                num_buckets=cfg.num_buckets or 64,
+                num_buckets=cfg.num_buckets,
             )
 
     # ---- stage 7: partitioned, resumable write

@@ -8,12 +8,12 @@ DAG (SURVEY.md §7):
                     simple}] — stanza-parser chain from
                     testbed/datasenders/k8s.go:164-228 +
                     receiver/filelogreceiver/testdata/config.yaml:5-11)
-      → map_batches(LookupEnrich actor pool — k8sprocessor semantics)
+      → map_batches(lookup enrich task — k8sprocessor semantics)
         + resourcedetection constant attrs
       → map_batches(RoutingTable — routingprocessor default-fallback +
                     multi-exporter fan-out)
       → write_parquet(partition_cols=['sink'])   (single-pass fan-out)
-      → per-sink salted two-phase groupby counts (groupbyattrs semantics)
+      → per-sink two-phase groupby counts (groupbyattrs semantics)
 
 ``tokens`` (list<int32>) rides through every stage untouched — the
 per-row token-array-equality invariant is asserted by checksum in the
@@ -60,13 +60,16 @@ _SIMPLE_REGEX = r"^(?P<time>\d{4}-\d{2}-\d{2}) (?P<sev>[A-Z]*) (?P<msg>.*)$"
 
 class _FillSeverityDefaults:
     """Rows from branches without a severity parser (k8s chains) get
-    Undefined/0 — the stanza entry default (converter.go:580-581)."""
+    Undefined/0 — the stanza entry default (converter.go:580-581). A
+    batch that took only such branches gains both columns, so every
+    parsed batch has one schema."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if "severity_text" not in batch.column_names:
-            return batch
-        st = pc.coalesce(batch["severity_text"], pa.scalar("Undefined"))
-        sn = pc.coalesce(batch["severity_number"], pa.scalar(0, pa.int32()))
+        n = len(batch)
+        st = batch["severity_text"] if "severity_text" in batch.column_names else pa.nulls(n, pa.string())
+        sn = batch["severity_number"] if "severity_number" in batch.column_names else pa.nulls(n, pa.int32())
+        st = pc.coalesce(st, pa.scalar("Undefined"))
+        sn = pc.coalesce(sn, pa.scalar(0, pa.int32()))
         batch = _set_column(batch, "severity_text", st)
         return _set_column(batch, "severity_number", sn)
 
@@ -148,7 +151,7 @@ DEFAULT_RESOURCE_DETECTORS = [
 ]
 
 
-def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, enrich_concurrency=None, batch_size: int = 64 * 1024):
+def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, batch_size: int = 64 * 1024):
     """Compose the full DAG on a Dataset; returns the routed Dataset
     (with ``sink`` column), ready to write/aggregate.
 
@@ -156,8 +159,6 @@ def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, enrich_c
     enrich runs as a task-pool function whose broadcast state is built
     once per worker process (make_lookup_fn) — an actor pool would cap
     parallelism at its pool size and pay ramp-up, hurting scaling.
-    ``enrich_concurrency`` kept for API compatibility; pass a tuple to
-    force the actor-pool variant (e.g. when state must be actor-pinned).
     """
     import ray
 
@@ -175,40 +176,20 @@ def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, enrich_c
     )
 
     parsed = ds.map_batches(parse, batch_format="pyarrow", batch_size=batch_size)
-    if enrich_concurrency is not None:
-        enriched = parsed.map_batches(
-            enrich.LookupEnrich,
-            fn_constructor_kwargs={
-                "table_ref": lookup_ref,
-                "association": ["source"],
-                "prefix": "meta.",
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=enrich_concurrency,
-        )
-    else:
-        enriched = parsed.map_batches(
-            enrich.make_lookup_fn(lookup_ref, ["source"], "meta."),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    enriched = parsed.map_batches(
+        enrich.make_lookup_fn(lookup_ref, ["source"], "meta."),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
     enriched = enriched.map_batches(enrich.ApplyResource(resource), batch_format="pyarrow")
     return enriched.map_batches(router, batch_format="pyarrow")
 
 
-def aggregate_sinks(routed_ds, keys=AGG_KEYS, num_salts: int = 16, driver_finalize: bool = False):
+def aggregate_sinks(routed_ds, keys=AGG_KEYS, driver_finalize: bool = False):
     """Per-sink grouped counts (groupbyattrsprocessor semantics),
-    salted two-phase. ``driver_finalize`` merges the tiny partials on
-    the driver instead of shuffling (group count is small here)."""
-    return agg.two_phase_agg(
-        routed_ds,
-        keys,
-        {"*": ["count"]},
-        num_salts=num_salts,
-        salt_on="doc_id",
-        driver_finalize=driver_finalize,
-    )
+    two-phase. ``driver_finalize`` merges the tiny partials on the
+    driver instead of shuffling (group count is small here)."""
+    return agg.two_phase_agg(routed_ds, keys, {"*": ["count"]}, driver_finalize=driver_finalize)
 
 
 def _process_shard(
@@ -219,7 +200,6 @@ def _process_shard(
     lookup_ref,
     routing: dict | None,
     verify_tokens: bool,
-    num_salts: int,
 ) -> dict:
     """One shard: routed rows → atomic sink dir, aggregate → agg dir,
     manifest record with lineage. Returns the shard metrics dict."""
@@ -249,14 +229,7 @@ def _process_shard(
     written = read_corpus(
         sink_dir, columns=["sink", "source", "severity_text", "doc_id"]
     )
-    agg_tbl = agg.two_phase_agg(
-        written,
-        AGG_KEYS,
-        {"*": ["count"]},
-        num_salts=num_salts,
-        salt_on="doc_id",
-        driver_finalize=True,
-    )
+    agg_tbl = aggregate_sinks(written, driver_finalize=True)
     agg_dir = manifest.shard_output_dir("agg", shard_id)
     pq.write_table(agg_tbl, os.path.join(agg_dir, "agg.parquet.tmp"))
     os.replace(
@@ -341,7 +314,6 @@ def run_checkpointed(
     *,
     routing: dict | None = None,
     verify_tokens: bool = True,
-    num_salts: int = 16,
     max_concurrent_shards: int = 1,
 ):
     """Resumable run: one checkpoint shard per input parquet file.
@@ -385,9 +357,7 @@ def run_checkpointed(
 
     def work(item):
         src, shard_id = item
-        return _process_shard(
-            src, shard_id, run_dir, manifest, lookup_ref, routing, verify_tokens, num_salts
-        )
+        return _process_shard(src, shard_id, run_dir, manifest, lookup_ref, routing, verify_tokens)
 
     if max_concurrent_shards > 1 and len(todo) > 1:
         _stub_fsspec_http()

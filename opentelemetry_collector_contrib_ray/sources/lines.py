@@ -135,21 +135,6 @@ def parse_statsd(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
     return out.append_column("is_delta", is_delta)
 
 
-def statsd_rollup(ds, *, num_salts: int = 8):
-    """One flush interval's aggregation per (name, mtype, tags)
-    (statsd_parser.go:138-222): counters sum; gauges last-write (here:
-    sum of deltas + last absolute — batch equivalence documented);
-    timers collect → count/sum/min/max/mean summary."""
-    from .. import stages
-
-    return stages.aggregate.two_phase_agg(
-        ds,
-        ["name", "mtype", "tags"],
-        {"value": ["count", "sum", "min", "max", "mean"]},
-        num_salts=num_salts,
-    )
-
-
 # ------------------------------------------------------------- splunk HEC
 
 

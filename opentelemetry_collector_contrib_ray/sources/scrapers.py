@@ -119,14 +119,6 @@ def _explode_lines_arrow(
     return np.repeat(ids, counts), pc.list_flatten(ll)
 
 
-def _explode_lines(t: pa.Table, id_col: str, payload_col: str) -> pd.DataFrame:
-    """payload rows -> one DataFrame row per line, keyed by id_col."""
-    line_ids, flat_arr = _explode_lines_arrow(t, id_col, payload_col)
-    return pd.DataFrame(
-        {"_id": line_ids, "line": flat_arr.to_pandas().astype(object)}
-    )
-
-
 def _explode_extract_kv(
     t: pa.Table, id_col: str, payload_col: str, pattern: str
 ) -> pd.DataFrame:

@@ -38,7 +38,7 @@ from .._util import hash_u64, uniform01
 
 VOCAB_SIZE = 50257
 SOURCES = np.array(["app-a", "app-b", "app-c", "syslog", "k8s", "unknown"])
-# deliberately skewed: 70% app-a (FIXTURES F1) — exercises salted groupby
+# deliberately skewed: 70% app-a (FIXTURES F1) — exercises hot-key groupby
 SOURCE_CUM = np.array([0.70, 0.80, 0.88, 0.94, 0.985, 1.0])
 
 SEVERITIES = np.array(["TRACE", "DEBUG", "INFO", "WARN", "ERROR", "FATAL"])

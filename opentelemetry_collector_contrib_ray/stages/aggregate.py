@@ -1,4 +1,4 @@
-"""Aggregate stage: salted two-phase grouped aggregation.
+"""Aggregate stage: two-phase grouped aggregation and the keyed shuffle.
 
 Re-expresses the reference's aggregation semantics on Ray Data:
 
@@ -19,12 +19,10 @@ Re-expresses the reference's aggregation semantics on Ray Data:
 Scale design: a bare ``groupby().aggregate()`` shuffles every row.
 Every aggregation here is TWO-PHASE: phase 1 combines inside
 ``map_batches`` (one partial row per key per batch — the only rows
-that enter the shuffle), phase 2 is a small ``groupby`` over the
-partials. Skew note: per-batch combining already bounds the phase-2
-input for ANY key (hot or not) to ≤ #blocks partial rows, so no salt
-column is needed — an earlier design carried ``_salt`` but it only
-multiplied partial rows without spreading phase-2 load (each key's
-partials still converge on one reducer); it was removed.
+that enter the shuffle), phase 2 merges the partials through
+``keyed_apply``, the engine's one keyed shuffle. Skew note: per-batch
+combining already bounds the phase-2 input for ANY key (hot or not)
+to ≤ #blocks partial rows, so nothing is salted.
 
 Determinism: float partial sums merged by Ray's ``Sum`` arrive in
 nondeterministic order, so the final double can differ between runs
@@ -44,37 +42,42 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .._util import table_from_pandas
-
-_AGG_FUNCS = {"count", "sum", "min", "max", "mean"}
+from .._util import hash_str_u64, splitmix64, table_from_pandas
 
 
-def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
-    """Grouped aggregation for HIGH-cardinality key sets.
+def derived_num_partitions(cap: int = 512) -> int:
+    """Shuffle partition count sized to the actual cluster: ~CPU/2
+    aggregators (more swamps a small node, fewer starves a big
+    cluster), capped so a 10k-core cluster doesn't make 5k tiny
+    partitions. Callers use this instead of hard-coding counts."""
+    import ray
 
-    Ray's native sort-based ``groupby().aggregate()`` walks group
-    boundaries in per-group Python — measured 56 s for 111k groups of
-    120k rows vs <1 s for 20 groups — so group count, not row count,
-    is its cost. This helper hash-buckets the key tuple into
-    ~cluster-width buckets (the shuffle key has only ``num_buckets``
-    distinct values) and merges each bucket with ONE C++-vectorized
-    Arrow ``TableGroupBy`` — O(1) Python per bucket, not per key.
+    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    return max(4, min(cap, cpus // 2))
 
-    ``plan``: ``[(src_col, arrow_op, dst_col)]`` with ``arrow_op`` a
-    pyarrow group-aggregate function name (``sum/min/max/count/mean``).
-    An EMPTY plan returns the distinct key tuples. Every row of a key
-    lands in one bucket, so distributive merges are exact; output
-    column order is ``keys`` then the plan's dst names.
+
+def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: str = "pandas"):
+    """The engine's one keyed shuffle: co-locate every row of each key
+    tuple and call ``fn`` once per BUCKET, not once per key.
+
+    ``add_bucket`` hashes the key tuple (splitmix64 chain; numeric NaN
+    → −1, strings via ``hash_str_u64``) into ``_bucket = h % B`` with
+    ``B = num_buckets`` or ``derived_num_partitions()``; one sort-based
+    ``groupby("_bucket").map_groups`` shuffle then hands ``per_bucket``
+    each bucket with ``_bucket`` dropped, as a DataFrame or Arrow table
+    per ``batch_format``. ``fn`` runs a vectorized groupby over the
+    bucket itself, so millions of keys cost B Python calls. A single
+    hot key always lands in one bucket, bounding the largest task by
+    that key's row count. DataFrame results are emitted as
+    metadata-free Arrow: pandas blocks re-acquire the unhashable pandas
+    schema blob at the next conversion and do not union with Arrow.
     """
-    from .._util import hash_str_u64, splitmix64
-    from .join import derived_num_partitions
-
-    keys = list(keys)
-    P = num_buckets or derived_num_partitions()
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    P = np.uint64(num_buckets or derived_num_partitions())
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         h = np.zeros(len(batch), dtype=np.uint64)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for kcol in keys:
                 vals = batch[kcol].to_numpy(zero_copy_only=False)
                 if np.issubdtype(vals.dtype, np.number):
@@ -84,13 +87,50 @@ def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
                 else:
                     ch = hash_str_u64(vals)
                 h = splitmix64(h ^ ch)
-        b = (h % np.uint64(P)).astype(np.int64)
-        return batch.append_column("_gb", pa.array(b))
+        return batch.append_column("_bucket", pa.array((h % P).astype(np.int64)))
+
+    def per_bucket(g):
+        if isinstance(g, pd.DataFrame):
+            out = fn(g.drop(columns=["_bucket"]))
+        else:
+            out = fn(g.drop_columns(["_bucket"]))
+        if isinstance(out, pd.DataFrame):
+            try:
+                return table_from_pandas(out)
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                return out  # exotic dtypes stay pandas
+        return out
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby("_bucket")
+        .map_groups(per_bucket, batch_format=batch_format)
+    )
+
+
+def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
+    """Grouped aggregation for HIGH-cardinality key sets.
+
+    Ray's native sort-based ``groupby().aggregate()`` walks group
+    boundaries in per-group Python — measured 56 s for 111k groups of
+    120k rows vs <1 s for 20 groups — so group count, not row count,
+    is its cost. This helper runs through ``keyed_apply`` (the shuffle
+    key has only ``num_buckets`` distinct values) and merges each
+    bucket with ONE C++-vectorized Arrow ``TableGroupBy`` — O(1) Python
+    per bucket, not per key.
+
+    ``plan``: ``[(src_col, arrow_op, dst_col)]`` with ``arrow_op`` a
+    pyarrow group-aggregate function name (``sum/min/max/count/mean``).
+    An EMPTY plan returns the distinct key tuples. Every row of a key
+    lands in one bucket, so distributive merges are exact; output
+    column order is ``keys`` then the plan's dst names.
+    """
+    keys = list(keys)
 
     def merge_bucket(t: pa.Table) -> pa.Table:
         # Arrow-native grouped merge: type-preserving (incl. all-null
         # key columns, which pandas would retype) and C++-vectorized
-        g = pa.TableGroupBy(t.drop_columns(["_gb"]), keys)
+        g = pa.TableGroupBy(t, keys)
         # dedupe (src, op): e.g. sum+mean share one partial column
         merged = g.aggregate(sorted({(src, op) for src, op, _ in plan}))
         cols = {k: merged[k] for k in keys}
@@ -98,11 +138,7 @@ def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
             cols[dst] = merged[f"{src}_{op}"]
         return pa.table(cols)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_gb")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return keyed_apply(ds, keys, merge_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def _partial_stage(keys, aggs, exact_sums):
@@ -152,8 +188,6 @@ def two_phase_agg(
     keys: Sequence[str],
     aggs: dict[str, Sequence[str]],
     *,
-    num_salts: int = 16,  # accepted for API compat; no-op (see module doc)
-    salt_on: str | None = None,  # accepted for API compat; no-op
     batch_size: int = 64 * 1024,
     driver_finalize: bool = False,
     exact_sums: dict[str, int] | None = None,
@@ -217,10 +251,9 @@ def two_phase_agg(
     # phase 2: merge partials (≤ groups × blocks rows). NOT Ray's native
     # groupby().aggregate(): its sort-based aggregate walks group
     # boundaries in per-group Python — measured 56 s for 111k groups of
-    # 120k rows vs <1 s for 20 groups. Instead hash-bucket the key
-    # tuple into ~cluster-width buckets (a shuffle whose groupby key
-    # has only P distinct values) and merge each bucket with ONE
-    # vectorized pandas groupby — all merge fns are distributive, and
+    # 120k rows vs <1 s for 20 groups. Instead ``bucketed_aggregate``
+    # (one ``keyed_apply`` shuffle) merges each bucket with ONE
+    # vectorized Arrow groupby — all merge fns are distributive, and
     # every partial of a key lands in the same bucket by construction.
     merge_plan = [("_count", "sum", "count")]
     finalize_mean = []
@@ -282,7 +315,6 @@ def group_by_attrs_compact(
     keys: Sequence[str],
     *,
     resource_cols: Sequence[str] = (),
-    num_salts: int = 16,
 ):
     """Full groupbyattrsprocessor semantics in columnar form
     (processor.go:70-133, attribute_groups.go:104-169):
@@ -298,7 +330,7 @@ def group_by_attrs_compact(
     to the base (non-grouped) resource group (processor.go:83-97).
     """
     cols = list(resource_cols) + list(keys)
-    groups = groupby_attrs_counts(ds, cols, num_salts=num_salts, grouped_keys=list(keys))
+    groups = groupby_attrs_counts(ds, cols, grouped_keys=list(keys))
     keep = [c for c in ds.schema().names if c not in keys]
     if keep:
         records = ds.select_columns(keep)
@@ -312,9 +344,7 @@ def group_by_attrs_compact(
     return groups, records
 
 
-def groupby_attrs_counts(
-    ds, keys: Sequence[str], *, num_salts: int = 16, grouped_keys: Sequence[str] | None = None
-):
+def groupby_attrs_counts(ds, keys: Sequence[str], *, grouped_keys: Sequence[str] | None = None):
     """groupbyattrsprocessor observable output: per-group record counts.
 
     Rows where ALL key columns are null form the base (non-grouped)
@@ -327,7 +357,7 @@ def groupby_attrs_counts(
 
     keys = list(keys)
     flag_keys = list(grouped_keys) if grouped_keys is not None else keys
-    counted = two_phase_agg(ds, keys, {"*": ["count"]}, num_salts=num_salts)
+    counted = two_phase_agg(ds, keys, {"*": ["count"]})
 
     def _flag(t: pa.Table) -> pa.Table:
         grouped = None
@@ -345,7 +375,6 @@ def histogram_agg(
     value_col: str,
     bounds: Sequence[float],
     *,
-    num_salts: int = 8,  # accepted for API compat; no-op (see module doc)
     batch_size: int = 64 * 1024,
     value_scale: int | None = None,
 ):
@@ -405,7 +434,6 @@ def statsd_agg(
     keys: Sequence[str],
     value_col: str,
     *,
-    num_salts: int = 16,
     value_scale: int | None = None,
 ):
     """statsd counter/gauge/timer rollup per key
@@ -416,7 +444,6 @@ def statsd_agg(
         ds,
         keys,
         {value_col: ["count", "sum", "min", "max", "mean"]},
-        num_salts=num_salts,
         exact_sums={value_col: value_scale} if value_scale else None,
     )
 
@@ -427,7 +454,7 @@ def timer_summary(
     value_col: str,
     *,
     percentiles: Sequence[float] = (0, 10, 50, 90, 95, 100),
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     exact_scale: int | None = None,
 ):
     """statsd TIMER → Summary datapoint (metric_translator.go:63-88):
@@ -467,73 +494,4 @@ def timer_summary(
             out[f"p{int(p)}"] = vals[starts + np.minimum(idx, sizes - 1)]
         return out
 
-    return bucketed_group_apply(
-        ds.select_columns(keys + [value_col]) if hasattr(ds, "select_columns") else ds,
-        keys[0],
-        per_bucket,
-        num_buckets=num_buckets,
-    )
-
-
-def sorted_group_apply(ds, key: str, order_by: str, fn, batch_format: str = "pandas", num_buckets: int = 64):
-    """Per-key ordered window: each key's rows, sorted by ``order_by``,
-    are passed to ``fn`` as one DataFrame.
-
-    Used for last-write-wins gauges, cumulative→delta conversion
-    (datadogexporter metrics_translator.go:106-134) and recombine.
-
-    SCALE: routed through ``bucketed_group_apply`` — ONE shuffle on
-    ``hash(key) % num_buckets`` co-locates every key, and Ray schedules
-    ``num_buckets`` tasks instead of one per key. ``fn`` still runs
-    once per key (that is this API's contract); when the per-key work
-    is expressible as a vectorized pandas groupby, call
-    ``bucketed_group_apply`` directly instead.
-    """
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, order_by], kind="stable")
-        outs = [fn(g) for _, g in df.groupby(key, sort=False)]
-        return pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0]
-
-    return bucketed_group_apply(ds, key, per_bucket, num_buckets=num_buckets)
-
-
-def bucketed_group_apply(ds, key: str, fn, *, num_buckets: int = 64):
-    """Keyed apply with per-BUCKET Python instead of per-KEY Python.
-
-    Adds ``_bucket = hash(key) % num_buckets``, shuffles on the bucket
-    (co-locating every row of each key), and calls ``fn(bucket_df)``
-    once per bucket; ``fn`` is expected to run a vectorized pandas
-    ``groupby(key)`` itself. Turns millions of per-key calls into
-    ``num_buckets`` calls — the scale path for sessionize / delta /
-    last-write per user at 10^9-key cardinality. Size num_buckets ≳
-    cluster cores; skewed single keys are bounded by the largest key's
-    row count (a single key always lands in one bucket).
-    """
-    from .._util import hash_str_u64, splitmix64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vals = batch[key].to_numpy(zero_copy_only=False)
-        if np.issubdtype(vals.dtype, np.number):
-            h = splitmix64(vals.astype(np.uint64))  # vectorized for int keys
-        else:
-            h = hash_str_u64(vals)
-        b = (h % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("_bucket", pa.array(b))
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-
-    def per_bucket(g: pd.DataFrame):
-        out = fn(g.drop(columns=["_bucket"]))
-        if isinstance(out, pd.DataFrame):
-            # emit ARROW blocks (metadata-free): pandas blocks re-acquire
-            # the unhashable pandas schema blob at the next pyarrow
-            # conversion (per-aggregator shuffle warnings) and don't
-            # union with arrow datasets; fall back for exotic dtypes
-            try:
-                return table_from_pandas(out)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                return out
-        return out
-
-    return bucketed.groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return keyed_apply(ds.select_columns(keys + [value_col]), keys, per_bucket, num_buckets=num_buckets)

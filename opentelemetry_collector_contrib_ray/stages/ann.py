@@ -72,16 +72,20 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10, *, id_col="vec_id", e
                 }
             )
 
-    partials = ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency)
+    return _merge_topk(ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency), k)
 
-    def merge(g):
-        from .._util import table_from_pandas
 
-        # arrow out: pandas blocks would re-acquire the unhashable
-        # pandas schema blob at any downstream shuffle
-        return table_from_pandas(g.nlargest(k, "cos"))
+def _merge_topk(partials, k: int):
+    """Global top-k per query from per-batch top-k partials: one
+    ``keyed_apply`` shuffle on ``query_idx``, then per bucket one sort
+    by (query_idx, cos desc) and ``groupby(query_idx).head(k)``."""
+    from .aggregate import keyed_apply
 
-    return partials.groupby("query_idx").map_groups(merge, batch_format="pandas")
+    def topk(df):
+        df = df.sort_values(["query_idx", "cos"], ascending=[True, False], kind="stable")
+        return df.groupby("query_idx", sort=False).head(k)
+
+    return keyed_apply(partials, "query_idx", topk)
 
 
 class IvfIndex:
@@ -345,11 +349,4 @@ def quantized_topk(
                 }
             )
 
-    partials = codes_ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency)
-
-    def merge(g):
-        from .._util import table_from_pandas
-
-        return table_from_pandas(g.nlargest(k, "cos"))
-
-    return partials.groupby("query_idx").map_groups(merge, batch_format="pandas")
+    return _merge_topk(codes_ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency), k)

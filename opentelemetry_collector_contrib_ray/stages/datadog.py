@@ -750,13 +750,13 @@ def datadog_trace_translate(
     *,
     denylist: Sequence[str] = (),
     trace_col: str = "trace_id_u64",
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Full trace pipeline: row-local translation (one streaming
     ``map_batches``) then the per-trace steps through ONE bucketed
     ``hash(trace_id)`` shuffle (traces co-locate per bucket; the marks
     run vectorized inside each bucket task)."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     blk = Denylister(denylist)
     translated = ds.map_batches(translator, batch_format="pyarrow")
@@ -765,7 +765,7 @@ def datadog_trace_translate(
         g = apply_denylist(g, blk, trace_col)
         return mark_analyzed(g, trace_col)
 
-    return bucketed_group_apply(translated, trace_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(translated, trace_col, per_bucket, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------

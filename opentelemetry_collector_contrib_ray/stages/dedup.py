@@ -9,9 +9,9 @@ O(corpus)-sized structure — on the driver:
 
 - signature kernels (shingles, MinHash, SimHash) run one strided numpy
   pass over the batch's concatenated bytes — no per-document Python;
-- LSH bucket resolution and candidate-pair generation happen inside a
-  hash-bucketed ``groupby(_bucket).map_groups`` (64 Python calls total,
-  each a vectorized pass), not via driver-side collection;
+- LSH bucket resolution and candidate-pair generation happen inside
+  one ``keyed_apply`` shuffle (one Python call per bucket, each a
+  vectorized pass), not via driver-side collection;
 - pair verification is a distributed join of the pair list against the
   corpus texts (two bucketed shuffles of pairs+texts);
 - connected components default to driver union-find over the VERIFIED
@@ -212,7 +212,7 @@ def minhash_lsh_groups(
     k: int = 5,
     num_perm: int = 64,
     bands: int = 16,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     concurrency: int | tuple = (2, 8),
 ):
     """MinHash+LSH near-dup candidate buckets.
@@ -291,7 +291,7 @@ def token_minhash_lsh_groups(
     k: int = 8,
     num_perm: int = 64,
     bands: int = 16,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """``minhash_lsh_groups`` over the pre-tokenized corpus shape:
     identical shuffle plan ((band, hash, id) triples only), token
@@ -386,29 +386,15 @@ def _lsh_explode(ds, text_col, id_col, *, k, num_perm, bands, hasher=None):
     return mh.map_batches(explode, batch_format="pyarrow")
 
 
-def _add_bucket_col(exploded, num_buckets: int):
-    """_bucket = hash(band_id, band_hash) % B — the ONE shuffle key."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        bh = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = splitmix64(bh ^ (bid * np.uint64(0x9E3779B97F4A7C15)))
-        b = (h % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("_bucket", pa.array(b))
-
-    return exploded.map_batches(add_bucket, batch_format="pyarrow")
-
-
-def _resolve_buckets(exploded, id_col: str, *, num_buckets: int = 64):
+def _resolve_buckets(exploded, id_col: str, *, num_buckets: int | None = None):
     """(band_id, band_hash, id) triples → multi-member buckets with
     sorted member lists — DISTRIBUTED: one shuffle on a hash bucket of
     the band key, then per-bucket vectorized resolution (filter groups
     of size ≥2, build the id lists directly as an Arrow ListArray). No
     driver-side bucket-count table, no per-row Python membership."""
-    bucketed = _add_bucket_col(exploded, num_buckets)
+    from .aggregate import keyed_apply
 
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def resolve(g: pa.Table) -> pa.Table:
         df = pd.DataFrame(
             {
                 "band_id": g["band_id"].to_numpy(zero_copy_only=False),
@@ -449,18 +435,18 @@ def _resolve_buckets(exploded, id_col: str, *, num_buckets: int = 64):
             }
         )
 
-    return bucketed.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return keyed_apply(exploded, ["band_id", "band_hash"], resolve, num_buckets=num_buckets, batch_format="pyarrow")
 
 
-def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int = 64):
+def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int | None = None):
     """(band_id, band_hash, id) triples → globally-unique candidate
     pairs (id_a < id_b), fully distributed: pairs are generated inside
     the bucketed groupby (size-2 groups vectorized; larger groups —
     rare by LSH construction — via a bounded per-group expansion), then
-    deduped across bands with one hash-bucketed shuffle of the pairs."""
-    bucketed = _add_bucket_col(exploded, num_buckets)
+    deduped across bands with a second keyed shuffle of the pairs."""
+    from .aggregate import keyed_apply
 
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def band_pairs(g: pa.Table) -> pa.Table:
         df = pd.DataFrame(
             {
                 "band_id": g["band_id"].to_numpy(zero_copy_only=False),
@@ -492,13 +478,7 @@ def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int = 64):
                 out_a.append(vals[ia])
                 out_b.append(vals[ib])
         if not out_a:
-            return pa.table(
-                {
-                    "id_a": pa.array([], id_type),
-                    "id_b": pa.array([], id_type),
-                    "_pb": pa.array([], pa.int64()),
-                }
-            )
+            return pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)})
         a = np.concatenate(out_a)
         b = np.concatenate(out_b)
         # local dedupe first (same pair can recur within this bucket):
@@ -509,36 +489,19 @@ def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int = 64):
         keep = np.ones(len(a), bool)
         keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         a, b = a[keep], b[keep]
-        from .._util import hash_str_u64
+        return pa.table({"id_a": pa.array(a, id_type), "id_b": pa.array(b, id_type)})
 
-        with np.errstate(over="ignore"):
-            ph = splitmix64(hash_str_u64(a) ^ splitmix64(hash_str_u64(b)))
-        pb = (ph % np.uint64(num_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                "id_a": pa.array(a, id_type),
-                "id_b": pa.array(b, id_type),
-                "_pb": pa.array(pb),
-            }
-        )
+    pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs, num_buckets=num_buckets, batch_format="pyarrow")
 
-    pairs = bucketed.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    # dedupe across bands: a pair's copies from every band co-locate on
+    # the (id_a, id_b) key; one vectorized drop_duplicates per bucket
+    def dedupe(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates(["id_a", "id_b"])
 
-    # dedupe across bands: hash-bucket the pairs (single int key — far
-    # cheaper to shuffle than a two-string-column sort aggregate), then
-    # one vectorized drop_duplicates per pair bucket. Emit ARROW with
-    # stripped metadata: a pandas block here re-acquires the unhashable
-    # pandas schema blob at the downstream join shuffle (Ray's schema
-    # dedup warning)
-    from .._util import table_from_pandas
-
-    def dedupe(df: pd.DataFrame) -> pa.Table:
-        return table_from_pandas(df.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]])
-
-    return pairs.groupby("_pb").map_groups(dedupe, batch_format="pandas")
+    return keyed_apply(pairs, ["id_a", "id_b"], dedupe, num_buckets=num_buckets)
 
 
-def simhash_buckets(ds, text_col: str = "text", id_col: str = "doc_id", *, bands: int = 4, num_buckets: int = 64):
+def simhash_buckets(ds, text_col: str = "text", id_col: str = "doc_id", *, bands: int = 4, num_buckets: int | None = None):
     """SimHash near-dup candidates: split each 64-bit simhash into
     ``bands`` equal bit-bands; docs within Hamming distance < bands
     share at least one identical band (pigeonhole) and land in a common
@@ -680,7 +643,7 @@ def verify_cos_pairs_ds(
     id_col: str = "vec_id",
     emb_col: str = "embedding",
     threshold: float = 0.95,
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
 ):
     """Exact-cosine verification of candidate id pairs: join the pair
     list against the (normalized) embeddings — two distributed joins,
@@ -853,7 +816,7 @@ def verify_pairs_ds(
     id_col: str = "doc_id",
     n: int = 3,
     threshold: float = 0.8,
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
 ):
     """Distributed candidate-pair verification: join the pair list
     against the corpus texts (two bucketed shuffles of pairs + texts —
@@ -1073,11 +1036,11 @@ def connected_components_ds(edges_ds, *, max_iters: int = 20):
         la = labels.map_batches(
             lambda t: t.rename_columns(["id_a", "label_a"]), batch_format="pyarrow"
         )
-        j = bucketed_hash_join(edges, la, "id_a", num_buckets=16)
+        j = bucketed_hash_join(edges, la, "id_a")
         lb = labels.map_batches(
             lambda t: t.rename_columns(["id_b", "label_b"]), batch_format="pyarrow"
         )
-        j = bucketed_hash_join(j, lb, "id_b", num_buckets=16)
+        j = bucketed_hash_join(j, lb, "id_b")
 
         def msgs(df: pd.DataFrame) -> pd.DataFrame:
             # every node appears in an incident edge, so emitting
@@ -1127,7 +1090,7 @@ def near_dedup(
     num_perm: int = 128,
     bands: int = 16,
     jaccard_threshold: float = 0.8,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     cc_mode: str = "auto",
     cc_edge_threshold: int = 100_000,
 ):
@@ -1196,7 +1159,7 @@ def near_dedup_clusters(
     num_perm: int = 128,
     bands: int = 16,
     jaccard_threshold: float = 0.8,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     cc_mode: str = "auto",
     cc_edge_threshold: int = 100_000,
 ):

@@ -8,11 +8,10 @@ relational capability:
 - ``broadcast_join``: small side (dimension table) shipped once via
   ray.put, pandas merge per batch — no shuffle. The scale default for
   enrichment-shaped joins.
-- ``bucketed_hash_join``: both sides large — hash-bucket both on the
-  key, co-locate each bucket with ONE shuffle (union + groupby), merge
-  per bucket with vectorized pandas. Skewed hot keys are bounded by the
-  bucket of the hottest key; salt upstream if one key alone exceeds a
-  worker's memory.
+- ``bucketed_hash_join``: both sides large — ``tag_union`` the sides,
+  co-locate each key with ONE ``keyed_apply`` shuffle, merge per bucket
+  with vectorized pandas. A hot key is bounded by its bucket: one key's
+  rows from both sides must fit a worker.
 - ``native_join``: thin wrapper over ``Dataset.join`` (hash shuffle
   join in Ray >= 2.46) — preferred when available; the bucketed path is
   the portable fallback and the explicitly-partitioned variant.
@@ -27,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .._util import table_from_pandas
+from .aggregate import derived_num_partitions, keyed_apply
 
 
 def broadcast_join(ds, small: pa.Table, on: str | Sequence[str], how: str = "left", suffix: str = "_r"):
@@ -53,101 +53,80 @@ def bucketed_hash_join(
     on: str | Sequence[str],
     *,
     how: str = "inner",
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     left_suffix: str = "",
     right_suffix: str = "_r",
 ):
     """Partitioned hash join of two Datasets on ``on``.
 
-    Plan: tag each side, add ``_bucket = hash(key) % B`` (vectorized),
-    union (zero-copy concat of block lists), groupby(_bucket) — the one
-    all-to-all — then pandas-merge the two sides inside each bucket.
-    Wall-clock scales with the largest bucket; B should be ≳ cluster
-    cores. Rows with null keys are dropped (SQL inner-join semantics)
-    or kept on the left for how='left'.
+    Plan: ``tag_union`` the two sides, then ONE ``keyed_apply`` shuffle
+    on the key tuple co-locates each key's rows from both sides and
+    pandas-merges them inside each bucket. Wall-clock scales with the
+    largest bucket. Rows with null keys are dropped (SQL inner-join
+    semantics) or kept on the left for how='left'.
     """
-    from .._util import hash_str_u64, splitmix64
-
     on = [on] if isinstance(on, str) else list(on)
-
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            key = batch[on[0]].to_numpy(zero_copy_only=False)
-            if np.issubdtype(key.dtype, np.number):
-                h = splitmix64(key.astype(np.uint64))
-            else:
-                h = hash_str_u64(key)
-            b = (h % np.uint64(num_buckets)).astype(np.int64)
-            batch = batch.append_column("_bucket", pa.array(b))
-            return batch.append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-
-        return f
-
-    lt = left.map_batches(tag(0), batch_format="pyarrow")
-    rt = right.map_batches(tag(1), batch_format="pyarrow")
-    # union of differing schemas: null-fill via pandas at merge time;
-    # Ray union requires compatible schemas → pad both sides first
-    lcols = set(left.schema().names)
-    rcols = set(right.schema().names)
-
-    def pad(missing_cols, types):
-        def f(batch: pa.Table) -> pa.Table:
-            for c, t in zip(missing_cols, types):
-                batch = batch.append_column(c, pa.nulls(len(batch), t))
-            return batch
-
-        return f
-
-    def _arrow_schema(ds) -> dict:
-        s = ds.schema()
-        out = {}
-        for name, typ in zip(s.names, s.types):
-            if not isinstance(typ, pa.DataType):
-                try:
-                    typ = pa.from_numpy_dtype(typ)
-                except pa.ArrowNotImplementedError:
-                    typ = pa.string()  # object dtype → string
-            out[name] = typ
-        return out
-
-    lschema = _arrow_schema(left)
-    rschema = _arrow_schema(right)
-    l_missing = [c for c in rschema if c not in lcols]
-    r_missing = [c for c in lschema if c not in rcols]
-    lt = lt.map_batches(pad(l_missing, [rschema[c] for c in l_missing]), batch_format="pyarrow")
-    rt = rt.map_batches(pad(r_missing, [lschema[c] for c in r_missing]), batch_format="pyarrow")
-    all_cols = ["_bucket", "_side"] + sorted(set(lschema) | set(rschema))
-    lt = lt.select_columns(all_cols)
-    rt = rt.select_columns(all_cols)
-    both = lt.union(rt)
-
-    l_out = [c for c in lschema]
+    both, lschema, rschema = tag_union(left, right)
+    l_out = list(lschema)
     r_out = [c for c in rschema if c not in on]
 
-    def merge_bucket(g: pd.DataFrame) -> pa.Table:
+    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lhs = g[g["_side"] == 0][l_out]
         rhs = g[g["_side"] == 1][[*on, *r_out]]
-        out = lhs.merge(rhs, on=on, how=how, suffixes=(left_suffix or "", right_suffix))
-        # emit ARROW (metadata-free): pandas blocks re-acquire the
-        # unhashable pandas schema blob on the next pyarrow conversion,
-        # which makes every downstream shuffle warn per aggregator; and
-        # arrow blocks union cleanly with the rest of the pipeline
-        return table_from_pandas(out)
+        return lhs.merge(rhs, on=on, how=how, suffixes=(left_suffix or "", right_suffix))
 
-    return both.groupby("_bucket").map_groups(merge_bucket, batch_format="pandas")
+    return keyed_apply(both, on, merge_bucket, num_buckets=num_buckets)
 
 
-def derived_num_partitions(cap: int = 512) -> int:
-    """Shuffle partition count sized to the actual cluster: ~CPU/2
-    aggregators (more swamps a small node, fewer starves a big
-    cluster), capped so a 10k-core cluster doesn't make 5k tiny
-    partitions. Callers use this instead of hard-coding counts."""
-    import ray
+def _arrow_schema(ds) -> dict:
+    """``{name: arrow type}`` of a Dataset; numpy dtypes (pandas blocks)
+    map to Arrow, object → string."""
+    s = ds.schema()
+    out = {}
+    for name, typ in zip(s.names, s.types):
+        if not isinstance(typ, pa.DataType):
+            try:
+                typ = pa.from_numpy_dtype(typ)
+            except pa.ArrowNotImplementedError:
+                typ = pa.string()
+        out[name] = typ
+    return out
 
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(4, min(cap, cpus // 2))
+
+def tag_union(left, right, *, key: tuple[str, str] | None = None):
+    """The two-sided input of a keyed shuffle: pad both sides to one
+    schema with typed nulls, tag ``_side`` (0 left, 1 right) and union;
+    columns the sides share take the left side's type. No hashing —
+    the caller shuffles with ``keyed_apply``. With
+    ``key=(left_col, right_col)`` each row's own key is also copied to
+    ``_key``, so sides whose key columns are named differently
+    co-partition on ``_key``. Returns ``(both, lschema, rschema)``: the
+    union and each side's ``{name: arrow type}``."""
+    lschema, rschema = _arrow_schema(left), _arrow_schema(right)
+    types = {**rschema, **lschema}
+    names = sorted(types)
+
+    def side(ds, tag: int, kcol: str | None):
+        recast = lschema if tag else {}
+
+        def f(batch: pa.Table) -> pa.Table:
+            n = len(batch)
+            cols = {"_side": pa.array(np.full(n, tag, dtype=np.int8))}
+            if kcol is not None:
+                cols["_key"] = batch[kcol].cast(lschema[key[0]])
+            for c in names:
+                if c not in batch.column_names:
+                    cols[c] = pa.nulls(n, types[c])
+                elif c in recast and batch[c].type != recast[c]:
+                    cols[c] = batch[c].cast(recast[c])
+                else:
+                    cols[c] = batch[c]
+            return pa.table(cols)
+
+        return ds.map_batches(f, batch_format="pyarrow")
+
+    lkey, rkey = key or (None, None)
+    return side(left, 0, lkey).union(side(right, 1, rkey)), lschema, rschema
 
 
 def native_join(left, right, on, how: str = "inner", num_partitions: int | None = None, **kw):
@@ -164,63 +143,13 @@ def native_join(left, right, on, how: str = "inner", num_partitions: int | None 
 # --------------------------------------------------- as-of / range joins
 
 
-def _tag_pad_union(left, right, lkey: str, rkey: str, num_buckets: int):
-    """Shared skeleton for the time/interval joins: hash-bucket each
-    side on its key column, pad to a common schema, union. Returns
-    ``(both, l_cols, r_cols)`` — the one all-to-all is the
-    groupby(_bucket) the caller runs."""
-    from .._util import hash_str_u64, splitmix64
-
-    def tag(side: int, keycol: str):
-        def f(batch: pa.Table) -> pa.Table:
-            key = batch[keycol].to_numpy(zero_copy_only=False)
-            if np.issubdtype(key.dtype, np.number):
-                h = splitmix64(key.astype(np.uint64))
-            else:
-                h = hash_str_u64(key)
-            b = (h % np.uint64(num_buckets)).astype(np.int64)
-            batch = batch.append_column("_bucket", pa.array(b))
-            return batch.append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-
-        return f
-
-    def _schema(ds) -> dict:
-        s = ds.schema()
-        out = {}
-        for name, typ in zip(s.names, s.types):
-            if not isinstance(typ, pa.DataType):
-                try:
-                    typ = pa.from_numpy_dtype(typ)
-                except pa.ArrowNotImplementedError:
-                    typ = pa.string()
-            out[name] = typ
-        return out
-
-    lschema, rschema = _schema(left), _schema(right)
+def _by_key_union(left, right, lkey: str, rkey: str):
+    """``tag_union`` for the time/interval joins: sides co-partition on
+    their ``by`` keys and must not share column names."""
+    both, lschema, rschema = tag_union(left, right, key=(lkey, rkey))
     overlap = set(lschema) & set(rschema)
     if overlap:
-        raise ValueError(
-            f"asof/range join sides must not share column names: {sorted(overlap)}"
-        )
-
-    def pad(missing: dict):
-        def f(batch: pa.Table) -> pa.Table:
-            for c, t in missing.items():
-                batch = batch.append_column(c, pa.nulls(len(batch), t))
-            return batch
-
-        return f
-
-    lt = left.map_batches(tag(0, lkey), batch_format="pyarrow").map_batches(
-        pad(rschema), batch_format="pyarrow"
-    )
-    rt = right.map_batches(tag(1, rkey), batch_format="pyarrow").map_batches(
-        pad(lschema), batch_format="pyarrow"
-    )
-    all_cols = ["_bucket", "_side"] + sorted(set(lschema) | set(rschema))
-    both = lt.select_columns(all_cols).union(rt.select_columns(all_cols))
+        raise ValueError(f"asof/range join sides must not share column names: {sorted(overlap)}")
     return both, lschema, rschema
 
 
@@ -257,7 +186,7 @@ def asof_join(
     right_by: str,
     direction: str = "backward",
     allow_exact_matches: bool = True,
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
 ):
     """Distributed AS-OF join: for each left row, attach the single
     right row with the nearest ``right_on`` at-or-before (backward) /
@@ -274,7 +203,7 @@ def asof_join(
     unmatched left rows keep nulls. Rows with a null time column are
     dropped (they can never match). Sides must not share column names
     (rename before joining)."""
-    both, lschema, rschema = _tag_pad_union(left, right, left_by, right_by, num_buckets)
+    both, lschema, rschema = _by_key_union(left, right, left_by, right_by)
     l_cols, r_cols = list(lschema), list(rschema)
     # the union's null padding degrades int/time columns to float64 in
     # buckets where one side is empty — pin key dtypes from the left
@@ -303,7 +232,7 @@ def asof_join(
         )
         return _cast_to_fields(out, out_fields)
 
-    return both.groupby("_bucket").map_groups(merge_bucket, batch_format="pandas")
+    return keyed_apply(both, "_key", merge_bucket, num_buckets=num_buckets)
 
 
 def range_join(
@@ -316,7 +245,7 @@ def range_join(
     left_by: str,
     right_by: str,
     how: str = "inner",
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
 ):
     """Distributed interval (range) join: match each left row to the
     right interval with ``lower <= value < upper`` under the same
@@ -329,7 +258,7 @@ def range_join(
     and no cartesian blowup. Overlapping-interval workloads need the
     general theta-join (not this operator). ``how='left'`` keeps
     unmatched left rows with null interval columns."""
-    both, lschema, rschema = _tag_pad_union(left, right, left_by, right_by, num_buckets)
+    both, lschema, rschema = _by_key_union(left, right, left_by, right_by)
     l_cols, r_cols = list(lschema), list(rschema)
     by_dtype = np.dtype(lschema[left_by].to_pandas_dtype())
     r_attach = [c for c in r_cols if c != right_by]
@@ -369,4 +298,4 @@ def range_join(
             return _cast_to_fields(pd.DataFrame(columns=[f[0] for f in out_fields]), out_fields)
         return _cast_to_fields(pd.concat(outs, ignore_index=True), out_fields)
 
-    return both.groupby("_bucket").map_groups(merge_bucket, batch_format="pandas")
+    return keyed_apply(both, "_key", merge_bucket, num_buckets=num_buckets)

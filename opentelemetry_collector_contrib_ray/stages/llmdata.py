@@ -385,7 +385,7 @@ def pack_sequences(
     text_col: str = "text",
     seq_len: int = 2048,
     emit_tokens: bool = False,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Concat-and-chunk sequence packing per group (see module doc).
 
@@ -393,7 +393,7 @@ def pack_sequences(
     first_tok, last_tok[, tokens])``. Tokens here are whitespace words
     of ``text_col`` (swap in a tokenizer stage upstream to pack real
     BPE ids — the packing kernel is token-type-agnostic)."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -432,7 +432,7 @@ def pack_sequences(
             cols["tokens"] = pa.array([], pa.list_(pa.string()))
         return pa.table(cols)
 
-    return bucketed_group_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
 
 
 def pack_token_sequences(
@@ -442,7 +442,7 @@ def pack_token_sequences(
     tokens_col: str = "tokens",
     seq_len: int = 2048,
     emit_tokens: bool = False,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Token-array-native concat-and-chunk packing: the same semantics
     as ``pack_sequences`` but over a pre-tokenized ``list<int32>``
@@ -453,7 +453,7 @@ def pack_token_sequences(
     per group one numpy concatenate + stride slice. Returns chunk rows
     ``(group, chunk_id, chunk_len, first_tok, last_tok[, tokens])``
     with int64 first/last token ids."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -488,7 +488,7 @@ def pack_token_sequences(
             cols["tokens"] = pa.array([], pa.list_(pa.int32()))
         return pa.table(cols)
 
-    return bucketed_group_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
 
 
 # --------------------------------------------------------------- C4 cleaning
@@ -963,7 +963,7 @@ def line_dedup_joined(
     text_col: str = "text",
     id_col: str = "doc_id",
     min_docs: int = 2,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Exact line dedup WITHOUT the broadcast: the scale path for
     corpora whose duplicated-line table outgrows a worker heap.
@@ -978,7 +978,7 @@ def line_dedup_joined(
     the dup table fits in memory. Returns ``(doc_id, n_lines,
     n_removed, clean_text)`` — identical decisions to LineDeduper."""
     from .._util import hash_str_u64
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
     from .join import bucketed_hash_join
 
     dup = duplicate_lines(
@@ -1052,7 +1052,7 @@ def line_dedup_joined(
             }
         )
 
-    return bucketed_group_apply(joined, id_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(joined, id_col, per_bucket, num_buckets=num_buckets)
 
 
 def resample_mixture(
@@ -1185,7 +1185,7 @@ def stratified_sample(
     in hash order); join/broadcast against the corpus to materialize
     sampled rows. Partitioning assumption: n × (groups in one bucket)
     rows fit one task."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     def partials(t: pa.Table) -> pa.Table:
         g = t[group_col].to_numpy(zero_copy_only=False)
@@ -1219,8 +1219,7 @@ def stratified_sample(
         out["rank"] = out.groupby(group_col, sort=False).cumcount().astype(np.int64)
         return out[[group_col, id_col, "rank"]]
 
-    kwargs = {"num_buckets": num_buckets} if num_buckets else {}
-    return bucketed_group_apply(cand, group_col, head_n, **kwargs)
+    return keyed_apply(cand, group_col, head_n, num_buckets=num_buckets)
 
 
 def _flat_tokens(t: pa.Table, tokens_col: str):
@@ -1704,12 +1703,11 @@ def write_training_shards(
     shard, rows sorted by (shuffle_rank, id) — the resumable training
     layout: a failed run re-runs only shards whose final file is
     missing (writes are tmp + atomic rename, so no partial final file
-    ever exists). Per-shard ``map_groups`` here IS the bucketed
-    pattern — key cardinality equals the shard count, which is sized
-    like a bucket count (≳ cluster cores; each shard ≈ N/n_shards rows
-    must fit a worker). Returns the manifest as pandas: shard, n_rows,
-    id_sum (numeric ids), first/last id in read order, skipped,
-    on_disk_rows.
+    ever exists). One ``keyed_apply`` shuffle on ``shard`` co-locates
+    each shard's rows and every bucket writes its shards in turn (each
+    shard ≈ N/n_shards rows must fit a worker). Returns the manifest
+    as pandas, one row per shard in shard order: shard, n_rows, id_sum
+    (numeric ids), first/last id in read order, skipped, on_disk_rows.
 
     Resume safety (ADVICE r3): the run config (seed, n_shards, id_col)
     is stamped into ``_shards_meta.json`` before any shard writes; a
@@ -1722,6 +1720,8 @@ def write_training_shards(
     import os
 
     import pyarrow.parquet as pq
+
+    from .aggregate import keyed_apply
 
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, "_shards_meta.json")
@@ -1742,8 +1742,7 @@ def write_training_shards(
         os.replace(tmp_meta, meta_path)
     labeled = shuffle_shards(ds, id_col, n_shards=n_shards, seed=seed)
 
-    def write_one(g: pd.DataFrame) -> pd.DataFrame:
-        sh = int(g["shard"].iloc[0])
+    def write_one(sh: int, g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["shuffle_rank", id_col], kind="mergesort")
         body = g.drop(columns=["shard"])
         path = os.path.join(out_dir, f"shard-{sh:05d}.parquet")
@@ -1770,7 +1769,11 @@ def write_training_shards(
             }
         )
 
-    return labeled.groupby("shard").map_groups(write_one).to_pandas()
+    def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([write_one(int(sh), g) for sh, g in df.groupby("shard")], ignore_index=True)
+
+    manifest = keyed_apply(labeled, "shard", write_bucket).to_pandas()
+    return manifest.sort_values("shard", kind="stable").reset_index(drop=True)
 
 
 QUALITY_CLF_BUCKETS = 64

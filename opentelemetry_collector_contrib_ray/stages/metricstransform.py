@@ -13,7 +13,7 @@ Reference (processor/metricstransformprocessor):
 
 Batch shape: a "metric point" is a row with label columns + a
 ``value`` column (+ optional ``timestamp``). Label ops are column ops;
-aggregate_labels is a salted two-phase groupby (aggregate.py).
+aggregate_labels is a two-phase groupby (aggregate.py).
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def aggregate_labels(
     aggregation: str = "sum",
     *,
     group_by_timestamp: str | None = None,
-    num_salts: int = 8,
     exact_scale: int | None = None,
 ):
     """aggregate_labels: retain a label subset, merge points with
@@ -89,7 +88,6 @@ def aggregate_labels(
         ds,
         keys,
         {value_col: [aggregation]},
-        num_salts=num_salts,
         exact_sums={value_col: exact_scale} if exact_scale else None,
     )
 
@@ -119,11 +117,11 @@ def aggregate_label_values(
 
 
 def merge_histograms(ds, keys: Sequence[str], bucket_cols: Sequence[str],
-                     count_col: str = "count", sum_col: str = "sum", *, num_salts: int = 8):
+                     count_col: str = "count", sum_col: str = "sum"):
     """Histogram distribution merge: element-wise bucket-count add plus
     count/sum add per key (datapoint_aggregation.go:179-213)."""
     aggs = {c: ["sum"] for c in list(bucket_cols) + [count_col, sum_col]}
-    return two_phase_agg(ds, keys, aggs, num_salts=num_salts)
+    return two_phase_agg(ds, keys, aggs)
 
 
 def combine_metrics(
@@ -137,7 +135,6 @@ def combine_metrics(
     submatch_case: str | None = None,
     name_col: str = "metric_name",
     keep_unmatched: bool = False,
-    num_salts: int = 8,
     exact_scale: int | None = None,
 ):
     """metricstransform ``combine`` action with regexp submatch naming
@@ -196,7 +193,6 @@ def combine_metrics(
         ds.map_batches(matched, batch_format="pyarrow"),
         [name_col, *label_cols, *sub_labels],
         {value_col: [aggregation]},
-        num_salts=num_salts,
         exact_sums={value_col: exact_scale} if exact_scale else None,
     )
     if not keep_unmatched:

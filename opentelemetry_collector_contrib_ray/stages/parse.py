@@ -372,22 +372,6 @@ class Router:
         return out
 
 
-def _concat_unify(tables: list[pa.Table]) -> pa.Table:
-    """Concat tables whose branch chains created different columns:
-    union of columns, null-filled, first-seen dtype wins."""
-    all_cols: dict[str, pa.DataType] = {}
-    for t in tables:
-        for f in t.schema:
-            all_cols.setdefault(f.name, f.type)
-    outs = []
-    for t in tables:
-        for name, typ in all_cols.items():
-            if name not in t.column_names:
-                t = t.append_column(name, pa.nulls(len(t), typ))
-        outs.append(t.select(list(all_cols)))
-    return pa.concat_tables(outs, promote_options="permissive")
-
-
 class RecombineLines:
     """stanza recombine with boundary predicates: multiline entries are
     delimited by an ``is_first_entry`` (or ``is_last_entry``) regex on
@@ -396,7 +380,7 @@ class RecombineLines:
     groupby joins. PARTITIONING ASSUMPTION (same as stanza's file
     ordering): rows are in source order within the batch and a logical
     entry never spans batches — read each file as one block, or apply
-    within ``groupby(file).map_groups``.
+    per file through ``recombine_lines_grouped``.
     """
 
     def __init__(
@@ -443,31 +427,16 @@ class RecombineLines:
         return table_from_pandas(out[[c for c in df.columns if c != "_gid"]])
 
 
-def recombine_grouped(ds, group_by: str, field: str = "raw", order_by: str | None = None, separator: str = "\n", num_buckets: int = 64):
-    """Partition-safe recombine: ONE bucketed shuffle co-locates each
-    group, then ``Recombine`` joins every group inside the bucket in a
-    single vectorized pandas pass (it already handles many groups per
-    frame). Use when multiline groups may span input blocks; plain
-    ``Recombine`` when the source guarantees contiguity."""
-    from .aggregate import bucketed_group_apply
-
-    rec = Recombine(group_by, field, order_by, separator)
-
-    def per_bucket(df):
-        return rec(table_from_pandas(df)).to_pandas()
-
-    return bucketed_group_apply(ds, group_by, per_bucket, num_buckets=num_buckets)
-
-
 class Recombine:
     """stanza recombine (register.go:25): join multiline entries.
 
     Batch-engine semantics: rows sharing ``group_by`` within a batch are
     combined in ``order_by`` order, joining ``field`` with ``separator``
     onto the group's first row. PARTITIONING ASSUMPTION: a multiline
-    group never spans blocks — callers must pre-partition by the group
-    key (use ``recombine_grouped``) or sort the source so groups are
-    contiguous; the flagship pipeline does not need recombine.
+    group never spans blocks — callers must co-locate each group (run
+    it per bucket inside ``aggregate.keyed_apply`` on ``group_by``) or
+    sort the source so groups are contiguous; the flagship pipeline
+    does not need recombine.
     """
 
     def __init__(self, group_by: str, field: str = "raw", order_by: str | None = None, separator: str = "\n"):
@@ -609,7 +578,7 @@ def recombine_lines_grouped(
         is_last_entry=is_last_entry,
         separator=separator,
     )
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     def per_bucket(df):
         import pandas as pd
@@ -624,4 +593,4 @@ def recombine_lines_grouped(
 
     # bucketed: one shuffle on hash(file) co-locates each file's lines;
     # boundary-joining runs per file inside each bucket task
-    return bucketed_group_apply(ds, file_col, per_bucket)
+    return keyed_apply(ds, file_col, per_bucket)

@@ -83,12 +83,6 @@ class RoutingTable:
         return pa.concat_tables(pieces, promote_options="permissive")
 
 
-def write_routed(ds, out_dir: str, **kw):
-    """Single-pass fan-out write: out_dir/sink=<name>/part-*.parquet."""
-    ds.write_parquet(out_dir, partition_cols=["sink"], **kw)
-    return out_dir
-
-
 class BatchPerKey:
     """pkg/batchperresourceattr (batchperresourceattr.go:42-75): split a
     batch into one sub-batch per distinct value of a column. As a batch

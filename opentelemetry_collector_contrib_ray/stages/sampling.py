@@ -136,7 +136,7 @@ def tail_sample(
     ts_col: str | None = None,
     batch_format: str = "pandas",
     broadcast_threshold: int = 2_000_000,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Returns (sampled_ds, decisions) where decisions is a DATASET with
     one row per trace (trace_id, sampled, n_spans, first_ts).
@@ -157,7 +157,7 @@ def tail_sample(
     """
     import ray
 
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     group_policies = [p for p in policies if not isinstance(p, RateLimiting)]
     rate_policies = [p for p in policies if isinstance(p, RateLimiting)]
@@ -190,7 +190,7 @@ def tail_sample(
         out["sampled"] = out[trace_col].isin(sampled_ids)
         return out
 
-    decisions = bucketed_group_apply(ds, trace_col, decide_bucket, num_buckets=num_buckets)
+    decisions = keyed_apply(ds, trace_col, decide_bucket, num_buckets=num_buckets)
 
     if rate_policies and ts_col:
         # exact per-second budget (rate_limiting.go:50-66), tightest
@@ -212,7 +212,7 @@ def tail_sample(
             out = tightest.apply_to_decisions(df, "first_ts", trace_col)
             return out.drop(columns=["_sec"])
 
-        decisions = bucketed_group_apply(
+        decisions = keyed_apply(
             decisions.map_batches(add_sec, batch_format="pyarrow"),
             "_sec",
             per_sec_bucket,
@@ -254,14 +254,14 @@ def tail_sample(
     return sampled_ds, decisions
 
 
-def group_by_trace(ds, trace_col: str, fn=None, batch_format: str = "pandas", num_buckets: int = 64):
+def group_by_trace(ds, trace_col: str, fn=None, batch_format: str = "pandas", num_buckets: int | None = None):
     """groupbytraceprocessor: deliver each trace's spans as one group
     (processor.go:82-90); ``fn`` defaults to pass-through concat.
 
     SCALE: bucketed — one shuffle on ``hash(trace) % num_buckets``,
     then ``fn`` per trace inside each bucket task (never one Ray group
     per trace id)."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     if fn is None:
         fn = lambda g: g  # noqa: E731
@@ -270,7 +270,7 @@ def group_by_trace(ds, trace_col: str, fn=None, batch_format: str = "pandas", nu
         outs = [fn(g) for _, g in df.groupby(trace_col, sort=False)]
         return pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0]
 
-    return bucketed_group_apply(ds, trace_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(ds, trace_col, per_bucket, num_buckets=num_buckets)
 
 
 def probabilistic_sample(ds, id_col: str, fraction: float, salt: int = 0):

@@ -14,7 +14,7 @@ Ray-Data-first layout:
   centroid matrix broadcasts once per process);
 * cluster assignment is a stateless `map_batches` pass over zero-copy
   Arrow (argmax over a broadcast centroid matmul);
-* the within-cluster prune is ONE `bucketed_group_apply` shuffle on
+* the within-cluster prune is ONE `keyed_apply` shuffle on
   the cluster id — per-cluster vectorized numpy (normalize → Gram
   matrix → upper-triangular threshold test), never per-row Python.
 
@@ -38,7 +38,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .aggregate import bucketed_group_apply
+from .aggregate import derived_num_partitions, keyed_apply
 from .ann import IvfIndex, _mat, _normalize
 
 
@@ -92,7 +92,7 @@ def semantic_dedup(
     n_clusters: int | None = None,
     keep: str = "min_id",
     sample_size: int = 4096,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
 ):
     """Dataset → (survivors Dataset with [id_col, _cluster], stats
     dict). Drops within-cluster cosine-duplicates above ``threshold``."""
@@ -132,7 +132,7 @@ def semantic_dedup(
             else pd.DataFrame({id_col: [], "_cluster": []})
         )
 
-    survivors = bucketed_group_apply(
-        assigned, "_cluster", prune, num_buckets=min(num_buckets, k)
+    survivors = keyed_apply(
+        assigned, "_cluster", prune, num_buckets=min(num_buckets or derived_num_partitions(), k)
     )
     return survivors

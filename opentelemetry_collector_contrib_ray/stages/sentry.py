@@ -139,15 +139,15 @@ def _per_bucket_transactions(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def sentry_transactions(ds, num_buckets: int = 64):
+def sentry_transactions(ds, num_buckets: int | None = None):
     """Distributed transaction assembly: descriptor pass fused into the
     bucketing map, one shuffle on trace_id, per-bucket closure."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     def prep(t: pa.Table) -> pa.Table:
         return table_from_pandas(generate_span_descriptors(t.to_pandas()))
 
     withdesc = ds.map_batches(prep, batch_format="pyarrow")
-    return bucketed_group_apply(
+    return keyed_apply(
         withdesc, "trace_id", _per_bucket_transactions, num_buckets=num_buckets
     )

@@ -521,7 +521,7 @@ def _delta_metric(ds, tr: dict, dim_cols: list[str]):
     previous point in ts order; first point dropped; negative delta =
     reset emits the current value; delta point renamed + GAUGE;
     originals kept."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     names = set(tr["mapping"])
     all_cols = _BASE_COLS + dim_cols
@@ -556,7 +556,7 @@ def _delta_metric(ds, tr: dict, dim_cols: list[str]):
         out["metric_type"] = "gauge"  # delta_translator.go:100-106
         return out.drop(columns=["_skey"])
 
-    deltas = bucketed_group_apply(matching, "_skey", per_bucket)
+    deltas = keyed_apply(matching, "_skey", per_bucket)
 
     norm = ds.map_batches(
         lambda t: _norm_arrow(t, all_cols), batch_format="pyarrow"

@@ -84,14 +84,14 @@ class LokiLabeler:
         )
 
 
-def loki_streams(ds, allowed_attributes: dict[str, str], *, num_salts: int = 8):
+def loki_streams(ds, allowed_attributes: dict[str, str]):
     """Streams = counts per exact label set (exporter.go:138-160)."""
     from .aggregate import two_phase_agg
 
     labeled = ds.map_batches(
         LokiLabeler(allowed_attributes), batch_format="pyarrow"
     )
-    return two_phase_agg(labeled, ["labels"], {"*": ["count"]}, num_salts=num_salts)
+    return two_phase_agg(labeled, ["labels"], {"*": ["count"]})
 
 
 def dedup_dedot_keys(obj: dict) -> dict:

@@ -76,7 +76,7 @@ def sessionize(ds, key: str, ts_col: str, gap_seconds: float, order_cols=None):
     One shuffle (groupby key); per-group pandas is vectorized
     (diff + cumsum), never a Python loop over events.
     """
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     order = order_cols or [ts_col]
 
@@ -102,14 +102,14 @@ def sessionize(ds, key: str, ts_col: str, gap_seconds: float, order_cols=None):
         out["session_id"] = out.groupby(key).cumcount().astype(np.int64)
         return out[[key, "session_id", "n_events", "session_start", "session_end"]]
 
-    return bucketed_group_apply(ds, key, per_bucket)
+    return keyed_apply(ds, key, per_bucket)
 
 
 def last_write_wins(ds, keys, ts_col: str, value_col: str, order_cols=None):
     """Gauge last-write-wins per key (statsd gauge semantics,
     statsd_parser.go:170-189): the value of the latest event wins.
     Two-phase: per-batch last by order, then per-key last of partials."""
-    from .aggregate import bucketed_group_apply
+    from .aggregate import keyed_apply
 
     keys = list(keys)
     order = order_cols or [ts_col]
@@ -122,4 +122,4 @@ def last_write_wins(ds, keys, ts_col: str, value_col: str, order_cols=None):
         ).reset_index()
         return out
 
-    return bucketed_group_apply(ds, keys[0], per_bucket)
+    return keyed_apply(ds, keys, per_bucket)

@@ -11,7 +11,6 @@ import ray.data
 from opentelemetry_collector_contrib_ray.stages.aggregate import (
     groupby_attrs_counts,
     histogram_agg,
-    sorted_group_apply,
     statsd_agg,
     two_phase_agg,
 )
@@ -33,7 +32,7 @@ def events_df():
 def test_two_phase_agg_matches_pandas(events_df):
     ds = ray.data.from_pandas(events_df)
     out = (
-        two_phase_agg(ds, ["k"], {"v": ["count", "sum", "min", "max", "mean"]}, num_salts=8)
+        two_phase_agg(ds, ["k"], {"v": ["count", "sum", "min", "max", "mean"]})
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -83,33 +82,11 @@ def test_groupby_attrs_null_keys_form_base_group():
         }
     )
     ds = ray.data.from_pandas(df)
-    out = groupby_attrs_counts(ds, ["k1", "k2"], num_salts=2).to_pandas()
+    out = groupby_attrs_counts(ds, ["k1", "k2"]).to_pandas()
     base = out[~out["grouped"]]
     assert len(base) == 1 and base["count"].iloc[0] == 1  # the (None, None) row
     assert out["count"].sum() == 4
     assert len(out) == 4  # exact tuple equality defines group identity
-
-
-def test_sorted_group_apply_delta(events_df):
-    small = events_df.head(200).copy()
-    small["seq"] = np.arange(len(small))
-    ds = ray.data.from_pandas(small)
-
-    def delta(g):
-        d = g["v"].diff().fillna(0.0)
-        return pd.DataFrame({"uid": g["uid"], "seq": g["seq"], "d": d})
-
-    out = sorted_group_apply(ds, "uid", "seq", delta).to_pandas()
-    exp = (
-        small.sort_values(["uid", "seq"])
-        .groupby("uid")["v"]
-        .diff()
-        .fillna(0.0)
-    )
-    merged = out.sort_values(["uid", "seq"]).reset_index(drop=True)
-    exp_df = small.sort_values(["uid", "seq"]).reset_index(drop=True)
-    assert np.allclose(merged["d"], exp.to_numpy())
-    assert merged["seq"].tolist() == exp_df["seq"].tolist()
 
 
 def test_exact_sums_deterministic_vs_float():

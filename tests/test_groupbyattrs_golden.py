@@ -34,7 +34,7 @@ def test_complex_grouping_not_unique_resources():
     """processor_test.go:133-142: matching resources join → 1 group, 16 records."""
     df = _complex_logs(False)
     ds = ray.data.from_pandas(df)
-    groups, records = group_by_attrs_compact(ds, ["commonGroupedAttr"], num_salts=2)
+    groups, records = group_by_attrs_compact(ds, ["commonGroupedAttr"])
     g = groups.to_pandas()
     assert len(g) == 1
     assert g["count"].sum() == 16
@@ -49,7 +49,7 @@ def test_complex_grouping_unique_resources():
     df = _complex_logs(True)
     ds = ray.data.from_pandas(df)
     groups, _ = group_by_attrs_compact(
-        ds, ["commonGroupedAttr"], resource_cols=["resourceAttrIndex"], num_salts=2
+        ds, ["commonGroupedAttr"], resource_cols=["resourceAttrIndex"]
     )
     g = groups.to_pandas()
     assert len(g) == 4
@@ -79,7 +79,7 @@ def test_attribute_grouping_matrix():
                 lambda t: t.append_column("zz", pa.nulls(len(t), pa.string())),
                 batch_format="pyarrow",
             )
-        groups, records = group_by_attrs_compact(ds, group_keys, num_salts=2)
+        groups, records = group_by_attrs_compact(ds, group_keys)
         g = groups.to_pandas()
         assert len(g) == 1  # single distinct value tuple → one group
         assert g["count"].iloc[0] == count

@@ -70,7 +70,7 @@ def routed():
 
 def test_routed_counts_match_oracle(routed):
     got = (
-        lp.aggregate_sinks(routed, keys=["sink", "source"], num_salts=4)
+        lp.aggregate_sinks(routed, keys=["sink", "source"])
         .to_pandas()
         .set_index(["sink", "source"])["count"]
         .sort_index()
@@ -119,3 +119,40 @@ def test_wide_rows_small_blocks_token_equality():
         assert in_digest == out_digest
     finally:
         ctx.target_max_block_size = old
+
+
+def test_all_k8s_batch_gets_severity_defaults(tmp_path):
+    """A batch whose rows all take k8s router branches (no severity
+    parser) still carries severity_text/severity_number, as the stanza
+    entry default Undefined/0, so the partitioned write re-reads under
+    the aggregate's column list."""
+    import pyarrow as pa
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
+
+    raw = [
+        '{"log":"hello","stream":"stdout","time":"2021-03-01T00:00:00.000Z"}',
+        "2021-03-01T00:00:01.000000000Z stderr F world",
+    ]
+    batch = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "tokens": pa.array([[1, 2], [3]], pa.list_(pa.int32())),
+            "n_tok": pa.array([2, 1], pa.int32()),
+            "source": pa.array(["k8s", "k8s"]),
+            "raw": pa.array(raw),
+        }
+    )
+    parsed = lp.build_parse_chain()(batch)
+    assert parsed["severity_text"].to_pylist() == ["Undefined", "Undefined"]
+    assert parsed["severity_number"].to_pylist() == [0, 0]
+    assert parsed["msg"].to_pylist() == ["hello", "world"]
+
+    out = str(tmp_path / "routed")
+    lp.build_pipeline(ray.data.from_arrow(batch)).write_parquet(out, partition_cols=["sink"])
+    agg = lp.aggregate_sinks(
+        read_corpus(out, columns=["sink", "source", "severity_text", "doc_id"]), driver_finalize=True
+    )
+    assert isinstance(agg, pa.Table)
+    assert agg.to_pylist() == [{"sink": "sink_default", "source": "k8s", "severity_text": "Undefined", "count": 2}]

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) for core kernels: router scatter
-round-trip, severity conversion totality, token checksum sensitivity,
-salted aggregation partition-independence."""
+round-trip, severity conversion totality, token checksum sensitivity;
+and metamorphic tests of the keyed shuffle (``keyed_apply``,
+``two_phase_agg``, ``bucketed_hash_join``): results do not depend on
+bucket count, input order, block layout or key skew."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +83,91 @@ def test_splitmix_deterministic_and_mixing(x):
     assert a[0] == b[0]
     c = splitmix64(np.array([x + 1], dtype=np.uint64))
     assert a[0] != c[0]
+
+
+# --------------------------------------------------- keyed shuffle invariance
+
+# (bucket count, input layout): each case must reproduce the pandas
+# ground truth of the same rows
+SHUFFLE_CASES = [
+    pytest.param(1, "base", id="buckets1"),
+    pytest.param(7, "base", id="buckets7"),
+    pytest.param(64, "base", id="buckets64"),
+    pytest.param(7, "permuted", id="permuted"),
+    pytest.param(7, "blocks", id="many_blocks_some_empty"),
+    pytest.param(7, "hot", id="one_hot_key"),
+]
+
+
+def _events(layout: str) -> pd.DataFrame:
+    i = np.arange(48)
+    keys = np.full(48, "hot", dtype=object) if layout == "hot" else np.array([f"k{j % 13}" for j in i], dtype=object)
+    df = pd.DataFrame({"k": keys, "k2": (i % 3).astype(np.int64), "v": ((i * 37) % 101).astype(np.int64)})
+    return df.sample(frac=1.0, random_state=7) if layout == "permuted" else df
+
+
+def _dataset(df: pd.DataFrame, layout: str):
+    import ray.data
+
+    ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    if layout == "blocks":
+        ds = ds.repartition(64).materialize()  # 48 rows → 64 blocks, some empty
+        rows = [m.num_rows for bundle in ds.iter_internal_ref_bundles() for m in bundle.metadata]
+        assert len(rows) == 64 and min(rows) == 0
+    return ds
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _assert_same_multiset(got: pd.DataFrame, exp: pd.DataFrame):
+    pd.testing.assert_frame_equal(_canon(got), _canon(exp), check_dtype=False)
+
+
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_keyed_apply_invariant(num_buckets, layout):
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+
+    df = _events(layout)
+
+    def per_key(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["k", "k2"]).agg(n=("v", "size"), s=("v", "sum")).reset_index()
+
+    got = keyed_apply(_dataset(df, layout), ["k", "k2"], per_key, num_buckets=num_buckets).to_pandas()
+    _assert_same_multiset(got, per_key(df))
+
+
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_two_phase_agg_invariant(num_buckets, layout, monkeypatch):
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+
+    # two_phase_agg derives its bucket count; pin it per case
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    df = _events(layout)
+    # 8-row combine batches: each key's partials span several batches
+    got = aggregate.two_phase_agg(
+        _dataset(df, layout), ["k", "k2"], {"v": ["count", "sum", "min", "max"]}, batch_size=8
+    )
+    g = df.groupby(["k", "k2"])["v"]
+    exp = pd.DataFrame(
+        {"count": g.size(), "v_count": g.count(), "v_sum": g.sum(), "v_min": g.min(), "v_max": g.max()}
+    ).reset_index()
+    _assert_same_multiset(got.to_pandas(), exp)
+
+
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_bucketed_hash_join_invariant(num_buckets, layout):
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.join import bucketed_hash_join
+
+    df = _events(layout)
+    # two right rows per key (plus one unmatched key): a many-to-many join
+    keys = [f"k{j}" for j in range(13)] + ["hot", "absent"]
+    right = pd.DataFrame({"k": keys * 2, "w": np.arange(2 * len(keys), dtype=np.int64)})
+    got = bucketed_hash_join(
+        _dataset(df, layout), ray.data.from_arrow(pa.Table.from_pandas(right)), "k", num_buckets=num_buckets
+    ).to_pandas()
+    _assert_same_multiset(got, df.merge(right, on="k"))
