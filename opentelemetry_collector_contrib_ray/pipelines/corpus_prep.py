@@ -33,9 +33,16 @@ Execution shape (designed for the 100 TB case):
   count, NOT the corpus) broadcasts via ``ray.put`` when small, and
   falls back to a distributed bucketed anti-join past
   ``drop_broadcast_max`` ids.
+* No stage uses an actor pool. The broadcast stages (line and
+  passage dedup, decontamination, the vocabulary encoder) are callable
+  INSTANCES passed to ``map_batches``: they run as tasks, and their
+  tables are serialized once with the operator — no worker processes
+  are started or torn down per run.
 * Outputs are partitioned Parquet — documents by ``split``, packed
-  sequences by pack group — so a failed run resumes by skipping
-  completed partition directories (``_done.json`` marker).
+  sequences by pack group. A run stamps ``_started`` before it writes
+  anything and ``_done.json`` when it finishes: a finished run is
+  skipped, an unfinished one's artifacts are cleared and rewritten,
+  and artifacts without a ``_started`` stamp are never touched.
 """
 
 from __future__ import annotations
@@ -227,6 +234,37 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
     )
 
 
+_ARTIFACTS = ("documents", "packed", "vocab.parquet")
+
+
+def _claim_out_dir(out_dir: str) -> None:
+    """Stamp ``out_dir/_started`` before a run writes anything. A
+    ``_started`` stamp without ``_done.json`` means an earlier run died
+    mid-write: its documents/packed/vocab artifacts would be DOUBLED by
+    this run's re-write (Ray parquet filenames are per-execution), so
+    they are cleared. The same names WITHOUT the stamp were not written
+    by ``prepare_corpus`` and are never deleted: the run raises.
+    ``shards/`` stays untouched — its files are written atomically (tmp
+    + rename) and individually skipped on resume."""
+    import os
+    import shutil
+
+    os.makedirs(out_dir, exist_ok=True)
+    found = [n for n in _ARTIFACTS if os.path.exists(os.path.join(out_dir, n))]
+    if found and not os.path.exists(os.path.join(out_dir, "_started")):
+        raise FileExistsError(
+            f"{out_dir} holds {found} but no _started stamp: they were not written "
+            "by prepare_corpus; use an empty directory or remove them"
+        )
+    for n in found:
+        path = os.path.join(out_dir, n)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
+    open(os.path.join(out_dir, "_started"), "w").close()
+
+
 def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None) -> PrepResult:
     """Run the corpus-prep composition over a documents Dataset.
 
@@ -235,7 +273,9 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     ``out_dir`` is given, writes partitioned Parquet (documents by
     split, packed by pack group) plus ``vocab.parquet`` and a
     ``_done.json`` marker, and SKIPS the whole run when the marker
-    already exists (artifact-level resume)."""
+    already exists (artifact-level resume). Raises ``FileExistsError``
+    when ``out_dir`` already holds documents/packed/vocab artifacts
+    that no ``prepare_corpus`` run stamped (see ``_claim_out_dir``)."""
     import json
     import os
 
@@ -262,6 +302,9 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         )
         stats["resumed"] = True
         return PrepResult(docs, packed, vocab, stats, out_dir)
+
+    if out_dir:
+        _claim_out_dir(out_dir)
 
     text_col, id_col, source_col = cfg.text_col, cfg.id_col, cfg.source_col
 
@@ -339,17 +382,14 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             )
         )
         stats["dup_lines"] = int(len(dup_tbl))
-        # constructor args serialize ONCE PER ACTOR (the broadcast):
-        # each pool member holds one sorted copy of the dup-line table
-        docs = docs.map_batches(
-            LineDeduper, batch_format="pyarrow",
-            fn_constructor_args=(
-                dup_tbl["line_hash"].to_numpy(zero_copy_only=False),
-                dup_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-            ),
-            fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-            concurrency=(1, 8),
+        # the instance (one sorted copy of the dup-line table) is
+        # serialized once with the operator: the broadcast
+        deduper = LineDeduper(
+            dup_tbl["line_hash"].to_numpy(zero_copy_only=False),
+            dup_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
+            text_col=text_col, id_col=id_col,
         )
+        docs = docs.map_batches(deduper, batch_format="pyarrow")
         idx_fn_cols = ["clean_text", "n_lines", "n_removed"]
 
         def fold_clean(batch: pa.Table) -> pa.Table:
@@ -379,19 +419,12 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             )
         )
         stats["dup_passages"] = int(len(dupp_tbl))
-        docs = docs.map_batches(
-            PassageDeduper, batch_format="pyarrow",
-            fn_constructor_args=(
-                dupp_tbl["gram_hash"].to_numpy(zero_copy_only=False),
-                dupp_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-            ),
-            fn_constructor_kwargs={
-                "window": cfg.passage_window,
-                "text_col": text_col,
-                "id_col": id_col,
-            },
-            concurrency=(1, 8),
+        deduper = PassageDeduper(
+            dupp_tbl["gram_hash"].to_numpy(zero_copy_only=False),
+            dupp_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
+            window=cfg.passage_window, text_col=text_col, id_col=id_col,
         )
+        docs = docs.map_batches(deduper, batch_format="pyarrow")
 
         def fold_passage(batch: pa.Table) -> pa.Table:
             idx = batch.column_names.index(text_col)
@@ -425,11 +458,8 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         from ..stages.llmdata import NgramDecontaminator
 
         docs = docs.map_batches(
-            NgramDecontaminator,
+            NgramDecontaminator(cfg.decontaminate_grams, n=cfg.decontaminate_n, text_col=text_col),
             batch_format="pyarrow",
-            fn_constructor_args=(cfg.decontaminate_grams,),
-            fn_constructor_kwargs={"n": cfg.decontaminate_n, "text_col": text_col},
-            concurrency=(1, 8),
         )
 
         def drop_contaminated(batch: pa.Table) -> pa.Table:
@@ -460,11 +490,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         counts = corpus_word_counts(docs, text_col=text_col, num_buckets=cfg.num_buckets)
         vocab = top_vocab(counts, cfg.vocab_size)
         docs = docs.map_batches(
-            VocabEncoder,
-            batch_format="pyarrow",
-            fn_constructor_args=(vocab["word"].to_numpy(),),
-            fn_constructor_kwargs={"text_col": text_col},
-            concurrency=(1, 8),
+            VocabEncoder(vocab["word"].to_numpy(), text_col=text_col), batch_format="pyarrow"
         )
         if cfg.pack:
             group_cols = [source_col] + (["split"] if cfg.split else [])
@@ -493,21 +519,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
     # ---- stage 7: partitioned, resumable write
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        # A prior run died before stamping _done.json: any partial
-        # documents/packed/vocab files it left would be DOUBLED by this
-        # run's re-write (Ray parquet filenames are per-execution), so
-        # clear them. shards/ stays untouched — its files are written
-        # atomically (tmp + rename) and individually skipped on resume.
-        import shutil
-
-        for sub in ("documents", "packed"):
-            p = os.path.join(out_dir, sub)
-            if os.path.isdir(p):
-                shutil.rmtree(p)
-        vp = os.path.join(out_dir, "vocab.parquet")
-        if os.path.exists(vp):
-            os.remove(vp)
         doc_cols = [c for c in docs.schema().names]
         part_cols = ["split"] if cfg.split and "split" in doc_cols else None
         docs.write_parquet(

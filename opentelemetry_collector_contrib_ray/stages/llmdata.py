@@ -11,22 +11,26 @@ would need"). Public-knowledge semantics:
 * PII redaction — the standard pre-training scrub (emails / IPv4s /
   phone numbers replaced by typed placeholder tokens), as popularized
   by public corpus pipelines (e.g. BigScience ROOTS, RefinedWeb).
-  Pure vectorized regex over a text column; patterns are RE2-safe so a
-  SQL oracle can mirror them with ``regexp_replace(..., 'g')``.
+  Arrow's RE2 kernels (``count_substring_regex`` +
+  ``replace_substring_regex``) over the text column — the same regex
+  engine as a SQL oracle's ``regexp_replace(..., 'g')``.
 * Gopher repetition rules — the repetition/quality signals from the
   Gopher paper's data pipeline (Rae et al. 2021, table A1): duplicate
   word fraction, alphabetic-word fraction, symbol-to-word ratio, mean
   word length window, minimum word count. Computed per document with
-  explode + hash-groupby kernels (no per-row Python).
+  Arrow C++ kernels over one flat word array (``_split_words``): a
+  ``count_distinct`` hash aggregate, a regex match and substring
+  counts — no per-row Python.
 * Sequence packing — GPT-style "concatenate documents and cut into
   fixed-length training sequences": within each ``group_col``
   partition, documents are concatenated in ``order_col`` order and the
   flat token stream is sliced into chunks of ``seq_len`` (the final
-  partial chunk is kept). Distributed as ONE bucketed shuffle on the
-  group key; each group's pack is a numpy concatenate + stride slice.
-  Partitioning assumption: one group's tokens fit one task (bound
-  seq_len × chunks per group; hot groups land in one bucket — salt
-  upstream if a single source dominates).
+  partial chunk is kept). Distributed as ONE keyed shuffle on the
+  group key; each bucket sorts once by (group, order) and cuts every
+  group's chunks from one flat token array. Partitioning assumption:
+  one group's tokens fit one task (bound seq_len × chunks per group;
+  hot groups land in one bucket — salt upstream if a single source
+  dominates).
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._util import table_from_pandas
 
-# RE2-compatible (no lookaround/backrefs) so DuckDB regexp_replace
-# mirrors them exactly.
+# RE2 patterns: Arrow's regex kernels and DuckDB's regexp_replace run
+# the same engine, so an SQL oracle mirrors them exactly (``\d`` and
+# ``\b`` are ASCII-only in RE2).
 PII_PATTERNS = [
     ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
     ("ip", r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b", "<IP>"),
@@ -46,17 +52,47 @@ PII_PATTERNS = [
 ]
 
 
+def _text(col) -> pa.Array:
+    """A text column as one ``string`` array with nulls filled to ``""``."""
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        col = pa.array(col, pa.string())
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.type != pa.string():
+        col = col.cast(pa.string())
+    return pc.fill_null(col, "")
+
+
+def _split_words(text, *, drop_empty: bool = False) -> tuple[pa.Array, np.ndarray, np.ndarray]:
+    """Split every document on single spaces in Arrow C++ — the
+    ``str.split(" ")`` rule, null text read as ``""``. Returns ``(flat,
+    doc_of, n_words)``: the flat ``string`` word array, each word's
+    document index (int64) and the word count per document (int64).
+    ``drop_empty`` removes the empty words that leading, trailing and
+    repeated spaces leave, and counts only the remaining words."""
+    lists = pc.split_pattern(_text(text), " ")
+    flat = pc.list_flatten(lists)
+    doc_of = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
+    if not drop_empty:
+        return flat, doc_of, pc.list_value_length(lists).to_numpy().astype(np.int64)
+    keep = pc.not_equal(flat, "")
+    doc_of = doc_of[keep.to_numpy(zero_copy_only=False)]
+    return flat.filter(keep), doc_of, np.bincount(doc_of, minlength=len(lists)).astype(np.int64)
+
+
 def redact_pii(batch: pa.Table, text_col: str = "text", out_col: str = "redacted") -> pa.Table:
     """Replace PII spans with typed placeholders; adds ``n_<kind>``
-    count columns and the redacted text. Patterns apply in PII_PATTERNS
-    order (email before ip before phone) — an oracle must chain its
-    regexp_replace calls in the same order."""
-    s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+    count columns and the redacted text. Matching is RE2 (Arrow's
+    ``count_substring_regex`` / ``replace_substring_regex``), the
+    engine behind DuckDB's ``regexp_replace``; patterns apply in
+    PII_PATTERNS order (email before ip before phone) — an oracle must
+    chain its ``regexp_replace(..., 'g')`` calls in the same order."""
+    s = _text(batch[text_col])
     for kind, pattern, repl in PII_PATTERNS:
-        n = s.str.count(pattern).astype(np.int64)
-        s = s.str.replace(pattern, repl, regex=True)
-        batch = batch.append_column(f"n_{kind}", pa.array(n.to_numpy(), pa.int64()))
-    return batch.append_column(out_col, pa.array(s.to_numpy(dtype=object), pa.string()))
+        n = pc.count_substring_regex(s, pattern).cast(pa.int64())
+        s = pc.replace_substring_regex(s, pattern, repl)
+        batch = batch.append_column(f"n_{kind}", n)
+    return batch.append_column(out_col, s)
 
 
 def gopher_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -65,34 +101,26 @@ def gopher_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     (words containing a latin letter), ``symbol_word_ratio``
     (#/ellipsis occurrences per word), plus ``passes_gopher``
     combining them with the mean-word-length window [3, 10] and a
-    minimum word count. Explode + groupby kernels, no per-row loops."""
-    s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-    words = s.str.split(" ")
-    lens = words.str.len().fillna(0).astype(np.int64)
+    minimum word count. Arrow kernels over the flat word array: a
+    ``count_distinct`` hash aggregate per document, a regex match per
+    word, substring counts and ``utf8_length`` per document."""
+    s = _text(batch[text_col])
+    flat, doc_of, n_words = _split_words(s)
     n = len(s)
-    flat = (
-        np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-        if n and lens.sum() > 0
-        else np.array([], dtype=object)
-    )
-    ids = np.repeat(np.arange(n), lens.to_numpy())
-    dfw = pd.DataFrame({"i": ids, "w": flat})
-    g = dfw.groupby("i", sort=False)
-    nuniq = g["w"].nunique().reindex(range(n), fill_value=0).to_numpy()
-    alpha = (
-        dfw.assign(a=dfw["w"].str.contains("[A-Za-z]", regex=True, na=False))
-        .groupby("i", sort=False)["a"]
-        .sum()
-        .reindex(range(n), fill_value=0)
-        .to_numpy()
-    )
-    n_words = lens.to_numpy()
+    nuniq = np.zeros(n, np.int64)
+    g = pa.table({"d": doc_of, "w": flat}).group_by("d").aggregate([("w", "count_distinct")])
+    nuniq[g["d"].to_numpy()] = g["w_count_distinct"].to_numpy()
+    is_alpha = pc.match_substring_regex(flat, "[A-Za-z]").to_numpy(zero_copy_only=False)
+    alpha = np.bincount(doc_of[is_alpha], minlength=n)
     nz = np.maximum(n_words, 1)
     dup_word_frac = 1.0 - nuniq / nz
     alpha_word_frac = alpha / nz
-    n_chars = s.str.len().astype(np.int64).to_numpy()
+    n_chars = pc.utf8_length(s).to_numpy().astype(np.int64)
     mean_word_len = (n_chars - (n_words - 1)) / nz
-    symbols = (s.str.count("#") + s.str.count(r"\.\.\.")).astype(np.int64).to_numpy()
+    symbols = (
+        pc.count_substring(s, "#").to_numpy().astype(np.int64)
+        + pc.count_substring(s, "...").to_numpy().astype(np.int64)
+    )
     symbol_word_ratio = symbols / nz
     passes = (
         (n_words >= 5)
@@ -139,11 +167,11 @@ class NgramDecontaminator:
     appendix C): flag a training document when ANY of its n-word
     windows appears in the held-out set's n-gram table.
 
-    Actor-pool stage: ``eval_grams`` (a sorted uint64 hash array,
-    typically a ``ray.put`` handle resolved by Ray's argument
-    de-reference) is held once per actor; ``__call__`` runs one strided
-    window-hash pass per batch and an ``np.isin`` membership against
-    the broadcast table. Adds a ``contaminated`` bool column."""
+    Broadcast stage: pass an instance to ``map_batches`` and the
+    ``eval_grams`` table (a sorted uint64 hash array) is serialized
+    once with the operator; ``__call__`` runs one strided window-hash
+    pass per batch and an ``np.isin`` membership against it. Adds a
+    ``contaminated`` bool column."""
 
     def __init__(
         self,
@@ -179,10 +207,9 @@ class NgramDecontaminator:
             raise ValueError(f"backend must be sorted|bloom, got {backend!r}")
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        flags = np.zeros(len(s), dtype=bool)
+        flags = np.zeros(len(t), dtype=bool)
         if self._any:
-            h, doc_of = _window_hashes(s, self.n)
+            h, doc_of = _window_hashes(t[self.text_col], self.n)
             if self.backend == "bloom":
                 hit = self.bloom.contains_hashes(h) if len(h) else np.zeros(0, bool)
             else:
@@ -192,48 +219,36 @@ class NgramDecontaminator:
 
 
 def _window_hashes_full(
-    s: pd.Series, n: int
+    text, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hash every n-word window of every text in ``s`` in one flat
-    pass. Returns ``(hashes uint64, doc_index int64, flat_start int64,
-    flat_words object, word_lens int64)`` — the window render is
-    positional string adds over the flat word array, the same
-    joined-string hashing as ``build_eval_grams``; ``flat_start`` is
-    each window's first-word index into ``flat_words`` (the
-    concatenation of every doc's space-split words)."""
+    """Hash every n-word window of every document of the ``text``
+    column in one flat pass. Returns ``(hashes uint64, doc_index
+    int64, flat_start int64, flat_words object, word_lens int64)`` —
+    the window render is positional string adds over the flat word
+    array, the same joined-string hashing as ``build_eval_grams``;
+    ``flat_start`` is each window's first-word index into
+    ``flat_words`` (the concatenation of every doc's space-split
+    words)."""
     from .._util import hash_str_u64
 
-    words = s.str.split(" ")
-    lens = words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
+    flat, _, lens = _split_words(text)
+    flat_words = flat.to_numpy(zero_copy_only=False)
     n_wins = np.maximum(lens - n + 1, 0)
-    if n_wins.sum() == 0:
-        flat = (
-            np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-            if len(s) and lens.sum()
-            else np.empty(0, object)
-        )
-        return (
-            np.empty(0, np.uint64),
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            flat,
-            lens,
-        )
-    flat_words = np.concatenate(
-        [np.asarray(w, dtype=object) for w in words.to_numpy()]
-    )
-    starts = np.repeat(np.cumsum(lens) - lens, n_wins) + np.concatenate(
-        [np.arange(k, dtype=np.int64) for k in n_wins]
-    )
-    doc_of = np.repeat(np.arange(len(s), dtype=np.int64), n_wins)
+    total = int(n_wins.sum())
+    if total == 0:
+        empty = np.empty(0, np.int64)
+        return np.empty(0, np.uint64), empty, empty, flat_words, lens
+    first_win = np.repeat(np.cumsum(n_wins) - n_wins, n_wins)
+    starts = np.repeat(np.cumsum(lens) - lens, n_wins) + np.arange(total) - first_win
+    doc_of = np.repeat(np.arange(len(lens), dtype=np.int64), n_wins)
     win = flat_words[starts].astype(object)
     for off in range(1, n):
         win = win + " " + flat_words[starts + off]
     return hash_str_u64(win.astype(object)), doc_of, starts, flat_words, lens
 
 
-def _window_hashes(s: pd.Series, n: int) -> tuple[np.ndarray, np.ndarray]:
-    h, doc_of, _, _, _ = _window_hashes_full(s, n)
+def _window_hashes(text, n: int) -> tuple[np.ndarray, np.ndarray]:
+    h, doc_of, _, _, _ = _window_hashes_full(text, n)
     return h, doc_of
 
 
@@ -263,9 +278,8 @@ def duplicate_passages(
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         ids = t[id_col].to_numpy(zero_copy_only=False)
-        h, doc_of = _window_hashes(s, window)
+        h, doc_of = _window_hashes(t[text_col], window)
         if not len(h):
             return pa.table(
                 {
@@ -301,7 +315,6 @@ def duplicate_passages(
         [("n_docs", "sum", "n_docs"), ("min_doc_id", "min", "min_doc_id")],
         num_buckets=num_buckets,
     )
-    import pyarrow.compute as pc
 
     return merged.map_batches(
         lambda t: t.filter(pc.greater_equal(t["n_docs"], min_docs)),
@@ -317,8 +330,9 @@ class PassageDeduper:
     its copy (first-owner-wins, the same convention as
     ``LineDeduper``).
 
-    Actor-pool stage holding the broadcast ``duplicate_passages``
-    output (sorted gram hashes + owner ids). Per batch: ONE flat
+    Broadcast stage holding the ``duplicate_passages`` output (sorted
+    gram hashes + owner ids; pass an instance to ``map_batches`` and
+    it is serialized once with the operator). Per batch: ONE flat
     window-hash pass, a ``searchsorted`` membership test, and a
     difference-array cumsum to turn flagged window starts into
     per-word coverage — windows never cross document boundaries, so
@@ -342,10 +356,9 @@ class PassageDeduper:
         self.id_col = id_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         ids = t[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(s)
-        h, doc_of, starts, flat_words, lens = _window_hashes_full(s, self.window)
+        n = len(t)
+        h, doc_of, starts, flat_words, lens = _window_hashes_full(t[self.text_col], self.window)
         total = len(flat_words)
         covered = np.zeros(total, dtype=bool)
         n_flagged = np.zeros(n, dtype=np.int64)
@@ -364,7 +377,7 @@ class PassageDeduper:
         word_doc = np.repeat(np.arange(n, dtype=np.int64), lens)
         kept_counts = np.bincount(word_doc[kept], minlength=n).astype(np.int64)
         offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined = pa.compute.binary_join(
+        joined = pc.binary_join(
             pa.ListArray.from_arrays(
                 offs, pa.array(flat_words[kept], pa.string())
             ),
@@ -376,6 +389,40 @@ class PassageDeduper:
         )
         t = t.append_column("n_dup_windows", pa.array(n_flagged, pa.int64()))
         return t.append_column("clean_text", joined)
+
+
+def _pack_bucket(t: pa.Table, group_col, order_col, seq_len, emit_tokens, flatten, tok_type=None):
+    """Cut one shuffle bucket into ``seq_len`` chunks per group: ONE
+    stable sort by (group, order), one ``flatten(sorted) -> (flat token
+    array, row offsets)`` call, then every group's chunk bounds by
+    offset arithmetic — no per-group or per-document Python. Rows with
+    a null group are dropped (as a pandas groupby drops them)."""
+    t = t.filter(pc.is_valid(t[group_col])).sort_by(
+        [(group_col, "ascending"), (order_col, "ascending")]
+    )
+    flat, offs = flatten(t)
+    g = t[group_col].to_numpy(zero_copy_only=False)
+    new = np.ones(len(g), bool)
+    new[1:] = g[1:] != g[:-1]
+    gstart = np.flatnonzero(new)
+    lo, hi = offs[gstart], offs[np.append(gstart[1:], len(g))]
+    n_chunks = (hi - lo + seq_len - 1) // seq_len
+    gi = np.repeat(np.arange(len(gstart)), n_chunks)
+    chunk_id = np.arange(len(gi), dtype=np.int64) - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)
+    starts = lo[gi] + chunk_id * seq_len
+    ends = np.minimum(starts + seq_len, hi[gi])
+    cols = {
+        group_col: t[group_col].take(gstart[gi]),
+        "chunk_id": pa.array(chunk_id),
+        "chunk_len": pa.array((ends - starts).astype(np.int64)),
+        "first_tok": flat.take(starts),
+        "last_tok": flat.take(ends - 1),
+    }
+    if emit_tokens:
+        # groups are contiguous in ``flat``, so the chunks tile it
+        tok_offs = pa.array(np.append(starts, ends[-1] if len(ends) else 0), pa.int32())
+        cols["tokens"] = pa.ListArray.from_arrays(tok_offs, flat if tok_type is None else flat.cast(tok_type))
+    return pa.table(cols)
 
 
 def pack_sequences(
@@ -395,44 +442,14 @@ def pack_sequences(
     BPE ids — the packing kernel is token-type-agnostic)."""
     from .aggregate import keyed_apply
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for grp, sub in df.groupby(group_col, sort=False):
-            sub = sub.sort_values(order_col, kind="stable")
-            words = sub[text_col].fillna("").str.split(" ")
-            flat = np.concatenate(
-                [np.asarray(w, dtype=object) for w in words.to_numpy()]
-            ) if len(sub) else np.array([], dtype=object)
-            total = len(flat)
-            n_chunks = (total + seq_len - 1) // seq_len
-            starts = np.arange(n_chunks, dtype=np.int64) * seq_len
-            ends = np.minimum(starts + seq_len, total)
-            rec = {
-                group_col: grp,
-                "chunk_id": np.arange(n_chunks, dtype=np.int64),
-                "chunk_len": (ends - starts).astype(np.int64),
-                "first_tok": flat[starts] if n_chunks else np.array([], dtype=object),
-                "last_tok": flat[ends - 1] if n_chunks else np.array([], dtype=object),
-            }
-            if emit_tokens:
-                rec["tokens"] = [flat[a:b].tolist() for a, b in zip(starts, ends)]
-            out.append(pd.DataFrame(rec))
-        if out:
-            return pd.concat(out, ignore_index=True)
-        # TYPED empty table — an untyped empty DataFrame emits an
-        # empty-schema block and Ray warns per RefBundle
-        cols = {
-            group_col: pa.array([], pa.string()),
-            "chunk_id": pa.array([], pa.int64()),
-            "chunk_len": pa.array([], pa.int64()),
-            "first_tok": pa.array([], pa.string()),
-            "last_tok": pa.array([], pa.string()),
-        }
-        if emit_tokens:
-            cols["tokens"] = pa.array([], pa.list_(pa.string()))
-        return pa.table(cols)
+    def words(t: pa.Table):
+        flat, _, lens = _split_words(t[text_col])
+        return flat, np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
 
-    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, words)
+
+    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def pack_token_sequences(
@@ -448,47 +465,21 @@ def pack_token_sequences(
     as ``pack_sequences`` but over a pre-tokenized ``list<int32>``
     column (the training-corpus input shape) instead of whitespace
     words — documents are concatenated per group in ``order_col``
-    order and the flat int32 token stream is sliced into ``seq_len``
-    chunks, final partial kept. One bucketed shuffle on the group key;
-    per group one numpy concatenate + stride slice. Returns chunk rows
+    order and the flat token stream is sliced into ``seq_len`` chunks,
+    final partial kept. One keyed shuffle on the group key; per bucket
+    one sort and one flatten of the token lists. Returns chunk rows
     ``(group, chunk_id, chunk_len, first_tok, last_tok[, tokens])``
-    with int64 first/last token ids."""
+    with int64 first/last token ids and ``list<int32>`` tokens."""
     from .aggregate import keyed_apply
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for grp, sub in df.groupby(group_col, sort=False):
-            sub = sub.sort_values(order_col, kind="stable")
-            arrs = [np.asarray(a, dtype=np.int64) for a in sub[tokens_col].to_numpy()]
-            flat = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
-            total = len(flat)
-            n_chunks = (total + seq_len - 1) // seq_len
-            starts = np.arange(n_chunks, dtype=np.int64) * seq_len
-            ends = np.minimum(starts + seq_len, total)
-            rec = {
-                group_col: grp,
-                "chunk_id": np.arange(n_chunks, dtype=np.int64),
-                "chunk_len": (ends - starts).astype(np.int64),
-                "first_tok": flat[starts] if n_chunks else np.empty(0, np.int64),
-                "last_tok": flat[ends - 1] if n_chunks else np.empty(0, np.int64),
-            }
-            if emit_tokens:
-                rec["tokens"] = [flat[a:b].astype(np.int32).tolist() for a, b in zip(starts, ends)]
-            out.append(pd.DataFrame(rec))
-        if out:
-            return pd.concat(out, ignore_index=True)
-        cols = {
-            group_col: pa.array([], pa.string()),
-            "chunk_id": pa.array([], pa.int64()),
-            "chunk_len": pa.array([], pa.int64()),
-            "first_tok": pa.array([], pa.int64()),
-            "last_tok": pa.array([], pa.int64()),
-        }
-        if emit_tokens:
-            cols["tokens"] = pa.array([], pa.list_(pa.int32()))
-        return pa.table(cols)
+    def tokens(t: pa.Table):
+        vals, offs = _flat_tokens(t, tokens_col)
+        return pa.array(vals), offs
 
-    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, tokens, pa.int32())
+
+    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------- C4 cleaning
@@ -537,7 +528,7 @@ def c4_clean(
     kept_counts = np.bincount(doc_idx[ok], minlength=n).astype(np.int64)
     kept_lines = pa.array(flat.to_numpy()[ok], pa.string())
     offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-    joined = pa.compute.binary_join(
+    joined = pc.binary_join(
         pa.ListArray.from_arrays(offs, kept_lines), "\n"
     )
     batch = batch.append_column(out_col, joined)
@@ -548,35 +539,26 @@ def c4_clean(
 # ------------------------------------------------------- mixture resampling
 
 
+def word_counts(t: pa.Table, text_col: str = "text") -> pa.Table:
+    """One batch's ``(word, c)`` counts of its non-empty whitespace
+    words (Arrow ``value_counts``) — the partials of
+    ``corpus_word_counts``."""
+    vc = pc.value_counts(_split_words(t[text_col], drop_empty=True)[0])
+    return pa.table({"word": vc.field("values"), "c": vc.field("counts")})
+
+
 def corpus_word_counts(ds, text_col: str = "text", num_buckets: int | None = None):
     """Corpus-wide word-frequency table as a Dataset ``(word, c)``.
 
     The unigram-count half of CCNet-style LM quality scoring (Wenzek
     et al. 2020 build KenLM perplexity buckets; the distributed shape
     is identical for any unigram model). Tokens are the NON-EMPTY
-    whitespace words. Per-batch pre-aggregation (np.unique counts) so
-    the shuffle moves (word, partial-count) pairs, never text; one
+    whitespace words. Per-batch pre-aggregation (Arrow ``value_counts``)
+    so the shuffle moves (word, partial-count) pairs, never text; one
     bucketed hash groupby merges partials."""
     from .aggregate import bucketed_aggregate
 
-    def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        words = s.str.split(" ")
-        flat = (
-            np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-            if len(s)
-            else np.array([], dtype=object)
-        )
-        flat = flat[flat != ""]
-        uniq, counts = np.unique(flat.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "word": pa.array(uniq.astype(object), pa.string()),
-                "c": pa.array(counts.astype(np.int64)),
-            }
-        )
-
-    parts = ds.map_batches(partials, batch_format="pyarrow")
+    parts = ds.map_batches(word_counts, fn_kwargs={"text_col": text_col}, batch_format="pyarrow")
     return bucketed_aggregate(parts, ["word"], [("c", "sum", "c")], num_buckets=num_buckets)
 
 
@@ -605,8 +587,8 @@ class UnigramScorer:
     """CCNet-style unigram LM scoring as an actor-pool stage: the
     top-V vocabulary (word → corpus count) is broadcast once per actor
     (pass a ``ray.put`` handle; Ray de-references it in ``__init__``),
-    each batch explodes its words and scores them with one
-    ``searchsorted`` membership pass. Adds per-document columns:
+    each batch splits its words and looks them up with one Arrow
+    ``index_in`` pass. Adds per-document columns:
 
     * ``n_in_vocab`` / ``n_oov`` — word OCCURRENCES in/out of vocab;
     * ``sum_freq`` — int64 sum of the corpus counts of in-vocab
@@ -616,9 +598,8 @@ class UnigramScorer:
     """
 
     def __init__(self, vocab_words, vocab_counts, total_words: int, text_col: str = "text"):
-        order = np.argsort(np.asarray(vocab_words, dtype=object))
-        self.words = np.asarray(vocab_words, dtype=object)[order]
-        self.counts = np.asarray(vocab_counts, dtype=np.int64)[order]
+        self.words = pa.array(np.asarray(vocab_words, dtype=object), pa.string())
+        self.counts = np.asarray(vocab_counts, dtype=np.int64)
         self.total = int(total_words)
         self.text_col = text_col
         v = len(self.words)
@@ -626,31 +607,16 @@ class UnigramScorer:
         self.logp_oov = float(np.log(1.0 / (self.total + v + 1.0)))
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        words = s.str.split(" ")
-        lens = words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-        flat = (
-            np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-            if len(s)
-            else np.array([], dtype=object)
-        )
-        nonempty = flat != ""
-        doc_of = np.repeat(np.arange(len(s), dtype=np.int64), lens)[nonempty]
-        flat = flat[nonempty]
-        pos = np.searchsorted(self.words, flat)
-        pos_c = np.clip(pos, 0, max(len(self.words) - 1, 0))
-        hit = (
-            (self.words[pos_c] == flat)
-            if len(self.words)
-            else np.zeros(len(flat), dtype=bool)
-        )
-        n = len(s)
+        flat, doc_of, n_tok = _split_words(t[self.text_col], drop_empty=True)
+        idx = pc.index_in(flat, value_set=self.words)
+        hit = idx.is_valid().to_numpy(zero_copy_only=False)
+        pos = pc.drop_null(idx).to_numpy().astype(np.int64)
+        n = len(t)
         n_in = np.bincount(doc_of[hit], minlength=n).astype(np.int64)
-        n_tok = np.bincount(doc_of, minlength=n).astype(np.int64)
         sum_freq = np.zeros(n, dtype=np.int64)
-        np.add.at(sum_freq, doc_of[hit], self.counts[pos_c[hit]])
+        np.add.at(sum_freq, doc_of[hit], self.counts[pos])
         logsum = np.full(n, 0.0)
-        np.add.at(logsum, doc_of[hit], self.logp[pos_c[hit]])
+        np.add.at(logsum, doc_of[hit], self.logp[pos])
         np.add.at(logsum, doc_of[~hit], self.logp_oov)
         mean_lp = logsum / np.maximum(n_tok, 1)
         for name, arr, typ in [
@@ -671,50 +637,28 @@ class VocabEncoder:
     output); out-of-vocabulary words map to id ``V`` (one past the
     vocabulary), the classic UNK slot.
 
-    Actor-pool stage: the vocab broadcasts once per actor; each batch
-    runs one flat searchsorted pass over the exploded words and one
-    Arrow ``ListArray.from_arrays`` to rebuild per-doc token lists.
-    Adds ``tokens`` (list<int32>), ``n_tok`` and ``n_oov``."""
+    Pass an INSTANCE to ``map_batches``: it runs as a task-pool
+    callable and the vocabulary is serialized once with the operator.
+    Each batch runs one Arrow ``index_in`` lookup over the split words
+    (nulls → the OOV id) and one ``ListArray.from_arrays`` to rebuild
+    per-doc token lists. Adds ``tokens`` (list<int32>), ``n_tok`` and
+    ``n_oov``."""
 
     def __init__(self, vocab_words, text_col: str = "text", out_col: str = "tokens"):
-        words = np.asarray(vocab_words, dtype=object)
-        order = np.argsort(words)
-        self.sorted_words = words[order]
-        self.ids = np.arange(len(words), dtype=np.int32)[order]
-        self.oov_id = np.int32(len(words))
+        self.vocab = pa.array(np.asarray(vocab_words, dtype=object), pa.string())
         self.text_col = text_col
         self.out_col = out_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        words = s.str.split(" ")
-        lens = words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-        flat = (
-            np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-            if len(s) and lens.sum()
-            else np.array([], dtype=object)
-        )
-        nonempty = flat != ""
-        doc_of = np.repeat(np.arange(len(s), dtype=np.int64), lens)[nonempty]
-        flat = flat[nonempty]
-        if len(self.sorted_words) and len(flat):
-            pos = np.clip(
-                np.searchsorted(self.sorted_words, flat), 0, len(self.sorted_words) - 1
-            )
-            hit = self.sorted_words[pos] == flat
-            toks = np.where(hit, self.ids[pos], self.oov_id).astype(np.int32)
-        else:
-            hit = np.zeros(len(flat), dtype=bool)
-            toks = np.full(len(flat), self.oov_id, np.int32)
-        n = len(s)
-        n_tok = np.bincount(doc_of, minlength=n).astype(np.int32)
-        n_oov = np.bincount(doc_of[~hit], minlength=n).astype(np.int32)
+        flat, doc_of, n_tok = _split_words(t[self.text_col], drop_empty=True)
+        idx = pc.index_in(flat, value_set=self.vocab)
+        oov = idx.is_null().to_numpy(zero_copy_only=False)
+        toks = pc.fill_null(idx, pa.scalar(len(self.vocab), pa.int32()))
+        n_oov = np.bincount(doc_of[oov], minlength=len(t)).astype(np.int32)
         offs = pa.array(np.concatenate([[0], np.cumsum(n_tok)]).astype(np.int32))
-        t = t.append_column(
-            self.out_col, pa.ListArray.from_arrays(offs, pa.array(toks, pa.int32()))
-        )
-        t = t.append_column("n_tok", pa.array(n_tok, pa.int32()))
-        return t.append_column("n_oov", pa.array(n_oov, pa.int32()))
+        t = t.append_column(self.out_col, pa.ListArray.from_arrays(offs, toks))
+        t = t.append_column("n_tok", pa.array(n_tok.astype(np.int32)))
+        return t.append_column("n_oov", pa.array(n_oov))
 
 
 # ------------------------------------------------------------------ DSIR
@@ -722,7 +666,7 @@ class VocabEncoder:
 DSIR_NUM_BUCKETS = 64
 
 
-def _dsir_bigram_buckets(s: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+def _dsir_bigram_buckets(text) -> tuple[np.ndarray, np.ndarray]:
     """Hashed word-bigram features per document (DSIR, Xie et al.
     2023: importance resampling on hashed n-gram counts). Returns
     ``(bucket int64, doc_index int64)`` for every consecutive
@@ -730,17 +674,10 @@ def _dsir_bigram_buckets(s: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     the two words' first code points and lengths so a DuckDB oracle
     can recompute buckets exactly; swap in ``hash_str_u64`` for
     production corpora (same downstream shape)."""
-    words = s.str.split(" ")
-    raw_lens = words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-    if raw_lens.sum() == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    flat_all = np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-    doc_all = np.repeat(np.arange(len(s), dtype=np.int64), raw_lens)
-    keep = flat_all != ""  # drop empty tokens at the FLAT level (no per-row lambda)
-    flat = flat_all[keep]
-    doc_flat = doc_all[keep]
+    words, doc_flat, _ = _split_words(text, drop_empty=True)
+    flat = words.to_numpy(zero_copy_only=False)
     # consecutive kept words within the same doc form the bigrams
-    pair = doc_flat[1:] == doc_flat[:-1] if len(doc_flat) else np.empty(0, bool)
+    pair = doc_flat[1:] == doc_flat[:-1]
     if not pair.any():
         return np.empty(0, np.int64), np.empty(0, np.int64)
     starts = np.flatnonzero(pair)
@@ -768,9 +705,8 @@ def dsir_bucket_counts(ds, text_col: str = "text", target_col: str = "is_target"
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         tgt = t[target_col].to_numpy(zero_copy_only=False).astype(bool)
-        b, doc_of = _dsir_bigram_buckets(s)
+        b, doc_of = _dsir_bigram_buckets(t[text_col])
         raw = np.bincount(b, minlength=DSIR_NUM_BUCKETS).astype(np.int64)
         tgt_c = np.bincount(
             b[tgt[doc_of]], minlength=DSIR_NUM_BUCKETS
@@ -819,9 +755,8 @@ class DsirScorer:
         )
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        b, doc_of = _dsir_bigram_buckets(s)
-        n = len(s)
+        b, doc_of = _dsir_bigram_buckets(t[self.text_col])
+        n = len(t)
         score = np.zeros(n, dtype=np.int64)
         np.add.at(score, doc_of, self.int_val[b])
         weight = np.zeros(n, dtype=np.float64)
@@ -856,7 +791,6 @@ def duplicate_lines(
     occurrence that survives dedup (first-owner-wins)."""
     from .._util import hash_str_u64
     from .aggregate import bucketed_aggregate
-    import pyarrow.compute as pc
 
     def partials(t: pa.Table) -> pa.Table:
         s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
@@ -903,9 +837,10 @@ def duplicate_lines(
 
 
 class LineDeduper:
-    """The removal half of exact line dedup: an actor-pool stage
-    holding the broadcast duplicated-line table (sorted hashes +
-    first-owner doc ids — pass ``ray.put`` handles). A line occurrence
+    """The removal half of exact line dedup: a broadcast stage holding
+    the duplicated-line table (sorted hashes + first-owner doc ids —
+    pass an instance to ``map_batches`` and it is serialized once with
+    the operator). A line occurrence
     is removed iff its line is corpus-duplicated AND this document is
     not the first owner; the owner keeps every occurrence. Adds
     ``n_lines``, ``n_removed`` and the reassembled ``clean_text``
@@ -947,7 +882,7 @@ class LineDeduper:
         kept = ~removed
         kept_counts = np.bincount(doc_of[kept], minlength=n).astype(np.int64)
         offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined = pa.compute.binary_join(
+        joined = pc.binary_join(
             pa.ListArray.from_arrays(offs, pa.array(flat[kept], pa.string())), "\n"
         )
         t = t.append_column("n_lines", pa.array(counts, pa.int64()))
@@ -1037,7 +972,7 @@ def line_dedup_joined(
         kept_counts = np.zeros(len(seg_starts), np.int64)
         np.add.at(kept_counts, seg_of, kept.astype(np.int64))
         offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined_txt = pa.compute.binary_join(
+        joined_txt = pc.binary_join(
             pa.ListArray.from_arrays(
                 offs, pa.array(df["line"].to_numpy()[kept], pa.string())
             ),
@@ -1352,29 +1287,15 @@ def token_corpus_stats(
 _PAIR_SEP = "\x1f"  # NUL-safe composite-key joiner (engine convention)
 
 
-def _adjacent_pairs(s: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+def _adjacent_pairs(text) -> tuple[np.ndarray, np.ndarray]:
     """Flat '<w1>\\x1f<w2>' strings for every adjacent non-empty word
     pair, plus each pair's doc index. Empty tokens are dropped at the
     flat level BEFORE pairing (same rule as the DSIR bigrams and the
     SQL list_filter mirror)."""
-    words = s.str.split(" ")
-    lens = words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-    if lens.sum() == 0:
-        return np.empty(0, object), np.empty(0, np.int64)
-    flat_all = np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-    doc_all = np.repeat(np.arange(len(s), dtype=np.int64), lens)
-    keep = flat_all != ""
-    flat, doc_flat = flat_all[keep], doc_all[keep]
-    same = doc_flat[1:] == doc_flat[:-1] if len(doc_flat) else np.empty(0, bool)
-    if not same.any():
-        return np.empty(0, object), np.empty(0, np.int64)
-    starts = np.flatnonzero(same)
-    pairs = (
-        pd.Series(flat[starts]).astype(str)
-        + _PAIR_SEP
-        + pd.Series(flat[starts + 1]).astype(str)
-    ).to_numpy(dtype=object)
-    return pairs, doc_flat[starts]
+    flat, doc_flat, _ = _split_words(text, drop_empty=True)
+    starts = np.flatnonzero(doc_flat[1:] == doc_flat[:-1])
+    pairs = pc.binary_join_element_wise(flat.take(starts), flat.take(starts + 1), _PAIR_SEP)
+    return pairs.to_numpy(zero_copy_only=False), doc_flat[starts]
 
 
 def corpus_bigram_counts(ds, text_col: str = "text", num_buckets: int | None = None):
@@ -1386,8 +1307,7 @@ def corpus_bigram_counts(ds, text_col: str = "text", num_buckets: int | None = N
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        pairs, _ = _adjacent_pairs(s)
+        pairs, _ = _adjacent_pairs(t[text_col])
         uniq, counts = np.unique(pairs.astype(str), return_counts=True)
         return pa.table(
             {
@@ -1463,9 +1383,8 @@ class BigramScorer:
         return out, hit
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        pairs, doc_of = _adjacent_pairs(s)
-        n = len(s)
+        pairs, doc_of = _adjacent_pairs(t[self.text_col])
+        n = len(t)
         bc, bhit = self._lookup(self.pairs, self.pair_c, pairs)
         w1 = (
             pd.Series(pairs).str.split(_PAIR_SEP).str[0].to_numpy(dtype=object)
@@ -1779,29 +1698,14 @@ def write_training_shards(
 QUALITY_CLF_BUCKETS = 64
 
 
-def _unigram_buckets(s: pd.Series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unigram_buckets(text) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hashed unigram features per document: ``(bucket, doc_index,
     n_words)`` for every non-empty word. Same SQL-expressible mix
     family as ``_dsir_bigram_buckets`` (first/last code point +
     length, so a DuckDB oracle recomputes buckets exactly); swap in
     ``hash_str_u64`` for production corpora."""
-    words = s.str.split(" ")
-    raw_lens = (
-        words.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-    )
-    n_docs = len(s)
-    if raw_lens.sum() == 0:
-        return (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.zeros(n_docs, np.int64),
-        )
-    flat_all = np.concatenate([np.asarray(w, dtype=object) for w in words.to_numpy()])
-    doc_all = np.repeat(np.arange(n_docs, dtype=np.int64), raw_lens)
-    keep = flat_all != ""
-    flat, doc_of = flat_all[keep], doc_all[keep]
-    n_words = np.bincount(doc_of, minlength=n_docs).astype(np.int64)
-    fs = pd.Series(flat)
+    words, doc_of, n_words = _split_words(text, drop_empty=True)
+    fs = pd.Series(words.to_numpy(zero_copy_only=False), dtype=object)
     first_cp = np.array(fs.str.slice(0, 1).tolist(), dtype="U1").view(np.uint32).astype(np.int64)
     last_cp = np.array(fs.str.slice(-1).tolist(), dtype="U1").view(np.uint32).astype(np.int64)
     wlen = fs.str.len().to_numpy(dtype=np.int64)
@@ -1841,10 +1745,9 @@ class HashedQualityClassifier:
         self.text_col = text_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        b, doc_of, n_words = _unigram_buckets(s)
+        b, doc_of, n_words = _unigram_buckets(t[self.text_col])
         integral = np.issubdtype(self.w.dtype, np.integer)
-        score = np.zeros(len(s), np.int64 if integral else np.float64)
+        score = np.zeros(len(t), np.int64 if integral else np.float64)
         if len(b):
             np.add.at(score, doc_of, self.w[b])
         z = score / np.maximum(n_words, 1) + self.bias

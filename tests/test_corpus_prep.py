@@ -243,6 +243,52 @@ def test_rerun_after_crash_does_not_double_artifacts(tmp_path, docs_ds):
     )
 
 
+def test_foreign_artifacts_in_out_dir_survive(tmp_path, docs_ds):
+    # documents/ and vocab.parquet that no prepare_corpus run stamped
+    # with _started are someone else's data: the run must refuse to
+    # delete them
+    out = tmp_path / "prep_foreign"
+    (out / "documents").mkdir(parents=True)
+    foreign = out / "documents" / "part-0.parquet"
+    foreign.write_bytes(b"not written by prepare_corpus")
+    (out / "vocab.parquet").write_bytes(b"mine too")
+    with pytest.raises(FileExistsError, match="_started"):
+        prepare_corpus(docs_ds, PrepConfig(vocab_size=40, seq_len=64), out_dir=str(out))
+    assert foreign.read_bytes() == b"not written by prepare_corpus"
+    assert (out / "vocab.parquet").read_bytes() == b"mine too"
+    assert not (out / "_started").exists()
+
+
+def test_prepare_corpus_starts_no_actor_pool(docs_ds, monkeypatch):
+    # every stage, the broadcast ones included, runs as tasks: no
+    # map_batches call passes a class (an actor pool) or a concurrency
+    import inspect
+
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.llmdata import build_eval_grams
+
+    calls = []
+    orig = ray.data.Dataset.map_batches
+
+    def spy(self, fn, *args, **kwargs):
+        calls.append((fn, kwargs.get("concurrency"), kwargs.get("compute")))
+        return orig(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
+    cfg = PrepConfig(
+        line_dedup=True, passage_dedup=True, passage_window=8,
+        decontaminate_grams=build_eval_grams(["w1 w8 w15 w22 w29 w36 w43 w50"], n=8),
+        vocab_size=40, seq_len=64,
+    )
+    res = prepare_corpus(docs_ds, cfg)
+    assert res.packed.count() > 0
+    assert {"VocabEncoder", "LineDeduper", "PassageDeduper", "NgramDecontaminator"} <= {
+        type(fn).__name__ for fn, _, _ in calls
+    }
+    assert [c for c in calls if inspect.isclass(c[0]) or c[1] is not None or c[2] is not None] == []
+
+
 def test_passage_dedup_removal(docs_ds):
     """ExactSubstr-style removal: a 6-word passage shared by docs 0/1/2
     is cut from non-owners; words outside the covered spans survive."""

@@ -1,0 +1,149 @@
+"""Arrow text kernels of stages/llmdata.py against per-row references.
+
+``redact_pii`` is checked against DuckDB's chained
+``regexp_replace(..., 'g')`` (the SQL oracle's engine, RE2);
+``gopher_stats``, the ``word_counts`` partials and ``VocabEncoder`` are
+checked against small pure-Python per-row references on edge batches:
+zero rows, null and empty text, stray spaces and tabs, symbol runs,
+non-ASCII words and multi-chunk columns.
+"""
+
+import collections
+import re
+
+import duckdb
+import pyarrow as pa
+import pytest
+
+from opentelemetry_collector_contrib_ray.stages.llmdata import (
+    PII_PATTERNS,
+    VocabEncoder,
+    gopher_stats,
+    redact_pii,
+    word_counts,
+)
+
+EDGE_TEXTS = [
+    "",
+    None,
+    " leading space",
+    "trailing space ",
+    "double  space  here",
+    "   ",
+    "tab\tinside word\t",
+    "....",
+    "######",
+    "a... b... c ...",
+    "héllo wörld ünïcode façade naïve",
+    "日本 語 テキスト 日本",
+    "the cat sat on the mat and the dog sat too",
+    "Alpha beta gamma delta epsilon zeta eta theta",
+]
+
+
+def _batches():
+    """Each edge case as its own batch, all of them in one batch, a
+    zero-row batch, an all-null batch (typed and untyped) and a column
+    split over three chunks."""
+    out = [pa.table({"text": pa.array([t], pa.string())}) for t in EDGE_TEXTS]
+    out.append(pa.table({"text": pa.array(EDGE_TEXTS, pa.string())}))
+    out.append(pa.table({"text": pa.array([], pa.string())}))
+    out.append(pa.table({"text": pa.array([None, None], pa.string())}))
+    out.append(pa.table({"text": pa.array([None, None])}))
+    out.append(
+        pa.table(
+            {"text": pa.chunked_array([EDGE_TEXTS[:5], EDGE_TEXTS[5:6], EDGE_TEXTS[6:]], pa.string())}
+        )
+    )
+    return out
+
+
+def _texts(batch):
+    return [t or "" for t in batch["text"].to_pylist()]
+
+
+def _gopher_ref(text):
+    words = text.split(" ")
+    nz = max(len(words), 1)
+    dup = 1.0 - len(set(words)) / nz
+    alpha = sum(bool(re.search("[A-Za-z]", w)) for w in words) / nz
+    mean_len = (len(text) - (len(words) - 1)) / nz
+    sym = (text.count("#") + text.count("...")) / nz
+    passes = len(words) >= 5 and 3.0 <= mean_len <= 10.0 and dup < 0.5 and alpha > 0.8 and sym < 0.1
+    return dup, alpha, sym, passes
+
+
+@pytest.mark.parametrize("batch", _batches())
+def test_gopher_stats_matches_per_row_reference(batch):
+    out = gopher_stats(batch)
+    got = list(
+        zip(
+            out["dup_word_frac"].to_pylist(),
+            out["alpha_word_frac"].to_pylist(),
+            out["symbol_word_ratio"].to_pylist(),
+            out["passes_gopher"].to_pylist(),
+        )
+    )
+    assert got == [_gopher_ref(t) for t in _texts(batch)]
+
+
+@pytest.mark.parametrize("batch", _batches())
+def test_word_count_partials_match_counter(batch):
+    out = word_counts(batch)
+    assert out.schema == pa.schema([("word", pa.string()), ("c", pa.int64())])
+    want = collections.Counter(w for t in _texts(batch) for w in t.split(" ") if w)
+    assert dict(zip(out["word"].to_pylist(), out["c"].to_pylist())) == want
+
+
+@pytest.mark.parametrize(
+    "vocab",
+    [
+        ["the", "sat", "日本", "façade", "....", "######", "tab\tinside", "Alpha"],
+        [],  # empty vocabulary: every word is OOV
+        ["not-in-any-text"],  # all-OOV batch
+    ],
+)
+@pytest.mark.parametrize("batch", _batches())
+def test_vocab_encoder_matches_per_row_reference(batch, vocab):
+    out = VocabEncoder(vocab)(batch)
+    oov = len(vocab)
+    want = [[vocab.index(w) if w in vocab else oov for w in t.split(" ") if w] for t in _texts(batch)]
+    assert out["tokens"].type == pa.list_(pa.int32())
+    assert out["tokens"].to_pylist() == want
+    assert out["n_tok"].to_pylist() == [len(w) for w in want]
+    assert out["n_oov"].to_pylist() == [sum(i == oov for i in w) for w in want]
+
+
+PII_TEXTS = [
+    "mail a.b-c@example.co.uk or x@y.io now",
+    "ip 10.0.0.1 and 999.999.999.999 and 1.2.3.4.5",
+    "call +123-456-7890 or 555.123.4567",
+    "email 1.2.3.4@host.com wins over ip",
+    # Arabic-Indic digits are not RE2's \d: both texts stay as they are
+    "٣٣٣.٣.٣.٣",
+    "٥٥٥-١٢٣-٤٥٦٧",
+    # RE2's \b is ASCII: é next to a digit is a word boundary
+    "é1.2.3.4",
+    "x1.2.3.4",
+    "",
+    None,
+]
+
+
+def test_redact_pii_matches_duckdb_regexp_replace():
+    batch = pa.table({"text": pa.array(PII_TEXTS, pa.string())})
+    out = redact_pii(batch)
+    # each count runs on the text the earlier patterns already redacted
+    steps = ["coalesce(text, '')"]
+    for _, pattern, repl in PII_PATTERNS:
+        steps.append(f"regexp_replace({steps[-1]}, '{pattern}', '{repl}', 'g')")
+    cols = ", ".join(
+        f"len(regexp_extract_all({steps[i]}, '{p}'))" for i, (_, p, _) in enumerate(PII_PATTERNS)
+    )
+    con = duckdb.connect()
+    con.register("docs", batch)
+    rows = con.execute(f"SELECT {steps[-1]}, {cols} FROM docs").fetchall()
+    assert out["redacted"].to_pylist() == [r[0] for r in rows]
+    for i, (kind, _, _) in enumerate(PII_PATTERNS):
+        assert out[f"n_{kind}"].to_pylist() == [r[1 + i] for r in rows], kind
+    assert out["redacted"].to_pylist()[4:6] == PII_TEXTS[4:6]
