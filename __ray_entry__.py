@@ -281,6 +281,20 @@ def _q_route_events(sf_dir: str):
     return counts.union(rec.map_batches(rec_fin, batch_format="pyarrow"))
 
 
+def _last_byte(arr: pa.ChunkedArray | pa.Array, width: int) -> pa.Array:
+    """Last byte of each ``width``-byte fixed-size binary value as int64,
+    null where the value is null. A zero-row array may carry no data
+    buffer at all, so it returns an empty int64 array up front."""
+    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+    if len(a) == 0:
+        return pa.array([], pa.int64())
+    data = np.frombuffer(a.buffers()[1], np.uint8)[
+        a.offset * width : (a.offset + len(a)) * width
+    ].reshape(-1, width)
+    valid = pc.is_valid(a).to_numpy(zero_copy_only=False)
+    return pa.array(data[:, width - 1].astype(np.int64), mask=~valid)
+
+
 def _q_json_parse_props(sf_dir: str):
     """json_parser plus the round-5 stanza-operator legs (pytest-only
     → driver-oracled), all per-row value-checked against closed forms:
@@ -318,14 +332,6 @@ def _q_json_parse_props(sf_dir: str):
     parsed = ds.map_batches(
         JsonParser(parse_from="props", fields=["k"]), batch_format="pyarrow"
     )
-
-    def _last_byte(arr: pa.ChunkedArray | pa.Array, width: int) -> pa.Array:
-        a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        data = np.frombuffer(a.buffers()[1], np.uint8)[
-            a.offset * width : (a.offset + len(a)) * width
-        ].reshape(-1, width)
-        valid = pc.is_valid(a).to_numpy(zero_copy_only=False)
-        return pa.array(data[:, width - 1].astype(np.int64), mask=~valid)
 
     def stanza_ops(t: pa.Table) -> pa.Table:
         e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)

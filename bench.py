@@ -26,12 +26,14 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 def _install_schema_flap_filter() -> None:
     """Silence ONLY the empty-new-schema RefBundle warning ('new
-    schema: .'), which is proven Ray-internal: sort-based
-    groupby().map_groups() emits schema-less blocks for keyless
-    partitions with zero engine code involved (reproduced on stock Ray
-    in tests/test_empty.py::test_ray_internal_empty_partition_schema_flap;
-    the results are correct). Genuine schema-divergence warnings — a
-    NON-empty differing schema — still print."""
+    schema: .'), which is Ray-internal: a sort reducer that receives
+    no rows yields a schema-less empty block. ``keyed_apply``'s
+    fixed-boundary sort has one reducer per bucket, so every bucket no
+    key hashes to (and the spare reducer at one bucket) produces one;
+    stock Ray does the same (tests/test_empty.py::
+    test_ray_internal_empty_partition_schema_flap), and the results are
+    correct. Genuine schema-divergence warnings — a NON-empty differing
+    schema — still print."""
     import logging
 
     class _EmptySchemaFlap(logging.Filter):

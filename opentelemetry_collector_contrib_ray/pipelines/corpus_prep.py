@@ -26,6 +26,15 @@ Execution shape (designed for the 100 TB case):
   regex-heavy filter chain per consumer would cost more than the
   cached blocks.  Disable via ``materialize_intermediate=False`` when
   only one consumer runs (e.g. pure filtering, ``tokenize=0``).
+  Nothing else is cached unless a costlier stage (a distributed
+  anti-join, line/passage dedup, decontamination) follows: the id
+  anti-filter and the encoder fuse into their consumers, so the
+  default pass is FOUR Ray Data executions —
+  (1) row-local filters → cache; (2) the exact-dedup shuffle of
+  (hash, id) pairs; (3) anti-filter → word-count partials → word
+  shuffle → ``block_top``; (4) anti-filter → encode → pack shuffle of
+  (group, id, tokens). Every shuffle is ``keyed_apply``'s one
+  fixed-boundary sort.
 * Each dedup stage shuffles skinny key tables only — (hash, id)
   pairs for exact dedup, (band, hash, id) triples for MinHash,
   (line_hash, id) for line dedup — never document text.  Removal is
@@ -354,10 +363,16 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if cfg.materialize_intermediate:
         docs = docs.materialize()
 
+    # set by a stage after the cache that costs more to re-run than to
+    # cache: a distributed anti-join (a shuffle) or a line, passage or
+    # n-gram broadcast stage
+    costly = False
+
     # ---- stage 2: exact dedup (anti-filter by duplicate ids)
     if cfg.exact_dedup:
         drop = _exact_drop_ids(docs, text_col, id_col)
         stats["exact_dropped"] = int(len(drop))
+        costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(
             docs, drop, id_col,
             broadcast_max=cfg.drop_broadcast_max, num_buckets=cfg.num_buckets,
@@ -367,6 +382,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if cfg.line_dedup:
         from ..stages.llmdata import LineDeduper, duplicate_lines
 
+        costly = True
         dup = duplicate_lines(
             docs, text_col=text_col, id_col=id_col,
             min_docs=cfg.line_min_docs, num_buckets=cfg.num_buckets,
@@ -403,6 +419,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if cfg.passage_dedup:
         from ..stages.llmdata import PassageDeduper, duplicate_passages
 
+        costly = True
         dupp = duplicate_passages(
             docs, text_col=text_col, id_col=id_col,
             window=cfg.passage_window, min_docs=cfg.passage_min_docs,
@@ -448,6 +465,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             sorted(x for x, root in clusters.items() if root != x), dtype=np.int64
         )
         stats["near_dropped"] = int(len(drop))
+        costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(
             docs, drop, id_col,
             broadcast_max=cfg.drop_broadcast_max, num_buckets=cfg.num_buckets,
@@ -457,6 +475,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if cfg.decontaminate_grams is not None:
         from ..stages.llmdata import NgramDecontaminator
 
+        costly = True
         docs = docs.map_batches(
             NgramDecontaminator(cfg.decontaminate_grams, n=cfg.decontaminate_n, text_col=text_col),
             batch_format="pyarrow",
@@ -471,9 +490,10 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         docs = docs.map_batches(drop_contaminated, batch_format="pyarrow")
 
-    # the dedup/decon anti-filters are row-local over the cached blocks;
-    # materialize the final doc set once when tokenize+pack re-read it
-    if cfg.materialize_intermediate and cfg.vocab_size:
+    # the vocabulary pass and the pack pass each re-read the doc set: a
+    # broadcast id anti-filter fuses into both over the cached blocks,
+    # anything costlier is cached once
+    if cfg.materialize_intermediate and cfg.vocab_size and costly:
         docs = docs.materialize()
 
     # ---- stage 6: tokenize (vocab over the SURVIVING corpus) + pack
@@ -505,8 +525,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
                     )
                 return batch.append_column("pack_group", key)
 
-            if cfg.materialize_intermediate:
-                docs = docs.materialize()  # encode once; pack + write both consume
             packed = pack_token_sequences(
                 docs.map_batches(add_pack_group, batch_format="pyarrow"),
                 group_col="pack_group",

@@ -1656,6 +1656,9 @@ def convert_ci_otlp(
     A fields LIST is first folded by :func:`sum_ci_fields` (the cadvisor
     pod-rollup path).  Then:
 
+    * ``tags`` decodes strictly, as Go's ``map[string]string``: a doc
+      whose tags are not an object of strings (an integer
+      ``Timestamp``, say) fails the decode and is skipped whole;
     * every tag becomes a ``resource`` row; the ``Timestamp`` tag's
       value (nanoseconds) is rewritten to milliseconds
       (utils.go:177-182, ``timeNs/uint64(time.Millisecond)``; parse
@@ -1687,8 +1690,8 @@ def convert_ci_otlp(
         if not isinstance(doc, dict):
             continue  # structurally malformed payload: skip like a decode failure
         tags = doc.get("tags") or {}
-        if not isinstance(tags, dict):
-            tags = {}
+        if not isinstance(tags, dict) or not all(isinstance(v, str) for v in tags.values()):
+            continue  # Go decodes tags as map[string]string: anything else fails the doc
         fields = doc.get("fields")
         if isinstance(fields, list):
             fields = sum_ci_fields(fields)
@@ -1702,9 +1705,8 @@ def convert_ci_otlp(
                 # strconv.ParseUint(v, 10, 64) semantics (utils.go:178,
                 # error ignored): digits only — whitespace/'+'/'_'/sign
                 # are syntax errors → 0; ErrRange saturates to MaxUint64
-                s = v if isinstance(v, str) else str(v)
-                if _CI_UINT_RE.fullmatch(s):
-                    ts_ns = min(int(s), 2**64 - 1)
+                if _CI_UINT_RE.fullmatch(v):
+                    ts_ns = min(int(v), 2**64 - 1)
                 else:
                     ts_ns = 0
                 tv = str(ts_ns // 1_000_000)

@@ -20,7 +20,8 @@ Scale design: a bare ``groupby().aggregate()`` shuffles every row.
 Every aggregation here is TWO-PHASE: phase 1 combines inside
 ``map_batches`` (one partial row per key per batch — the only rows
 that enter the shuffle), phase 2 merges the partials through
-``keyed_apply``, the engine's one keyed shuffle. Skew note: per-batch
+``keyed_apply``, the engine's one keyed shuffle: one fixed-boundary
+sort into B reducers, no boundary sampling. Skew note: per-batch
 combining already bounds the phase-2 input for ANY key (hot or not)
 to ≤ #blocks partial rows, so nothing is salted.
 
@@ -56,56 +57,83 @@ def derived_num_partitions(cap: int = 512) -> int:
     return max(4, min(cap, cpus // 2))
 
 
+def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.ndarray:
+    """``keyed_apply``'s int64 bucket of each row: the splitmix64 chain
+    over the key tuple (numeric NaN → −1, strings via
+    ``hash_str_u64``) modulo ``num_buckets``."""
+    h = np.zeros(len(batch), dtype=np.uint64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kcol in keys:
+            vals = batch[kcol].to_numpy(zero_copy_only=False)
+            if np.issubdtype(vals.dtype, np.number):
+                if vals.dtype.kind == "f":  # nulls arrive as NaN
+                    vals = np.nan_to_num(vals, nan=-1.0)
+                ch = splitmix64(vals.astype(np.uint64))
+            else:
+                ch = hash_str_u64(vals)
+            h = splitmix64(h ^ ch)
+    return (h % np.uint64(num_buckets)).astype(np.int64)
+
+
 def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: str = "pandas"):
     """The engine's one keyed shuffle: co-locate every row of each key
     tuple and call ``fn`` once per BUCKET, not once per key.
 
-    ``add_bucket`` hashes the key tuple (splitmix64 chain; numeric NaN
-    → −1, strings via ``hash_str_u64``) into ``_bucket = h % B`` with
-    ``B = num_buckets`` or ``derived_num_partitions()``; one sort-based
-    ``groupby("_bucket").map_groups`` shuffle then hands ``per_bucket``
-    each bucket with ``_bucket`` dropped, as a DataFrame or Arrow table
-    per ``batch_format``. ``fn`` runs a vectorized groupby over the
-    bucket itself, so millions of keys cost B Python calls. A single
-    hot key always lands in one bucket, bounding the largest task by
-    that key's row count. DataFrame results are emitted as
-    metadata-free Arrow: pandas blocks re-acquire the unhashable pandas
-    schema blob at the next conversion and do not union with Arrow.
+    ``add_bucket`` hashes the key tuple into ``_bucket`` in ``[0, B)``
+    (``bucket_ids``) with ``B = num_buckets`` or
+    ``derived_num_partitions()``. That domain is known, so the shuffle
+    is ONE sort on the fixed boundaries ``1 .. B-1``: B reducers, no
+    boundary-sampling round, and reducer ``b`` holds exactly bucket
+    ``b`` (``B = 1`` adds one always-empty reducer, since Ray samples
+    when given no boundary).
+    ``per_bucket`` then hands ``fn`` each non-empty bucket with
+    ``_bucket`` dropped, as a DataFrame or Arrow table per
+    ``batch_format``, and raises if a block ever carries two buckets.
+    ``fn`` runs a vectorized groupby over the bucket itself, so
+    millions of keys cost B Python calls. A single hot key always lands
+    in one bucket, bounding the largest task by that key's row count.
+    DataFrame results are emitted as metadata-free Arrow: pandas blocks
+    re-acquire the unhashable pandas schema blob at the next conversion
+    and do not union with Arrow.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-    P = np.uint64(num_buckets or derived_num_partitions())
+    P = int(num_buckets or derived_num_partitions())
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        h = np.zeros(len(batch), dtype=np.uint64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for kcol in keys:
-                vals = batch[kcol].to_numpy(zero_copy_only=False)
-                if np.issubdtype(vals.dtype, np.number):
-                    if vals.dtype.kind == "f":  # nulls arrive as NaN
-                        vals = np.nan_to_num(vals, nan=-1.0)
-                    ch = splitmix64(vals.astype(np.uint64))
-                else:
-                    ch = hash_str_u64(vals)
-                h = splitmix64(h ^ ch)
-        return batch.append_column("_bucket", pa.array((h % P).astype(np.int64)))
+        return batch.append_column("_bucket", pa.array(bucket_ids(batch, keys, P)))
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .sort("_bucket", boundaries=list(range(1, max(P, 2))))
+        .map_batches(_per_bucket(fn), batch_size=None, batch_format=batch_format)
+    )
+
+
+def _per_bucket(fn):
+    """Wrap ``fn`` as ``keyed_apply``'s per-block UDF: skip empty
+    blocks, refuse a block that carries two ``_bucket`` values (the
+    fixed boundaries make each reducer exactly one bucket, so this
+    never groups silently), and call ``fn`` on the bucket without
+    ``_bucket``."""
 
     def per_bucket(g):
+        if len(g) == 0:
+            return
+        b = np.asarray(g["_bucket"])
+        if b.min() != b.max():
+            raise RuntimeError(f"keyed_apply: one block holds buckets {b.min()} to {b.max()}")
         if isinstance(g, pd.DataFrame):
             out = fn(g.drop(columns=["_bucket"]))
         else:
             out = fn(g.drop_columns(["_bucket"]))
         if isinstance(out, pd.DataFrame):
             try:
-                return table_from_pandas(out)
+                out = table_from_pandas(out)
             except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                return out  # exotic dtypes stay pandas
-        return out
+                pass  # exotic dtypes stay pandas
+        yield out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format=batch_format)
-    )
+    return per_bucket
 
 
 def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):

@@ -449,7 +449,8 @@ def pack_sequences(
     def per_bucket(t: pa.Table) -> pa.Table:
         return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, words)
 
-    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+    thin = ds.select_columns([group_col, order_col, text_col])
+    return keyed_apply(thin, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def pack_token_sequences(
@@ -466,8 +467,9 @@ def pack_token_sequences(
     column (the training-corpus input shape) instead of whitespace
     words — documents are concatenated per group in ``order_col``
     order and the flat token stream is sliced into ``seq_len`` chunks,
-    final partial kept. One keyed shuffle on the group key; per bucket
-    one sort and one flatten of the token lists. Returns chunk rows
+    final partial kept. One keyed shuffle of just the (group, order,
+    tokens) columns on the group key; per bucket one sort and one
+    flatten of the token lists. Returns chunk rows
     ``(group, chunk_id, chunk_len, first_tok, last_tok[, tokens])``
     with int64 first/last token ids and ``list<int32>`` tokens."""
     from .aggregate import keyed_apply
@@ -479,7 +481,8 @@ def pack_token_sequences(
     def per_bucket(t: pa.Table) -> pa.Table:
         return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, tokens, pa.int32())
 
-    return keyed_apply(ds, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+    thin = ds.select_columns([group_col, order_col, tokens_col])
+    return keyed_apply(thin, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------- C4 cleaning

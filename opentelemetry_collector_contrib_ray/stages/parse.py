@@ -433,10 +433,11 @@ class Recombine:
     Batch-engine semantics: rows sharing ``group_by`` within a batch are
     combined in ``order_by`` order, joining ``field`` with ``separator``
     onto the group's first row. PARTITIONING ASSUMPTION: a multiline
-    group never spans blocks — callers must co-locate each group (run
-    it per bucket inside ``aggregate.keyed_apply`` on ``group_by``) or
-    sort the source so groups are contiguous; the flagship pipeline
-    does not need recombine.
+    group never spans blocks — callers must co-locate each group (call
+    it inside the ``fn`` of ``aggregate.keyed_apply`` keyed on
+    ``group_by``: each call gets one whole bucket) or sort the source
+    so groups are contiguous; the flagship pipeline does not need
+    recombine.
     """
 
     def __init__(self, group_by: str, field: str = "raw", order_by: str | None = None, separator: str = "\n"):

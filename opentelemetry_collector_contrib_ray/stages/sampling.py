@@ -11,9 +11,10 @@ Reference:
 
 Batch-engine design: the decision window is the dataset (or an
 event-time bucket column); the per-trace buffer is Ray's shuffle.
-Policy evaluation runs per group (`groupby(trace_id).map_groups`),
-emitting a decision; sampled rows pass via a broadcast-semi-join
-filter — no second shuffle of the full data.
+Policy evaluation runs once per bucket of traces (``keyed_apply`` on
+the trace id, one vectorized pass over every trace in the bucket),
+emitting a decision per trace; sampled rows pass via a
+broadcast-semi-join filter — no second shuffle of the full data.
 """
 
 from __future__ import annotations

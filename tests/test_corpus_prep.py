@@ -442,3 +442,30 @@ def test_shard_shuffle_stage(tmp_path, docs_ds):
 
     with _pytest.raises(ValueError):
         prepare_corpus(docs_ds, cfg, out_dir=None)
+
+
+def test_default_pass_runs_four_executions(docs_ds, monkeypatch):
+    # the benchmark's configuration: the row-local cache, the exact-dedup
+    # shuffle, the vocabulary shuffle and the pack shuffle are the only
+    # Ray Data executions; the id anti-filter and the encoder fuse into
+    # the last two
+    import hashlib
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        runs.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    res = prepare_corpus(docs_ds, PrepConfig(vocab_size=50_000, seq_len=2048, pack_emit_tokens=False))
+    chunks = res.packed.count()
+    assert len(runs) <= 4
+    vocab = "\n".join(f"{w} {c}" for w, c in zip(res.vocab["word"], res.vocab["c"]))
+    assert res.stats["exact_dropped"] == 16
+    assert len(res.vocab) == 462
+    assert hashlib.sha256(vocab.encode()).hexdigest()[:16] == "784312ce1727086a"
+    assert chunks == 15

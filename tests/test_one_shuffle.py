@@ -1,9 +1,12 @@
 """The engine has one keyed-shuffle primitive: ``aggregate.keyed_apply``.
 
 Every keyed shuffle in the package and the driver contract goes
-through it, so ``.map_groups(`` appears exactly once, inside
-``keyed_apply``. A hand-rolled ``groupby(...).map_groups`` site (with
-its own bucket hash and bucket count) fails this test.
+through it. ``keyed_apply`` sorts on the fixed bucket boundaries, so no
+``.map_groups(`` call (a sort that samples its boundaries) appears
+anywhere, and the one ``.sort(..., boundaries=...)`` call is inside
+``keyed_apply``. A hand-rolled ``groupby(...).map_groups`` site, or a
+second fixed-boundary sort with its own bucket hash and bucket count,
+fails these tests.
 """
 
 import ast
@@ -13,18 +16,27 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "opentelemetry_collector_contrib_ray").rglob("*.py")) + [ROOT / "__ray_entry__.py"]
 
 
-def test_map_groups_only_in_keyed_apply():
+def _method_calls(name: str):
+    """(path, enclosing top-level function name, call node) of every
+    ``<expr>.name(...)`` call in the sources."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == name:
+                    owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+                    yield path, owner, node
+
+
+def test_no_map_groups():
+    hits = [(p.relative_to(ROOT).as_posix(), n.lineno) for p, _, n in _method_calls("map_groups")]
+    assert hits == []
+
+
+def test_fixed_boundary_sort_only_in_keyed_apply():
     hits = [
-        (path, i)
-        for path in SOURCES
-        for i, line in enumerate(path.read_text().splitlines(), 1)
-        if ".map_groups(" in line
+        (p.relative_to(ROOT).as_posix(), owner)
+        for p, owner, n in _method_calls("sort")
+        if any(k.arg == "boundaries" for k in n.keywords)
     ]
-    assert len(hits) == 1, [(p.relative_to(ROOT).as_posix(), i) for p, i in hits]
-    path, line = hits[0]
-    assert path == ROOT / "opentelemetry_collector_contrib_ray" / "stages" / "aggregate.py"
-    top_level = ast.parse(path.read_text()).body
-    (owner,) = [
-        f.name for f in top_level if isinstance(f, ast.FunctionDef) and f.lineno <= line <= f.end_lineno
-    ]
-    assert owner == "keyed_apply"
+    assert hits == [("opentelemetry_collector_contrib_ray/stages/aggregate.py", "keyed_apply")]

@@ -171,3 +171,49 @@ def test_bucketed_hash_join_invariant(num_buckets, layout):
         _dataset(df, layout), ray.data.from_arrow(pa.Table.from_pandas(right)), "k", num_buckets=num_buckets
     ).to_pandas()
     _assert_same_multiset(got, df.merge(right, on="k"))
+
+
+# (bucket count, input layout) for the per-call contract of keyed_apply
+CALL_CASES = [
+    pytest.param(b, layout, id=f"buckets{b}-{layout}")
+    for b in (1, 2, 7)
+    for layout in ("base", "permuted", "blocks", "hot")
+]
+
+
+@pytest.mark.parametrize("num_buckets, layout", CALL_CASES)
+def test_keyed_apply_one_call_per_bucket(num_buckets, layout):
+    """``fn`` runs exactly once per non-empty bucket, each call sees one
+    bucket, and the rows it sees do not depend on input order, empty
+    blocks or a 100% hot key."""
+    from opentelemetry_collector_contrib_ray.stages.aggregate import bucket_ids, keyed_apply
+
+    df = _events(layout)
+
+    def tag_call(g: pd.DataFrame) -> pd.DataFrame:
+        import uuid
+
+        return g.assign(_call=uuid.uuid4().hex)
+
+    got = keyed_apply(_dataset(df, layout), ["k", "k2"], tag_call, num_buckets=num_buckets).to_pandas()
+    got["_b"] = bucket_ids(pa.Table.from_pandas(got, preserve_index=False), ["k", "k2"], num_buckets)
+    assert (got.groupby("_call")["_b"].nunique() == 1).all()  # no call sees two buckets
+    assert (got.groupby("_b")["_call"].nunique() == 1).all()  # one call per bucket
+    expected = bucket_ids(pa.Table.from_pandas(df, preserve_index=False), ["k", "k2"], num_buckets)
+    assert got["_call"].nunique() == len(np.unique(expected))  # every non-empty bucket is called
+    _assert_same_multiset(got.drop(columns=["_call", "_b"]), df)
+
+
+def test_keyed_apply_refuses_a_two_bucket_block():
+    from opentelemetry_collector_contrib_ray.stages.aggregate import _per_bucket
+
+    calls = []
+    per_bucket = _per_bucket(lambda t: calls.append(len(t)) or t)
+    one = pa.table({"k": ["a", "b"], "_bucket": pa.array([3, 3], pa.int64())})
+    assert [t.column_names for t in per_bucket(one)] == [["k"]]
+    assert list(per_bucket(one.slice(0, 0))) == []  # empty block: fn not called
+    with pytest.raises(RuntimeError, match="buckets 3 to 4"):
+        list(per_bucket(pa.table({"k": ["a", "b"], "_bucket": pa.array([3, 4], pa.int64())})))
+    with pytest.raises(RuntimeError):
+        list(per_bucket(pd.DataFrame({"k": ["a", "b"], "_bucket": [0, 1]})))
+    assert calls == [2]

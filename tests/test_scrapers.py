@@ -803,6 +803,27 @@ class TestContainerInsightOTLP:
         assert ts[1] == "0" and ts[2] == "0" and ts[3] == "0" and ts[5] == "0"
         assert ts[4] == str((2**64 - 1) // 1_000_000)
 
+    def test_non_string_tag_skips_the_doc(self):
+        # tags is map[string]string in the Go reference: an integer
+        # Timestamp (or any non-string tag value) fails the strict
+        # decode, so the whole doc is skipped, not coerced
+        import json
+
+        from opentelemetry_collector_contrib_ray.sources.scrapers import (
+            convert_ci_otlp,
+        )
+
+        docs = [
+            {"fields": {"pod_memory_rss": 1}, "tags": {"Type": "Pod", "Timestamp": 1600000000123456789}},
+            {"fields": {"pod_memory_rss": 2}, "tags": {"Type": "Pod", "Timestamp": "1600000000123456789", "N": 3}},
+            {"fields": {"pod_memory_rss": 3}, "tags": {"Type": "Pod", "Timestamp": "1600000000123456789"}},
+        ]
+        out = convert_ci_otlp(
+            pa.table({"server_id": [1, 2, 3], "payload": [json.dumps(d) for d in docs]})
+        ).to_pandas()
+        assert set(out["server_id"]) == {3}
+        assert out.loc[out["label_key"] == "Timestamp", "label_value"].tolist() == ["1600000000123"]
+
     def test_malformed_payload_rows_skipped(self):
         # structurally malformed payloads skip the ROW (like undecodable
         # JSON) instead of raising and failing the whole batch
@@ -824,7 +845,7 @@ class TestContainerInsightOTLP:
         out = convert_ci_otlp(
             pa.table({"server_id": list(range(len(payloads))), "payload": payloads})
         ).to_pandas()
-        # rows 0/1 skipped entirely; 2/3 contribute nothing metric-wise
+        # rows 0/1/3 skipped entirely; 2 contributes nothing metric-wise
         assert set(out["server_id"]) <= {2, 3, 4, 5}
         g = out[out["mtype"] != "resource"]
         assert set(g["server_id"]) == {4, 5}
