@@ -47,19 +47,6 @@ def _pc_mod(arr: pa.ChunkedArray | pa.Array, m: int) -> pa.Array:
     return pa.array(arr.to_numpy(zero_copy_only=False).astype(np.int64) % m)
 
 
-def _compute_blocks() -> int:
-    """Block count for compute-heavy per-row stages: small tables read
-    as 1-2 blocks, which serializes an expensive map_batches onto one
-    core — split the read so every core gets work."""
-    import ray
-
-    try:
-        cores = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        cores = 8
-    return max(16, 2 * cores)
-
-
 # ----------------------------------------------------------------- flagship
 
 
@@ -152,13 +139,12 @@ def _q_flagship_token_equality(sf_dir: str):
     sensitive checksums, total token count) on both sides.
     """
     import pandas as pd
-    import ray.data
 
     from opentelemetry_collector_contrib_ray.functions.tokens import corpus_checksum
     from opentelemetry_collector_contrib_ray.pipelines import log_pipeline as lp
+    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
 
-    path = _corpus_dir(sf_dir)
-    in_rows, in_xor, in_ntok = corpus_checksum(ray.data.read_parquet(path))
+    in_rows, in_xor, in_ntok = corpus_checksum(read_corpus(_corpus_dir(sf_dir)))
     routed = _flagship_routed(sf_dir)
     dup = {
         s
@@ -3668,12 +3654,7 @@ def _q_sfx_translation(sf_dir: str):
         translate_datapoints,
     )
 
-    ds = _read(
-        sf_dir,
-        "events",
-        ["event_id", "ts", "user_id", "event_type", "value"],
-        override_num_blocks=_compute_blocks(),
-    )
+    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
     DIMS = ["host", "state", "dir"]
 
     def mk(t: pa.Table) -> pa.Table:
@@ -3813,7 +3794,7 @@ def _q_scraper_parse(sf_dir: str):
     )
     from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
 
-    ds = _read(sf_dir, "events", ["event_id"], override_num_blocks=_compute_blocks())
+    ds = _read(sf_dir, "events", ["event_id"])
 
     def render_and_parse(t: pa.Table) -> pa.Table:
         e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4988,12 +4969,11 @@ def _q_llm_ops(sf_dir: str):
     # synth corpus (the pre-tokenized list<int32> input shape): chunk
     # math + first/last packed token id per source are SQL closed forms
     # over the same corpus parquet the oracle reads.
-    import ray.data
-
+    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
     from opentelemetry_collector_contrib_ray.stages.llmdata import pack_token_sequences
 
     cpath = _corpus_dir(sf_dir)  # sf-dependent, same path the oracle reads
-    cds = ray.data.read_parquet(cpath, columns=["doc_id", "source", "tokens"])
+    cds = read_corpus(cpath, columns=["doc_id", "source", "tokens"])
 
     # --- tstat leg: token-native corpus analytics over the
     # pre-tokenized list<int32> shape (flat-buffer kernels; distincts
@@ -6123,8 +6103,6 @@ def _q_q6_filtered_revenue(sf_dir: str):
     """TPC-H Q6-shaped: predicate pushed to the Parquet READ (pyarrow
     dataset expression → row-group pruning at storage) + single-scan
     aggregate — 'prune at the read' demonstrated end-to-end."""
-    import ray.data
-
     from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
 
     flt = (
@@ -6132,11 +6110,7 @@ def _q_q6_filtered_revenue(sf_dir: str):
         & (pc.field("l_discount") <= 0.07)
         & (pc.field("l_quantity") < 24.0)
     )
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice", "l_discount", "l_quantity"],
-        filter=flt,
-    )
+    ds = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount", "l_quantity"], filter=flt)
 
     def rev(t: pa.Table) -> pa.Table:
         return pa.table(

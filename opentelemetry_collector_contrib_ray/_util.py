@@ -64,3 +64,16 @@ def table_from_pandas(df) -> "pa.Table":
     import pyarrow as pa
 
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+
+
+def cluster_cpus() -> int:
+    """CPUs in the connected Ray cluster (4 with no session).
+
+    The one CPU count the engine sizes itself by: the default read
+    block count and the default shuffle bucket count both derive from it.
+    """
+    import ray
+
+    if not ray.is_initialized():
+        return 4
+    return int(ray.cluster_resources().get("CPU", 4))

@@ -87,15 +87,14 @@ def build(config: dict) -> Any:
     Mirrors the reference's YAML service pipelines + receivercreator's
     templated instantiation (SURVEY §2.11).
     """
-    import ray.data
-
+    from ..sources.parquet import read_corpus
     from ..sources.synth import synth_dataset
     from ..stages.parse import Chain
 
     _defaults()
     src = config["source"]
     if src["kind"] == "parquet":
-        ds = ray.data.read_parquet(src["path"], columns=src.get("columns"))
+        ds = read_corpus(src["path"], columns=src.get("columns"))
     elif src["kind"] == "synth":
         ds = synth_dataset(src["rows"], override_num_blocks=src.get("blocks"))
     else:

@@ -35,6 +35,10 @@ Execution shape (designed for the 100 TB case):
   shuffle → ``block_top``; (4) anti-filter → encode → pack shuffle of
   (group, id, tokens). Every shuffle is ``keyed_apply``'s one
   fixed-boundary sort.
+* An input read with ``read_corpus`` arrives in ``2 × cluster CPUs``
+  blocks whatever its size, so the cache holds that many blocks and
+  every later stage and shuffle map runs that many tasks: 2 on one
+  CPU, where Ray's byte-sized default made 7 of a 7 MB input.
 * Each dedup stage shuffles skinny key tables only — (hash, id)
   pairs for exact dedup, (band, hash, id) triples for MinHash,
   (line_hash, id) for line dedup — never document text.  Removal is
@@ -188,7 +192,9 @@ def amplify_documents(docs_path: str, target_docs: int):
     exactly the benchmark workload. Returns ``(Dataset, n_docs)``."""
     import ray.data as rd
 
-    base_docs = rd.read_parquet(docs_path).count()
+    from ..sources.parquet import read_corpus
+
+    base_docs = rd.read_parquet(docs_path).count()  # footer row counts only
     reps = max(1, -(-target_docs // base_docs))
 
     def _amplify(t: pa.Table) -> pa.Table:
@@ -209,7 +215,7 @@ def amplify_documents(docs_path: str, target_docs: int):
             )
         return pa.concat_tables(parts)
 
-    ds = rd.read_parquet(docs_path, columns=["doc_id", "text", "source"]).map_batches(
+    ds = read_corpus(docs_path, columns=["doc_id", "text", "source"]).map_batches(
         _amplify, batch_format="pyarrow"
     )
     return ds, base_docs * reps
@@ -296,11 +302,11 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if out_dir and os.path.exists(os.path.join(out_dir, "_done.json")):
         with open(os.path.join(out_dir, "_done.json")) as f:
             stats = json.load(f)
-        import ray.data as rd
+        from ..sources.parquet import read_corpus
 
-        docs = rd.read_parquet(os.path.join(out_dir, "documents"))
+        docs = read_corpus(os.path.join(out_dir, "documents"))
         packed = (
-            rd.read_parquet(os.path.join(out_dir, "packed"))
+            read_corpus(os.path.join(out_dir, "packed"))
             if os.path.isdir(os.path.join(out_dir, "packed"))
             else None
         )

@@ -3,7 +3,7 @@ pre-tokenized sequence corpus (BASELINE.json north rule).
 
 DAG (SURVEY.md §7):
 
-    read_parquet(doc_id, tokens, n_tok, source, raw)
+    read_corpus(doc_id, tokens, n_tok, source, raw)   (2 × CPUs blocks)
       → map_batches(Chain[Router{docker-json, containerd, crio, syslog,
                     simple}] — stanza-parser chain from
                     testbed/datasenders/k8s.go:164-228 +

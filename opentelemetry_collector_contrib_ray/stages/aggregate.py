@@ -43,7 +43,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .._util import hash_str_u64, splitmix64, table_from_pandas
+from .._util import cluster_cpus, hash_str_u64, splitmix64, table_from_pandas
 
 
 def derived_num_partitions(cap: int = 512) -> int:
@@ -51,10 +51,7 @@ def derived_num_partitions(cap: int = 512) -> int:
     aggregators (more swamps a small node, fewer starves a big
     cluster), capped so a 10k-core cluster doesn't make 5k tiny
     partitions. Callers use this instead of hard-coding counts."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(4, min(cap, cpus // 2))
+    return max(4, min(cap, cluster_cpus() // 2))
 
 
 def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.ndarray:

@@ -229,6 +229,8 @@ def ivf_search_stored(path: str, query: np.ndarray, k: int = 10, nprobe: int = 4
 
     import ray.data
 
+    from ..sources.parquet import read_corpus
+
     index = ivf_load_index(path)
     q = _normalize(np.asarray(query, dtype=np.float32).reshape(1, -1))[0]
     probes = np.argsort(-(index.centroids @ q))[:nprobe].tolist()
@@ -242,7 +244,7 @@ def ivf_search_stored(path: str, query: np.ndarray, k: int = 10, nprobe: int = 4
         return ray.data.from_arrow(
             _pa.table({id_col: _pa.array([], _pa.int64()), "cos": _pa.array([], _pa.float64())})
         )
-    candidates = ray.data.read_parquet(files, columns=[id_col, emb_col])
+    candidates = read_corpus(files, columns=[id_col, emb_col])
     return brute_force_topk(candidates, q.reshape(1, -1), k, id_col=id_col, emb_col=emb_col)
 
 

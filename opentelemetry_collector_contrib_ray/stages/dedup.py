@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .._util import splitmix64
+from .._util import cluster_cpus, splitmix64
 
 _MERSENNE = (1 << 61) - 1
 _SHINGLE_P = np.uint64(1099511628211)
@@ -841,10 +841,7 @@ def verify_pairs_ds(
     # native hash-shuffle join (measured faster at full width); its
     # aggregator actors stall on tiny clusters, so partition count must
     # track the actual CPU budget and small sessions use the bucketed path
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    if cpus >= 8:
+    if cluster_cpus() >= 8:
         j1 = native_join(pairs_ds, ta, "id_a")  # partitions derived from cluster
         j2 = native_join(j1, tb, "id_b")
     else:

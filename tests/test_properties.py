@@ -217,3 +217,64 @@ def test_keyed_apply_refuses_a_two_bucket_block():
     with pytest.raises(RuntimeError):
         list(per_bucket(pd.DataFrame({"k": ["a", "b"], "_bucket": [0, 1]})))
     assert calls == [2]
+
+
+# ------------------------------------------------ read block-count invariance
+
+READ_BLOCKS = [1, 3, 16]  # fewer blocks than files, a split file, more than rows per file
+
+
+def _prep_docs(n: int = 240) -> pa.Table:
+    """Documents with exact duplicates (every 9th copies its neighbour's
+    text) and Gopher failures (every 13th repeats one word)."""
+    texts = []
+    for i in range(n):
+        base = i - 1 if i % 9 == 0 and i else i
+        words = " ".join(f"w{(base * 7 + j) % 89}" for j in range(30))
+        texts.append("spam " * 30 if i % 13 == 0 else f"Doc {base} starts. {words} mail a@b.co now.")
+    return pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": texts, "source": [f"s{i % 3}" for i in range(n)]})
+
+
+def _write_files(tmp_path, t: pa.Table, files: int = 4) -> str:
+    import pyarrow.parquet as pq
+
+    step = -(-len(t) // files)
+    for f in range(files):
+        pq.write_table(t.slice(f * step, step), tmp_path / f"part-{f}.parquet")
+    return str(tmp_path)
+
+
+def test_prepare_corpus_invariant_to_read_blocks(tmp_path):
+    """``exact_dropped``, the vocabulary and the chunk table do not depend
+    on how many blocks the read produces."""
+    from opentelemetry_collector_contrib_ray.pipelines.corpus_prep import PrepConfig, prepare_corpus
+    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
+
+    path = _write_files(tmp_path, _prep_docs())
+    outs = []
+    for n in READ_BLOCKS:
+        res = prepare_corpus(read_corpus(path, override_num_blocks=n), PrepConfig(seq_len=64))
+        chunks = res.packed.to_pandas()
+        chunks["tokens"] = chunks["tokens"].map(tuple)
+        outs.append((res.stats["exact_dropped"], res.vocab, _canon(chunks)))
+    assert outs[0][0] > 0 and len(outs[0][1]) > 0 and len(outs[0][2]) > 1
+    for dropped, vocab, chunks in outs[1:]:
+        assert dropped == outs[0][0]
+        pd.testing.assert_frame_equal(vocab, outs[0][1])
+        pd.testing.assert_frame_equal(chunks, outs[0][2])
+
+
+def test_aggregate_sinks_invariant_to_read_blocks(tmp_path):
+    """The flagship's per-sink counts do not depend on the read's block count."""
+    from opentelemetry_collector_contrib_ray.pipelines import log_pipeline as lp
+    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
+    from opentelemetry_collector_contrib_ray.sources.synth import write_synth_corpus
+
+    path = write_synth_corpus(str(tmp_path / "corpus"), 3000, num_files=4)
+    aggs = [
+        _canon(lp.aggregate_sinks(lp.build_pipeline(read_corpus(path, override_num_blocks=n)), driver_finalize=True).to_pandas())
+        for n in READ_BLOCKS
+    ]
+    assert aggs[0]["count"].sum() > 3000  # fan-out routes duplicate rows
+    for agg in aggs[1:]:
+        pd.testing.assert_frame_equal(agg, aggs[0])
