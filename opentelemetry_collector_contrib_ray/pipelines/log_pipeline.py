@@ -1,7 +1,7 @@
 """Flagship pipeline: parse → enrich → route → aggregate over the
 pre-tokenized sequence corpus (BASELINE.json north rule).
 
-DAG (SURVEY.md §7):
+DAG (SURVEY.md §7), one task per read block:
 
     read_corpus(doc_id, tokens, n_tok, source, raw)   (2 × CPUs blocks)
       → map_batches(Chain[Router{docker-json, containerd, crio, syslog,
@@ -14,6 +14,13 @@ DAG (SURVEY.md §7):
                     multi-exporter fan-out)
       → write_parquet(partition_cols=['sink'])   (single-pass fan-out)
       → per-sink two-phase groupby counts (groupbyattrs semantics)
+
+Every ``map_batches`` takes the block as its batch (``batch_size=None``),
+so Ray fuses ``ReadParquet → parse → lookup → resource → route → Write``
+into one task per read block and no block crosses the object store
+between them (when the read splits no file: ``sources/parquet.py``). A ``batch_size`` would keep the read its own operator:
+Ray does not fuse ``Read`` into a ``MapBatches(batch_size=...)``. The
+aggregate's re-read fuses into its combine the same way.
 
 ``tokens`` (list<int32>) rides through every stage untouched — the
 per-row token-array-equality invariant is asserted by checksum in the
@@ -151,14 +158,16 @@ DEFAULT_RESOURCE_DETECTORS = [
 ]
 
 
-def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, batch_size: int = 64 * 1024):
+def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None):
     """Compose the full DAG on a Dataset; returns the routed Dataset
     (with ``sink`` column), ready to write/aggregate.
 
-    All four stages are one fused elastic task per block: the lookup
-    enrich runs as a task-pool function whose broadcast state is built
-    once per worker process (make_lookup_fn) — an actor pool would cap
-    parallelism at its pool size and pay ramp-up, hurting scaling.
+    All four stages take whole blocks, so they fuse with the read before
+    them and the write after them into one elastic task per read block
+    (module doc). The lookup enrich runs as a task-pool function whose
+    broadcast state is built once per worker process (make_lookup_fn) —
+    an actor pool would cap parallelism at its pool size and pay
+    ramp-up, hurting scaling.
     """
     import ray
 
@@ -175,11 +184,9 @@ def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None, batch_si
         routing["from_attribute"], routing["table"], routing["default"]
     )
 
-    parsed = ds.map_batches(parse, batch_format="pyarrow", batch_size=batch_size)
+    parsed = ds.map_batches(parse, batch_format="pyarrow")
     enriched = parsed.map_batches(
-        enrich.make_lookup_fn(lookup_ref, ["source"], "meta."),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+        enrich.make_lookup_fn(lookup_ref, ["source"], "meta."), batch_format="pyarrow"
     )
     enriched = enriched.map_batches(enrich.ApplyResource(resource), batch_format="pyarrow")
     return enriched.map_batches(router, batch_format="pyarrow")

@@ -8,11 +8,15 @@ Every engine Parquet read goes through ``read_corpus`` and asks for
 ``2 × cluster CPUs`` blocks: Ray's own CPU term without its 200-block
 floor. That floor sizes blocks by bytes (at least one per MiB, up to
 200), so the flagship's 8-file, 112 MB input read as 200 blocks of
-983 rows, which its 64Ki-row parse batches then concatenated again.
-Each extra read task costs about 13 ms: streaming that input took
-1.03 s in 2 blocks and 3.61 s in 200 (1-CPU session on a 1-vCPU VM).
-Memory stays bounded because Ray still splits any block that grows
-past ``DataContext.target_max_block_size``.
+983 rows. Each extra read task costs about 13 ms: streaming that input
+took 1.03 s in 2 blocks and 3.61 s in 200 (1-CPU session on a 1-vCPU
+VM). Memory stays bounded because Ray still splits any block that
+grows past ``DataContext.target_max_block_size``.
+
+The read fuses into the ``map_batches`` after it (one task per read
+block) only when that stage takes whole blocks (``batch_size=None``) and
+the read splits no file, i.e. the input has at least as many files as
+blocks asked for; otherwise the read runs as its own operator.
 """
 
 from __future__ import annotations

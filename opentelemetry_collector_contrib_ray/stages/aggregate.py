@@ -18,15 +18,18 @@ Re-expresses the reference's aggregation semantics on Ray Data:
 
 Scale design: a bare ``groupby().aggregate()`` shuffles every row.
 Every aggregation here is TWO-PHASE: phase 1 combines inside
-``map_batches`` (one partial row per key per batch — the only rows
-that enter the shuffle), phase 2 merges the partials through
+``map_batches`` with one Arrow C++ hash group-by per batch (one partial
+row per key per batch — the only rows that enter the shuffle; no
+per-row Python objects, and by default the batch is the whole block, so
+the combine fuses into the task that read it), phase 2 merges the
+partials on the driver (``driver_finalize``) or through
 ``keyed_apply``, the engine's one keyed shuffle: one fixed-boundary
 sort into B reducers, no boundary sampling. Skew note: per-batch
 combining already bounds the phase-2 input for ANY key (hot or not)
 to ≤ #blocks partial rows, so nothing is salted.
 
-Determinism: float partial sums merged by Ray's ``Sum`` arrive in
-nondeterministic order, so the final double can differ between runs
+Determinism: float partial sums reach the merge in block-arrival
+order, which is nondeterministic, so the final double can differ between runs
 (and from DuckDB) by ~1 ulp — enough to flip a ROUND() at a rounding
 boundary. For columns with fixed decimal precision pass
 ``exact_sums={col: scale}``: values are scaled to int64
@@ -42,6 +45,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._util import cluster_cpus, hash_str_u64, splitmix64, table_from_pandas
 
@@ -151,142 +155,95 @@ def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
     column order is ``keys`` then the plan's dst names.
     """
     keys = list(keys)
+    return keyed_apply(
+        ds, keys, lambda t: _merge_groups(t, keys, plan), num_buckets=num_buckets, batch_format="pyarrow"
+    )
 
-    def merge_bucket(t: pa.Table) -> pa.Table:
-        # Arrow-native grouped merge: type-preserving (incl. all-null
-        # key columns, which pandas would retype) and C++-vectorized
-        g = pa.TableGroupBy(t, keys)
-        # dedupe (src, op): e.g. sum+mean share one partial column
-        merged = g.aggregate(sorted({(src, op) for src, op, _ in plan}))
-        cols = {k: merged[k] for k in keys}
-        for src, op, dst in plan:
-            cols[dst] = merged[f"{src}_{op}"]
-        return pa.table(cols)
 
-    return keyed_apply(ds, keys, merge_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+def _merge_groups(t: pa.Table, keys: list[str], plan) -> pa.Table:
+    """One Arrow group-by over ``t`` per ``bucketed_aggregate``'s
+    ``plan``: type-preserving (incl. all-null key columns, which pandas
+    would retype) and C++-vectorized."""
+    # dedupe (src, op): e.g. sum+mean share one partial column
+    merged = pa.TableGroupBy(t, keys, use_threads=False).aggregate(sorted({(src, op) for src, op, _ in plan}))
+    cols = {k: merged[k] for k in keys}
+    for src, op, dst in plan:
+        cols[dst] = merged[f"{src}_{op}"]
+    return pa.table(cols)
+
+
+def _nan_as_null(col):
+    """Float NaN → null: pandas' ``skipna`` read NaN as missing, Arrow's
+    group-by keeps it as a value (a NaN key group, a NaN sum)."""
+    if pa.types.is_floating(col.type):
+        return pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col)
+    return col
 
 
 def _partial_stage(keys, aggs, exact_sums):
-    """Build the per-batch combiner: batch → one row per key tuple."""
-    exact_sums = exact_sums or {}
+    """Build the per-batch combiner: batch → one row per key tuple, from
+    ONE Arrow hash group-by (no per-row Python objects).
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df_cols = {k: batch[k].to_numpy(zero_copy_only=False) for k in keys}
-        for col, fns in aggs.items():
-            if col != "*":
-                df_cols[col] = batch[col].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(df_cols)
-        for col, scale in exact_sums.items():
-            v = df[col].to_numpy(dtype=np.float64, copy=True)
-            v[np.isnan(v)] = 0.0  # skipna-sum semantics: nulls contribute 0
-            df[f"_int_{col}"] = np.rint(v * scale).astype(np.int64)
-        g = df.groupby(list(keys), dropna=False, sort=False, observed=True)
-        out = g.size().rename("_count").to_frame()
-        for col, fns in aggs.items():
-            if col == "*":
-                continue
-            for fn in fns:
-                if fn == "count":
-                    out[f"{col}__count"] = g[col].count()
-                elif fn in ("sum", "mean"):
-                    if col in exact_sums:
-                        out[f"{col}__isum"] = g[f"_int_{col}"].sum()
-                    else:
-                        # float64 ALWAYS: an all-int block would emit an
-                        # int64 partial while a block with nulls emits
-                        # float64, giving per-block schema flapping (Ray
-                        # warns on every RefBundle) and a dtype decided
-                        # by data placement instead of the plan
-                        out[f"{col}__sum"] = g[col].sum().astype(np.float64)
-                elif fn == "min":
-                    out[f"{col}__min"] = g[col].min()
-                elif fn == "max":
-                    out[f"{col}__max"] = g[col].max()
-        out = out.reset_index()
-        return table_from_pandas(out)
-
-    return combine
-
-
-def two_phase_agg(
-    ds,
-    keys: Sequence[str],
-    aggs: dict[str, Sequence[str]],
-    *,
-    batch_size: int = 64 * 1024,
-    driver_finalize: bool = False,
-    exact_sums: dict[str, int] | None = None,
-):
-    """Grouped aggregation with per-batch combining.
-
-    aggs: {column: [fn,...]} with fn in {count,sum,min,max,mean};
-    use {"*": ["count"]} for plain row counts. Output columns are
-    ``<col>_<fn>`` plus ``count`` for the row count.
-
-    ``exact_sums={col: scale}`` makes that column's sum (and mean)
-    bit-deterministic: values are int64-scaled per batch and summed in
-    integer arithmetic, so the merge order cannot perturb the result
-    (module doc). Use for fixed-decimal inputs (scale=100 for cents).
-
-    Returns a Ray Dataset with one row per distinct key tuple — or,
-    with ``driver_finalize=True``, a pyarrow.Table merged on the
-    driver: the combine phase stays fully distributed and the driver
-    only merges the per-batch partials (≤ groups × blocks rows). Use
-    it when the group count is small — it replaces the all-to-all
-    groupby shuffle with one tiny collect.
+    Partial columns: ``_count`` (rows), ``<col>__count`` (non-null
+    values), ``<col>__sum`` (float64, 0 for an all-null group) or
+    ``<col>__isum`` (int64 scaled, ``exact_sums``), ``<col>__min`` and
+    ``<col>__max`` (the column's own type, null for an all-null group).
+    NaN counts as null in keys and values; null keys form one group.
     """
-    keys = list(keys)
-    exact_sums = exact_sums or {}
-    partial = ds.map_batches(
-        _partial_stage(keys, aggs, exact_sums),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-
-    def _sum_part(col: str) -> str:
-        return f"{col}__isum" if col in exact_sums else f"{col}__sum"
-
-    if driver_finalize:
-        parts = pa.concat_tables(
-            partial.iter_batches(batch_format="pyarrow", batch_size=None),
-            promote_options="permissive",
-        )
-        df = parts.to_pandas()
-        g = df.groupby(keys, dropna=False, sort=False, observed=True)
-        out = g["_count"].sum().rename("count").to_frame()
-        for col, fns in aggs.items():
-            if col == "*":
-                continue
-            for fn in fns:
-                if fn == "count":
-                    out[f"{col}_count"] = g[f"{col}__count"].sum()
-                elif fn == "sum":
-                    s = g[_sum_part(col)].sum()
-                    out[f"{col}_sum"] = s / exact_sums[col] if col in exact_sums else s
-                elif fn == "mean":
-                    s = g[_sum_part(col)].sum()
-                    if col in exact_sums:
-                        s = s / exact_sums[col]
-                    out[f"{col}_mean"] = s / out["count"]
-                elif fn == "min":
-                    out[f"{col}_min"] = g[f"{col}__min"].min()
-                elif fn == "max":
-                    out[f"{col}_max"] = g[f"{col}__max"].max()
-        return table_from_pandas(out.reset_index())
-    # phase 2: merge partials (≤ groups × blocks rows). NOT Ray's native
-    # groupby().aggregate(): its sort-based aggregate walks group
-    # boundaries in per-group Python — measured 56 s for 111k groups of
-    # 120k rows vs <1 s for 20 groups. Instead ``bucketed_aggregate``
-    # (one ``keyed_apply`` shuffle) merges each bucket with ONE
-    # vectorized Arrow groupby — all merge fns are distributive, and
-    # every partial of a key lands in the same bucket by construction.
-    merge_plan = [("_count", "sum", "count")]
-    finalize_mean = []
-    finalize_scale = []
+    # partial name -> (source column, Arrow hash aggregate); sums take
+    # min_count=0 so an all-null group sums to 0 as pandas did
+    plan = {"_count": ([], "count_all")}
     for col, fns in aggs.items():
         if col == "*":
             continue
         for fn in fns:
+            if fn == "count":
+                plan[f"{col}__count"] = (col, "count")
+            elif fn in ("sum", "mean"):
+                if col in exact_sums:
+                    plan[f"{col}__isum"] = (f"_int_{col}", "sum")
+                else:
+                    plan[f"{col}__sum"] = (col, "sum")
+            elif fn in ("min", "max"):
+                plan[f"{col}__{fn}"] = (col, fn)
+
+    def combine(batch: pa.Table) -> pa.Table:
+        cols = {c: _nan_as_null(batch[c]) for c in keys + [c for c in aggs if c != "*"]}
+        for col, scale in exact_sums.items():
+            v = np.array(batch[col].to_numpy(zero_copy_only=False), dtype=np.float64)
+            v[np.isnan(v)] = 0.0  # skipna-sum semantics: nulls contribute 0
+            cols[f"_int_{col}"] = pa.array(np.rint(v * scale).astype(np.int64))
+        g = pa.TableGroupBy(pa.table(cols), keys, use_threads=False)
+        sum_all = pc.ScalarAggregateOptions(min_count=0)  # built per call: not picklable
+        merged = g.aggregate([(src, fn, sum_all if fn == "sum" else None) for src, fn in plan.values()])
+        out = {k: merged[k] for k in keys}
+        for name, (src, fn) in plan.items():
+            col = merged[f"{src}_{fn}" if src else fn]
+            # float sums ALWAYS: an int column would otherwise emit an
+            # int64 partial, a dtype decided by the input, not the plan
+            out[name] = col.cast(pa.float64()) if name.endswith("__sum") else col
+        return pa.table(out)
+
+    return combine
+
+
+def _merge_plan(keys, aggs, exact_sums):
+    """Phase 2 of ``two_phase_agg``: the ``bucketed_aggregate`` plan that
+    merges the partials, and the finisher (or None) that turns merged
+    scaled sums and mean sums into ``<col>_sum``/``<col>_mean``."""
+
+    def _sum_part(col: str) -> str:
+        return f"{col}__isum" if col in exact_sums else f"{col}__sum"
+
+    merge_plan = [("_count", "sum", "count")]
+    finalize_mean = []
+    finalize_scale = []
+    names = list(keys) + ["count"]
+    for col, fns in aggs.items():
+        if col == "*":
+            continue
+        for fn in fns:
+            names.append(f"{col}_{fn}")
             if fn == "count":
                 merge_plan.append((f"{col}__count", "sum", f"{col}_count"))
             elif fn == "sum":
@@ -304,35 +261,113 @@ def two_phase_agg(
                 merge_plan.append((f"{col}__min", "min", f"{col}_min"))
             elif fn == "max":
                 merge_plan.append((f"{col}__max", "max", f"{col}_max"))
+    if not (finalize_mean or finalize_scale):
+        return merge_plan, None
 
+    def _fin(t: pa.Table) -> pa.Table:
+        for col in finalize_scale:
+            total = pc.divide(
+                pc.cast(t[f"{col}__isum_total"], pa.float64()),
+                pa.scalar(float(exact_sums[col])),
+            )
+            t = t.append_column(f"{col}_sum", total)
+        for col in finalize_mean:
+            if f"{col}__msum" in t.column_names:
+                msum = pc.cast(t[f"{col}__msum"], pa.float64())
+                if col in exact_sums:
+                    msum = pc.divide(msum, pa.scalar(float(exact_sums[col])))
+            else:  # sum+mean with exact scaling share one partial
+                msum = t[f"{col}_sum"]
+            mean = pc.divide(msum, pc.cast(t["count"], pa.float64()))
+            t = t.append_column(f"{col}_mean", mean)
+        return t.select(names)
+
+    return merge_plan, _fin
+
+
+MAX_DRIVER_PARTIAL_ROWS = 4_000_000
+"""Cap on the partial rows ``two_phase_agg(driver_finalize=True)``
+collects on the driver (≤ groups × blocks). Past it the collect raises
+with the row count: use the distributed merge (``driver_finalize=False``)
+for that many groups."""
+
+
+def _collect_partials(partial) -> list[pa.Table]:
+    """The partial blocks, checked against ``MAX_DRIVER_PARTIAL_ROWS`` as
+    each one arrives."""
+    parts, rows = [], 0
+    for t in partial.iter_batches(batch_format="pyarrow", batch_size=None):
+        rows += t.num_rows
+        if rows > MAX_DRIVER_PARTIAL_ROWS:
+            raise RuntimeError(
+                f"two_phase_agg(driver_finalize=True) collected {rows} partial rows, over "
+                f"MAX_DRIVER_PARTIAL_ROWS={MAX_DRIVER_PARTIAL_ROWS}; use driver_finalize=False"
+            )
+        parts.append(t)
+    return parts
+
+
+def _empty_input(ds, keys, aggs) -> pa.Table:
+    """A zero-row input for the combine when ``ds`` yields no rows, so
+    the result still carries every column: ``ds``'s own schema, or null
+    keys and float64 values when Ray cannot tell it (e.g. after a row
+    ``filter`` that kept nothing)."""
+    schema = ds.schema()
+    if schema is not None:
+        return schema.base_schema.empty_table()
+    cols = {k: pa.array([], pa.null()) for k in keys}
+    cols.update({c: pa.array([], pa.float64()) for c in aggs if c != "*"})
+    return pa.table(cols)
+
+
+def two_phase_agg(
+    ds,
+    keys: Sequence[str],
+    aggs: dict[str, Sequence[str]],
+    *,
+    batch_size: int | None = None,
+    driver_finalize: bool = False,
+    exact_sums: dict[str, int] | None = None,
+):
+    """Grouped aggregation with per-batch combining.
+
+    aggs: {column: [fn,...]} with fn in {count,sum,min,max,mean};
+    use {"*": ["count"]} for plain row counts. Output columns are
+    ``<col>_<fn>`` plus ``count`` for the row count.
+
+    ``batch_size=None`` combines each block whole, so the combine fuses
+    into the task that produced the block (a read included).
+
+    ``exact_sums={col: scale}`` makes that column's sum (and mean)
+    bit-deterministic: values are int64-scaled per batch and summed in
+    integer arithmetic, so the merge order cannot perturb the result
+    (module doc). Use for fixed-decimal inputs (scale=100 for cents).
+
+    Returns a Ray Dataset with one row per distinct key tuple — or,
+    with ``driver_finalize=True``, a pyarrow.Table merged on the
+    driver: the combine phase stays fully distributed and the driver
+    only merges the per-batch partials (≤ groups × blocks rows, at most
+    ``MAX_DRIVER_PARTIAL_ROWS``). Use it when the group count is small —
+    it replaces the all-to-all groupby shuffle with one tiny collect.
+    """
+    keys = list(keys)
+    exact_sums = exact_sums or {}
+    combine = _partial_stage(keys, aggs, exact_sums)
+    partial = ds.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
+    merge_plan, fin = _merge_plan(keys, aggs, exact_sums)
+    if driver_finalize:
+        parts = _collect_partials(partial) or [combine(_empty_input(ds, keys, aggs))]
+        out = _merge_groups(pa.concat_tables(parts, promote_options="permissive"), keys, merge_plan)
+        return out if fin is None else fin(out)
+    # phase 2: merge partials (≤ groups × blocks rows). NOT Ray's native
+    # groupby().aggregate(): its sort-based aggregate walks group
+    # boundaries in per-group Python — measured 56 s for 111k groups of
+    # 120k rows vs <1 s for 20 groups. Instead ``bucketed_aggregate``
+    # (one ``keyed_apply`` shuffle) merges each bucket with ONE
+    # vectorized Arrow groupby — all merge fns are distributive, and
+    # every partial of a key lands in the same bucket by construction.
     out = bucketed_aggregate(partial, keys, merge_plan)
-    if finalize_mean or finalize_scale:
-
-        def _fin(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            for col in finalize_scale:
-                total = pc.divide(
-                    pc.cast(t[f"{col}__isum_total"], pa.float64()),
-                    pa.scalar(float(exact_sums[col])),
-                )
-                t = t.append_column(f"{col}_sum", total)
-            for col in finalize_mean:
-                if f"{col}__msum" in t.column_names:
-                    msum = pc.cast(t[f"{col}__msum"], pa.float64())
-                    if col in exact_sums:
-                        msum = pc.divide(msum, pa.scalar(float(exact_sums[col])))
-                else:  # sum+mean with exact scaling share one partial
-                    msum = t[f"{col}_sum"]
-                mean = pc.divide(msum, pc.cast(t["count"], pa.float64()))
-                t = t.append_column(f"{col}_mean", mean)
-            drop = [f"{c}__isum_total" for c in finalize_scale] + [
-                f"{c}__msum" for c in finalize_mean if f"{c}__msum" in t.column_names
-            ]
-            return t.drop_columns(drop)
-
-        out = out.map_batches(_fin, batch_format="pyarrow")
-    return out
+    return out if fin is None else out.map_batches(fin, batch_format="pyarrow")
 
 
 def group_by_attrs_compact(
@@ -378,8 +413,6 @@ def groupby_attrs_counts(ds, keys: Sequence[str], *, grouped_keys: Sequence[str]
     exact tuple of key values (attribute_groups.go:104-154 full-map
     equality — in columnar form the key tuple IS the identity).
     """
-    import pyarrow.compute as pc
-
     keys = list(keys)
     flag_keys = list(grouped_keys) if grouped_keys is not None else keys
     counted = two_phase_agg(ds, keys, {"*": ["count"]})
@@ -443,8 +476,6 @@ def histogram_agg(
     merged = bucketed_aggregate(partial, keys, plan)
 
     def _fin(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         v = pc.cast(t["vsum"], pa.float64())
         if value_scale is not None:
             v = pc.divide(v, pa.scalar(float(value_scale)))

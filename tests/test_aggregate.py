@@ -110,6 +110,19 @@ def test_exact_sums_deterministic_vs_float():
     assert tbl["v_mean"].tolist() == [0.2, 0.45]
 
 
+def test_driver_finalize_collect_cap(monkeypatch):
+    """The driver collect raises with the row count once the partials pass
+    ``MAX_DRIVER_PARTIAL_ROWS``, checked block by block."""
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+
+    ds = ray.data.from_pandas(pd.DataFrame({"k": np.arange(40), "v": np.ones(40)})).repartition(4)
+    monkeypatch.setattr(aggregate, "MAX_DRIVER_PARTIAL_ROWS", 40)
+    assert aggregate.two_phase_agg(ds, ["k"], {"v": ["sum"]}, driver_finalize=True).num_rows == 40
+    monkeypatch.setattr(aggregate, "MAX_DRIVER_PARTIAL_ROWS", 15)
+    with pytest.raises(RuntimeError, match="collected 20 partial rows, over MAX_DRIVER_PARTIAL_ROWS=15"):
+        aggregate.two_phase_agg(ds, ["k"], {"v": ["sum"]}, driver_finalize=True)
+
+
 def test_histogram_agg_value_scale_exact():
     from opentelemetry_collector_contrib_ray.stages.aggregate import histogram_agg
 

@@ -4,6 +4,7 @@ without crashing (blocks can legitimately be empty after filters)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
 
 from opentelemetry_collector_contrib_ray.pipelines.log_pipeline import (
@@ -45,6 +46,19 @@ def test_two_phase_agg_empty_ds():
     ds = ray.data.from_pandas(df)
     out = two_phase_agg(ds, ["k"], {"v": ["sum"]}).to_pandas()
     assert len(out) == 0
+
+
+@pytest.mark.parametrize("make", ["empty_table", "filter_keeps_nothing"])
+def test_two_phase_agg_driver_finalize_empty_input(make):
+    """No row reaches the combine: the driver merge still returns the key
+    columns plus every output column, with zero rows."""
+    t = pa.table({"k": pa.array(["a", "b"], pa.string()), "v": pa.array([1.0, 2.0])})
+    ds = ray.data.from_arrow(t.slice(0, 0)) if make == "empty_table" else ray.data.from_arrow(t).filter(lambda r: False)
+    out = two_phase_agg(ds, ["k"], {"v": ["count", "sum", "mean", "min", "max"]}, driver_finalize=True)
+    assert out.num_rows == 0
+    assert out.column_names == ["k", "count", "v_count", "v_sum", "v_mean", "v_min", "v_max"]
+    exact = two_phase_agg(ds, ["k"], {"v": ["sum"]}, exact_sums={"v": 100}, driver_finalize=True)
+    assert exact.num_rows == 0 and exact.column_names == ["k", "count", "v_sum"]
 
 
 def test_loki_empty_batch():

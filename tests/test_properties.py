@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core kernels: router scatter
-round-trip, severity conversion totality, token checksum sensitivity;
+round-trip, severity conversion totality, token checksum sensitivity,
+the Arrow aggregate combine against its pandas predecessor;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
 ``two_phase_agg``, ``bucketed_hash_join``): results do not depend on
 bucket count, input order, block layout or key skew."""
@@ -139,22 +140,139 @@ def test_keyed_apply_invariant(num_buckets, layout):
     _assert_same_multiset(got, per_key(df))
 
 
-@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
-def test_two_phase_agg_invariant(num_buckets, layout, monkeypatch):
+# combine batches of 8 rows (ids as in SHUFFLE_CASES), whole blocks and 1 row
+AGG_CASES = [pytest.param(*c.values, 8, id=c.id) for c in SHUFFLE_CASES] + [
+    pytest.param(*c.values, b, id=f"{c.id}-{name}") for b, name in ((None, "batch_block"), (1, "batch1")) for c in SHUFFLE_CASES
+]
+
+
+@pytest.mark.parametrize("num_buckets, layout, batch_size", AGG_CASES)
+def test_two_phase_agg_invariant(num_buckets, layout, batch_size, monkeypatch):
     from opentelemetry_collector_contrib_ray.stages import aggregate
 
     # two_phase_agg derives its bucket count; pin it per case
     monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
     df = _events(layout)
-    # 8-row combine batches: each key's partials span several batches
+    # 8-row and 1-row combine batches: each key's partials span several
+    # batches; None combines each block whole
     got = aggregate.two_phase_agg(
-        _dataset(df, layout), ["k", "k2"], {"v": ["count", "sum", "min", "max"]}, batch_size=8
+        _dataset(df, layout), ["k", "k2"], {"v": ["count", "sum", "min", "max"]}, batch_size=batch_size
     )
     g = df.groupby(["k", "k2"])["v"]
     exp = pd.DataFrame(
         {"count": g.size(), "v_count": g.count(), "v_sum": g.sum(), "v_min": g.min(), "v_max": g.max()}
     ).reset_index()
     _assert_same_multiset(got.to_pandas(), exp)
+
+
+def _pandas_combine(keys, aggs, exact_sums):
+    """The pandas per-batch combiner ``two_phase_agg`` used before its
+    Arrow group-by, kept as the reference for ``_partial_stage``."""
+    from opentelemetry_collector_contrib_ray._util import table_from_pandas
+
+    def combine(batch: pa.Table) -> pa.Table:
+        df_cols = {k: batch[k].to_numpy(zero_copy_only=False) for k in keys}
+        for col, fns in aggs.items():
+            if col != "*":
+                df_cols[col] = batch[col].to_numpy(zero_copy_only=False)
+        df = pd.DataFrame(df_cols)
+        for col, scale in exact_sums.items():
+            v = df[col].to_numpy(dtype=np.float64, copy=True)
+            v[np.isnan(v)] = 0.0
+            df[f"_int_{col}"] = np.rint(v * scale).astype(np.int64)
+        g = df.groupby(list(keys), dropna=False, sort=False, observed=True)
+        out = g.size().rename("_count").to_frame()
+        for col, fns in aggs.items():
+            if col == "*":
+                continue
+            for fn in fns:
+                if fn == "count":
+                    out[f"{col}__count"] = g[col].count()
+                elif fn in ("sum", "mean"):
+                    if col in exact_sums:
+                        out[f"{col}__isum"] = g[f"_int_{col}"].sum()
+                    else:
+                        out[f"{col}__sum"] = g[col].sum().astype(np.float64)
+                elif fn == "min":
+                    out[f"{col}__min"] = g[col].min()
+                elif fn == "max":
+                    out[f"{col}__max"] = g[col].max()
+        return table_from_pandas(out.reset_index())
+
+    return combine
+
+
+_COMBINE_KEYS = ["k", "fk"]
+_COMBINE_AGGS = {"*": ["count"], "f": ["count", "sum", "min", "max", "mean"], "i": ["count", "sum", "min", "max"], "c": ["sum"]}
+_NULLABLE_FLOAT = st.one_of(st.none(), st.just(float("nan")), st.sampled_from([-1.5, 0.0, 0.25, 2.0, 1e6]))
+
+
+def _combine_batch(rows) -> pa.Table:
+    k, fk, f, i, c = zip(*rows) if rows else ([], [], [], [], [])
+    return pa.table(
+        {
+            "k": pa.array(k, pa.string()),
+            "fk": pa.array(fk, pa.float64(), from_pandas=False),
+            "f": pa.array(f, pa.float64(), from_pandas=False),
+            "i": pa.array(i, pa.int64()),
+            "c": pa.array(c, pa.float64(), from_pandas=False),
+        }
+    )
+
+
+def _check_combine_matches_pandas(batch: pa.Table):
+    from opentelemetry_collector_contrib_ray.stages.aggregate import _partial_stage
+
+    exact = {"c": 100}
+    got = _partial_stage(_COMBINE_KEYS, _COMBINE_AGGS, exact)(batch)
+    exp = _pandas_combine(_COMBINE_KEYS, _COMBINE_AGGS, exact)(batch)
+    assert sorted(got.column_names) == sorted(exp.column_names)
+    assert got.num_rows == exp.num_rows
+    # one type per partial, whatever the batch holds; min/max keep the
+    # column's type (pandas widened an int column with nulls to float64)
+    types = {"_count": pa.int64(), "f__count": pa.int64(), "f__sum": pa.float64(), "f__min": pa.float64(),
+             "i__count": pa.int64(), "i__sum": pa.float64(), "i__min": pa.int64(), "i__max": pa.int64(),
+             "c__isum": pa.int64(), "k": pa.string(), "fk": pa.float64()}
+    assert {n: got.schema.field(n).type for n in types} == types
+    if got.num_rows:
+        # pandas retyped an all-null key column, so compare nulls as None
+        def nulls_as_none(t: pa.Table) -> pd.DataFrame:
+            df = t.to_pandas().astype(object)
+            return df.where(df.notna(), None)
+
+        _assert_same_multiset(nulls_as_none(got), nulls_as_none(exp))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", None]),
+            st.sampled_from([1.0, float("nan"), None]),
+            _NULLABLE_FLOAT,
+            st.one_of(st.none(), st.integers(-3, 3)),
+            _NULLABLE_FLOAT,
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_partial_stage_matches_pandas_combine(rows):
+    """The Arrow combine reproduces the pandas one on nulls and NaN in
+    keys and values, int columns with nulls, exact sums and all-null
+    groups: NaN reads as null, null keys form one group."""
+    _check_combine_matches_pandas(_combine_batch(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([], id="empty_batch"),
+        pytest.param([("a", None, None, None, None), ("a", float("nan"), float("nan"), None, float("nan"))], id="all_null_group"),
+        pytest.param([(None, 1.0, 1.5, 2, 0.125), (None, None, float("nan"), None, 0.135)], id="null_keys_one_group"),
+    ],
+)
+def test_partial_stage_edge_batches(rows):
+    _check_combine_matches_pandas(_combine_batch(rows))
 
 
 @pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
