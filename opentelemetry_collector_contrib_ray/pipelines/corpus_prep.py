@@ -1,35 +1,34 @@
 """End-to-end training-corpus preparation pipeline.
 
 Composes the engine's LLM-data stages (``stages/llmdata.py``,
-``stages/dedup.py``, ``stages/textstats.py``) into the canonical
-public-pipeline order (C4 / Gopher / CCNet / RefinedWeb / GPT-3
-describe the same skeleton):
+``stages/dedup.py``) into the canonical public-pipeline order (Gopher
+/ CCNet / RefinedWeb / GPT-3 describe the same skeleton):
 
-    clean (C4 line rules) → quality gate (Gopher) → language filter
-    → PII redaction → exact dedup → corpus-wide line dedup
+    quality gate (Gopher) → PII redaction → train/valid/test split
+    label → exact dedup → corpus-wide line dedup → passage dedup
     → MinHash near-dedup → test-set decontamination
-    → train/valid/test split → tokenize (top-V vocab)
-    → sequence packing → partitioned Parquet write
+    → tokenize (top-V vocab) → sequence packing
+    → partitioned Parquet write
     → seeded global shuffle into training shards (optional)
 
-Every stage is optional and independently configurable so the same
-composition serves both a full prep run and the SQL-mirrorable subset
-the driver oracle checks (``__ray_entry__._q_llm_ops`` 'prep' leg).
+``PrepConfig`` switches each stage on or off; the default runs the
+quality gate, PII redaction, the split, exact dedup, tokenize and
+pack. The input carries ``doc_id``, ``text`` and ``source`` columns.
+The driver oracle's 'prep' leg (``__ray_entry__._q_llm_ops``) checks
+the SQL-mirrorable subset.
 
 Execution shape (designed for the 100 TB case):
 
-* All row-local stages (clean / quality / lang / PII / split) FUSE
-  into one streaming ``map_batches`` pass — one read of the raw text.
+* All row-local stages (quality / PII / split) FUSE into one
+  streaming ``map_batches`` pass — one read of the raw text.
 * The filtered corpus is materialized ONCE (object store, spills to
-  disk) because at least two corpus-wide consumers re-read it (dedup
+  disk) because several corpus-wide consumers re-read it (dedup
   discovery + vocabulary build + the encode pass); re-running the
   regex-heavy filter chain per consumer would cost more than the
-  cached blocks.  Disable via ``materialize_intermediate=False`` when
-  only one consumer runs (e.g. pure filtering, ``tokenize=0``).
-  Nothing else is cached unless a costlier stage (a distributed
-  anti-join, line/passage dedup, decontamination) follows: the id
-  anti-filter and the encoder fuse into their consumers, so the
-  default pass is FOUR Ray Data executions —
+  cached blocks.  Nothing else is cached unless a costlier stage (a
+  distributed anti-join, line/passage dedup, decontamination)
+  follows: the id anti-filter and the encoder fuse into their
+  consumers, so the default pass is FOUR Ray Data executions —
   (1) row-local filters → cache; (2) the exact-dedup shuffle of
   (hash, id) pairs; (3) anti-filter → word-count partials → word
   shuffle → ``block_top``; (4) anti-filter → encode → pack shuffle of
@@ -72,35 +71,25 @@ from .._util import table_from_pandas
 
 @dataclass
 class PrepConfig:
-    """Stage toggles + knobs for ``prepare_corpus``.
+    """Stage switches and knobs for ``prepare_corpus``.
 
-    The default configuration is the full pipeline; the driver-oracle
-    leg runs the SQL-expressible subset (near/line dedup off)."""
+    The defaults run the quality gate, PII redaction, the split, exact
+    dedup, tokenize and pack. Line, passage and near dedup,
+    decontamination and the shard shuffle are off; the driver-oracle
+    leg runs the SQL-expressible subset."""
 
-    text_col: str = "text"
-    id_col: str = "doc_id"
-    source_col: str = "source"
     # --- row-local filters (one fused pass)
-    c4: bool = False                  # line-level C4 cleaning
-    c4_min_lines: int = 3
     quality: bool = True              # Gopher gate (passes_gopher)
-    lang: str | None = None           # keep docs whose LangId == lang
     pii: bool = True                  # text := redacted
     # --- dedup
     exact_dedup: bool = True          # first-wins by min id per text hash
     line_dedup: bool = False          # corpus-duplicated-line removal
-    line_min_docs: int = 2
     passage_dedup: bool = False       # ExactSubstr-style span removal
     passage_window: int = 32
-    passage_min_docs: int = 2
     near_dedup: bool = False          # MinHash+LSH near-dup removal
-    near_k: int = 5
-    near_num_perm: int = 128
-    near_bands: int = 16
     near_threshold: float = 0.8
-    # --- decontamination (n-gram hash set of held-out eval text)
+    # --- decontamination (8-gram hash set of held-out eval text)
     decontaminate_grams: Any = None   # np.ndarray from build_eval_grams
-    decontaminate_n: int = 8
     # --- split / tokenize / pack
     split: bool = True
     test_frac: float = 0.05
@@ -115,7 +104,6 @@ class PrepConfig:
     shuffle_seed: int = 0
     # --- execution
     drop_broadcast_max: int = 5_000_000
-    materialize_intermediate: bool = True
     num_buckets: int | None = None    # dedup shuffle width (None=derived)
 
 
@@ -283,18 +271,15 @@ def _claim_out_dir(out_dir: str) -> None:
 def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None) -> PrepResult:
     """Run the corpus-prep composition over a documents Dataset.
 
-    ``ds`` must carry ``cfg.text_col``, ``cfg.id_col`` and
-    ``cfg.source_col``.  Returns lazily-consumable Datasets; when
-    ``out_dir`` is given, writes partitioned Parquet (documents by
-    split, packed by pack group) plus ``vocab.parquet`` and a
-    ``_done.json`` marker, and SKIPS the whole run when the marker
-    already exists (artifact-level resume). Raises ``FileExistsError``
+    ``ds`` must carry ``doc_id``, ``text`` and ``source``.  Returns
+    lazily-consumable Datasets; when ``out_dir`` is given, writes
+    partitioned Parquet (documents by split, packed by pack group) plus
+    ``vocab.parquet`` and a ``_done.json`` marker, and SKIPS the whole
+    run when the marker already exists (artifact-level resume). Raises ``FileExistsError``
     when ``out_dir`` already holds documents/packed/vocab artifacts
     that no ``prepare_corpus`` run stamped (see ``_claim_out_dir``)."""
     import json
     import os
-
-    import ray
 
     cfg = cfg or PrepConfig()
     stats: dict = {}
@@ -321,53 +306,26 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if out_dir:
         _claim_out_dir(out_dir)
 
-    text_col, id_col, source_col = cfg.text_col, cfg.id_col, cfg.source_col
-
     # ---- stage 1: fused row-local filter chain (ONE pass over raw text)
-    from ..stages.llmdata import assign_split, c4_clean, gopher_stats, redact_pii
+    from ..stages.llmdata import assign_split, gopher_stats, redact_pii
 
     def row_local(batch: pa.Table) -> pa.Table:
-        if cfg.c4:
-            batch = c4_clean(batch, text_col=text_col, min_lines=cfg.c4_min_lines)
-            batch = batch.filter(batch["kept"])
-            idx = batch.column_names.index(text_col)
-            batch = batch.set_column(idx, text_col, batch["clean_text"])
-            batch = batch.drop_columns(["clean_text", "n_lines_kept", "kept"])
         if cfg.quality:
-            batch = gopher_stats(batch, text_col=text_col)
+            batch = gopher_stats(batch)
             batch = batch.filter(batch["passes_gopher"])
             batch = batch.drop_columns(
                 ["dup_word_frac", "alpha_word_frac", "symbol_word_ratio", "passes_gopher"]
             )
         if cfg.pii:
-            batch = redact_pii(batch, text_col=text_col)
-            idx = batch.column_names.index(text_col)
-            batch = batch.set_column(idx, text_col, batch["redacted"])
+            batch = redact_pii(batch)
+            idx = batch.column_names.index("text")
+            batch = batch.set_column(idx, "text", batch["redacted"])
             batch = batch.drop_columns(["redacted", "n_email", "n_ip", "n_phone"])
         if cfg.split:
-            batch = assign_split(
-                batch, id_col=id_col, test_frac=cfg.test_frac, valid_frac=cfg.valid_frac
-            )
+            batch = assign_split(batch, test_frac=cfg.test_frac, valid_frac=cfg.valid_frac)
         return batch
 
-    docs = ds.map_batches(row_local, batch_format="pyarrow")
-    if cfg.lang:
-        from ..stages.textstats import LangId
-
-        docs = docs.map_batches(LangId(text_col=text_col), batch_format="pyarrow")
-        target = cfg.lang
-
-        def keep_lang(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return batch.filter(pc.equal(batch["lang_pred"], target)).drop_columns(
-                ["lang_pred"]
-            )
-
-        docs = docs.map_batches(keep_lang, batch_format="pyarrow")
-
-    if cfg.materialize_intermediate:
-        docs = docs.materialize()
+    docs = ds.map_batches(row_local, batch_format="pyarrow").materialize()
 
     # set by a stage after the cache that costs more to re-run than to
     # cache: a distributed anti-join (a shuffle) or a line, passage or
@@ -376,11 +334,11 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
     # ---- stage 2: exact dedup (anti-filter by duplicate ids)
     if cfg.exact_dedup:
-        drop = _exact_drop_ids(docs, text_col, id_col)
+        drop = _exact_drop_ids(docs, "text", "doc_id")
         stats["exact_dropped"] = int(len(drop))
         costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(
-            docs, drop, id_col,
+            docs, drop, "doc_id",
             broadcast_max=cfg.drop_broadcast_max, num_buckets=cfg.num_buckets,
         )
 
@@ -389,10 +347,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         from ..stages.llmdata import LineDeduper, duplicate_lines
 
         costly = True
-        dup = duplicate_lines(
-            docs, text_col=text_col, id_col=id_col,
-            min_docs=cfg.line_min_docs, num_buckets=cfg.num_buckets,
-        )
+        dup = duplicate_lines(docs, num_buckets=cfg.num_buckets)
         batches = list(dup.iter_batches(batch_format="pyarrow", batch_size=None))
         dup_tbl = (
             pa.concat_tables(batches)
@@ -409,14 +364,13 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         deduper = LineDeduper(
             dup_tbl["line_hash"].to_numpy(zero_copy_only=False),
             dup_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-            text_col=text_col, id_col=id_col,
         )
         docs = docs.map_batches(deduper, batch_format="pyarrow")
         idx_fn_cols = ["clean_text", "n_lines", "n_removed"]
 
         def fold_clean(batch: pa.Table) -> pa.Table:
-            idx = batch.column_names.index(text_col)
-            batch = batch.set_column(idx, text_col, batch["clean_text"])
+            idx = batch.column_names.index("text")
+            batch = batch.set_column(idx, "text", batch["clean_text"])
             return batch.drop_columns(idx_fn_cols)
 
         docs = docs.map_batches(fold_clean, batch_format="pyarrow")
@@ -426,11 +380,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         from ..stages.llmdata import PassageDeduper, duplicate_passages
 
         costly = True
-        dupp = duplicate_passages(
-            docs, text_col=text_col, id_col=id_col,
-            window=cfg.passage_window, min_docs=cfg.passage_min_docs,
-            num_buckets=cfg.num_buckets,
-        )
+        dupp = duplicate_passages(docs, window=cfg.passage_window, num_buckets=cfg.num_buckets)
         batches = list(dupp.iter_batches(batch_format="pyarrow", batch_size=None))
         dupp_tbl = (
             pa.concat_tables(batches)
@@ -445,13 +395,13 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         deduper = PassageDeduper(
             dupp_tbl["gram_hash"].to_numpy(zero_copy_only=False),
             dupp_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-            window=cfg.passage_window, text_col=text_col, id_col=id_col,
+            window=cfg.passage_window,
         )
         docs = docs.map_batches(deduper, batch_format="pyarrow")
 
         def fold_passage(batch: pa.Table) -> pa.Table:
-            idx = batch.column_names.index(text_col)
-            batch = batch.set_column(idx, text_col, batch["clean_text"])
+            idx = batch.column_names.index("text")
+            batch = batch.set_column(idx, "text", batch["clean_text"])
             return batch.drop_columns(
                 ["clean_text", "n_words", "n_removed_words", "n_dup_windows"]
             )
@@ -462,18 +412,14 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     if cfg.near_dedup:
         from ..stages.dedup import near_dedup_clusters
 
-        clusters = near_dedup_clusters(
-            docs, text_col=text_col, id_col=id_col,
-            k=cfg.near_k, num_perm=cfg.near_num_perm, bands=cfg.near_bands,
-            jaccard_threshold=cfg.near_threshold,
-        )
+        clusters = near_dedup_clusters(docs, jaccard_threshold=cfg.near_threshold)
         drop = np.asarray(
             sorted(x for x, root in clusters.items() if root != x), dtype=np.int64
         )
         stats["near_dropped"] = int(len(drop))
         costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(
-            docs, drop, id_col,
+            docs, drop, "doc_id",
             broadcast_max=cfg.drop_broadcast_max, num_buckets=cfg.num_buckets,
         )
 
@@ -482,10 +428,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         from ..stages.llmdata import NgramDecontaminator
 
         costly = True
-        docs = docs.map_batches(
-            NgramDecontaminator(cfg.decontaminate_grams, n=cfg.decontaminate_n, text_col=text_col),
-            batch_format="pyarrow",
-        )
+        docs = docs.map_batches(NgramDecontaminator(cfg.decontaminate_grams), batch_format="pyarrow")
 
         def drop_contaminated(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -499,7 +442,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
     # the vocabulary pass and the pack pass each re-read the doc set: a
     # broadcast id anti-filter fuses into both over the cached blocks,
     # anything costlier is cached once
-    if cfg.materialize_intermediate and cfg.vocab_size and costly:
+    if cfg.vocab_size and costly:
         docs = docs.materialize()
 
     # ---- stage 6: tokenize (vocab over the SURVIVING corpus) + pack
@@ -513,13 +456,11 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             top_vocab,
         )
 
-        counts = corpus_word_counts(docs, text_col=text_col, num_buckets=cfg.num_buckets)
+        counts = corpus_word_counts(docs, num_buckets=cfg.num_buckets)
         vocab = top_vocab(counts, cfg.vocab_size)
-        docs = docs.map_batches(
-            VocabEncoder(vocab["word"].to_numpy(), text_col=text_col), batch_format="pyarrow"
-        )
+        docs = docs.map_batches(VocabEncoder(vocab["word"].to_numpy()), batch_format="pyarrow")
         if cfg.pack:
-            group_cols = [source_col] + (["split"] if cfg.split else [])
+            group_cols = ["source"] + (["split"] if cfg.split else [])
 
             def add_pack_group(batch: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc
@@ -534,7 +475,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             packed = pack_token_sequences(
                 docs.map_batches(add_pack_group, batch_format="pyarrow"),
                 group_col="pack_group",
-                order_col=id_col,
+                order_col="doc_id",
                 tokens_col="tokens",
                 seq_len=cfg.seq_len,
                 emit_tokens=cfg.pack_emit_tokens,

@@ -427,20 +427,56 @@ def groupby_attrs_counts(ds, keys: Sequence[str], *, grouped_keys: Sequence[str]
     return counted.map_batches(_flag, batch_format="pyarrow")
 
 
+def _hist_partial(keys, value_col, bounds_arr, value_scale):
+    """``histogram_agg``'s per-batch combiner: batch → one row per key
+    tuple from ONE Arrow hash group-by over the keys — the value count
+    ``call_count``, the sum ``vsum`` (int64 scaled when ``value_scale``
+    is set, else float64) and one ``bucket_i`` indicator sum per bucket.
+    A null or NaN value adds to no count, no sum and no bucket; null
+    (and NaN) keys form one group."""
+    nb = len(bounds_arr) + 1
+
+    def combine(batch: pa.Table) -> pa.Table:
+        vals = np.array(batch[value_col].to_numpy(zero_copy_only=False), dtype=np.float64)
+        missing = np.isnan(vals)  # nulls arrive as NaN
+        if value_scale is not None:
+            v = pa.array(np.rint(np.where(missing, 0.0, vals) * value_scale).astype(np.int64), mask=missing)
+        else:
+            v = pa.array(vals, mask=missing)
+        bucket = np.where(missing, -1, np.searchsorted(bounds_arr, vals, side="left"))
+        cols = {k: _nan_as_null(batch[k]) for k in keys}
+        cols["_v"] = v
+        for b in range(nb):
+            cols[f"bucket_{b}"] = pa.array((bucket == b).astype(np.int64))
+        g = pa.TableGroupBy(pa.table(cols), keys, use_threads=False)
+        sum_all = pc.ScalarAggregateOptions(min_count=0)  # an all-null group sums to 0
+        merged = g.aggregate(
+            [("_v", "count"), ("_v", "sum", sum_all)] + [(f"bucket_{b}", "sum", sum_all) for b in range(nb)]
+        )
+        out = {k: merged[k] for k in keys}
+        out["call_count"] = merged["_v_count"]
+        out["vsum"] = merged["_v_sum"]
+        for b in range(nb):
+            out[f"bucket_{b}"] = merged[f"bucket_{b}_sum"]
+        return pa.table(out)
+
+    return combine
+
+
 def histogram_agg(
     ds,
     keys: Sequence[str],
     value_col: str,
     bounds: Sequence[float],
     *,
-    batch_size: int = 64 * 1024,
     value_scale: int | None = None,
 ):
     """spanmetrics-style explicit-bucket histogram per key tuple
     (processor.go:305-333): per group emit ``call_count``,
     ``<value>_sum`` and ``bucket_0..bucket_len(bounds)`` counts
     (bucket_i = count of values ≤ bounds[i]; last bucket = overflow).
-    Two-phase: per-batch searchsorted+bincount partials, Sum merge.
+    A null or NaN value counts nowhere. Two-phase: one Arrow group-by
+    per read block (``_hist_partial``), Sum merge.
 
     ``value_scale`` (e.g. 100 for cent-precision values) switches the
     sum to exact int64 arithmetic so the merged double is independent
@@ -450,25 +486,9 @@ def histogram_agg(
     bounds_arr = np.asarray(list(bounds), dtype=np.float64)
     nb = len(bounds_arr) + 1
 
-    def combine(batch: pa.Table) -> pa.Table:
-        vals = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        bucket = np.searchsorted(bounds_arr, vals, side="left")
-        df = pd.DataFrame({k: batch[k].to_numpy(zero_copy_only=False) for k in keys})
-        if value_scale is not None:
-            df["_v"] = np.rint(vals * value_scale).astype(np.int64)
-        else:
-            df["_v"] = vals
-        g = df.groupby(keys, dropna=False, sort=False, observed=True)
-        out = g["_v"].agg(call_count="count", vsum="sum").reset_index()
-        # bucket count matrix per group
-        codes = g.ngroup().to_numpy()
-        mat = np.zeros((out.shape[0], nb), dtype=np.int64)
-        np.add.at(mat, (codes, bucket), 1)
-        for b in range(nb):
-            out[f"bucket_{b}"] = mat[:, b]
-        return table_from_pandas(out)
-
-    partial = ds.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
+    partial = ds.map_batches(
+        _hist_partial(keys, value_col, bounds_arr, value_scale), batch_format="pyarrow", batch_size=None
+    )
     plan = [
         ("call_count", "sum", "call_count"),
         ("vsum", "sum", "vsum"),

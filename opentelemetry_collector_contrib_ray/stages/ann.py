@@ -41,8 +41,9 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
 
 
-def brute_force_topk(ds, queries: np.ndarray, k: int = 10, *, id_col="vec_id", emb_col="embedding", concurrency=(1, 8)):
-    """Exact cosine top-k for each query row. Returns a Dataset with
+def brute_force_topk(ds, queries: np.ndarray, k: int = 10):
+    """Exact cosine top-k for each query row over a (vec_id, embedding)
+    Dataset. Returns a Dataset with
     (query_idx, vec_id, cos), k rows per query."""
     import ray
 
@@ -54,9 +55,9 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10, *, id_col="vec_id", e
             self.q = ray.get(qref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _normalize(_mat(batch, emb_col))
+            mat = _normalize(_mat(batch, "embedding"))
             sims = mat @ self.q.T  # (n, nq)
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
+            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
             out_q, out_id, out_cos = [], [], []
             kk = min(k, sims.shape[0])
             for qi in range(sims.shape[1]):
@@ -67,12 +68,12 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10, *, id_col="vec_id", e
             return pa.table(
                 {
                     "query_idx": pa.array(out_q, pa.int32()),
-                    id_col: pa.array(out_id),
+                    "vec_id": pa.array(out_id),
                     "cos": pa.array(out_cos),
                 }
             )
 
-    return _merge_topk(ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency), k)
+    return _merge_topk(ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8)), k)
 
 
 def _merge_topk(partials, k: int):
@@ -96,13 +97,13 @@ class IvfIndex:
     assign(): map_batches stage adding a ``list_id`` column.
     """
 
-    def __init__(self, n_lists: int = 16, iters: int = 10, seed: int = 11):
-        self.n_lists, self.iters, self.seed = n_lists, iters, seed
+    def __init__(self, n_lists: int = 16, iters: int = 10):
+        self.n_lists, self.iters = n_lists, iters
         self.centroids: np.ndarray | None = None
 
     def train(self, sample: np.ndarray) -> "IvfIndex":
         x = _normalize(np.asarray(sample, dtype=np.float32))
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(11)
         init = x[rng.choice(len(x), size=min(self.n_lists, len(x)), replace=False)]
         c = init.copy()
         for _ in range(self.iters):
@@ -172,14 +173,12 @@ class IvfIndex:
         return assign
 
 
-def ivf_topk(ds, index: IvfIndex, query: np.ndarray, k: int = 10, nprobe: int = 4, *, id_col="vec_id", emb_col="embedding"):
+def ivf_topk(ds, index: IvfIndex, query: np.ndarray, k: int = 10, nprobe: int = 4):
     """Probe the nprobe nearest lists only; exact cosine within them.
-    Recall < 1.0 by design — the scale path for 100 TB corpora
-    (assign once, store partitioned by list_id, read only probed
-    partitions)."""
+    Recall < 1.0 by design — the scale path for 100 TB corpora."""
     q = _normalize(np.asarray(query, dtype=np.float32).reshape(1, -1))[0]
     probes = np.argsort(-(index.centroids @ q))[:nprobe].tolist()
-    assigned = ds.map_batches(index.assigner(emb_col), batch_format="pyarrow")
+    assigned = ds.map_batches(index.assigner(), batch_format="pyarrow")
     probe_set = set(int(p) for p in probes)
 
     def filt(batch: pa.Table) -> pa.Table:
@@ -187,78 +186,20 @@ def ivf_topk(ds, index: IvfIndex, query: np.ndarray, k: int = 10, nprobe: int = 
         return batch.filter(pa.array(np.isin(lid, list(probe_set))))
 
     candidates = assigned.map_batches(filt, batch_format="pyarrow")
-    return brute_force_topk(candidates, q.reshape(1, -1), k, id_col=id_col, emb_col=emb_col)
-
-
-def ivf_build_store(ds, index: IvfIndex, path: str, *, emb_col: str = "embedding"):
-    """Persist an IVF-partitioned copy of the corpus: assign each row
-    its coarse list, write hive-partitioned by ``list_id``. Searches
-    then read ONLY the probed partitions from storage — at 100 TB the
-    I/O saving is nprobe/n_lists. Centroids are saved alongside."""
-    import json
-    import os
-
-    assigned = ds.map_batches(index.assigner(emb_col), batch_format="pyarrow")
-    assigned.write_parquet(path, partition_cols=["list_id"])
-    meta = {
-        "n_lists": index.n_lists,
-        "centroids": index.centroids.tolist(),
-    }
-    with open(os.path.join(path, "ivf_index.json"), "w") as f:
-        json.dump(meta, f)
-    return path
-
-
-def ivf_load_index(path: str) -> IvfIndex:
-    import json
-    import os
-
-    with open(os.path.join(path, "ivf_index.json")) as f:
-        meta = json.load(f)
-    idx = IvfIndex(n_lists=meta["n_lists"])
-    idx.centroids = np.asarray(meta["centroids"], dtype=np.float32)
-    return idx
-
-
-def ivf_search_stored(path: str, query: np.ndarray, k: int = 10, nprobe: int = 4, *, id_col="vec_id", emb_col="embedding"):
-    """Search a stored IVF layout: pick the nprobe nearest lists from
-    the saved centroids, ``read_parquet`` ONLY those partitions (the
-    prune happens at the read — unprobed lists never leave storage),
-    exact cosine within them."""
-    import os
-
-    import ray.data
-
-    from ..sources.parquet import read_corpus
-
-    index = ivf_load_index(path)
-    q = _normalize(np.asarray(query, dtype=np.float32).reshape(1, -1))[0]
-    probes = np.argsort(-(index.centroids @ q))[:nprobe].tolist()
-    import glob as _glob
-
-    dirs = [os.path.join(path, f"list_id={int(p)}") for p in probes]
-    files = [f for d in dirs for f in sorted(_glob.glob(os.path.join(d, "*.parquet")))]
-    if not files:
-        import pyarrow as _pa
-
-        return ray.data.from_arrow(
-            _pa.table({id_col: _pa.array([], _pa.int64()), "cos": _pa.array([], _pa.float64())})
-        )
-    candidates = read_corpus(files, columns=[id_col, emb_col])
-    return brute_force_topk(candidates, q.reshape(1, -1), k, id_col=id_col, emb_col=emb_col)
+    return brute_force_topk(candidates, q.reshape(1, -1), k)
 
 
 # ------------------------------------------------- scalar int8 quantization
 
 
-def embedding_quant_params(ds, emb_col: str = "embedding") -> tuple[np.ndarray, np.ndarray]:
+def embedding_quant_params(ds) -> tuple[np.ndarray, np.ndarray]:
     """Global per-dimension (min, max) of an embedding column via one
     distributed partial pass — each batch ships two d-length vectors,
     the driver folds ``num_blocks`` tiny partials. Returns
     ``(mins, maxs)`` float32 arrays."""
 
     def partials(batch: pa.Table) -> pa.Table:
-        m = _mat(batch, emb_col)
+        m = _mat(batch, "embedding")
         return pa.table(
             {
                 "mn": pa.array([m.min(axis=0).astype(np.float32).tobytes()], pa.binary()),
@@ -283,14 +224,13 @@ class EmbeddingQuantizer:
     replaces the float list with ``codes`` (list<uint8>). ``decode``
     reverses for search/verification."""
 
-    def __init__(self, mins: np.ndarray, maxs: np.ndarray, emb_col: str = "embedding"):
+    def __init__(self, mins: np.ndarray, maxs: np.ndarray):
         self.mins = np.asarray(mins, np.float32)
         rng = np.asarray(maxs, np.float32) - self.mins
         self.scale = np.where(rng > 0, rng / 255.0, 1.0).astype(np.float32)
-        self.emb_col = emb_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _mat(batch, self.emb_col)
+        m = _mat(batch, "embedding")
         codes = np.clip(
             np.round((m - self.mins[None, :]) / self.scale[None, :]), 0, 255
         ).astype(np.uint8)
@@ -299,7 +239,7 @@ class EmbeddingQuantizer:
             pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32)),
             pa.array(codes.ravel(), pa.uint8()),
         )
-        batch = batch.drop_columns([self.emb_col])
+        batch = batch.drop_columns(["embedding"])
         return batch.append_column("codes", la)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
@@ -308,7 +248,6 @@ class EmbeddingQuantizer:
 
 def quantized_topk(
     codes_ds, quant: "EmbeddingQuantizer", queries: np.ndarray, k: int = 10,
-    *, id_col: str = "vec_id", concurrency=(1, 8),
 ):
     """Exact cosine top-k over the QUANTIZED store: each batch decodes
     its uint8 codes (vectorized) and runs the same matmul/argpartition
@@ -335,7 +274,7 @@ def quantized_topk(
             codes = vals[offs[0]:].reshape(-1, d) if d else vals.reshape(0, 0)
             mat = _normalize(self.quant.decode(codes))
             sims = mat @ self.q.T
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
+            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
             out_q, out_id, out_cos = [], [], []
             kk = min(k, sims.shape[0])
             for qi in range(sims.shape[1]):
@@ -346,9 +285,9 @@ def quantized_topk(
             return pa.table(
                 {
                     "query_idx": pa.array(out_q, pa.int32()),
-                    id_col: pa.array(out_id),
+                    "vec_id": pa.array(out_id),
                     "cos": pa.array(out_cos),
                 }
             )
 
-    return _merge_topk(codes_ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency), k)
+    return _merge_topk(codes_ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8)), k)

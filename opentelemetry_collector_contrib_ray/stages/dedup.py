@@ -38,12 +38,12 @@ def _text_hash64(texts: pd.Series) -> np.ndarray:
     )
 
 
-def add_content_hash(batch: pa.Table, text_col: str = "text", out: str = "content_hash") -> pa.Table:
+def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object)
-    return batch.append_column(out, pa.array(_text_hash64(s).astype(np.int64)))
+    return batch.append_column("content_hash", pa.array(_text_hash64(s).astype(np.int64)))
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
+def exact_dedup(ds):
     """Exact dedup, first-wins by smallest id: hash-partition on the
     content hash, keep the min-id row per group. One shuffle over
     (hash, id) pairs only — full rows are NOT shuffled; survivors are
@@ -56,11 +56,11 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     from .aggregate import bucketed_aggregate
 
     hashed = ds.map_batches(
-        lambda b: add_content_hash(b, text_col).select(["content_hash", id_col]),
+        lambda b: add_content_hash(b).select(["content_hash", "doc_id"]),
         batch_format="pyarrow",
     )
     # group count ~ corpus size → bucketed merge, not Ray native agg
-    return bucketed_aggregate(hashed, ["content_hash"], [(id_col, "min", id_col)])
+    return bucketed_aggregate(hashed, ["content_hash"], [("doc_id", "min", "doc_id")])
 
 
 # ------------------------------------------------------- shingle kernel
@@ -147,8 +147,8 @@ class MinHasher:
     anywhere. Output adds ``minhash`` (list<uint64> length num_perm).
     """
 
-    def __init__(self, text_col: str = "text", k: int = 5, num_perm: int = 64, seed: int = 7):
-        rng = np.random.default_rng(seed)
+    def __init__(self, text_col: str = "text", k: int = 5, num_perm: int = 64):
+        rng = np.random.default_rng(7)
         self.a = rng.integers(1, _MERSENNE, size=num_perm, dtype=np.uint64)
         self.b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
         self.k = k
@@ -204,17 +204,7 @@ class MinHasher:
         return batch.append_column("minhash", pa.ListArray.from_arrays(offs, flat))
 
 
-def minhash_lsh_groups(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    *,
-    k: int = 5,
-    num_perm: int = 64,
-    bands: int = 16,
-    num_buckets: int | None = None,
-    concurrency: int | tuple = (2, 8),
-):
+def minhash_lsh_groups(ds, *, num_perm: int = 64, bands: int = 16):
     """MinHash+LSH near-dup candidate buckets.
 
     shingle→minhash per batch → explode to (band_id, band_hash, id)
@@ -226,9 +216,9 @@ def minhash_lsh_groups(
     doc, not documents — and nothing is collected to the driver.
     """
     exploded = _lsh_explode(
-        ds, text_col, id_col, k=k, num_perm=num_perm, bands=bands
+        ds, "text", "doc_id", k=5, num_perm=num_perm, bands=bands
     )
-    return _resolve_buckets(exploded, id_col, num_buckets=num_buckets)
+    return _resolve_buckets(exploded, "doc_id")
 
 
 _POS_MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio odd constant
@@ -271,39 +261,31 @@ def _token_window_hashes_flat(
 
 
 class TokenMinHasher(MinHasher):
-    """MinHash signatures over a PRE-TOKENIZED ``list<int32>`` column
-    — the corpus-native shape — by swapping the byte-shingle source
-    for k-token window hashes; permutations, chunking and LSH banding
-    are inherited unchanged from ``MinHasher``."""
+    """MinHash signatures over the PRE-TOKENIZED ``tokens`` column
+    (``list<int32>``, the corpus-native shape) by swapping the
+    byte-shingle source for k-token window hashes; permutations,
+    chunking and LSH banding are inherited unchanged from
+    ``MinHasher``."""
 
-    def __init__(self, tokens_col: str = "tokens", k: int = 8, num_perm: int = 64, seed: int = 7):
-        super().__init__(text_col=tokens_col, k=k, num_perm=num_perm, seed=seed)
+    def __init__(self, k: int = 8, num_perm: int = 64):
+        super().__init__(text_col="tokens", k=k, num_perm=num_perm)
 
     def _flat_hashes(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         return _token_window_hashes_flat(batch, self.text_col, self.k)
 
 
-def token_minhash_lsh_groups(
-    ds,
-    tokens_col: str = "tokens",
-    id_col: str = "doc_id",
-    *,
-    k: int = 8,
-    num_perm: int = 64,
-    bands: int = 16,
-    num_buckets: int | None = None,
-):
+def token_minhash_lsh_groups(ds, *, k: int = 8, num_perm: int = 64, bands: int = 16):
     """``minhash_lsh_groups`` over the pre-tokenized corpus shape:
     identical shuffle plan ((band, hash, id) triples only), token
     windows instead of byte shingles."""
     exploded = _lsh_explode(
-        ds, tokens_col, id_col, k=k, num_perm=num_perm, bands=bands,
-        hasher=TokenMinHasher(tokens_col=tokens_col, k=k, num_perm=num_perm),
+        ds, "tokens", "doc_id", k=k, num_perm=num_perm, bands=bands,
+        hasher=TokenMinHasher(k=k, num_perm=num_perm),
     )
-    return _resolve_buckets(exploded, id_col, num_buckets=num_buckets)
+    return _resolve_buckets(exploded, "doc_id")
 
 
-def exact_dedup_tokens(ds, tokens_col: str = "tokens", id_col: str = "doc_id"):
+def exact_dedup_tokens(ds):
     """Token-array exact dedup, first-wins by smallest id: an
     order-and-position-sensitive 64-bit hash of each document's token
     sequence (one splitmix pass over the flat values XOR their
@@ -316,7 +298,7 @@ def exact_dedup_tokens(ds, tokens_col: str = "tokens", id_col: str = "doc_id"):
     from .llmdata import _flat_tokens
 
     def hash_rows(t: pa.Table) -> pa.Table:
-        vals, offs = _flat_tokens(t, tokens_col)
+        vals, offs = _flat_tokens(t, "tokens")
         lens = np.diff(offs)
         pos = np.arange(len(vals), dtype=np.int64) - np.repeat(offs[:-1], lens)
         with np.errstate(over="ignore"):
@@ -338,12 +320,12 @@ def exact_dedup_tokens(ds, tokens_col: str = "tokens", id_col: str = "doc_id"):
         return pa.table(
             {
                 "content_hash": pa.array(doc_h, pa.uint64()),
-                id_col: t[id_col],
+                "doc_id": t["doc_id"],
             }
         )
 
     hashed = ds.map_batches(hash_rows, batch_format="pyarrow")
-    return bucketed_aggregate(hashed, ["content_hash"], [(id_col, "min", id_col)])
+    return bucketed_aggregate(hashed, ["content_hash"], [("doc_id", "min", "doc_id")])
 
 
 def _lsh_explode(ds, text_col, id_col, *, k, num_perm, bands, hasher=None):
@@ -438,7 +420,7 @@ def _resolve_buckets(exploded, id_col: str, *, num_buckets: int | None = None):
     return keyed_apply(exploded, ["band_id", "band_hash"], resolve, num_buckets=num_buckets, batch_format="pyarrow")
 
 
-def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int | None = None):
+def lsh_candidate_pairs(exploded, id_col: str):
     """(band_id, band_hash, id) triples → globally-unique candidate
     pairs (id_a < id_b), fully distributed: pairs are generated inside
     the bucketed groupby (size-2 groups vectorized; larger groups —
@@ -491,47 +473,15 @@ def lsh_candidate_pairs(exploded, id_col: str, *, num_buckets: int | None = None
         a, b = a[keep], b[keep]
         return pa.table({"id_a": pa.array(a, id_type), "id_b": pa.array(b, id_type)})
 
-    pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs, num_buckets=num_buckets, batch_format="pyarrow")
+    pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs, batch_format="pyarrow")
 
     # dedupe across bands: a pair's copies from every band co-locate on
     # the (id_a, id_b) key; one vectorized drop_duplicates per bucket
     def dedupe(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["id_a", "id_b"])
 
-    return keyed_apply(pairs, ["id_a", "id_b"], dedupe, num_buckets=num_buckets)
+    return keyed_apply(pairs, ["id_a", "id_b"], dedupe)
 
-
-def simhash_buckets(ds, text_col: str = "text", id_col: str = "doc_id", *, bands: int = 4, num_buckets: int | None = None):
-    """SimHash near-dup candidates: split each 64-bit simhash into
-    ``bands`` equal bit-bands; docs within Hamming distance < bands
-    share at least one identical band (pigeonhole) and land in a common
-    bucket. Same triple-shuffle/bucketed-resolution shape as MinHash-LSH.
-    """
-    width = 64 // bands
-    band_mask = np.uint64((1 << width) - 1)
-
-    sh = ds.map_batches(SimHasher(text_col=text_col), batch_format="pyarrow", batch_size=2048)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        h = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        n = len(batch)
-        out_band, out_hash, out_id = [], [], []
-        for b in range(bands):
-            vals = (h >> np.uint64(b * width)) & band_mask
-            out_band.append(np.full(n, b, dtype=np.int32))
-            out_hash.append(vals.astype(np.int64))
-            out_id.append(ids)
-        return pa.table(
-            {
-                "band_id": pa.array(np.concatenate(out_band)),
-                "band_hash": pa.array(np.concatenate(out_hash)),
-                id_col: pa.array(np.concatenate(out_id)),
-            }
-        )
-
-    exploded = sh.map_batches(explode, batch_format="pyarrow")
-    return _resolve_buckets(exploded, id_col, num_buckets=num_buckets)
 
 # -------------------------------------------------------------------- SimHash
 
@@ -548,14 +498,11 @@ class SimHasher:
     per-document Python loop. Near-dups share low Hamming distance.
     """
 
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
         if n == 0:
             return batch.append_column("simhash", pa.array([], pa.int64()))
-        s = pd.Series(batch[self.text_col].to_numpy(zero_copy_only=False), dtype=object)
+        s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object)
         words = s.fillna("").str.split()
         # explode: one row per word; empty docs yield one NaN row → ""
         flat = words.explode().fillna("").to_numpy(dtype=object)
@@ -620,31 +567,23 @@ def _vec_matrix(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
     return np.asarray(arr, dtype=np.float32).reshape(n, -1)
 
 
-def normalized_vec_ds(ds, id_col="vec_id", emb_col="embedding", out_col="vec"):
-    """(id, embedding) → (id, unit-norm vec) as a Dataset stage."""
+def normalized_vec_ds(ds):
+    """(vec_id, embedding) → (vec_id, unit-norm vec) as a Dataset stage."""
 
     def norm_batch(t: pa.Table) -> pa.Table:
-        m = _vec_matrix(t[emb_col], len(t))
+        m = _vec_matrix(t["embedding"], len(t))
         m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
         return pa.table(
             {
-                id_col: t[id_col],
-                out_col: pa.array(list(m), type=pa.list_(pa.float32())),
+                "vec_id": t["vec_id"],
+                "vec": pa.array(list(m), type=pa.list_(pa.float32())),
             }
         )
 
     return ds.map_batches(norm_batch, batch_format="pyarrow")
 
 
-def verify_cos_pairs_ds(
-    ds,
-    pairs_ds,
-    *,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    threshold: float = 0.95,
-    num_buckets: int | None = None,
-):
+def verify_cos_pairs_ds(ds, pairs_ds, *, threshold: float = 0.95):
     """Exact-cosine verification of candidate id pairs: join the pair
     list against the (normalized) embeddings — two distributed joins,
     nothing collected to the driver — then one vectorized dot per pair.
@@ -652,7 +591,7 @@ def verify_cos_pairs_ds(
     twin of the text path's ``verify_pairs_ds``."""
     from .join import bucketed_hash_join
 
-    vecs = normalized_vec_ds(ds, id_col=id_col, emb_col=emb_col)
+    vecs = normalized_vec_ds(ds)
     va = vecs.map_batches(
         lambda t: t.rename_columns(["id_a", "vec_a"]), batch_format="pyarrow"
     )
@@ -661,8 +600,8 @@ def verify_cos_pairs_ds(
     )
     # always the bucketed (pandas-merge) join: Arrow's acero hash join —
     # the engine under Dataset.join — rejects list<float> non-key fields
-    j = bucketed_hash_join(pairs_ds, va, "id_a", num_buckets=num_buckets)
-    j = bucketed_hash_join(j, vb, "id_b", num_buckets=num_buckets)
+    j = bucketed_hash_join(pairs_ds, va, "id_a")
+    j = bucketed_hash_join(j, vb, "id_b")
 
     def score(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -682,20 +621,15 @@ def verify_cos_pairs_ds(
     return j.map_batches(score, batch_format="pyarrow")
 
 
-def embedding_neardup_pairs(
-    ds,
-    *,
-    id_col="vec_id",
-    emb_col="embedding",
-    threshold=0.95,
-    nbits=None,
-    num_tables=8,
-    seed=3,
-    target_bucket=64,
-):
+EMB_LSH_TABLES = 8  # hash tables of embedding_neardup_pairs
+EMB_LSH_BUCKET = 64  # its target expected bucket size
+
+
+def embedding_neardup_pairs(ds, *, threshold=0.95):
     """Embedding-cosine near-dup: MULTI-TABLE random-hyperplane LSH.
 
-    Recall for a pair at cosine c is ``1 − (1 − p^nbits)^num_tables``
+    Recall for a pair at cosine c is ``1 − (1 − p^nbits)^T`` over
+    T = ``EMB_LSH_TABLES`` tables
     with ``p = 1 − acos(c)/π``; candidates are exact-cosine verified so
     the output NEVER contains false positives. Returns pairs
     (id_a, id_b, cos ≥ threshold, id_a < id_b).
@@ -704,7 +638,7 @@ def embedding_neardup_pairs(
     - the LSH shuffle moves (table, bucket, id) TRIPLES only — vectors
       are no longer replicated ×num_tables through the shuffle (256 B
       × 8 per vector at d=64 → 24 B × 8);
-    - ``nbits`` auto-scales as ~log2(n / target_bucket) (clipped 4-24)
+    - ``nbits`` scales as ~log2(n / ``EMB_LSH_BUCKET``) (clipped 4-24)
       so the expected bucket size — and with it the in-bucket pair
       expansion — stays CONSTANT as the corpus grows, instead of
       O(bucket²) at a fixed bit count;
@@ -714,25 +648,23 @@ def embedding_neardup_pairs(
       distributed pairs × vectors join ``verify_cos_pairs_ds`` — the
       same shapes already proven on the text near-dup path.
     """
-    if nbits is None:
-        n = ds.count()
-        nbits = int(np.clip(round(np.log2(max(n, 2) / target_bucket)), 4, 24))
+    nbits = int(np.clip(round(np.log2(max(ds.count(), 2) / EMB_LSH_BUCKET)), 4, 24))
 
     class Bucketer:
         def __init__(self):
             self.planes = None
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = _vec_matrix(batch[emb_col], len(batch))
+            vecs = _vec_matrix(batch["embedding"], len(batch))
             if self.planes is None:
-                rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(3)
                 self.planes = rng.standard_normal(
-                    (num_tables, vecs.shape[1], nbits)
+                    (EMB_LSH_TABLES, vecs.shape[1], nbits)
                 ).astype(np.float32)
             n = len(vecs)
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
+            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
             tabs, buckets = [], []
-            for t in range(num_tables):
+            for t in range(EMB_LSH_TABLES):
                 proj = vecs @ self.planes[t]
                 bits = (proj > 0).astype(np.uint64)
                 b = (bits << np.arange(nbits, dtype=np.uint64)[None, :]).sum(axis=1)
@@ -742,21 +674,19 @@ def embedding_neardup_pairs(
                 {
                     "band_id": pa.array(np.concatenate(tabs)),
                     "band_hash": pa.array(np.concatenate(buckets)),
-                    id_col: pa.array(np.tile(ids, num_tables)),
+                    "vec_id": pa.array(np.tile(ids, EMB_LSH_TABLES)),
                 }
             )
 
     exploded = ds.map_batches(Bucketer(), batch_format="pyarrow")
-    pairs = lsh_candidate_pairs(exploded, id_col)
-    return verify_cos_pairs_ds(
-        ds, pairs, id_col=id_col, emb_col=emb_col, threshold=threshold
-    )
+    pairs = lsh_candidate_pairs(exploded, "vec_id")
+    return verify_cos_pairs_ds(ds, pairs, threshold=threshold)
 
 
 # ------------------------------------------------- end-to-end near-dedup
 
 
-def candidate_pairs_from_buckets(buckets: pa.Table, id_col: str = "doc_id") -> list[tuple]:
+def candidate_pairs_from_buckets(buckets: pa.Table) -> list[tuple]:
     """LSH buckets (ids list per bucket) → unique unordered candidate
     pairs, on the driver. COMPAT/SMALL-SCALE ONLY: the distributed path
     is ``lsh_candidate_pairs`` (pairs generated inside the bucketed
@@ -808,16 +738,7 @@ def _jaccard_hash_sets(texts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return sh, _cumsum0(out_counts)
 
 
-def verify_pairs_ds(
-    ds,
-    pairs_ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    n: int = 3,
-    threshold: float = 0.8,
-    num_buckets: int | None = None,
-):
+def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     """Distributed candidate-pair verification: join the pair list
     against the corpus texts (two bucketed shuffles of pairs + texts —
     nothing collected to the driver), then exact n-gram Jaccard per
@@ -830,7 +751,7 @@ def verify_pairs_ds(
     from .join import bucketed_hash_join, native_join
 
     texts = ds.map_batches(
-        lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
+        lambda t: t.select(["doc_id", "text"]), batch_format="pyarrow"
     )
     ta = texts.map_batches(
         lambda t: t.rename_columns(["id_a", "text_a"]), batch_format="pyarrow"
@@ -845,8 +766,8 @@ def verify_pairs_ds(
         j1 = native_join(pairs_ds, ta, "id_a")  # partitions derived from cluster
         j2 = native_join(j1, tb, "id_b")
     else:
-        j1 = bucketed_hash_join(pairs_ds, ta, "id_a", num_buckets=num_buckets)
-        j2 = bucketed_hash_join(j1, tb, "id_b", num_buckets=num_buckets)
+        j1 = bucketed_hash_join(pairs_ds, ta, "id_a")
+        j2 = bucketed_hash_join(j1, tb, "id_b")
 
     def score(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -874,7 +795,7 @@ def verify_pairs_ds(
         uniq_ids, inv = np.unique(ids.astype(str), return_inverse=True)
         first = np.zeros(len(uniq_ids), dtype=np.int64)
         first[inv[::-1]] = np.arange(len(ids) - 1, -1, -1)
-        flat, offs = _jaccard_hash_sets(txts[first], n)
+        flat, offs = _jaccard_hash_sets(txts[first], 3)
         doc_lens = np.diff(offs)
         m = len(batch)
 
@@ -915,7 +836,7 @@ def verify_pairs_ds(
     return j2.map_batches(score, batch_format="pyarrow")
 
 
-def verify_pairs(ds, pairs: list[tuple], *, text_col="text", id_col="doc_id", n: int = 3, threshold: float = 0.8):
+def verify_pairs(ds, pairs: list[tuple], *, threshold: float = 0.8):
     """Broadcast-based pair verification (COMPAT/SMALL-SCALE: the
     candidate-texts dict lives on the driver — use ``verify_pairs_ds``
     for dup-heavy corpora where candidates ~ corpus).
@@ -926,17 +847,17 @@ def verify_pairs(ds, pairs: list[tuple], *, text_col="text", id_col="doc_id", n:
     ref = ray.put(needed)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        ids = pd.Series(batch[id_col].to_numpy(zero_copy_only=False))
+        ids = pd.Series(batch["doc_id"].to_numpy(zero_copy_only=False))
         keep = ray.get(ref)
         mask = ids.isin(keep).to_numpy()
-        return batch.select([id_col, text_col]).filter(pa.array(mask))
+        return batch.select(["doc_id", "text"]).filter(pa.array(mask))
 
     texts_tbl = pa.concat_tables(
         ds.map_batches(fetch, batch_format="pyarrow").iter_batches(
             batch_format="pyarrow", batch_size=None
         )
     )
-    texts = dict(zip(texts_tbl[id_col].to_pylist(), texts_tbl[text_col].to_pylist()))
+    texts = dict(zip(texts_tbl["doc_id"].to_pylist(), texts_tbl["text"].to_pylist()))
     # distribute verification: pair chunks fan out as Ray tasks, the
     # candidate texts broadcast once — the driver only merges edges
     texts_ref = ray.put(texts)
@@ -949,7 +870,7 @@ def verify_pairs(ds, pairs: list[tuple], *, text_col="text", id_col="doc_id", n:
             ta, tb = tx.get(a), tx.get(b)
             if ta is None or tb is None:
                 continue
-            j = ngram_jaccard(ta, tb, n)
+            j = ngram_jaccard(ta, tb, 3)
             if j >= threshold:
                 out.append((a, b, j))
         return out
@@ -987,14 +908,14 @@ def connected_components(edges: list[tuple]) -> dict:
     return {x: find(x) for x in parent}
 
 
-def connected_components_ds(edges_ds, *, max_iters: int = 20):
+def connected_components_ds(edges_ds):
     """Distributed connected components over an edge Dataset
     (id_a, id_b) via iterative min-label propagation: each round every
     node takes the min of its own label and its neighbors' labels (two
     grouped merges over the edge list — no driver-side graph). Labels
     converge to the component's min id — identical roots to the
     union-find path. Iterations ≈ graph diameter; near-dup clusters
-    are shallow, so a handful of rounds suffices.
+    are shallow, so a handful of rounds suffices (at most 20 run).
 
     Returns a Dataset (id, root) covering every node that appears in
     an edge. Scale shape: each round shuffles |edges| label messages.
@@ -1027,7 +948,7 @@ def connected_components_ds(edges_ds, *, max_iters: int = 20):
     ).materialize()
     edges = edges_ds.materialize()
     prev_sig = None
-    for _ in range(max_iters):
+    for _ in range(20):
         from .join import bucketed_hash_join  # labels can be large: bucketed join
 
         la = labels.map_batches(
@@ -1078,19 +999,12 @@ def connected_components_ds(edges_ds, *, max_iters: int = 20):
     )
 
 
-def near_dedup(
-    ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 5,
-    num_perm: int = 128,
-    bands: int = 16,
-    jaccard_threshold: float = 0.8,
-    num_buckets: int | None = None,
-    cc_mode: str = "auto",
-    cc_edge_threshold: int = 100_000,
-):
+# verified-edge count past which near_dedup_clusters runs connected
+# components distributed instead of on the driver
+CC_EDGE_THRESHOLD = 100_000
+
+
+def near_dedup(ds, *, bands: int = 16, jaccard_threshold: float = 0.8):
     """End-to-end near-duplicate removal, distributed at every step:
 
     MinHash+LSH candidate pairs (bucketed groupby — no driver bucket
@@ -1098,46 +1012,30 @@ def near_dedup(
     pairs × texts) → connected components over the verified edges →
     survivors = min id per duplicate cluster + all unclustered docs.
 
-    Default LSH shape is 16 bands × 8 rows (num_perm=128): at the 0.8
-    default threshold a true pair collides with p ≈ 0.95 while the
-    random-collision rate per band is J^8 — on corpora with templated
-    boilerplate (baseline J ≈ 0.2-0.4) this keeps the candidate set
-    ~linear in n, where 4-row bands degenerate toward all-pairs
-    (measured 292k candidates from 5.2k docs). Candidate count, not
-    hashing, is the scale cost: every candidate crosses the verify
-    join. Lower ``bands`` (wider rows) further for higher thresholds;
-    raise it for recall at low thresholds.
-
-    ``cc_mode``: 'driver' = union-find over collected edges (O(edges)
-    on the driver); 'distributed' = min-label propagation
-    (``connected_components_ds``), driver holds only the O(dup-nodes)
-    label map; 'auto' (default) counts the verified edges and switches
-    to the distributed path past ``cc_edge_threshold`` — so a dup-heavy
-    corpus never ships its edge set to the driver.
-    Returns (survivor_ids_table, clusters dict {dup_id: root_id}).
+    LSH runs 5-byte shingles through 128 permutations. The default
+    shape is 16 bands × 8 rows: at the 0.8 default threshold a true
+    pair collides with p ≈ 0.95 while the random-collision rate per
+    band is J^8 — on corpora with templated boilerplate (baseline
+    J ≈ 0.2-0.4) this keeps the candidate set ~linear in n, where
+    4-row bands degenerate toward all-pairs (measured 292k candidates
+    from 5.2k docs). Candidate count, not hashing, is the scale cost:
+    every candidate crosses the verify join. Lower ``bands`` (wider
+    rows) further for higher thresholds; raise it for recall at low
+    thresholds. Connected components run as ``near_dedup_clusters``
+    chooses. Returns (survivor_ids_table, clusters dict
+    {dup_id: root_id}).
     """
-    clusters = near_dedup_clusters(
-        ds,
-        text_col=text_col,
-        id_col=id_col,
-        k=k,
-        num_perm=num_perm,
-        bands=bands,
-        jaccard_threshold=jaccard_threshold,
-        num_buckets=num_buckets,
-        cc_mode=cc_mode,
-        cc_edge_threshold=cc_edge_threshold,
-    )
+    clusters = near_dedup_clusters(ds, bands=bands, jaccard_threshold=jaccard_threshold)
     drop = {x for x, root in clusters.items() if root != x}
     import ray
 
     drop_ref = ray.put(np.asarray(sorted(drop), dtype=object))
 
     def survivors(batch: pa.Table) -> pa.Table:
-        ids = pd.Series(batch[id_col].to_numpy(zero_copy_only=False))
+        ids = pd.Series(batch["doc_id"].to_numpy(zero_copy_only=False))
         dropped = ray.get(drop_ref)
         mask = ~ids.isin(dropped).to_numpy()  # vectorized membership
-        return batch.select([id_col]).filter(pa.array(mask))
+        return batch.select(["doc_id"]).filter(pa.array(mask))
 
     surv = pa.concat_tables(
         ds.map_batches(survivors, batch_format="pyarrow").iter_batches(
@@ -1147,37 +1045,25 @@ def near_dedup(
     return surv, clusters
 
 
-def near_dedup_clusters(
-    ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 5,
-    num_perm: int = 128,
-    bands: int = 16,
-    jaccard_threshold: float = 0.8,
-    num_buckets: int | None = None,
-    cc_mode: str = "auto",
-    cc_edge_threshold: int = 100_000,
-):
+def near_dedup_clusters(ds, *, bands: int = 16, jaccard_threshold: float = 0.8):
     """The discovery half of ``near_dedup``: LSH candidates → verified
     edges → connected components, returning only the cluster map
     ``{dup_id: root_id}`` (one entry per node touching a verified
     edge — O(duplicates), never O(corpus)). Callers that need the
     filtered corpus apply their own anti-filter so the text is not
-    re-read (``pipelines/corpus_prep.py`` composes this)."""
-    exploded = _lsh_explode(ds, text_col, id_col, k=k, num_perm=num_perm, bands=bands)
-    pairs = lsh_candidate_pairs(exploded, id_col, num_buckets=num_buckets)
-    edges_ds = verify_pairs_ds(
-        ds, pairs, text_col=text_col, id_col=id_col, threshold=jaccard_threshold
-    )
-    if cc_mode not in ("auto", "driver", "distributed"):
-        raise ValueError(f"cc_mode must be auto|driver|distributed, got {cc_mode!r}")
-    use_distributed = cc_mode == "distributed"
-    if cc_mode == "auto":
-        edges_ds = edges_ds.materialize()  # count + reuse without recompute
-        use_distributed = edges_ds.count() > cc_edge_threshold
-    if use_distributed:
+    re-read (``pipelines/corpus_prep.py`` composes this). LSH runs
+    5-byte shingles through 128 permutations in ``bands`` bands.
+
+    Connected components run as union-find over the collected edges
+    (O(edges) on the driver) while the verified edges number at most
+    ``CC_EDGE_THRESHOLD``; past it they run as min-label propagation
+    (``connected_components_ds``) and the driver holds only the
+    O(dup-nodes) label map — so a dup-heavy corpus never ships its
+    edge set to the driver."""
+    exploded = _lsh_explode(ds, "text", "doc_id", k=5, num_perm=128, bands=bands)
+    pairs = lsh_candidate_pairs(exploded, "doc_id")
+    edges_ds = verify_pairs_ds(ds, pairs, threshold=jaccard_threshold).materialize()
+    if edges_ds.count() > CC_EDGE_THRESHOLD:
         labels = connected_components_ds(
             edges_ds.map_batches(
                 lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"

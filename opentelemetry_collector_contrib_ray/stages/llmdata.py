@@ -80,9 +80,9 @@ def _split_words(text, *, drop_empty: bool = False) -> tuple[pa.Array, np.ndarra
     return flat.filter(keep), doc_of, np.bincount(doc_of, minlength=len(lists)).astype(np.int64)
 
 
-def redact_pii(batch: pa.Table, text_col: str = "text", out_col: str = "redacted") -> pa.Table:
+def redact_pii(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Replace PII spans with typed placeholders; adds ``n_<kind>``
-    count columns and the redacted text. Matching is RE2 (Arrow's
+    count columns and the ``redacted`` text. Matching is RE2 (Arrow's
     ``count_substring_regex`` / ``replace_substring_regex``), the
     engine behind DuckDB's ``regexp_replace``; patterns apply in
     PII_PATTERNS order (email before ip before phone) — an oracle must
@@ -92,7 +92,7 @@ def redact_pii(batch: pa.Table, text_col: str = "text", out_col: str = "redacted
         n = pc.count_substring_regex(s, pattern).cast(pa.int64())
         s = pc.replace_substring_regex(s, pattern, repl)
         batch = batch.append_column(f"n_{kind}", n)
-    return batch.append_column(out_col, s)
+    return batch.append_column("redacted", s)
 
 
 def gopher_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -173,48 +173,15 @@ class NgramDecontaminator:
     pass per batch and an ``np.isin`` membership against it. Adds a
     ``contaminated`` bool column."""
 
-    def __init__(
-        self,
-        eval_grams: np.ndarray,
-        n: int = 8,
-        text_col: str = "text",
-        backend: str = "sorted",
-        bloom_bits: int = 1 << 22,
-    ):
-        """``backend='sorted'`` holds the exact sorted hash array
-        (np.isin membership — exact, memory ∝ eval-set n-grams).
-        ``backend='bloom'`` packs the hashes into a fixed-size Bloom
-        filter instead — memory is ``bloom_bits/8`` regardless of
-        eval-set size, no false negatives (every contaminated doc is
-        still flagged), a bounded rate of extra flags. The scale
-        choice when the held-out set itself is large."""
+    def __init__(self, eval_grams: np.ndarray, n: int = 8):
         self.n = n
-        self.text_col = text_col
-        self.backend = backend
-        grams = np.asarray(eval_grams, dtype=np.uint64)
-        if backend == "bloom":
-            from .sketch import BloomFilter
-
-            self.bloom = BloomFilter(bloom_bits, 5)
-            if len(grams):
-                self.bloom.add_hashes(grams)
-            self.grams = np.empty(0, np.uint64) if len(grams) else grams
-            self._any = bool(len(grams))
-        elif backend == "sorted":
-            self.grams = grams
-            self._any = bool(len(grams))
-        else:
-            raise ValueError(f"backend must be sorted|bloom, got {backend!r}")
+        self.grams = np.asarray(eval_grams, dtype=np.uint64)
 
     def __call__(self, t: pa.Table) -> pa.Table:
         flags = np.zeros(len(t), dtype=bool)
-        if self._any:
-            h, doc_of = _window_hashes(t[self.text_col], self.n)
-            if self.backend == "bloom":
-                hit = self.bloom.contains_hashes(h) if len(h) else np.zeros(0, bool)
-            else:
-                hit = np.isin(h, self.grams)
-            np.add.at(flags, doc_of[hit], True)
+        if len(self.grams):
+            h, doc_of = _window_hashes(t["text"], self.n)
+            np.add.at(flags, doc_of[np.isin(h, self.grams)], True)
         return t.append_column("contaminated", pa.array(flags, pa.bool_()))
 
 
@@ -255,8 +222,6 @@ def _window_hashes(text, n: int) -> tuple[np.ndarray, np.ndarray]:
 def duplicate_passages(
     ds,
     *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
     window: int = 32,
     min_docs: int = 2,
     num_buckets: int | None = None,
@@ -278,8 +243,8 @@ def duplicate_passages(
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        h, doc_of = _window_hashes(t[text_col], window)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        h, doc_of = _window_hashes(t["text"], window)
         if not len(h):
             return pa.table(
                 {
@@ -340,25 +305,16 @@ class PassageDeduper:
     ``n_removed_words``, ``n_dup_windows`` and the rebuilt
     ``clean_text`` (Arrow ``binary_join``, no per-row Python)."""
 
-    def __init__(
-        self,
-        dup_hashes,
-        dup_owners,
-        window: int = 32,
-        text_col: str = "text",
-        id_col: str = "doc_id",
-    ):
+    def __init__(self, dup_hashes, dup_owners, window: int = 32):
         order = np.argsort(np.asarray(dup_hashes, dtype=np.uint64))
         self.hashes = np.asarray(dup_hashes, dtype=np.uint64)[order]
         self.owners = np.asarray(dup_owners, dtype=np.int64)[order]
         self.window = window
-        self.text_col = text_col
-        self.id_col = id_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(t)
-        h, doc_of, starts, flat_words, lens = _window_hashes_full(t[self.text_col], self.window)
+        h, doc_of, starts, flat_words, lens = _window_hashes_full(t["text"], self.window)
         total = len(flat_words)
         covered = np.zeros(total, dtype=bool)
         n_flagged = np.zeros(n, dtype=np.int64)
@@ -432,7 +388,6 @@ def pack_sequences(
     text_col: str = "text",
     seq_len: int = 2048,
     emit_tokens: bool = False,
-    num_buckets: int | None = None,
 ):
     """Concat-and-chunk sequence packing per group (see module doc).
 
@@ -450,7 +405,7 @@ def pack_sequences(
         return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, words)
 
     thin = ds.select_columns([group_col, order_col, text_col])
-    return keyed_apply(thin, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+    return keyed_apply(thin, group_col, per_bucket, batch_format="pyarrow")
 
 
 def pack_token_sequences(
@@ -600,17 +555,16 @@ class UnigramScorer:
       (the float score CCNet thresholds into head/middle/tail).
     """
 
-    def __init__(self, vocab_words, vocab_counts, total_words: int, text_col: str = "text"):
+    def __init__(self, vocab_words, vocab_counts, total_words: int):
         self.words = pa.array(np.asarray(vocab_words, dtype=object), pa.string())
         self.counts = np.asarray(vocab_counts, dtype=np.int64)
         self.total = int(total_words)
-        self.text_col = text_col
         v = len(self.words)
         self.logp = np.log((self.counts + 1.0) / (self.total + v + 1.0))
         self.logp_oov = float(np.log(1.0 / (self.total + v + 1.0)))
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        flat, doc_of, n_tok = _split_words(t[self.text_col], drop_empty=True)
+        flat, doc_of, n_tok = _split_words(t["text"], drop_empty=True)
         idx = pc.index_in(flat, value_set=self.words)
         hit = idx.is_valid().to_numpy(zero_copy_only=False)
         pos = pc.drop_null(idx).to_numpy().astype(np.int64)
@@ -647,10 +601,9 @@ class VocabEncoder:
     per-doc token lists. Adds ``tokens`` (list<int32>), ``n_tok`` and
     ``n_oov``."""
 
-    def __init__(self, vocab_words, text_col: str = "text", out_col: str = "tokens"):
+    def __init__(self, vocab_words, text_col: str = "text"):
         self.vocab = pa.array(np.asarray(vocab_words, dtype=object), pa.string())
         self.text_col = text_col
-        self.out_col = out_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
         flat, doc_of, n_tok = _split_words(t[self.text_col], drop_empty=True)
@@ -659,7 +612,7 @@ class VocabEncoder:
         toks = pc.fill_null(idx, pa.scalar(len(self.vocab), pa.int32()))
         n_oov = np.bincount(doc_of[oov], minlength=len(t)).astype(np.int32)
         offs = pa.array(np.concatenate([[0], np.cumsum(n_tok)]).astype(np.int32))
-        t = t.append_column(self.out_col, pa.ListArray.from_arrays(offs, toks))
+        t = t.append_column("tokens", pa.ListArray.from_arrays(offs, toks))
         t = t.append_column("n_tok", pa.array(n_tok.astype(np.int32)))
         return t.append_column("n_oov", pa.array(n_oov))
 
@@ -698,18 +651,18 @@ def _dsir_bigram_buckets(text) -> tuple[np.ndarray, np.ndarray]:
     return b, doc_of
 
 
-def dsir_bucket_counts(ds, text_col: str = "text", target_col: str = "is_target"):
+def dsir_bucket_counts(ds):
     """Raw- and target-distribution hashed-bigram bucket counts over
     the corpus: per-batch ``bincount`` into ``DSIR_NUM_BUCKETS``
     buckets (so the shuffle moves two tiny count vectors per batch),
-    one bucketed groupby to merge. ``target_col`` is a bool column
-    marking the target-domain rows. Returns a small pandas frame
+    one bucketed groupby to merge. The bool ``is_target`` column marks
+    the target-domain rows. Returns a small pandas frame
     ``(bucket, raw_c, tgt_c)`` for broadcasting to ``DsirScorer``."""
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        tgt = t[target_col].to_numpy(zero_copy_only=False).astype(bool)
-        b, doc_of = _dsir_bigram_buckets(t[text_col])
+        tgt = t["is_target"].to_numpy(zero_copy_only=False).astype(bool)
+        b, doc_of = _dsir_bigram_buckets(t["text"])
         raw = np.bincount(b, minlength=DSIR_NUM_BUCKETS).astype(np.int64)
         tgt_c = np.bincount(
             b[tgt[doc_of]], minlength=DSIR_NUM_BUCKETS
@@ -745,12 +698,11 @@ class DsirScorer:
     * ``dsir_keep`` — ``dsir_score > 0`` (target-leaning).
     """
 
-    def __init__(self, raw_c, tgt_c, text_col: str = "text"):
+    def __init__(self, raw_c, tgt_c):
         self.raw_c = np.asarray(raw_c, dtype=np.int64)
         self.tgt_c = np.asarray(tgt_c, dtype=np.int64)
         self.n_raw = int(self.raw_c.sum())
         self.n_tgt = int(self.tgt_c.sum())
-        self.text_col = text_col
         b = DSIR_NUM_BUCKETS
         self.int_val = self.tgt_c * self.n_raw - self.raw_c * self.n_tgt
         self.log_val = np.log((self.tgt_c + 1.0) / (self.n_tgt + b)) - np.log(
@@ -758,7 +710,7 @@ class DsirScorer:
         )
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        b, doc_of = _dsir_bigram_buckets(t[self.text_col])
+        b, doc_of = _dsir_bigram_buckets(t["text"])
         n = len(t)
         score = np.zeros(n, dtype=np.int64)
         np.add.at(score, doc_of, self.int_val[b])
@@ -774,14 +726,7 @@ class DsirScorer:
 # ------------------------------------------------------- exact line dedup
 
 
-def duplicate_lines(
-    ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    min_docs: int = 2,
-    num_buckets: int | None = None,
-):
+def duplicate_lines(ds, *, num_buckets: int | None = None):
     """Corpus-wide duplicated-LINE table — the discovery half of
     RefinedWeb/MassiveText exact line dedup (Penedo et al. 2023 §3.3
     remove lines duplicated across documents; boilerplate headers,
@@ -790,14 +735,14 @@ def duplicate_lines(
     and pre-aggregate to (hash, distinct-docs, min-doc) triples; ONE
     bucketed hash groupby merges partials. Returns a Dataset
     ``(line_hash uint64, n_docs, min_doc_id)`` of lines seen in
-    ``>= min_docs`` distinct documents — ``min_doc_id`` is the
+    at least 2 distinct documents — ``min_doc_id`` is the
     occurrence that survives dedup (first-owner-wins)."""
     from .._util import hash_str_u64
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lines = s.str.split("\n")
         counts = lines.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
         if counts.sum() == 0:
@@ -834,7 +779,7 @@ def duplicate_lines(
         num_buckets=num_buckets,
     )
     return merged.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n_docs"], min_docs)),
+        lambda t: t.filter(pc.greater_equal(t["n_docs"], 2)),
         batch_format="pyarrow",
     )
 
@@ -856,18 +801,16 @@ class LineDeduper:
     ``duplicate_lines`` output on the hash — the stage's semantics
     are unchanged."""
 
-    def __init__(self, dup_hashes, dup_owners, text_col: str = "text", id_col: str = "doc_id"):
+    def __init__(self, dup_hashes, dup_owners):
         order = np.argsort(np.asarray(dup_hashes, dtype=np.uint64))
         self.hashes = np.asarray(dup_hashes, dtype=np.uint64)[order]
         self.owners = np.asarray(dup_owners, dtype=np.int64)[order]
-        self.text_col = text_col
-        self.id_col = id_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from .._util import hash_str_u64
 
-        s = pd.Series(t[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        ids = t[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(s)
         lines = s.str.split("\n")
         counts = lines.str.len().to_numpy(dtype=np.int64) if n else np.empty(0, np.int64)
@@ -895,112 +838,7 @@ class LineDeduper:
         return t.append_column("clean_text", joined)
 
 
-def line_dedup_joined(
-    ds,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    min_docs: int = 2,
-    num_buckets: int | None = None,
-):
-    """Exact line dedup WITHOUT the broadcast: the scale path for
-    corpora whose duplicated-line table outgrows a worker heap.
-
-    Plan: explode docs to (doc_id, line_idx, line, line_hash) rows,
-    bucketed hash join against the ``duplicate_lines`` table on the
-    hash (the dup table is shuffled, never collected), decide
-    first-owner-wins removal per occurrence, then ONE bucketed
-    group-apply on the doc id reassembles surviving lines in order.
-    Line text moves through two shuffles — that is the honest cost of
-    join-based dedup; prefer the broadcast ``LineDeduper`` whenever
-    the dup table fits in memory. Returns ``(doc_id, n_lines,
-    n_removed, clean_text)`` — identical decisions to LineDeduper."""
-    from .._util import hash_str_u64
-    from .aggregate import keyed_apply
-    from .join import bucketed_hash_join
-
-    dup = duplicate_lines(
-        ds, text_col=text_col, id_col=id_col, min_docs=min_docs
-    )
-
-    def explode(t: pa.Table) -> pa.Table:
-        s = pd.Series(t[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        lines = s.str.split("\n")
-        counts = lines.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-        flat = (
-            np.concatenate(lines.to_numpy()) if counts.sum() else np.empty(0, object)
-        )
-        doc_of = np.repeat(np.arange(len(s), dtype=np.int64), counts)
-        line_idx = (
-            np.concatenate([np.arange(k, dtype=np.int64) for k in counts])
-            if counts.sum()
-            else np.empty(0, np.int64)
-        )
-        return pa.table(
-            {
-                id_col: pa.array(ids[doc_of]),
-                "line_idx": pa.array(line_idx),
-                "line": pa.array(flat, pa.string()),
-                "line_hash": pa.array(hash_str_u64(flat.astype(object)), pa.uint64()),
-            }
-        )
-
-    lines_ds = ds.map_batches(explode, batch_format="pyarrow")
-    joined = bucketed_hash_join(
-        lines_ds,
-        dup.select_columns(["line_hash", "min_doc_id"]),
-        "line_hash",
-        how="left",
-        num_buckets=num_buckets,
-    )
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([id_col, "line_idx"], kind="stable").reset_index(drop=True)
-        owner = df["min_doc_id"]
-        rm = (owner.notna() & (owner.fillna(-1).astype(np.int64) != df[id_col])).to_numpy(
-            dtype=bool
-        )
-        ids = df[id_col].to_numpy(dtype=np.int64)
-        # ids are sorted, so per-doc segments are contiguous
-        bounds = np.ones(len(ids), dtype=bool)
-        bounds[1:] = ids[1:] != ids[:-1]
-        seg_starts = np.flatnonzero(bounds)
-        seg_ids = ids[seg_starts]
-        seg_sizes = np.diff(np.append(seg_starts, len(ids)))
-        seg_of = np.repeat(np.arange(len(seg_starts)), seg_sizes)
-        n_removed = np.zeros(len(seg_starts), np.int64)
-        np.add.at(n_removed, seg_of, rm.astype(np.int64))
-        kept = ~rm
-        kept_counts = np.zeros(len(seg_starts), np.int64)
-        np.add.at(kept_counts, seg_of, kept.astype(np.int64))
-        offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined_txt = pc.binary_join(
-            pa.ListArray.from_arrays(
-                offs, pa.array(df["line"].to_numpy()[kept], pa.string())
-            ),
-            "\n",
-        ).to_pandas()
-        return pd.DataFrame(
-            {
-                id_col: seg_ids,
-                "n_lines": seg_sizes.astype(np.int64),
-                "n_removed": n_removed,
-                "clean_text": joined_txt.to_numpy(dtype=object),
-            }
-        )
-
-    return keyed_apply(joined, id_col, per_bucket, num_buckets=num_buckets)
-
-
-def resample_mixture(
-    ds,
-    weights: dict[str, float],
-    *,
-    source_col: str = "source",
-    id_col: str = "doc_id",
-    mod: int = 1000,
-):
+def resample_mixture(ds, weights: dict[str, float], *, mod: int = 1000):
     """Deterministic epoch-style domain-mixture resampling (the
     up/down-sampling step of public LLM data recipes — e.g. The Pile's
     per-set epochs, LLaMA's sampling proportions): a row with weight
@@ -1013,8 +851,8 @@ def resample_mixture(
     shuffle, order preserved within blocks."""
 
     def rep(t: pa.Table) -> pa.Table:
-        src = pd.Series(t[source_col].to_numpy(zero_copy_only=False), dtype=object)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        src = pd.Series(t["source"].to_numpy(zero_copy_only=False), dtype=object)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = src.map(weights).astype(float).fillna(1.0).to_numpy()
         fl = np.floor(w)
         extra = (ids % mod) < np.round(mod * (w - fl))
@@ -1037,7 +875,7 @@ SPLIT_MOD = 1_000_000_007
 SPLIT_MULT = 2_654_435_761  # Knuth's multiplicative constant
 
 
-def quality_buckets(ds, score_col: str, *, n_buckets: int = 3, labels=None, k: int = 256):
+def quality_buckets(ds, score_col: str, *, n_buckets: int = 3, labels=None):
     """CCNet-style quality bucketing (Wenzek et al. 2020 split the
     corpus into head/middle/tail by LM perplexity terciles): global
     APPROXIMATE quantile boundaries from ONE mergeable-sketch pass —
@@ -1049,13 +887,12 @@ def quality_buckets(ds, score_col: str, *, n_buckets: int = 3, labels=None, k: i
     ``(labeled_ds, boundaries)`` — the Dataset gains ``bucket`` (int8)
     and ``bucket_label``. A value equal to a boundary belongs to the
     LOWER bucket (P(X <= q_{1/3}) >= 1/3, the usual quantile closure).
-    Boundary rank error follows the sketch
-    (≈ ≤5% CDF rank at k=256), so each bucket's mass is within ~2×
-    that of 1/n_buckets."""
+    Boundary rank error follows the k=256 sketch (≈ ≤5% CDF rank),
+    so each bucket's mass is within ~2× that of 1/n_buckets."""
     from .sketch import quantiles
 
     qs = tuple(i / n_buckets for i in range(1, n_buckets))
-    bounds_map = quantiles(ds, score_col, qs=qs, k=k)
+    bounds_map = quantiles(ds, score_col, qs=qs)
     bounds = np.array([bounds_map[q] for q in qs], np.float64)
     lab_arr = np.asarray(
         list(labels) if labels is not None else [f"b{i}" for i in range(n_buckets)],
@@ -1083,32 +920,25 @@ def assign_split(
     batch: pa.Table,
     *,
     id_col: str = "doc_id",
-    out_col: str = "split",
     test_frac: float = 0.05,
     valid_frac: float = 0.05,
 ) -> pa.Table:
     """Deterministic train/valid/test assignment by integer-hash rank:
     ``r = split_hash(id) % 10000``; the first ``test_frac`` slice of
     rank space is 'test', the next ``valid_frac`` 'valid', the rest
-    'train'. Stateless and shuffle-free — every worker labels its rows
-    identically at any cluster size, and the split is stable across
-    reruns / added data (a doc's label never depends on other rows)."""
+    'train', in a ``split`` column. Stateless and shuffle-free — every
+    worker labels its rows identically at any cluster size, and the
+    split is stable across reruns / added data (a doc's label never
+    depends on other rows)."""
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     r = split_hash(ids) % 10_000
     test_cut = int(round(test_frac * 10_000))
     valid_cut = test_cut + int(round(valid_frac * 10_000))
     lab = np.where(r < test_cut, "test", np.where(r < valid_cut, "valid", "train"))
-    return batch.append_column(out_col, pa.array(lab, pa.string()))
+    return batch.append_column("split", pa.array(lab, pa.string()))
 
 
-def stratified_sample(
-    ds,
-    n: int,
-    *,
-    group_col: str = "source",
-    id_col: str = "doc_id",
-    num_buckets: int | None = None,
-):
+def stratified_sample(ds, n: int, *, num_buckets: int | None = None):
     """Deterministic per-group cap: keep the ``n`` rows of each group
     with the smallest ``(split_hash(id), id)`` — a uniform-without-
     replacement sample that any SQL engine reproduces with ROW_NUMBER
@@ -1119,15 +949,15 @@ def stratified_sample(
     group rank, no Python per group), so the single shuffle moves
     ≤ n × groups × batches candidate (group, id, hash) triples — never
     the corpus — and one bucketed group-apply takes the global head.
-    Returns a Dataset of ``(group_col, id_col, rank)`` (rank 0-based
+    Returns a Dataset of ``(source, doc_id, rank)`` (rank 0-based
     in hash order); join/broadcast against the corpus to materialize
     sampled rows. Partitioning assumption: n × (groups in one bucket)
     rows fit one task."""
     from .aggregate import keyed_apply
 
     def partials(t: pa.Table) -> pa.Table:
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        g = t["source"].to_numpy(zero_copy_only=False)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = split_hash(ids)
         # lexsort: primary group, then hash, then id
         order = np.lexsort((ids, h, g))
@@ -1143,8 +973,8 @@ def stratified_sample(
         keep = order[rank < n]
         return pa.table(
             {
-                group_col: pa.array(g[keep]),
-                id_col: pa.array(ids[keep]),
+                "source": pa.array(g[keep]),
+                "doc_id": pa.array(ids[keep]),
                 "_h": pa.array(h[keep]),
             }
         )
@@ -1152,12 +982,12 @@ def stratified_sample(
     cand = ds.map_batches(partials, batch_format="pyarrow")
 
     def head_n(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["_h", id_col], kind="mergesort")
-        out = df.groupby(group_col, sort=False).head(n).copy()
-        out["rank"] = out.groupby(group_col, sort=False).cumcount().astype(np.int64)
-        return out[[group_col, id_col, "rank"]]
+        df = df.sort_values(["_h", "doc_id"], kind="mergesort")
+        out = df.groupby("source", sort=False).head(n).copy()
+        out["rank"] = out.groupby("source", sort=False).cumcount().astype(np.int64)
+        return out[["source", "doc_id", "rank"]]
 
-    return keyed_apply(cand, group_col, head_n, num_buckets=num_buckets)
+    return keyed_apply(cand, "source", head_n, num_buckets=num_buckets)
 
 
 def _flat_tokens(t: pa.Table, tokens_col: str):
@@ -1178,16 +1008,10 @@ def _flat_tokens(t: pa.Table, tokens_col: str):
     return vals[offs[0] : offs[-1]], offs - offs[0]
 
 
-def token_corpus_stats(
-    ds,
-    *,
-    tokens_col: str = "tokens",
-    group_col: str = "source",
-    vocab_size: int,
-):
+def token_corpus_stats(ds, *, vocab_size: int):
     """Token-native corpus analytics over the pre-tokenized input shape
-    (``tokens: list<int32>``): per group — document count, token count,
-    max token id, DISTINCT token ids, and DISTINCT adjacent-token
+    (``tokens: list<int32>``): per ``source`` — document count, token
+    count, max token id, DISTINCT token ids, and DISTINCT adjacent-token
     bigrams (bigram key = ``a * vocab_size + b``, exact for ids <
     vocab_size).
 
@@ -1201,8 +1025,8 @@ def token_corpus_stats(
     from .aggregate import bucketed_aggregate
 
     def sums(t: pa.Table) -> pa.Table:
-        vals, offs = _flat_tokens(t, tokens_col)
-        src = pd.Series(t[group_col].to_numpy(zero_copy_only=False), dtype=object)
+        vals, offs = _flat_tokens(t, "tokens")
+        src = pd.Series(t["source"].to_numpy(zero_copy_only=False), dtype=object)
         codes, uniq = pd.factorize(src)
         k = len(uniq)
         lens = np.diff(offs)
@@ -1219,7 +1043,7 @@ def token_corpus_stats(
         )
         return pa.table(
             {
-                group_col: pa.array(uniq.to_numpy(dtype=object), pa.string()),
+                "source": pa.array(uniq.to_numpy(dtype=object), pa.string()),
                 "n_docs": pa.array(n_docs),
                 "n_tokens": pa.array(n_tokens),
                 "max_tok": pa.array(max_tok),
@@ -1228,7 +1052,7 @@ def token_corpus_stats(
 
     base = bucketed_aggregate(
         ds.map_batches(sums, batch_format="pyarrow"),
-        [group_col],
+        ["source"],
         [
             ("n_docs", "sum", "n_docs"),
             ("n_tokens", "sum", "n_tokens"),
@@ -1238,9 +1062,9 @@ def token_corpus_stats(
 
     def pair_emitter(bigram: bool):
         def pairs(t: pa.Table) -> pa.Table:
-            vals, offs = _flat_tokens(t, tokens_col)
+            vals, offs = _flat_tokens(t, "tokens")
             src = pd.Series(
-                t[group_col].to_numpy(zero_copy_only=False), dtype=object
+                t["source"].to_numpy(zero_copy_only=False), dtype=object
             )
             codes, uniq = pd.factorize(src)
             lens = np.diff(offs)
@@ -1257,7 +1081,7 @@ def token_corpus_stats(
             u = np.unique((code_of.astype(np.int64) << np.int64(33)) | key)
             return pa.table(
                 {
-                    group_col: pa.array(
+                    "source": pa.array(
                         uniq.to_numpy(dtype=object)[(u >> 33).astype(np.int64)],
                         pa.string(),
                     ),
@@ -1270,16 +1094,16 @@ def token_corpus_stats(
     def distinct_count(bigram: bool, out: str) -> pd.DataFrame:
         uniq = bucketed_aggregate(
             ds.map_batches(pair_emitter(bigram), batch_format="pyarrow"),
-            [group_col, "key"],
+            ["source", "key"],
             [],
         )
         return (
-            bucketed_aggregate(uniq, [group_col], [("key", "count", out)])
+            bucketed_aggregate(uniq, ["source"], [("key", "count", out)])
             .to_pandas()
-            .set_index(group_col)[out]
+            .set_index("source")[out]
         )
 
-    base = base.set_index(group_col)
+    base = base.set_index("source")
     base["n_distinct_tokens"] = distinct_count(False, "n_distinct_tokens")
     base["n_distinct_bigrams"] = distinct_count(True, "n_distinct_bigrams")
     return base.reset_index()
@@ -1301,7 +1125,7 @@ def _adjacent_pairs(text) -> tuple[np.ndarray, np.ndarray]:
     return pairs.to_numpy(zero_copy_only=False), doc_flat[starts]
 
 
-def corpus_bigram_counts(ds, text_col: str = "text", num_buckets: int | None = None):
+def corpus_bigram_counts(ds):
     """Corpus-wide adjacent-word-bigram frequency table as a Dataset
     ``(pair, c)`` with pair = ``w1\\x1fw2``. Same shuffle discipline as
     ``corpus_word_counts``: per-batch ``np.unique`` pre-aggregation so
@@ -1310,7 +1134,7 @@ def corpus_bigram_counts(ds, text_col: str = "text", num_buckets: int | None = N
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        pairs, _ = _adjacent_pairs(t[text_col])
+        pairs, _ = _adjacent_pairs(t["text"])
         uniq, counts = np.unique(pairs.astype(str), return_counts=True)
         return pa.table(
             {
@@ -1320,7 +1144,7 @@ def corpus_bigram_counts(ds, text_col: str = "text", num_buckets: int | None = N
         )
 
     parts = ds.map_batches(partials, batch_format="pyarrow")
-    return bucketed_aggregate(parts, ["pair"], [("c", "sum", "c")], num_buckets=num_buckets)
+    return bucketed_aggregate(parts, ["pair"], [("c", "sum", "c")])
 
 
 def top_bigrams(counts_ds, b: int) -> pd.DataFrame:
@@ -1342,13 +1166,17 @@ def top_bigrams(counts_ds, b: int) -> pd.DataFrame:
     )
 
 
+BIGRAM_LAM = 0.7  # weight of the bigram MLE against the add-1 unigram
+
+
 class BigramScorer:
     """Interpolated bigram LM scoring as an actor-pool stage — the
     bigram upgrade of ``UnigramScorer`` (CCNet uses a KenLM n-gram
     model; this is the same shape with an in-table bigram MLE
     interpolated against the add-1 unigram):
 
-    ``p(w2|w1) = lam * c(w1,w2)/c(w1) + (1-lam) * p_uni(w2)`` with the
+    ``p(w2|w1) = λ * c(w1,w2)/c(w1) + (1-λ) * p_uni(w2)``, λ =
+    ``BIGRAM_LAM``, with the
     bigram term 0 when the pair (or w1) is outside the broadcast
     tables. Per-document outputs: ``n_pairs`` (adjacent non-empty word
     pairs), ``n_big_hits`` / ``sum_big_freq`` (occurrences and summed
@@ -1363,9 +1191,6 @@ class BigramScorer:
         vocab_words,
         vocab_counts,
         total_words: int,
-        *,
-        lam: float = 0.7,
-        text_col: str = "text",
     ):
         order = np.argsort(np.asarray(bigram_pairs, dtype=object))
         self.pairs = np.asarray(bigram_pairs, dtype=object)[order]
@@ -1374,8 +1199,6 @@ class BigramScorer:
         self.words = np.asarray(vocab_words, dtype=object)[worder]
         self.word_c = np.asarray(vocab_counts, dtype=np.int64)[worder]
         self.total = int(total_words)
-        self.lam = float(lam)
-        self.text_col = text_col
 
     def _lookup(self, table: np.ndarray, values: np.ndarray, keys: np.ndarray):
         pos = np.searchsorted(table, keys)
@@ -1386,7 +1209,7 @@ class BigramScorer:
         return out, hit
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        pairs, doc_of = _adjacent_pairs(t[self.text_col])
+        pairs, doc_of = _adjacent_pairs(t["text"])
         n = len(t)
         bc, bhit = self._lookup(self.pairs, self.pair_c, pairs)
         w1 = (
@@ -1404,7 +1227,7 @@ class BigramScorer:
         v = len(self.words)
         p_uni = (c2 + 1.0) / (self.total + v + 1.0)
         p_bi = np.where(bhit & h1 & (c1 > 0), bc / np.maximum(c1, 1), 0.0)
-        p = self.lam * p_bi + (1.0 - self.lam) * p_uni
+        p = BIGRAM_LAM * p_bi + (1.0 - BIGRAM_LAM) * p_uni
         lp = np.log(np.maximum(p, 1e-300))
         n_pairs = np.bincount(doc_of, minlength=n).astype(np.int64)
         n_hits = np.bincount(doc_of[bhit], minlength=n).astype(np.int64)
@@ -1423,13 +1246,7 @@ class BigramScorer:
         return t
 
 
-def token_repetition_stats(
-    ds,
-    *,
-    tokens_col: str = "tokens",
-    id_col: str = "doc_id",
-    vocab_size: int,
-):
+def token_repetition_stats(ds, *, vocab_size: int):
     """Gopher-style repetition signals computed TOKEN-natively over the
     pre-tokenized ``list<int32>`` corpus shape (Rae et al. 2021 §A1.1
     measure repetition on words/lines; on a tokenized corpus the same
@@ -1445,7 +1262,7 @@ def token_repetition_stats(
     Returns a Dataset with the five stat columns appended."""
 
     def stats(t: pa.Table) -> pa.Table:
-        vals, offs = _flat_tokens(t, tokens_col)
+        vals, offs = _flat_tokens(t, "tokens")
         lens = np.diff(offs)
         n = len(lens)
         doc_of = np.repeat(np.arange(n, dtype=np.int64), lens)
@@ -1495,7 +1312,7 @@ def token_repetition_stats(
             max_run = np.zeros(n, np.int64)
         return pa.table(
             {
-                id_col: t[id_col],
+                "doc_id": t["doc_id"],
                 "n_tok": pa.array(lens),
                 "n_distinct_tok": pa.array(n_distinct),
                 "n_bigrams": pa.array(n_bigrams),
@@ -1548,16 +1365,15 @@ class TokenDecontaminator:
     ``n_windows`` (= max(len - n + 1, 0); docs shorter than ``n`` have
     zero windows and are never flagged)."""
 
-    def __init__(self, eval_grams: np.ndarray, n: int = 8, tokens_col: str = "tokens"):
+    def __init__(self, eval_grams: np.ndarray, n: int = 8):
         self.grams = np.asarray(eval_grams, dtype=np.uint64)
         self.n = n
-        self.tokens_col = tokens_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from .dedup import _token_window_hashes_flat  # lazy: avoid cycle
 
-        h, n_wins = _token_window_hashes_flat(t, self.tokens_col, self.n)
-        vals_lens = _flat_tokens(t, self.tokens_col)[1]
+        h, n_wins = _token_window_hashes_flat(t, "tokens", self.n)
+        vals_lens = _flat_tokens(t, "tokens")[1]
         lens = np.diff(vals_lens)
         real = np.maximum(lens - self.n + 1, 0)
         if len(h) and len(self.grams):
@@ -1739,16 +1555,15 @@ class HashedQualityClassifier:
     ``clf_prob`` (sigmoid of the length-normalized score) and
     ``clf_keep`` (score > 0)."""
 
-    def __init__(self, weights: np.ndarray, *, bias: float = 0.0, text_col: str = "text"):
+    def __init__(self, weights: np.ndarray, *, bias: float = 0.0):
         w = np.asarray(weights)
         if len(w) != QUALITY_CLF_BUCKETS:
             raise ValueError(f"need {QUALITY_CLF_BUCKETS} weights, got {len(w)}")
         self.w = w
         self.bias = bias
-        self.text_col = text_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        b, doc_of, n_words = _unigram_buckets(t[self.text_col])
+        b, doc_of, n_words = _unigram_buckets(t["text"])
         integral = np.issubdtype(self.w.dtype, np.integer)
         score = np.zeros(len(t), np.int64 if integral else np.float64)
         if len(b):
@@ -1765,7 +1580,6 @@ def iter_training_batches(
     shards_dir: str,
     batch_size: int,
     *,
-    columns=None,
     rank: int = 0,
     world_size: int = 1,
     drop_last: bool = False,
@@ -1790,7 +1604,7 @@ def iter_training_batches(
     )
     carry: pa.Table | None = None
     for f in files[rank::world_size]:
-        t = pq.read_table(os.path.join(shards_dir, f), columns=columns)
+        t = pq.read_table(os.path.join(shards_dir, f))
         t = t if carry is None else pa.concat_tables([carry, t], promote_options="default")
         off = 0
         while off + batch_size <= len(t):

@@ -86,31 +86,29 @@ def _prune_cluster(
 def semantic_dedup(
     ds,
     *,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
     threshold: float = 0.9,
     n_clusters: int | None = None,
     keep: str = "min_id",
     sample_size: int = 4096,
-    num_buckets: int | None = None,
 ):
-    """Dataset → (survivors Dataset with [id_col, _cluster], stats
-    dict). Drops within-cluster cosine-duplicates above ``threshold``."""
+    """(vec_id, embedding) Dataset → survivors Dataset with [vec_id,
+    _cluster]. Drops within-cluster cosine-duplicates above
+    ``threshold``."""
     n_rows = ds.count()
     k = n_clusters or auto_clusters(n_rows)
 
     sample = ds.limit(sample_size).to_pandas()
-    smat = np.stack(sample[emb_col].to_numpy()).astype(np.float32)
+    smat = np.stack(sample["embedding"].to_numpy()).astype(np.float32)
     index = IvfIndex(n_lists=k).train(smat)
     centroids = index.centroids  # broadcast via closure capture
 
     def assign(batch: pa.Table) -> pa.Table:
-        m = _normalize(_mat(batch, emb_col))
+        m = _normalize(_mat(batch, "embedding"))
         cl = np.argmax(m @ centroids.T, axis=1).astype(np.int64)
         return pa.table(
             {
-                id_col: batch[id_col],
-                emb_col: batch[emb_col],
+                "vec_id": batch["vec_id"],
+                "embedding": batch["embedding"],
                 "_cluster": pa.array(cl),
             }
         )
@@ -120,19 +118,19 @@ def semantic_dedup(
     def prune(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for cl, g in df.groupby("_cluster", sort=False):
-            ids = g[id_col].to_numpy()
-            m = _normalize(np.stack(g[emb_col].to_numpy()).astype(np.float32))
+            ids = g["vec_id"].to_numpy()
+            m = _normalize(np.stack(g["embedding"].to_numpy()).astype(np.float32))
             mask = _prune_cluster(
                 ids, m, threshold, keep, centroids[int(cl)]
             )
-            outs.append(pd.DataFrame({id_col: ids[mask], "_cluster": int(cl)}))
+            outs.append(pd.DataFrame({"vec_id": ids[mask], "_cluster": int(cl)}))
         return (
             pd.concat(outs, ignore_index=True)
             if outs
-            else pd.DataFrame({id_col: [], "_cluster": []})
+            else pd.DataFrame({"vec_id": [], "_cluster": []})
         )
 
     survivors = keyed_apply(
-        assigned, "_cluster", prune, num_buckets=min(num_buckets or derived_num_partitions(), k)
+        assigned, "_cluster", prune, num_buckets=min(derived_num_partitions(), k)
     )
     return survivors

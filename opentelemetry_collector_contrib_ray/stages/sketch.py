@@ -25,6 +25,8 @@ import pyarrow as pa
 
 from .._util import hash_str_u64, splitmix64, table_from_pandas
 
+FAN_IN = 32  # partitions a sketch tree-merge coalesces into
+
 
 class HllSketch:
     """HyperLogLog with 2^p registers (p in [4, 18])."""
@@ -88,11 +90,11 @@ class HllSketch:
         return cls(p, np.frombuffer(b[1:], dtype=np.uint8).copy())
 
 
-def hll_distinct(ds, key_cols, value_col: str, *, p: int = 12, fan_in: int = 32):
-    """Approximate distinct(value) per key tuple: one HLL per
-    (key, batch), then a TREE merge — per-batch sketches coalesce into
-    ``fan_in`` partitions and merge per key distributedly, so the
-    driver sees ``fan_in × keys`` sketches (~4 KB each) instead of one
+def hll_distinct(ds, key_cols, value_col: str):
+    """Approximate distinct(value) per key tuple: one 2^12-register HLL
+    per (key, batch), then a TREE merge — per-batch sketches coalesce
+    into ``FAN_IN`` partitions and merge per key distributedly, so the
+    driver sees ``FAN_IN × keys`` sketches (~4 KB each) instead of one
     per block (20 GB at 10^6 blocks × 5 keys)."""
     key_cols = list(key_cols)
 
@@ -104,7 +106,7 @@ def hll_distinct(ds, key_cols, value_col: str, *, p: int = 12, fan_in: int = 32)
         rows["sketch"] = []
         for keys, g in df.groupby(key_cols, dropna=False, sort=False):
             keys = keys if isinstance(keys, tuple) else (keys,)
-            sk = HllSketch(p).add_values(g[value_col].to_numpy())
+            sk = HllSketch().add_values(g[value_col].to_numpy())
             for c, k in zip(key_cols, keys):
                 rows[c].append(k)
             rows["sketch"].append(sk.serialize())
@@ -132,7 +134,7 @@ def hll_distinct(ds, key_cols, value_col: str, *, p: int = 12, fan_in: int = 32)
 
     parts = pa.concat_tables(
         ds.map_batches(per_batch, batch_format="pyarrow")
-        .repartition(fan_in)
+        .repartition(FAN_IN)
         .map_batches(merge_keyed, batch_format="pyarrow", batch_size=None)
         .iter_batches(batch_format="pyarrow", batch_size=None)
     ).to_pandas()
@@ -155,17 +157,15 @@ def hll_distinct(ds, key_cols, value_col: str, *, p: int = 12, fan_in: int = 32)
     return pa.table(out)
 
 
-def distinct_count(ds, key_cols, value_col: str, *, driver_finalize: bool = False):
-    """EXACT distinct(value) per key tuple.
+def distinct_count(ds, key_cols, value_col: str):
+    """EXACT distinct(value) per key tuple, as a Dataset of the key
+    columns plus ``distinct``.
 
     Stage 1 (map_batches): per-batch unique (key, value) pairs — the
     only rows entering the shuffle. Stage 2: global pair dedupe +
-    per-key count. Default is the fully distributed finalize (two
-    ``bucketed_aggregate`` passes returning a Dataset whose size is
-    the key cardinality — nothing O(distinct pairs) ever reaches the
-    driver); ``driver_finalize=True`` collects the deduped pairs on
-    the driver instead and returns a pyarrow Table — only for
-    interactive use where the distinct-pair set is known-small.
+    per-key count, two ``bucketed_aggregate`` passes — the result's
+    size is the key cardinality, and nothing O(distinct pairs) ever
+    reaches the driver.
     """
     from .aggregate import bucketed_aggregate
 
@@ -178,18 +178,6 @@ def distinct_count(ds, key_cols, value_col: str, *, driver_finalize: bool = Fals
         return table_from_pandas(df.drop_duplicates())
 
     pairs = ds.map_batches(uniq, batch_format="pyarrow")
-    if driver_finalize:
-        all_pairs = pa.concat_tables(
-            pairs.iter_batches(batch_format="pyarrow", batch_size=None)
-        ).to_pandas()
-        out = (
-            all_pairs.drop_duplicates()
-            .groupby(key_cols, dropna=False, sort=True)
-            .size()
-            .rename("distinct")
-            .reset_index()
-        )
-        return table_from_pandas(out)
     # both groupbys have ~distinct-pair cardinality → bucketed merges
     # (empty plan = distinct key tuples), not Ray native agg
     deduped = bucketed_aggregate(pairs, key_cols + [value_col], [])
@@ -257,13 +245,12 @@ class QuantileSketch:
         return float(v[np.searchsorted(cum, target, side="left").clip(0, len(v) - 1)])
 
 
-def quantiles(
-    ds, value_col: str, qs=(0.5, 0.9, 0.99), *, k: int = 256, fan_in: int = 32
-):
-    """Approximate global quantiles: one sketch per batch, TREE merge.
+def quantiles(ds, value_col: str, qs=(0.5, 0.9, 0.99)):
+    """Approximate global quantiles: one k=256 sketch per batch, TREE
+    merge.
 
-    The per-batch sketches coalesce into ``fan_in`` partitions and
-    merge distributedly before the driver merges the ``fan_in``
+    The per-batch sketches coalesce into ``FAN_IN`` partitions and
+    merge distributedly before the driver merges the ``FAN_IN``
     survivors — at 10^6-block scale the driver sees 32 sketches, not
     one per block (mergeability is exactly the sketch's guarantee, so
     the tree changes nothing about the answer's error bound)."""
@@ -271,7 +258,7 @@ def quantiles(
     def per_batch(batch: pa.Table) -> pa.Table:
         import pickle
 
-        sk = QuantileSketch(k).add(
+        sk = QuantileSketch().add(
             batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         )
         return pa.table({"sketch": pa.array([pickle.dumps(sk)], pa.binary())})
@@ -289,7 +276,7 @@ def quantiles(
 
     parts = (
         ds.map_batches(per_batch, batch_format="pyarrow")
-        .repartition(fan_in)
+        .repartition(FAN_IN)
         .map_batches(merge_batch, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
@@ -318,7 +305,7 @@ def _mg_compress(items: np.ndarray, counts: np.ndarray, k: int):
     return items[keep], dec[keep]
 
 
-def heavy_hitters(ds, value_col: str, *, k: int = 16, fan_in: int = 32):
+def heavy_hitters(ds, value_col: str, *, k: int = 16):
     """Distributed Misra-Gries heavy hitters over ``value_col``.
 
     Per batch: exact value counts (np.unique — a batch is bounded) are
@@ -326,9 +313,9 @@ def heavy_hitters(ds, value_col: str, *, k: int = 16, fan_in: int = 32):
     k+1 (item, weight) pairs regardless of batch cardinality (a
     null-item row carries the batch's row count even when the summary
     compresses to zero entries — e.g. an all-distinct batch). The
-    partials TREE-merge through ``fan_in`` coalesced partitions (sum
+    partials TREE-merge through ``FAN_IN`` coalesced partitions (sum
     per item + re-compress, the mergeable-summaries rule), so the
-    driver sees ``fan_in × (k+1)`` rows, not one summary per block.
+    driver sees ``FAN_IN × (k+1)`` rows, not one summary per block.
     Returns ``(DataFrame(item, est), n_total)`` with the standard
     guarantee: every item whose true frequency exceeds ``n_total/(k+1)``
     is present, and ``true - n_total/(k+1) <= est <= true``."""
@@ -363,7 +350,7 @@ def heavy_hitters(ds, value_col: str, *, k: int = 16, fan_in: int = 32):
 
     parts = (
         ds.map_batches(per_batch, batch_format="pyarrow")
-        .repartition(fan_in)
+        .repartition(FAN_IN)
         .map_batches(merge_partials, batch_format="pyarrow", batch_size=None)
         .to_pandas()
     )
@@ -405,12 +392,6 @@ class BloomFilter:
         i = np.arange(self.k, dtype=np.uint64)[:, None]
         return (h1[None, :] + i * h2[None, :]) % np.uint64(self.m)
 
-    def _positions_from_hashes(self, h: np.ndarray) -> np.ndarray:
-        h1 = np.asarray(h, dtype=np.uint64)
-        h2 = splitmix64(h1) | np.uint64(1)
-        i = np.arange(self.k, dtype=np.uint64)[:, None]
-        return (h1[None, :] + i * h2[None, :]) % np.uint64(self.m)
-
     def _set(self, pos: np.ndarray) -> None:
         pos = pos.ravel()
         np.bitwise_or.at(
@@ -432,14 +413,6 @@ class BloomFilter:
     def contains(self, values) -> np.ndarray:
         return self._test(self._positions(values))
 
-    def add_hashes(self, h: np.ndarray) -> "BloomFilter":
-        """Insert pre-hashed uint64 keys (e.g. n-gram window hashes)."""
-        self._set(self._positions_from_hashes(h))
-        return self
-
-    def contains_hashes(self, h: np.ndarray) -> np.ndarray:
-        return self._test(self._positions_from_hashes(h))
-
     def merge(self, other: "BloomFilter") -> "BloomFilter":
         assert self.m == other.m and self.k == other.k
         np.bitwise_or(self.words, other.words, out=self.words)
@@ -449,14 +422,12 @@ class BloomFilter:
         return float(np.unpackbits(self.words.view(np.uint8)).mean())
 
 
-def bloom_build(
-    ds, value_col: str, *, m_bits: int = 1 << 20, k: int = 5, fan_in: int = 32
-) -> BloomFilter:
+def bloom_build(ds, value_col: str, *, m_bits: int = 1 << 20, k: int = 5) -> BloomFilter:
     """Build one corpus-wide Bloom filter: each batch sets its own bit
     array locally (one vectorized scatter), per-batch blobs TREE-merge
-    (bitwise OR) through ``fan_in`` coalesced partitions — the same
-    shape as ``hll_distinct``/``quantile_sketch`` — so the driver
-    receives ``fan_in`` blobs (≤ fan_in × m/8 bytes), not one per block
+    (bitwise OR) through ``FAN_IN`` coalesced partitions — the same
+    shape as ``hll_distinct``/``quantiles`` — so the driver
+    receives ``FAN_IN`` blobs (≤ FAN_IN × m/8 bytes), not one per block
     (O(num_blocks) driver traffic at 10^6 blocks)."""
 
     def per_batch(batch: pa.Table) -> pa.Table:
@@ -475,7 +446,7 @@ def bloom_build(
     merged = BloomFilter(m_bits, k)
     folded = (
         ds.map_batches(per_batch, batch_format="pyarrow")
-        .repartition(fan_in)
+        .repartition(FAN_IN)
         .map_batches(or_partition, batch_format="pyarrow", batch_size=None)
     )
     for batch in folded.iter_batches(batch_format="pyarrow", batch_size=None):

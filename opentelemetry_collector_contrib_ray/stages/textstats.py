@@ -18,38 +18,37 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def token_count(batch: pa.Table, text_col: str = "text", out: str = "n_words") -> pa.Table:
-    """Whitespace token count, vectorized: count of single-space splits
-    (matches DuckDB len(string_split(text,' ')))."""
-    spaces = pc.count_substring(batch[text_col], pattern=" ")
+def token_count(batch: pa.Table) -> pa.Table:
+    """Whitespace token count ``n_words``, vectorized: count of
+    single-space splits (matches DuckDB len(string_split(text,' ')))."""
+    spaces = pc.count_substring(batch["text"], pattern=" ")
     n = pc.add(spaces, 1)
-    return batch.append_column(out, pc.cast(n, pa.int64()))
+    return batch.append_column("n_words", pc.cast(n, pa.int64()))
 
 
 _BPE_RE = re.compile(r"\w+|[^\w\s]")
 
 
 class BpeishTokenCounter:
-    """GPT-2-style pre-tokenizer count: regex word/punct pieces.
-    Actor-pool stage (compiled pattern reused per actor)."""
+    """GPT-2-style pre-tokenizer count ``n_bpe``: regex word/punct
+    pieces. Actor-pool stage (compiled pattern reused per actor)."""
 
-    def __init__(self, text_col: str = "text", out: str = "n_bpe"):
+    def __init__(self):
         self.pat = re.compile(r"\w+|[^\w\s]")
-        self.text_col, self.out = text_col, out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        s = pd.Series(batch[self.text_col].to_numpy(zero_copy_only=False), dtype=object)
+        s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object)
         counts = s.str.findall(self.pat).str.len().fillna(0).astype(np.int64)
-        return batch.append_column(self.out, pa.array(counts.to_numpy()))
+        return batch.append_column("n_bpe", pa.array(counts.to_numpy()))
 
 
 _STOPWORDS = {"the", "a", "of", "to", "and", "in", "is", "on", "for", "with"}
 
 
-def quality_score(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def quality_score(batch: pa.Table) -> pa.Table:
     """Heuristic quality features: word count, mean word length,
     stopword ratio, punctuation ratio. Vectorized pandas str kernels."""
-    s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+    s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
     words = s.str.split(" ")
     n_words = words.str.len().astype(np.int64)
     n_chars = s.str.len().astype(np.int64)
@@ -71,10 +70,10 @@ def quality_score(batch: pa.Table, text_col: str = "text") -> pa.Table:
 class LangId:
     """Character-n-gram language heuristic over {en,de,fr,es,zh}.
 
-    Deterministic scoring: presence counts of language-marker character
-    sequences + CJK codepoint ratio. Actor-pool stage: marker tables
-    compiled once per actor. (A real model would load fastText here —
-    same stage shape.)"""
+    Deterministic scoring into ``lang_pred``: presence counts of
+    language-marker character sequences + CJK codepoint ratio.
+    Actor-pool stage: marker tables compiled once per actor. (A real
+    model would load fastText here — same stage shape.)"""
 
     MARKERS = {
         "en": [" the ", " and ", " of ", " is ", " to "],
@@ -83,15 +82,14 @@ class LangId:
         "es": [" el ", " los ", " que ", " una ", " y ", " las "],
     }
 
-    def __init__(self, text_col: str = "text", out: str = "lang_pred"):
-        self.text_col, self.out = text_col, out
+    def __init__(self):
         self.compiled = {
             lang: re.compile("|".join(re.escape(m) for m in ms))
             for lang, ms in self.MARKERS.items()
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        s = pd.Series(batch[self.text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+        s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         padded = (" " + s + " ").str.lower()
         scores = pd.DataFrame(
             {lang: padded.str.count(rx) for lang, rx in self.compiled.items()}
@@ -100,26 +98,27 @@ class LangId:
         n = s.str.len().clip(lower=1)
         scores["zh"] = (cjk / n * 10.0).where(cjk > 0, 0.0)
         pred = scores.idxmax(axis=1).where(scores.max(axis=1) > 0, "und")
-        return batch.append_column(self.out, pa.array(pred.to_numpy(dtype=object), pa.string()))
+        return batch.append_column("lang_pred", pa.array(pred.to_numpy(dtype=object), pa.string()))
 
 
-def fingerprint_md5(batch: pa.Table, text_col: str = "text", out: str = "fingerprint") -> pa.Table:
-    """Deterministic document fingerprint: hex MD5 of UTF-8 text
+def fingerprint_md5(batch: pa.Table) -> pa.Table:
+    """Deterministic document ``fingerprint``: hex MD5 of UTF-8 text
     (oracle-comparable with DuckDB md5())."""
-    texts = batch[text_col].to_pylist()
+    texts = batch["text"].to_pylist()
     fp = [hashlib.md5((t or "").encode("utf-8")).hexdigest() for t in texts]
-    return batch.append_column(out, pa.array(fp, pa.string()))
+    return batch.append_column("fingerprint", pa.array(fp, pa.string()))
 
 
-def rolling_fingerprint(batch: pa.Table, text_col: str = "text", out: str = "rhash", window: int = 32) -> pa.Table:
-    """Rolling polynomial hash fingerprint: min of window hashes —
+def rolling_fingerprint(batch: pa.Table) -> pa.Table:
+    """Rolling polynomial hash fingerprint ``rhash``: min of 32-byte
+    window hashes —
     robust to small edits (winnowing-style). One strided pass over the
     batch's concatenated bytes (the shingle kernel), per-doc minima via
     ``minimum.reduceat`` — no per-document Python."""
     from ..stages.dedup import _cumsum0, _shingle_hashes_flat
 
     if len(batch) == 0:
-        return batch.append_column(out, pa.array([], pa.int64()))
-    flat, counts = _shingle_hashes_flat(batch[text_col], window)
+        return batch.append_column("rhash", pa.array([], pa.int64()))
+    flat, counts = _shingle_hashes_flat(batch["text"], 32)
     res = np.minimum.reduceat(flat, _cumsum0(counts)[:-1])
-    return batch.append_column(out, pa.array(res.astype(np.int64)))
+    return batch.append_column("rhash", pa.array(res.astype(np.int64)))

@@ -134,6 +134,25 @@ def test_histogram_agg_value_scale_exact():
     assert out["bucket_0"].iloc[0] == 500 and out["bucket_1"].iloc[0] == 500
 
 
+@pytest.mark.parametrize("value_scale", [None, 100], ids=["float_sum", "value_scale"])
+def test_histogram_agg_null_value_counts_nowhere(value_scale):
+    """A null or NaN value adds to no count, no sum and no bucket: the
+    buckets still add up to call_count, and an all-null group reads 0."""
+    t = pa.table(
+        {
+            "k": ["a", "a", "a", "a", "b"],
+            "v": pa.array([0.01, None, 0.02, float("nan"), None], pa.float64(), from_pandas=False),
+        }
+    )
+    out = histogram_agg(ray.data.from_arrow(t), ["k"], "v", bounds=[0.015], value_scale=value_scale)
+    out = out.to_pandas().set_index("k")
+    assert out.loc["a", "call_count"] == 2
+    assert out.loc["a", "v_sum"] == pytest.approx(0.03)
+    assert (out.loc["a", "bucket_0"], out.loc["a", "bucket_1"]) == (1, 1)
+    assert out.loc["b", "call_count"] == 0 and out.loc["b", "v_sum"] == 0
+    assert (out.loc["b", "bucket_0"], out.loc["b", "bucket_1"]) == (0, 0)
+
+
 def test_timer_summary_nearest_rank():
     """statsd timer Summary (metric_translator.go:63-88): nearest-rank
     percentiles — canonical example [15,20,35,40,50]: P30=20, P40=20,

@@ -50,35 +50,6 @@ def test_ivf_high_recall_on_clustered_data():
     assert recall >= 0.7  # clustered data, 4/8 lists probed
 
 
-def test_ivf_store_and_pruned_search(tmp_path):
-    from opentelemetry_collector_contrib_ray.stages.ann import (
-        ivf_build_store,
-        ivf_search_stored,
-    )
-
-    rng = np.random.default_rng(11)
-    centers = rng.standard_normal((4, 16)).astype(np.float32) * 5
-    m = np.concatenate(
-        [c + rng.standard_normal((80, 16)).astype(np.float32) for c in centers]
-    )
-    idx = IvfIndex(n_lists=8).train(m[rng.choice(len(m), 150, replace=False)])
-    store = str(tmp_path / "ivf")
-    ivf_build_store(_ds(m), idx, store)
-
-    import os
-
-    parts = [d for d in os.listdir(store) if d.startswith("list_id=")]
-    assert len(parts) >= 4  # corpus spread across lists
-
-    q = m[5]
-    out = ivf_search_stored(store, q, k=10, nprobe=4).to_pandas()
-    norm = m / np.linalg.norm(m, axis=1, keepdims=True)
-    qn = q / np.linalg.norm(q)
-    exact = set(np.argsort(-(norm @ qn))[:10].tolist())
-    recall = len(set(out["vec_id"]) & exact) / 10
-    assert recall >= 0.7
-
-
 def test_distributed_refine_matches_local_lloyd():
     # refine() over the full dataset must equal a single-process Lloyd
     # run from the same starting centroids (same assignment → mean →

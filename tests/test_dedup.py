@@ -108,17 +108,6 @@ def test_near_dedup_end_to_end():
     assert roots == {"d0"}
 
 
-def test_simhash_buckets_near_dups():
-    from opentelemetry_collector_contrib_ray.stages.dedup import simhash_buckets
-
-    ds = ray.data.from_pandas(_docs())
-    out = simhash_buckets(ds, bands=4).to_pandas()
-    joint = [set(ids) for ids in out["ids"]]
-    # exact dup pair d0/d1 shares every band; unrelated d3 never joins them
-    assert any({"d0", "d1"} <= s for s in joint)
-    assert not any("d3" in s and len(s) > 1 for s in joint)
-
-
 def test_lsh_candidate_pairs_distributed():
     """Pairs generated inside the bucketed groupby match the driver-side
     bucket→pairs path, deduped across bands."""
@@ -209,10 +198,12 @@ def test_embedding_neardup_multitable_recall():
     assert len(got & true_pairs) / len(true_pairs) >= 0.8  # multi-table recall
 
 
-def test_near_dedup_distributed_cc_matches_driver_cc():
+def test_near_dedup_distributed_cc_matches_driver_cc(monkeypatch):
     """Dup-heavy corpus (>50% duplicates): the distributed label-prop CC
-    path (cc_mode='distributed') must produce identical survivors and
-    cluster roots to the driver union-find path."""
+    path (taken past ``CC_EDGE_THRESHOLD`` verified edges, forced here
+    with a threshold of 0) must produce identical survivors and cluster
+    roots to the driver union-find path."""
+    from opentelemetry_collector_contrib_ray.stages import dedup
     from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup
 
     rng = np.random.default_rng(7)
@@ -232,8 +223,9 @@ def test_near_dedup_distributed_cc_matches_driver_cc():
     docs = pd.DataFrame(rows, columns=["doc_id", "text"])
 
     ds = ray.data.from_pandas(docs)
-    surv_drv, clus_drv = near_dedup(ds, jaccard_threshold=0.5, cc_mode="driver")
-    surv_dst, clus_dst = near_dedup(ds, jaccard_threshold=0.5, cc_mode="distributed")
+    surv_drv, clus_drv = near_dedup(ds, jaccard_threshold=0.5)
+    monkeypatch.setattr(dedup, "CC_EDGE_THRESHOLD", 0)
+    surv_dst, clus_dst = near_dedup(ds, jaccard_threshold=0.5)
     assert sorted(surv_drv["doc_id"].to_pylist()) == sorted(
         surv_dst["doc_id"].to_pylist()
     )

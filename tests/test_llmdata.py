@@ -113,6 +113,30 @@ class TestDecontamination:
         t = pa.table({"text": ["a b c d e f g h i"]})
         assert NgramDecontaminator(grams, n=8)(t).to_pylist()[0]["contaminated"] is False
 
+    def test_planted_windows_flagged_over_dataset(self, ray_session):
+        from opentelemetry_collector_contrib_ray.stages.llmdata import (
+            NgramDecontaminator,
+            build_eval_grams,
+        )
+
+        eval_texts = [" ".join(f"ev{i}w{j}" for j in range(12)) for i in range(5)]
+        rows = []
+        for i in range(50):
+            words = [f"doc{i}w{j}" for j in range(20)]
+            if i % 7 == 0:  # plant a contaminated window
+                words[5:13] = eval_texts[i % 5].split(" ")[2:10]
+            rows.append({"doc_id": i, "text": " ".join(words)})
+        ds = ray.data.from_pandas(pd.DataFrame(rows))
+        grams = build_eval_grams(eval_texts, n=8)
+        flags = (
+            ds.map_batches(NgramDecontaminator(grams, n=8), batch_format="pyarrow")
+            .to_pandas().set_index("doc_id")["contaminated"]
+        )
+        # planted docs really are contaminated, and only they are
+        planted = [i for i in range(50) if i % 7 == 0]
+        assert flags[planted].all()
+        assert not flags.drop(planted).any()
+
 
 class TestPackSequences:
     def _docs(self):
@@ -416,49 +440,6 @@ class TestLineDedup:
         assert (out["n_removed"] == 0).all()
         assert (out["clean_text"] == out["text"]).all()
 
-    def test_joined_path_matches_broadcast(self, ray_session):
-        from opentelemetry_collector_contrib_ray.stages.llmdata import (
-            LineDeduper,
-            duplicate_lines,
-            line_dedup_joined,
-        )
-
-        rng = list(range(40))
-        rows = []
-        for i in rng:
-            parts = [f"unique line {i}."]
-            if i % 2 == 0:
-                parts.append("even boilerplate line.")
-            if i % 3 == 0:
-                parts.append("third boilerplate line.")
-            if i % 2 == 0 and i % 4 == 0:
-                parts.append("even boilerplate line.")  # repeat in-doc
-            rows.append({"doc_id": i, "text": "\n".join(parts)})
-        ds = ray.data.from_pandas(pd.DataFrame(rows))
-
-        dup = duplicate_lines(ds, num_buckets=4).to_pandas()
-        bc = (
-            ds.map_batches(
-                LineDeduper(dup["line_hash"].to_numpy(), dup["min_doc_id"].to_numpy()),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-            .set_index("doc_id")
-            .sort_index()
-        )
-        jn = (
-            line_dedup_joined(ds, num_buckets=4)
-            .to_pandas()
-            .set_index("doc_id")
-            .sort_index()
-        )
-        assert list(jn.index) == list(bc.index)
-        for col in ("n_lines", "n_removed", "clean_text"):
-            assert list(jn[col]) == list(bc[col]), col
-        # owner of "even boilerplate line." is doc 0 → keeps both copies
-        assert bc.loc[0, "n_removed"] == 0
-        assert jn.loc[2, "n_removed"] >= 1
-
 
 class TestPackTokenSequences:
     def test_token_conservation_and_order(self, ray_session):
@@ -534,41 +515,6 @@ class TestVocabEncoder:
         out = enc(t).to_pandas()
         assert list(out["tokens"].map(list)) == [[0, 0], []]
         assert list(out["n_oov"]) == [2, 0]
-
-
-class TestDecontaminationBloomBackend:
-    def test_bloom_flags_superset_of_exact(self, ray_session):
-        from opentelemetry_collector_contrib_ray.stages.llmdata import (
-            NgramDecontaminator,
-            build_eval_grams,
-        )
-
-        eval_texts = [" ".join(f"ev{i}w{j}" for j in range(12)) for i in range(5)]
-        rows = []
-        for i in range(50):
-            words = [f"doc{i}w{j}" for j in range(20)]
-            if i % 7 == 0:  # plant a contaminated window
-                words[5:13] = eval_texts[i % 5].split(" ")[2:10]
-            rows.append({"doc_id": i, "text": " ".join(words)})
-        ds = ray.data.from_pandas(pd.DataFrame(rows))
-        grams = build_eval_grams(eval_texts, n=8)
-        exact = (
-            ds.map_batches(NgramDecontaminator(grams, n=8), batch_format="pyarrow")
-            .to_pandas().set_index("doc_id")["contaminated"]
-        )
-        bloom = (
-            ds.map_batches(
-                NgramDecontaminator(grams, n=8, backend="bloom"),
-                batch_format="pyarrow",
-            )
-            .to_pandas().set_index("doc_id")["contaminated"]
-        )
-        # no false negatives: every exactly-contaminated doc is flagged
-        assert (bloom[exact] == True).all()  # noqa: E712
-        # planted docs really are contaminated
-        assert exact[[i for i in range(50) if i % 7 == 0]].all()
-        # at this tiny scale the bloom flags should equal exact (fp ~ 0)
-        assert (bloom == exact).all()
 
 
 class TestAssignSplit:

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core kernels: router scatter
 round-trip, severity conversion totality, token checksum sensitivity,
-the Arrow aggregate combine against its pandas predecessor;
+the Arrow aggregate and histogram combines against their pandas
+predecessors;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
 ``two_phase_agg``, ``bucketed_hash_join``): results do not depend on
 bucket count, input order, block layout or key skew."""
@@ -273,6 +274,74 @@ def test_partial_stage_matches_pandas_combine(rows):
 )
 def test_partial_stage_edge_batches(rows):
     _check_combine_matches_pandas(_combine_batch(rows))
+
+
+def _pandas_hist_combine(keys, value_col, bounds_arr, value_scale):
+    """The pandas per-batch combiner ``histogram_agg`` used before its
+    Arrow group-by, kept as the reference for ``_hist_partial`` on
+    null-free values (it counted a null value in the overflow bucket
+    and, with ``value_scale``, in ``call_count`` and ``vsum``)."""
+    from opentelemetry_collector_contrib_ray._util import table_from_pandas
+
+    nb = len(bounds_arr) + 1
+
+    def combine(batch: pa.Table) -> pa.Table:
+        vals = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        bucket = np.searchsorted(bounds_arr, vals, side="left")
+        df = pd.DataFrame({k: batch[k].to_numpy(zero_copy_only=False) for k in keys})
+        if value_scale is not None:
+            df["_v"] = np.rint(vals * value_scale).astype(np.int64)
+        else:
+            df["_v"] = vals
+        g = df.groupby(keys, dropna=False, sort=False, observed=True)
+        out = g["_v"].agg(call_count="count", vsum="sum").reset_index()
+        codes = g.ngroup().to_numpy()
+        mat = np.zeros((out.shape[0], nb), dtype=np.int64)
+        np.add.at(mat, (codes, bucket), 1)
+        for b in range(nb):
+            out[f"bucket_{b}"] = mat[:, b]
+        return table_from_pandas(out)
+
+    return combine
+
+
+_HIST_BOUNDS = np.array([0.5, 2.0, 100.0])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.integers(0, 2),
+            st.one_of(st.sampled_from([-1.0, 0.5, 2.0, 100.0, 1e9]), st.floats(-1e3, 1e3, allow_nan=False)),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from([None, 100]),
+)
+@settings(max_examples=150, deadline=None)
+def test_hist_partial_matches_pandas_combine(rows, value_scale):
+    """On null-free values the Arrow histogram combine reproduces the
+    pandas one: the same groups, counts, buckets (values on a bound
+    land in its bucket) and sums — exact when scaled."""
+    from opentelemetry_collector_contrib_ray.stages.aggregate import _hist_partial
+
+    k, i, v = zip(*rows) if rows else ([], [], [])
+    batch = pa.table({"k": pa.array(k, pa.string()), "i": pa.array(i, pa.int64()), "v": pa.array(v, pa.float64())})
+    got = _hist_partial(["k", "i"], "v", _HIST_BOUNDS, value_scale)(batch)
+    exp = _pandas_hist_combine(["k", "i"], "v", _HIST_BOUNDS, value_scale)(batch)
+    assert got.column_names == exp.column_names
+    assert got.schema.field("vsum").type == (pa.int64() if value_scale else pa.float64())
+    if not rows:
+        assert got.num_rows == 0
+        return
+    got_df, exp_df = got.to_pandas(), exp.to_pandas()
+    if value_scale is None:  # pandas adds floats in compensated order
+        assert np.allclose(
+            got_df.sort_values(["k", "i"])["vsum"], exp_df.sort_values(["k", "i"])["vsum"], rtol=1e-12, atol=1e-9
+        )
+        got_df, exp_df = got_df.drop(columns="vsum"), exp_df.drop(columns="vsum")
+    _assert_same_multiset(got_df, exp_df)
 
 
 @pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)

@@ -46,7 +46,7 @@ def test_distinct_count_exact():
 
 
 def test_distinct_count_paths_agree():
-    # default (distributed bucketed finalize) == driver_finalize=True
+    # the distributed two-pass finalize == pandas groupby().nunique()
     rng = np.random.default_rng(11)
     df = pd.DataFrame(
         {
@@ -56,14 +56,9 @@ def test_distinct_count_paths_agree():
     )
     ds = ray.data.from_pandas(df).repartition(8)
     dist = distinct_count(ds, ["k"], "v").to_pandas().sort_values("k").reset_index(drop=True)
-    drv = (
-        distinct_count(ray.data.from_pandas(df).repartition(8), ["k"], "v", driver_finalize=True)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    assert list(dist["k"]) == list(drv["k"])
-    assert list(dist["distinct"].astype(int)) == list(drv["distinct"].astype(int))
+    ref = df.groupby("k").nunique()["v"]
+    assert list(dist["k"]) == list(ref.index)
+    assert list(dist["distinct"].astype(int)) == list(ref.astype(int))
 
 
 def test_hll_distinct_per_key():

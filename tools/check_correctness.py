@@ -1,10 +1,13 @@
 """Local mirror of the driver's correctness gate: run every queries()
 entry and its oracle_sql() side-by-side, compare row count + sorted
-values. Usage: python tools/check_correctness.py [sf_dir] [names...]
+values. Each [OK] line ends with the sha256 of the query's canonical
+result (``digest``: values and dtypes), so two runs compare with a
+plain diff. Usage: python tools/check_correctness.py [sf_dir] [names...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -34,6 +37,16 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
         if df[c].dtype == object:
             df[c] = df[c].astype(str)
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
+
+
+def digest(df: pd.DataFrame) -> str:
+    """sha256 of ``canon(df)``: every column's name, dtype and values."""
+    df = canon(df)
+    h = hashlib.sha256()
+    for c in df.columns:
+        h.update(f"{c}:{df[c].dtype}\n".encode())
+        h.update(pd.util.hash_pandas_object(df[c], index=False).to_numpy().tobytes())
+    return h.hexdigest()
 
 
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
@@ -118,7 +131,7 @@ def main():
             for p in problems:
                 print(f"    {p}")
         else:
-            print(f"[OK]   {name}: {len(ray_df)} rows match")
+            print(f"[OK]   {name}: {len(ray_df)} rows match sha256={digest(ray_df)}")
     print(f"\n{failures} failures")
     sys.exit(1 if failures else 0)
 
