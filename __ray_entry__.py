@@ -55,54 +55,28 @@ def _corpus_rows(sf_dir: str) -> int:
     return max(1000, int(sf * 1_000_000))
 
 
+def _corpus_files(n: int) -> int:
+    return max(4, min(64, n // 25000))
+
+
 def _corpus_dir(sf_dir: str) -> str:
     from opentelemetry_collector_contrib_ray.sources.synth import write_synth_corpus
 
     n = _corpus_rows(sf_dir)
     path = f"/tmp/otelray_corpus_{n}"
-    write_synth_corpus(path, n, num_files=max(4, min(64, n // 25000)))
+    write_synth_corpus(path, n, num_files=_corpus_files(n))
     return path
 
 
 def _ensure_corpus_inline(n: int) -> str:
     """Generate the synth corpus WITHOUT Ray (oracle_sql() may be
-    called before any Dataset work) — same shards as write_synth_corpus."""
-    import numpy as _np
-    import pyarrow.parquet as pq
-
-    from opentelemetry_collector_contrib_ray.sources.synth import gen_batch
+    called before any Dataset work) — the same shards, ``_meta.json``
+    and idempotency as write_synth_corpus."""
+    from opentelemetry_collector_contrib_ray.sources.synth import pending_shards, write_shard
 
     path = f"/tmp/otelray_corpus_{n}"
-    num_files = max(4, min(64, n // 25000))
-    # Mirror write_synth_corpus's layout-aware idempotency exactly: the
-    # same _meta.json (n_rows, num_files) so the two generators
-    # recognise each other's output instead of wiping+rebuilding it.
-    import json as _json
-    import shutil as _shutil
-
-    meta_path = os.path.join(path, "_meta.json")
-    want = {"n_rows": int(n), "num_files": int(num_files)}
-    if os.path.isdir(path):
-        have = None
-        try:
-            with open(meta_path) as f:
-                have = _json.load(f)
-        except (OSError, ValueError):
-            pass
-        if have != want:
-            _shutil.rmtree(path)
-    os.makedirs(path, exist_ok=True)
-    if not os.path.exists(meta_path):
-        with open(meta_path, "w") as f:
-            _json.dump(want, f)
-    bounds = _np.linspace(0, n, num_files + 1, dtype=_np.int64)
-    for i in range(num_files):
-        fn = os.path.join(path, f"shard-{i:05d}.parquet")
-        if os.path.exists(fn):
-            continue
-        tbl = gen_batch(_np.arange(bounds[i], bounds[i + 1], dtype=_np.uint64))
-        pq.write_table(tbl, fn + ".tmp")
-        os.replace(fn + ".tmp", fn)
+    for shard in pending_shards(path, n, _corpus_files(n)):
+        write_shard(*shard)
     return path
 
 
@@ -822,20 +796,14 @@ def _q_delta_conversion(sf_dir: str):
 
 
 def _q_time_window_agg(sf_dir: str):
-    from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
+    from opentelemetry_collector_contrib_ray.stages.window import sliding, tumbling
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def win(t: pa.Table) -> pa.Table:
-        w = pc.floor_temporal(t["ts"], unit="hour")
-        return pa.table(
-            {"event_type": t["event_type"], "window_start": w, "value": t["value"]}
-        )
-
-    out = two_phase_agg(
-        ds.map_batches(win, batch_format="pyarrow"),
-        ["event_type", "window_start"],
-        {"value": ["sum"]},
+    out = tumbling(
+        _read(sf_dir, "events", ["event_type", "ts", "value"]),
+        ["event_type"],
+        "ts",
+        every="hour",
+        agg={"value": ["sum"]},
         driver_finalize=True,  # few thousand groups — skip the shuffle
         exact_sums={"value": 100},
     )
@@ -844,7 +812,6 @@ def _q_time_window_agg(sf_dir: str):
 
     # round-3 merge of the former `sliding_window` entry: 60-min windows
     # stepping 30 min as a second leg (value_sum 0-filled on both sides)
-    from opentelemetry_collector_contrib_ray.stages.window import sliding
 
     sl = sliding(
         _read(sf_dir, "events", ["event_type", "ts"]),

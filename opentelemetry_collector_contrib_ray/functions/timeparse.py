@@ -28,16 +28,14 @@ GOTIME_TO_STRPTIME = {
 }
 
 
-def parse_timestamp(
-    arr: pa.Array, layout: str, layout_type: str = "strptime", unit: str = "ns"
-) -> pa.Array:
-    """Parse a string column to timestamp; unmatched rows → null.
+def parse_timestamp(arr: pa.Array, layout: str, layout_type: str = "strptime") -> pa.Array:
+    """Parse a string column to a nanosecond timestamp; unmatched rows → null.
 
     layout_type: "strptime" | "gotime" (translated via GOTIME_TO_STRPTIME).
     """
     if layout_type == "gotime":
         layout = GOTIME_TO_STRPTIME.get(layout, layout)
-    return pc.strptime(arr, format=layout, unit=unit, error_is_null=True)
+    return pc.strptime(arr, format=layout, unit="ns", error_is_null=True)
 
 
 def parse_rfc3339_ns(arr: pa.Array) -> pa.Array:

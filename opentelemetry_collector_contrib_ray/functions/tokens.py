@@ -38,9 +38,9 @@ def token_checksum(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return out
 
 
-def corpus_checksum(ds, tokens_col: str = "tokens", id_col: str = "doc_id"):
-    """Dataset-level {doc_id → checksum} digest: per-batch checksums then
-    a driver-side xor-merge of the (small) per-batch digests.
+def corpus_checksum(ds):
+    """Dataset-level digest of the ``tokens`` column: per-batch checksums
+    then a driver-side xor-merge of the (small) per-batch digests.
 
     Returns (total_rows, xor_of_all_row_checksums, sum_of_n_tok) — an
     order-insensitive corpus fingerprint used by tests and the
@@ -49,9 +49,9 @@ def corpus_checksum(ds, tokens_col: str = "tokens", id_col: str = "doc_id"):
     import pyarrow.compute as pc
 
     def _digest(batch: pa.Table) -> pa.Table:
-        cks = token_checksum(batch[tokens_col])
+        cks = token_checksum(batch["tokens"])
         x = np.bitwise_xor.reduce(cks) if len(cks) else np.uint64(0)
-        ntok = pc.sum(pc.list_value_length(batch[tokens_col])).as_py() or 0
+        ntok = pc.sum(pc.list_value_length(batch["tokens"])).as_py() or 0
         return pa.table(
             {
                 "rows": pa.array([len(batch)], pa.int64()),

@@ -158,9 +158,10 @@ DEFAULT_RESOURCE_DETECTORS = [
 ]
 
 
-def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None):
+def build_pipeline(ds, *, lookup_ref=None):
     """Compose the full DAG on a Dataset; returns the routed Dataset
-    (with ``sink`` column), ready to write/aggregate.
+    (with ``sink`` column, routed by ``DEFAULT_ROUTING``), ready to
+    write/aggregate.
 
     All four stages take whole blocks, so they fuse with the read before
     them and the write after them into one elastic task per read block
@@ -179,9 +180,8 @@ def build_pipeline(ds, *, lookup_ref=None, routing: dict | None = None):
                 ["app-a", "app-b", "app-c", "syslog", "k8s", "unknown"]
             )
         )
-    routing = routing or DEFAULT_ROUTING
     router = route.RoutingTable(
-        routing["from_attribute"], routing["table"], routing["default"]
+        DEFAULT_ROUTING["from_attribute"], DEFAULT_ROUTING["table"], DEFAULT_ROUTING["default"]
     )
 
     parsed = ds.map_batches(parse, batch_format="pyarrow")
@@ -205,11 +205,10 @@ def _process_shard(
     run_dir: str,
     manifest,
     lookup_ref,
-    routing: dict | None,
-    verify_tokens: bool,
 ) -> dict:
     """One shard: routed rows → atomic sink dir, aggregate → agg dir,
-    manifest record with lineage. Returns the shard metrics dict."""
+    token digests of input and output (must match), manifest record
+    with lineage. Returns the shard metrics dict."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -218,12 +217,10 @@ def _process_shard(
     from ..sources.parquet import read_corpus
 
     ds = read_corpus(src)
-    in_digest = None
-    if verify_tokens:
-        in_rows, in_xor, in_ntok = corpus_checksum(read_corpus(src))
-        in_digest = {"rows": in_rows, "xor": in_xor, "ntok": in_ntok}
+    in_rows, in_xor, in_ntok = corpus_checksum(read_corpus(src))
+    in_digest = {"rows": in_rows, "xor": in_xor, "ntok": in_ntok}
 
-    routed = build_pipeline(ds, lookup_ref=lookup_ref, routing=routing)
+    routed = build_pipeline(ds, lookup_ref=lookup_ref)
     sink_dir = os.path.join(run_dir, "sinks", shard_id)
     os.makedirs(os.path.dirname(sink_dir), exist_ok=True)
     tmp_dir = sink_dir + ".tmp"
@@ -247,32 +244,26 @@ def _process_shard(
     sink_counts: dict = {}
     for s, c in zip(agg_tbl["sink"].to_pylist(), agg_tbl["count"].to_pylist()):
         sink_counts[s] = sink_counts.get(s, 0) + c
-    out_digest = None
-    if verify_tokens:
-        # multi-sink routes duplicate rows once per extra exporter
-        # (routing.go:153-162); exclude the non-first sinks so the
-        # checksum compares each input row exactly once. Caveat: a
-        # sink that is primary in one route and secondary in another
-        # would need per-route dedup instead.
-        rt = routing or DEFAULT_ROUTING
-        dup_sinks = set()
-        for sinks in list(rt["table"].values()) + [rt["default"]]:
-            dup_sinks.update(sinks[1:])
-        out_ds = read_corpus(sink_dir)
-        for s in dup_sinks:
-            out_ds = out_ds.filter(expr=f"sink != '{s}'")
-        o_rows, o_xor, o_ntok = corpus_checksum(out_ds)
-        out_digest = {"rows": o_rows, "xor": o_xor, "ntok": o_ntok}
-        if in_digest and (
-            out_digest["xor"] != in_digest["xor"]
-            or out_digest["rows"] != in_digest["rows"]
-        ):
-            raise RuntimeError(
-                f"token-array invariant violated on shard {shard_id}: "
-                f"{in_digest} -> {out_digest}"
-            )
+    # multi-sink routes duplicate rows once per extra exporter
+    # (routing.go:153-162); exclude the non-first sinks so the
+    # checksum compares each input row exactly once. Caveat: a
+    # sink that is primary in one route and secondary in another
+    # would need per-route dedup instead.
+    dup_sinks = set()
+    for sinks in list(DEFAULT_ROUTING["table"].values()) + [DEFAULT_ROUTING["default"]]:
+        dup_sinks.update(sinks[1:])
+    out_ds = read_corpus(sink_dir)
+    for s in dup_sinks:
+        out_ds = out_ds.filter(expr=f"sink != '{s}'")
+    o_rows, o_xor, o_ntok = corpus_checksum(out_ds)
+    out_digest = {"rows": o_rows, "xor": o_xor, "ntok": o_ntok}
+    if out_digest["xor"] != in_digest["xor"] or out_digest["rows"] != in_digest["rows"]:
+        raise RuntimeError(
+            f"token-array invariant violated on shard {shard_id}: "
+            f"{in_digest} -> {out_digest}"
+        )
     shard_metrics = {
-        "rows_in": in_digest["rows"] if in_digest else sum(sink_counts.values()),
+        "rows_in": in_digest["rows"],
         "rows_routed": sum(sink_counts.values()),
         **{f"sink.{k}": v for k, v in sink_counts.items()},
     }
@@ -319,16 +310,16 @@ def run_checkpointed(
     input_dir: str,
     run_dir: str,
     *,
-    routing: dict | None = None,
-    verify_tokens: bool = True,
     max_concurrent_shards: int = 1,
 ):
-    """Resumable run: one checkpoint shard per input parquet file.
+    """Resumable run: one checkpoint shard per input parquet file, with
+    ``DEFAULT_ROUTING``.
 
     Per shard: routed rows → ``sinks/<shard>/sink=<name>/*.parquet``
     (atomic: temp dir + rename), aggregate counts →
     ``agg/<shard>/*.parquet``, then a manifest record with lineage
-    (input file, rows in/out, per-sink counts, token checksums).
+    (input file, rows in/out, per-sink counts, token checksums). A
+    shard whose output token digest differs from its input's raises.
     Completed shards are skipped on rerun. Returns the run summary.
 
     ``max_concurrent_shards`` > 1 drives several shard pipelines from
@@ -364,7 +355,7 @@ def run_checkpointed(
 
     def work(item):
         src, shard_id = item
-        return _process_shard(src, shard_id, run_dir, manifest, lookup_ref, routing, verify_tokens)
+        return _process_shard(src, shard_id, run_dir, manifest, lookup_ref)
 
     if max_concurrent_shards > 1 and len(todo) > 1:
         _stub_fsspec_http()

@@ -193,13 +193,12 @@ class FluentForwardDecoder:
     Row explosion (Forward/PackedForward carry many entries) makes this
     a flat-map-shaped batch transform."""
 
-    def __init__(self, payload_col: str = "payload", fields: list[str] | None = None):
-        self.payload_col = payload_col
+    def __init__(self, fields: list[str] | None = None):
         self.fields = fields
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: list[dict] = []
-        for payload in batch[self.payload_col].to_pylist():
+        for payload in batch["payload"].to_pylist():
             try:
                 rows.extend(decode_event(payload))
             except (ValueError, TypeError):

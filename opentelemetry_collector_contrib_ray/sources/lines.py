@@ -24,11 +24,11 @@ _CARBON_PLAINTEXT = (
 )
 
 
-def parse_carbon_plaintext(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_carbon_plaintext(batch: pa.Table) -> pa.Table:
     """Graphite plaintext: ``path[;tag=v;...] value timestamp``
     (receiver/carbonreceiver/protocol/plaintext_parser.go:51-100,
     incl. tag support). Adds metric_name, value, timestamp, tags."""
-    src = batch[raw_col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     cols = extract_named(src, _CARBON_PLAINTEXT)
@@ -44,7 +44,7 @@ class CarbonRegexParser:
     ``key_<label>`` / ``name_N`` capture groups + name prefix/joiner
     (protocol/regex_parser.go:32-160). Compiled once per actor."""
 
-    def __init__(self, rules: list[dict], name_separator: str = ".", raw_col: str = "raw"):
+    def __init__(self, rules: list[dict]):
         import re
 
         self.rules = [
@@ -56,8 +56,6 @@ class CarbonRegexParser:
             }
             for r in rules
         ]
-        self.sep = name_separator
-        self.raw_col = raw_col
 
     def _apply_one(self, path: str):
         for r in self.rules:
@@ -73,12 +71,12 @@ class CarbonRegexParser:
                 elif gname.startswith("name_"):
                     names.append((gname, gval))
             names.sort(key=lambda kv: kv[0])
-            name = r["name_prefix"] + self.sep.join(v for _, v in names)
+            name = r["name_prefix"] + ".".join(v for _, v in names)
             return name, labels, r["metric_type"]
         return None, {}, None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parsed = parse_carbon_plaintext(batch, self.raw_col)
+        parsed = parse_carbon_plaintext(batch)
         paths = parsed["metric_name"].to_pylist()
         names, labels, types = [], [], []
         for p in paths:
@@ -100,14 +98,14 @@ _STATSD_RE = (
 )
 
 
-def parse_statsd(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_statsd(batch: pa.Table) -> pa.Table:
     """statsd line: ``name:value|type[|@rate][|#k:v,...]``
     (receiver/statsdreceiver/protocol/statsd_parser.go:224-343).
     Counter values are upscaled by 1/sample-rate (:296-314); gauges may
     be signed deltas (+N/-N → is_delta flag). Adds name, mtype, value,
     rate, tags, is_delta.
     """
-    src = batch[raw_col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     cols = extract_named(src, _STATSD_RE)
@@ -148,11 +146,8 @@ class SplunkHecParser:
     index → canonical attrs, `fields` → attributes (keys sorted for
     determinism, :67-71)."""
 
-    def __init__(self, raw_col: str = "raw"):
-        self.raw_col = raw_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = batch[self.raw_col].to_pylist()
+        rows = batch["raw"].to_pylist()
         out: dict[str, list] = {
             "body": [],
             "ts_ns": [],
@@ -196,9 +191,9 @@ _RFC5424 = (
 )
 
 
-def parse_rfc5424(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_rfc5424(batch: pa.Table) -> pa.Table:
     """RFC5424 syslog (receiver/syslogreceiver, protocol rfc5424)."""
-    src = batch[raw_col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     cols = extract_named(src, _RFC5424)
@@ -216,11 +211,11 @@ _WAVEFRONT_RE = (
 )
 
 
-def parse_wavefront(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_wavefront(batch: pa.Table) -> pa.Table:
     """Wavefront data format: ``<name> <value> [<ts>] source=<src> [k=v ...]``
     (receiver/wavefrontreceiver/wavefront_parser.go:58; optional
     timestamp per :94-103). Adds metric_name, value, timestamp, source, tags."""
-    src = batch[raw_col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     cols = extract_named(src, _WAVEFRONT_RE)
@@ -246,12 +241,12 @@ _INFLUX_RE = (
 )
 
 
-def parse_influx_line(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_influx_line(batch: pa.Table) -> pa.Table:
     """InfluxDB line protocol: ``measurement[,tag=v...] field=v[,...] [ts]``
     (receiver/influxdbreceiver README). Measurement/tags/timestamp are
     vectorized regex extraction; the field set explodes into one row per
     field (field_key, field_value)."""
-    src = batch[raw_col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     cols = extract_named(src, _INFLUX_RE)
@@ -298,13 +293,13 @@ def parse_influx_line(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
 _COLLECTD_KEYS = ("host", "plugin", "plugin_instance", "type", "type_instance")
 
 
-def parse_collectd_json(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
+def parse_collectd_json(batch: pa.Table) -> pa.Table:
     """collectd JSON write payload → one row per (metric, dsname)
     (receiver/collectdreceiver/collectd.go): each record carries
     host/plugin/type identity, dsnames/dstypes/values arrays, and
     epoch time; metric name = plugin[.plugin_instance].type[.type_instance].dsname."""
     rows = {k: [] for k in ("metric_name", "host", "dstype", "value", "ts_ns")}
-    for raw in batch[raw_col].to_pylist():
+    for raw in batch["raw"].to_pylist():
         try:
             records = json.loads(raw) if raw else []
         except json.JSONDecodeError:
@@ -332,12 +327,13 @@ def parse_collectd_json(batch: pa.Table, raw_col: str = "raw") -> pa.Table:
     )
 
 
-def split_packet_lines(batch: pa.Table, col: str = "raw", out: str = "raw") -> pa.Table:
-    """Explode newline-separated protocol packets into one row per line
-    (statsd/carbon UDP packets may carry many metrics per datagram).
+def split_packet_lines(batch: pa.Table) -> pa.Table:
+    """Explode the newline-separated protocol packets of ``raw`` into one
+    ``raw`` row per line (statsd/carbon UDP packets may carry many
+    metrics per datagram).
     Vectorized: arrow split_pattern → flatten with parent-row repeat of
     every other column."""
-    src = batch[col]
+    src = batch["raw"]
     if isinstance(src, pa.ChunkedArray):
         src = src.combine_chunks()
     parts = pc.split_pattern(src, pattern="\n")
@@ -345,7 +341,7 @@ def split_packet_lines(batch: pa.Table, col: str = "raw", out: str = "raw") -> p
     lengths = np.nan_to_num(lengths, nan=0).astype(np.int64)
     flat = parts.flatten()
     idx = np.repeat(np.arange(len(batch), dtype=np.int64), lengths)
-    kept = batch.drop_columns([col]).take(pa.array(idx))
-    kept = kept.append_column(out, flat)
+    kept = batch.drop_columns(["raw"]).take(pa.array(idx))
+    kept = kept.append_column("raw", flat)
     # drop empty lines (trailing newline)
-    return kept.filter(pc.not_equal(kept[out], ""))
+    return kept.filter(pc.not_equal(kept["raw"], ""))

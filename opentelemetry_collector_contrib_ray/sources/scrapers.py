@@ -102,16 +102,14 @@ _OUT_SCHEMA_TYPES = {
 }
 
 
-def _explode_lines_arrow(
-    t: pa.Table, id_col: str, payload_col: str
-) -> tuple[np.ndarray, pa.StringArray]:
-    """payload rows -> (_id per line, Arrow line array). The split runs
+def _explode_lines_arrow(t: pa.Table) -> tuple[np.ndarray, pa.StringArray]:
+    """payload rows -> (server id per line, Arrow line array). The split runs
     in Arrow C++ (no per-line Python boxing); callers keep working on
     the Arrow array as long as possible."""
     import pyarrow.compute as pc
 
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col]
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"]
     if isinstance(pay, pa.ChunkedArray):
         pay = pay.combine_chunks()
     ll = pc.split_pattern(pc.fill_null(pay, ""), "\n")
@@ -119,9 +117,7 @@ def _explode_lines_arrow(
     return np.repeat(ids, counts), pc.list_flatten(ll)
 
 
-def _explode_extract_kv(
-    t: pa.Table, id_col: str, payload_col: str, pattern: str
-) -> pd.DataFrame:
+def _explode_extract_kv(t: pa.Table, pattern: str) -> pd.DataFrame:
     """Explode payload lines and extract a two-group ``(?P<k>)(?P<v>)``
     regex with Arrow's re2 kernel; returns only the matching lines as
     ``(_id, key, val)``. The whole path (split, match, extract) runs in
@@ -129,7 +125,7 @@ def _explode_extract_kv(
     (usually much smaller) matched set."""
     import pyarrow.compute as pc
 
-    line_ids, line_arr = _explode_lines_arrow(t, id_col, payload_col)
+    line_ids, line_arr = _explode_lines_arrow(t)
     r = pc.extract_regex(line_arr, pattern)
     ok = pc.is_valid(r)
     hit = ok.to_numpy(zero_copy_only=False).astype(bool)
@@ -154,8 +150,8 @@ def _integral_mask(vals: pd.Series, pattern: str = r"^-?\d+$") -> pd.Series:
     return pd.Series(m, index=vals.index).fillna(False).astype(bool)
 
 
-def _finish(out: pd.DataFrame, id_col: str, id_type: pa.DataType) -> pa.Table:
-    cols = {id_col: pa.array(out["_id"].to_numpy(), type=id_type)}
+def _finish(out: pd.DataFrame, id_type: pa.DataType) -> pa.Table:
+    cols = {"server_id": pa.array(out["_id"].to_numpy(), type=id_type)}
     for c, typ in _OUT_SCHEMA_TYPES.items():
         if typ == pa.int64():
             # values are parsed integers (or NaN/None); float64 is exact
@@ -194,19 +190,17 @@ def _num_split(vals: pd.Series, vkind: pd.Series):
     return value_int, value_double, ok
 
 
-def parse_redis_info(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_redis_info(t: pa.Table) -> pa.Table:
     """Vectorized INFO-text → metric rows (info.go:32-74 fixed table +
     :53-74 keyspace loop with break-on-first-missing-db)."""
     import pyarrow.compute as pc
 
-    id_type = t.schema.field(id_col).type
+    id_type = t.schema.field("server_id").type
     # Arrow-native line/kv split (the hot path: every payload line).
     # Equivalent to rstrip("\r") + ^([^:#\s][^:]*):(.*)$ — the key is
     # everything before the FIRST colon and may not start with '#' or
     # whitespace or be empty; the value keeps any further colons.
-    line_ids, line_arr = _explode_lines_arrow(t, id_col, payload_col)
+    line_ids, line_arr = _explode_lines_arrow(t)
     kv = pc.split_pattern(line_arr, ":", max_splits=1)
     two = pc.equal(pc.list_value_length(kv), 2)
     kv2 = kv.filter(two)
@@ -346,7 +340,7 @@ def parse_redis_info(
                 )
             rows.extend(triplet)
     out = pd.concat(rows, ignore_index=True)
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +377,11 @@ _ZK_TABLE = pd.DataFrame(
 )
 
 
-def parse_zk_mntr(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_zk_mntr(t: pa.Table) -> pa.Table:
     """Vectorized mntr-response → metric + resource rows."""
-    id_type = t.schema.field(id_col).type
+    id_type = t.schema.field("server_id").type
     flat = _explode_extract_kv(
-        t, id_col, payload_col, r"^(?P<k>zk_\w+)\s+(?P<v>[\w\.\-]+)"
+        t, r"^(?P<k>zk_\w+)\s+(?P<v>[\w\.\-]+)"
     )
 
     res = flat[flat["key"].isin(_ZK_RESOURCE)]
@@ -425,7 +417,7 @@ def parse_zk_mntr(
             "value_double": np.nan,
         }
     )
-    return _finish(pd.concat([met_out, res_out], ignore_index=True), id_col, id_type)
+    return _finish(pd.concat([met_out, res_out], ignore_index=True), id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +436,11 @@ _MEMCACHED_TABLE = pd.DataFrame(
 )
 
 
-def parse_memcached_stats(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_memcached_stats(t: pa.Table) -> pa.Table:
     """Vectorized ``STAT <key> <value>`` text → the five mapped metrics."""
-    id_type = t.schema.field(id_col).type
+    id_type = t.schema.field("server_id").type
     flat = _explode_extract_kv(
-        t, id_col, payload_col, r"^STAT\s+(?P<k>\S+)\s+(?P<v>\S+)\s*$"
+        t, r"^STAT\s+(?P<k>\S+)\s+(?P<v>\S+)\s*$"
     )
     met = flat.merge(_MEMCACHED_TABLE, on="key", how="inner")
     ival = pd.to_numeric(met["val"], errors="coerce")
@@ -469,7 +459,7 @@ def parse_memcached_stats(
             "value_double": np.nan,
         }
     )
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +530,7 @@ def _prom_canon_labels(raw: pd.Series) -> pd.Series:
     return pd.Series(out, index=raw.index, dtype=object)
 
 
-def parse_prometheus_text(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_prometheus_text(t: pa.Table) -> pa.Table:
     """Vectorized prometheus exposition text → metric rows. Output uses
     the shared scraper schema with the full canonical label set in
     ``label_value`` (label_key='labels' when any label is present).
@@ -550,8 +538,8 @@ def parse_prometheus_text(
     skipped; NaN/±Inf values parse (prom allows them)."""
     import pyarrow.compute as pc
 
-    id_type = t.schema.field(id_col).type
-    line_ids, line_arr = _explode_lines_arrow(t, id_col, payload_col)
+    id_type = t.schema.field("server_id").type
+    line_ids, line_arr = _explode_lines_arrow(t)
 
     # --- TYPE declarations: (payload row, base name) -> prom type ---
     tyr = pc.extract_regex(
@@ -624,7 +612,7 @@ def parse_prometheus_text(
             "value_double": merged["value"],
         }
     )
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +674,7 @@ def _docker_field(tbl: pa.Table, path: list[str], n: int) -> np.ndarray:
         return np.full(n, np.nan)
 
 
-def parse_docker_stats(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_docker_stats(t: pa.Table) -> pa.Table:
     """Docker stats JSON → metrics: cpu (incl. the docker-cli CPU%%
     formula, metrics.go:184-204), memory (usage/limit/percent/max +
     per-stat rows with the cumulative set), per-interface network
@@ -699,10 +685,10 @@ def parse_docker_stats(
     import pyarrow.compute as pc
     import pyarrow.json as pj
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
     n = len(ids)
-    pay = pd.Series(t[payload_col].to_numpy(zero_copy_only=False), dtype=object).fillna("{}")
+    pay = pd.Series(t["payload"].to_numpy(zero_copy_only=False), dtype=object).fillna("{}")
     pay = pay.where(pay.str.len() > 0, "{}")
     tbl = pj.read_json(_io.BytesIO(("\n".join(pay) + "\n").encode()))
 
@@ -863,7 +849,7 @@ def parse_docker_stats(
         )
     else:
         out = pd.concat(frames, ignore_index=True)
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -979,9 +965,7 @@ def _ecs_container_metrics(stats: dict) -> dict:
     return m
 
 
-def parse_ecs_task_stats(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_ecs_task_stats(t: pa.Table) -> pa.Table:
     """ECS task payload ({"metadata": TaskMetadata, "stats": [...]})
     → the receiver's container + task metric rows. Labels:
     'container=<Name>,task=<id-from-ARN>' / 'task=<id>'. Stats objects
@@ -990,9 +974,9 @@ def parse_ecs_task_stats(
     (RFC3339 diff in seconds) and is excluded from the task rollup."""
     import json as _json
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col].to_pylist()
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"].to_pylist()
 
     recs: list[tuple] = []  # (_id, name, units, mtype, mono, label, vi, vd)
 
@@ -1055,7 +1039,7 @@ def parse_ecs_task_stats(
         columns=["_id", "name", "units", "mtype", "monotonic", "label_value", "value_int", "value_double"],
     )
     out["label_key"] = "labels"
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,9 +1093,7 @@ def _struct_path(col, path):
         return None
 
 
-def parse_kubelet_summary(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_kubelet_summary(t: pa.Table) -> pa.Table:
     """kubelet summary JSON → metric rows across the four metric
     groups (node / pod / container / volume). Pod-scoped rows carry
     'labels' = 'ns=<namespace>,pod=<name>' (containers add
@@ -1122,10 +1104,10 @@ def parse_kubelet_summary(
     import pyarrow.compute as pc
     import pyarrow.json as pj
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
     n = len(ids)
-    pay = pd.Series(t[payload_col].to_numpy(zero_copy_only=False), dtype=object).fillna("{}")
+    pay = pd.Series(t["payload"].to_numpy(zero_copy_only=False), dtype=object).fillna("{}")
     pay = pay.where(pay.str.len() > 0, "{}")
     tbl = pj.read_json(_io.BytesIO(("\n".join(pay) + "\n").encode()))
 
@@ -1247,7 +1229,7 @@ def parse_kubelet_summary(
         )
     else:
         out = pd.concat(frames, ignore_index=True)
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1305,17 +1287,15 @@ def _snake(s: str) -> str:
 
 def parse_k8s_objects(
     t: pa.Table,
-    id_col: str = "server_id",
-    payload_col: str = "payload",
     node_conditions: Sequence[str] = ("Ready",),
 ) -> pa.Table:
     """k8s object JSON(s) → cluster-state metric rows (shared scraper
     schema; labels identify the object)."""
     import json as _json
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col].to_pylist()
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"].to_pylist()
     recs: list[tuple] = []
 
     def emit(sid, name, label, value):
@@ -1376,7 +1356,7 @@ def parse_k8s_objects(
         recs,
         columns=["_id", "name", "units", "mtype", "monotonic", "label_key", "label_value", "value_int", "value_double"],
     )
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1399,18 +1379,16 @@ _NGINX_RE_NAMED = (
 )
 
 
-def parse_nginx_stub_status(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_nginx_stub_status(t: pa.Table) -> pa.Table:
     """Vectorized stub_status text → sums (requests / accepted /
     handled) + state-labelled current-connections gauges. Payloads that
     don't match the stub_status shape produce no rows (the reference
     client errors the scrape)."""
     import pyarrow.compute as pc
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col]
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"]
     if isinstance(pay, pa.ChunkedArray):
         pay = pay.combine_chunks()
     r = pc.extract_regex(pc.fill_null(pay, ""), _NGINX_RE_NAMED)
@@ -1439,7 +1417,7 @@ def parse_nginx_stub_status(
             pd.DataFrame({"_id": ids, "name": "nginx.connections_current", "units": "connections", "mtype": "gauge", "monotonic": False, "label_key": "state", "label_value": state, "value_int": vals.to_numpy(), "value_double": np.nan})
         )
     out = pd.concat(frames, ignore_index=True)
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1452,9 +1430,7 @@ _CI_FAILED_NODE_CONDITIONS = frozenset(
 )
 
 
-def parse_container_insights(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def parse_container_insights(t: pa.Table) -> pa.Table:
     """Container Insights cluster snapshot JSON → the k8sapiserver
     metrics (awscontainerinsightreceiver/internal/k8sapiserver/
     k8sapiserver.go:111-186 over internal/aws/k8s/k8sclient):
@@ -1475,9 +1451,9 @@ def parse_container_insights(
     snapshot (k8sapiserver.go:121-126)."""
     import json as _json
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col].to_pylist()
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"].to_pylist()
     recs: list[tuple] = []
 
     def emit(sid, name, label, value):
@@ -1536,7 +1512,7 @@ def parse_container_insights(
         recs,
         columns=["_id", "name", "units", "mtype", "monotonic", "label_key", "label_value", "value_int", "value_double"],
     )
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1645,9 +1621,7 @@ def sum_ci_fields(fields: list) -> dict:
     return result
 
 
-def convert_ci_otlp(
-    t: pa.Table, id_col: str = "server_id", payload_col: str = "payload"
-) -> pa.Table:
+def convert_ci_otlp(t: pa.Table) -> pa.Table:
     """Container Insights decorated metric → OTLP gauges
     (internal/aws/containerinsight/utils.go:152-216 ConvertToOTLPMetrics
     + MetricName/RemovePrefix/GetUnitForMetric):
@@ -1677,9 +1651,9 @@ def convert_ci_otlp(
       label_key/label_value for downstream grouping."""
     import json as _json
 
-    id_type = t.schema.field(id_col).type
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    pay = t[payload_col].to_pylist()
+    id_type = t.schema.field("server_id").type
+    ids = t["server_id"].to_numpy(zero_copy_only=False)
+    pay = t["payload"].to_pylist()
     recs: list[tuple] = []
 
     for sid, raw in zip(ids, pay):
@@ -1732,4 +1706,4 @@ def convert_ci_otlp(
         recs,
         columns=["_id", "name", "units", "mtype", "monotonic", "label_key", "label_value", "value_int", "value_double"],
     )
-    return _finish(out, id_col, id_type)
+    return _finish(out, id_type)

@@ -224,21 +224,19 @@ def synth_dataset(n_rows: int, *, override_num_blocks: int | None = None):
     )
 
 
-def write_synth_corpus(path: str, n_rows: int, num_files: int = 8) -> str:
-    """Write the corpus as `num_files` parquet shards under `path`.
+def pending_shards(path: str, n_rows: int, num_files: int) -> list[tuple[str, int, int]]:
+    """Prepare ``path`` for a corpus of ``n_rows`` in ``num_files`` shards
+    and return ``(file, lo, hi)`` of each shard still to write.
 
-    Shards are row-index ranges (shard-00000.parquet …) — each shard is
-    the checkpointing unit for resumable runs. Idempotent: skips shards
-    that already exist — but idempotency is LAYOUT-AWARE: a `_meta.json`
-    records (n_rows, num_files), and a request with a different layout
-    wipes and regenerates the directory. (Filename-only idempotency
-    once layered a 32×250k corpus with 32×125k extra shards into a
-    silent 12M-row directory.)
+    Shards are row-index ranges (shard-00000.parquet …). Idempotency is
+    LAYOUT-AWARE: a ``_meta.json`` records (n_rows, num_files), and a
+    request with a different layout wipes and regenerates the
+    directory; a shard file that exists is done. (Filename-only
+    idempotency once layered a 32×250k corpus with 32×125k extra shards
+    into a silent 12M-row directory.)
     """
     import json as _json
     import shutil
-
-    import ray
 
     meta_path = os.path.join(path, "_meta.json")
     want = {"n_rows": int(n_rows), "num_files": int(num_files)}
@@ -256,19 +254,28 @@ def write_synth_corpus(path: str, n_rows: int, num_files: int = 8) -> str:
         with open(meta_path, "w") as f:
             _json.dump(want, f)
     bounds = np.linspace(0, n_rows, num_files + 1, dtype=np.int64)
+    shards = [
+        (os.path.join(path, f"shard-{i:05d}.parquet"), int(bounds[i]), int(bounds[i + 1]))
+        for i in range(num_files)
+    ]
+    return [s for s in shards if not os.path.exists(s[0])]
 
-    @ray.remote
-    def _write(i: int, lo: int, hi: int) -> str:
-        import pyarrow.parquet as pq
 
-        fn = os.path.join(path, f"shard-{i:05d}.parquet")
-        if os.path.exists(fn):
-            return fn
-        tbl = gen_batch(np.arange(lo, hi, dtype=np.uint64))
-        tmp = fn + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, fn)
-        return fn
+def write_shard(fn: str, lo: int, hi: int) -> str:
+    """Write rows ``[lo, hi)`` of the corpus to ``fn`` atomically."""
+    import pyarrow.parquet as pq
 
-    ray.get([_write.remote(i, bounds[i], bounds[i + 1]) for i in range(num_files)])
+    pq.write_table(gen_batch(np.arange(lo, hi, dtype=np.uint64)), fn + ".tmp")
+    os.replace(fn + ".tmp", fn)
+    return fn
+
+
+def write_synth_corpus(path: str, n_rows: int, num_files: int = 8) -> str:
+    """Write the corpus as ``num_files`` parquet shards under ``path``,
+    one Ray task per shard ``pending_shards`` reports missing. Each
+    shard is the checkpointing unit for resumable runs."""
+    import ray
+
+    write = ray.remote(write_shard)
+    ray.get([write.remote(*s) for s in pending_shards(path, n_rows, num_files)])
     return path

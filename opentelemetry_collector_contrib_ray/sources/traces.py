@@ -224,13 +224,10 @@ class XRaySegmentDecoder:
         "attrs": pa.string(),
     }
 
-    def __init__(self, raw_col: str = "raw"):
-        self.raw_col = raw_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: list[dict] = []
         dropped = 0
-        for raw in batch[self.raw_col].to_pylist():
+        for raw in batch["raw"].to_pylist():
             try:
                 seg = json.loads(raw)
                 spans = xray_segment_to_spans(seg)
@@ -299,13 +296,10 @@ def encode_datapoint(
     timestamp_ms: int = 0,
     metric_type: int = SFX_GAUGE,
     dimensions: list[tuple[str, str]] | None = None,
-    source: str | None = None,
 ) -> bytes:
-    """Wire-encode one sfxpb.DataPoint (source=1, metric=2,
-    timestamp=3, value=4, metricType=5, dimensions=6)."""
+    """Wire-encode one sfxpb.DataPoint (metric=2, timestamp=3, value=4,
+    metricType=5, dimensions=6; no source=1)."""
     out = bytearray()
-    if source is not None:
-        out += _len_delim(1, source.encode())
     out += _len_delim(2, metric.encode())
     if timestamp_ms:
         out += _tag(3, _WIRE_VARINT) + _varint(timestamp_ms)
@@ -458,13 +452,10 @@ class SignalFxDecoder:
     DataPointUploadMessage blobs → one row per accepted datapoint,
     with ``_batch_dropped`` carrying the per-batch drop count."""
 
-    def __init__(self, payload_col: str = "payload"):
-        self.payload_col = payload_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: list[dict] = []
         dropped = 0
-        for blob in batch[self.payload_col].to_pylist():
+        for blob in batch["payload"].to_pylist():
             try:
                 dps = decode_datapoint_upload(blob)
             except (ValueError, IndexError, struct.error):
@@ -567,10 +558,10 @@ def encode_jaeger_span(
     tags: list[tuple] | None = None,
     references: list[tuple[bytes, bytes, int]] | None = None,
     logs: list[tuple[int, list[tuple]]] | None = None,
-    flags: int = 0,
 ) -> bytes:
     """jaeger model.Span: trace_id=1, span_id=2, operation_name=3,
-    references=4, flags=5, start_time=6, duration=7, tags=8, logs=9."""
+    references=4, start_time=6, duration=7, tags=8, logs=9 (flags=5
+    stays unset)."""
     out = bytearray()
     out += _len_delim(1, trace_id)
     out += _len_delim(2, span_id)
@@ -580,8 +571,6 @@ def encode_jaeger_span(
         if rtype:
             ref += _tag(3, _WIRE_VARINT) + _varint(rtype)
         out += _len_delim(4, bytes(ref))
-    if flags:
-        out += _tag(5, _WIRE_VARINT) + _varint(flags)
     out += _encode_pb_time(start_ns, 6)
     out += _encode_pb_time(duration_ns, 7)
     for k, v in tags or []:
@@ -815,13 +804,10 @@ class SapmDecoder:
         "resource_attrs": pa.string(),
     }
 
-    def __init__(self, payload_col: str = "payload"):
-        self.payload_col = payload_col
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: list[dict] = []
         dropped = 0
-        for blob in batch[self.payload_col].to_pylist():
+        for blob in batch["payload"].to_pylist():
             try:
                 rows.extend(jaeger_batches_to_rows(decode_sapm(blob)))
             except (ValueError, IndexError, struct.error, OSError, EOFError):

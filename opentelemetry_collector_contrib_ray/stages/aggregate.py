@@ -50,12 +50,12 @@ import pyarrow.compute as pc
 from .._util import cluster_cpus, hash_str_u64, splitmix64, table_from_pandas
 
 
-def derived_num_partitions(cap: int = 512) -> int:
+def derived_num_partitions() -> int:
     """Shuffle partition count sized to the actual cluster: ~CPU/2
     aggregators (more swamps a small node, fewer starves a big
-    cluster), capped so a 10k-core cluster doesn't make 5k tiny
-    partitions. Callers use this instead of hard-coding counts."""
-    return max(4, min(cap, cluster_cpus() // 2))
+    cluster), between 4 and 512 so a 10k-core cluster doesn't make 5k
+    tiny partitions. Callers use this instead of hard-coding counts."""
+    return max(4, min(512, cluster_cpus() // 2))
 
 
 def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.ndarray:
@@ -530,7 +530,6 @@ def timer_summary(
     value_col: str,
     *,
     percentiles: Sequence[float] = (0, 10, 50, 90, 95, 100),
-    num_buckets: int | None = None,
     exact_scale: int | None = None,
 ):
     """statsd TIMER → Summary datapoint (metric_translator.go:63-88):
@@ -570,4 +569,4 @@ def timer_summary(
             out[f"p{int(p)}"] = vals[starts + np.minimum(idx, sizes - 1)]
         return out
 
-    return keyed_apply(ds.select_columns(keys + [value_col]), keys, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(ds.select_columns(keys + [value_col]), keys, per_bucket)

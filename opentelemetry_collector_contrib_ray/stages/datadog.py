@@ -47,6 +47,7 @@ MAX_TAG_LENGTH = 200  # utils/trace_helpers.go:29
 MAX_META_VAL_LEN = 5000  # translate_traces.go:60
 DEFAULT_SERVICE_NAME = "unnamed-otel-service"  # trace_helpers.go:32
 RESOURCE_NO_SERVICE_NAME = "OTLPResourceNoServiceName"  # core tracetranslator
+FALLBACK_HOST = "unknown-hostname"  # host when no resource attribute names one
 KEY_SAMPLING_PRIORITY = "_sampling_priority_v1"  # translate_traces.go:40
 EVENT_SAMPLE_RATE = "_dd1.sr.eausr"  # dd-trace-go ext.EventSampleRate
 TAG_CONTAINERS = "_dd.tags.container"  # translate_traces.go:63
@@ -359,11 +360,11 @@ def get_quantile_tag(q: float) -> str:
     return f"quantile:{format_go_g(q)}"
 
 
-def add_namespace_series(names: pd.Series, namespace: str = "otel") -> pd.Series:
+def add_namespace_series(names: pd.Series) -> pd.Series:
     """metrics/utils.go:96-118: prepend ``otel.`` to metric names that
     clash with Datadog Agent system checks (system./process. prefixes)."""
     clash = names.str.startswith("system.") | names.str.startswith("process.")
-    return names.mask(clash, namespace + "." + names)
+    return names.mask(clash, "otel." + names)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +433,7 @@ class DatadogSpanTranslator:
         instrumentation: tuple[str, str] | None = None,
         service: str = "",
         version: str = "",
-        env: str = "",
         span_name_remappings: dict | None = None,
-        fallback_host: str = "unknown-hostname",
     ):
         self.attr_cols = list(attr_cols)
         self.remap = span_name_remappings or {}
@@ -447,11 +446,9 @@ class DatadogSpanTranslator:
             self.resource_service = str(res.pop("service.name", "")) or RESOURCE_NO_SERVICE_NAME
         else:
             self.resource_service = RESOURCE_NO_SERVICE_NAME
-        self.env = normalize_tag(env)
-        if res.get("deployment.environment"):  # :151-155 resource env wins
-            self.env = normalize_tag(str(res["deployment.environment"]))
-        host = hostname_from_attributes(res)
-        self.hostname = host if host else fallback_host
+        # :151-155 the resource env, else no env (no config env here)
+        self.env = normalize_tag(str(res.get("deployment.environment") or ""))
+        self.hostname = hostname_from_attributes(res) or FALLBACK_HOST
         if instrumentation:  # extractInstrumentationLibraryTags :339-346
             name, ver = instrumentation
             if name:
@@ -710,16 +707,16 @@ def get_root(g: pd.DataFrame) -> int:
     return len(g) - 1  # gracefully fail with the last span (:174)
 
 
-def mark_analyzed(df: pd.DataFrame, trace_col: str = "trace_id_u64") -> pd.DataFrame:
+def mark_analyzed(df: pd.DataFrame) -> pd.DataFrame:
     """model.go:45-74 getAnalyzedSpans, vectorized per batch of whole
     traces: a span is top-level (analyzed) unless its parent exists in
     the same trace with the SAME service and the span was not extracted
     by the event-sample-rate metric (rate > 0)."""
-    left = df[[trace_col, "parent_id_u64", "span_id_u64", "dd_service", "event_sample_rate"]].copy()
-    lookup = df[[trace_col, "span_id_u64", "dd_service"]].rename(
+    left = df[["trace_id_u64", "parent_id_u64", "span_id_u64", "dd_service", "event_sample_rate"]].copy()
+    lookup = df[["trace_id_u64", "span_id_u64", "dd_service"]].rename(
         columns={"span_id_u64": "parent_id_u64", "dd_service": "_parent_service"}
-    ).drop_duplicates([trace_col, "parent_id_u64"])
-    m = left.merge(lookup, on=[trace_col, "parent_id_u64"], how="left")
+    ).drop_duplicates(["trace_id_u64", "parent_id_u64"])
+    m = left.merge(lookup, on=["trace_id_u64", "parent_id_u64"], how="left")
     extracted = m["event_sample_rate"].to_numpy() > 0
     same_service = (m["_parent_service"] == m["dd_service"]).to_numpy()
     has_parent = (m["parent_id_u64"].to_numpy() != 0) & m["_parent_service"].notna().to_numpy()
@@ -729,18 +726,18 @@ def mark_analyzed(df: pd.DataFrame, trace_col: str = "trace_id_u64") -> pd.DataF
     return out
 
 
-def apply_denylist(df: pd.DataFrame, denylister: Denylister, trace_col: str = "trace_id_u64") -> pd.DataFrame:
+def apply_denylist(df: pd.DataFrame, denylister: Denylister) -> pd.DataFrame:
     """resourceSpansToDatadogSpans :184-213: drop a whole trace when its
     ROOT span's Resource matches the denylist."""
     if not denylister.patterns or len(df) == 0:
         return df
     root_res = (
-        df.groupby(trace_col, sort=False)
+        df.groupby("trace_id_u64", sort=False)
         .apply(lambda g: g["dd_resource"].iloc[get_root(g.reset_index(drop=True))], include_groups=False)
         .rename("_root_resource")
     )
     allowed = denylister.allows_series(root_res)
-    keep = df[trace_col].map(allowed)
+    keep = df["trace_id_u64"].map(allowed)
     return df[keep.fillna(True)]
 
 
@@ -749,7 +746,6 @@ def datadog_trace_translate(
     translator: DatadogSpanTranslator,
     *,
     denylist: Sequence[str] = (),
-    trace_col: str = "trace_id_u64",
     num_buckets: int | None = None,
 ):
     """Full trace pipeline: row-local translation (one streaming
@@ -762,10 +758,9 @@ def datadog_trace_translate(
     translated = ds.map_batches(translator, batch_format="pyarrow")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = apply_denylist(g, blk, trace_col)
-        return mark_analyzed(g, trace_col)
+        return mark_analyzed(apply_denylist(g, blk))
 
-    return keyed_apply(translated, trace_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(translated, "trace_id_u64", per_bucket, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -811,17 +806,14 @@ class DatadogMetricMapper:
         label_cols: Sequence[str] = (),
         buckets: bool = False,
         quantiles: bool = False,
-        resource_attributes_as_tags: bool = False,
-        fallback_host: str = "unknown-hostname",
     ):
         self.label_cols = list(label_cols)
         self.buckets = buckets
         self.quantiles = quantiles
         res = dict(resource_attrs or {})
-        # :311-314 attribute tags only when not already labels
-        self.attr_tags = "" if resource_attributes_as_tags else ",".join(tags_from_attributes(res))
-        host = hostname_from_attributes(res)
-        self.host = host if host else fallback_host
+        # :311-314 resource attribute tags (not already labels)
+        self.attr_tags = ",".join(tags_from_attributes(res))
+        self.host = hostname_from_attributes(res) or FALLBACK_HOST
 
     def _emit(self, names, ts, values, tags) -> pd.DataFrame:
         return pd.DataFrame(
@@ -944,15 +936,11 @@ def split_monotonic(ds):
     return gauge, mono
 
 
-def running_metric(exporter_type: str, hosts: Sequence[str], ts_ns: int, *, version: str = "", command: str = "") -> pd.DataFrame:
+def running_metric(exporter_type: str, hosts: Sequence[str], ts_ns: int, *, version: str = "") -> pd.DataFrame:
     """metrics/utils.go:69-90 DefaultMetrics: one
-    ``otel.datadog_exporter.<type>.running`` gauge per seen host."""
-    tags = []
-    if version:
-        tags.append("version:" + version)
-    if command:
-        tags.append("command:" + command)
-    t = ",".join(tags)
+    ``otel.datadog_exporter.<type>.running`` gauge per seen host, tagged
+    ``version:<version>`` when a version is given (no command tag)."""
+    t = "version:" + version if version else ""
     return pd.DataFrame(
         {
             "metric": [f"otel.datadog_exporter.{exporter_type}.running"] * len(hosts),

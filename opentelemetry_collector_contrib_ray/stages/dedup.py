@@ -204,23 +204,6 @@ class MinHasher:
         return batch.append_column("minhash", pa.ListArray.from_arrays(offs, flat))
 
 
-def minhash_lsh_groups(ds, *, num_perm: int = 64, bands: int = 16):
-    """MinHash+LSH near-dup candidate buckets.
-
-    shingle→minhash per batch → explode to (band_id, band_hash, id)
-    rows → ONE shuffle on a hash bucket of the band key → per-bucket
-    vectorized resolution emits only buckets with ≥2 members. Returns a
-    Dataset with columns (band_id, band_hash, ids list, n).
-
-    Scale: the shuffle moves only (band, hash, id) triples — bands per
-    doc, not documents — and nothing is collected to the driver.
-    """
-    exploded = _lsh_explode(
-        ds, "text", "doc_id", k=5, num_perm=num_perm, bands=bands
-    )
-    return _resolve_buckets(exploded, "doc_id")
-
-
 _POS_MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio odd constant
 
 
@@ -275,9 +258,13 @@ class TokenMinHasher(MinHasher):
 
 
 def token_minhash_lsh_groups(ds, *, k: int = 8, num_perm: int = 64, bands: int = 16):
-    """``minhash_lsh_groups`` over the pre-tokenized corpus shape:
-    identical shuffle plan ((band, hash, id) triples only), token
-    windows instead of byte shingles."""
+    """MinHash+LSH near-dup candidate buckets over the pre-tokenized
+    corpus shape: k-token windows → minhash per batch → explode to
+    (band_id, band_hash, id) rows → ONE shuffle on a hash bucket of the
+    band key → per-bucket resolution emits only buckets with ≥2
+    members. Returns a Dataset with columns (band_id, band_hash, ids
+    list, n). The shuffle moves only (band, hash, id) triples — bands
+    per doc, not documents — and nothing is collected to the driver."""
     exploded = _lsh_explode(
         ds, "tokens", "doc_id", k=k, num_perm=num_perm, bands=bands,
         hasher=TokenMinHasher(k=k, num_perm=num_perm),
@@ -536,16 +523,6 @@ class SimHasher:
         return batch.append_column("simhash", pa.array(sim.astype(np.int64)))
 
 
-def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
-    """Exact word-n-gram Jaccard similarity (candidate verification)."""
-    aw, bw = a.split(), b.split()
-    A = {tuple(aw[i : i + n]) for i in range(max(1, len(aw) - n + 1))}
-    B = {tuple(bw[i : i + n]) for i in range(max(1, len(bw) - n + 1))}
-    if not A and not B:
-        return 1.0
-    return len(A & B) / max(1, len(A | B))
-
-
 # ------------------------------------------------------ embedding near-dup
 
 
@@ -686,20 +663,6 @@ def embedding_neardup_pairs(ds, *, threshold=0.95):
 # ------------------------------------------------- end-to-end near-dedup
 
 
-def candidate_pairs_from_buckets(buckets: pa.Table) -> list[tuple]:
-    """LSH buckets (ids list per bucket) → unique unordered candidate
-    pairs, on the driver. COMPAT/SMALL-SCALE ONLY: the distributed path
-    is ``lsh_candidate_pairs`` (pairs generated inside the bucketed
-    groupby), which ``near_dedup`` uses."""
-    pairs = set()
-    for ids in buckets["ids"].to_pylist():
-        ids = sorted(ids)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
-    return sorted(pairs)
-
-
 def _jaccard_hash_sets(texts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-text sorted unique word-n-gram hash sets, returned FLAT:
     ``(flat, offsets)`` where doc i's set is ``flat[offsets[i]:offsets[i+1]]``
@@ -746,7 +709,7 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     Returns a Dataset (id_a, id_b, jaccard) with jaccard ≥ threshold.
 
     The n-grams are compared as 64-bit hashes (collision probability
-    negligible), equivalent to ``ngram_jaccard`` on tuple sets.
+    negligible), equivalent to word-n-gram Jaccard on tuple sets.
     """
     from .join import bucketed_hash_join, native_join
 
@@ -834,53 +797,6 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
         return out.filter(pa.array(jac >= threshold))
 
     return j2.map_batches(score, batch_format="pyarrow")
-
-
-def verify_pairs(ds, pairs: list[tuple], *, threshold: float = 0.8):
-    """Broadcast-based pair verification (COMPAT/SMALL-SCALE: the
-    candidate-texts dict lives on the driver — use ``verify_pairs_ds``
-    for dup-heavy corpora where candidates ~ corpus).
-    """
-    import ray
-
-    needed = {x for p in pairs for x in p}
-    ref = ray.put(needed)
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        ids = pd.Series(batch["doc_id"].to_numpy(zero_copy_only=False))
-        keep = ray.get(ref)
-        mask = ids.isin(keep).to_numpy()
-        return batch.select(["doc_id", "text"]).filter(pa.array(mask))
-
-    texts_tbl = pa.concat_tables(
-        ds.map_batches(fetch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    texts = dict(zip(texts_tbl["doc_id"].to_pylist(), texts_tbl["text"].to_pylist()))
-    # distribute verification: pair chunks fan out as Ray tasks, the
-    # candidate texts broadcast once — the driver only merges edges
-    texts_ref = ray.put(texts)
-
-    @ray.remote
-    def verify_chunk(chunk):
-        tx = ray.get(texts_ref)
-        out = []
-        for a, b in chunk:
-            ta, tb = tx.get(a), tx.get(b)
-            if ta is None or tb is None:
-                continue
-            j = ngram_jaccard(ta, tb, 3)
-            if j >= threshold:
-                out.append((a, b, j))
-        return out
-
-    chunk_size = max(256, len(pairs) // 256)
-    futures = [
-        verify_chunk.remote(pairs[i : i + chunk_size])
-        for i in range(0, len(pairs), chunk_size)
-    ]
-    return [e for chunk in ray.get(futures) for e in chunk]
 
 
 def connected_components(edges: list[tuple]) -> dict:

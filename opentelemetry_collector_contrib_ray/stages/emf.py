@@ -48,19 +48,19 @@ def translate_unit(unit: str, name: str, descriptors: dict | None = None) -> str
 
 class LabelMatcher:
     """metric_declaration.go:44-60,181-216: concatenate the named label
-    values with the separator, regex-match the joined string."""
+    values with the default ``;`` separator, regex-match the joined
+    string."""
 
-    def __init__(self, label_names: list[str], regex: str, separator: str = ";"):
+    def __init__(self, label_names: list[str], regex: str):
         if not label_names:
             raise ValueError("label matcher must have at least one label name")
         if not regex:
             raise ValueError("regex not specified for label matcher")
         self.label_names = list(label_names)
-        self.separator = separator or ";"
         self.regex = re.compile(regex)
 
     def matches(self, labels: dict) -> bool:
-        joined = self.separator.join(labels.get(n, "") for n in self.label_names)
+        joined = ";".join(labels.get(n, "") for n in self.label_names)
         return self.regex.search(joined) is not None
 
 
@@ -243,8 +243,10 @@ class EmfRenderer:
     ``metric_cols`` maps metric column → OTLP unit. Rows sharing
     (labels, timestamp) merge into one event — first value wins on a
     duplicate metric name, matching the reference's warn-and-keep
-    (grouped_metric.go:68-77). Declarations/descriptors are compiled
-    once per actor in ``__init__``."""
+    (grouped_metric.go:68-77). Declarations are compiled once per actor
+    in ``__init__``. Fixed settings: the ZeroAndSingleDimensionRollup
+    option, no metric descriptors, no JSON-encoded attributes, and
+    timestamp 0 without ``timestamp_col``."""
 
     def __init__(
         self,
@@ -253,24 +255,14 @@ class EmfRenderer:
         *,
         namespace: str = "default",
         timestamp_col: str | None = None,
-        default_timestamp_ms: int = 0,
-        dimension_rollup_option: str = ZERO_AND_SINGLE_DIMENSION_ROLLUP,
         metric_declarations: list[MetricDeclaration] | None = None,
-        metric_descriptors: dict | None = None,
-        parse_json_attrs: tuple = (),
     ):
         self.label_cols = list(label_cols)
         self.metric_cols = dict(metric_cols)
         self.namespace = namespace
         self.timestamp_col = timestamp_col
-        self.default_timestamp_ms = default_timestamp_ms
-        self.rollup_option = dimension_rollup_option
         self.declarations = list(metric_declarations or [])
-        self.units = {
-            name: translate_unit(unit, name, metric_descriptors)
-            for name, unit in self.metric_cols.items()
-        }
-        self.parse_json_attrs = tuple(parse_json_attrs)
+        self.units = {name: translate_unit(unit, name) for name, unit in self.metric_cols.items()}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         df = batch.select(
@@ -284,7 +276,7 @@ class EmfRenderer:
                 ts = ts.astype("int64") // 1_000_000
             df["_ts_ms"] = ts.astype("int64")
         else:
-            df["_ts_ms"] = self.default_timestamp_ms
+            df["_ts_ms"] = 0
         out_ts: list[int] = []
         out_msg: list[str] = []
         group_cols = self.label_cols + ["_ts_ms"]
@@ -310,15 +302,7 @@ class EmfRenderer:
                 elif isinstance(v, np.floating):
                     v = float(v)
                 metrics[name] = (v, self.units[name])
-            msg = render_emf_event(
-                labels,
-                metrics,
-                self.namespace,
-                ts_ms,
-                rollup_option=self.rollup_option,
-                declarations=self.declarations,
-                parse_json_attrs=self.parse_json_attrs,
-            )
+            msg = render_emf_event(labels, metrics, self.namespace, ts_ms, declarations=self.declarations)
             if msg is not None:
                 out_ts.append(ts_ms)
                 out_msg.append(msg)

@@ -30,13 +30,13 @@ import pyarrow as pa
 from .parse import _set_column
 
 
-def detect_resource(detectors: Sequence[dict] | None = None, override: bool = False) -> dict:
+def detect_resource(detectors: Sequence[dict] | None = None) -> dict:
     """Run a detector chain once (driver-side), merging first-wins.
 
     Each detector is a dict of attributes (stand-ins for env/ec2/gce/...
     detectors — the sandbox has no cloud metadata endpoints). Mirrors
-    internal/resourcedetection.go:108-139: iterate detectors in order,
-    merge into one resource; existing keys win unless ``override``.
+    internal/resourcedetection.go:108-139 with override off: iterate
+    detectors in order, merge into one resource; existing keys win.
     """
     import os
 
@@ -44,7 +44,7 @@ def detect_resource(detectors: Sequence[dict] | None = None, override: bool = Fa
     chain = list(detectors) if detectors is not None else [_env_detector(), _system_detector()]
     for d in chain:
         for k, v in d.items():
-            if override or k not in merged:
+            if k not in merged:
                 merged[k] = v
     return merged
 
@@ -210,23 +210,23 @@ class LookupEnrich:
         Ordered column names to try as the lookup key per row — the
         first column whose value hits the cache wins
         (pod_association.go:31-87).
-    prefix : str
-        Prefix for added attribute columns (e.g. "k8s.").
+
+    Added attribute columns keep the cache's attribute names (no
+    prefix; ``make_lookup_fn`` takes one).
 
     Use: ``ds.map_batches(LookupEnrich, fn_constructor_kwargs=...,
     concurrency=N, batch_format="pyarrow")``.
     """
 
-    def __init__(self, table_ref, association: Sequence[str], prefix: str = ""):
+    def __init__(self, table_ref, association: Sequence[str]):
         import ray
 
         table = ray.get(table_ref) if not isinstance(table_ref, dict) else table_ref
         self.state = _LookupState(table)
         self.association = list(association)
-        self.prefix = prefix
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.state.apply(batch, self.association, self.prefix)
+        return self.state.apply(batch, self.association, "")
 
 
 class PodCache:

@@ -29,10 +29,11 @@ from .._util import table_from_pandas
 from .aggregate import derived_num_partitions, keyed_apply
 
 
-def broadcast_join(ds, small: pa.Table, on: str | Sequence[str], how: str = "left", suffix: str = "_r"):
-    """Merge each batch against a broadcast small table (pandas merge).
-    ``small`` is put in the object store once; every task reads it
-    zero-copy on the node."""
+def broadcast_join(ds, small: pa.Table, on: str | Sequence[str], how: str = "left"):
+    """Merge each batch against a broadcast small table (pandas merge;
+    a clashing right column gets the suffix ``_r``). ``small`` is put
+    in the object store once; every task reads it zero-copy on the
+    node."""
     import ray
 
     on = [on] if isinstance(on, str) else list(on)
@@ -41,7 +42,7 @@ def broadcast_join(ds, small: pa.Table, on: str | Sequence[str], how: str = "lef
     def merge(batch: pa.Table) -> pa.Table:
         sm = ray.get(ref).to_pandas()
         df = batch.to_pandas()
-        out = df.merge(sm, on=on, how=how, suffixes=("", suffix))
+        out = df.merge(sm, on=on, how=how, suffixes=("", "_r"))
         return table_from_pandas(out)
 
     return ds.map_batches(merge, batch_format="pyarrow")
@@ -54,8 +55,6 @@ def bucketed_hash_join(
     *,
     how: str = "inner",
     num_buckets: int | None = None,
-    left_suffix: str = "",
-    right_suffix: str = "_r",
 ):
     """Partitioned hash join of two Datasets on ``on``.
 
@@ -63,7 +62,8 @@ def bucketed_hash_join(
     on the key tuple co-locates each key's rows from both sides and
     pandas-merges them inside each bucket. Wall-clock scales with the
     largest bucket. Rows with null keys are dropped (SQL inner-join
-    semantics) or kept on the left for how='left'.
+    semantics) or kept on the left for how='left'. A clashing right
+    column gets the suffix ``_r``.
     """
     on = [on] if isinstance(on, str) else list(on)
     both, lschema, rschema = tag_union(left, right)
@@ -73,7 +73,7 @@ def bucketed_hash_join(
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lhs = g[g["_side"] == 0][l_out]
         rhs = g[g["_side"] == 1][[*on, *r_out]]
-        return lhs.merge(rhs, on=on, how=how, suffixes=(left_suffix or "", right_suffix))
+        return lhs.merge(rhs, on=on, how=how, suffixes=("", "_r"))
 
     return keyed_apply(both, on, merge_bucket, num_buckets=num_buckets)
 
@@ -129,15 +129,15 @@ def tag_union(left, right, *, key: tuple[str, str] | None = None):
     return side(left, 0, lkey).union(side(right, 1, rkey)), lschema, rschema
 
 
-def native_join(left, right, on, how: str = "inner", num_partitions: int | None = None, **kw):
-    """Ray-native hash-shuffle join (Dataset.join, Ray ≥ 2.46).
+def native_join(left, right, on, num_partitions: int | None = None, **kw):
+    """Ray-native inner hash-shuffle join (Dataset.join, Ray ≥ 2.46).
     ``num_partitions`` defaults to ``derived_num_partitions()`` so the
     same code funnels through 16 aggregators on a laptop and hundreds
     on a cluster."""
     if num_partitions is None:
         num_partitions = derived_num_partitions()
     on = (on,) if isinstance(on, str) else tuple(on)
-    return left.join(right, join_type=how, num_partitions=num_partitions, on=on, **kw)
+    return left.join(right, join_type="inner", num_partitions=num_partitions, on=on, **kw)
 
 
 # --------------------------------------------------- as-of / range joins

@@ -59,11 +59,12 @@ def delete_label_value(batch: pa.Table, label: str, value: str) -> pa.Table:
     return batch.filter(pc.not_equal(pc.coalesce(batch[label], pa.scalar("")), value))
 
 
-def toggle_scalar_type(batch: pa.Table, value_col: str = "value") -> pa.Table:
-    """int<->double toggle (operation_toggle_scalar_data_type.go)."""
-    t = batch[value_col].type
+def toggle_scalar_type(batch: pa.Table) -> pa.Table:
+    """int<->double toggle of the ``value`` column
+    (operation_toggle_scalar_data_type.go)."""
+    t = batch["value"].type
     new = pa.float64() if pa.types.is_integer(t) else pa.int64()
-    return _set_column(batch, value_col, pc.cast(batch[value_col], new))
+    return _set_column(batch, "value", pc.cast(batch["value"], new))
 
 
 def aggregate_labels(
@@ -97,12 +98,10 @@ def aggregate_label_values(
     label: str,
     value_map: dict[str, str],
     retain: Sequence[str],
-    value_col: str = "value",
-    aggregation: str = "sum",
     **kw,
 ):
     """aggregate_label_values: first collapse label values via the map
-    (e.g. {'1m':'rollup','5m':'rollup'}), then aggregate
+    (e.g. {'1m':'rollup','5m':'rollup'}), then sum ``value``
     (operation_aggregate_label_values.go)."""
     def remap(batch: pa.Table) -> pa.Table:
         return update_label(batch, label, value_map=value_map)
@@ -110,17 +109,14 @@ def aggregate_label_values(
     return aggregate_labels(
         ds.map_batches(remap, batch_format="pyarrow"),
         retain,
-        value_col,
-        aggregation,
         **kw,
     )
 
 
-def merge_histograms(ds, keys: Sequence[str], bucket_cols: Sequence[str],
-                     count_col: str = "count", sum_col: str = "sum"):
+def merge_histograms(ds, keys: Sequence[str], bucket_cols: Sequence[str]):
     """Histogram distribution merge: element-wise bucket-count add plus
-    count/sum add per key (datapoint_aggregation.go:179-213)."""
-    aggs = {c: ["sum"] for c in list(bucket_cols) + [count_col, sum_col]}
+    ``count``/``sum`` add per key (datapoint_aggregation.go:179-213)."""
+    aggs = {c: ["sum"] for c in list(bucket_cols) + ["count", "sum"]}
     return two_phase_agg(ds, keys, aggs)
 
 
@@ -130,10 +126,7 @@ def combine_metrics(
     new_name: str,
     *,
     label_cols: Sequence[str] = (),
-    value_col: str = "value",
-    aggregation: str = "sum",
     submatch_case: str | None = None,
-    name_col: str = "metric_name",
     keep_unmatched: bool = False,
     exact_scale: int | None = None,
 ):
@@ -149,14 +142,14 @@ def combine_metrics(
     - submatch values are optionally lower/upper-cased
       (``replaceCaseOfSubmatch``);
     - points sharing (existing labels + submatch labels) merge with
-      ``aggregation`` (groupTimeseries/mergeTimeseries).
+      the ``sum`` aggregation (groupTimeseries/mergeTimeseries).
 
-    Columnar form: a metric point is a row with ``name_col``, label
-    columns and ``value_col``. Returns the combined Dataset (one row
-    per surviving label tuple); with ``keep_unmatched=True`` the
-    non-matching rows pass through unchanged with a ``count`` of 1 and
-    ``<value>_<agg>`` = value (removeMatchedMetricsAndAppendCombined
-    keeps them in the stream).
+    Columnar form: a metric point is a row with ``metric_name``, label
+    columns and ``value``. Returns the combined Dataset (one row per
+    surviving label tuple, the sum in ``value_sum``); with
+    ``keep_unmatched=True`` the non-matching rows pass through
+    unchanged with a ``count`` of 1 and ``value_sum`` = value
+    (removeMatchedMetricsAndAppendCombined keeps them in the stream).
     """
     import re
 
@@ -165,7 +158,7 @@ def combine_metrics(
     sub_labels = [inv.get(i, f"${i}") for i in range(1, pat.groups + 1)]
 
     def split(batch: pa.Table):
-        s = pd.Series(batch[name_col].to_numpy(zero_copy_only=False), dtype=object)
+        s = pd.Series(batch["metric_name"].to_numpy(zero_copy_only=False), dtype=object)
         mask = s.str.contains(pat, regex=True, na=False).to_numpy(dtype=bool)
         return s, mask
 
@@ -185,25 +178,25 @@ def combine_metrics(
             )
         return _set_column(
             batch,
-            name_col,
+            "metric_name",
             pa.array(np.full(len(batch), new_name, dtype=object), pa.string()),
         )
 
     combined = two_phase_agg(
         ds.map_batches(matched, batch_format="pyarrow"),
-        [name_col, *label_cols, *sub_labels],
-        {value_col: [aggregation]},
-        exact_sums={value_col: exact_scale} if exact_scale else None,
+        ["metric_name", *label_cols, *sub_labels],
+        {"value": ["sum"]},
+        exact_sums={"value": exact_scale} if exact_scale else None,
     )
     if not keep_unmatched:
         return combined
 
-    out_val = f"{value_col}_{aggregation}"
+    out_val = "value_sum"
 
     def unmatched(batch: pa.Table) -> pa.Table:
         s, mask = split(batch)
         rest = batch.filter(pa.array(~mask))
-        cols = {name_col: rest[name_col]}
+        cols = {"metric_name": rest["metric_name"]}
         for lbl in list(label_cols) + sub_labels:
             cols[lbl] = (
                 rest[lbl]
@@ -211,11 +204,11 @@ def combine_metrics(
                 else pa.nulls(len(rest), pa.string())
             )
         cols["count"] = pa.array(np.ones(len(rest), dtype=np.int64))
-        cols[out_val] = pc.cast(rest[value_col], pa.float64())
+        cols[out_val] = pc.cast(rest["value"], pa.float64())
         return pa.table(cols)
 
     passthrough = ds.map_batches(unmatched, batch_format="pyarrow")
-    cols = [name_col, *label_cols, *sub_labels, "count", out_val]
+    cols = ["metric_name", *label_cols, *sub_labels, "count", out_val]
     return combined.select_columns(cols).union(passthrough.select_columns(cols))
 
 

@@ -10,8 +10,7 @@ codec for uncompressed BMP (BITMAPINFOHEADER, 24/32 bpp, bottom-up or
 top-down) and binary PPM (P6) backs ``ImageDecoder``; PIL is used
 when importable (production path), the built-in codec otherwise, so
 decode → resize → channel-stats → thumbnail-feature runs end to end
-in this sandbox. ``DeterministicFakeDecoder`` remains for plumbing
-tests with opaque payloads.
+without PIL.
 """
 
 from __future__ import annotations
@@ -22,38 +21,6 @@ import numpy as np
 import pyarrow as pa
 
 from .._util import hash_u64
-
-
-IMAGE_SCHEMA = pa.schema(
-    [
-        ("item_id", pa.string()),
-        ("payload", pa.binary()),
-        ("mime", pa.string()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-    ]
-)
-
-
-def synth_image_table(n: int, seed: int = 0) -> pa.Table:
-    """Deterministic fake image rows (payload = seeded bytes)."""
-    ids = np.arange(n, dtype=np.uint64) + np.uint64(seed)
-    sizes = (64 + hash_u64(ids, 40) % 192).astype(np.int32)
-    payloads = [
-        bytes(
-            (hash_u64(np.arange(int(s), dtype=np.uint64), int(i)) % 256).astype(np.uint8)
-        )
-        for i, s in zip(ids, sizes)
-    ]
-    return pa.table(
-        {
-            "item_id": pa.array([f"img-{int(i):06d}" for i in ids]),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/fake"] * n),
-            "width": pa.array(sizes),
-            "height": pa.array(sizes),
-        }
-    )
 
 
 # --------------------------------------------------- pure-numpy codecs
@@ -210,15 +177,11 @@ class ImageDecoder:
         return out.append_column("features", pa.ListArray.from_arrays(offs, flat))
 
 
-class PillowImageDecoder(ImageDecoder):
-    """Back-compat alias: the decoder now has a real no-PIL path."""
-
-
-def synth_bmp_table(n: int, seed: int = 0) -> pa.Table:
+def synth_bmp_table(n: int) -> pa.Table:
     """Deterministic REAL images: per item a (h × w) RGB gradient+hash
     pattern encoded as an actual 24-bpp BMP — the decode path exercises
     the genuine codec, and expected pixel stats are computable."""
-    ids = np.arange(n, dtype=np.uint64) + np.uint64(seed)
+    ids = np.arange(n, dtype=np.uint64)
     ws = (8 + hash_u64(ids, 41) % 25).astype(np.int32)
     hs = (8 + hash_u64(ids, 42) % 25).astype(np.int32)
     payloads = []
@@ -239,36 +202,6 @@ def synth_bmp_table(n: int, seed: int = 0) -> pa.Table:
             "height": pa.array(hs),
         }
     )
-
-
-class DeterministicFakeDecoder:
-    """Stub decode/feature-extract: payload bytes → seeded fixed-length
-    float32 'embedding' + basic stats. Deterministic in payload content
-    so tests can assert exact values. Same actor signature / output
-    layout as a real decoder."""
-
-    def __init__(self, feature_dim: int = 16):
-        self.dim = feature_dim
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        means = np.zeros(len(batch), dtype=np.float64)
-        for i, payload in enumerate(batch["payload"].to_pylist()):
-            arr = np.frombuffer(payload or b"\x00", dtype=np.uint8)
-            means[i] = float(arr.mean())
-            h = hash_u64(np.arange(self.dim, dtype=np.uint64), int(arr.sum()) % (1 << 31))
-            feats.append(((h % 1000).astype(np.float32) / 1000.0))
-        flat = pa.array(np.concatenate(feats))
-        offs = pa.array(np.arange(0, (len(batch) + 1) * self.dim, self.dim, dtype=np.int32))
-        out = batch.append_column("features", pa.ListArray.from_arrays(offs, flat))
-        return out.append_column("byte_mean", pa.array(means))
-
-
-def frame_sample(batch: pa.Table, every_n: int = 10) -> pa.Table:
-    """Video frame-sampling stand-in: keep every Nth row of a
-    frames-as-rows table (plumbing for a real frame extractor)."""
-    idx = np.arange(0, len(batch), every_n)
-    return batch.take(pa.array(idx))
 
 
 # ---------------------------------------------------------------- audio (WAV)
@@ -333,13 +266,11 @@ class AudioFeatures:
     opaque blobs); all math inside is numpy.
     """
 
-    def __init__(self, payload_col: str = "payload", on_error: str = "raise"):
+    def __init__(self, payload_col: str = "payload"):
         self.payload_col = payload_col
-        self.on_error = on_error
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
-        ok = np.zeros(n, dtype=bool)
         rate = np.zeros(n, dtype=np.int32)
         nsamp = np.zeros(n, dtype=np.int64)
         dur = np.zeros(n, dtype=np.int64)
@@ -347,12 +278,7 @@ class AudioFeatures:
         peak = np.zeros(n, dtype=np.int32)
         zc = np.zeros(n, dtype=np.int64)
         for i, payload in enumerate(batch[self.payload_col].to_pylist()):
-            try:
-                pcm, sr = decode_wav(payload)
-            except (ValueError, struct.error):
-                if self.on_error == "raise":
-                    raise
-                continue
+            pcm, sr = decode_wav(payload)
             f = pcm.astype(np.float64)
             rate[i] = sr
             nsamp[i] = len(pcm)
@@ -361,8 +287,7 @@ class AudioFeatures:
             peak[i] = int(np.abs(f).max()) if len(pcm) else 0
             s = np.sign(f)
             zc[i] = int((s[1:] != s[:-1]).sum()) if len(pcm) > 1 else 0
-            ok[i] = True
-        out = batch.append_column("decoded", pa.array(ok))
+        out = batch.append_column("decoded", pa.array(np.ones(n, dtype=bool)))
         out = out.append_column("sample_rate", pa.array(rate))
         out = out.append_column("n_samples", pa.array(nsamp))
         out = out.append_column("duration_ms", pa.array(dur))
@@ -371,7 +296,7 @@ class AudioFeatures:
         return out.append_column("zero_crossings", pa.array(zc))
 
 
-def synth_wav_table(n: int, seed: int = 0) -> pa.Table:
+def synth_wav_table(n: int) -> pa.Table:
     """Deterministic REAL audio: square waves (RMS == amplitude exactly,
     independent of truncation — unlike sines) with per-item amplitude,
     half-period, and length derived from the id, so every feature the
@@ -381,7 +306,7 @@ def synth_wav_table(n: int, seed: int = 0) -> pa.Table:
     halves = np.zeros(n, np.int32)
     lens = np.zeros(n, np.int64)
     for i in range(n):
-        a = 1000 + ((i + seed) % 8) * 3000
+        a = 1000 + (i % 8) * 3000
         half = 10 + (i % 10) * 4  # half-period in samples
         ln = 800 + (i % 5) * 400
         t = np.arange(ln)
@@ -441,15 +366,14 @@ class VideoFrameSampler:
     Only sampled frames are decoded — the container scan skips the
     rest, the point of frame-sampling at scale."""
 
-    def __init__(self, every_n: int = 2, payload_col: str = "payload"):
+    def __init__(self, every_n: int = 2):
         self.every_n = max(1, every_n)
-        self.payload_col = payload_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         item_ids, fidx, nframes = [], [], []
         means = []
         for item, payload in zip(
-            batch["item_id"].to_pylist(), batch[self.payload_col].to_pylist()
+            batch["item_id"].to_pylist(), batch["payload"].to_pylist()
         ):
             frames = decode_video(payload)
             for k in range(0, len(frames), self.every_n):
@@ -475,7 +399,7 @@ class VideoFrameSampler:
         )
 
 
-def synth_video_table(n: int, seed: int = 0) -> pa.Table:
+def synth_video_table(n: int) -> pa.Table:
     """Deterministic REAL videos: per item 4-9 BMP frames where frame f
     carries a constant green channel of value (f * 29 + item) % 256 and
     the standard x-gradient red channel — the sampler's per-frame means
@@ -483,7 +407,7 @@ def synth_video_table(n: int, seed: int = 0) -> pa.Table:
     payloads = []
     counts = np.zeros(n, np.int32)
     for i in range(n):
-        nf = 4 + (i + seed) % 6
+        nf = 4 + i % 6
         w, h = 8 + i % 9, 8 + (i // 2) % 7
         frames = []
         for f in range(nf):

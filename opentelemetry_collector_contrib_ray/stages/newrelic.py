@@ -208,15 +208,9 @@ class NewRelicMetricTransformer:
     ``q_last_v`` (NaN quantile = no quantiles). ``label_cols`` become
     NR attributes (override keys excluded, transformer.go:462-468)."""
 
-    def __init__(
-        self,
-        label_cols: Sequence[str] = (),
-        collector: tuple[str, str] = ("otelcol", ""),
-    ):
+    def __init__(self, label_cols: Sequence[str] = ()):
         self.label_cols = list(label_cols)
-        self.overrides = {"collector.name": collector[0]}
-        if collector[1]:
-            self.overrides["collector.version"] = collector[1]
+        self.overrides = {"collector.name": "otelcol"}  # no collector version
 
     def __call__(self, t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -300,15 +294,9 @@ class NewRelicLogTransformer:
     """Callable map_batches stage: log rows → NR log rows
     (transformer.go:121-167)."""
 
-    def __init__(
-        self,
-        attr_cols: Sequence[str] = (),
-        collector: tuple[str, str] = ("otelcol", ""),
-    ):
+    def __init__(self, attr_cols: Sequence[str] = ()):
         self.attr_cols = list(attr_cols)
-        self.overrides = {"collector.name": collector[0]}
-        if collector[1]:
-            self.overrides["collector.version"] = collector[1]
+        self.overrides = {"collector.name": "otelcol"}  # no collector version
 
     def __call__(self, t: pa.Table) -> pa.Table:
         df = t.to_pandas()

@@ -240,9 +240,16 @@ def match_containers(tasks: list[dict], matcher, matcher_index: int = 0):
                 continue
             if targets is NOT_MATCHED:
                 continue
-            for t in targets:
-                t.matcher_type = matcher.type
-                t.matcher_index = matcher_index
+            targets = [
+                MatchedTarget(
+                    matcher_type=matcher.type,
+                    matcher_index=matcher_index,
+                    port=t.port,
+                    metrics_path=t.metrics_path,
+                    job=t.job,
+                )
+                for t in targets
+            ]
             matched.append(
                 MatchedContainer(
                     task_index=t_index, container_index=c_index, targets=targets

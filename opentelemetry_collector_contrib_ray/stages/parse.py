@@ -287,8 +287,8 @@ class Router:
     """stanza router: first-matching regex predicate selects a sub-chain
     (testbed/datasenders/k8s.go:173-181). Adds a ``route`` column.
 
-    Scale design: branch chains run on a PROJECTED slice (only
-    ``input_cols``, default just the match column), and their output
+    Scale design: branch chains run on a PROJECTED slice (just the
+    match column), and their output
     columns are scattered back into full-length arrays. The wide
     payload columns (e.g. ``tokens``) are never filtered/copied —
     router cost is proportional to the string column, not the row.
@@ -301,14 +301,12 @@ class Router:
         routes: Sequence[tuple[str, str, Chain]],
         default: Chain | None = None,
         match_on: str = "raw",
-        input_cols: Sequence[str] | None = None,
     ):
         """routes: [(name, predicate_regex, chain)]; unmatched rows run
         ``default`` (or pass through) with route='default'."""
         self.routes = list(routes)
         self.default = default
         self.match_on = match_on
-        self.input_cols = list(input_cols) if input_cols else [match_on]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -319,8 +317,7 @@ class Router:
                 batch, "route", pa.array(np.full(n, "default", dtype=object), pa.string())
             )
             if self.default is not None and n:
-                proj = out.select([c for c in self.input_cols if c in out.column_names] or out.column_names[:1])
-                sub_out = self.default(proj)
+                sub_out = self.default(out.select(out.column_names[:1]))
                 for f in sub_out.schema:
                     if f.name not in out.column_names:
                         out = _set_column(out, f.name, sub_out[f.name])
@@ -341,8 +338,7 @@ class Router:
         if rest.any():
             branch_masks.append((rest, self.default))
 
-        proj_cols = [c for c in self.input_cols if c in batch.column_names]
-        proj = batch.select(proj_cols)
+        proj = batch.select([self.match_on])
         added: dict[str, pa.Array] = {}
         for m, chain in branch_masks:
             if chain is None or not m.any():
@@ -359,7 +355,7 @@ class Router:
                     'parse with on_error="keep" and filter downstream.'
                 )
             for f in sub_out.schema:
-                if f.name in proj_cols:
+                if f.name == self.match_on:
                     continue
                 scattered = _scatter(sub_out[f.name], m, n)
                 if f.name in added:
@@ -425,34 +421,6 @@ class RecombineLines:
         agg[self.field] = self.separator.join
         out = df.groupby("_gid", sort=True).agg(agg).reset_index(drop=True)
         return table_from_pandas(out[[c for c in df.columns if c != "_gid"]])
-
-
-class Recombine:
-    """stanza recombine (register.go:25): join multiline entries.
-
-    Batch-engine semantics: rows sharing ``group_by`` within a batch are
-    combined in ``order_by`` order, joining ``field`` with ``separator``
-    onto the group's first row. PARTITIONING ASSUMPTION: a multiline
-    group never spans blocks — callers must co-locate each group (call
-    it inside the ``fn`` of ``aggregate.keyed_apply`` keyed on
-    ``group_by``: each call gets one whole bucket) or sort the source
-    so groups are contiguous; the flagship pipeline does not need
-    recombine.
-    """
-
-    def __init__(self, group_by: str, field: str = "raw", order_by: str | None = None, separator: str = "\n"):
-        self.group_by, self.field, self.order_by, self.separator = group_by, field, order_by, separator
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        if self.order_by:
-            df = df.sort_values([self.group_by, self.order_by], kind="stable")
-        agg = {c: "first" for c in df.columns if c != self.group_by}
-        agg[self.field] = self.separator.join
-        out = df.groupby(self.group_by, sort=False, as_index=False).agg(agg)
-        return table_from_pandas(out[df.columns.tolist()])
 
 
 # k8s container-log file-path metadata (testbed/datasenders/k8s.go:207-219):
@@ -557,28 +525,16 @@ class TraceParser:
         return batch
 
 
-def recombine_lines_grouped(
-    ds,
-    file_col: str,
-    order_col: str,
-    field: str = "raw",
-    is_first_entry: str | None = None,
-    is_last_entry: str | None = None,
-    separator: str = "\n",
-):
+def recombine_lines_grouped(ds, file_col: str, order_col: str, is_first_entry: str, field: str = "raw"):
     """Partition-safe predicate recombine: co-locate each source file's
     lines (one shuffle on ``file_col``), restore source order by
-    ``order_col``, then apply boundary-predicate joining — entries may
-    span input blocks because the whole file is reassembled per group.
-    The per-file work is the vectorized ``RecombineLines``; use for
+    ``order_col``, then join each entry that starts at an
+    ``is_first_entry`` match with ``"\\n"`` — entries may span input
+    blocks because the whole file is reassembled per group. The
+    per-file work is the vectorized ``RecombineLines``; use for
     multi-block files where plain RecombineLines' contiguity
     assumption fails."""
-    rl = RecombineLines(
-        field=field,
-        is_first_entry=is_first_entry,
-        is_last_entry=is_last_entry,
-        separator=separator,
-    )
+    rl = RecombineLines(field=field, is_first_entry=is_first_entry)
     from .aggregate import keyed_apply
 
     def per_bucket(df):

@@ -135,9 +135,7 @@ def tail_sample(
     policies: Sequence[Policy],
     *,
     ts_col: str | None = None,
-    batch_format: str = "pandas",
     broadcast_threshold: int = 2_000_000,
-    num_buckets: int | None = None,
 ):
     """Returns (sampled_ds, decisions) where decisions is a DATASET with
     one row per trace (trace_id, sampled, n_spans, first_ts).
@@ -191,7 +189,7 @@ def tail_sample(
         out["sampled"] = out[trace_col].isin(sampled_ids)
         return out
 
-    decisions = keyed_apply(ds, trace_col, decide_bucket, num_buckets=num_buckets)
+    decisions = keyed_apply(ds, trace_col, decide_bucket)
 
     if rate_policies and ts_col:
         # exact per-second budget (rate_limiting.go:50-66), tightest
@@ -217,7 +215,6 @@ def tail_sample(
             decisions.map_batches(add_sec, batch_format="pyarrow"),
             "_sec",
             per_sec_bucket,
-            num_buckets=num_buckets,
         )
 
     # bounded distributed materialize: one row per trace, read twice
@@ -249,17 +246,16 @@ def tail_sample(
         # trace, so inner ≡ semi)
         from .join import bucketed_hash_join
 
-        sampled_ds = bucketed_hash_join(
-            ds, sampled_ids_ds, trace_col, how="inner", num_buckets=num_buckets
-        )
+        sampled_ds = bucketed_hash_join(ds, sampled_ids_ds, trace_col, how="inner")
     return sampled_ds, decisions
 
 
-def group_by_trace(ds, trace_col: str, fn=None, batch_format: str = "pandas", num_buckets: int | None = None):
+def group_by_trace(ds, trace_col: str, fn=None):
     """groupbytraceprocessor: deliver each trace's spans as one group
     (processor.go:82-90); ``fn`` defaults to pass-through concat.
 
-    SCALE: bucketed — one shuffle on ``hash(trace) % num_buckets``,
+    SCALE: bucketed — one shuffle on ``hash(trace) % num_buckets``
+    (``derived_num_partitions()`` buckets),
     then ``fn`` per trace inside each bucket task (never one Ray group
     per trace id)."""
     from .aggregate import keyed_apply
@@ -271,10 +267,10 @@ def group_by_trace(ds, trace_col: str, fn=None, batch_format: str = "pandas", nu
         outs = [fn(g) for _, g in df.groupby(trace_col, sort=False)]
         return pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0]
 
-    return keyed_apply(ds, trace_col, per_bucket, num_buckets=num_buckets)
+    return keyed_apply(ds, trace_col, per_bucket)
 
 
-def probabilistic_sample(ds, id_col: str, fraction: float, salt: int = 0):
+def probabilistic_sample(ds, id_col: str, fraction: float):
     """Deterministic hash-based probabilistic sampler (core collector's
     probabilisticsampler semantics: hash(id) < threshold — stable
     across reruns, unlike random sampling)."""
@@ -289,7 +285,7 @@ def probabilistic_sample(ds, id_col: str, fraction: float, salt: int = 0):
 
     def f(batch: pa.Table) -> pa.Table:
         vals = batch[id_col].to_numpy(zero_copy_only=False)
-        h = hash_str_u64(vals, salt)
+        h = hash_str_u64(vals)
         return batch.filter(pa.array(h < np.uint64(threshold)))
 
     return ds.map_batches(f, batch_format="pyarrow")

@@ -139,7 +139,7 @@ def _per_bucket_transactions(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def sentry_transactions(ds, num_buckets: int | None = None):
+def sentry_transactions(ds):
     """Distributed transaction assembly: descriptor pass fused into the
     bucketing map, one shuffle on trace_id, per-bucket closure."""
     from .aggregate import keyed_apply
@@ -148,6 +148,4 @@ def sentry_transactions(ds, num_buckets: int | None = None):
         return table_from_pandas(generate_span_descriptors(t.to_pandas()))
 
     withdesc = ds.map_batches(prep, batch_format="pyarrow")
-    return keyed_apply(
-        withdesc, "trace_id", _per_bucket_transactions, num_buckets=num_buckets
-    )
+    return keyed_apply(withdesc, "trace_id", _per_bucket_transactions)

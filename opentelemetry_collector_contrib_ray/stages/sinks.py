@@ -217,11 +217,11 @@ def splunk_hec_fields(batch: pa.Table, *, body_col: str = "msg") -> pa.Table:
     return out
 
 
-def consistent_hash_partition(ds, key_col: str, num_backends: int, out_col: str = "backend"):
+def consistent_hash_partition(ds, key_col: str, num_backends: int):
     """loadbalancingexporter ring (consistent_hashing.go): assign each
     row a backend by key hash. In Ray the ring's rebalancing role is
-    played by the shuffle; this materializes the assignment column, and
-    ``write_parquet(partition_cols=[out_col])`` realizes the fan-out.
+    played by the shuffle; this materializes the ``backend`` column, and
+    ``write_parquet(partition_cols=["backend"])`` realizes the fan-out.
     Logs route by traceID of the first record (log_exporter.go:85-106)
     — here per-row key for batch determinism."""
     from .._util import hash_str_u64
@@ -231,42 +231,36 @@ def consistent_hash_partition(ds, key_col: str, num_backends: int, out_col: str 
         h = hash_str_u64(vals) % np.uint64(num_backends)
         return _set_column(
             batch,
-            out_col,
+            "backend",
             pa.array(np.char.add("backend-", h.astype(np.int64).astype(str))),
         )
 
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def render_carbon_lines(
-    batch: pa.Table, name_col: str = "metric_name", value_col: str = "value", ts_col: str = "timestamp"
-) -> pa.Table:
-    """carbonexporter: metric rows → Graphite plaintext lines
-    ``name value epoch`` (exporter/carbonexporter — inverse of the
-    carbonreceiver parser). Vectorized string join."""
-    epoch = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s"), safe=False), pa.int64())
+def render_carbon_lines(batch: pa.Table) -> pa.Table:
+    """carbonexporter: metric rows (``metric_name``, ``value``,
+    ``timestamp``) → Graphite plaintext lines ``name value epoch``
+    (exporter/carbonexporter — inverse of the carbonreceiver parser).
+    Vectorized string join."""
+    epoch = pc.cast(pc.cast(batch["timestamp"], pa.timestamp("s"), safe=False), pa.int64())
     line = pc.binary_join_element_wise(
-        pc.cast(batch[name_col], pa.string()),
-        pc.cast(batch[value_col], pa.string()),
+        pc.cast(batch["metric_name"], pa.string()),
+        pc.cast(batch["value"], pa.string()),
         pc.cast(epoch, pa.string()),
         " ",
     )
     return batch.append_column("line", line)
 
 
-def render_influx_lines(
-    batch: pa.Table,
-    measurement_col: str = "measurement",
-    tags_col: str | None = "tags",
-    field_key_col: str = "field_key",
-    field_value_col: str = "field_value",
-    ts_ns_col: str | None = "ts_ns",
-) -> pa.Table:
-    """influxdbexporter: metric rows → InfluxDB line protocol
-    ``measurement[,tags] key=value [ts]`` (inverse of the receiver)."""
-    meas = pc.cast(batch[measurement_col], pa.string())
-    if tags_col and tags_col in batch.column_names:
-        tags = pc.coalesce(batch[tags_col], pa.scalar(""))
+def render_influx_lines(batch: pa.Table) -> pa.Table:
+    """influxdbexporter: metric rows (``measurement``, optional
+    ``tags``, ``field_key``, ``field_value``, optional ``ts_ns``) →
+    InfluxDB line protocol ``measurement[,tags] key=value [ts]``
+    (inverse of the receiver)."""
+    meas = pc.cast(batch["measurement"], pa.string())
+    if "tags" in batch.column_names:
+        tags = pc.coalesce(batch["tags"], pa.scalar(""))
         head = pc.if_else(
             pc.equal(tags, ""),
             meas,
@@ -275,13 +269,13 @@ def render_influx_lines(
     else:
         head = meas
     fields = pc.binary_join_element_wise(
-        pc.cast(batch[field_key_col], pa.string()),
-        pc.cast(batch[field_value_col], pa.string()),
+        pc.cast(batch["field_key"], pa.string()),
+        pc.cast(batch["field_value"], pa.string()),
         "=",
     )
     line = pc.binary_join_element_wise(head, fields, " ")
-    if ts_ns_col and ts_ns_col in batch.column_names:
-        ts = batch[ts_ns_col]
+    if "ts_ns" in batch.column_names:
+        ts = batch["ts_ns"]
         with_ts = pc.binary_join_element_wise(
             line, pc.cast(pc.coalesce(ts, pa.scalar(0)), pa.string()), " "
         )

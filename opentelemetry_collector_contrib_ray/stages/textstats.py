@@ -26,22 +26,6 @@ def token_count(batch: pa.Table) -> pa.Table:
     return batch.append_column("n_words", pc.cast(n, pa.int64()))
 
 
-_BPE_RE = re.compile(r"\w+|[^\w\s]")
-
-
-class BpeishTokenCounter:
-    """GPT-2-style pre-tokenizer count ``n_bpe``: regex word/punct
-    pieces. Actor-pool stage (compiled pattern reused per actor)."""
-
-    def __init__(self):
-        self.pat = re.compile(r"\w+|[^\w\s]")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object)
-        counts = s.str.findall(self.pat).str.len().fillna(0).astype(np.int64)
-        return batch.append_column("n_bpe", pa.array(counts.to_numpy()))
-
-
 _STOPWORDS = {"the", "a", "of", "to", "and", "in", "is", "on", "for", "with"}
 
 

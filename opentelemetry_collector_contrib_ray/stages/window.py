@@ -37,11 +37,15 @@ def tumbling(ds, keys, ts_col: str, every: str = "hour", agg: dict | None = None
     )
 
 
-def sliding(ds, keys, ts_col: str, size_minutes: int, step_minutes: int, agg: dict | None = None, **kw):
-    """Sliding window: each row explodes into size/step overlapping
-    windows (vectorized repeat + offset), then grouped aggregate.
-    The explosion factor is size/step — keep it small at scale."""
-    k = size_minutes // step_minutes
+def sliding(ds, keys, ts_col: str, size_minutes: int, step_minutes: int):
+    """Sliding window counts: windows start every ``step_minutes`` (on
+    multiples of the step since the epoch) and span ``size_minutes``;
+    each row explodes into every window ``[w, w + size)`` that holds
+    it (vectorized repeat + offset), then a grouped ``count``. A row
+    falls in ``ceil(size / step)`` candidate windows, or one fewer where
+    ``size`` is no multiple of ``step`` — keep the explosion small at
+    scale."""
+    k = -(-size_minutes // step_minutes)
     _PER_SEC = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
     def explode(t: pa.Table) -> pa.Table:
@@ -49,41 +53,41 @@ def sliding(ds, keys, ts_col: str, size_minutes: int, step_minutes: int, agg: di
         ts = t[ts_col]
         if isinstance(ts, pa.ChunkedArray):
             ts = ts.combine_chunks()
-        step_ticks = step_minutes * 60 * _PER_SEC[ts.type.unit]
+        per_min = 60 * _PER_SEC[ts.type.unit]
+        step_ticks, size_ticks = step_minutes * per_min, size_minutes * per_min
         ticks = pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False)
-        # latest window start containing the event, then k-1 earlier ones
+        # latest window start at or before the event, then k-1 earlier
+        # ones; a start whose window ends at or before the event drops
         base = (ticks // step_ticks) * step_ticks
         reps = np.repeat(np.arange(n), k)
-        shifts = np.tile(np.arange(k, dtype=np.int64) * step_ticks, n)
-        w = base[reps] - shifts
-        out = t.take(pa.array(reps))
-        w_arr = pa.array(w).cast(pa.timestamp(ts.type.unit))
+        w = base[reps] - np.tile(np.arange(k, dtype=np.int64) * step_ticks, n)
+        keep = w + size_ticks > ticks[reps]
+        out = t.take(pa.array(reps[keep]))
+        w_arr = pa.array(w[keep]).cast(pa.timestamp(ts.type.unit))
         return out.append_column("window_start", w_arr)
 
     return two_phase_agg(
         ds.map_batches(explode, batch_format="pyarrow"),
         list(keys) + ["window_start"],
-        agg or {"*": ["count"]},
-        **kw,
+        {"*": ["count"]},
     )
 
 
-def sessionize(ds, key: str, ts_col: str, gap_seconds: float, order_cols=None):
+def sessionize(ds, key: str, ts_col: str, gap_seconds: float):
     """Session windows per key: a new session starts when the gap to the
     previous event exceeds ``gap_seconds``. Returns one row per session:
-    (key, session_id, n_events, session_start, session_end).
+    (key, session_id, n_events, session_start, session_end). Events
+    are ordered by ``ts_col`` within a key.
 
     One shuffle (groupby key); per-group pandas is vectorized
     (diff + cumsum), never a Python loop over events.
     """
     from .aggregate import keyed_apply
 
-    order = order_cols or [ts_col]
-
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized over ALL keys in the bucket: one sort, shift-based
         # gap detection, one groupby — no per-key Python
-        df = df.sort_values([key] + order, kind="stable")
+        df = df.sort_values([key, ts_col], kind="stable")
         ts = df[ts_col]
         new_key = df[key] != df[key].shift()
         gap = ts.diff().dt.total_seconds()

@@ -986,14 +986,7 @@ class XRaySegmentEncoder:
         "n_exceptions": pa.int64(),
     }
 
-    def __init__(
-        self,
-        indexed_attrs=None,
-        index_all_attrs: bool = False,
-        epoch_now: float | None = None,
-    ):
-        self.indexed_attrs = list(indexed_attrs or ())
-        self.index_all_attrs = index_all_attrs
+    def __init__(self, epoch_now: float | None = None):
         self.epoch_now = epoch_now
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -1030,13 +1023,7 @@ class XRaySegmentEncoder:
             }
             resource = json.loads(ra) if ra else {}
             try:
-                seg = make_segment(
-                    span,
-                    resource,
-                    self.indexed_attrs,
-                    self.index_all_attrs,
-                    epoch_now=self.epoch_now,
-                )
+                seg = make_segment(span, resource, epoch_now=self.epoch_now)
             except (ValueError, KeyError, TypeError):
                 dropped += 1
                 continue

@@ -6,12 +6,7 @@ import pytest
 import ray.data
 
 from opentelemetry_collector_contrib_ray.pipelines.builder import build, register_stage
-from opentelemetry_collector_contrib_ray.stages.multimodal import (
-    DeterministicFakeDecoder,
-    PillowImageDecoder,
-    frame_sample,
-    synth_image_table,
-)
+from opentelemetry_collector_contrib_ray.stages.multimodal import ImageDecoder
 
 
 def test_builder_synth_to_parquet(tmp_path):
@@ -55,26 +50,12 @@ def test_builder_custom_registered_stage():
     assert ds.take(1)[0]["source"].isupper()
 
 
-def test_fake_decoder_deterministic():
-    t = synth_image_table(8)
-    d = DeterministicFakeDecoder(feature_dim=8)
-    out1, out2 = d(t), d(t)
-    assert out1["features"].to_pylist() == out2["features"].to_pylist()
-    assert len(out1["features"].to_pylist()[0]) == 8
-    assert all(0 <= m <= 255 for m in out1["byte_mean"].to_pylist())
-
-
-def test_pillow_decoder_is_real_now():
-    """The decoder is no longer a stub: opaque fake payloads raise a
-    clear error; real BMP payloads decode (see test_bmp_roundtrip)."""
-    d = PillowImageDecoder()
+def test_image_decoder_rejects_opaque_payload():
+    """Payloads that are no BMP/PPM (and no PIL image) raise a clear
+    error; real BMP payloads decode (see test_bmp_roundtrip)."""
+    t = pa.table({"item_id": ["img-0"], "payload": pa.array([bytes(range(64))], pa.binary())})
     with pytest.raises(ValueError, match="unsupported image payload"):
-        d(synth_image_table(1))
-
-
-def test_frame_sample():
-    t = synth_image_table(20)
-    assert len(frame_sample(t, every_n=5)) == 4
+        ImageDecoder()(t)
 
 
 def test_builder_full_dag():

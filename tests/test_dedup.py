@@ -6,10 +6,21 @@ import ray.data
 from opentelemetry_collector_contrib_ray.stages.dedup import (
     MinHasher,
     SimHasher,
+    _lsh_explode,
+    _resolve_buckets,
     exact_dedup,
-    minhash_lsh_groups,
-    ngram_jaccard,
 )
+
+
+def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
+    """Exact word-n-gram Jaccard similarity over tuple sets: the oracle
+    ``verify_pairs_ds``'s hashed sets must reproduce."""
+    aw, bw = a.split(), b.split()
+    A = {tuple(aw[i : i + n]) for i in range(max(1, len(aw) - n + 1))}
+    B = {tuple(bw[i : i + n]) for i in range(max(1, len(bw) - n + 1))}
+    if not A and not B:
+        return 1.0
+    return len(A & B) / max(1, len(A | B))
 
 
 def _docs():
@@ -47,7 +58,8 @@ def test_minhash_similarity_reflects_jaccard():
 
 def test_minhash_lsh_buckets_near_dups_together():
     ds = ray.data.from_pandas(_docs())
-    groups = minhash_lsh_groups(ds, bands=32, num_perm=64).to_pandas()
+    exploded = _lsh_explode(ds, "text", "doc_id", k=5, num_perm=64, bands=32)
+    groups = _resolve_buckets(exploded, "doc_id").to_pandas()
     multi = groups[groups["n"] >= 2]
     assert len(multi) > 0
     joint = set()
@@ -109,36 +121,31 @@ def test_near_dedup_end_to_end():
 
 
 def test_lsh_candidate_pairs_distributed():
-    """Pairs generated inside the bucketed groupby match the driver-side
-    bucket→pairs path, deduped across bands."""
-    from opentelemetry_collector_contrib_ray.stages.dedup import (
-        _lsh_explode,
-        candidate_pairs_from_buckets,
-        lsh_candidate_pairs,
-    )
+    """Pairs generated inside the bucketed groupby equal every
+    unordered pair of each resolved LSH bucket, deduped across bands."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import lsh_candidate_pairs
 
     docs = _docs()
     ds = ray.data.from_pandas(docs)
     exploded = _lsh_explode(ds, "text", "doc_id", k=5, num_perm=64, bands=32).materialize()
     pairs_ds = lsh_candidate_pairs(exploded, "doc_id").to_pandas()
     got = sorted(zip(pairs_ds["id_a"], pairs_ds["id_b"]))
-    from opentelemetry_collector_contrib_ray.stages.dedup import _resolve_buckets
-
-    buckets = pa.Table.from_pandas(_resolve_buckets(exploded, "doc_id").to_pandas())
-    want = candidate_pairs_from_buckets(buckets)
-    assert got == sorted(want)
+    want = set()
+    for ids in _resolve_buckets(exploded, "doc_id").to_pandas()["ids"]:
+        ids = sorted(ids)
+        want |= {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]}
+    assert want and got == sorted(want)
     assert all(a < b for a, b in got)
 
 
-def test_verify_pairs_ds_matches_broadcast():
-    from opentelemetry_collector_contrib_ray.stages.dedup import (
-        verify_pairs,
-        verify_pairs_ds,
-    )
+def test_verify_pairs_ds_matches_ngram_jaccard():
+    """The hash-set Jaccard of ``verify_pairs_ds`` equals the exact
+    word-3-gram tuple-set Jaccard, and pairs below the threshold drop."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import verify_pairs_ds
 
     docs = _docs()
+    text = dict(zip(docs["doc_id"], docs["text"]))
     pairs = [("d0", "d1"), ("d0", "d2"), ("d0", "d3")]
-    bcast = verify_pairs(ray.data.from_pandas(docs), pairs, threshold=0.3)
     pairs_ds = ray.data.from_pandas(
         pd.DataFrame({"id_a": [p[0] for p in pairs], "id_b": [p[1] for p in pairs]})
     )
@@ -146,8 +153,8 @@ def test_verify_pairs_ds_matches_broadcast():
         ray.data.from_pandas(docs), pairs_ds, threshold=0.3
     ).to_pandas()
     got = {(a, b): j for a, b, j in zip(dist["id_a"], dist["id_b"], dist["jaccard"])}
-    want = {(a, b): j for a, b, j in bcast}
-    assert set(got) == set(want)
+    want = {(a, b): j for a, b in pairs if (j := ngram_jaccard(text[a], text[b], 3)) >= 0.3}
+    assert set(got) == set(want) == {("d0", "d1"), ("d0", "d2")}
     for k in want:
         assert abs(got[k] - want[k]) < 1e-12  # hash-set Jaccard == tuple-set Jaccard
 

@@ -1,4 +1,4 @@
-"""Every option of the LLM-data layer is set by some caller.
+"""Every option of the package is set by some caller.
 
 A defaulted parameter of a public function, or of a public class's
 ``__init__`` (a dataclass's defaulted fields, ``PrepConfig``'s among
@@ -24,15 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "opentelemetry_collector_contrib_ray"
-MODULES = [
-    PKG / "pipelines" / "corpus_prep.py",
-    PKG / "stages" / "llmdata.py",
-    PKG / "stages" / "dedup.py",
-    PKG / "stages" / "textstats.py",
-    PKG / "stages" / "sketch.py",
-    PKG / "stages" / "semdedup.py",
-    PKG / "stages" / "ann.py",
-]
+MODULES = sorted(PKG.rglob("*.py"))
 ALL = object()  # a call that sets every parameter
 
 
@@ -218,7 +210,7 @@ def unset_options():
     return {m: sorted(v) for m, v in unset.items() if v}, dict(total)
 
 
-def test_every_llm_data_option_is_set_by_a_caller():
+def test_every_package_option_is_set_by_a_caller():
     unset, _ = unset_options()
     assert unset == {}
 
@@ -227,6 +219,8 @@ if __name__ == "__main__":
     unset, total = unset_options()
     for path in MODULES:
         mod = path.relative_to(ROOT).as_posix()
-        print(f"{mod}: {len(unset.get(mod, []))} unset of {total.get(mod, 0)}")
+        if total.get(mod):
+            print(f"{mod}: {len(unset.get(mod, []))} unset of {total[mod]}")
         for p in unset.get(mod, []):
             print("   ", p)
+    print(f"all: {sum(map(len, unset.values()))} unset of {sum(total.values())}")

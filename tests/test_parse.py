@@ -11,12 +11,12 @@ from opentelemetry_collector_contrib_ray.stages.parse import (
     Chain,
     JsonParser,
     Metadata,
-    Recombine,
     RegexParser,
     Restructure,
     Router,
     SeverityParser,
     TimeParser,
+    recombine_lines_grouped,
 )
 
 
@@ -108,6 +108,10 @@ def test_regex_parser_drop_on_error():
 
 
 def test_recombine():
+    """Rows of one group join in ``order`` onto the group's first row;
+    the other columns keep that row's values."""
+    import ray.data
+
     t = pa.table(
         {
             "gid": ["a", "a", "b"],
@@ -115,9 +119,9 @@ def test_recombine():
             "raw": ["world", "hello", "solo"],
         }
     )
-    out = Recombine(group_by="gid", order_by="seq", separator=" ")(t)
-    got = {r["gid"]: r["raw"] for r in out.to_pylist()}
-    assert got == {"a": "hello world", "b": "solo"}
+    out = recombine_lines_grouped(ray.data.from_arrow(t), "gid", "seq", is_first_entry="^(hello|solo)$")
+    got = {r["gid"]: (r["raw"], r["seq"]) for r in out.take_all()}
+    assert got == {"a": ("hello\nworld", 1), "b": ("solo", 1)}
 
 
 def test_router_empty_and_no_match():

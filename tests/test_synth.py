@@ -75,3 +75,23 @@ def test_corpus_layout_change_regenerates(tmp_path):
     assert len(files2) == 4
     total = sum(pq.read_table(os.path.join(d, f)).num_rows for f in files2)
     assert total == 2000
+
+
+def test_ray_free_writer_shares_the_layout(tmp_path):
+    """A corpus written shard by shard without Ray (the driver contract's
+    ``oracle_sql`` path) is the one ``write_synth_corpus`` writes: the
+    Ray writer finds nothing pending and rewrites no file."""
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_contrib_ray.sources.synth import pending_shards, write_shard
+
+    inline, d = str(tmp_path / "inline"), str(tmp_path / "ray")
+    for shard in pending_shards(inline, 2000, 3):
+        write_shard(*shard)
+    assert pending_shards(inline, 2000, 3) == []
+    m = {f: os.path.getmtime(os.path.join(inline, f)) for f in os.listdir(inline)}
+    write_synth_corpus(inline, 2000, num_files=3)
+    assert {f: os.path.getmtime(os.path.join(inline, f)) for f in os.listdir(inline)} == m
+    write_synth_corpus(d, 2000, num_files=3)
+    for f in sorted(x for x in os.listdir(d) if x.endswith(".parquet")):
+        assert pq.read_table(os.path.join(d, f)).equals(pq.read_table(os.path.join(inline, f)))

@@ -3,7 +3,6 @@ import hashlib
 import pyarrow as pa
 
 from opentelemetry_collector_contrib_ray.stages.textstats import (
-    BpeishTokenCounter,
     LangId,
     fingerprint_md5,
     quality_score,
@@ -15,12 +14,6 @@ def test_token_count():
     t = pa.table({"text": ["a b c", "single", "x y"]})
     out = token_count(t)
     assert out["n_words"].to_pylist() == [3, 1, 2]
-
-
-def test_bpeish_counter():
-    t = pa.table({"text": ["hello, world!", ""]})
-    out = BpeishTokenCounter()(t)
-    assert out["n_bpe"].to_pylist() == [4, 0]  # hello , world !
 
 
 def test_quality_score():

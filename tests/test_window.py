@@ -3,6 +3,7 @@ sessionization, last-write-wins — vs pandas ground truth."""
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data
 
 from opentelemetry_collector_contrib_ray.stages.window import (
@@ -51,6 +52,32 @@ def test_sliding_explodes_each_event_into_k_windows():
     # event at 00:05 lands in windows starting 23:30 (prev day) and 00:00
     u1 = out[out["user"] == "u1"].set_index("window_start")["count"]
     assert u1[pd.Timestamp("2024-01-01 00:00:00")] >= 1
+
+
+@pytest.mark.parametrize("size,step", [(60, 30), (60, 25), (20, 30)])
+def test_sliding_matches_brute_force_membership(size, step):
+    """Every window ``[w, w + size)`` with ``w`` a multiple of ``step``
+    counts exactly the events it holds — also when ``size`` is no
+    multiple of ``step`` and when ``size < step`` (gaps between
+    windows)."""
+    minutes = np.arange(300, dtype=np.int64) * 7  # minute-aligned, every residue
+    df = pd.DataFrame(
+        {
+            "user": np.where(minutes % 2 == 0, "u1", "u2"),
+            "ts": pd.to_datetime(minutes * 60, unit="s"),
+        }
+    )
+    want = {}
+    for user, t in zip(df["user"], minutes):
+        for w in range((t - size) // step * step, t + 1, step):
+            if w <= t < w + size:
+                key = (user, pd.Timestamp(w * 60, unit="s"))
+                want[key] = want.get(key, 0) + 1
+    out = sliding(
+        ray.data.from_pandas(df, override_num_blocks=3), ["user"], "ts", size_minutes=size, step_minutes=step
+    ).to_pandas()
+    got = {(u, pd.Timestamp(w)): int(c) for u, w, c in zip(out["user"], out["window_start"], out["count"])}
+    assert got == want
 
 
 def test_sessionize_gap_splits():
