@@ -65,8 +65,7 @@ from typing import Any
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from .._util import table_from_pandas
+import pyarrow.compute as pc
 
 
 @dataclass
@@ -170,6 +169,29 @@ def _ds_from_table(tbl: pa.Table):
     return ray.data.from_arrow(tbl)
 
 
+# the most rows one driver collect may hold (see ``_collect``)
+COLLECT_MAX_ROWS = 2**26
+
+
+def _collect(ds, stage: str) -> list[pa.Table]:
+    """The blocks of ``ds`` on the driver. Raises ``RuntimeError`` naming
+    ``stage`` and the row count as soon as they pass
+    ``COLLECT_MAX_ROWS`` rows. At the cap an exact-dedup collect (one
+    int64 id per row) holds 512 MiB, and a line or passage collect
+    (uint64 hash, int64 count, int64 id per row) 1.5 GiB. The cap stays
+    above ``PrepConfig.drop_broadcast_max``, so a duplicate set too
+    large to broadcast still reaches the distributed anti-join."""
+    batches, n = [], 0
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        n += len(b)
+        if n > COLLECT_MAX_ROWS:
+            raise RuntimeError(
+                f"{stage}: the driver collect reached {n} rows, past COLLECT_MAX_ROWS={COLLECT_MAX_ROWS}"
+            )
+        batches.append(b)
+    return batches
+
+
 def amplify_documents(docs_path: str, target_docs: int):
     """Deterministic amplification of the sf documents table to
     ``>= target_docs`` rows for benchmark and durability runs: each
@@ -186,8 +208,6 @@ def amplify_documents(docs_path: str, target_docs: int):
     reps = max(1, -(-target_docs // base_docs))
 
     def _amplify(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         parts = []
         for r in range(reps):
             parts.append(
@@ -211,10 +231,11 @@ def amplify_documents(docs_path: str, target_docs: int):
 
 def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
     """Duplicate ids under exact dedup (everything but the min-id row
-    per content hash).  One shuffle of (hash, id) pairs: per batch the
-    pairs pre-sort, the bucketed merge computes per-hash (min, ids...)
-    and emits the non-winners.  Returns the sorted drop-id array —
-    O(duplicate count) on the driver, same bound as ``near_dedup``."""
+    per content hash).  One shuffle of (hash, id) pairs: each bucket
+    sorts once by (hash, id); the first row of each hash's run is its
+    winner, and every row whose id differs from its winner's is emitted.
+    Returns the drop-id array — O(duplicate count) on the driver, same
+    bound as ``near_dedup``, capped by ``COLLECT_MAX_ROWS``."""
     from ..stages.aggregate import keyed_apply
     from ..stages.dedup import add_content_hash
 
@@ -223,13 +244,17 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
         batch_format="pyarrow",
     )
 
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.groupby("content_hash", sort=False)[id_col].transform("min")
-        out = df.loc[df[id_col] != m, [id_col]]
-        return out
+    def losers(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [("content_hash", "ascending"), (id_col, "ascending")]))
+        h = t["content_hash"].to_numpy()
+        ids = t[id_col].to_numpy()
+        first = np.ones(len(t), bool)
+        first[1:] = h[1:] != h[:-1]
+        winner = np.maximum.accumulate(np.where(first, np.arange(len(t)), 0))
+        return t.select([id_col]).filter(pa.array(ids != ids[winner]))
 
-    drops = keyed_apply(pairs, "content_hash", losers)
-    batches = list(drops.iter_batches(batch_format="pyarrow", batch_size=None))
+    drops = keyed_apply(pairs, "content_hash", losers, batch_format="pyarrow")
+    batches = _collect(drops, "exact dedup")
     if not batches:
         return np.empty(0, np.int64)
     return (
@@ -348,7 +373,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dup = duplicate_lines(docs, num_buckets=cfg.num_buckets)
-        batches = list(dup.iter_batches(batch_format="pyarrow", batch_size=None))
+        batches = _collect(dup, "line dedup")
         dup_tbl = (
             pa.concat_tables(batches)
             if batches
@@ -381,7 +406,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dupp = duplicate_passages(docs, window=cfg.passage_window, num_buckets=cfg.num_buckets)
-        batches = list(dupp.iter_batches(batch_format="pyarrow", batch_size=None))
+        batches = _collect(dupp, "passage dedup")
         dupp_tbl = (
             pa.concat_tables(batches)
             if batches
@@ -431,8 +456,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         docs = docs.map_batches(NgramDecontaminator(cfg.decontaminate_grams), batch_format="pyarrow")
 
         def drop_contaminated(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             return batch.filter(pc.invert(batch["contaminated"])).drop_columns(
                 ["contaminated"]
             )
@@ -463,8 +486,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
             group_cols = ["source"] + (["split"] if cfg.split else [])
 
             def add_pack_group(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
                 key = pc.cast(batch[group_cols[0]], pa.string())
                 for c in group_cols[1:]:
                     key = pc.binary_join_element_wise(
@@ -492,8 +513,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         )
         if packed is not None:
             def split_pack_key(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
                 parts = pc.split_pattern(batch["pack_group"], PACK_GROUP_SEP)
                 batch = batch.append_column("pack_source", pc.list_element(parts, 0))
                 if cfg.split:
@@ -518,8 +537,6 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
         from ..stages.llmdata import write_training_shards
 
         def add_chunk_uid(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             uid = pc.binary_join_element_wise(
                 pc.cast(batch["pack_group"], pa.string()),
                 pc.cast(batch["chunk_id"], pa.string()),

@@ -205,12 +205,12 @@ def render_emf_event(
     rollup_option: str = ZERO_AND_SINGLE_DIMENSION_ROLLUP,
     declarations: list[MetricDeclaration] | None = None,
     parse_json_attrs: tuple = (),
-) -> str | None:
+) -> str:
     """metric_translator.go:142-182,338-392: one grouped metric → the
-    EMF JSON line (fields + ``_aws`` block when any measurement
-    survives filtering; None when declarations drop everything AND
-    there are no fields to emit — the reference still emits the bare
-    fields, so None only for the marshal-error case we can't hit)."""
+    EMF JSON line: its fields, plus the ``_aws`` block when any
+    measurement survives filtering. When declarations drop every
+    measurement the bare fields are still emitted, as the reference
+    does."""
     fields: dict = dict(labels)
     for name, (value, _) in metrics.items():
         fields[name] = value
@@ -303,9 +303,8 @@ class EmfRenderer:
                     v = float(v)
                 metrics[name] = (v, self.units[name])
             msg = render_emf_event(labels, metrics, self.namespace, ts_ms, declarations=self.declarations)
-            if msg is not None:
-                out_ts.append(ts_ms)
-                out_msg.append(msg)
+            out_ts.append(ts_ms)
+            out_msg.append(msg)
         return pa.table(
             {
                 "timestamp_ms": pa.array(out_ts, pa.int64()),

@@ -11,16 +11,19 @@ would need"). Public-knowledge semantics:
 * PII redaction — the standard pre-training scrub (emails / IPv4s /
   phone numbers replaced by typed placeholder tokens), as popularized
   by public corpus pipelines (e.g. BigScience ROOTS, RefinedWeb).
-  Arrow's RE2 kernels (``count_substring_regex`` +
-  ``replace_substring_regex``) over the text column — the same regex
-  engine as a SQL oracle's ``regexp_replace(..., 'g')``.
+  Arrow's RE2 kernels over the text column — the same regex engine as
+  a SQL oracle's ``regexp_replace(..., 'g')``: ``count_substring_regex``
+  counts each pattern on every row, and ``replace_substring_regex``
+  rewrites only the rows it matched.
 * Gopher repetition rules — the repetition/quality signals from the
   Gopher paper's data pipeline (Rae et al. 2021, table A1): duplicate
   word fraction, alphabetic-word fraction, symbol-to-word ratio, mean
-  word length window, minimum word count. Computed per document with
-  Arrow C++ kernels over one flat word array (``_split_words``): a
-  ``count_distinct`` hash aggregate, a regex match and substring
-  counts — no per-row Python.
+  word length window, minimum word count. Computed per document from
+  one flat word array (``_split_words``), dictionary-encoded once per
+  batch: distinct ``(document, word index)`` codes give the distinct
+  words, the letter regex and the symbol counts run once per distinct
+  word, and segment sums turn per-word values into per-document ones —
+  no per-row Python.
 * Sequence packing — GPT-style "concatenate documents and cut into
   fixed-length training sequences": within each ``group_col``
   partition, documents are concatenated in ``order_col`` order and the
@@ -86,11 +89,15 @@ def redact_pii(batch: pa.Table, text_col: str = "text") -> pa.Table:
     ``count_substring_regex`` / ``replace_substring_regex``), the
     engine behind DuckDB's ``regexp_replace``; patterns apply in
     PII_PATTERNS order (email before ip before phone) — an oracle must
-    chain its ``regexp_replace(..., 'g')`` calls in the same order."""
+    chain its ``regexp_replace(..., 'g')`` calls in the same order.
+    Every pattern is counted on every row; the rewrite runs only on the
+    rows whose count is positive (a row with no match is already its
+    own replacement) and is written back with ``replace_with_mask``."""
     s = _text(batch[text_col])
     for kind, pattern, repl in PII_PATTERNS:
         n = pc.count_substring_regex(s, pattern).cast(pa.int64())
-        s = pc.replace_substring_regex(s, pattern, repl)
+        hit = pc.greater(n, 0)
+        s = pc.replace_with_mask(s, hit, pc.replace_substring_regex(s.filter(hit), pattern, repl))
         batch = batch.append_column(f"n_{kind}", n)
     return batch.append_column("redacted", s)
 
@@ -101,27 +108,38 @@ def gopher_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     (words containing a latin letter), ``symbol_word_ratio``
     (#/ellipsis occurrences per word), plus ``passes_gopher``
     combining them with the mean-word-length window [3, 10] and a
-    minimum word count. Arrow kernels over the flat word array: a
-    ``count_distinct`` hash aggregate per document, a regex match per
-    word, substring counts and ``utf8_length`` per document."""
+    minimum word count.
+
+    The batch's flat word array is dictionary-encoded once. A
+    document's distinct words are its distinct ``(document, index)``
+    codes, counted after one sort of the codes; the letter regex and
+    the ``#``/``...`` counts run once per dictionary entry and reach
+    each word through its index. Neither pattern holds a space, so no
+    match crosses the single-space split and the per-document sums
+    equal counts over the whole text."""
     s = _text(batch[text_col])
     flat, doc_of, n_words = _split_words(s)
-    n = len(s)
-    nuniq = np.zeros(n, np.int64)
-    g = pa.table({"d": doc_of, "w": flat}).group_by("d").aggregate([("w", "count_distinct")])
-    nuniq[g["d"].to_numpy()] = g["w_count_distinct"].to_numpy()
-    is_alpha = pc.match_substring_regex(flat, "[A-Za-z]").to_numpy(zero_copy_only=False)
-    alpha = np.bincount(doc_of[is_alpha], minlength=n)
-    nz = np.maximum(n_words, 1)
-    dup_word_frac = 1.0 - nuniq / nz
-    alpha_word_frac = alpha / nz
-    n_chars = pc.utf8_length(s).to_numpy().astype(np.int64)
-    mean_word_len = (n_chars - (n_words - 1)) / nz
-    symbols = (
-        pc.count_substring(s, "#").to_numpy().astype(np.int64)
-        + pc.count_substring(s, "...").to_numpy().astype(np.int64)
+    enc = pc.dictionary_encode(flat)
+    words, index = enc.dictionary, enc.indices.to_numpy().astype(np.int64)
+    # split keeps empty words, so every document owns >= 1 word: no
+    # division by zero, and reduceat sums each document's own segment
+    starts = np.cumsum(n_words) - n_words
+    codes = np.sort(doc_of * len(words) + index)
+    new = np.ones(len(codes), bool)
+    new[1:] = codes[1:] != codes[:-1]
+    nuniq = np.add.reduceat(new, starts, dtype=np.int64)
+    is_alpha = pc.match_substring_regex(words, "[A-Za-z]").to_numpy(zero_copy_only=False)
+    alpha = np.add.reduceat(is_alpha[index], starts, dtype=np.int64)
+    word_symbols = (
+        pc.count_substring(words, "#").to_numpy().astype(np.int64)
+        + pc.count_substring(words, "...").to_numpy().astype(np.int64)
     )
-    symbol_word_ratio = symbols / nz
+    symbols = np.add.reduceat(word_symbols[index], starts)
+    dup_word_frac = 1.0 - nuniq / n_words
+    alpha_word_frac = alpha / n_words
+    n_chars = pc.utf8_length(s).to_numpy().astype(np.int64)
+    mean_word_len = (n_chars - (n_words - 1)) / n_words
+    symbol_word_ratio = symbols / n_words
     passes = (
         (n_words >= 5)
         & (mean_word_len >= 3.0)

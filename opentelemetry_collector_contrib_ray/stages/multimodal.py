@@ -260,14 +260,11 @@ def decode_wav(buf: bytes) -> tuple[np.ndarray, int]:
 
 
 class AudioFeatures:
-    """Actor-pool map_batches stage: WAV payload column → per-item audio
-    features (sample_rate, n_samples, duration_ms, rms, peak,
+    """Actor-pool map_batches stage: WAV ``payload`` column → per-item
+    audio features (sample_rate, n_samples, duration_ms, rms, peak,
     zero_crossings). Per-item decode loop is inherent (variable-size
     opaque blobs); all math inside is numpy.
     """
-
-    def __init__(self, payload_col: str = "payload"):
-        self.payload_col = payload_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -277,7 +274,7 @@ class AudioFeatures:
         rms = np.full(n, np.nan, dtype=np.float64)
         peak = np.zeros(n, dtype=np.int32)
         zc = np.zeros(n, dtype=np.int64)
-        for i, payload in enumerate(batch[self.payload_col].to_pylist()):
+        for i, payload in enumerate(batch["payload"].to_pylist()):
             pcm, sr = decode_wav(payload)
             f = pcm.astype(np.float64)
             rate[i] = sr

@@ -469,3 +469,37 @@ def test_default_pass_runs_four_executions(docs_ds, monkeypatch):
     assert len(res.vocab) == 462
     assert hashlib.sha256(vocab.encode()).hexdigest()[:16] == "784312ce1727086a"
     assert chunks == 15
+
+
+def _collect_docs():
+    """Seven documents: a first line every document shares, a 10-word
+    passage every document repeats, and document 6 a copy of document 0:
+    each of the exact, line and passage dedup collects gets rows."""
+    import ray.data
+
+    passage = " ".join(f"pp{j}" for j in range(10))
+    texts = [f"shared head\nbody {i} {passage}" for i in range(6)]
+    texts.append(texts[0])
+    return ray.data.from_pandas(
+        pd.DataFrame({"doc_id": range(7), "text": texts, "source": ["s"] * 7})
+    )
+
+
+@pytest.mark.parametrize(
+    "stage, switches",
+    [
+        pytest.param("exact dedup", {}, id="exact"),
+        pytest.param("line dedup", {"exact_dedup": False, "line_dedup": True}, id="line"),
+        pytest.param(
+            "passage dedup", {"exact_dedup": False, "passage_dedup": True, "passage_window": 8}, id="passage"
+        ),
+    ],
+)
+def test_driver_collect_raises_past_its_cap(stage, switches, monkeypatch):
+    from opentelemetry_collector_contrib_ray.pipelines import corpus_prep
+
+    assert corpus_prep.COLLECT_MAX_ROWS > PrepConfig().drop_broadcast_max
+    cfg = PrepConfig(quality=False, pii=False, split=False, vocab_size=0, **switches)
+    monkeypatch.setattr(corpus_prep, "COLLECT_MAX_ROWS", 0)
+    with pytest.raises(RuntimeError, match=rf"{stage}: the driver collect reached [1-9]\d* rows"):
+        prepare_corpus(_collect_docs(), cfg)

@@ -11,8 +11,10 @@ A call site sets a parameter when it passes it by keyword, reaches it
 positionally, or calls with ``*``/``**`` (a ``**name`` bound to a dict
 literal sets that literal's keys, any other ``**`` sets everything).
 ``cls(...)`` inside a class calls that class; ``functools.partial``
-and ``map_batches``' ``fn_args``/``fn_kwargs``/``fn_constructor_args``/
-``fn_constructor_kwargs`` call the function or class they wrap. A
+calls the function it wraps. ``map_batches(fn, ...)`` calls ``fn``
+with the batch and ``fn_args``/``fn_kwargs``; ``map_batches(Cls, ...)``
+builds ``Cls`` from ``fn_constructor_args``/``fn_constructor_kwargs``
+alone, since the batch goes to its ``__call__``. A
 dataclass field that another file reads off an instance it built
 (``cfg = PrepConfig(...)``, then ``cfg.test_frac``) is used there.
 Calls match definitions by name.
@@ -55,9 +57,9 @@ def _function_options(fn: ast.FunctionDef, skip_self: bool):
 
 def definitions():
     """name -> (module, positional params, defaulted params) for every
-    public function and public class constructor in ``MODULES``, and
-    the dataclass name -> module path map."""
-    defs, dataclasses = {}, {}
+    public function and public class constructor in ``MODULES``, the
+    dataclass name -> module path map and the set of class names."""
+    defs, dataclasses, classes = {}, {}, set()
     for path in MODULES:
         mod = path.relative_to(ROOT).as_posix()
         for node in ast.parse(path.read_text()).body:
@@ -66,6 +68,7 @@ def definitions():
             if isinstance(node, ast.FunctionDef):
                 defs[node.name] = (mod, *_function_options(node, skip_self=False))
             else:
+                classes.add(node.name)
                 init = next(
                     (n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"), None
                 )
@@ -79,7 +82,7 @@ def definitions():
                         if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
                     ]
                     defs[node.name] = (mod, [f for f, _ in fields], [f for f, has in fields if has])
-    return defs, dataclasses
+    return defs, dataclasses, classes
 
 
 def _dict_literals(tree) -> dict:
@@ -153,49 +156,58 @@ def _field_reads(tree, dataclasses):
             yield built[node.value.id], node.attr
 
 
-def call_sites(dataclasses=None):
+def call_sites(dataclasses, classes):
     """Yield (callee name, positional count or ALL, keyword names or
-    ALL); ``dataclasses`` maps a dataclass name to its module path."""
+    ALL) over every source file; ``dataclasses`` maps a dataclass name
+    to its module path, ``classes`` holds the package's class names."""
     for path in _sources():
-        tree = ast.parse(path.read_text())
-        for cls, attr in _field_reads(tree, {n for n, p in (dataclasses or {}).items() if p != path}):
-            yield cls, 0, {attr}
-        literals = _dict_literals(tree)
-        classes = {}
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for n in ast.walk(cls):
-                classes[id(n)] = cls.name  # ast.walk is breadth-first: the innermost class wins
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _callee(node.func, classes.get(id(node)))
-            yield (name, *_set_by(node.args, node.keywords, literals))
-            if name == "partial" and node.args:
-                yield (_callee(node.args[0], None), *_set_by(node.args[1:], node.keywords, literals))
-            if name == "map_batches" and node.args:
-                # the batch is the function's first argument
-                target = _callee(node.args[0], classes.get(id(node)))
-                for args_kw, kwargs_kw, n_batch in (
-                    ("fn_args", "fn_kwargs", 1),
-                    ("fn_constructor_args", "fn_constructor_kwargs", 0),
-                ):
-                    args, kwargs = _keyword(node, args_kw), _keyword(node, kwargs_kw)
-                    if args is None:
-                        n_pos = n_batch
-                    elif isinstance(args, (ast.Tuple, ast.List)):
-                        n_pos = n_batch + len(args.elts)
-                    else:
-                        n_pos = ALL
-                    keys = _literal_keys(kwargs) if kwargs is not None else set()
-                    yield target, n_pos, ALL if keys is None else keys
+        others = {n for n, p in dataclasses.items() if p != path}
+        yield from tree_call_sites(ast.parse(path.read_text()), others, classes)
+
+
+def tree_call_sites(tree, dataclasses, classes):
+    """``call_sites`` of one parsed file; ``dataclasses`` names the
+    dataclasses defined in other files."""
+    for cls, attr in _field_reads(tree, dataclasses):
+        yield cls, 0, {attr}
+    literals = _dict_literals(tree)
+    owner = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for n in ast.walk(cls):
+            owner[id(n)] = cls.name  # ast.walk is breadth-first: the innermost class wins
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _callee(node.func, owner.get(id(node)))
+        yield (name, *_set_by(node.args, node.keywords, literals))
+        if name == "partial" and node.args:
+            yield (_callee(node.args[0], None), *_set_by(node.args[1:], node.keywords, literals))
+        if name == "map_batches" and node.args:
+            # a function takes the batch first and fn_args after it; a
+            # class is built from fn_constructor_args, and the batch and
+            # fn_args go to its __call__
+            target = _callee(node.args[0], owner.get(id(node)))
+            if target in classes:
+                args_kw, kwargs_kw, n_batch = "fn_constructor_args", "fn_constructor_kwargs", 0
+            else:
+                args_kw, kwargs_kw, n_batch = "fn_args", "fn_kwargs", 1
+            args, kwargs = _keyword(node, args_kw), _keyword(node, kwargs_kw)
+            if args is None:
+                n_pos = n_batch
+            elif isinstance(args, (ast.Tuple, ast.List)):
+                n_pos = n_batch + len(args.elts)
+            else:
+                n_pos = ALL
+            keys = _literal_keys(kwargs) if kwargs is not None else set()
+            yield target, n_pos, ALL if keys is None else keys
 
 
 def unset_options():
     """{module: sorted ["callable.param", ...]} of the defaulted
     parameters no call site sets, plus the count of all of them."""
-    defs, dataclasses = definitions()
+    defs, dataclasses, classes = definitions()
     set_params = defaultdict(set)
-    for name, n_pos, names in call_sites(dataclasses):
+    for name, n_pos, names in call_sites(dataclasses, classes):
         if name not in defs:
             continue
         _, positional, defaulted = defs[name]
@@ -208,6 +220,17 @@ def unset_options():
         total[mod] += len(defaulted)
         unset[mod] += [f"{name}.{p}" for p in defaulted if p not in set_params[name]]
     return {m: sorted(v) for m, v in unset.items() if v}, dict(total)
+
+
+def test_a_mapped_class_is_not_passed_the_batch():
+    tree = ast.parse(
+        "ds.map_batches(Enc, batch_format='pyarrow')\n"
+        "ds.map_batches(Enc, fn_constructor_args=(v,), fn_args=(w,))\n"
+        "ds.map_batches(enc, fn_args=(w,), batch_format='pyarrow')\n"
+    )
+    sites = [s for s in tree_call_sites(tree, set(), {"Enc"}) if s[0] != "map_batches"]
+    # the class gets only its constructor arguments, the function the batch and fn_args
+    assert sites == [("Enc", 0, set()), ("Enc", 1, set()), ("enc", 2, set())]
 
 
 def test_every_package_option_is_set_by_a_caller():

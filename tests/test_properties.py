@@ -3,8 +3,9 @@ round-trip, severity conversion totality, token checksum sensitivity,
 the Arrow aggregate and histogram combines against their pandas
 predecessors;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
-``two_phase_agg``, ``bucketed_hash_join``): results do not depend on
-bucket count, input order, block layout or key skew."""
+``two_phase_agg``, ``bucketed_hash_join``, exact dedup's drop ids):
+results do not depend on bucket count, input order, block layout or key
+skew."""
 
 import numpy as np
 import pandas as pd
@@ -389,6 +390,23 @@ def test_keyed_apply_one_call_per_bucket(num_buckets, layout):
     expected = bucket_ids(pa.Table.from_pandas(df, preserve_index=False), ["k", "k2"], num_buckets)
     assert got["_call"].nunique() == len(np.unique(expected))  # every non-empty bucket is called
     _assert_same_multiset(got.drop(columns=["_call", "_b"]), df)
+
+
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_exact_drop_ids_invariant(num_buckets, layout, monkeypatch):
+    # exact dedup drops every id but the smallest of each text, whatever
+    # the bucket count, row order, block layout or hash skew
+    from opentelemetry_collector_contrib_ray.pipelines.corpus_prep import _exact_drop_ids
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    df = _events(layout)
+    df = pd.DataFrame({"doc_id": (df["v"] * 48 + df.index).astype(np.int64), "text": df["k"] + " text"})
+    # a winning (text, id) row read twice is still its text's winner
+    df = pd.concat([df, df.loc[df.groupby("text")["doc_id"].idxmin()]], ignore_index=True)
+    got = np.sort(_exact_drop_ids(_dataset(df, layout), "text", "doc_id"))
+    want = np.sort(df.loc[df["doc_id"] != df.groupby("text")["doc_id"].transform("min"), "doc_id"].to_numpy())
+    assert len(want) >= 35 and got.tolist() == want.tolist()
 
 
 def test_keyed_apply_refuses_a_two_bucket_block():

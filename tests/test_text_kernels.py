@@ -4,8 +4,9 @@
 ``regexp_replace(..., 'g')`` (the SQL oracle's engine, RE2);
 ``gopher_stats``, the ``word_counts`` partials and ``VocabEncoder`` are
 checked against small pure-Python per-row references on edge batches:
-zero rows, null and empty text, stray spaces and tabs, symbol runs,
-non-ASCII words and multi-chunk columns.
+zero rows, null and empty text, stray spaces and tabs, symbol and dot
+runs, non-ASCII words, multi-chunk columns, words shared by many
+documents of a batch and batches of distinct words only.
 """
 
 import collections
@@ -32,7 +33,10 @@ EDGE_TEXTS = [
     "   ",
     "tab\tinside word\t",
     "....",
+    "......",
+    "a... ...b",
     "######",
+    "# ## ### #",
     "a... b... c ...",
     "héllo wörld ünïcode façade naïve",
     "日本 語 テキスト 日本",
@@ -41,10 +45,17 @@ EDGE_TEXTS = [
 ]
 
 
+# one batch-wide word dictionary serves every document: words shared by
+# many documents, and a batch whose words are all distinct
+SHARED_TEXTS = ["the cat the", "the", "the the the the", "cat ... the #", "dog the cat"] * 8
+DISTINCT_TEXTS = [" ".join(f"w{d}x{j}" for j in range(d % 7 + 1)) for d in range(60)]
+
+
 def _batches():
-    """Each edge case as its own batch, all of them in one batch, a
-    zero-row batch, an all-null batch (typed and untyped) and a column
-    split over three chunks."""
+    """Each edge case as its own one-document batch, all of them in one
+    batch, a zero-row batch, an all-null batch (typed and untyped), a
+    column split over three chunks, a batch of words shared across its
+    documents and a batch of distinct words."""
     out = [pa.table({"text": pa.array([t], pa.string())}) for t in EDGE_TEXTS]
     out.append(pa.table({"text": pa.array(EDGE_TEXTS, pa.string())}))
     out.append(pa.table({"text": pa.array([], pa.string())}))
@@ -55,6 +66,8 @@ def _batches():
             {"text": pa.chunked_array([EDGE_TEXTS[:5], EDGE_TEXTS[5:6], EDGE_TEXTS[6:]], pa.string())}
         )
     )
+    out.append(pa.table({"text": pa.array(SHARED_TEXTS, pa.string())}))
+    out.append(pa.table({"text": pa.array(DISTINCT_TEXTS, pa.string())}))
     return out
 
 
@@ -85,6 +98,17 @@ def test_gopher_stats_matches_per_row_reference(batch):
         )
     )
     assert got == [_gopher_ref(t) for t in _texts(batch)]
+
+
+@pytest.mark.parametrize("texts", [EDGE_TEXTS, SHARED_TEXTS, DISTINCT_TEXTS])
+def test_gopher_stats_invariant_to_batch_cuts(texts):
+    # the word dictionary is per batch: the statistics of a document do
+    # not depend on which other documents share its batch
+    batch = pa.table({"text": pa.array(texts, pa.string())})
+    whole = gopher_stats(batch)
+    for step in (1, 3, 7):
+        parts = [gopher_stats(batch.slice(lo, step)) for lo in range(0, len(texts), step)]
+        assert pa.concat_tables(parts).equals(whole)
 
 
 @pytest.mark.parametrize("batch", _batches())
@@ -130,8 +154,14 @@ PII_TEXTS = [
 ]
 
 
-def test_redact_pii_matches_duckdb_regexp_replace():
-    batch = pa.table({"text": pa.array(PII_TEXTS, pa.string())})
+# every document matches every pattern, none does, and a column of
+# mixed rows split over three chunks
+PII_ALL = [f"a{i}@x.org at 10.0.{i}.1 call +123-456-{i:04d} and b{i}@y.io" for i in range(12)]
+PII_NONE = ["no contact here", "", None, "1.2.3 is a version", "at@ sign alone", "555-1234"]
+
+
+def _redact_matches_duckdb(text) -> pa.Table:
+    batch = pa.table({"text": text})
     out = redact_pii(batch)
     # each count runs on the text the earlier patterns already redacted
     steps = ["coalesce(text, '')"]
@@ -146,4 +176,25 @@ def test_redact_pii_matches_duckdb_regexp_replace():
     assert out["redacted"].to_pylist() == [r[0] for r in rows]
     for i, (kind, _, _) in enumerate(PII_PATTERNS):
         assert out[f"n_{kind}"].to_pylist() == [r[1 + i] for r in rows], kind
+    return out
+
+
+def test_redact_pii_matches_duckdb_regexp_replace():
+    out = _redact_matches_duckdb(pa.array(PII_TEXTS, pa.string()))
     assert out["redacted"].to_pylist()[4:6] == PII_TEXTS[4:6]
+
+
+def test_redact_pii_every_row_matches():
+    out = _redact_matches_duckdb(pa.array(PII_ALL, pa.string()))
+    for kind, n in (("email", 2), ("ip", 1), ("phone", 1)):
+        assert out[f"n_{kind}"].to_pylist() == [n] * len(PII_ALL), kind
+
+
+def test_redact_pii_no_row_matches():
+    out = _redact_matches_duckdb(pa.array(PII_NONE, pa.string()))
+    assert out["redacted"].to_pylist() == [t or "" for t in PII_NONE]
+    assert sum(sum(out[f"n_{k}"].to_pylist()) for k, _, _ in PII_PATTERNS) == 0
+
+
+def test_redact_pii_multi_chunk_column():
+    _redact_matches_duckdb(pa.chunked_array([PII_TEXTS[:3], PII_TEXTS[3:4], PII_TEXTS[4:]], pa.string()))
