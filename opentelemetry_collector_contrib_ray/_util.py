@@ -66,6 +66,30 @@ def table_from_pandas(df) -> "pa.Table":
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
 
+# the most rows one driver collect may hold (see ``collect``)
+COLLECT_MAX_ROWS = 2**26
+
+
+def collect(ds, stage: str) -> list["pa.Table"]:
+    """The blocks of ``ds`` on the driver: the one driver collect of the
+    engine's pipelines, with a stated bound. Raises ``RuntimeError``
+    naming ``stage`` and the row count as soon as they pass
+    ``COLLECT_MAX_ROWS`` rows. At the cap an exact-dedup collect (one
+    int64 id per row) holds 512 MiB, and a line or passage collect
+    (uint64 hash, int64 count, int64 id per row) 1.5 GiB. The cap stays
+    above ``PrepConfig.drop_broadcast_max``, so a duplicate set too
+    large to broadcast still reaches the distributed anti-join."""
+    batches, n = [], 0
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        n += len(b)
+        if n > COLLECT_MAX_ROWS:
+            raise RuntimeError(
+                f"{stage}: the driver collect reached {n} rows, past COLLECT_MAX_ROWS={COLLECT_MAX_ROWS}"
+            )
+        batches.append(b)
+    return batches
+
+
 def cluster_cpus() -> int:
     """CPUs in the connected Ray cluster (4 with no session).
 

@@ -7,7 +7,8 @@ Mirrors the reference's two-step model:
      SeverityNumber) — exact switch incl. the custom-level `>` bucketing,
      from internal/stanza/converter.go:532-582.
 
-All functions are vectorized numpy: arrays in, arrays out.
+The parse stages (``stages/parse.py``) run these over the distinct
+values of a batch only, and each row takes its value's result.
 """
 
 from __future__ import annotations
@@ -77,14 +78,23 @@ _CUSTOM = [
 ]
 
 
+def text_to_level(value, custom: dict | None = None) -> int:
+    """One raw severity value → stanza level: the trimmed, lower-cased
+    text looked up in ``custom`` aliases first, then ``TEXT_TO_LEVEL``.
+    Null and unknown values → Default=0."""
+    key = "" if value is None else str(value).strip().lower()
+    if custom and key in custom:
+        return custom[key]
+    return TEXT_TO_LEVEL.get(key, DEFAULT)
+
+
 def parse_severity_text(values: np.ndarray) -> np.ndarray:
     """Raw severity strings → stanza levels (unknown/missing → Default=0)."""
     out = np.zeros(len(values), dtype=np.int32)
     # low-cardinality: loop over distinct values only
     vals = np.asarray(values, dtype=object)
     for v in set(vals.tolist()):
-        lvl = TEXT_TO_LEVEL.get(str(v).strip().lower(), DEFAULT) if v is not None else DEFAULT
-        out[vals == v] = lvl
+        out[vals == v] = text_to_level(v)
     return out
 
 

@@ -67,6 +67,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .._util import collect
+
 
 @dataclass
 class PrepConfig:
@@ -169,29 +171,6 @@ def _ds_from_table(tbl: pa.Table):
     return ray.data.from_arrow(tbl)
 
 
-# the most rows one driver collect may hold (see ``_collect``)
-COLLECT_MAX_ROWS = 2**26
-
-
-def _collect(ds, stage: str) -> list[pa.Table]:
-    """The blocks of ``ds`` on the driver. Raises ``RuntimeError`` naming
-    ``stage`` and the row count as soon as they pass
-    ``COLLECT_MAX_ROWS`` rows. At the cap an exact-dedup collect (one
-    int64 id per row) holds 512 MiB, and a line or passage collect
-    (uint64 hash, int64 count, int64 id per row) 1.5 GiB. The cap stays
-    above ``PrepConfig.drop_broadcast_max``, so a duplicate set too
-    large to broadcast still reaches the distributed anti-join."""
-    batches, n = [], 0
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        n += len(b)
-        if n > COLLECT_MAX_ROWS:
-            raise RuntimeError(
-                f"{stage}: the driver collect reached {n} rows, past COLLECT_MAX_ROWS={COLLECT_MAX_ROWS}"
-            )
-        batches.append(b)
-    return batches
-
-
 def amplify_documents(docs_path: str, target_docs: int):
     """Deterministic amplification of the sf documents table to
     ``>= target_docs`` rows for benchmark and durability runs: each
@@ -235,7 +214,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
     sorts once by (hash, id); the first row of each hash's run is its
     winner, and every row whose id differs from its winner's is emitted.
     Returns the drop-id array — O(duplicate count) on the driver, same
-    bound as ``near_dedup``, capped by ``COLLECT_MAX_ROWS``."""
+    bound as ``near_dedup``, capped by ``_util.COLLECT_MAX_ROWS``."""
     from ..stages.aggregate import keyed_apply
     from ..stages.dedup import add_content_hash
 
@@ -254,7 +233,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
         return t.select([id_col]).filter(pa.array(ids != ids[winner]))
 
     drops = keyed_apply(pairs, "content_hash", losers, batch_format="pyarrow")
-    batches = _collect(drops, "exact dedup")
+    batches = collect(drops, "exact dedup")
     if not batches:
         return np.empty(0, np.int64)
     return (
@@ -373,7 +352,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dup = duplicate_lines(docs, num_buckets=cfg.num_buckets)
-        batches = _collect(dup, "line dedup")
+        batches = collect(dup, "line dedup")
         dup_tbl = (
             pa.concat_tables(batches)
             if batches
@@ -406,7 +385,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dupp = duplicate_passages(docs, window=cfg.passage_window, num_buckets=cfg.num_buckets)
-        batches = _collect(dupp, "passage dedup")
+        batches = collect(dupp, "passage dedup")
         dupp_tbl = (
             pa.concat_tables(batches)
             if batches

@@ -282,36 +282,7 @@ def _process_shard(
     return shard_metrics
 
 
-def _stub_fsspec_http() -> None:
-    """Ray's read_parquet probes ``fsspec.implementations.http`` on every
-    call; in this aiohttp-less env the import always fails, and when two
-    driver threads race the retry, the failure surfaces as ImportError
-    (not the ModuleNotFoundError Ray catches). Cache a benign stub with
-    a dummy HTTPFileSystem so the probe import succeeds once and the
-    isinstance check is simply False for local filesystems."""
-    import sys
-    import types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-        return
-    except ImportError:
-        pass
-    stub = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # dummy — no aiohttp in this environment
-        pass
-
-    stub.HTTPFileSystem = HTTPFileSystem
-    sys.modules["fsspec.implementations.http"] = stub
-
-
-def run_checkpointed(
-    input_dir: str,
-    run_dir: str,
-    *,
-    max_concurrent_shards: int = 1,
-):
+def run_checkpointed(input_dir: str, run_dir: str):
     """Resumable run: one checkpoint shard per input parquet file, with
     ``DEFAULT_ROUTING``.
 
@@ -320,16 +291,9 @@ def run_checkpointed(
     ``agg/<shard>/*.parquet``, then a manifest record with lineage
     (input file, rows in/out, per-sink counts, token checksums). A
     shard whose output token digest differs from its input's raises.
-    Completed shards are skipped on rerun. Returns the run summary.
-
-    ``max_concurrent_shards`` > 1 drives several shard pipelines from
-    driver threads at once (each is its own streaming execution;
-    failure isolation and resume granularity stay per-shard). Use it
-    when shards are small relative to the cluster; big shards already
-    saturate it alone.
+    Completed shards are skipped on rerun. Shards run one after another,
+    each as its own streaming execution. Returns the run summary.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import ray
 
     from ..state.checkpoint import CheckpointManifest
@@ -344,28 +308,13 @@ def run_checkpointed(
         )
     )
     summary = {"shards_total": len(files), "shards_skipped": 0, "shards_run": 0}
-    todo = []
     for f in files:
         shard_id = os.path.splitext(f)[0]
         if manifest.is_complete(shard_id):
             summary["shards_skipped"] += 1
             metrics.merge(manifest.read(shard_id).get("metrics", {}))
         else:
-            todo.append((os.path.join(input_dir, f), shard_id))
-
-    def work(item):
-        src, shard_id = item
-        return _process_shard(src, shard_id, run_dir, manifest, lookup_ref)
-
-    if max_concurrent_shards > 1 and len(todo) > 1:
-        _stub_fsspec_http()
-        with ThreadPoolExecutor(max_workers=max_concurrent_shards) as pool:
-            for shard_metrics in pool.map(work, todo):
-                metrics.merge(shard_metrics)
-                summary["shards_run"] += 1
-    else:
-        for item in todo:
-            metrics.merge(work(item))
+            metrics.merge(_process_shard(os.path.join(input_dir, f), shard_id, run_dir, manifest, lookup_ref))
             summary["shards_run"] += 1
     metrics.dump(os.path.join(run_dir, "metrics.json"))
     summary["metrics"] = metrics.snapshot()

@@ -1,4 +1,4 @@
-"""Enrich stage: stateful lookup enrichment as an actor-pool map_batches.
+"""Enrich stage: broadcast lookup enrichment and constant resource attributes.
 
 Two reference semantics re-expressed:
 
@@ -15,9 +15,10 @@ Two reference semantics re-expressed:
   the cached attributes are added with insert-if-absent semantics
   (processor.go:102-116 InsertString = do not overwrite existing).
 
-The lookup table is built/broadcast once and held per actor
-(``__init__``), the per-batch path is a vectorized pandas ``map`` per
-enrichment column — a broadcast hash join, never a shuffle.
+The lookup table is broadcast once and turned into Arrow arrays once
+per worker process (``make_lookup_fn``) or actor (``LookupEnrich``).
+A batch's lookup is one ``pc.index_in`` per association column and one
+``take`` per attribute — a broadcast hash join, never a shuffle.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .parse import _set_column
+from .parse import _constant, _index_in, _set_column
 
 
 def detect_resource(detectors: Sequence[dict] | None = None) -> dict:
@@ -83,9 +85,7 @@ class ApplyResource:
         for k, v in self.resource.items():
             if k in batch.column_names and not self.override:
                 continue
-            batch = _set_column(
-                batch, k, pa.array(np.full(len(batch), v, dtype=object), pa.string())
-            )
+            batch = _set_column(batch, k, _constant(v, len(batch)))
         return batch
 
 
@@ -128,46 +128,27 @@ def apply_extraction_rules(cache: dict, rules: Sequence[dict]) -> dict:
 
 
 class _LookupState:
-    """Column-oriented view of a {key: {attr: value}} cache for
-    vectorized batch lookups: one key→row-index dict plus one numpy
-    object array per attribute (sentinel row = miss → None)."""
+    """Column-oriented view of a {key: {attr: value}} cache: the keys as
+    one Arrow array, and one string array per attribute in key order."""
 
     def __init__(self, table: dict):
-        self.table = table
-        keys = list(table)
-        self.key_to_idx = {k: i for i, k in enumerate(keys)}
+        self.keys = pa.array(list(table))
         self.attr_names = sorted({a for m in table.values() for a in m})
-        self.attr_arrays = {}
-        for a in self.attr_names:
-            col = np.empty(len(keys) + 1, dtype=object)
-            for i, k in enumerate(keys):
-                col[i] = table[k].get(a)
-            col[len(keys)] = None  # miss sentinel
-            self.attr_arrays[a] = col
+        self.attr_arrays = {
+            a: pa.array([m.get(a) for m in table.values()], pa.string()) for a in self.attr_names
+        }
 
     def apply(self, batch: pa.Table, association, prefix: str) -> pa.Table:
-        import pandas as pd
-
-        n = len(batch)
-        miss = len(self.key_to_idx)
-        idx = np.full(n, miss, dtype=np.int64)
-        unresolved = np.ones(n, dtype=bool)
+        idx = pa.nulls(len(batch), pa.int32())
         for col in association:
-            if col not in batch.column_names or not unresolved.any():
-                continue
-            vals = pd.Series(batch[col].to_numpy(zero_copy_only=False), dtype=object)
-            mapped = vals.map(self.key_to_idx)  # one C-level dict map per column
-            ok = mapped.notna().to_numpy() & unresolved
-            idx[ok] = mapped.to_numpy()[ok].astype(np.int64)
-            unresolved &= ~ok
+            if col in batch.column_names:
+                idx = pc.coalesce(idx, _index_in(batch[col], self.keys))  # first hit wins
         for a in self.attr_names:
             out_name = prefix + a
-            new = self.attr_arrays[a][idx]
+            new = self.attr_arrays[a].take(idx)
             if out_name in batch.column_names:
-                existing = batch[out_name].to_numpy(zero_copy_only=False)
-                keep = np.array([v is not None for v in existing])
-                new = np.where(keep, existing, new)  # insert-if-absent
-            batch = _set_column(batch, out_name, pa.array(new, pa.string()))
+                new = pc.coalesce(batch[out_name].cast(pa.string()), new)  # insert-if-absent
+            batch = _set_column(batch, out_name, new)
         return batch
 
 

@@ -43,7 +43,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._util import table_from_pandas
+from .._util import collect, table_from_pandas
 
 # RE2 patterns: Arrow's regex kernels and DuckDB's regexp_replace run
 # the same engine, so an SQL oracle mirrors them exactly (``\d`` and
@@ -543,7 +543,8 @@ def top_vocab(counts_ds, v: int) -> pd.DataFrame:
     ``corpus_word_counts`` Dataset. Distributed top-k: each block
     contributes its own top-``v`` partial (a block's non-top-v words
     can never reach the global top-v), the driver merges only
-    ``num_blocks × v`` rows — never the full vocabulary."""
+    ``num_blocks × v`` rows — never the full vocabulary — through the
+    capped ``collect``."""
 
     def block_top(t: pa.Table) -> pa.Table:
         df = t.to_pandas().sort_values(
@@ -551,7 +552,8 @@ def top_vocab(counts_ds, v: int) -> pd.DataFrame:
         )
         return table_from_pandas(df.head(v))
 
-    merged = counts_ds.map_batches(block_top, batch_format="pyarrow").to_pandas()
+    tops = collect(counts_ds.map_batches(block_top, batch_format="pyarrow"), "top_vocab")
+    merged = pa.concat_tables(tops, promote_options="permissive").to_pandas()
     return (
         merged.sort_values(["c", "word"], ascending=[False, True], kind="stable")
         .head(v)
@@ -1176,7 +1178,8 @@ def top_bigrams(counts_ds, b: int) -> pd.DataFrame:
         )
         return table_from_pandas(df.head(b))
 
-    merged = counts_ds.map_batches(block_top, batch_format="pyarrow").to_pandas()
+    tops = collect(counts_ds.map_batches(block_top, batch_format="pyarrow"), "top_bigrams")
+    merged = pa.concat_tables(tops, promote_options="permissive").to_pandas()
     return (
         merged.sort_values(["c", "pair"], ascending=[False, True], kind="stable")
         .head(b)

@@ -37,6 +37,30 @@ def _set_column(t: pa.Table, name: str, arr) -> pa.Table:
     return t.append_column(name, arr)
 
 
+def _constant(value, n: int) -> pa.Array:
+    """A string column of ``n`` rows that all hold ``value``."""
+    return pa.repeat(pa.scalar(value, pa.string()), n)
+
+
+def _kind(t: pa.DataType):
+    if pa.types.is_dictionary(t):
+        t = t.value_type
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return "string"
+    return "integer" if pa.types.is_integer(t) else t
+
+
+def _index_in(col, keys: pa.Array) -> pa.Array:
+    """Per row, the position of the row's value in ``keys``: null for a
+    null value, a value not in ``keys``, or a column of another kind
+    than the keys (string, integer, else the exact type). A string key
+    never matches an integer value, as in a Python dict lookup, where
+    ``pc.index_in`` alone would cast the keys to the column's type."""
+    if _kind(col.type) != _kind(keys.type):
+        return pa.nulls(len(col), pa.int32())
+    return pc.index_in(col, value_set=keys, skip_nulls=True)
+
+
 class Chain:
     """Compose stages left-to-right; the unit Ray Data maps over blocks."""
 
@@ -146,6 +170,9 @@ class SeverityParser:
     ``mapping:`` config): {"panic": "emergency", "5xx": 60, ...} —
     values are either a standard alias name or a numeric stanza level
     (custom levels bucket via the `>` switch, converter.go:559-579).
+
+    The column is dictionary-encoded, so the alias lookup runs once per
+    distinct value and each row takes its value's entry.
     """
 
     def __init__(self, parse_from: str = "sev", mapping: dict | None = None):
@@ -160,22 +187,27 @@ class SeverityParser:
                 )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.parse_from in batch.column_names:
-            raw = batch[self.parse_from].to_numpy(zero_copy_only=False)
-            levels = sevmod.parse_severity_text(raw)
-            if self.custom:
-                low = np.array(
-                    [str(v).strip().lower() if v is not None else "" for v in raw],
-                    dtype=object,
-                )
-                for alias, lvl in self.custom.items():
-                    levels[low == alias] = lvl
-        else:
-            levels = np.zeros(len(batch), dtype=np.int32)
-        text, num = sevmod.convert_severity(levels)
-        batch = _set_column(batch, "severity_text", pa.array(text, pa.string()))
-        batch = _set_column(batch, "severity_number", pa.array(num, pa.int32()))
-        return batch
+        if self.parse_from not in batch.column_names:
+            return _set_severity(batch, np.zeros(1, np.int32), pa.array(np.zeros(len(batch), np.int8)))
+        col = batch[self.parse_from]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        enc = pc.dictionary_encode(col, null_encoding="encode")
+        levels = [sevmod.text_to_level(v, self.custom) for v in enc.dictionary.to_pylist()]
+        return _set_severity(batch, np.array(levels, np.int32), enc.indices)
+
+
+def _set_severity(batch: pa.Table, levels: np.ndarray, index) -> pa.Table:
+    """Set ``severity_text``/``severity_number``: ``convert_severity``
+    runs over the distinct ``levels`` only, and row i takes entry
+    ``index[i]`` of its result."""
+    text, num = sevmod.convert_severity(levels)
+    batch = _set_column(batch, "severity_text", pa.array(text, pa.string()).take(index))
+    return _set_column(batch, "severity_number", pa.array(num, pa.int32()).take(index))
+
+
+# the stanza level of each RFC5424 severity, indexed by ``pri & 7``
+_SYSLOG_LEVELS = sevmod.syslog_pri_to_level(np.arange(8))
 
 
 class SyslogPriParser:
@@ -186,15 +218,11 @@ class SyslogPriParser:
         self.parse_from = parse_from
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        pri = pc.cast(
-            pc.coalesce(batch[self.parse_from], pa.scalar("0")), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        levels = sevmod.syslog_pri_to_level(pri)
-        text, num = sevmod.convert_severity(levels)
-        batch = _set_column(batch, "severity_text", pa.array(text, pa.string()))
-        batch = _set_column(batch, "severity_number", pa.array(num, pa.int32()))
-        facility = (np.asarray(pri) >> 3).astype(np.int32)
-        return _set_column(batch, "facility", pa.array(facility))
+        pri = pc.cast(pc.coalesce(batch[self.parse_from], pa.scalar("0")), pa.int64())
+        batch = _set_severity(batch, _SYSLOG_LEVELS, pc.bit_wise_and(pri, 7))
+        # a PRI past the int32 range wraps instead of raising
+        facility = pc.cast(pc.shift_right(pri, 3), pa.int32(), safe=False)
+        return _set_column(batch, "facility", facility)
 
 
 class TimeParser:
@@ -235,9 +263,7 @@ class Metadata:
             if self.templated and "%{" in v:
                 batch = _set_column(batch, k, render_template(v, batch))
             else:
-                batch = _set_column(
-                    batch, k, pa.array(np.full(len(batch), v, dtype=object), pa.string())
-                )
+                batch = _set_column(batch, k, _constant(v, len(batch)))
         return batch
 
 
@@ -268,32 +294,22 @@ class Restructure:
         return batch
 
 
-def _scatter(small: pa.Array, mask: np.ndarray, n: int) -> pa.Array:
-    """Scatter ``small`` (values for mask==True rows, in order) into a
-    full-length array with nulls elsewhere. Type-generic & vectorized:
-    append one null sentinel to ``small`` and gather with an index that
-    points non-mask rows at the sentinel — no Python per-row work, no
-    copying of unrelated columns."""
-    if isinstance(small, pa.ChunkedArray):
-        small = small.combine_chunks()
-    k = len(small)
-    padded = pa.concat_arrays([small, pa.nulls(1, small.type)])
-    idx = np.full(n, k, dtype=np.int64)
-    idx[mask] = np.arange(k, dtype=np.int64)
-    return padded.take(pa.array(idx))
-
-
 class Router:
     """stanza router: first-matching regex predicate selects a sub-chain
     (testbed/datasenders/k8s.go:173-181). Adds a ``route`` column.
 
-    Scale design: branch chains run on a PROJECTED slice (just the
-    match column), and their output
-    columns are scattered back into full-length arrays. The wide
-    payload columns (e.g. ``tokens``) are never filtered/copied —
-    router cost is proportional to the string column, not the row.
-    Columns produced by several branches (e.g. ``ts``) merge via
-    coalesce. Original columns pass through untouched.
+    One permutation per batch: each row gets the code of its first
+    matching route (the default is the last code), one stable argsort
+    groups the rows by code, and each branch chain runs on its slice of
+    the sorted match column. The wide payload columns (e.g. ``tokens``)
+    are never filtered or copied. Each column the branches produce is
+    one concat of their outputs in code order (nulls for a branch that
+    lacks it, types unified as ``pc.coalesce`` unifies them) and one
+    take through the inverse permutation; ``route`` is the route names
+    taken by code. Original columns pass through untouched.
+
+    ``routes`` and ``default`` are read on every call, so a caller may
+    swap the branch chains after construction.
     """
 
     def __init__(
@@ -313,9 +329,7 @@ class Router:
         if self.match_on not in batch.column_names:
             # missing match column → every row takes the default route
             # (mirrors routingprocessor's missing-attribute fallback)
-            out = _set_column(
-                batch, "route", pa.array(np.full(n, "default", dtype=object), pa.string())
-            )
+            out = _set_column(batch, "route", _constant("default", n))
             if self.default is not None and n:
                 sub_out = self.default(out.select(out.column_names[:1]))
                 for f in sub_out.schema:
@@ -325,46 +339,51 @@ class Router:
         src = batch[self.match_on]
         if isinstance(src, pa.ChunkedArray):
             src = src.combine_chunks()
-        assigned = np.zeros(n, dtype=bool)
-        route = np.full(n, "default", dtype=object)
-        branch_masks: list[tuple[np.ndarray, Chain | None]] = []
-        for name, pattern, chain in self.routes:
-            m = pc.match_substring_regex(src, pattern).to_numpy(zero_copy_only=False)
-            m = np.asarray(m, dtype=bool) & ~assigned
-            assigned |= m
-            route[m] = name
-            branch_masks.append((m, chain))
-        rest = ~assigned
-        if rest.any():
-            branch_masks.append((rest, self.default))
-
-        proj = batch.select([self.match_on])
-        added: dict[str, pa.Array] = {}
-        for m, chain in branch_masks:
-            if chain is None or not m.any():
+        names = [name for name, _, _ in self.routes] + ["default"]
+        chains = [chain for _, _, chain in self.routes] + [self.default]
+        codes = np.full(n, len(self.routes), dtype=np.min_scalar_type(len(self.routes)))
+        for code in reversed(range(len(self.routes))):  # the first match is set last
+            m = pc.fill_null(pc.match_substring_regex(src, self.routes[code][1]), False)
+            codes[m.to_numpy(zero_copy_only=False)] = code
+        order = np.argsort(codes, kind="stable")
+        sizes = np.bincount(codes, minlength=len(chains))
+        starts = np.cumsum(sizes) - sizes
+        sorted_src = batch.select([self.match_on]).take(order)
+        outs: dict[int, pa.Table] = {}
+        types: dict[str, pa.DataType] = {}
+        for code, chain in enumerate(chains):
+            rows = int(sizes[code])
+            if chain is None or not rows:
                 continue
-            sub_out = chain(proj.filter(pa.array(m)))
-            if len(sub_out) != int(m.sum()):
-                # scatter-back requires 1:1 rows; a row-dropping branch
-                # (e.g. RegexParser(on_error="drop")) cannot be a Router
-                # branch — use on_error="keep" and filter after routing.
+            sub_out = chain(sorted_src.slice(int(starts[code]), rows))
+            if len(sub_out) != rows:
+                # the permutation back requires 1:1 rows; a row-dropping
+                # branch (e.g. RegexParser(on_error="drop")) cannot be a
+                # Router branch — use on_error="keep" and filter after routing.
                 raise ValueError(
                     "Router branch chains must preserve row count: branch "
-                    f"produced {len(sub_out)} rows for {int(m.sum())} inputs. "
+                    f"produced {len(sub_out)} rows for {rows} inputs. "
                     'Row-dropping stages (on_error="drop") are not routable; '
                     'parse with on_error="keep" and filter downstream.'
                 )
+            outs[code] = sub_out
             for f in sub_out.schema:
                 if f.name == self.match_on:
                     continue
-                scattered = _scatter(sub_out[f.name], m, n)
-                if f.name in added:
-                    added[f.name] = pc.coalesce(added[f.name], scattered)
-                else:
-                    added[f.name] = scattered
-        out = _set_column(batch, "route", pa.array(route, pa.string()))
-        for name, arr in added.items():
-            out = _set_column(out, name, arr)
+                prev = types.get(f.name, f.type)
+                types[f.name] = pc.coalesce(pa.nulls(0, prev), pa.nulls(0, f.type)).type
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n)
+        out = _set_column(batch, "route", pa.array(names, pa.string()).take(codes))
+        for name, typ in types.items():
+            pieces = []
+            for code, rows in enumerate(sizes):
+                sub_out = outs.get(code)
+                if sub_out is not None and name in sub_out.column_names:
+                    pieces.extend(sub_out[name].cast(typ).chunks)
+                elif rows:
+                    pieces.append(pa.nulls(int(rows), typ))
+            out = _set_column(out, name, pa.concat_arrays(pieces).take(inverse))
         return out
 
 

@@ -6,9 +6,10 @@ Reference (processor/routingprocessor/routing.go:40-183):
   ``default`` exporters (routing.go:133-147);
 - a route fans out to EVERY exporter in its list (routing.go:153-162).
 
-Ray-Data design: one vectorized pass computes the sink label per row
-(dictionary lookup via pandas map — no shuffle); multi-exporter routes
-duplicate their rows once per sink inside the same pass; the whole
+Ray-Data design: one ``pc.index_in`` over the table's keys gives each
+row its route, and the sink label is one ``take`` by that index — no
+shuffle; multi-exporter routes duplicate their rows once per extra sink
+inside the same pass; the whole
 dataset is written ONCE with ``partition_cols=["sink"]`` so fan-out
 never re-executes the upstream pipeline per sink.
 """
@@ -17,11 +18,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .parse import _set_column
+from .parse import _constant, _index_in, _set_column
 
 
 class RoutingTable:
@@ -38,46 +38,39 @@ class RoutingTable:
         self.from_attribute = from_attribute
         self.table = {k: list(v) for k, v in table.items()}
         self.default = list(default)
+        # route i is table entry i; the default is route len(table)
+        self._keys = pa.array(list(self.table))
+        self._routes = list(self.table.values()) + [self.default]
+        self._first_sinks = pa.array([sinks[0] for sinks in self._routes], pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Assign sinks; duplicate rows for multi-sink routes. Adds a
         ``sink`` string column.
 
-        Scale design: the primary (first) sink of every route is
-        assigned via one vectorized dictionary map — no row copying.
-        Only rows of multi-exporter routes are gathered (once per extra
-        exporter) and appended as new chunks; concat is zero-copy.
+        Scale design: each row's route index comes from one
+        ``pc.index_in`` (misses and null keys → the default), and the
+        primary (first) sink of every route is one ``take`` by that
+        index — no row copying. Only rows of multi-exporter routes are
+        gathered (once per extra exporter) and appended as new chunks;
+        concat is zero-copy.
         """
         n = len(batch)
         if self.from_attribute in batch.column_names:
-            keys = pd.Series(
-                batch[self.from_attribute].to_numpy(zero_copy_only=False), dtype=object
-            )
+            keys = batch[self.from_attribute]
         else:
-            keys = pd.Series([None] * n, dtype=object)  # missing key → default
-        first_sink = {v: sinks[0] for v, sinks in self.table.items()}
-        sink = keys.map(first_sink)
-        sink = sink.where(sink.notna(), self.default[0])
-        main = _set_column(batch, "sink", pa.array(sink.to_numpy(dtype=object), pa.string()))
+            keys = pa.nulls(n, pa.string())  # missing key → default
+        idx = pc.fill_null(_index_in(keys, self._keys), len(self.table))
+        main = _set_column(batch, "sink", self._first_sinks.take(idx))
 
         pieces = [main]
-        for value, sinks in self.table.items():
+        for i, sinks in enumerate(self._routes):
             if len(sinks) <= 1:
                 continue
-            m = (keys == value).to_numpy()
-            if not m.any():
+            sub = batch.filter(pc.equal(idx, i))
+            if not len(sub):
                 continue
-            sub = batch.filter(pa.array(m))
             for s in sinks[1:]:
-                pieces.append(_set_column(sub, "sink", pa.array([s] * len(sub), pa.string())))
-        if len(self.default) > 1:
-            m = (~keys.isin(list(self.table))).to_numpy()
-            if m.any():
-                sub = batch.filter(pa.array(m))
-                for s in self.default[1:]:
-                    pieces.append(
-                        _set_column(sub, "sink", pa.array([s] * len(sub), pa.string()))
-                    )
+                pieces.append(_set_column(sub, "sink", _constant(s, len(sub))))
         if len(pieces) == 1:
             return main
         return pa.concat_tables(pieces, promote_options="permissive")

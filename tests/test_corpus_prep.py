@@ -496,10 +496,10 @@ def _collect_docs():
     ],
 )
 def test_driver_collect_raises_past_its_cap(stage, switches, monkeypatch):
-    from opentelemetry_collector_contrib_ray.pipelines import corpus_prep
+    from opentelemetry_collector_contrib_ray import _util
 
-    assert corpus_prep.COLLECT_MAX_ROWS > PrepConfig().drop_broadcast_max
+    assert _util.COLLECT_MAX_ROWS > PrepConfig().drop_broadcast_max
     cfg = PrepConfig(quality=False, pii=False, split=False, vocab_size=0, **switches)
-    monkeypatch.setattr(corpus_prep, "COLLECT_MAX_ROWS", 0)
+    monkeypatch.setattr(_util, "COLLECT_MAX_ROWS", 0)
     with pytest.raises(RuntimeError, match=rf"{stage}: the driver collect reached [1-9]\d* rows"):
         prepare_corpus(_collect_docs(), cfg)

@@ -147,3 +147,31 @@ def test_extract_pod_keys_association_chain():
         t, [{"from": "resource_attribute", "name": "host.name"}]
     )
     assert out3["_pod_key"].to_pylist() == [None, None, "9.9.9.9", None]
+
+
+def test_two_association_columns_first_hit_per_row():
+    cache = {"a": {"team": "ta"}, "b": {"team": "tb"}, "c": {"team": "tc"}}
+    t = pa.table({"first": ["a", "zz", None, "b"], "second": ["c", "c", "b", None]})
+    out = LookupEnrich(cache, association=["first", "second"])(t)
+    assert out["team"].to_pylist() == ["ta", "tc", "tb", "tb"]
+
+
+def test_keys_of_another_type_than_the_column_never_match():
+    """String keys "1"/"2" miss an int column holding 1/2 (as a dict
+    lookup does); the next association column still hits."""
+    cache = {"1": {"team": "t1"}, "2": {"team": "t2"}}
+    t = pa.table({"num": pa.array([1, 2, 3], pa.int64()), "txt": [None, "1", None]})
+    assert LookupEnrich(cache, association=["num"])(t)["team"].to_pylist() == [None, None, None]
+    out = LookupEnrich(cache, association=["num", "txt"])(t)
+    assert out["team"].to_pylist() == [None, "t1", None]
+
+
+def test_existing_prefixed_column_with_nulls_is_filled_not_overwritten():
+    from opentelemetry_collector_contrib_ray.stages.enrich import make_lookup_fn
+
+    cache = {"k": {"team": "cached", "tier": "prod"}}
+    t = pa.table({"src": ["k", "k", "miss", "k"], "meta.team": ["mine", None, None, "also"]})
+    out = make_lookup_fn(cache, ["src"], "meta.")(t)
+    assert out.column_names == ["src", "meta.team", "meta.tier"]
+    assert out["meta.team"].to_pylist() == ["mine", "cached", None, "also"]
+    assert out["meta.tier"].to_pylist() == ["prod", "prod", None, "prod"]

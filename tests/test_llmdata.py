@@ -1024,3 +1024,16 @@ def test_write_training_shards_resume_stamp(ray_session, tmp_path):
         write_training_shards(ds, out, n_shards=4, seed=2)
     with _pytest.raises(ValueError, match="stale"):
         write_training_shards(ds, out, n_shards=8, seed=1)
+
+
+@pytest.mark.parametrize("fn, counts", [("top_vocab", "corpus_word_counts"), ("top_bigrams", "corpus_bigram_counts")])
+def test_top_k_driver_collect_raises_past_its_cap(fn, counts, ray_session, monkeypatch):
+    """The driver merge of the per-block top-k partials goes through the
+    capped collect: with the cap at 1 row, two partial rows raise."""
+    from opentelemetry_collector_contrib_ray import _util
+    from opentelemetry_collector_contrib_ray.stages import llmdata
+
+    ds = ray.data.from_pandas(pd.DataFrame({"doc_id": [0, 1], "text": ["a b c", "b c d"]}))
+    monkeypatch.setattr(_util, "COLLECT_MAX_ROWS", 1)
+    with pytest.raises(RuntimeError, match=rf"{fn}: the driver collect reached [2-9]\d* rows"):
+        getattr(llmdata, fn)(getattr(llmdata, counts)(ds), 10)

@@ -1,5 +1,5 @@
-"""Property-based tests (hypothesis) for core kernels: router scatter
-round-trip, severity conversion totality, token checksum sensitivity,
+"""Property-based tests (hypothesis) for core kernels: the Router against
+a per-row reference, severity conversion totality, token checksum sensitivity,
 the Arrow aggregate and histogram combines against their pandas
 predecessors;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
@@ -10,31 +10,97 @@ skew."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opentelemetry_collector_contrib_ray._util import splitmix64
 from opentelemetry_collector_contrib_ray.functions.severity import convert_severity
 from opentelemetry_collector_contrib_ray.functions.tokens import token_checksum
-from opentelemetry_collector_contrib_ray.stages.parse import _scatter
+from opentelemetry_collector_contrib_ray.stages.parse import Chain, Router
 
 
-@given(
-    st.lists(st.booleans(), min_size=1, max_size=200),
-    st.integers(min_value=0, max_value=1000),
-)
-@settings(max_examples=50, deadline=None)
-def test_scatter_roundtrip(mask_list, base):
-    """Scatter places masked values at masked positions, nulls elsewhere."""
-    mask = np.array(mask_list, dtype=bool)
-    k = int(mask.sum())
-    small = pa.array([base + i for i in range(k)], pa.int64())
-    out = _scatter(small, mask, len(mask))
-    vals = out.to_pylist()
-    it = iter(range(k))
-    for m, v in zip(mask, vals):
-        assert v == (base + next(it) if m else None)
+def _add(name, fn):
+    """A row-local stage: column ``name`` = ``fn(raw)``."""
+
+    def stage(t: pa.Table) -> pa.Table:
+        return t.append_column(name, fn(t["raw"]))
+
+    return stage
+
+
+# "x" is int32 from branch a and int64 from the default (int64 when both
+# take rows); "y" comes from branch b only; branch n has no chain
+_ROUTER_CHAINS = {
+    "a": Chain([_add("x", pc.utf8_length), _add("shared", pc.utf8_upper)]),
+    "b": Chain([_add("y", pc.utf8_reverse), _add("shared", pc.utf8_lower)]),
+    "n": None,
+    "default": Chain([_add("x", lambda c: pc.cast(pc.utf8_length(c), pa.int64()))]),
+}
+_ROUTER_PATTERNS = [("a", "^a"), ("b", "b"), ("n", "^n")]
+
+
+def _router(with_default: bool) -> Router:
+    routes = [(name, pat, _ROUTER_CHAINS[name]) for name, pat in _ROUTER_PATTERNS]
+    return Router(routes, default=_ROUTER_CHAINS["default"] if with_default else None)
+
+
+def _router_reference(raw: list, with_default: bool) -> pa.Table:
+    """Row by row: the first route whose regex matches, its chain run on
+    that row alone; columns in the order the taking branches produce
+    them, branches in route order, nulls where a row's branch lacks one."""
+    import re
+
+    routes = _ROUTER_PATTERNS + [("default", None)]
+    chains = dict(_ROUTER_CHAINS, default=_ROUTER_CHAINS["default"] if with_default else None)
+    taken = [
+        next(name for name, pat in routes if pat is None or (v is not None and re.search(pat, v)))
+        for v in raw
+    ]
+    row_out = [
+        chains[name](pa.table({"raw": pa.array([v], pa.string())})) if chains[name] else None
+        for name, v in zip(taken, raw)
+    ]
+    fields: dict = {}
+    for name, _ in routes:
+        for r, o in zip(taken, row_out):
+            if r == name and o is not None:
+                for f in o.schema:
+                    if f.name != "raw":
+                        fields.setdefault(f.name, []).append(f.type)
+                break
+    cols = {"raw": pa.array(raw, pa.string()), "p": pa.array(range(len(raw)), pa.int64())}
+    cols["route"] = pa.array(taken, pa.string())
+    for name, types in fields.items():
+        typ = pa.unify_schemas([pa.schema([(name, t)]) for t in types], promote_options="permissive").field(name).type
+        cols[name] = pa.array(
+            [o[name][0].as_py() if o is not None and name in o.column_names else None for o in row_out], typ
+        )
+    return pa.table(cols)
+
+
+_RAW = st.one_of(st.none(), st.text(alphabet="abn-", max_size=3))
+
+
+@given(st.lists(_RAW, max_size=40), st.booleans(), st.lists(st.integers(min_value=0, max_value=40), max_size=4))
+@settings(max_examples=150, deadline=None)
+@example(raw=[], with_default=True, cuts=[])
+@example(raw=["-", None, "--"], with_default=True, cuts=[1])
+@example(raw=["n", "ab", "b", "a-", "-"], with_default=False, cuts=[2])
+def test_router_matches_per_row_reference(raw, with_default, cuts):
+    """The Router equals the per-row reference on any mix of branches
+    (empty and all-default batches, a branch without a chain, columns
+    only some branches produce, an int32/int64 column), and the concat
+    of its outputs on the slices of any cut of the batch equals its
+    output on the whole batch."""
+    batch = pa.table({"raw": pa.array(raw, pa.string()), "p": pa.array(range(len(raw)), pa.int64())})
+    router = _router(with_default)
+    whole = router(batch)
+    assert whole.equals(_router_reference(raw, with_default))
+    bounds = [0] + sorted(min(c, len(raw)) for c in cuts) + [len(raw)]
+    parts = [router(batch.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])]
+    assert pa.concat_tables(parts, promote_options="permissive").select(whole.column_names).equals(whole)
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=120), min_size=1, max_size=64))

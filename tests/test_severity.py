@@ -66,3 +66,51 @@ def test_severity_parser_custom_mapping():
     assert out["severity_text"].to_pylist() == ["Error", "Error", "Error", "Info"]
     # emergency→FATAL(21); 65 buckets `> Error` → ERROR2(18); error→17; info→9
     assert out["severity_number"].to_pylist() == [21, 18, 17, 9]
+
+
+def test_severity_parser_edge_values():
+    """Padded and mixed-case text, nulls, and a non-string column: the
+    alias lookup trims and lower-cases each value's text; null and
+    unknown values are Undefined/0."""
+    import pyarrow as pa
+
+    from opentelemetry_collector_contrib_ray.stages.parse import SeverityParser
+
+    out = SeverityParser()(pa.table({"sev": [" Error ", None, "wArN", "", "nope", " Error "]}))
+    assert out["severity_text"].to_pylist() == ["Error", "Undefined", "Info", "Undefined", "Undefined", "Error"]
+    assert out["severity_number"].to_pylist() == [17, 0, 12, 0, 0, 17]
+    assert out.schema.field("severity_number").type == pa.int32()
+
+    ints = pa.table({"sev": pa.array([3, 7, 3], pa.int64())})
+    out = SeverityParser()(ints)
+    assert out["severity_text"].to_pylist() == ["Undefined"] * 3
+    out = SeverityParser(mapping={"3": "warn"})(ints)
+    assert out["severity_text"].to_pylist() == ["Info", "Undefined", "Info"]
+    assert out["severity_number"].to_pylist() == [12, 0, 12]
+
+    missing = SeverityParser(parse_from="absent")(pa.table({"x": [1, 2]}))
+    assert missing["severity_text"].to_pylist() == ["Undefined", "Undefined"]
+    assert missing["severity_number"].to_pylist() == [0, 0]
+
+
+def test_severity_parser_custom_alias_overrides_a_default_name():
+    import pyarrow as pa
+
+    from opentelemetry_collector_contrib_ray.stages.parse import SeverityParser
+
+    out = SeverityParser(mapping={"error": "info", "Panic": 95})(pa.table({"sev": ["ERROR", "panic", "warn"]}))
+    assert out["severity_text"].to_pylist() == ["Info", "Fatal", "Info"]
+    assert out["severity_number"].to_pylist() == [9, 22, 12]
+
+
+def test_syslog_pri_parser_columns():
+    """severity = pri & 7, facility = pri >> 3; a null PRI reads as 0."""
+    import pyarrow as pa
+
+    from opentelemetry_collector_contrib_ray.stages.parse import SyslogPriParser
+
+    out = SyslogPriParser()(pa.table({"pri": ["34", "13", None, "191"]}))
+    assert out["severity_text"].to_pylist() == ["Error", "Info", "Error", "Debug"]
+    assert out["severity_number"].to_pylist() == [18, 11, 21, 5]
+    assert out["facility"].to_pylist() == [4, 1, 0, 23]
+    assert out.schema.field("facility").type == pa.int32()
