@@ -32,12 +32,14 @@ Execution shape (designed for the 100 TB case):
   (1) row-local filters → cache; (2) the exact-dedup shuffle of
   (hash, id) pairs; (3) anti-filter → word-count partials → word
   shuffle → ``block_top``; (4) anti-filter → encode → pack shuffle of
-  (group, id, tokens). Every shuffle is ``keyed_apply``'s one
-  fixed-boundary sort.
+  (group, id, tokens). Every shuffle is ``keyed_apply``: one
+  fixed-boundary sort, or one ``repartition(1)`` on a 1-CPU cluster.
 * An input read with ``read_corpus`` arrives in ``2 × cluster CPUs``
   blocks whatever its size, so the cache holds that many blocks and
   every later stage and shuffle map runs that many tasks: 2 on one
-  CPU, where Ray's byte-sized default made 7 of a 7 MB input.
+  CPU, where Ray's byte-sized default made 7 of a 7 MB input. Each
+  shuffle then runs one task per bucket, and the derived bucket
+  count is never above the CPU count: 1 on one CPU.
 * Each dedup stage shuffles skinny key tables only — (hash, id)
   pairs for exact dedup, (band, hash, id) triples for MinHash,
   (line_hash, id) for line dedup — never document text.  Removal is
@@ -105,7 +107,7 @@ class PrepConfig:
     shuffle_seed: int = 0
     # --- execution
     drop_broadcast_max: int = 5_000_000
-    num_buckets: int | None = None    # dedup shuffle width (None=derived)
+    num_buckets: int | None = None    # every shuffle's width (None=derived)
 
 
 @dataclass
@@ -208,7 +210,7 @@ def amplify_documents(docs_path: str, target_docs: int):
     return ds, base_docs * reps
 
 
-def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
+def _exact_drop_ids(ds, text_col: str, id_col: str, *, num_buckets=None) -> np.ndarray:
     """Duplicate ids under exact dedup (everything but the min-id row
     per content hash).  One shuffle of (hash, id) pairs: each bucket
     sorts once by (hash, id); the first row of each hash's run is its
@@ -232,7 +234,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str) -> np.ndarray:
         winner = np.maximum.accumulate(np.where(first, np.arange(len(t)), 0))
         return t.select([id_col]).filter(pa.array(ids != ids[winner]))
 
-    drops = keyed_apply(pairs, "content_hash", losers, batch_format="pyarrow")
+    drops = keyed_apply(pairs, "content_hash", losers, num_buckets=num_buckets, batch_format="pyarrow")
     batches = collect(drops, "exact dedup")
     if not batches:
         return np.empty(0, np.int64)
@@ -338,7 +340,7 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
     # ---- stage 2: exact dedup (anti-filter by duplicate ids)
     if cfg.exact_dedup:
-        drop = _exact_drop_ids(docs, "text", "doc_id")
+        drop = _exact_drop_ids(docs, "text", "doc_id", num_buckets=cfg.num_buckets)
         stats["exact_dropped"] = int(len(drop))
         costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(

@@ -24,7 +24,8 @@ per-row Python objects, and by default the batch is the whole block, so
 the combine fuses into the task that read it), phase 2 merges the
 partials on the driver (``driver_finalize``) or through
 ``keyed_apply``, the engine's one keyed shuffle: one fixed-boundary
-sort into B reducers, no boundary sampling. Skew note: per-batch
+sort into B reducers, no boundary sampling (one ``repartition(1)``
+when B = 1). Skew note: per-batch
 combining already bounds the phase-2 input for ANY key (hot or not)
 to ≤ #blocks partial rows, so nothing is salted.
 
@@ -51,11 +52,14 @@ from .._util import cluster_cpus, hash_str_u64, splitmix64, table_from_pandas
 
 
 def derived_num_partitions() -> int:
-    """Shuffle partition count sized to the actual cluster: ~CPU/2
-    aggregators (more swamps a small node, fewer starves a big
-    cluster), between 4 and 512 so a 10k-core cluster doesn't make 5k
-    tiny partitions. Callers use this instead of hard-coding counts."""
-    return max(4, min(512, cluster_cpus() // 2))
+    """Shuffle bucket count sized to the cluster: half its CPUs,
+    between 4 and 512 (a 10k-core cluster gets no 5k tiny buckets),
+    and never more than its CPUs. A sort's map outputs all land before
+    any reducer starts, so a bucket beyond the CPU count adds a task
+    wave and no parallelism. Callers use this instead of hard-coding
+    counts."""
+    cpus = cluster_cpus()
+    return min(cpus, max(4, min(512, cpus // 2)))
 
 
 def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.ndarray:
@@ -85,8 +89,8 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: s
     ``derived_num_partitions()``. That domain is known, so the shuffle
     is ONE sort on the fixed boundaries ``1 .. B-1``: B reducers, no
     boundary-sampling round, and reducer ``b`` holds exactly bucket
-    ``b`` (``B = 1`` adds one always-empty reducer, since Ray samples
-    when given no boundary).
+    ``b``. ``B = 1`` is one ``repartition(1)``: its single block is
+    the bucket.
     ``per_bucket`` then hands ``fn`` each non-empty bucket with
     ``_bucket`` dropped, as a DataFrame or Arrow table per
     ``batch_format``, and raises if a block ever carries two buckets.
@@ -103,19 +107,17 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: s
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("_bucket", pa.array(bucket_ids(batch, keys, P)))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .sort("_bucket", boundaries=list(range(1, max(P, 2))))
-        .map_batches(_per_bucket(fn), batch_size=None, batch_format=batch_format)
-    )
+    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
+    ds = ds.repartition(1) if P == 1 else ds.sort("_bucket", boundaries=list(range(1, P)))
+    return ds.map_batches(_per_bucket(fn), batch_size=None, batch_format=batch_format)
 
 
 def _per_bucket(fn):
     """Wrap ``fn`` as ``keyed_apply``'s per-block UDF: skip empty
-    blocks, refuse a block that carries two ``_bucket`` values (the
-    fixed boundaries make each reducer exactly one bucket, so this
-    never groups silently), and call ``fn`` on the bucket without
-    ``_bucket``."""
+    blocks, refuse a block that carries two ``_bucket`` values (each
+    reducer of the fixed-boundary sort, and the one block of B = 1, is
+    exactly one bucket, so this never groups silently), and call ``fn``
+    on the bucket without ``_bucket``."""
 
     def per_bucket(g):
         if len(g) == 0:

@@ -471,6 +471,24 @@ def test_default_pass_runs_four_executions(docs_ds, monkeypatch):
     assert chunks == 15
 
 
+def test_every_shuffle_takes_the_configured_width(docs_ds, monkeypatch):
+    # PrepConfig.num_buckets sets every shuffle of the default pass: exact
+    # dedup, the vocabulary and the pack
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+
+    widths = []
+    orig = aggregate.keyed_apply
+
+    def spy(ds, keys, fn, **kwargs):
+        widths.append(kwargs.get("num_buckets"))
+        return orig(ds, keys, fn, **kwargs)
+
+    monkeypatch.setattr(aggregate, "keyed_apply", spy)
+    res = prepare_corpus(docs_ds, PrepConfig(num_buckets=7, vocab_size=50, seq_len=64))
+    assert res.packed.count() > 0
+    assert widths == [7, 7, 7]
+
+
 def _collect_docs():
     """Seven documents: a first line every document shares, a 10-word
     passage every document repeats, and document 6 a copy of document 0:

@@ -5,7 +5,10 @@ Ray does not fuse ``Read`` into a ``MapBatches(batch_size=...)``, so every
 as ONE operator from ``ReadParquet`` to ``Write``, and the aggregate
 layer's re-read runs as one ``ReadParquet->…->MapBatches(combine)``
 operator. The corpus has as many files as the read asks for blocks, so
-the read splits no file (a split read stays its own operator)."""
+the read splits no file (a split read stays its own operator).
+
+A keyed shuffle is one fixed-boundary ``Sort``, or one ``Repartition``
+and no sort when it has one bucket."""
 
 import ray.data
 
@@ -22,6 +25,26 @@ def _operators(ds) -> list[str]:
         names = [op.operator_name for op in summary.operators_stats] + names
         summary = summary.parents[0] if summary.parents else None
     return names
+
+
+def _logical_operators(ds) -> list[str]:
+    ops, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(op.name)
+        todo.extend(op.input_dependencies)
+    return ops
+
+
+def test_one_bucket_is_a_repartition_not_a_sort():
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+
+    def plan(num_buckets):
+        return _logical_operators(keyed_apply(ray.data.range(100), "id", lambda t: t, num_buckets=num_buckets))
+
+    one, seven = plan(1), plan(7)
+    assert one.count("Repartition") == 1 and "Sort" not in one, one
+    assert seven.count("Sort") == 1 and "Repartition" not in seven, seven
 
 
 def test_flagship_reads_fuse_into_their_consumers(tmp_path, monkeypatch):

@@ -165,6 +165,9 @@ SHUFFLE_CASES = [
     pytest.param(7, "permuted", id="permuted"),
     pytest.param(7, "blocks", id="many_blocks_some_empty"),
     pytest.param(7, "hot", id="one_hot_key"),
+    pytest.param(1, "permuted", id="buckets1_permuted"),
+    pytest.param(1, "blocks", id="buckets1_many_blocks_some_empty"),
+    pytest.param(1, "hot", id="buckets1_one_hot_key"),
 ]
 
 
@@ -488,6 +491,36 @@ def test_keyed_apply_refuses_a_two_bucket_block():
     with pytest.raises(RuntimeError):
         list(per_bucket(pd.DataFrame({"k": ["a", "b"], "_bucket": [0, 1]})))
     assert calls == [2]
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("blocks", [1, 4], ids=["empty_dataset", "all_empty_blocks"])
+def test_one_bucket_of_nothing_calls_nothing(blocks, batch_format):
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+
+    def never(g):
+        raise AssertionError("fn called on an empty bucket")
+
+    empty = pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
+    ds = ray.data.from_arrow([empty] * blocks).materialize()
+    assert ds.num_blocks() == blocks
+    assert keyed_apply(ds, "k", never, num_buckets=1, batch_format=batch_format).take_all() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5, 8, 16, 1024, 4096])
+def test_derived_num_partitions_never_exceeds_the_cpus(cpus, monkeypatch):
+    # cluster_cpus is patched: no session of that size starts
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+
+    monkeypatch.setattr(aggregate, "cluster_cpus", lambda: cpus)
+    got = aggregate.derived_num_partitions()
+    assert 1 <= got <= cpus
+    if cpus >= 4:  # half the CPUs, between 4 and 512
+        assert got == max(4, min(512, cpus // 2))
+    else:
+        assert got == cpus
 
 
 # ------------------------------------------------ read block-count invariance
