@@ -167,11 +167,40 @@ def _merge_groups(t: pa.Table, keys: list[str], plan) -> pa.Table:
     ``plan``: type-preserving (incl. all-null key columns, which pandas
     would retype) and C++-vectorized."""
     # dedupe (src, op): e.g. sum+mean share one partial column
-    merged = pa.TableGroupBy(t, keys, use_threads=False).aggregate(sorted({(src, op) for src, op, _ in plan}))
+    merged = _group_by(t, keys, sorted({(src, op) for src, op, _ in plan}))
     cols = {k: merged[k] for k in keys}
     for src, op, dst in plan:
         cols[dst] = merged[f"{src}_{op}"]
     return pa.table(cols)
+
+
+def _group_by(t: pa.Table, keys: list[str], aggregations) -> pa.Table:
+    """``pa.TableGroupBy(t, keys).aggregate(aggregations)`` that puts
+    every row of a null key tuple in ONE group. Arrow 16's hash grouper
+    can split such rows over several groups when keys of different
+    widths meet (a string and a float key on a batch beyond 32 rows,
+    say), so a key with nulls is grouped as two null-free keys: the
+    column with its nulls filled by one of its own values, and a null
+    flag (the flag alone when the key is all null). The output puts the
+    nulls back and keeps the helper keys as extra columns."""
+    nullable = [k for k in keys if t[k].null_count] if len(keys) > 1 else []
+    group_keys = [k for k in keys if k not in nullable]
+    for k in nullable:
+        col = t[k]
+        valid = col.drop_null()
+        if len(valid):
+            t = t.append_column(f"_filled_{k}", col.fill_null(valid[0]))
+            group_keys.append(f"_filled_{k}")
+        t = t.append_column(f"_null_{k}", pc.is_null(col))
+        group_keys.append(f"_null_{k}")
+    merged = pa.TableGroupBy(t, group_keys, use_threads=False).aggregate(aggregations)
+    for k in nullable:
+        if f"_filled_{k}" in group_keys:
+            col = pc.if_else(merged[f"_null_{k}"], pa.scalar(None, t[k].type), merged[f"_filled_{k}"])
+        else:
+            col = pa.nulls(merged.num_rows, t[k].type)
+        merged = merged.append_column(k, col)
+    return merged
 
 
 def _nan_as_null(col):
@@ -215,9 +244,10 @@ def _partial_stage(keys, aggs, exact_sums):
             v = np.array(batch[col].to_numpy(zero_copy_only=False), dtype=np.float64)
             v[np.isnan(v)] = 0.0  # skipna-sum semantics: nulls contribute 0
             cols[f"_int_{col}"] = pa.array(np.rint(v * scale).astype(np.int64))
-        g = pa.TableGroupBy(pa.table(cols), keys, use_threads=False)
         sum_all = pc.ScalarAggregateOptions(min_count=0)  # built per call: not picklable
-        merged = g.aggregate([(src, fn, sum_all if fn == "sum" else None) for src, fn in plan.values()])
+        merged = _group_by(
+            pa.table(cols), keys, [(src, fn, sum_all if fn == "sum" else None) for src, fn in plan.values()]
+        )
         out = {k: merged[k] for k in keys}
         for name, (src, fn) in plan.items():
             col = merged[f"{src}_{fn}" if src else fn]
@@ -450,10 +480,11 @@ def _hist_partial(keys, value_col, bounds_arr, value_scale):
         cols["_v"] = v
         for b in range(nb):
             cols[f"bucket_{b}"] = pa.array((bucket == b).astype(np.int64))
-        g = pa.TableGroupBy(pa.table(cols), keys, use_threads=False)
         sum_all = pc.ScalarAggregateOptions(min_count=0)  # an all-null group sums to 0
-        merged = g.aggregate(
-            [("_v", "count"), ("_v", "sum", sum_all)] + [(f"bucket_{b}", "sum", sum_all) for b in range(nb)]
+        merged = _group_by(
+            pa.table(cols),
+            keys,
+            [("_v", "count"), ("_v", "sum", sum_all)] + [(f"bucket_{b}", "sum", sum_all) for b in range(nb)],
         )
         out = {k: merged[k] for k in keys}
         out["call_count"] = merged["_v_count"]

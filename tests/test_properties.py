@@ -7,6 +7,8 @@ and metamorphic tests of the keyed shuffle (``keyed_apply``,
 results do not depend on bucket count, input order, block layout or key
 skew."""
 
+import collections
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -340,10 +342,43 @@ def test_partial_stage_matches_pandas_combine(rows):
         pytest.param([], id="empty_batch"),
         pytest.param([("a", None, None, None, None), ("a", float("nan"), float("nan"), None, float("nan"))], id="all_null_group"),
         pytest.param([(None, 1.0, 1.5, 2, 0.125), (None, None, float("nan"), None, 0.135)], id="null_keys_one_group"),
+        pytest.param(
+            [("a", 1.0, None, None, None)] * 8 + [(None, 1.0, None, None, None)] * 2 + [("a", 1.0, None, None, None)] * 30,
+            id="null_string_key_beyond_32_rows",
+        ),
     ],
 )
 def test_partial_stage_edge_batches(rows):
     _check_combine_matches_pandas(_combine_batch(rows))
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        pytest.param((pa.string(), pa.float64()), id="string_float"),
+        pytest.param((pa.int16(), pa.int64()), id="int16_int64"),
+        pytest.param((pa.bool_(), pa.string(), pa.int32()), id="bool_string_int32"),
+    ],
+)
+@pytest.mark.parametrize("null_every", [3, 1], ids=["some_null", "all_null"])
+def test_group_by_keeps_each_null_key_tuple_in_one_group(types, null_every):
+    # Arrow 16's grouper alone splits these null keys over several groups
+    from opentelemetry_collector_contrib_ray.stages.aggregate import _group_by
+
+    samples = {pa.string(): ["x", ""], pa.float64(): [1.0, 2.5], pa.int16(): [5, 6], pa.int64(): [1, 7],
+               pa.bool_(): [True, False], pa.int32(): [3, 4]}
+    n = 100
+    cols = {
+        f"c{j}": [None if (i + j) % null_every == 0 else samples[ty][(i // 7 + j) % 2] for i in range(n)]
+        for j, ty in enumerate(types)
+    }
+    t = pa.table({c: pa.array(v, ty) for (c, v), ty in zip(cols.items(), types)})
+    keys = list(cols)
+    got = _group_by(t, keys, [([], "count_all")])
+    want = collections.Counter(zip(*cols.values()))
+    assert {tuple(r[k] for k in keys): r["count_all"] for r in got.to_pylist()} == want
+    assert got.num_rows == len(want)
+    assert [got.schema.field(k).type for k in keys] == list(types)
 
 
 def _pandas_hist_combine(keys, value_col, bounds_arr, value_scale):
