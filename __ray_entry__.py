@@ -650,8 +650,8 @@ def _q_sampling_contracts(sf_dir: str):
             {"tkey": pc.cast(_pc_mod(t["user_id"], 997), pa.int64())}
         )
 
-    def one_row_per_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"tkey": [g["tkey"].iloc[0]], "n": [len(g)]})
+    def one_row_per_group(g: pa.Table) -> pa.Table:
+        return pa.table({"tkey": g["tkey"].slice(0, 1), "n": pa.array([len(g)], pa.int64())})
 
     gbt = group_by_trace(
         _read(sf_dir, "events", ["user_id"]).map_batches(
@@ -779,18 +779,16 @@ def _q_delta_conversion(sf_dir: str):
     """Cumulative→delta per series key (datadogexporter
     metrics_translator.go:106-134): per user ordered by (ts, event_id),
     delta = value - previous (first point keeps its value)."""
-    import pandas as pd
-
-    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply, sorted_runs
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def delta_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        lag = df.groupby("user_id", sort=False)["value"].shift()
-        return pd.DataFrame(
-            {"event_id": df["event_id"], "delta": df["value"] - lag.fillna(0.0)}
-        )
+    def delta_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [(c, "ascending") for c in ("user_id", "ts", "event_id")]))
+        v = t["value"].to_numpy(zero_copy_only=False)  # nulls arrive as NaN
+        lag = np.concatenate([[np.nan], v[:-1]])
+        lag[sorted_runs(t, ["user_id"])] = np.nan  # a user's first point has no lag
+        return pa.table({"event_id": t["event_id"], "delta": v - np.nan_to_num(lag, nan=0.0)})
 
     return keyed_apply(ds, "user_id", delta_bucket)
 

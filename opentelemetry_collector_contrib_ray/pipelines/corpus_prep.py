@@ -160,9 +160,10 @@ def _anti_filter_ids(ds, drop_ids, id_col: str, *, broadcast_max: int, num_bucke
     sides, schema, _ = tag_union(ds, _ds_from_table(pa.table({id_col: pa.array(drop_ids)})))
     cols = list(schema)
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        dropped = df.loc[df["_side"] == 1, id_col].to_numpy()
-        return df.loc[(df["_side"] == 0) & ~df[id_col].isin(dropped), cols]
+    def per_bucket(t: pa.Table) -> pa.Table:
+        dropped = pc.equal(t["_side"], 1)
+        hit = pc.is_in(t[id_col], value_set=t[id_col].filter(dropped).combine_chunks())
+        return t.filter(pc.invert(pc.or_(dropped, hit))).select(cols)
 
     return keyed_apply(sides, id_col, per_bucket, num_buckets=num_buckets)
 
@@ -234,7 +235,7 @@ def _exact_drop_ids(ds, text_col: str, id_col: str, *, num_buckets=None) -> np.n
         winner = np.maximum.accumulate(np.where(first, np.arange(len(t)), 0))
         return t.select([id_col]).filter(pa.array(ids != ids[winner]))
 
-    drops = keyed_apply(pairs, "content_hash", losers, num_buckets=num_buckets, batch_format="pyarrow")
+    drops = keyed_apply(pairs, "content_hash", losers, num_buckets=num_buckets)
     batches = collect(drops, "exact dedup")
     if not batches:
         return np.empty(0, np.int64)

@@ -24,8 +24,8 @@ per-row Python objects, and by default the batch is the whole block, so
 the combine fuses into the task that read it), phase 2 merges the
 partials on the driver (``driver_finalize``) or through
 ``keyed_apply``, the engine's one keyed shuffle: one fixed-boundary
-sort into B reducers, no boundary sampling (one ``repartition(1)``
-when B = 1). Skew note: per-batch
+sort into B reducers (one ``repartition(1)`` when B = 1), whose bucket
+functions take and return Arrow tables. Skew note: per-batch
 combining already bounds the phase-2 input for ANY key (hot or not)
 to ≤ #blocks partial rows, so nothing is salted.
 
@@ -44,11 +44,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._util import cluster_cpus, hash_str_u64, splitmix64, table_from_pandas
+from .._util import cluster_cpus, hash_str_u64, splitmix64
 
 
 def derived_num_partitions() -> int:
@@ -80,7 +79,7 @@ def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.nda
     return (h % np.uint64(num_buckets)).astype(np.int64)
 
 
-def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: str = "pandas"):
+def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None):
     """The engine's one keyed shuffle: co-locate every row of each key
     tuple and call ``fn`` once per BUCKET, not once per key.
 
@@ -91,15 +90,13 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: s
     boundary-sampling round, and reducer ``b`` holds exactly bucket
     ``b``. ``B = 1`` is one ``repartition(1)``: its single block is
     the bucket.
-    ``per_bucket`` then hands ``fn`` each non-empty bucket with
-    ``_bucket`` dropped, as a DataFrame or Arrow table per
-    ``batch_format``, and raises if a block ever carries two buckets.
-    ``fn`` runs a vectorized groupby over the bucket itself, so
+    ``per_bucket`` then hands ``fn`` each non-empty bucket as one
+    ``pa.Table`` without ``_bucket``, and ``fn`` returns a ``pa.Table``.
+    ``fn`` runs a vectorized group-by over the bucket itself, so
     millions of keys cost B Python calls. A single hot key always lands
     in one bucket, bounding the largest task by that key's row count.
-    DataFrame results are emitted as metadata-free Arrow: pandas blocks
-    re-acquire the unhashable pandas schema blob at the next conversion
-    and do not union with Arrow.
+    A bucket function whose kernel exists only in pandas converts at
+    its own boundary.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     P = int(num_buckets or derived_num_partitions())
@@ -109,34 +106,58 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None, batch_format: s
 
     ds = ds.map_batches(add_bucket, batch_format="pyarrow")
     ds = ds.repartition(1) if P == 1 else ds.sort("_bucket", boundaries=list(range(1, P)))
-    return ds.map_batches(_per_bucket(fn), batch_size=None, batch_format=batch_format)
+    return ds.map_batches(_per_bucket(fn), batch_size=None, batch_format="pyarrow")
 
 
 def _per_bucket(fn):
     """Wrap ``fn`` as ``keyed_apply``'s per-block UDF: skip empty
     blocks, refuse a block that carries two ``_bucket`` values (each
     reducer of the fixed-boundary sort, and the one block of B = 1, is
-    exactly one bucket, so this never groups silently), and call ``fn``
-    on the bucket without ``_bucket``."""
+    exactly one bucket, so this never groups silently), call ``fn`` on
+    the bucket's table without ``_bucket``, raise ``TypeError`` naming
+    ``fn`` when it returns anything but a ``pa.Table``, and emit the
+    result without schema metadata (a pandas blob that rode in on the
+    input makes the next shuffle's schema dedup fail)."""
 
-    def per_bucket(g):
-        if len(g) == 0:
+    def per_bucket(t: pa.Table):
+        if len(t) == 0:
             return
-        b = np.asarray(g["_bucket"])
+        b = np.asarray(t["_bucket"])
         if b.min() != b.max():
             raise RuntimeError(f"keyed_apply: one block holds buckets {b.min()} to {b.max()}")
-        if isinstance(g, pd.DataFrame):
-            out = fn(g.drop(columns=["_bucket"]))
-        else:
-            out = fn(g.drop_columns(["_bucket"]))
-        if isinstance(out, pd.DataFrame):
-            try:
-                out = table_from_pandas(out)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                pass  # exotic dtypes stay pandas
-        yield out
+        out = fn(t.drop_columns(["_bucket"]))
+        if not isinstance(out, pa.Table):
+            name = getattr(fn, "__qualname__", fn)
+            raise TypeError(f"keyed_apply: {name} returned {type(out).__name__}, not a pyarrow.Table")
+        yield out.replace_schema_metadata(None)
 
     return per_bucket
+
+
+def sorted_runs(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """Start offset of each run of equal ``keys`` tuples in ``t``, which
+    is sorted on them: the groups of a sorted bucket. Nulls (and NaNs)
+    of a key form one run."""
+    ends = [pc.run_end_encode(t[k].combine_chunks()).run_ends.to_numpy() for k in keys]
+    return np.unique(np.concatenate([[0], *ends]))[:-1]
+
+
+def sorted_groups(t: pa.Table, keys: Sequence[str], order: Sequence = ()) -> list[pa.Table]:
+    """``t`` sorted by ``keys`` then ``order`` (``pc.sort_indices`` sort
+    keys; stable) and cut into one slice per key tuple."""
+    t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys] + list(order)))
+    bounds = np.append(sorted_runs(t, keys), len(t))
+    return [t.slice(s, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+def head_per_group(t: pa.Table, group: str, order: list, n: int) -> tuple[pa.Table, np.ndarray]:
+    """The first ``n`` rows of each ``group`` value of ``t`` in ``order``
+    (stable ``pc.sort_indices`` keys), and each one's 0-based rank."""
+    t = t.take(pc.sort_indices(t, [(group, "ascending"), *order]))
+    starts = sorted_runs(t, [group])
+    rank = np.arange(len(t)) - np.repeat(starts, np.diff(np.append(starts, len(t))))
+    keep = rank < n
+    return t.filter(pa.array(keep)), rank[keep]
 
 
 def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
@@ -157,9 +178,7 @@ def bucketed_aggregate(ds, keys, plan, *, num_buckets: int | None = None):
     column order is ``keys`` then the plan's dst names.
     """
     keys = list(keys)
-    return keyed_apply(
-        ds, keys, lambda t: _merge_groups(t, keys, plan), num_buckets=num_buckets, batch_format="pyarrow"
-    )
+    return keyed_apply(ds, keys, lambda t: _merge_groups(t, keys, plan), num_buckets=num_buckets)
 
 
 def _merge_groups(t: pa.Table, keys: list[str], plan) -> pa.Table:
@@ -579,27 +598,22 @@ def timer_summary(
     keys = list(keys)
     pcts = list(percentiles)
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(keys + [value_col], kind="stable").reset_index(drop=True)
-        g = df.groupby(keys, sort=False, observed=True)
-        n = g[value_col].transform("size").to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate([[True], (g.ngroup().to_numpy()[1:] != g.ngroup().to_numpy()[:-1])])
-        )
-        sizes = n[starts]
-        out = df.iloc[starts][keys].reset_index(drop=True)
-        out["count"] = sizes.astype(np.int64)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [(c, "ascending") for c in keys + [value_col]]))
+        starts = sorted_runs(t, keys)
+        sizes = np.diff(np.append(starts, len(t)))
+        out = {k: t[k].take(starts) for k in keys}
+        out["count"] = pa.array(sizes.astype(np.int64))
+        vals = t[value_col].to_numpy(zero_copy_only=False)  # nulls arrive as NaN
         if exact_scale:  # fixed-decimal input → exact int64 sum (module doc)
-            ints = np.rint(df[value_col].to_numpy() * exact_scale).astype(np.int64)
-            isum = np.add.reduceat(ints, starts)
-            out[f"{value_col}_sum"] = isum / float(exact_scale)
+            ints = np.rint(vals * exact_scale).astype(np.int64)
+            out[f"{value_col}_sum"] = pa.array(np.add.reduceat(ints, starts) / float(exact_scale))
         else:
-            out[f"{value_col}_sum"] = g[value_col].sum().to_numpy()
-        vals = df[value_col].to_numpy()
+            out[f"{value_col}_sum"] = pa.array(np.add.reduceat(np.nan_to_num(vals), starts))
         for p in pcts:
             # nearest rank: ceil(n·p/100) clamped to [1, n], minus 1
             idx = np.maximum(1, np.ceil(sizes * p / 100.0).astype(np.int64)) - 1
-            out[f"p{int(p)}"] = vals[starts + np.minimum(idx, sizes - 1)]
-        return out
+            out[f"p{int(p)}"] = pa.array(vals[starts + np.minimum(idx, sizes - 1)])
+        return pa.table(out)
 
     return keyed_apply(ds.select_columns(keys + [value_col]), keys, per_bucket)

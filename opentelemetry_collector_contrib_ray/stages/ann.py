@@ -78,13 +78,12 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10):
 
 def _merge_topk(partials, k: int):
     """Global top-k per query from per-batch top-k partials: one
-    ``keyed_apply`` shuffle on ``query_idx``, then per bucket one sort
-    by (query_idx, cos desc) and ``groupby(query_idx).head(k)``."""
-    from .aggregate import keyed_apply
+    ``keyed_apply`` shuffle on ``query_idx``, then per bucket one stable
+    sort by (query_idx, cos desc) keeping the first k rows per query."""
+    from .aggregate import head_per_group, keyed_apply
 
-    def topk(df):
-        df = df.sort_values(["query_idx", "cos"], ascending=[True, False], kind="stable")
-        return df.groupby("query_idx", sort=False).head(k)
+    def topk(t: pa.Table) -> pa.Table:
+        return head_per_group(t, "query_idx", [("cos", "descending")], k)[0]
 
     return keyed_apply(partials, "query_idx", topk)
 

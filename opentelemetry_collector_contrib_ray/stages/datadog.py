@@ -43,6 +43,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .._util import table_from_pandas
+
 MAX_TAG_LENGTH = 200  # utils/trace_helpers.go:29
 MAX_META_VAL_LEN = 5000  # translate_traces.go:60
 DEFAULT_SERVICE_NAME = "unnamed-otel-service"  # trace_helpers.go:32
@@ -684,8 +686,6 @@ class DatadogSpanTranslator:
             },
             index=idx,
         )
-        from .._util import table_from_pandas
-
         return table_from_pandas(out.reset_index(drop=True))
 
 
@@ -757,8 +757,9 @@ def datadog_trace_translate(
     blk = Denylister(denylist)
     translated = ds.map_batches(translator, batch_format="pyarrow")
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return mark_analyzed(apply_denylist(g, blk))
+    def per_bucket(t: pa.Table) -> pa.Table:
+        # the root lookup and the parent merge are pandas kernels
+        return table_from_pandas(mark_analyzed(apply_denylist(t.to_pandas(), blk)))
 
     return keyed_apply(translated, "trace_id_u64", per_bucket, num_buckets=num_buckets)
 
@@ -909,8 +910,6 @@ class DatadogMetricMapper:
         # ProcessMetrics namespace prepend + host attach (:358-360)
         out["metric"] = add_namespace_series(out["metric"])
         out["host"] = self.host
-        from .._util import table_from_pandas
-
         return table_from_pandas(out)
 
 

@@ -404,7 +404,7 @@ def _resolve_buckets(exploded, id_col: str, *, num_buckets: int | None = None):
             }
         )
 
-    return keyed_apply(exploded, ["band_id", "band_hash"], resolve, num_buckets=num_buckets, batch_format="pyarrow")
+    return keyed_apply(exploded, ["band_id", "band_hash"], resolve, num_buckets=num_buckets)
 
 
 def lsh_candidate_pairs(exploded, id_col: str):
@@ -413,7 +413,7 @@ def lsh_candidate_pairs(exploded, id_col: str):
     the bucketed groupby (size-2 groups vectorized; larger groups —
     rare by LSH construction — via a bounded per-group expansion), then
     deduped across bands with a second keyed shuffle of the pairs."""
-    from .aggregate import keyed_apply
+    from .aggregate import bucketed_aggregate, keyed_apply
 
     def band_pairs(g: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -460,14 +460,11 @@ def lsh_candidate_pairs(exploded, id_col: str):
         a, b = a[keep], b[keep]
         return pa.table({"id_a": pa.array(a, id_type), "id_b": pa.array(b, id_type)})
 
-    pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs, batch_format="pyarrow")
+    pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs)
 
     # dedupe across bands: a pair's copies from every band co-locate on
-    # the (id_a, id_b) key; one vectorized drop_duplicates per bucket
-    def dedupe(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["id_a", "id_b"])
-
-    return keyed_apply(pairs, ["id_a", "id_b"], dedupe)
+    # the (id_a, id_b) key; one Arrow group-by per bucket keeps each once
+    return bucketed_aggregate(pairs, ["id_a", "id_b"], [])
 
 
 # -------------------------------------------------------------------- SimHash

@@ -9,9 +9,9 @@ relational capability:
   ray.put, pandas merge per batch — no shuffle. The scale default for
   enrichment-shaped joins.
 - ``bucketed_hash_join``: both sides large — ``tag_union`` the sides,
-  co-locate each key with ONE ``keyed_apply`` shuffle, merge per bucket
-  with vectorized pandas. A hot key is bounded by its bucket: one key's
-  rows from both sides must fit a worker.
+  co-locate each key with ONE ``keyed_apply`` shuffle, one Arrow hash
+  join per bucket. A hot key is bounded by its bucket: one key's rows
+  from both sides must fit a worker.
 - ``native_join``: thin wrapper over ``Dataset.join`` (hash shuffle
   join in Ray >= 2.46) — preferred when available; the bucketed path is
   the portable fallback and the explicitly-partitioned variant.
@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._util import table_from_pandas
 from .aggregate import derived_num_partitions, keyed_apply
@@ -59,21 +60,31 @@ def bucketed_hash_join(
     """Partitioned hash join of two Datasets on ``on``.
 
     Plan: ``tag_union`` the two sides, then ONE ``keyed_apply`` shuffle
-    on the key tuple co-locates each key's rows from both sides and
-    pandas-merges them inside each bucket. Wall-clock scales with the
-    largest bucket. Rows with null keys are dropped (SQL inner-join
-    semantics) or kept on the left for how='left'. A clashing right
-    column gets the suffix ``_r``.
+    on the key tuple co-locates each key's rows from both sides; each
+    bucket Arrow-joins the keys plus a row index per side and ``take``s
+    the columns (``Table.join`` refuses list-typed non-key columns), so
+    every column keeps its input type. Wall-clock scales with the
+    largest bucket. A null key never matches: its row is dropped
+    (inner) or kept with null right columns (how='left'). A clashing
+    right column gets the suffix ``_r``.
     """
     on = [on] if isinstance(on, str) else list(on)
     both, lschema, rschema = tag_union(left, right)
     l_out = list(lschema)
     r_out = [c for c in rschema if c not in on]
+    join_type = {"inner": "inner", "left": "left outer"}[how]
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lhs = g[g["_side"] == 0][l_out]
-        rhs = g[g["_side"] == 1][[*on, *r_out]]
-        return lhs.merge(rhs, on=on, how=how, suffixes=("", "_r"))
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        left_rows = pc.equal(t["_side"], 0)
+        lhs = t.filter(left_rows).select(l_out)
+        rhs = t.filter(pc.invert(left_rows)).select([*on, *r_out])
+        li = lhs.select(on).append_column("_li", pa.array(np.arange(len(lhs))))
+        ri = rhs.select(on).append_column("_ri", pa.array(np.arange(len(rhs))))
+        m = li.join(ri, on, join_type=join_type, use_threads=False)
+        out = lhs.take(m["_li"])
+        for c in r_out:
+            out = out.append_column(f"{c}_r" if c in lschema else c, rhs[c].take(m["_ri"]))
+        return out
 
     return keyed_apply(both, on, merge_bucket, num_buckets=num_buckets)
 
@@ -196,10 +207,10 @@ def asof_join(
     align events to rates/quotes/config epochs.
 
     Plan (the partitioning assumption this op relies on): co-partition
-    BOTH sides by hash(by-key) — one bucketed exchange — then inside
-    each bucket sort each side by the time column and run ONE
-    vectorized ``pandas.merge_asof`` (``by=`` handles per-key fencing;
-    a key's rows always land in one bucket). Left-join semantics:
+    BOTH sides by hash(by-key) — one bucketed exchange — then convert
+    each bucket to pandas, sort each side by the time column and run
+    ONE vectorized ``pandas.merge_asof`` (``by=`` handles per-key
+    fencing; a key's rows always land in one bucket). Left-join semantics:
     unmatched left rows keep nulls. Rows with a null time column are
     dropped (they can never match). Sides must not share column names
     (rename before joining)."""
@@ -213,7 +224,8 @@ def asof_join(
     # canonical output schema: left dtypes + nullable right columns
     out_fields = [(c, lschema[c]) for c in l_cols] + [(c, rschema[c]) for c in r_cols]
 
-    def merge_bucket(g: pd.DataFrame) -> pa.Table:
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()  # merge_asof is pandas-only
         lhs = g[g["_side"] == 0][l_cols].dropna(subset=[left_on, left_by])
         rhs = g[g["_side"] == 1][r_cols].dropna(subset=[right_on, right_by])
         lhs = lhs.astype({left_on: on_dtype, left_by: by_dtype})
@@ -267,7 +279,8 @@ def range_join(
     # NaN-degraded int columns cast back to one stable schema
     out_fields = [(c, lschema[c]) for c in l_cols] + [(c, rschema[c]) for c in r_attach]
 
-    def merge_bucket(g: pd.DataFrame) -> pa.Table:
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()  # the per-key loop runs on pandas groups
         lhs = g[g["_side"] == 0][l_cols].dropna(subset=[left_by])
         rhs = g[g["_side"] == 1][r_cols].dropna(subset=[right_by])
         lhs = lhs.astype({left_by: by_dtype})

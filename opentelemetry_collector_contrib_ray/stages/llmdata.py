@@ -423,7 +423,7 @@ def pack_sequences(
         return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, words)
 
     thin = ds.select_columns([group_col, order_col, text_col])
-    return keyed_apply(thin, group_col, per_bucket, batch_format="pyarrow")
+    return keyed_apply(thin, group_col, per_bucket)
 
 
 def pack_token_sequences(
@@ -455,7 +455,7 @@ def pack_token_sequences(
         return _pack_bucket(t, group_col, order_col, seq_len, emit_tokens, tokens, pa.int32())
 
     thin = ds.select_columns([group_col, order_col, tokens_col])
-    return keyed_apply(thin, group_col, per_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+    return keyed_apply(thin, group_col, per_bucket, num_buckets=num_buckets)
 
 
 # --------------------------------------------------------------- C4 cleaning
@@ -973,7 +973,7 @@ def stratified_sample(ds, n: int, *, num_buckets: int | None = None):
     in hash order); join/broadcast against the corpus to materialize
     sampled rows. Partitioning assumption: n × (groups in one bucket)
     rows fit one task."""
-    from .aggregate import keyed_apply
+    from .aggregate import head_per_group, keyed_apply
 
     def partials(t: pa.Table) -> pa.Table:
         g = t["source"].to_numpy(zero_copy_only=False)
@@ -1001,11 +1001,9 @@ def stratified_sample(ds, n: int, *, num_buckets: int | None = None):
 
     cand = ds.map_batches(partials, batch_format="pyarrow")
 
-    def head_n(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["_h", "doc_id"], kind="mergesort")
-        out = df.groupby("source", sort=False).head(n).copy()
-        out["rank"] = out.groupby("source", sort=False).cumcount().astype(np.int64)
-        return out[["source", "doc_id", "rank"]]
+    def head_n(t: pa.Table) -> pa.Table:
+        out, rank = head_per_group(t, "source", [("_h", "ascending"), ("doc_id", "ascending")], n)
+        return out.select(["source", "doc_id"]).append_column("rank", pa.array(rank, pa.int64()))
 
     return keyed_apply(cand, "source", head_n, num_buckets=num_buckets)
 
@@ -1480,7 +1478,7 @@ def write_training_shards(
 
     import pyarrow.parquet as pq
 
-    from .aggregate import keyed_apply
+    from .aggregate import keyed_apply, sorted_groups
 
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, "_shards_meta.json")
@@ -1501,35 +1499,31 @@ def write_training_shards(
         os.replace(tmp_meta, meta_path)
     labeled = shuffle_shards(ds, id_col, n_shards=n_shards, seed=seed)
 
-    def write_one(sh: int, g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["shuffle_rank", id_col], kind="mergesort")
-        body = g.drop(columns=["shard"])
+    def write_one(g: pa.Table) -> dict:
+        sh = g["shard"][0].as_py()
         path = os.path.join(out_dir, f"shard-{sh:05d}.parquet")
         skipped = os.path.exists(path)
         if not skipped:
             tmp = path + f".tmp-{os.getpid()}"
-            pq.write_table(
-                pa.Table.from_pandas(body, preserve_index=False), tmp
-            )
+            pq.write_table(g.drop_columns(["shard"]), tmp)
             os.replace(tmp, path)
         # metadata-only read: skipped-shard drift is detectable
         on_disk = pq.read_metadata(path).num_rows
         ids = g[id_col]
-        numeric = pd.api.types.is_numeric_dtype(ids)
-        return pd.DataFrame(
-            {
-                "shard": [sh],
-                "n_rows": [len(g)],
-                "id_sum": [int(ids.sum()) if numeric else 0],
-                "first_id": [str(ids.iloc[0])],
-                "last_id": [str(ids.iloc[-1])],
-                "skipped": [skipped],
-                "on_disk_rows": [int(on_disk)],
-            }
-        )
+        numeric = pa.types.is_integer(ids.type) or pa.types.is_floating(ids.type)
+        return {
+            "shard": sh,
+            "n_rows": len(g),
+            "id_sum": int(pc.sum(ids).as_py()) if numeric else 0,
+            "first_id": str(ids[0].as_py()),
+            "last_id": str(ids[-1].as_py()),
+            "skipped": skipped,
+            "on_disk_rows": int(on_disk),
+        }
 
-    def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat([write_one(int(sh), g) for sh, g in df.groupby("shard")], ignore_index=True)
+    def write_bucket(t: pa.Table) -> pa.Table:
+        shards = sorted_groups(t, ["shard"], [("shuffle_rank", "ascending"), (id_col, "ascending")])
+        return pa.Table.from_pylist([write_one(g) for g in shards])
 
     manifest = keyed_apply(labeled, "shard", write_bucket).to_pandas()
     return manifest.sort_values("shard", kind="stable").reset_index(drop=True)

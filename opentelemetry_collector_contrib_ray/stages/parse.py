@@ -552,20 +552,15 @@ def recombine_lines_grouped(ds, file_col: str, order_col: str, is_first_entry: s
     blocks because the whole file is reassembled per group. The
     per-file work is the vectorized ``RecombineLines``; use for
     multi-block files where plain RecombineLines' contiguity
-    assumption fails."""
+    assumption fails. Rows with a null ``file_col`` are dropped."""
     rl = RecombineLines(field=field, is_first_entry=is_first_entry)
-    from .aggregate import keyed_apply
+    from .aggregate import keyed_apply, sorted_groups
 
-    def per_bucket(df):
-        import pandas as pd
-
-        outs = [
-            rl(
-                table_from_pandas(g.sort_values(order_col, kind="stable"))
-            ).to_pandas()
-            for _, g in df.groupby(file_col, sort=False)
-        ]
-        return pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0]
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[file_col]))
+        outs = [rl(g) for g in sorted_groups(t, [file_col], [(order_col, "ascending")])]
+        # a file with nulls in an int column recombines it as float64
+        return pa.concat_tables(outs, promote_options="permissive") if outs else t
 
     # bucketed: one shuffle on hash(file) co-locates each file's lines;
     # boundary-joining runs per file inside each bucket task

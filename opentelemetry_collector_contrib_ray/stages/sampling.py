@@ -25,24 +25,22 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .._util import table_from_pandas
 
 
 class Policy:
-    """Base policy: evaluate(group) -> bool (sample the whole trace)."""
+    """Base policy: ``tail_sample`` evaluates every policy over a bucket
+    of whole traces and samples a trace if any policy says so."""
 
     name = "policy"
-
-    def evaluate(self, g: pd.DataFrame) -> bool:  # pragma: no cover
-        raise NotImplementedError
 
 
 class AlwaysSample(Policy):
     """sampling/always_sample.go"""
 
     name = "always_sample"
-
-    def evaluate(self, g: pd.DataFrame) -> bool:
-        return True
 
 
 class NumericAttribute(Policy):
@@ -53,12 +51,6 @@ class NumericAttribute(Policy):
 
     def __init__(self, key: str, min_value: float, max_value: float):
         self.key, self.lo, self.hi = key, min_value, max_value
-
-    def evaluate(self, g: pd.DataFrame) -> bool:
-        if self.key not in g.columns:
-            return False
-        v = pd.to_numeric(g[self.key], errors="coerce")
-        return bool(((v >= self.lo) & (v <= self.hi)).any())
 
 
 class StringAttribute(Policy):
@@ -73,14 +65,6 @@ class StringAttribute(Policy):
         self.enable_regex = enable_regex
         self.values = set(values)
         self.patterns = [re.compile(v) for v in values] if enable_regex else []
-
-    def evaluate(self, g: pd.DataFrame) -> bool:
-        if self.key not in g.columns:
-            return False
-        vals = g[self.key].dropna().astype(str)
-        if self.enable_regex:
-            return bool(any(p.search(v) for v in vals for p in self.patterns))
-        return bool(vals.isin(self.values).any())
 
 
 class RateLimiting(Policy):
@@ -161,10 +145,12 @@ def tail_sample(
     group_policies = [p for p in policies if not isinstance(p, RateLimiting)]
     rate_policies = [p for p in policies if isinstance(p, RateLimiting)]
 
-    def decide_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def decide_bucket(t: pa.Table) -> pa.Table:
         # vectorized per bucket: each policy marks the trace ids it
         # samples; OR across policies (processor.go:191-237) — no
-        # per-trace Python calls
+        # per-trace Python calls. pandas, for the policies' Python
+        # ``re`` semantics (RE2 would differ)
+        df = t.to_pandas()
         sampled_ids: set = set()
         for p in group_policies:
             if isinstance(p, AlwaysSample):
@@ -187,7 +173,7 @@ def tail_sample(
             agg_spec["first_ts"] = (ts_col, "min")
         out = df.groupby(trace_col, sort=False).agg(**agg_spec).reset_index()
         out["sampled"] = out[trace_col].isin(sampled_ids)
-        return out
+        return table_from_pandas(out)
 
     decisions = keyed_apply(ds, trace_col, decide_bucket)
 
@@ -200,16 +186,15 @@ def tail_sample(
         tightest = min(rate_policies, key=lambda p: p.spans_per_second)
 
         def add_sec(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             secs = pc.cast(
                 pc.cast(t["first_ts"], pa.timestamp("s"), safe=False), pa.int64()
             )
             return t.append_column("_sec", secs)
 
-        def per_sec_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            out = tightest.apply_to_decisions(df, "first_ts", trace_col)
-            return out.drop(columns=["_sec"])
+        def per_sec_bucket(t: pa.Table) -> pa.Table:
+            # the budget is a sequential loop over a pandas decision table
+            out = tightest.apply_to_decisions(t.to_pandas(), "first_ts", trace_col)
+            return table_from_pandas(out.drop(columns=["_sec"]))
 
         decisions = keyed_apply(
             decisions.map_batches(add_sec, batch_format="pyarrow"),
@@ -252,20 +237,22 @@ def tail_sample(
 
 def group_by_trace(ds, trace_col: str, fn=None):
     """groupbytraceprocessor: deliver each trace's spans as one group
-    (processor.go:82-90); ``fn`` defaults to pass-through concat.
+    (processor.go:82-90): ``fn`` maps one trace's ``pa.Table`` (in its
+    bucket's row order) to a ``pa.Table`` and defaults to pass-through;
+    rows with a null trace id are dropped.
 
-    SCALE: bucketed — one shuffle on ``hash(trace) % num_buckets``
-    (``derived_num_partitions()`` buckets),
-    then ``fn`` per trace inside each bucket task (never one Ray group
-    per trace id)."""
-    from .aggregate import keyed_apply
+    SCALE: one shuffle on ``hash(trace) % num_buckets``
+    (``derived_num_partitions()`` buckets), then one stable sort per
+    bucket and ``fn`` per trace slice (never one Ray group per trace id)."""
+    from .aggregate import keyed_apply, sorted_groups
 
     if fn is None:
         fn = lambda g: g  # noqa: E731
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [fn(g) for _, g in df.groupby(trace_col, sort=False)]
-        return pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0]
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[trace_col]))
+        outs = [fn(g) for g in sorted_groups(t, [trace_col])]
+        return pa.concat_tables(outs) if outs else t
 
     return keyed_apply(ds, trace_col, per_bucket)
 

@@ -35,10 +35,9 @@ Keep policies:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .aggregate import derived_num_partitions, keyed_apply
+from .aggregate import derived_num_partitions, keyed_apply, sorted_groups
 from .ann import IvfIndex, _mat, _normalize
 
 
@@ -115,20 +114,14 @@ def semantic_dedup(
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
 
-    def prune(df: pd.DataFrame) -> pd.DataFrame:
+    def prune(t: pa.Table) -> pa.Table:
         outs = []
-        for cl, g in df.groupby("_cluster", sort=False):
-            ids = g["vec_id"].to_numpy()
-            m = _normalize(np.stack(g["embedding"].to_numpy()).astype(np.float32))
-            mask = _prune_cluster(
-                ids, m, threshold, keep, centroids[int(cl)]
-            )
-            outs.append(pd.DataFrame({"vec_id": ids[mask], "_cluster": int(cl)}))
-        return (
-            pd.concat(outs, ignore_index=True)
-            if outs
-            else pd.DataFrame({"vec_id": [], "_cluster": []})
-        )
+        for g in sorted_groups(t, ["_cluster"]):  # stable: a cluster keeps its bucket order
+            ids = g["vec_id"].to_numpy(zero_copy_only=False)
+            m = _normalize(_mat(g, "embedding"))
+            mask = _prune_cluster(ids, m, threshold, keep, centroids[g["_cluster"][0].as_py()])
+            outs.append(g.select(["vec_id", "_cluster"]).filter(pa.array(mask)))
+        return pa.concat_tables(outs)
 
     survivors = keyed_apply(
         assigned, "_cluster", prune, num_buckets=min(derived_num_partitions(), k)

@@ -147,5 +147,9 @@ def sentry_transactions(ds):
     def prep(t: pa.Table) -> pa.Table:
         return table_from_pandas(generate_span_descriptors(t.to_pandas()))
 
+    def per_bucket(t: pa.Table) -> pa.Table:
+        # the root walk is per-trace Python over pandas groups
+        return table_from_pandas(_per_bucket_transactions(t.to_pandas()))
+
     withdesc = ds.map_batches(prep, batch_format="pyarrow")
-    return keyed_apply(withdesc, "trace_id", _per_bucket_transactions)
+    return keyed_apply(withdesc, "trace_id", per_bucket)

@@ -51,14 +51,12 @@ bucketed joins / bucketed sorted diffs).
 from __future__ import annotations
 
 import fnmatch
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from .._util import table_from_pandas
 
 _LOCAL_ACTIONS = {
     "rename_dimension_keys",
@@ -521,7 +519,7 @@ def _delta_metric(ds, tr: dict, dim_cols: list[str]):
     previous point in ts order; first point dropped; negative delta =
     reset emits the current value; delta point renamed + GAUGE;
     originals kept."""
-    from .aggregate import keyed_apply
+    from .aggregate import keyed_apply, sorted_runs
 
     names = set(tr["mapping"])
     all_cols = _BASE_COLS + dim_cols
@@ -537,34 +535,36 @@ def _delta_metric(ds, tr: dict, dim_cols: list[str]):
 
     matching = ds.map_batches(key_and_filter, batch_format="pyarrow")
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized per-series ordered diff: sort by (series, ts),
-        # groupby-shift gives each point its predecessor in the series
-        df = df.sort_values(["_skey", "ts"], kind="stable")
-        g = df.groupby("_skey", sort=False)
+    src = pa.array(list(tr["mapping"]), pa.string())
+    dst = pa.array(list(tr["mapping"].values()), pa.string())
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        # per-series ordered diff: sort by (series, ts); a row's
+        # predecessor is the row before it unless it starts a series
+        t = t.take(pc.sort_indices(t, [("_skey", "ascending"), ("ts", "ascending")]))
+        has_prev = np.ones(len(t), bool)
+        has_prev[sorted_runs(t, ["_skey"])] = False
         parts = []
         for col in ("value_int", "value_double"):
-            prev = g[col].shift(1)
-            ok = (df[col].notna() & prev.notna()).to_numpy(dtype=bool)
-            delta = df[col] - prev
-            delta = delta.where(delta >= 0, df[col])
-            sub = df[ok].copy()
-            sub[col] = delta[ok]
-            parts.append(sub)
-        out = pd.concat(parts, ignore_index=True) if parts else df.iloc[0:0]
-        out["metric"] = out["metric"].map(tr["mapping"])
-        out["metric_type"] = "gauge"  # delta_translator.go:100-106
-        return out.drop(columns=["_skey"])
+            v = t[col]  # a null or NaN value is a missing point
+            present = ~np.isnan(v.to_numpy(zero_copy_only=False).astype(np.float64))
+            rows = np.flatnonzero(has_prev & present & np.roll(present, 1))
+            cur, prev = v.take(rows), v.take(rows - 1)
+            delta = pc.subtract(cur, prev)
+            delta = pc.if_else(pc.greater_equal(delta, 0), delta, cur)  # reset → current value
+            sub = t.take(rows)
+            parts.append(sub.set_column(sub.column_names.index(col), col, delta))
+        out = pa.concat_tables(parts)
+        out = out.set_column(0, "metric", dst.take(pc.index_in(out["metric"], value_set=src)))
+        out = out.set_column(1, "metric_type", pa.repeat(pa.scalar("gauge"), len(out)))  # delta_translator.go:100-106
+        return _norm_arrow(out, all_cols)
 
     deltas = keyed_apply(matching, "_skey", per_bucket)
 
     norm = ds.map_batches(
         lambda t: _norm_arrow(t, all_cols), batch_format="pyarrow"
     )
-    fix = deltas.map_batches(
-        lambda t: _to_arrow(t.to_pandas(), all_cols), batch_format="pyarrow"
-    )
-    return norm.union(fix)
+    return norm.union(deltas)
 
 
 def translate_datapoints(ds, rules: Sequence[dict], dim_cols: Sequence[str]):

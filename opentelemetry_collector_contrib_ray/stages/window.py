@@ -14,11 +14,12 @@ co-locates the key; no cross-key order is assumed).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .aggregate import two_phase_agg
+
+_PER_SEC = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
 
 def tumbling(ds, keys, ts_col: str, every: str = "hour", agg: dict | None = None, **kw):
@@ -46,7 +47,6 @@ def sliding(ds, keys, ts_col: str, size_minutes: int, step_minutes: int):
     ``size`` is no multiple of ``step`` — keep the explosion small at
     scale."""
     k = -(-size_minutes // step_minutes)
-    _PER_SEC = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
     def explode(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -77,53 +77,57 @@ def sessionize(ds, key: str, ts_col: str, gap_seconds: float):
     """Session windows per key: a new session starts when the gap to the
     previous event exceeds ``gap_seconds``. Returns one row per session:
     (key, session_id, n_events, session_start, session_end). Events
-    are ordered by ``ts_col`` within a key.
+    are ordered by ``ts_col`` within a key; a null key is one key, and
+    a null timestamp sorts last and joins its key's last session.
 
-    One shuffle (groupby key); per-group pandas is vectorized
-    (diff + cumsum), never a Python loop over events.
+    One shuffle on the key; each bucket is one Arrow sort and numpy gap
+    detection over its run offsets, never a Python loop over events.
     """
-    from .aggregate import keyed_apply
+    from .aggregate import keyed_apply, sorted_runs
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over ALL keys in the bucket: one sort, shift-based
-        # gap detection, one groupby — no per-key Python
-        df = df.sort_values([key, ts_col], kind="stable")
-        ts = df[ts_col]
-        new_key = df[key] != df[key].shift()
-        gap = ts.diff().dt.total_seconds()
-        new_session = new_key | (gap > gap_seconds)
-        sid = new_session.cumsum()
-        out = (
-            df.assign(_sid=sid)
-            .groupby([key, "_sid"], sort=True)
-            .agg(
-                n_events=(ts_col, "size"),
-                session_start=(ts_col, "min"),
-                session_end=(ts_col, "max"),
-            )
-            .reset_index()
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [(key, "ascending"), (ts_col, "ascending")]))
+        ts = t[ts_col]
+        valid = pc.is_valid(ts).to_numpy(zero_copy_only=False)
+        ticks = pc.cast(ts, pa.int64()).fill_null(0).to_numpy()
+        secs = np.diff(ticks) / _PER_SEC[ts.type.unit]
+        key_starts = sorted_runs(t, [key])
+        starts = np.union1d(key_starts, 1 + np.flatnonzero(valid[1:] & valid[:-1] & (secs > gap_seconds)))
+        sid = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(t))))
+        spans = pa.TableGroupBy(pa.table({"_sid": sid, "_ts": ts}), "_sid", use_threads=False).aggregate(
+            [([], "count_all"), ("_ts", "min"), ("_ts", "max")]
         )
-        out["session_id"] = out.groupby(key).cumcount().astype(np.int64)
-        return out[[key, "session_id", "n_events", "session_start", "session_end"]]
+        # a session's number within its key: its index minus its key's first
+        first = np.searchsorted(starts, key_starts)
+        session_id = np.arange(len(starts)) - np.repeat(first, np.diff(np.append(first, len(starts))))
+        return pa.table(
+            {
+                key: t[key].take(pa.array(starts)),
+                "session_id": pa.array(session_id, pa.int64()),
+                "n_events": spans["count_all"],
+                "session_start": spans["_ts_min"],
+                "session_end": spans["_ts_max"],
+            }
+        )
 
     return keyed_apply(ds, key, per_bucket)
 
 
 def last_write_wins(ds, keys, ts_col: str, value_col: str, order_cols=None):
     """Gauge last-write-wins per key (statsd gauge semantics,
-    statsd_parser.go:170-189): the value of the latest event wins.
-    Two-phase: per-batch last by order, then per-key last of partials."""
-    from .aggregate import keyed_apply
+    statsd_parser.go:170-189): the value of the latest event wins (the
+    latest non-null one, as is the timestamp); a null key tuple is one
+    key. One shuffle on the keys; each bucket is one stable Arrow sort
+    by ``order_cols`` and one ordered ``last`` group-by."""
+    from .aggregate import _group_by, keyed_apply
 
     keys = list(keys)
     order = order_cols or [ts_col]
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order, kind="stable")
-        g = df.groupby(keys, sort=False)
-        out = g.agg(
-            last_ts=(ts_col, "last"), **{f"{value_col}_last": (value_col, "last")}
-        ).reset_index()
-        return out
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [(c, "ascending") for c in order]))
+        last = _group_by(t, keys, [(ts_col, "last"), (value_col, "last")])
+        out = {k: last[k] for k in keys}
+        return pa.table({**out, "last_ts": last[f"{ts_col}_last"], f"{value_col}_last": last[f"{value_col}_last"]})
 
     return keyed_apply(ds, keys, per_bucket)

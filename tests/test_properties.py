@@ -206,11 +206,13 @@ def test_keyed_apply_invariant(num_buckets, layout):
 
     df = _events(layout)
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["k", "k2"]).agg(n=("v", "size"), s=("v", "sum")).reset_index()
+    def per_key(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, ["k", "k2"]).aggregate([([], "count_all"), ("v", "sum")])
+        return pa.table({"k": g["k"], "k2": g["k2"], "n": g["count_all"], "s": g["v_sum"]})
 
     got = keyed_apply(_dataset(df, layout), ["k", "k2"], per_key, num_buckets=num_buckets).to_pandas()
-    _assert_same_multiset(got, per_key(df))
+    exp = df.groupby(["k", "k2"]).agg(n=("v", "size"), s=("v", "sum")).reset_index()
+    _assert_same_multiset(got, exp)
 
 
 # combine batches of 8 rows (ids as in SHUFFLE_CASES), whole blocks and 1 row
@@ -455,14 +457,39 @@ def test_bucketed_hash_join_invariant(num_buckets, layout):
 
     from opentelemetry_collector_contrib_ray.stages.join import bucketed_hash_join
 
-    df = _events(layout)
+    # two null-key rows on each side: a null key never matches
+    nulls = pd.DataFrame({"k": [None, None], "k2": np.array([1, 2], np.int64), "v": np.array([5, 6], np.int64)})
+    df = pd.concat([_events(layout), nulls], ignore_index=True)
     # two right rows per key (plus one unmatched key): a many-to-many join
-    keys = [f"k{j}" for j in range(13)] + ["hot", "absent"]
+    keys = [f"k{j}" for j in range(13)] + ["hot", "absent", None]
     right = pd.DataFrame({"k": keys * 2, "w": np.arange(2 * len(keys), dtype=np.int64)})
     got = bucketed_hash_join(
         _dataset(df, layout), ray.data.from_arrow(pa.Table.from_pandas(right)), "k", num_buckets=num_buckets
     ).to_pandas()
-    _assert_same_multiset(got, df.merge(right, on="k"))
+    exp = df.dropna(subset=["k"]).merge(right.dropna(subset=["k"]), on="k")
+    _assert_same_multiset(got, exp)
+    # every left column keeps its input type
+    left_cols = ["k", "k2", "v"]
+    pd.testing.assert_frame_equal(_canon(got)[left_cols], _canon(exp)[left_cols], check_dtype=True)
+
+
+def test_bucketed_hash_join_null_keys_never_match():
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.join import bucketed_hash_join
+
+    for keys, rkeys in ((["a", None, "b"], ["a", None]), ([1, None, 2], [1, None])):
+        left = ray.data.from_arrow(pa.table({"k": keys, "x": pa.array([1, 2, 3], pa.int64())}))
+        right = ray.data.from_arrow(pa.table({"k": rkeys, "y": pa.array([10, 20], pa.int64())}))
+        inner = _arrow(bucketed_hash_join(left, right, "k", num_buckets=2))
+        assert inner.to_pydict() == {"k": [keys[0]], "x": [1], "y": [10]}
+        assert inner.schema.field("x").type == pa.int64()
+        lj = _arrow(bucketed_hash_join(left, right, "k", how="left", num_buckets=2))
+        assert lj.to_pydict() == {"k": keys, "x": [1, 2, 3], "y": [10, None, None]}
+
+
+def _arrow(ds) -> pa.Table:
+    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None)).sort_by("x")
 
 
 # (bucket count, input layout) for the per-call contract of keyed_apply
@@ -482,10 +509,10 @@ def test_keyed_apply_one_call_per_bucket(num_buckets, layout):
 
     df = _events(layout)
 
-    def tag_call(g: pd.DataFrame) -> pd.DataFrame:
+    def tag_call(t: pa.Table) -> pa.Table:
         import uuid
 
-        return g.assign(_call=uuid.uuid4().hex)
+        return t.append_column("_call", pa.repeat(pa.scalar(uuid.uuid4().hex), len(t)))
 
     got = keyed_apply(_dataset(df, layout), ["k", "k2"], tag_call, num_buckets=num_buckets).to_pandas()
     got["_b"] = bucket_ids(pa.Table.from_pandas(got, preserve_index=False), ["k", "k2"], num_buckets)
@@ -523,14 +550,24 @@ def test_keyed_apply_refuses_a_two_bucket_block():
     assert list(per_bucket(one.slice(0, 0))) == []  # empty block: fn not called
     with pytest.raises(RuntimeError, match="buckets 3 to 4"):
         list(per_bucket(pa.table({"k": ["a", "b"], "_bucket": pa.array([3, 4], pa.int64())})))
-    with pytest.raises(RuntimeError):
-        list(per_bucket(pd.DataFrame({"k": ["a", "b"], "_bucket": [0, 1]})))
     assert calls == [2]
 
 
-@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+def test_keyed_apply_refuses_a_dataframe_result():
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+
+    def to_frame(t: pa.Table) -> pd.DataFrame:
+        return t.to_pandas()
+
+    ds = ray.data.from_arrow(pa.table({"k": ["a", "b"], "v": [1, 2]}))
+    with pytest.raises(TypeError, match="to_frame returned DataFrame, not a pyarrow.Table"):
+        keyed_apply(ds, "k", to_frame, num_buckets=2).materialize()
+
+
 @pytest.mark.parametrize("blocks", [1, 4], ids=["empty_dataset", "all_empty_blocks"])
-def test_one_bucket_of_nothing_calls_nothing(blocks, batch_format):
+def test_one_bucket_of_nothing_calls_nothing(blocks):
     import ray.data
 
     from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
@@ -541,7 +578,7 @@ def test_one_bucket_of_nothing_calls_nothing(blocks, batch_format):
     empty = pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
     ds = ray.data.from_arrow([empty] * blocks).materialize()
     assert ds.num_blocks() == blocks
-    assert keyed_apply(ds, "k", never, num_buckets=1, batch_format=batch_format).take_all() == []
+    assert keyed_apply(ds, "k", never, num_buckets=1).take_all() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5, 8, 16, 1024, 4096])

@@ -4,6 +4,7 @@ sampling/numeric_tag_filter.go, string_tag_filter.go)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from opentelemetry_collector_contrib_ray.stages.sampling import (
@@ -79,6 +80,13 @@ def test_group_by_trace():
     ds = ray.data.from_pandas(_spans())
     out = group_by_trace(ds, "trace_id").to_pandas()
     assert len(out) == 5  # pass-through keeps all spans, grouped
+
+    def one_row(t: pa.Table) -> pa.Table:  # each call sees one whole trace
+        assert len(set(t["trace_id"].to_pylist())) == 1
+        return pa.table({"trace_id": t["trace_id"].slice(0, 1), "svcs": [",".join(sorted(t["svc"].to_pylist()))]})
+
+    got = group_by_trace(ray.data.from_pandas(_spans()).repartition(3), "trace_id", one_row).to_pandas()
+    assert dict(zip(got["trace_id"], got["svcs"])) == {"t1": "api,db", "t2": "api,api", "t3": "batch"}
 
 
 def test_probabilistic_deterministic():
