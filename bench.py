@@ -166,8 +166,6 @@ def prepare_corpus(n_rows: int) -> str:
 
 
 def run_headline(corpus_path: str, n_rows: int) -> dict:
-    import ray.data
-
     from opentelemetry_collector_contrib_ray.pipelines import log_pipeline as lp
 
     # tmpfs sink: one VM's disk doesn't scale like a cluster's per-node
@@ -247,8 +245,6 @@ def run_bench() -> dict:
     # end-to-end corpus-prep pipeline (quality → PII → exact dedup →
     # split → vocab-over-survivors → tokenize → pack): the LLM-data
     # headline, measured as docs/sec over the sf documents table
-    import ray.data as _rd
-
     from opentelemetry_collector_contrib_ray.pipelines.corpus_prep import (
         PrepConfig,
         prepare_corpus as prep_pipeline,

@@ -10,8 +10,9 @@ Design rules (see SURVEY.md §1.4, §7):
 - every hot stage is ``Dataset.map_batches`` with ``batch_format="pyarrow"``
   (zero-copy from the object store) and vectorized pyarrow/numpy/pandas
   kernels — never a Python loop over rows;
-- stateful stages (lookup caches, compiled pattern sets) are callable
-  classes run as actor pools (state built once per actor in ``__init__``);
+- stateful stages (lookup caches, compiled pattern sets) build their
+  state once per worker process or per callable-class instance, never
+  per batch;
 - wide operations are explicit and pre-aggregated per batch; every
   keyed shuffle goes through ``stages.aggregate.keyed_apply``;
 - sinks are partitioned Parquet directories with per-partition checkpoint

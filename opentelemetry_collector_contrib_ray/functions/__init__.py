@@ -1,2 +1,2 @@
-from . import coerce, regexes, severity, sanitize, templates, timeparse, tokens  # noqa: F401
+from . import coerce, regexes, severity, templates, timeparse, tokens  # noqa: F401
 from . import encodings  # noqa: F401

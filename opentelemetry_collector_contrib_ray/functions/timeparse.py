@@ -49,8 +49,6 @@ def parse_rfc3339_ns(arr: pa.Array) -> pa.Array:
     # '2021-03-01T12:00:00.000000000-07:00' / '...Z'. pyarrow strptime
     # has no %z, so: extract the numeric offset, strip it, parse the
     # naive part, then subtract the offset to land on UTC.
-    import numpy as np
-
     off = pc.extract_regex(arr, pattern=r"(?P<sign>[+-])(?P<oh>\d{2}):(?P<om>\d{2})$")
     sign = pc.struct_field(off, "sign")
     oh = pc.struct_field(off, "oh")

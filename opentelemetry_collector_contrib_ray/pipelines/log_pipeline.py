@@ -40,7 +40,6 @@ from ..stages import enrich, route
 from ..stages.parse import (
     Chain,
     JsonParser,
-    Metadata,
     RegexParser,
     Restructure,
     Router,
@@ -212,7 +211,6 @@ def _process_shard(
     import shutil
 
     import pyarrow.parquet as pq
-    import ray.data
 
     from ..sources.parquet import read_corpus
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .._util import cluster_cpus, splitmix64
+from .._util import splitmix64
 
 _MERSENNE = (1 << 61) - 1
 _SHINGLE_P = np.uint64(1099511628211)
@@ -41,26 +41,6 @@ def _text_hash64(texts: pd.Series) -> np.ndarray:
 def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object)
     return batch.append_column("content_hash", pa.array(_text_hash64(s).astype(np.int64)))
-
-
-def exact_dedup(ds):
-    """Exact dedup, first-wins by smallest id: hash-partition on the
-    content hash, keep the min-id row per group. One shuffle over
-    (hash, id) pairs only — full rows are NOT shuffled; survivors are
-    selected via min-id per hash which equals min-id per text when the
-    64-bit hash is collision-free (checked probabilistically fine at
-    corpus scale; a byte-exact variant would verify within group).
-
-    Returns a Dataset of surviving ids: columns (content_hash, doc_id).
-    """
-    from .aggregate import bucketed_aggregate
-
-    hashed = ds.map_batches(
-        lambda b: add_content_hash(b).select(["content_hash", "doc_id"]),
-        batch_format="pyarrow",
-    )
-    # group count ~ corpus size → bucketed merge, not Ray native agg
-    return bucketed_aggregate(hashed, ["content_hash"], [("doc_id", "min", "doc_id")])
 
 
 # ------------------------------------------------------- shingle kernel
@@ -276,9 +256,9 @@ def exact_dedup_tokens(ds):
     """Token-array exact dedup, first-wins by smallest id: an
     order-and-position-sensitive 64-bit hash of each document's token
     sequence (one splitmix pass over the flat values XOR their
-    position mix, summed per doc via ``add.reduceat``), then the same
-    (hash, min-id) bucketed merge as ``exact_dedup`` — the shuffle
-    moves (hash, id) pairs, never token arrays. Hash equality equals
+    position mix, summed per doc via ``add.reduceat``), then one
+    (hash, min-id) bucketed merge — the shuffle moves (hash, id)
+    pairs, never token arrays. Hash equality equals
     sequence equality up to negligible 64-bit collisions (same
     contract as the text-hash path)."""
     from .aggregate import bucketed_aggregate
@@ -572,8 +552,8 @@ def verify_cos_pairs_ds(ds, pairs_ds, *, threshold: float = 0.95):
     vb = vecs.map_batches(
         lambda t: t.rename_columns(["id_b", "vec_b"]), batch_format="pyarrow"
     )
-    # always the bucketed (pandas-merge) join: Arrow's acero hash join —
-    # the engine under Dataset.join — rejects list<float> non-key fields
+    # the join carries list<float> columns by index: Arrow's hash join
+    # rejects them as non-key fields
     j = bucketed_hash_join(pairs_ds, va, "id_a")
     j = bucketed_hash_join(j, vb, "id_b")
 
@@ -708,7 +688,7 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     The n-grams are compared as 64-bit hashes (collision probability
     negligible), equivalent to word-n-gram Jaccard on tuple sets.
     """
-    from .join import bucketed_hash_join, native_join
+    from .join import bucketed_hash_join
 
     texts = ds.map_batches(
         lambda t: t.select(["doc_id", "text"]), batch_format="pyarrow"
@@ -719,15 +699,7 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     tb = texts.map_batches(
         lambda t: t.rename_columns(["id_b", "text_b"]), batch_format="pyarrow"
     )
-    # native hash-shuffle join (measured faster at full width); its
-    # aggregator actors stall on tiny clusters, so partition count must
-    # track the actual CPU budget and small sessions use the bucketed path
-    if cluster_cpus() >= 8:
-        j1 = native_join(pairs_ds, ta, "id_a")  # partitions derived from cluster
-        j2 = native_join(j1, tb, "id_b")
-    else:
-        j1 = bucketed_hash_join(pairs_ds, ta, "id_a")
-        j2 = bucketed_hash_join(j1, tb, "id_b")
+    j = bucketed_hash_join(bucketed_hash_join(pairs_ds, ta, "id_a"), tb, "id_b")
 
     def score(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -793,7 +765,7 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
         )
         return out.filter(pa.array(jac >= threshold))
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    return j.map_batches(score, batch_format="pyarrow")
 
 
 def connected_components(edges: list[tuple]) -> dict:

@@ -16,7 +16,7 @@ Two reference semantics re-expressed:
   (processor.go:102-116 InsertString = do not overwrite existing).
 
 The lookup table is broadcast once and turned into Arrow arrays once
-per worker process (``make_lookup_fn``) or actor (``LookupEnrich``).
+per worker process (``make_lookup_fn``).
 A batch's lookup is one ``pc.index_in`` per association column and one
 ``take`` per attribute — a broadcast hash join, never a shuffle.
 """
@@ -40,8 +40,6 @@ def detect_resource(detectors: Sequence[dict] | None = None) -> dict:
     internal/resourcedetection.go:108-139 with override off: iterate
     detectors in order, merge into one resource; existing keys win.
     """
-    import os
-
     merged: dict = {}
     chain = list(detectors) if detectors is not None else [_env_detector(), _system_detector()]
     for d in chain:
@@ -156,58 +154,26 @@ _PROC_LOOKUP_CACHE: dict = {}
 
 
 def make_lookup_fn(table_ref, association, prefix: str = ""):
-    """Task-pool variant of LookupEnrich: a plain function whose state
-    is built once per worker PROCESS (module-level cache keyed by the
-    broadcast ObjectRef). Unlike an actor pool it scales elastically to
-    every CPU — preferred for the hot path; use the class when you need
-    actor-pinned state beyond a broadcast table."""
+    """The lookup stage: a plain function whose state is built once per
+    worker PROCESS (module-level cache keyed by the broadcast
+    ObjectRef), so it scales elastically to every CPU. A ``{key:
+    {attr: value}}`` dict instead of a ref builds its state here, once:
+    a dict has no key that outlives it."""
     import ray
 
-    cache_key = table_ref.hex() if hasattr(table_ref, "hex") else id(table_ref)
     association = list(association)
+    if isinstance(table_ref, dict):
+        state = _LookupState(table_ref)
+        return lambda batch: state.apply(batch, association, prefix)
+    cache_key = table_ref.hex()
 
     def lookup_enrich(batch: pa.Table) -> pa.Table:
         state = _PROC_LOOKUP_CACHE.get(cache_key)
         if state is None:
-            table = table_ref if isinstance(table_ref, dict) else ray.get(table_ref)
-            state = _LookupState(table)
-            _PROC_LOOKUP_CACHE[cache_key] = state
+            state = _PROC_LOOKUP_CACHE[cache_key] = _LookupState(ray.get(table_ref))
         return state.apply(batch, association, prefix)
 
     return lookup_enrich
-
-
-class LookupEnrich:
-    """Actor-pool enrichment: association-rule key extraction + cached
-    metadata join, insert-if-absent.
-
-    Parameters
-    ----------
-    table_ref : ray.ObjectRef | dict
-        ``{key: {attr: value}}`` metadata cache, broadcast once with
-        ``ray.put`` on the driver; each actor fetches it in __init__
-        (zero-copy shared-memory read on the node).
-    association : list[str]
-        Ordered column names to try as the lookup key per row — the
-        first column whose value hits the cache wins
-        (pod_association.go:31-87).
-
-    Added attribute columns keep the cache's attribute names (no
-    prefix; ``make_lookup_fn`` takes one).
-
-    Use: ``ds.map_batches(LookupEnrich, fn_constructor_kwargs=...,
-    concurrency=N, batch_format="pyarrow")``.
-    """
-
-    def __init__(self, table_ref, association: Sequence[str]):
-        import ray
-
-        table = ray.get(table_ref) if not isinstance(table_ref, dict) else table_ref
-        self.state = _LookupState(table)
-        self.association = list(association)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.state.apply(batch, self.association, "")
 
 
 class PodCache:
@@ -228,7 +194,7 @@ class PodCache:
 
     The batch engine builds this on the driver from a pod event log,
     snapshots it (``snapshot()`` → {key: attrs}), and broadcasts the
-    snapshot to the vectorized LookupEnrich stage.
+    snapshot to the vectorized ``make_lookup_fn`` stage.
     """
 
     def __init__(self, grace_period: float = 120.0):
@@ -280,7 +246,7 @@ class PodCache:
         return pod
 
     def snapshot(self) -> dict:
-        """{identifier: attributes} view for LookupEnrich broadcast."""
+        """{identifier: attributes} view for the ``make_lookup_fn`` broadcast."""
         return {
             k: dict(p["attributes"]) for k, p in self.pods.items() if not p["ignore"]
         }

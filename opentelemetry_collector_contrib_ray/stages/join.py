@@ -3,18 +3,20 @@
 The reference has NO relational join operator (SURVEY.md §2.7) — its
 "joins" are broadcast lookups against in-process caches (k8s pod cache,
 detected resource). This module supplies the engine's general-purpose
-relational capability:
+relational capability, both equi-joins on one Arrow kernel
+(``_join_take``: join the keys plus a row index per side, then
+``take`` the columns, so every column keeps its input type):
 
 - ``broadcast_join``: small side (dimension table) shipped once via
-  ray.put, pandas merge per batch — no shuffle. The scale default for
-  enrichment-shaped joins.
+  ray.put, the kernel runs per batch — no shuffle. The scale default
+  for enrichment-shaped joins.
 - ``bucketed_hash_join``: both sides large — ``tag_union`` the sides,
-  co-locate each key with ONE ``keyed_apply`` shuffle, one Arrow hash
-  join per bucket. A hot key is bounded by its bucket: one key's rows
-  from both sides must fit a worker.
-- ``native_join``: thin wrapper over ``Dataset.join`` (hash shuffle
-  join in Ray >= 2.46) — preferred when available; the bucketed path is
-  the portable fallback and the explicitly-partitioned variant.
+  co-locate each key with ONE ``keyed_apply`` shuffle, the kernel runs
+  per bucket. A hot key is bounded by its bucket: one key's rows from
+  both sides must fit a worker.
+
+A null key never matches. There is no second shuffle: every join goes
+through ``keyed_apply``, the engine's one keyed shuffle.
 """
 
 from __future__ import annotations
@@ -26,27 +28,40 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._util import table_from_pandas
-from .aggregate import derived_num_partitions, keyed_apply
+from .aggregate import keyed_apply
+
+_JOIN_TYPES = {"inner": "inner", "left": "left outer"}
+
+
+def _join_take(lhs: pa.Table, rhs: pa.Table, on: list, join_type: str) -> pa.Table:
+    """Equi-join two Arrow tables on ``on``: Arrow-join the keys plus a
+    row index per side and ``take`` the columns (``Table.join`` refuses
+    list-typed non-key columns and retypes nothing this way). Output:
+    every ``lhs`` column, then ``rhs``'s non-key columns, a clashing
+    one suffixed ``_r``. A null key never matches: its row is dropped
+    (inner) or kept with null right columns (left outer)."""
+    li = lhs.select(on).append_column("_li", pa.array(np.arange(len(lhs))))
+    ri = rhs.select(on).append_column("_ri", pa.array(np.arange(len(rhs))))
+    m = li.join(ri, on, join_type=join_type, use_threads=False)
+    out = lhs.take(m["_li"])
+    for c in rhs.column_names:
+        if c not in on:
+            out = out.append_column(f"{c}_r" if c in lhs.column_names else c, rhs[c].take(m["_ri"]))
+    return out
 
 
 def broadcast_join(ds, small: pa.Table, on: str | Sequence[str], how: str = "left"):
-    """Merge each batch against a broadcast small table (pandas merge;
-    a clashing right column gets the suffix ``_r``). ``small`` is put
-    in the object store once; every task reads it zero-copy on the
-    node."""
+    """Join each batch against a broadcast small table with
+    ``_join_take``. ``small`` is put in the object store once; every
+    task reads it zero-copy on the node."""
     import ray
 
     on = [on] if isinstance(on, str) else list(on)
+    join_type = _JOIN_TYPES[how]
     ref = ray.put(small)
-
-    def merge(batch: pa.Table) -> pa.Table:
-        sm = ray.get(ref).to_pandas()
-        df = batch.to_pandas()
-        out = df.merge(sm, on=on, how=how, suffixes=("", "_r"))
-        return table_from_pandas(out)
-
-    return ds.map_batches(merge, batch_format="pyarrow")
+    return ds.map_batches(
+        lambda batch: _join_take(batch, ray.get(ref), on, join_type), batch_format="pyarrow"
+    )
 
 
 def bucketed_hash_join(
@@ -61,30 +76,19 @@ def bucketed_hash_join(
 
     Plan: ``tag_union`` the two sides, then ONE ``keyed_apply`` shuffle
     on the key tuple co-locates each key's rows from both sides; each
-    bucket Arrow-joins the keys plus a row index per side and ``take``s
-    the columns (``Table.join`` refuses list-typed non-key columns), so
-    every column keeps its input type. Wall-clock scales with the
-    largest bucket. A null key never matches: its row is dropped
-    (inner) or kept with null right columns (how='left'). A clashing
-    right column gets the suffix ``_r``.
+    bucket splits back into its sides and runs ``_join_take``.
+    Wall-clock scales with the largest bucket.
     """
     on = [on] if isinstance(on, str) else list(on)
     both, lschema, rschema = tag_union(left, right)
     l_out = list(lschema)
-    r_out = [c for c in rschema if c not in on]
-    join_type = {"inner": "inner", "left": "left outer"}[how]
+    r_out = [*on, *(c for c in rschema if c not in on)]
+    join_type = _JOIN_TYPES[how]
 
     def merge_bucket(t: pa.Table) -> pa.Table:
         left_rows = pc.equal(t["_side"], 0)
         lhs = t.filter(left_rows).select(l_out)
-        rhs = t.filter(pc.invert(left_rows)).select([*on, *r_out])
-        li = lhs.select(on).append_column("_li", pa.array(np.arange(len(lhs))))
-        ri = rhs.select(on).append_column("_ri", pa.array(np.arange(len(rhs))))
-        m = li.join(ri, on, join_type=join_type, use_threads=False)
-        out = lhs.take(m["_li"])
-        for c in r_out:
-            out = out.append_column(f"{c}_r" if c in lschema else c, rhs[c].take(m["_ri"]))
-        return out
+        return _join_take(lhs, t.filter(pc.invert(left_rows)).select(r_out), on, join_type)
 
     return keyed_apply(both, on, merge_bucket, num_buckets=num_buckets)
 
@@ -138,17 +142,6 @@ def tag_union(left, right, *, key: tuple[str, str] | None = None):
 
     lkey, rkey = key or (None, None)
     return side(left, 0, lkey).union(side(right, 1, rkey)), lschema, rschema
-
-
-def native_join(left, right, on, num_partitions: int | None = None, **kw):
-    """Ray-native inner hash-shuffle join (Dataset.join, Ray ≥ 2.46).
-    ``num_partitions`` defaults to ``derived_num_partitions()`` so the
-    same code funnels through 16 aggregators on a laptop and hundreds
-    on a cluster."""
-    if num_partitions is None:
-        num_partitions = derived_num_partitions()
-    on = (on,) if isinstance(on, str) else tuple(on)
-    return left.join(right, join_type="inner", num_partitions=num_partitions, on=on, **kw)
 
 
 # --------------------------------------------------- as-of / range joins

@@ -413,8 +413,6 @@ class RecombineLines:
         self.separator = separator
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         n = len(batch)
         if n == 0:
             return batch

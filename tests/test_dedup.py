@@ -8,7 +8,6 @@ from opentelemetry_collector_contrib_ray.stages.dedup import (
     SimHasher,
     _lsh_explode,
     _resolve_buckets,
-    exact_dedup,
 )
 
 
@@ -36,12 +35,6 @@ def _docs():
             ],
         }
     )
-
-
-def test_exact_dedup_first_wins():
-    ds = ray.data.from_pandas(_docs())
-    out = exact_dedup(ds).to_pandas()
-    assert sorted(out["doc_id"]) == ["d0", "d2", "d3"]  # d1 deduped, min-id kept
 
 
 def test_minhash_similarity_reflects_jaccard():

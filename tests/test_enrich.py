@@ -6,14 +6,14 @@ import pyarrow as pa
 
 from opentelemetry_collector_contrib_ray.stages.enrich import (
     ApplyResource,
-    LookupEnrich,
     detect_resource,
+    make_lookup_fn,
 )
 
 
 def test_association_order_first_hit_wins():
     cache = {"ip-1": {"pod": "p1"}, "host-a": {"pod": "p2"}}
-    e = LookupEnrich(cache, association=["ip", "host"])
+    e = make_lookup_fn(cache, ["ip", "host"])
     t = pa.table(
         {
             "ip": ["ip-1", "ip-miss", None],
@@ -27,7 +27,7 @@ def test_association_order_first_hit_wins():
 
 def test_insert_if_absent():
     cache = {"k": {"team": "cached"}}
-    e = LookupEnrich(cache, association=["src"])
+    e = make_lookup_fn(cache, ["src"])
     t = pa.table({"src": ["k", "k"], "team": ["existing", None]})
     out = e(t)
     # InsertString semantics: existing value NOT overwritten; null filled
@@ -152,7 +152,7 @@ def test_extract_pod_keys_association_chain():
 def test_two_association_columns_first_hit_per_row():
     cache = {"a": {"team": "ta"}, "b": {"team": "tb"}, "c": {"team": "tc"}}
     t = pa.table({"first": ["a", "zz", None, "b"], "second": ["c", "c", "b", None]})
-    out = LookupEnrich(cache, association=["first", "second"])(t)
+    out = make_lookup_fn(cache, ["first", "second"])(t)
     assert out["team"].to_pylist() == ["ta", "tc", "tb", "tb"]
 
 
@@ -161,17 +161,23 @@ def test_keys_of_another_type_than_the_column_never_match():
     lookup does); the next association column still hits."""
     cache = {"1": {"team": "t1"}, "2": {"team": "t2"}}
     t = pa.table({"num": pa.array([1, 2, 3], pa.int64()), "txt": [None, "1", None]})
-    assert LookupEnrich(cache, association=["num"])(t)["team"].to_pylist() == [None, None, None]
-    out = LookupEnrich(cache, association=["num", "txt"])(t)
+    assert make_lookup_fn(cache, ["num"])(t)["team"].to_pylist() == [None, None, None]
+    out = make_lookup_fn(cache, ["num", "txt"])(t)
     assert out["team"].to_pylist() == [None, "t1", None]
 
 
 def test_existing_prefixed_column_with_nulls_is_filled_not_overwritten():
-    from opentelemetry_collector_contrib_ray.stages.enrich import make_lookup_fn
-
     cache = {"k": {"team": "cached", "tier": "prod"}}
     t = pa.table({"src": ["k", "k", "miss", "k"], "meta.team": ["mine", None, None, "also"]})
     out = make_lookup_fn(cache, ["src"], "meta.")(t)
     assert out.column_names == ["src", "meta.team", "meta.tier"]
     assert out["meta.team"].to_pylist() == ["mine", "cached", None, "also"]
     assert out["meta.tier"].to_pylist() == ["prod", "prod", None, "prod"]
+
+
+def test_lookup_fn_of_a_new_dict_never_sees_an_old_table():
+    """A freed dict's id is reused by the next one: state keyed by id
+    served the previous table to the new function."""
+    t = pa.table({"k": ["a"]})
+    for i in range(50):
+        assert make_lookup_fn({"a": {"team": f"t{i}"}}, ["k"])(t)["team"].to_pylist() == [f"t{i}"]

@@ -1,4 +1,4 @@
-"""Join operators: broadcast, partitioned bucketed hash join, native."""
+"""Join operators: broadcast and partitioned bucketed hash join."""
 
 import pandas as pd
 import pyarrow as pa
@@ -7,7 +7,6 @@ import ray.data as rd
 from opentelemetry_collector_contrib_ray.stages.join import (
     broadcast_join,
     bucketed_hash_join,
-    native_join,
 )
 
 
@@ -49,17 +48,6 @@ def test_broadcast_join():
     out = broadcast_join(left, small, "k").to_pandas().sort_values(["k", "a"])
     assert len(out) == 5  # left join keeps all
     assert out.loc[out["k"] == 2, "b"].tolist() == ["B2", "B2"]
-
-
-def test_native_join():
-    left, right = _sides()
-    out = (
-        native_join(left, right, "k", num_partitions=2)
-        .to_pandas()
-        .sort_values(["k", "a"])
-        .reset_index(drop=True)
-    )
-    assert out["k"].tolist() == [2, 2, 3]
 
 
 def test_asof_join_matches_global_merge_asof():

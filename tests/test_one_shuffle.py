@@ -8,6 +8,13 @@ anywhere, and the one ``.sort(..., boundaries=...)`` call is inside
 inside ``keyed_apply``: its one block is the bucket. A hand-rolled
 ``groupby(...).map_groups`` site, or a second fixed-boundary sort with
 its own bucket hash and bucket count, fails these tests.
+
+Joins go through ``keyed_apply`` too: ``join.bucketed_hash_join`` is
+one ``keyed_apply`` shuffle plus an Arrow kernel per bucket. A Ray
+Dataset's own ``join`` method is a second hash shuffle, run by
+aggregator actors; a ``.join(`` call that passes ``num_partitions=``
+(its signature — pyarrow's ``Table.join`` takes no such argument)
+fails these tests.
 """
 
 import ast
@@ -41,3 +48,12 @@ def test_fixed_boundary_sort_only_in_keyed_apply():
         if any(k.arg == "boundaries" for k in n.keywords)
     ]
     assert hits == [("opentelemetry_collector_contrib_ray/stages/aggregate.py", "keyed_apply")]
+
+
+def test_no_dataset_join():
+    hits = [
+        (p.relative_to(ROOT).as_posix(), n.lineno)
+        for p, _, n in _method_calls("join")
+        if any(k.arg == "num_partitions" for k in n.keywords)
+    ]
+    assert hits == []

@@ -474,18 +474,27 @@ def test_bucketed_hash_join_invariant(num_buckets, layout):
 
 
 def test_bucketed_hash_join_null_keys_never_match():
+    """Both joins: a null key matches nothing, and a right int column
+    stays int64 in a batch with unmatched left rows."""
     import ray.data
 
-    from opentelemetry_collector_contrib_ray.stages.join import bucketed_hash_join
+    from opentelemetry_collector_contrib_ray.stages.join import broadcast_join, bucketed_hash_join
 
     for keys, rkeys in ((["a", None, "b"], ["a", None]), ([1, None, 2], [1, None])):
         left = ray.data.from_arrow(pa.table({"k": keys, "x": pa.array([1, 2, 3], pa.int64())}))
-        right = ray.data.from_arrow(pa.table({"k": rkeys, "y": pa.array([10, 20], pa.int64())}))
-        inner = _arrow(bucketed_hash_join(left, right, "k", num_buckets=2))
-        assert inner.to_pydict() == {"k": [keys[0]], "x": [1], "y": [10]}
-        assert inner.schema.field("x").type == pa.int64()
-        lj = _arrow(bucketed_hash_join(left, right, "k", how="left", num_buckets=2))
-        assert lj.to_pydict() == {"k": keys, "x": [1, 2, 3], "y": [10, None, None]}
+        small = pa.table({"k": rkeys, "y": pa.array([10, 20], pa.int64())})
+        right = ray.data.from_arrow(small)
+        joins = {
+            "bucketed": lambda how: bucketed_hash_join(left, right, "k", how=how, num_buckets=2),
+            "broadcast": lambda how: broadcast_join(left, small, "k", how=how),
+        }
+        for name, join in joins.items():
+            inner = _arrow(join("inner"))
+            assert inner.to_pydict() == {"k": [keys[0]], "x": [1], "y": [10]}, name
+            lj = _arrow(join("left"))
+            assert lj.to_pydict() == {"k": keys, "x": [1, 2, 3], "y": [10, None, None]}, name
+            for t in (inner, lj):
+                assert t.schema.field("x").type == pa.int64() and t.schema.field("y").type == pa.int64(), name
 
 
 def _arrow(ds) -> pa.Table:

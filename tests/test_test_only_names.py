@@ -7,10 +7,14 @@ tests) or the one carrier of a reference behaviour no other path
 covers. The second kind is listed in ``REFERENCE_ONLY`` with the
 behaviour or golden test it alone carries; anything else fails.
 
-A name is referenced where a file loads it (``name``), reads it as an
-attribute (``module.name``) or imports it (``from ... import name``);
-its own definition does not count. Files are the repository's ``.py``
-files outside dot directories, as for the options guard.
+A name is referenced where a file loads it (``name`` in a ``Load``
+context), reads it as an attribute of an imported name
+(``module.name``, ``pkg.module.name``) or imports it and loads what the
+import binds in that scope. Its own definition does not count, nor
+does an assignment target of the same name (``exact_dedup: bool``), an
+attribute of some other object (``cfg.exact_dedup``) or an import that
+is never used. Files are the repository's ``.py`` files outside dot
+directories, as for the options guard.
 """
 
 import ast
@@ -50,20 +54,52 @@ def public_names() -> dict:
     return out
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _used_imports(scope: ast.AST):
+    """Names imported in ``scope`` or a scope nested in it, each kept
+    only if the scope that imports it loads the name the import binds."""
+    loads = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            yield from _used_imports(node)
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                if (a.asname or a.name.split(".")[0]) in loads:
+                    yield a.name.rsplit(".", 1)[-1]
+
+
+def _referenced(tree: ast.Module):
+    """Every name ``tree`` references, by the rules of the module doc."""
+    yield from _used_imports(tree)
+    imported = {
+        a.asname or a.name.split(".")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+        for a in n.names
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in imported:
+                yield node.attr
+
+
 def referencing_files() -> dict:
     """name -> set of repository-relative files that reference it."""
     refs: dict = {}
     for path in _sources():
         rel = path.relative_to(ROOT).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            else:
-                continue
+        for name in _referenced(ast.parse(path.read_text())):
             refs.setdefault(name, set()).add(rel)
     return refs
 
