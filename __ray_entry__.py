@@ -6,13 +6,25 @@ operator family from SURVEY.md §2 (or an engine addition: dedup / ANN /
 text analysis); the matching oracle_sql()[name] is the DuckDB ground
 truth over the same parquet tables. Aggregate float columns are rounded
 identically on both sides so the driver's value-hash compares cleanly.
+
+Five queries are unions of legs (carbon_parse, trace_decoders,
+loki_streams, scraper_parse, llm_ops). Each has one ``LegTable``: an
+output schema whose first column names the leg, and a ``Leg`` per leg
+holding its name, its engine function and its DuckDB fragment. Both
+sides return only the columns the leg computes. ``LegTable.align``
+gives an engine result the schema (absent columns read as the type's
+zero value, the leg column as the leg's name); ``LegTable.sql`` does the
+same to the fragments and joins them with UNION ALL. Count legs are
+rows of ``_count_sql``, one aggregate SELECT each.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
-from typing import Any
+from collections.abc import Callable, Sequence
+from functools import cached_property
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -45,6 +57,103 @@ def _read(sf_dir: str, name: str, columns=None, **kw):
 def _pc_mod(arr: pa.ChunkedArray | pa.Array, m: int) -> pa.Array:
     """Integer modulo as an Arrow array (pyarrow has no mod kernel)."""
     return pa.array(arr.to_numpy(zero_copy_only=False).astype(np.int64) % m)
+
+
+# --------------------------------------------------------------- union legs
+
+_SQL_TYPES = {pa.int64(): "BIGINT", pa.float64(): "DOUBLE", pa.string(): "VARCHAR"}
+
+
+def _zero(t: pa.DataType):
+    """A union column's value where a leg does not compute it."""
+    return "" if t == pa.string() else 0
+
+
+class Leg(NamedTuple):
+    name: str  # the value of the leg column
+    fn: Callable[..., Any]  # engine: a pa.Table, or row tuples in schema order after the leg column
+    sql: str  # DuckDB: a SELECT of the same columns, by name
+
+
+class LegTable(NamedTuple):
+    """A union query's legs over one output schema, whose first column
+    names the leg unless ``named`` is False."""
+
+    schema: pa.Schema
+    legs: tuple[Leg, ...]
+    with_: str = ""  # the WITH clause the fragments read
+    named: bool = True  # False: no leg column, the schema is all values
+
+    def align(self, name: str, t) -> pa.Table:
+        """One leg's engine result in the schema: each column cast, an
+        absent one ``_zero``, the leg column ``name``."""
+        if not isinstance(t, pa.Table):  # row tuples, a short row's tail the zeros
+            fields = list(self.schema)[1 if self.named else 0 :]
+            t = pa.table(
+                {f.name: [r[i] if i < len(r) else _zero(f.type) for r in t] for i, f in enumerate(fields)}
+            )
+        cols = {}
+        for i, f in enumerate(self.schema):
+            if f.name in t.column_names:
+                cols[f.name] = pc.cast(t[f.name], f.type)
+            else:
+                v = name if i == 0 and self.named else _zero(f.type)
+                cols[f.name] = pa.repeat(pa.scalar(v, f.type), t.num_rows)
+        return pa.table(cols, schema=self.schema)
+
+    def batch(self, legs: Sequence[Leg], prep: Callable = lambda t: t) -> Callable:
+        """A map_batches function that runs every leg of ``legs`` on
+        ``prep(batch)`` and concatenates the aligned results, so legs
+        over one input share one read."""
+
+        def run(t: pa.Table) -> pa.Table:
+            x = prep(t)
+            return pa.concat_tables([self.align(leg.name, leg.fn(x)) for leg in legs])
+
+        return run
+
+    def sql(self, names: Sequence[str] | None = None) -> str:
+        """The fragments (of ``names``, default all) as one query in the
+        schema. UNION ALL BY NAME lines them up by column, so a column a
+        fragment lacks is NULL there and reads as ``_zero``, as in
+        ``align``; doubles are rounded to 6 places like the engine's
+        aggregates. No leg's fragment yields a NULL of its own."""
+        seed = ", ".join(f'CAST(NULL AS {_SQL_TYPES[f.type]}) AS "{f.name}"' for f in self.schema)
+        parts = [f"SELECT {seed} WHERE FALSE"]
+        for leg in self.legs:
+            if names is None or leg.name in names:
+                tag = f"'{leg.name}' AS \"{self.schema.names[0]}\", " if self.named else ""
+                parts.append(f"SELECT {tag}* FROM (\n{leg.sql}\n)")
+        cols = []
+        for f in self.schema:
+            v = f'CAST("{f.name}" AS {_SQL_TYPES[f.type]})'
+            v = f"ROUND({v}, 6)" if f.type == pa.float64() else v
+            cols.append(f'COALESCE({v}, {_zero(f.type)!r}) AS "{f.name}"')
+        body = "\nUNION ALL BY NAME\n".join(parts)
+        return f"{self.with_}\nSELECT {', '.join(cols)} FROM (\n{body}\n)"
+
+
+def _count_sql(src: str, keys: Sequence[str], measures: Sequence[tuple[str, str, str]], rows) -> str:
+    """One aggregate SELECT over ``src`` per count row, joined by UNION ALL BY NAME.
+    A row is ``(*key literals, where, *measure exprs)``; a measure it
+    omits takes its default from ``measures`` (column, SQL type, default
+    expr), and each is cast to its type so the rows union exactly. A str
+    row is a ready SELECT of the same columns."""
+    sel = []
+    for r in rows:
+        if isinstance(r, str):
+            sel.append(r)
+            continue
+        k = len(keys)
+        exprs = list(r[k + 1 :]) + [d for _, _, d in measures[len(r) - k - 1 :]]
+        sel.append(
+            "SELECT "
+            + ", ".join(f"'{v}' AS \"{c}\"" for c, v in zip(keys, r[:k]))
+            + ", "
+            + ", ".join(f'CAST({x} AS {t}) AS "{c}"' for (c, t, _), x in zip(measures, exprs))
+            + f" FROM {src} WHERE {r[k]}"
+        )
+    return "\nUNION ALL BY NAME\n".join(sel)
 
 
 # ----------------------------------------------------------------- flagship
@@ -1434,170 +1543,957 @@ def _q_embedding_neardup(sf_dir: str):
 # ------------------------------------------------- line-protocol round-trips
 
 
+def _carbon_line(prefix: str, t: pa.Table, value, *tail) -> pa.Array:
+    """``<prefix><event_type> <value> <epoch seconds>[ <tail>...]``."""
+    epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64())
+    name = pc.binary_join_element_wise(prefix, t["event_type"], "")
+    return pc.binary_join_element_wise(
+        name, pc.cast(value, pa.string()), pc.cast(epoch, pa.string()), *tail, " "
+    )
+
+
+def _carbon_wavefront(t: pa.Table) -> pa.Table:
+    """Carbon (Graphite plaintext, carbonreceiver plaintext_parser.go)
+    and Wavefront (wavefrontreceiver) lines rendered per event and
+    parsed back."""
+    from opentelemetry_collector_contrib_ray.sources.lines import parse_carbon_plaintext, parse_wavefront
+
+    val = pc.cast(pc.floor(t["value"]), pa.int64())
+    raw = _carbon_line("metric.", t, val)
+    carbon = parse_carbon_plaintext(pa.table({"event_id": t["event_id"], "raw": raw}))
+    source = pc.binary_join_element_wise("source=u", pc.cast(t["user_id"], pa.string()), "")
+    wf = parse_wavefront(pa.table({"event_id": t["event_id"], "raw": _carbon_line("m.", t, val, source)}))
+    return pa.table(
+        {
+            "event_id": carbon["event_id"],
+            "metric_name": carbon["metric_name"],
+            "value": carbon["value"],
+            "wf_metric": wf["metric_name"],
+            "wf_value": wf["value"],
+            "wf_source": wf["source"],
+        }
+    )
+
+
+def _carbon_packet(t: pa.Table) -> pa.Table:
+    """The tcplog/udplog batch-source framing (sources/lines.
+    split_packet_lines): each event renders a two-line carbon packet
+    with a trailing newline, which must split into exactly the pa./pb.
+    rows, the empty last line dropped."""
+    from opentelemetry_collector_contrib_ray.sources.lines import parse_carbon_plaintext, split_packet_lines
+
+    val = pc.cast(pc.floor(t["value"]), pa.int64())
+    packet = pc.binary_join_element_wise(
+        _carbon_line("pa.", t, val), _carbon_line("pb.", t, pc.add(val, pa.scalar(1, pa.int64()))), "", "\n"
+    )
+    split = split_packet_lines(pa.table({"event_id": t["event_id"], "user_id": t["user_id"], "raw": packet}))
+    parsed = parse_carbon_plaintext(split)
+    return pa.table(
+        {
+            "event_id": parsed["event_id"],
+            "metric_name": parsed["metric_name"],
+            "value": parsed["value"],
+            "wf_metric": pa.array(["pkt"] * len(parsed), pa.string()),
+            "wf_source": pc.binary_join_element_wise("u", pc.cast(parsed["user_id"], pa.string()), ""),
+        }
+    )
+
+
+_CARBON_VALUE = "CAST(FLOOR(value) AS BIGINT)"
+_CARBON_SOURCE = "'u' || CAST(user_id AS VARCHAR) AS wf_source"
+_CARBON = LegTable(
+    pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("metric_name", pa.string()),
+            ("value", pa.int64()),
+            ("wf_metric", pa.string()),
+            ("wf_value", pa.int64()),
+            ("wf_source", pa.string()),
+        ]
+    ),
+    (
+        Leg("carbon_wavefront", _carbon_wavefront, f"""
+            SELECT event_id, 'metric.' || event_type AS metric_name, {_CARBON_VALUE} AS value,
+                   'm.' || event_type AS wf_metric, {_CARBON_VALUE} AS wf_value, {_CARBON_SOURCE}
+            FROM events"""),
+        Leg("packet", _carbon_packet, f"""
+            SELECT event_id, 'pa.' || event_type AS metric_name, {_CARBON_VALUE} AS value,
+                   'pkt' AS wf_metric, {_CARBON_SOURCE}
+            FROM events
+            UNION ALL
+            SELECT event_id, 'pb.' || event_type, {_CARBON_VALUE} + 1, 'pkt', {_CARBON_SOURCE}
+            FROM events"""),
+    ),
+    named=False,
+)
+
+
 def _q_carbon_parse(sf_dir: str):
-    """Carbon (Graphite plaintext) AND Wavefront render→parse
-    round-trips in one pass, both value-checked against independent SQL
-    renderings (carbonreceiver plaintext_parser.go + wavefrontreceiver;
-    merged former `wavefront_parse` query — driver 50-row window)."""
-    from opentelemetry_collector_contrib_ray.sources.lines import (
-        parse_carbon_plaintext,
-        parse_wavefront,
-    )
-
-    ds = _read(
-        sf_dir, "events", ["event_id", "event_type", "value", "ts", "user_id"]
-    )
-
-    def render_and_parse(t: pa.Table) -> pa.Table:
-        val = pc.cast(pc.floor(t["value"]), pa.int64())
-        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64())
-        raw_c = pc.binary_join_element_wise(
-            pc.binary_join_element_wise("metric.", t["event_type"], ""),
-            pc.cast(val, pa.string()),
-            pc.cast(epoch, pa.string()),
-            " ",
-        )
-        carbon = parse_carbon_plaintext(
-            pa.table({"event_id": t["event_id"], "raw": raw_c})
-        )
-        raw_w = pc.binary_join_element_wise(
-            pc.binary_join_element_wise("m.", t["event_type"], ""),
-            pc.cast(val, pa.string()),
-            pc.cast(epoch, pa.string()),
-            pc.binary_join_element_wise(
-                "source=u", pc.cast(t["user_id"], pa.string()), ""
-            ),
-            " ",
-        )
-        wf = parse_wavefront(pa.table({"event_id": t["event_id"], "raw": raw_w}))
-        return pa.table(
-            {
-                "event_id": carbon["event_id"],
-                "metric_name": carbon["metric_name"],
-                "value": pc.cast(carbon["value"], pa.int64()),
-                "wf_metric": wf["metric_name"],
-                "wf_value": pc.cast(wf["value"], pa.int64()),
-                "wf_source": wf["source"],
-            }
-        )
-
-    # --- packet-framing leg (round 5, pytest-only → driver-oracled):
-    # the tcplog/udplog batch-source model — one datagram/stream chunk
-    # carries many newline-separated metrics (sources/lines.
-    # split_packet_lines, the framing half of receiver/tcplogreceiver
-    # + udp statsd/carbon transports; socket I/O itself stays out of
-    # batch scope). Each event renders a TWO-line carbon packet with a
-    # trailing newline; the splitter must explode it into exactly two
-    # parsed rows (pa./pb. prefixes) and drop the trailing empty line.
-    def packet_leg(t: pa.Table) -> pa.Table:
-        from opentelemetry_collector_contrib_ray.sources.lines import (
-            parse_carbon_plaintext,
-            split_packet_lines,
-        )
-
-        val = pc.cast(pc.floor(t["value"]), pa.int64())
-        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64())
-        line_a = pc.binary_join_element_wise(
-            pc.binary_join_element_wise("pa.", t["event_type"], ""),
-            pc.cast(val, pa.string()),
-            pc.cast(epoch, pa.string()),
-            " ",
-        )
-        line_b = pc.binary_join_element_wise(
-            pc.binary_join_element_wise("pb.", t["event_type"], ""),
-            pc.cast(pc.add(val, pa.scalar(1, pa.int64())), pa.string()),
-            pc.cast(epoch, pa.string()),
-            " ",
-        )
-        packet = pc.binary_join_element_wise(line_a, line_b, "", "\n")
-        split = split_packet_lines(
-            pa.table(
-                {
-                    "event_id": t["event_id"],
-                    "user_id": t["user_id"],
-                    "raw": packet,
-                }
-            )
-        )
-        parsed = parse_carbon_plaintext(split)
-        return pa.table(
-            {
-                "event_id": parsed["event_id"],
-                "metric_name": parsed["metric_name"],
-                "value": pc.cast(parsed["value"], pa.int64()),
-                "wf_metric": pa.array(["pkt"] * len(parsed), pa.string()),
-                "wf_value": pa.array(np.zeros(len(parsed), np.int64)),
-                "wf_source": pc.binary_join_element_wise(
-                    "u", pc.cast(parsed["user_id"], pa.string()), ""
-                ),
-            }
-        )
-
-    main = ds.map_batches(render_and_parse, batch_format="pyarrow")
-    pkt = ds.map_batches(packet_leg, batch_format="pyarrow")
-    return main.union(pkt)
+    """Carbon and Wavefront render → parse round trips plus packet
+    framing: both ``_CARBON`` legs in one pass over events."""
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "value", "ts", "user_id"])
+    return ds.map_batches(_CARBON.batch(_CARBON.legs), batch_format="pyarrow")
 
 
-def _q_trace_decoders(sf_dir: str):
-    """Trace-signal decoders (SURVEY.md §2.1 sapm/signalfx/awsxray):
-    deterministic AWS X-Ray segment JSONs and SignalFx protobuf
-    DataPointUploadMessages are RENDERED from the events table, decoded
-    through the real decoders, and aggregated — every expected count
-    and sum has a closed form the oracle derives in SQL.
+def _ev(t: pa.Table) -> SimpleNamespace:
+    """The columns an events leg derives from its batch, each present
+    when the batch has its source column: ``e``/``u`` event and user ids
+    (int64), ``et`` event types, ``epoch`` whole seconds of ts, ``val``
+    value and ``dur`` its floor (int64)."""
+    x = SimpleNamespace(t=t, n=len(t))
+    c = t.column_names
+    for k, col in (("e", "event_id"), ("u", "user_id")):
+        if col in c:
+            setattr(x, k, t[col].to_numpy(zero_copy_only=False).astype(np.int64))
+    if "event_type" in c:
+        x.et = t["event_type"].to_pylist()
+    if "ts" in c:
+        x.epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()).to_numpy()
+    if "value" in c:
+        x.val = t["value"].to_numpy(zero_copy_only=False)
+        x.dur = np.floor(x.val).astype(np.int64)
+    return x
 
-    X-Ray (translator.go semantics): one segment per event (no parent →
-    server kind; error events carry http 500 + a Cause exception →
+
+# ----------------------------------------------------------- trace_decoders
+# Trace-signal decoders and exporters (SURVEY.md §2.1): per event, span
+# payloads are RENDERED from the events table, run through the real
+# decoder or exporter translation, and counted per (signal, key); every
+# count and sum has a closed form the count rows derive in SQL. Sums are
+# carried as s100 (hundredths) so they stay integers.
+
+_XEPOCH = 1_600_000_000  # fixed base so X-Ray trace ids sit in the 28-day window
+_G = 1_000_000_000
+
+
+def _spans(t: pa.Table) -> SimpleNamespace:
+    """``_ev`` plus the span columns several trace legs share: ids from
+    event_id + 1, a parent on %3, start/end ns from ts and floor(value)
+    seconds, status error on error events (``st``) and also OK on %13
+    (``st13``)."""
+    x = _ev(t)
+    e = x.e
+    x.name = pa.array(x.et, pa.string())
+    x.err = np.array([t_ == "error" for t_ in x.et], bool)
+    x.start_ns = pa.array(x.epoch * _G, pa.int64())
+    x.end_ns = pa.array((x.epoch + x.dur) * _G, pa.int64())
+    x.tid = pa.array([f"{v + 1:032x}" for v in e], pa.string())
+    x.sid = pa.array([f"{v + 1:016x}" for v in e], pa.string())
+    x.par3 = pa.array([f"{v + 3:016x}" if v % 3 == 0 else None for v in e], pa.string())
+    x.st = pa.array(np.where(x.err, 2, 0), pa.int64())
+    x.st13 = pa.array(np.where(x.err, 2, np.where(e % 13 == 0, 1, 0)), pa.int64())
+    return x
+
+
+def _tr_xray(x):
+    """X-Ray segments (translator.go): one segment per event (no parent
+    → server kind; error events carry http 500 + a Cause exception →
     error status + exception event) plus an aws-namespace subsegment
-    (→ client kind) for event_id % 3 == 0; durations are FLOOR(value)
-    seconds so the float-sec→ns→duration math is exact.
-    SignalFx (signalfxv2_to_metricdata.go): per event one datapoint —
-    gauge for click/view else cumulative counter, int datum for even
-    event ids / double for odd — plus an ENUM-typed datapoint (dropped
-    by the reference's default-case error) for event_id % 97 == 0.
-    SAPM (trace_receiver.go:64-99 + the public jaeger translation): one
+    (→ client kind) on %3; durations are whole seconds so the
+    float-sec → ns → duration math is exact."""
+    import json as _json
+
+    from opentelemetry_collector_contrib_ray.sources.traces import XRaySegmentDecoder
+
+    eid, et, epoch, dur = x.e, x.et, x.epoch, x.dur
+    raws = []
+    for i in range(len(eid)):  # payload synthesis (decoder input)
+        seg = {
+            "name": et[i],
+            "id": f"{eid[i]:016x}",
+            "trace_id": f"1-{epoch[i]:08x}-{eid[i]:024x}",
+            "start_time": float(epoch[i]),
+            "end_time": float(epoch[i] + dur[i]),
+        }
+        if et[i] == "error":
+            seg["http"] = {"response": {"status": 500}}
+            seg["cause"] = {
+                "exceptions": [
+                    {
+                        "id": f"{eid[i]:016x}",
+                        "message": "boom",
+                        "type": "Error",
+                        "stack": [{"label": "handler", "path": "/app/main.py", "line": 1}],
+                    }
+                ]
+            }
+        if eid[i] % 3 == 0:
+            seg["subsegments"] = [
+                {
+                    "name": "DynamoDB",
+                    "id": f"{eid[i] + 7:016x}",
+                    "start_time": float(epoch[i]),
+                    "end_time": float(epoch[i] + dur[i]),
+                    "namespace": "aws",
+                }
+            ]
+        raws.append(_json.dumps(seg))
+    spans = XRaySegmentDecoder()(pa.table({"raw": raws})).to_pandas()
+    spans["dur_s"] = ((spans["end_ns"] - spans["start_ns"]) / 1e9).round().astype(np.int64)
+    g = spans.groupby(spans["kind"] + "_" + spans["status_code"], sort=False)
+    rows = [(key, len(grp), int(grp["dur_s"].sum() * 100)) for key, grp in g]
+    return rows + [("exceptions", int(spans["n_exceptions"].sum()))]
+
+
+def _tr_sfx(x):
+    """SignalFx datapoints (signalfxv2_to_metricdata.go): per event one
+    datapoint — gauge for click/view else cumulative counter, int datum
+    on even ids / double on odd — plus an ENUM datapoint on %97, which
+    the reference's default case drops."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.sources.traces import (
+        SFX_CUMULATIVE_COUNTER,
+        SFX_ENUM,
+        SFX_GAUGE,
+        decode_datapoint_upload,
+        encode_datapoint,
+        encode_datapoint_upload,
+        sfx_datapoints_to_rows,
+    )
+
+    eid, et, epoch, dur, val = x.e, x.et, x.epoch, x.dur, x.val
+    dps = []
+    for i in range(len(eid)):
+        mt = SFX_GAUGE if et[i] in ("click", "view") else SFX_CUMULATIVE_COUNTER
+        v = int(dur[i]) if eid[i] % 2 == 0 else float(val[i])
+        dps.append(encode_datapoint(et[i], v, timestamp_ms=int(epoch[i]) * 1000, metric_type=mt))
+        if eid[i] % 97 == 0:
+            dps.append(encode_datapoint(et[i], 1, metric_type=SFX_ENUM))
+    rows, dropped = sfx_datapoints_to_rows(decode_datapoint_upload(encode_datapoint_upload(dps)))
+    rdf = pd.DataFrame(rows, columns=["metric", "dtype", "value_int", "value_double"])
+    out = []
+    for (metric, dtype), grp in rdf.groupby(["metric", "dtype"], sort=False):
+        if dtype.startswith("int"):
+            s100 = int(grp["value_int"].sum()) * 100
+        else:
+            s100 = int(np.rint(grp["value_double"].to_numpy() * 100).sum())
+        out.append((f"{metric}_{dtype}", len(grp), s100))
+    return out + [("dropped", dropped)]
+
+
+def _tr_sapm(x):
+    """SAPM (trace_receiver.go:64-99 + the jaeger translation): one
     gzipped PostSpansRequest per batch, one jaeger span per event —
-    span.kind tag client on even ids / server on odd, bool error tag on
-    error events (→ error status), a CHILD_OF reference (→ parent) on
-    event_id % 3 == 0, a FOLLOWS_FROM reference (→ link) on
-    event_id % 5 == 0, one log (→ event) per error event.
-    """
+    span.kind client on even ids / server on odd, bool error tag on error
+    events (→ error status), a CHILD_OF reference (→ parent) on %3, a
+    FOLLOWS_FROM reference (→ link) on %5, one log (→ event) per error."""
     import pandas as pd
 
     from opentelemetry_collector_contrib_ray.sources.traces import (
         JAEGER_REF_CHILD_OF,
         JAEGER_REF_FOLLOWS_FROM,
-        SFX_CUMULATIVE_COUNTER,
-        SFX_ENUM,
-        SFX_GAUGE,
-        XRaySegmentDecoder,
-        decode_datapoint_upload,
         decode_sapm,
-        encode_datapoint,
-        encode_datapoint_upload,
         encode_jaeger_batch,
         encode_jaeger_span,
         encode_sapm,
         jaeger_batches_to_rows,
-        sfx_datapoints_to_rows,
-    )
-    from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
-    from opentelemetry_collector_contrib_ray.stages.xray_export import (
-        ORIGIN_EC2,
-        XRaySegmentEncoder,
     )
 
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "ts", "value"])
-    xray_dec = XRaySegmentDecoder()
-    _XEPOCH = 1_600_000_000  # fixed base so trace ids sit in the 28-day window
-    xray_enc = XRaySegmentEncoder(epoch_now=_XEPOCH)
+    jspans = []
+    for e, t_, ep, d in zip(x.e, x.et, x.epoch, x.dur):
+        e = int(e)
+        tags = [("span.kind", "client" if e % 2 == 0 else "server")]
+        logs = []
+        if t_ == "error":
+            tags.append(("error", True))
+            logs.append((int(ep) * _G, [("event", "exception")]))
+        refs = []
+        tid = e.to_bytes(16, "big")
+        if e % 3 == 0:
+            refs.append((tid, (e + 7).to_bytes(8, "big"), JAEGER_REF_CHILD_OF))
+        if e % 5 == 0:
+            refs.append(((e + 1).to_bytes(16, "big"), (e + 9).to_bytes(8, "big"), JAEGER_REF_FOLLOWS_FROM))
+        jspans.append(
+            encode_jaeger_span(
+                tid,
+                e.to_bytes(8, "big"),
+                t_,
+                int(ep) * _G,
+                int(d) * _G,
+                tags=tags,
+                references=refs,
+                logs=logs,
+            )
+        )
+    blob = encode_sapm([encode_jaeger_batch("svc", jspans)], compress=True)
+    jrows = pd.DataFrame(jaeger_batches_to_rows(decode_sapm(blob)))
+    if not len(jrows):
+        return []
+    jrows["dur_s"] = (jrows["end_ns"] - jrows["start_ns"]) // _G
+    g = jrows.groupby(jrows["kind"] + "_" + jrows["status_code"], sort=False)
+    return [(key, len(grp), int(grp["dur_s"].sum() * 100)) for key, grp in g] + [
+        ("parented", int(jrows["parent_span_id"].notna().sum())),
+        ("links", int(jrows["n_links"].sum())),
+        ("events", int(jrows["n_events"].sum())),
+    ]
+
+
+def _tr_xrayx(x):
+    """Spans → X-Ray segments (exporter, segment.go) → decoded back:
+    subsegment = client (odd id) with a parent (%3); error events carry
+    http 429 on %5 (error + throttle) else 500 (fault); EC2 origin from
+    the resource; client spans get the remote namespace; peer.service
+    (%7) overrides the name; roundtrip counts spans whose encode →
+    decode keeps trace id, start and duration."""
+    import json as _json
+
+    from opentelemetry_collector_contrib_ray.sources.traces import XRaySegmentDecoder
+    from opentelemetry_collector_contrib_ray.stages.xray_export import ORIGIN_EC2, XRaySegmentEncoder
+
+    eid, et, epoch, dur = x.e, x.et, x.epoch, x.dur
+    res_json = _json.dumps({"cloud.provider": "aws", "cloud.platform": "EC2", "service.name": "svc"})
+    xattrs = []
+    for i in range(len(eid)):
+        a = {"http.method": "GET"}
+        a["http.status_code"] = (429 if eid[i] % 5 == 0 else 500) if et[i] == "error" else 200
+        if eid[i] % 7 == 0:
+            a["peer.service"] = "peer-svc"
+        xattrs.append(_json.dumps(a))
+    xin = pa.table(
+        {
+            "trace_id": pa.array([f"{_XEPOCH:08x}{e:024x}" for e in eid], pa.string()),
+            "span_id": pa.array([f"{e:016x}" for e in eid], pa.string()),
+            "parent_span_id": pa.array([f"{e + 13:016x}" if e % 3 == 0 else None for e in eid], pa.string()),
+            "name": x.name,
+            "kind": pa.array(["server" if e % 2 == 0 else "client" for e in eid], pa.string()),
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "status_code": pa.array(["error" if t == "error" else "unset" for t in et], pa.string()),
+            "status_message": pa.array(["boom" if t == "error" else None for t in et], pa.string()),
+            "attrs": pa.array(xattrs, pa.string()),
+            "events": pa.array([None] * len(eid), pa.string()),
+            "resource_attrs": pa.array([res_json] * len(eid), pa.string()),
+        }
+    )
+    xt = XRaySegmentEncoder(epoch_now=_XEPOCH)(xin)
+    seg_type = np.asarray(xt["seg_type"].to_pylist())
+    back = XRaySegmentDecoder()(pa.table({"raw": xt["segment_json"]})).to_pandas()
+    back_dur = ((back["end_ns"] - back["start_ns"]) / 1e9).round()
+    rt_ok = int(
+        (
+            (back["trace_id"].to_numpy() == np.asarray(xin["trace_id"].to_pylist()))
+            & ((back["start_ns"] / 1e9).round().to_numpy() == epoch)
+            & (back_dur.to_numpy() == dur)
+        ).sum()
+    )
+    return [
+        ("n", len(xt), int(dur.sum()) * 100),
+        ("subsegment", int((seg_type == "subsegment").sum())),
+        ("fault", int(pc.sum(xt["fault"]).as_py() or 0)),
+        ("error", int(pc.sum(xt["error"]).as_py() or 0)),
+        ("throttle", int(pc.sum(xt["throttle"]).as_py() or 0)),
+        ("origin_ec2", int((np.asarray(xt["origin"].to_pylist()) == ORIGIN_EC2).sum())),
+        ("ns_remote", int((np.asarray(xt["namespace"].to_pylist()) == "remote").sum())),
+        ("name_peer", int((np.asarray(xt["seg_name"].to_pylist()) == "peer-svc").sum())),
+        ("roundtrip", rt_ok),
+    ]
+
+
+def _tr_tanzu(x):
+    """Spans → Wavefront spans (tanzuobservability transformer.go): kinds
+    cycle e%6 (5 → 'unknown'), service.name consumed on even ids else
+    defaultService, application=myapp on %5, error spans carry error=true
+    and a message truncated to 240 chars, end unset on %11 → zero
+    duration, parent on %3, tracestate on %7, resource env=prod."""
+    from opentelemetry_collector_contrib_ray.stages.tanzu import _NIL_UUID, TanzuSpanTransformer
+
+    eid, et = x.e, x.et
+    kinds6 = ["client", "server", "producer", "consumer", "internal", "weird"]
+    tin = pa.table(
+        {
+            "trace_id": x.tid,
+            "span_id": x.sid,
+            "parent_span_id": pa.array([f"{e + 13:016x}" if e % 3 == 0 else None for e in eid], pa.string()),
+            "name": x.name,
+            "kind": pa.array([kinds6[e % 6] for e in eid], pa.string()),
+            "status_code": x.st,
+            "status_message": pa.array(["M" * 300 if t_ == "error" else None for t_ in et], pa.string()),
+            "start_ns": x.start_ns,
+            "end_ns": pa.array(np.where(eid % 11 == 0, 0, (x.epoch + x.dur) * _G), pa.int64()),
+            "trace_state": pa.array(["k=v" if e % 7 == 0 else None for e in eid], pa.string()),
+            "n_events": pa.array(x.err.astype(np.int64)),
+            "service.name": pa.array(["svc" if e % 2 == 0 else None for e in eid], pa.string()),
+            "application": pa.array(["myapp" if e % 5 == 0 else None for e in eid], pa.string()),
+        }
+    )
+    tout = TanzuSpanTransformer(resource_attrs={"env": "prod"}, attr_cols=["service.name", "application"])(
+        tin
+    ).to_pandas()
+    ttags = tout["tags"]
+
+    def tag(pat: str) -> int:
+        return int(ttags.str.contains(pat).sum())
+
+    return [
+        # duration_ms = dur*1000 except zeroed rows → s100 = ms // 10
+        ("n", len(tout), int(tout["duration_ms"].sum()) // 10),
+        ("error_true", tag(r"(?:^|;)error=true(?:;|$)")),
+        ("svc_named", tag(r"(?:^|;)service=svc(?:;|$)")),
+        ("svc_default", tag(r"(?:^|;)service=defaultService(?:;|$)")),
+        ("app_custom", tag(r"(?:^|;)application=myapp(?:;|$)")),
+        ("tracestate", tag(r"w3c\.tracestate=")),
+        ("parented", int((tout["parent_uuid"] != _NIL_UUID).sum())),
+        ("zero_dur", int((tout["duration_ms"] == 0).sum())),
+        ("msg_trunc", int((ttags.str.extract(r"status\.message=(M+)")[0].str.len() == 240).sum())),
+        ("env_res", tag(r"(?:^|;)env=prod(?:;|$)")),
+    ] + [
+        (f"kind_{k}", tag(rf"span\.kind={k}"))
+        for k in ("client", "server", "producer", "consumer", "internal", "unknown")
+    ]
+
+
+def _tr_azmon(x):
+    """Spans → App Insights envelopes (azuremonitor trace_to_envelope.go):
+    kind from (e//4)%2 (server, else internal on %10=1 or client), span
+    type from e%4 (http/rpc/database/messaging), http 500 on errors,
+    grpc code e%17, and the db, messaging-url (dependencies on %8=7) and
+    http dependency target fills."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.azuremonitor import AzureMonitorSpanToEnvelope
+
+    eid, et = x.e, x.et
+
+    def cyc(i, val, default=None):
+        return [val if e % 4 == i else default for e in eid]
+
+    # kind decoupled from the e%4 type cycle so every span type
+    # exercises BOTH the request and the dependency fills
+    akind = ["server" if (e // 4) % 2 == 0 else ("internal" if e % 10 == 1 else "client") for e in eid]
+    ain = pa.table(
+        {
+            "trace_id": x.tid,
+            "span_id": x.sid,
+            "parent_span_id": pa.array([f"{e + 3:016x}" for e in eid], pa.string()),
+            "name": x.name,
+            "kind": pa.array(akind, pa.string()),
+            "status_code": x.st,
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "http.method": pa.array(cyc(0, "GET"), pa.string()),
+            "http.status_code": pa.array(
+                [(500 if t_ == "error" else 200) if e % 4 == 0 else None for e, t_ in zip(eid, et)],
+                pa.int64(),
+            ),
+            "http.url": pa.array(cyc(0, "https://api.example.com:8080/v1"), pa.string()),
+            "rpc.system": pa.array(cyc(1, "grpc"), pa.string()),
+            "rpc.grpc.status_code": pa.array([int(e % 17) if e % 4 == 1 else None for e in eid], pa.int64()),
+            "db.system": pa.array(cyc(2, "mysql"), pa.string()),
+            "db.statement": pa.array(cyc(2, "SELECT 1"), pa.string()),
+            "messaging.system": pa.array(cyc(3, "kafka"), pa.string()),
+            "messaging.url": pa.array(["amqp://q" if e % 8 == 7 else None for e in eid], pa.string()),
+            "net.peer.name": pa.array(cyc(2, "dbh"), pa.string()),
+            "net.peer.port": pa.array([3306 if e % 4 == 2 else None for e in eid], pa.int64()),
+            "net.peer.ip": pa.array(cyc(3, "8.8.8.8"), pa.string()),
+        }
+    )
+    aout = AzureMonitorSpanToEnvelope({"service.name": "svc"})(ain).to_pandas()
+    is_req = aout["envelope_name"].str.endswith("Request")
+    stype, target = aout["span_type"], aout["target"]
+    return [
+        ("requests", int(is_req.sum())),
+        ("dependencies", int((~is_req).sum())),
+        ("inproc", int((aout["dep_type"] == "InProc").sum())),
+        ("type_http", int((stype == "http").sum())),
+        ("type_rpc", int((stype == "rpc").sum())),
+        ("type_database", int((stype == "database").sum())),
+        ("type_messaging", int((stype == "messaging").sum())),
+        ("http_fail", int(((stype == "http") & ~aout["success"]).sum())),
+        # Σ int(response_code) over rpc rows == Σ e%17 (grpc override)
+        ("rpc_code_sum", int(pd.to_numeric(aout.loc[stype == "rpc", "response_code"]).sum())),
+        ("db_target", int((target == "dbh:3306").sum())),
+        ("msg_url_target", int((target == "amqp://q").sum())),
+        ("http_dep_target", int((target == "api.example.com:8080").sum())),
+        ("cloud_role", int((aout["cloud_role"] == "svc").sum())),
+    ]
+
+
+def _tr_sentry(x):
+    """Spans grouped into Sentry transactions (sentry_exporter.go): one
+    root per event, a db child on %3, a grandchild on %9 (transitive
+    attachment), an orphan on %5 (its own transaction); descriptor
+    priority and status mapping. Traces are per event, so the batch is
+    trace-complete and the per-bucket closure runs in-batch."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.sentry import (
+        _per_bucket_transactions,
+        generate_span_descriptors,
+    )
+
+    srows = []
+    for e, t_ in zip(x.e, x.et):
+        e, tids = int(e), f"t{e}"
+        srows.append(
+            {"trace_id": tids, "span_id": f"r{e}", "parent_span_id": None, "name": t_, "kind": "server",
+             "status_code": 2 if t_ == "error" else 0, "http.method": "GET"}
+        )
+        if e % 3 == 0:
+            srows.append({"trace_id": tids, "span_id": f"c{e}", "parent_span_id": f"r{e}", "name": "q",
+                          "status_code": 0, "db.system": "mysql", "db.statement": "SELECT 1"})
+        if e % 9 == 0:
+            srows.append({"trace_id": tids, "span_id": f"g{e}", "parent_span_id": f"c{e}", "name": "leaf",
+                          "status_code": 0})
+        if e % 5 == 0:
+            srows.append({"trace_id": tids, "span_id": f"o{e}", "parent_span_id": "missing", "name": "lost",
+                          "status_code": 0, "messaging.system": "kafka"})
+    sdf = pd.DataFrame(srows)
+    for c in ("kind", "http.method", "db.system", "db.statement", "rpc.service",
+              "messaging.system", "faas.trigger", "parent_span_id"):
+        if c not in sdf.columns:
+            sdf[c] = None
+    tx = _per_bucket_transactions(generate_span_descriptors(sdf))
+    return [
+        ("transactions", len(tx)),
+        ("orphans", int(tx["is_orphan"].sum())),
+        ("children", int(tx["n_child_spans"].sum())),
+        ("op_http_server", int((tx["op"] == "http.server").sum())),
+        ("op_message", int((tx["op"] == "message").sum())),
+        ("status_unknown", int((tx["status"] == "unknown").sum())),
+    ]
+
+
+def _tr_honey(x):
+    """Spans → honeycomb events: per-span main events, link/span_event
+    fan-out, the int-only sample-rate attribute on %4 ids."""
+    from opentelemetry_collector_contrib_ray.stages.honeycomb import HoneycombEvents
+
+    eid = x.e
+    hin = pa.table(
+        {
+            "trace_id": pa.array([f"t{e}" for e in eid], pa.string()),
+            "span_id": pa.array([f"s{e}" for e in eid], pa.string()),
+            "name": x.name,
+            "kind": pa.array(["server"] * len(eid), pa.string()),
+            "status_code": x.st,
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "n_links": pa.array((eid % 5 == 0).astype(np.int64), pa.int64()),
+            "n_events": pa.array(x.err.astype(np.int64)),
+            "sr": pa.array([int(e % 10) if e % 4 == 0 else None for e in eid], pa.int64()),
+        }
+    )
+    hout = HoneycombEvents(sample_rate_attribute="sr")(hin).to_pandas()
+    hspans = hout[hout["annotation_type"] == "span"]
+    return [
+        ("spans", len(hspans), int(hspans["duration_ms"].sum()) // 10),
+        ("links", int((hout["annotation_type"] == "link").sum())),
+        ("span_events", int((hout["annotation_type"] == "span_event").sum())),
+        ("sample_rate_sum", int(hspans["sample_rate"].sum())),
+        ("msg_unset", int((hspans["status_message"] == "STATUS_CODE_UNSET").sum())),
+        ("msg_error", int((hspans["status_message"] == "STATUS_CODE_ERROR").sum())),
+    ]
+
+
+_NR_KINDS = ["server", "client", "producer", "consumer", "internal", "unspecified"]
+
+
+def _tr_nr(x):
+    """newrelic exporter (transformer.go): span ids blank on %101 →
+    invalid, status ERROR on errors / OK on %13 (UNSET omitted), the
+    lowercased span.kind unless the %6 cycle hits 'unspecified',
+    dropped-attrs on %9, peer attr on %4, parent on %3; metrics: delta
+    sums (even ids) → Count at START + 60 s interval, cumulative →
+    Gauge, view gauges, click summaries (min iff q0 present = even, max
+    iff q1 present = %3), error histograms dropped; logs: an empty body
+    (odd ids) falls back to the record name."""
+    from opentelemetry_collector_contrib_ray.stages.newrelic import (
+        NewRelicLogTransformer,
+        NewRelicMetricTransformer,
+        NewRelicSpanTransformer,
+    )
+
+    eid, et, epoch, n = x.e, x.et, x.epoch, x.n
+    nin = pa.table(
+        {
+            "trace_id": x.tid,
+            "span_id": pa.array(["" if e % 101 == 0 else f"{e + 1:016x}" for e in eid], pa.string()),
+            "parent_span_id": x.par3,
+            "name": x.name,
+            "kind": pa.array([_NR_KINDS[e % 6] for e in eid], pa.string()),
+            "status_code": x.st13,
+            "status_message": pa.array(["boom!" if t_ == "error" else "" for t_ in et], pa.string()),
+            "dropped_attributes_count": pa.array([7 if e % 9 == 0 else 0 for e in eid], pa.int64()),
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "peer": pa.array(["svc-b" if e % 4 == 0 else None for e in eid], pa.string()),
+        }
+    )
+    nout = NewRelicSpanTransformer(
+        resource_attrs={"service.name": "svc"},
+        instrumentation=("otelray", "1.0"),
+        collector=("otelcol", "2.0"),
+        attr_cols=["peer"],
+    )(nin).to_pandas()
+
+    def has(s, sub: str) -> int:
+        return int(s.str.contains(sub, regex=False).sum())
+
+    nattrs = nout["attrs"]
+    rows = [
+        ("spans", len(nout), int(nout["duration_us"].sum()) // 10_000),
+        ("invalid", n - len(nout)),
+        ("status_error", has(nattrs, "otel.status_code=ERROR")),
+        ("status_ok", has(nattrs, "otel.status_code=OK")),
+        ("desc", has(nattrs, "otel.status_description=boom!")),
+        ("kind_attr", has(nattrs, "span.kind=")),
+        ("dropped_attr", has(nattrs, "otel.dropped_attributes_count=7")),
+        ("peer_attr", has(nattrs, "peer=svc-b")),
+        ("parented", int((nout["parent_id"] != "").sum())),
+    ]
+    nr_dtype = {"click": "summary", "view": "int_gauge", "purchase": "int_sum", "signup": "double_sum",
+                "error": "histogram"}
+    nmin = pa.table(
+        {
+            "name": x.name,
+            "dtype": pa.array([nr_dtype[t_] for t_ in et], pa.string()),
+            "temporality": pa.array(["delta" if e % 2 == 0 else "cumulative" for e in eid], pa.string()),
+            "value": pa.array(x.dur.astype(np.float64), pa.float64()),
+            "start_ns": pa.array((epoch - 60) * _G, pa.int64()),
+            "ts_ns": x.start_ns,
+            "count": pa.array((eid % 10).astype(np.int64), pa.int64()),
+            "sum": pa.array(x.val, pa.float64()),
+            "q_first": pa.array([0.0 if e % 2 == 0 else 0.5 for e in eid], pa.float64()),
+            "q_first_v": pa.array([1.5] * n, pa.float64()),
+            "q_last": pa.array([1.0 if e % 3 == 0 else 0.9 for e in eid], pa.float64()),
+            "q_last_v": pa.array([9.5] * n, pa.float64()),
+            "shard": pa.array([f"s{e % 4}" for e in eid], pa.string()),
+        }
+    )
+    nmout = NewRelicMetricTransformer(label_cols=["shard"])(nmin).to_pandas()
+    is_cnt = nmout["nr_type"] == "count"
+    rows += [
+        ("m_gauge", int((nmout["nr_type"] == "gauge").sum())),
+        ("m_count", int(is_cnt.sum()), int(nmout.loc[is_cnt, "value"].sum()) * 100),
+        ("m_interval", int((nmout.loc[is_cnt, "interval_ms"] == 60_000).sum())),
+        ("m_summary", int((nmout["nr_type"] == "summary").sum())),
+        ("m_min_set", int(nmout["min"].notna().sum())),
+        ("m_max_set", int(nmout["max"].notna().sum())),
+        ("m_dropped", n - len(nmout)),
+    ]
+    nlin = pa.table(
+        {
+            "body": pa.array([f"b{e}" if e % 2 == 0 else "" for e in eid], pa.string()),
+            "log_name": x.name,
+            "ts_ns": x.start_ns,
+            "severity_text": pa.array(["ERROR" if t_ == "error" else "" for t_ in et], pa.string()),
+            "severity_number": pa.array(np.where(x.err, 17, 0), pa.int64()),
+            "trace_id": pa.array([f"{e + 1:032x}" if e % 3 == 0 else "" for e in eid], pa.string()),
+            "span_id": pa.array([""] * n, pa.string()),
+            "dropped_attributes_count": pa.array([0] * n, pa.int64()),
+        }
+    )
+    nlout = NewRelicLogTransformer()(nlin).to_pandas()
+    return rows + [
+        ("log_fallback", int((~nlout["message"].str.startswith("b")).sum())),
+        ("log_level", has(nlout["attrs"], "log.levelNum=17")),
+        ("log_traced", has(nlout["attrs"], "trace.id=")),
+    ]
+
+
+def _tr_apm(x):
+    """elastic APM exporter (traces.go): root (%3<>0) or server kind
+    (%5=0) → transaction, request typing from http.url (%4=0), outcome
+    and result mapping, span typing external/db/app (db.system on %4=1
+    wins), the default-port destination resource, remote address from
+    peer ip+port (%7), the team label on every record; java stacktraces
+    with "Caused by" + "... N more" on odd error ids and the unparseable
+    fallback on even ones."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.elastic_apm import (
+        ElasticSpanEncoder,
+        exception_events_to_errors,
+    )
+
+    eid = x.e
+    ein = pa.table(
+        {
+            "trace_id": x.tid,
+            "span_id": x.sid,
+            "parent_span_id": x.par3,
+            "name": x.name,
+            "kind": pa.array(["server" if e % 5 == 0 else "client" for e in eid], pa.string()),
+            "status_code": x.st13,
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "http.url": pa.array(
+                [f"https://api.example.com/v{e % 3}" if e % 4 == 0 else None for e in eid], pa.string()
+            ),
+            "db.system": pa.array(["mysql" if e % 4 == 1 else None for e in eid], pa.string()),
+            "net.peer.ip": pa.array(["10.0.0.9" if e % 7 == 0 else None for e in eid], pa.string()),
+            "net.peer.port": pa.array([8080 if e % 7 == 0 else None for e in eid], pa.int64()),
+            "team": pa.array([f"t{e % 2}" for e in eid], pa.string()),
+        }
+    )
+    eout = ElasticSpanEncoder(attr_cols=["http.url", "db.system", "net.peer.ip", "net.peer.port", "team"])(
+        ein
+    ).to_pandas()
+    etx = eout[eout["record"] == "transaction"]
+    esp = eout[eout["record"] == "span"]
+    good_stack = (
+        "HighLevelException: boom\n"
+        "\tat com.example.A.a(A.java:1)\n"
+        "\tat com.example.B.b(B.java:2)\n"
+        "Caused by: MidLevelException: low\n"
+        "\tat com.example.C.c(C.java:3)\n"
+        "\t... 1 more\n"
+    )  # 2 frames + (1 + 1 copied) = 4 total, 1 cause
+    exdf = pd.DataFrame(
+        {
+            "event_name": ["exception"] * int(x.err.sum()),
+            "exc_type": "E",
+            "exc_message": "m",
+            "exc_stacktrace": [good_stack if e % 2 == 1 else "garbage\nnot a frame" for e in eid[x.err]],
+            "exc_escaped": False,
+            "trace_id": "t",
+            "span_id": "s",
+        }
+    )
+    exout = exception_events_to_errors(exdf, language="java")
+    return [
+        ("transactions", len(etx), int(etx["duration_ms"].sum()) // 10),
+        ("spans", len(esp)),
+        ("tx_request", int((etx["type"] == "request").sum())),
+        ("tx_failure", int((etx["outcome"] == "failure").sum())),
+        ("tx_result_ok", int((etx["result"] == "OK").sum())),
+        ("sp_external", int((esp["type"] == "external").sum())),
+        ("sp_db", int((esp["type"] == "db").sum())),
+        ("sp_app", int((esp["type"] == "app").sum())),
+        ("dest_default_port", int(esp["dest_service_resource"].str.endswith(":443").sum())),
+        ("remote", int((etx["remote_addr"] == "10.0.0.9:8080").sum())),
+        ("labels_team", int(eout["labels"].str.contains("team=t", regex=False).sum())),
+        ("exc_frames", int(exout["n_frames"].sum())),
+        ("exc_causes", int(exout["n_causes"].sum())),
+        ("exc_fallback", int((exout["stacktrace_attr"] != "").sum())),
+    ]
+
+
+def _tr_jthrift(x):
+    """jaeger-thrift exporter (protospan_to_jaegerthrift.go) through a
+    full TBinaryProtocol encode → decode: zero trace id (%101) dropped,
+    µs times, span.kind only when absent (preset consumer on %9), status
+    tags only when absent (error or %13), CHILD_OF references on %5, two
+    log fields per error span."""
+    from opentelemetry_collector_contrib_ray.sources.jaeger_thrift import (
+        decode_batch,
+        encode_batch,
+        make_process,
+        span_rows_to_thrift_spans,
+    )
+
+    jrows = []
+    for e, t_, ep, d in zip(x.e, x.et, x.epoch, x.dur):
+        row = {
+            "trace_id": ("0" * 32) if e % 101 == 0 else f"{e + 1:032x}",
+            "span_id": f"{e + 1:016x}",
+            "name": t_,
+            "kind": "server" if e % 2 == 0 else "client",
+            "start_ns": int(ep) * _G,
+            "end_ns": int(ep + d) * _G,
+            "attrs": {"team": f"t{e % 2}"},
+        }
+        if e % 9 == 0:
+            row["attrs"]["span.kind"] = "consumer"
+        if t_ == "error" or e % 13 == 0:
+            row["status_code"] = 2 if t_ == "error" else 0
+            if t_ == "error":
+                row["status_message"] = "bad"
+        if e % 5 == 0:
+            row["links"] = [{"trace_id": f"{e + 7:032x}", "span_id": f"{e + 7:016x}", "type": "parent"}]
+        if t_ == "error":
+            row["events"] = [{"ts_ns": int(ep) * _G, "attrs": {"k": "v"}, "description": "desc"}]
+        jrows.append(row)
+    jspans, jdropped = span_rows_to_thrift_spans(jrows)
+    jback = decode_batch(encode_batch(make_process("svc", {"env": "prod"}), jspans))
+    spans = jback["spans"]
+    kinds = [{t["key"]: t for t in s["tags"]}.get("span.kind", {}).get("value") for s in spans]
+    tags = [{t["key"] for t in s["tags"]} for s in spans]
+    return [
+        ("spans", len(spans), sum(s["duration_us"] for s in spans) // 10_000),
+        ("dropped", jdropped),
+        ("kind_from_kind", sum(k in ("server", "client") for k in kinds)),
+        ("kind_preset", sum(k == "consumer" for k in kinds)),
+        ("status_code_tag", sum("status.code" in tg for tg in tags)),
+        ("status_msg_tag", sum("status.message" in tg for tg in tags)),
+        ("child_of_refs", sum(r["ref_type"] == 0 for s in spans for r in s["references"])),
+        ("log_fields", sum(len(lg["fields"]) for s in spans for lg in s["logs"])),
+        ("proc_svc", len(spans) if jback["process"]["service_name"] == "svc" else 0),
+    ]
+
+
+def _humio_in(x) -> pa.Table:
+    """The span table the humio and uptrace legs both translate."""
+    eid = x.e
+    return pa.table(
+        {
+            "trace_id": x.tid,
+            "span_id": x.sid,
+            "parent_span_id": x.par3,
+            "name": x.name,
+            "kind": pa.array([_NR_KINDS[e % 6] for e in eid], pa.string()),
+            "status_code": x.st13,
+            "status_message": pa.array(["bad" if t_ == "error" else "" for t_ in x.et], pa.string()),
+            "start_ns": x.start_ns,
+            "end_ns": x.end_ns,
+            "http.method": pa.array(["GET" if e % 4 == 0 else None for e in eid], pa.string()),
+            "n_links": pa.array((eid % 3).astype(np.int64), pa.int64()),
+        }
+    )
+
+
+def _tr_humio(x):
+    """humio exporter (traces_exporter.go): service.name hoisted out of
+    attrs, enum-name kind/status strings, service_name tagging, and the
+    missing-service resource drop (on the %4 subsample)."""
+    from opentelemetry_collector_contrib_ray.stages.humio import HumioSpanEvents
+
+    hin = _humio_in(x)
+    hout = HumioSpanEvents(
+        resource_attrs={"service.name": "svc", "env": "prod"},
+        instrumentation=("lib", "2.0"),
+        tag_strategy="service_name",
+        attr_cols=["http.method"],
+    )(hin).to_pandas()
+    hdrop = HumioSpanEvents(resource_attrs={"env": "prod"})(hin.filter(pa.array(x.e % 4 == 0))).to_pandas()
+    attrs = hout["attrs"]
+    return [
+        ("events", len(hout)),
+        ("kind_server", int((hout["kind"] == "SPAN_KIND_SERVER").sum())),
+        ("status_ok", int((hout["status_code"] == "STATUS_CODE_OK").sum())),
+        ("status_error", int((hout["status_code"] == "STATUS_CODE_ERROR").sum())),
+        ("svc_hoisted", int((~attrs.str.contains("service.name=", regex=False)).sum())),
+        ("lib_attr", int(attrs.str.contains("instrumentation.library.name=lib", regex=False).sum())),
+        ("tagged", int((hout["tag"] == "svc").sum())),
+        ("links", int(hout["n_links"].sum())),
+        ("dropped_no_service", int(hdrop["n_dropped"].sum())),
+    ]
+
+
+def _tr_uptr(x):
+    """uptrace exporter (exporter.go/translator.go): little-endian
+    uint64 ids, kinds collapsed to internal, lowercase status."""
+    from opentelemetry_collector_contrib_ray.stages.humio import UptraceSpanTransformer
+
+    uout = UptraceSpanTransformer(instrumentation=("tracer", "0.1"))(_humio_in(x)).to_pandas()
+    expected_le = (x.e + 1).astype(np.uint64).byteswap()
+    return [
+        ("n", len(uout), int((uout["end_ns"] - uout["start_ns"]).sum() // _G) * 100),
+        ("id_byteswap", int((uout["id"].to_numpy() == expected_le).sum())),
+        ("kind_internal", int((uout["kind"] == "internal").sum())),
+        ("status_ok", int((uout["status_code"] == "ok").sum())),
+        ("status_error", int((uout["status_code"] == "error").sum())),
+        ("parented", int((uout["parent_id"] != 0).sum())),
+    ]
+
+
+def _tr_dd(x):
+    """datadog exporter span translation (translate_traces.go): uint64
+    id decode (:457-474), operation name il.kind normalized + remapped
+    (:476-496,653-659), the resource-name priority chain (:498-535),
+    service precedence (resource > peer override, :230-242), type
+    inference (:395-412), error propagation (status / http code windows
+    / exception events with the message fallback chain, :537-625),
+    version + container tags (:245-254,369-384), analytics sample rate
+    (:434-440), top-level marks (model.go:45-74) and denylist trace drops
+    (denylister.go:27-45). Per event a root (kind cycle e%6, resource
+    attrs from the %4/%8/%16 grids), a same-service client child on %3
+    (mysql on %6=0, http 500 on %15=0, analytics on %9=0) and an
+    unknown-parent orphan on %5, so each trace is batch-local; error
+    roots carry exception events on even ids, a status message on %4=1,
+    http 503 (+ text on %8=3) on %4=3; other roots get http 404 on %4=0."""
+    import json as _json
+
+    import pandas as pd
 
     from opentelemetry_collector_contrib_ray.stages.datadog import (
         DatadogSpanTranslator,
         Denylister,
-        apply_denylist as dd_apply_denylist,
+        apply_denylist,
+        mark_analyzed,
     )
 
-    dd_translator = DatadogSpanTranslator(
+    eid, epoch, dur, err_np = x.e, x.epoch, x.dur, x.err
+    e4, e8, e16 = eid % 4, eid % 8, eid % 16
+    m3, m5 = eid % 3 == 0, eid % 5 == 0
+
+    def _opt(mask, val, mask2=None, val2=None):
+        out = np.full(len(mask), None, dtype=object)
+        out[mask] = val
+        if mask2 is not None:
+            out[mask2] = val2
+        return out
+
+    evj = _json.dumps(
+        [
+            {
+                "name": "exception",
+                "time": i,
+                "attributes": {"exception.type": f"E{i}", "exception.message": f"m{i}"},
+            }
+            for i in (1, 2)
+        ]
+    )
+    kinds = np.array(["server", "client", "producer", "consumer", "internal", "unspec"], dtype=object)
+    roots = pd.DataFrame(
+        {
+            "trace_id": x.tid.to_pylist(),
+            "span_id": x.sid.to_pylist(),
+            "parent_span_id": None,
+            "name": np.asarray(x.et, dtype=object),
+            "kind": kinds[eid % 6],
+            "status_code": np.where(err_np, 2, 0),
+            "status_message": _opt(err_np & (e4 == 1), "boom"),
+            "start_ns": epoch * _G,
+            "end_ns": np.where(eid % 11 == 0, 0, (epoch + dur) * _G),
+            "trace_state": _opt(eid % 13 == 0, "k=v"),
+            "http.method": _opt(e4 == 0, "GET"),
+            "http.route": _opt(e8 == 0, "/api"),
+            "grpc.path": _opt(e16 == 4, "/pkg.Svc/M"),
+            "messaging.operation": _opt(e4 == 1, "send"),
+            "messaging.destination": _opt(e8 == 1, "queue"),
+            "rpc.method": _opt(e4 == 2, "Call"),
+            "rpc.service": _opt(e8 == 2, "Auth"),
+            "db.system": _opt(eid % 10 == 5, "redis", eid % 10 == 0, "mysql"),
+            "peer.service": _opt(eid % 7 == 0, "peer-svc"),
+            "analytics.event": _opt(eid % 9 == 0, "true", eid % 9 == 3, "false"),
+            "http.status_code": _opt(err_np & (e4 == 3), "503", ~err_np & (e4 == 0), "404"),
+            "http.status_text": _opt(err_np & (e8 == 3), "SvcUnavail"),
+            "big": _opt(eid % 17 == 0, "M" * 6000),
+            "events_json": _opt(err_np & (eid % 2 == 0), evj),
+        }
+    )
+    kids = pd.DataFrame(
+        {
+            "trace_id": [f"{v + 1:032x}" for v in eid[m3]],
+            "span_id": [f"{v + 1 + (1 << 32):016x}" for v in eid[m3]],
+            "parent_span_id": [f"{v + 1:016x}" for v in eid[m3]],
+            "name": "child",
+            "kind": "client",
+            "status_code": 0,
+            "start_ns": epoch[m3] * _G,
+            "end_ns": (epoch[m3] + dur[m3]) * _G,
+            "db.system": _opt(eid[m3] % 6 == 0, "mysql"),
+            "analytics.event": _opt(eid[m3] % 9 == 0, "true"),
+            "http.status_code": _opt(eid[m3] % 15 == 0, "500"),
+        }
+    )
+    orph = pd.DataFrame(
+        {
+            "trace_id": [f"{v + 1:032x}" for v in eid[m5]],
+            "span_id": [f"{v + 1 + (1 << 33):016x}" for v in eid[m5]],
+            "parent_span_id": [f"{v + 1 + (1 << 34):016x}" for v in eid[m5]],
+            "name": "lost",
+            "kind": "internal",
+            "status_code": 0,
+            "start_ns": epoch[m5] * _G,
+            "end_ns": 0,
+        }
+    )
+    ddin = pd.concat([roots, kids, orph], ignore_index=True)
+    translator = DatadogSpanTranslator(
         resource_attrs={
             "service.name": "My Service",
             "deployment.environment": "Prod",
@@ -1614,1069 +2510,316 @@ def _q_trace_decoders(sf_dir: str):
             "http.status_text", "big",
         ],
     )
-    dd_deny_translator = DatadogSpanTranslator()
-    dd_denylister = Denylister(["^deny"])
+    ddout = mark_analyzed(translator(pa.Table.from_pandas(ddin, preserve_index=False)).to_pandas())
+    meta = ddout["meta"]
+    exp_tid = np.concatenate([eid + 1, eid[m3] + 1, eid[m5] + 1]).astype(np.uint64)
+    exp_sid = np.concatenate([eid + 1, eid[m3] + 1 + (1 << 32), eid[m5] + 1 + (1 << 33)]).astype(np.uint64)
+    res, name, typ, svc = ddout["dd_resource"], ddout["dd_name"], ddout["dd_type"], ddout["dd_service"]
 
-    def partial(t: pa.Table) -> pa.Table:
-        import json as _json
+    def has(sub: str, regex: bool = False) -> int:
+        return int(meta.str.contains(sub, regex=regex).sum())
 
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        et = t["event_type"].to_pylist()
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        val = t["value"].to_numpy(zero_copy_only=False)
-        dur = np.floor(val).astype(np.int64)
-        cents = np.rint(val * 100).astype(np.int64)
-
-        # ---- render + decode X-Ray segments ----
-        raws = []
-        for i in range(len(eid)):  # payload synthesis (decoder input)
-            seg = {
-                "name": et[i],
-                "id": f"{eid[i]:016x}",
-                "trace_id": f"1-{epoch[i]:08x}-{eid[i]:024x}",
-                "start_time": float(epoch[i]),
-                "end_time": float(epoch[i] + dur[i]),
-            }
-            if et[i] == "error":
-                seg["http"] = {"response": {"status": 500}}
-                seg["cause"] = {
-                    "exceptions": [
-                        {
-                            "id": f"{eid[i]:016x}",
-                            "message": "boom",
-                            "type": "Error",
-                            "stack": [
-                                {"label": "handler", "path": "/app/main.py", "line": 1}
-                            ],
-                        }
-                    ]
-                }
-            if eid[i] % 3 == 0:
-                seg["subsegments"] = [
-                    {
-                        "name": "DynamoDB",
-                        "id": f"{eid[i] + 7:016x}",
-                        "start_time": float(epoch[i]),
-                        "end_time": float(epoch[i] + dur[i]),
-                        "namespace": "aws",
-                    }
-                ]
-            raws.append(_json.dumps(seg))
-        spans = xray_dec(pa.table({"raw": raws})).to_pandas()
-        spans["dur_s"] = (
-            ((spans["end_ns"] - spans["start_ns"]) / 1e9).round().astype(np.int64)
-        )
-        g = spans.groupby(spans["kind"] + "_" + spans["status_code"], sort=False)
-        xray_rows = [
-            ("xray", key, int(len(grp)), int(grp["dur_s"].sum() * 100))
-            for key, grp in g
-        ]
-        xray_rows.append(
-            ("xray", "exceptions", int(spans["n_exceptions"].sum()), 0)
-        )
-
-        # ---- render + decode SignalFx datapoints ----
-        dps = []
-        for i in range(len(eid)):
-            mt = SFX_GAUGE if et[i] in ("click", "view") else SFX_CUMULATIVE_COUNTER
-            v = int(dur[i]) if eid[i] % 2 == 0 else float(val[i])
-            dps.append(encode_datapoint(et[i], v, timestamp_ms=int(epoch[i]) * 1000, metric_type=mt))
-            if eid[i] % 97 == 0:
-                dps.append(encode_datapoint(et[i], 1, metric_type=SFX_ENUM))
-        rows, dropped = sfx_datapoints_to_rows(
-            decode_datapoint_upload(encode_datapoint_upload(dps))
-        )
-        rdf = pd.DataFrame(rows) if rows else pd.DataFrame(
-            columns=["metric", "dtype", "value_int", "value_double"]
-        )
-        sfx_rows = []
-        for (metric, dtype), grp in rdf.groupby(["metric", "dtype"], sort=False):
-            if dtype.startswith("int"):
-                s100 = int(grp["value_int"].sum()) * 100
-            else:
-                s100 = int(np.rint(grp["value_double"].to_numpy() * 100).sum())
-            sfx_rows.append(("sfx", f"{metric}_{dtype}", int(len(grp)), s100))
-        sfx_rows.append(("sfx", "dropped", dropped, 0))
-
-        # ---- render + decode SAPM (jaeger-proto) spans ----
-        jspans = []
-        for i in range(len(eid)):
-            e = int(eid[i])
-            tags = [("span.kind", "client" if e % 2 == 0 else "server")]
-            logs = []
-            if et[i] == "error":
-                tags.append(("error", True))
-                logs.append((int(epoch[i]) * 1_000_000_000, [("event", "exception")]))
-            refs = []
-            tid = e.to_bytes(16, "big")
-            if e % 3 == 0:
-                refs.append(((tid), (e + 7).to_bytes(8, "big"), JAEGER_REF_CHILD_OF))
-            if e % 5 == 0:
-                refs.append(
-                    ((e + 1).to_bytes(16, "big"), (e + 9).to_bytes(8, "big"),
-                     JAEGER_REF_FOLLOWS_FROM)
-                )
-            jspans.append(
-                encode_jaeger_span(
-                    tid,
-                    e.to_bytes(8, "big"),
-                    et[i],
-                    int(epoch[i]) * 1_000_000_000,
-                    int(dur[i]) * 1_000_000_000,
-                    tags=tags,
-                    references=refs,
-                    logs=logs,
-                )
-            )
-        blob = encode_sapm([encode_jaeger_batch("svc", jspans)], compress=True)
-        jrows = pd.DataFrame(jaeger_batches_to_rows(decode_sapm(blob)))
-        sapm_rows = []
-        if len(jrows):
-            jrows["dur_s"] = (jrows["end_ns"] - jrows["start_ns"]) // 1_000_000_000
-            sapm_rows = [
-                ("sapm", key, int(len(grp)), int(grp["dur_s"].sum() * 100))
-                for key, grp in jrows.groupby(
-                    jrows["kind"] + "_" + jrows["status_code"], sort=False
-                )
-            ]
-            sapm_rows.append(
-                ("sapm", "parented", int(jrows["parent_span_id"].notna().sum()), 0)
-            )
-            sapm_rows.append(("sapm", "links", int(jrows["n_links"].sum()), 0))
-            sapm_rows.append(("sapm", "events", int(jrows["n_events"].sum()), 0))
-
-        # ---- render spans → X-Ray segments (exporter side) → decode back ----
-        # segment.go semantics under test: subsegment typing (client with
-        # parent), fault/error/throttle from http.status_code, EC2 origin,
-        # remote namespace, peer.service name override, and a lossless
-        # encode→decode round trip through the receiver-side translator.
-        res_json = _json.dumps(
-            {"cloud.provider": "aws", "cloud.platform": "EC2",
-             "service.name": "svc"}
-        )
-        xattrs = []
-        for i in range(len(eid)):
-            a = {"http.method": "GET"}
-            a["http.status_code"] = (
-                (429 if eid[i] % 5 == 0 else 500) if et[i] == "error" else 200
-            )
-            if eid[i] % 7 == 0:
-                a["peer.service"] = "peer-svc"
-            xattrs.append(_json.dumps(a))
-        xin = pa.table(
-            {
-                "trace_id": pa.array(
-                    [f"{_XEPOCH:08x}{e:024x}" for e in eid], pa.string()
-                ),
-                "span_id": pa.array([f"{e:016x}" for e in eid], pa.string()),
-                "parent_span_id": pa.array(
-                    [f"{e + 13:016x}" if e % 3 == 0 else None for e in eid],
-                    pa.string(),
-                ),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array(
-                    ["server" if e % 2 == 0 else "client" for e in eid],
-                    pa.string(),
-                ),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "status_code": pa.array(
-                    ["error" if t == "error" else "unset" for t in et],
-                    pa.string(),
-                ),
-                "status_message": pa.array(
-                    ["boom" if t == "error" else None for t in et], pa.string()
-                ),
-                "attrs": pa.array(xattrs, pa.string()),
-                "events": pa.array([None] * len(eid), pa.string()),
-                "resource_attrs": pa.array([res_json] * len(eid), pa.string()),
-            }
-        )
-        xt = xray_enc(xin)
-        seg_type = np.asarray(xt["seg_type"].to_pylist())
-        back = xray_dec(pa.table({"raw": xt["segment_json"]})).to_pandas()
-        back_dur = ((back["end_ns"] - back["start_ns"]) / 1e9).round()
-        rt_ok = int(
-            (
-                (back["trace_id"].to_numpy() == np.asarray(
-                    xin["trace_id"].to_pylist()))
-                & ((back["start_ns"] / 1e9).round().to_numpy() == epoch)
-                & (back_dur.to_numpy() == dur)
-            ).sum()
-        )
-        xrayx_rows = [
-            ("xrayx", "n", len(xt), int(dur.sum()) * 100),
-            ("xrayx", "subsegment", int((seg_type == "subsegment").sum()), 0),
-            ("xrayx", "fault", int(pc.sum(xt["fault"]).as_py() or 0), 0),
-            ("xrayx", "error", int(pc.sum(xt["error"]).as_py() or 0), 0),
-            ("xrayx", "throttle", int(pc.sum(xt["throttle"]).as_py() or 0), 0),
-            ("xrayx", "origin_ec2",
-             int((np.asarray(xt["origin"].to_pylist()) == ORIGIN_EC2).sum()), 0),
-            ("xrayx", "ns_remote",
-             int((np.asarray(xt["namespace"].to_pylist()) == "remote").sum()), 0),
-            ("xrayx", "name_peer",
-             int((np.asarray(xt["seg_name"].to_pylist()) == "peer-svc").sum()), 0),
-            ("xrayx", "roundtrip", rt_ok, 0),
-        ]
-
-        # ---- render spans → Wavefront spans (tanzuobservability) ----
-        # transformer.go semantics under test: UUID padding, required
-        # service/application tag fallbacks (service.name consumed),
-        # span.kind enum incl. 'unknown', error/status.message
-        # truncation, w3c.tracestate tag, unset-end zero duration
-        from opentelemetry_collector_contrib_ray.stages.tanzu import (
-            _NIL_UUID,
-            TanzuSpanTransformer,
-        )
-
-        kinds6 = ["client", "server", "producer", "consumer", "internal", "weird"]
-        tin = pa.table(
-            {
-                "trace_id": pa.array([f"{e + 1:032x}" for e in eid], pa.string()),
-                "span_id": pa.array([f"{e + 1:016x}" for e in eid], pa.string()),
-                "parent_span_id": pa.array(
-                    [f"{e + 13:016x}" if e % 3 == 0 else None for e in eid],
-                    pa.string(),
-                ),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array([kinds6[e % 6] for e in eid], pa.string()),
-                "status_code": pa.array(
-                    [2 if t_ == "error" else 0 for t_ in et], pa.int64()
-                ),
-                "status_message": pa.array(
-                    ["M" * 300 if t_ == "error" else None for t_ in et], pa.string()
-                ),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array(
-                    np.where(eid % 11 == 0, 0, (epoch + dur) * 1_000_000_000),
-                    pa.int64(),
-                ),
-                "trace_state": pa.array(
-                    ["k=v" if e % 7 == 0 else None for e in eid], pa.string()
-                ),
-                "n_events": pa.array(
-                    [1 if t_ == "error" else 0 for t_ in et], pa.int64()
-                ),
-                "service.name": pa.array(
-                    ["svc" if e % 2 == 0 else None for e in eid], pa.string()
-                ),
-                "application": pa.array(
-                    ["myapp" if e % 5 == 0 else None for e in eid], pa.string()
-                ),
-            }
-        )
-        tout = TanzuSpanTransformer(
-            resource_attrs={"env": "prod"},
-            attr_cols=["service.name", "application"],
-        )(tin).to_pandas()
-        ttags = tout["tags"]
-        tanzu_rows = [
-            # duration_ms = dur*1000 except zeroed rows → s100 = ms // 10
-            ("tanzu", "n", len(tout), int(tout["duration_ms"].sum()) // 10),
-            ("tanzu", "error_true", int(ttags.str.contains(r"(?:^|;)error=true(?:;|$)").sum()), 0),
-            ("tanzu", "svc_named", int(ttags.str.contains(r"(?:^|;)service=svc(?:;|$)").sum()), 0),
-            ("tanzu", "svc_default", int(ttags.str.contains(r"(?:^|;)service=defaultService(?:;|$)").sum()), 0),
-            ("tanzu", "app_custom", int(ttags.str.contains(r"(?:^|;)application=myapp(?:;|$)").sum()), 0),
-            ("tanzu", "tracestate", int(ttags.str.contains("w3c.tracestate=", regex=False).sum()), 0),
-            ("tanzu", "parented", int((tout["parent_uuid"] != _NIL_UUID).sum()), 0),
-            ("tanzu", "zero_dur", int((tout["duration_ms"] == 0).sum()), 0),
-            ("tanzu", "msg_trunc", int((ttags.str.extract(r"status\.message=(M+)")[0].str.len() == 240).sum()), 0),
-            ("tanzu", "env_res", int(ttags.str.contains(r"(?:^|;)env=prod(?:;|$)").sum()), 0),
-        ]
-        for i, k in enumerate(kinds6):
-            shown = k if k != "weird" else "unknown"
-            tanzu_rows.append(
-                ("tanzu", f"kind_{shown}",
-                 int(ttags.str.contains(f"span.kind={shown}", regex=False).sum()), 0)
-            )
-
-        # ---- render spans → App Insights envelopes (azuremonitor) ----
-        # trace_to_envelope.go semantics under test: request/dependency
-        # routing (+InProc), attribute-presence span typing, HTTP status
-        # success window, rpc.grpc.status_code override, db/messaging
-        # data/target fills
-        from opentelemetry_collector_contrib_ray.stages.azuremonitor import (
-            AzureMonitorSpanToEnvelope,
-        )
-
-        def cyc(i, val, default=None):
-            return [val if e % 4 == i else default for e in eid]
-
-        # kind decoupled from the e%4 type cycle so every span type
-        # exercises BOTH the request and the dependency fills
-        akind = [
-            "server"
-            if (e // 4) % 2 == 0
-            else ("internal" if e % 10 == 1 else "client")
-            for e in eid
-        ]
-        ain = pa.table(
-            {
-                "trace_id": pa.array([f"{e + 1:032x}" for e in eid], pa.string()),
-                "span_id": pa.array([f"{e + 1:016x}" for e in eid], pa.string()),
-                "parent_span_id": pa.array([f"{e + 3:016x}" for e in eid], pa.string()),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array(akind, pa.string()),
-                "status_code": pa.array([2 if t_ == "error" else 0 for t_ in et], pa.int64()),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "http.method": pa.array(cyc(0, "GET"), pa.string()),
-                "http.status_code": pa.array(
-                    [
-                        (500 if t_ == "error" else 200) if e % 4 == 0 else None
-                        for e, t_ in zip(eid, et)
-                    ],
-                    pa.int64(),
-                ),
-                "http.url": pa.array(cyc(0, "https://api.example.com:8080/v1"), pa.string()),
-                "rpc.system": pa.array(cyc(1, "grpc"), pa.string()),
-                "rpc.grpc.status_code": pa.array(
-                    [int(e % 17) if e % 4 == 1 else None for e in eid], pa.int64()
-                ),
-                "db.system": pa.array(cyc(2, "mysql"), pa.string()),
-                "db.statement": pa.array(cyc(2, "SELECT 1"), pa.string()),
-                "messaging.system": pa.array(cyc(3, "kafka"), pa.string()),
-                "messaging.url": pa.array(
-                    ["amqp://q" if e % 8 == 3 else None for e in eid], pa.string()
-                ),
-                "net.peer.name": pa.array(cyc(2, "dbh"), pa.string()),
-                "net.peer.port": pa.array(
-                    [3306 if e % 4 == 2 else None for e in eid], pa.int64()
-                ),
-                "net.peer.ip": pa.array(cyc(3, "8.8.8.8"), pa.string()),
-            }
-        )
-        aout = AzureMonitorSpanToEnvelope({"service.name": "svc"})(ain).to_pandas()
-        is_req = aout["envelope_name"].str.endswith("Request")
-        rpc_rows = aout["span_type"] == "rpc"
-        azmon_rows = [
-            ("azmon", "requests", int(is_req.sum()), 0),
-            ("azmon", "dependencies", int((~is_req).sum()), 0),
-            ("azmon", "inproc", int((aout["dep_type"] == "InProc").sum()), 0),
-            ("azmon", "type_http", int((aout["span_type"] == "http").sum()), 0),
-            ("azmon", "type_rpc", int(rpc_rows.sum()), 0),
-            ("azmon", "type_database", int((aout["span_type"] == "database").sum()), 0),
-            ("azmon", "type_messaging", int((aout["span_type"] == "messaging").sum()), 0),
-            ("azmon", "http_fail", int(((aout["span_type"] == "http") & ~aout["success"]).sum()), 0),
-            # Σ int(response_code) over rpc rows == Σ e%17 (grpc override)
-            ("azmon", "rpc_code_sum", int(pd.to_numeric(aout.loc[rpc_rows, "response_code"]).sum()), 0),
-            ("azmon", "db_target", int((aout["target"] == "dbh:3306").sum()), 0),
-            ("azmon", "msg_url_target", int((aout["target"] == "amqp://q").sum()), 0),
-            ("azmon", "http_dep_target", int((aout["target"] == "api.example.com:8080").sum()), 0),
-            ("azmon", "cloud_role", int((aout["cloud_role"] == "svc").sum()), 0),
-        ]
-
-        # ---- group spans → Sentry transactions ----
-        # sentry_exporter.go semantics under test: root-span
-        # transactions, transitive child attachment, orphan spans (and
-        # their children) becoming their own transactions, descriptor
-        # priority, status mapping. Traces here are per-event (batch is
-        # trace-complete) so the per-bucket closure runs in-batch; the
-        # distributed path is sentry_transactions (test_sentry.py).
-        from opentelemetry_collector_contrib_ray.stages.sentry import (
-            _per_bucket_transactions,
-            generate_span_descriptors,
-        )
-
-        srows = []
-        for i in range(len(eid)):
-            e = int(eid[i])
-            tids = f"t{e}"
-            code = 2 if et[i] == "error" else 0
-            srows.append({"trace_id": tids, "span_id": f"r{e}", "parent_span_id": None,
-                          "name": et[i], "kind": "server", "status_code": code,
-                          "http.method": "GET"})
-            if e % 3 == 0:
-                srows.append({"trace_id": tids, "span_id": f"c{e}", "parent_span_id": f"r{e}",
-                              "name": "q", "status_code": 0, "db.system": "mysql",
-                              "db.statement": "SELECT 1"})
-            if e % 9 == 0:
-                srows.append({"trace_id": tids, "span_id": f"g{e}", "parent_span_id": f"c{e}",
-                              "name": "leaf", "status_code": 0})
-            if e % 5 == 0:
-                srows.append({"trace_id": tids, "span_id": f"o{e}", "parent_span_id": "missing",
-                              "name": "lost", "status_code": 0,
-                              "messaging.system": "kafka"})
-        sdf = pd.DataFrame(srows)
-        for c in ("kind", "http.method", "db.system", "db.statement", "rpc.service",
-                  "messaging.system", "faas.trigger", "parent_span_id"):
-            if c not in sdf.columns:
-                sdf[c] = None
-        tx = _per_bucket_transactions(generate_span_descriptors(sdf))
-        sentry_rows = [
-            ("sentry", "transactions", int(len(tx)), 0),
-            ("sentry", "orphans", int(tx["is_orphan"].sum()), 0),
-            ("sentry", "children", int(tx["n_child_spans"].sum()), 0),
-            ("sentry", "op_http_server", int((tx["op"] == "http.server").sum()), 0),
-            ("sentry", "op_message", int((tx["op"] == "message").sum()), 0),
-            ("sentry", "status_unknown", int((tx["status"] == "unknown").sum()), 0),
-        ]
-
-        # ---- render spans → honeycomb events ----
-        from opentelemetry_collector_contrib_ray.stages.honeycomb import (
-            HoneycombEvents,
-        )
-
-        hin = pa.table(
-            {
-                "trace_id": pa.array([f"t{e}" for e in eid], pa.string()),
-                "span_id": pa.array([f"s{e}" for e in eid], pa.string()),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array(["server"] * len(eid), pa.string()),
-                "status_code": pa.array([2 if t_ == "error" else 0 for t_ in et], pa.int64()),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "n_links": pa.array((eid % 5 == 0).astype(np.int64), pa.int64()),
-                "n_events": pa.array([1 if t_ == "error" else 0 for t_ in et], pa.int64()),
-                "sr": pa.array(
-                    [int(e % 10) if e % 4 == 0 else None for e in eid], pa.int64()
-                ),
-            }
-        )
-        hout = HoneycombEvents(sample_rate_attribute="sr")(hin).to_pandas()
-        hspans = hout[hout["annotation_type"] == "span"]
-        honey_rows = [
-            ("honey", "spans", int(len(hspans)), int(hspans["duration_ms"].sum()) // 10),
-            ("honey", "links", int((hout["annotation_type"] == "link").sum()), 0),
-            ("honey", "span_events", int((hout["annotation_type"] == "span_event").sum()), 0),
-            ("honey", "sample_rate_sum", int(hspans["sample_rate"].sum()), 0),
-            ("honey", "msg_unset", int((hspans["status_message"] == "STATUS_CODE_UNSET").sum()), 0),
-            ("honey", "msg_error", int((hspans["status_message"] == "STATUS_CODE_ERROR").sum()), 0),
-        ]
-
-        # ---- newrelic exporter leg (stages/newrelic.py) ----
-        # transformer.go semantics under test: invalid-id span errors,
-        # status-code attr (UNSET omitted, prefix trimmed), lowercased
-        # span.kind (unspecified omitted), dropped-count attrs, metric
-        # temporality routing (delta sum → Count at START ts + interval,
-        # cumulative sum → Gauge), histogram drop, summary min/max
-        # quantile gating, log body→name message fallback
-        from opentelemetry_collector_contrib_ray.stages.newrelic import (
-            NewRelicLogTransformer,
-            NewRelicMetricTransformer,
-            NewRelicSpanTransformer,
-        )
-
-        _NR_KINDS = ["server", "client", "producer", "consumer", "internal",
-                     "unspecified"]
-        nin = pa.table(
-            {
-                "trace_id": pa.array([f"{e + 1:032x}" for e in eid], pa.string()),
-                "span_id": pa.array(
-                    ["" if e % 101 == 0 else f"{e + 1:016x}" for e in eid],
-                    pa.string(),
-                ),
-                "parent_span_id": pa.array(
-                    [f"{e + 3:016x}" if e % 3 == 0 else None for e in eid],
-                    pa.string(),
-                ),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array([_NR_KINDS[e % 6] for e in eid], pa.string()),
-                "status_code": pa.array(
-                    [
-                        2 if t_ == "error" else (1 if e % 13 == 0 else 0)
-                        for e, t_ in zip(eid, et)
-                    ],
-                    pa.int64(),
-                ),
-                "status_message": pa.array(
-                    ["boom!" if t_ == "error" else "" for t_ in et], pa.string()
-                ),
-                "dropped_attributes_count": pa.array(
-                    [7 if e % 9 == 0 else 0 for e in eid], pa.int64()
-                ),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "peer": pa.array(
-                    ["svc-b" if e % 4 == 0 else None for e in eid], pa.string()
-                ),
-            }
-        )
-        nout = NewRelicSpanTransformer(
-            resource_attrs={"service.name": "svc"},
-            instrumentation=("otelray", "1.0"),
-            collector=("otelcol", "2.0"),
-            attr_cols=["peer"],
-        )(nin).to_pandas()
-        nattrs = nout["attrs"]
-        nr_rows = [
-            ("nr", "spans", len(nout), int(nout["duration_us"].sum()) // 10_000),
-            ("nr", "invalid", len(nin) - len(nout), 0),
-            ("nr", "status_error",
-             int(nattrs.str.contains("otel.status_code=ERROR", regex=False).sum()), 0),
-            ("nr", "status_ok",
-             int(nattrs.str.contains("otel.status_code=OK", regex=False).sum()), 0),
-            ("nr", "desc",
-             int(nattrs.str.contains("otel.status_description=boom!", regex=False).sum()), 0),
-            ("nr", "kind_attr",
-             int(nattrs.str.contains("span.kind=", regex=False).sum()), 0),
-            ("nr", "dropped_attr",
-             int(nattrs.str.contains("otel.dropped_attributes_count=7", regex=False).sum()), 0),
-            ("nr", "peer_attr",
-             int(nattrs.str.contains("peer=svc-b", regex=False).sum()), 0),
-            ("nr", "parented", int((nout["parent_id"] != "").sum()), 0),
-        ]
-
-        _NR_DTYPE = {
-            "click": "summary",
-            "view": "int_gauge",
-            "purchase": "int_sum",
-            "signup": "double_sum",
-            "error": "histogram",
+    rows = [
+        ("n", len(ddout), int((ddout["duration_ns"] // _G).sum()) * 100),
+        ("ids_decoded", int(((ddout["trace_id_u64"].to_numpy() == exp_tid)
+                             & (ddout["span_id_u64"].to_numpy() == exp_sid)).sum())),
+        ("svc_peer", int((svc == "peer-svc").sum())),
+        ("svc_my", int((svc == "my_service").sum())),
+        ("name_web_request", int((name == "web.request").sum())),
+        ("name_client", int((name == "requests.client").sum())),
+        ("name_unspec", int((name == "requests.unspecified").sum())),
+        ("res_get_api", int((res == "GET /api").sum())),
+        ("res_get_grpc", int((res == "GET /pkg.Svc/M").sum())),
+        ("res_get", int((res == "GET").sum())),
+        ("res_send_queue", int((res == "send queue").sum())),
+        ("res_send", int((res == "send").sum())),
+        ("res_call_auth", int((res == "Call Auth").sum())),
+        ("res_call", int((res == "Call").sum())),
+        ("res_fallback", int((res.to_numpy() == ddin["name"].to_numpy())[: len(eid)][e4 == 3].sum())),
+        ("type_web", int((typ == "web").sum())),
+        ("type_cache", int((typ == "cache").sum())),
+        ("type_db", int((typ == "db").sum())),
+        ("type_http", int((typ == "http").sum())),
+        ("type_custom", int((typ == "custom").sum())),
+        ("err_n", int(ddout["dd_error"].sum())),
+        ("errmsg_m2", has("error.msg=m2")),
+        ("errmsg_boom", has("error.msg=boom")),
+        ("errmsg_503t", has("error.msg=503 SvcUnavail")),
+        ("errmsg_503", has(r"error\.msg=503(?:;|$)", regex=True)),
+        ("errtype_e2", has("error.type=E2")),
+        ("err_nomsg", int(((ddout["dd_error"] == 1) & ~meta.str.contains("error.msg=", regex=False)).sum())),
+        ("version", has("version=v1.2")),
+        ("container", has("_dd.tags.container=container_id:c1,pod_name:p1")),
+        ("tracestate", has("w3c.tracestate=k=v")),
+        ("big_trunc", int((meta.str.extract(r"big=(M+)")[0].str.len() == 5000).sum())),
+        ("rate1", int((ddout["event_sample_rate"] == 1.0).sum())),
+        ("rate0", int((ddout["event_sample_rate"] == 0.0).sum())),
+        ("top_level", int(ddout["top_level"].sum())),
+        ("env_prod", int((ddout["env"] == "prod").sum())),
+    ]
+    # denylist: roots only, resource = span name; '^deny' roots (%13)
+    # drop their whole trace (denylister.go:33-39)
+    deny_in = pd.DataFrame(
+        {
+            "trace_id": roots["trace_id"],
+            "span_id": roots["span_id"],
+            "parent_span_id": None,
+            "name": np.where(eid % 13 == 0, "deny", "keep").astype(object),
+            "kind": "server",
+            "status_code": 0,
+            "start_ns": 0,
+            "end_ns": 0,
         }
-        nmin = pa.table(
-            {
-                "name": pa.array(et, pa.string()),
-                "dtype": pa.array([_NR_DTYPE[t_] for t_ in et], pa.string()),
-                "temporality": pa.array(
-                    ["delta" if e % 2 == 0 else "cumulative" for e in eid],
-                    pa.string(),
-                ),
-                "value": pa.array(dur.astype(np.float64), pa.float64()),
-                "start_ns": pa.array((epoch - 60) * 1_000_000_000, pa.int64()),
-                "ts_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "count": pa.array((eid % 10).astype(np.int64), pa.int64()),
-                "sum": pa.array(val, pa.float64()),
-                "q_first": pa.array(
-                    [0.0 if e % 2 == 0 else 0.5 for e in eid], pa.float64()
-                ),
-                "q_first_v": pa.array([1.5] * len(eid), pa.float64()),
-                "q_last": pa.array(
-                    [1.0 if e % 3 == 0 else 0.9 for e in eid], pa.float64()
-                ),
-                "q_last_v": pa.array([9.5] * len(eid), pa.float64()),
-                "shard": pa.array([f"s{e % 4}" for e in eid], pa.string()),
-            }
-        )
-        nmout = NewRelicMetricTransformer(label_cols=["shard"])(nmin).to_pandas()
-        is_cnt = nmout["nr_type"] == "count"
-        nr_rows += [
-            ("nr", "m_gauge", int((nmout["nr_type"] == "gauge").sum()), 0),
-            ("nr", "m_count", int(is_cnt.sum()),
-             int(nmout.loc[is_cnt, "value"].sum()) * 100),
-            ("nr", "m_interval",
-             int((nmout.loc[is_cnt, "interval_ms"] == 60_000).sum()), 0),
-            ("nr", "m_summary", int((nmout["nr_type"] == "summary").sum()), 0),
-            ("nr", "m_min_set", int(nmout["min"].notna().sum()), 0),
-            ("nr", "m_max_set", int(nmout["max"].notna().sum()), 0),
-            ("nr", "m_dropped", len(nmin) - len(nmout), 0),
+    )
+    deny_out = apply_denylist(
+        DatadogSpanTranslator()(pa.Table.from_pandas(deny_in, preserve_index=False)).to_pandas(),
+        Denylister(["^deny"]),
+    )
+    return rows + [("deny_kept", len(deny_out))]
+
+
+def _trace_rows(*rows) -> str:
+    """Count rows over ``e`` to (key, count, value_sum); a row is
+    ``(key, where[, count[, sum]])``, count defaulting to COUNT(*) and
+    the sum to 0."""
+    return _count_sql("e", ("key",), (("count", "BIGINT", "COUNT(*)"), ("value_sum", "DOUBLE", "0")), rows)
+
+
+_ERR = "event_type = 'error'"
+_ROOT_KID_ORPHAN = "COUNT(*) + COUNT_IF(event_id % 3 = 0) + COUNT_IF(event_id % 5 = 0)"
+_APM_TX = "(event_id % 3 <> 0 OR event_id % 5 = 0)"
+_APM_SPAN = "event_id % 3 = 0 AND event_id % 5 <> 0"
+_TRACE = LegTable(
+    # the engine rows carry value_sum in hundredths (whole numbers, so
+    # their float sums are exact) until _q_trace_decoders divides
+    pa.schema(
+        [
+            ("signal", pa.string()),
+            ("key", pa.string()),
+            ("count", pa.int64()),
+            ("value_sum", pa.float64()),
         ]
+    ),
+    (
+        Leg("xray", _tr_xray, _trace_rows(
+            "SELECT 'server_' || CASE WHEN event_type = 'error' THEN 'error' ELSE 'unset' END AS \"key\", "
+            "COUNT(*) AS \"count\", SUM(dur) AS value_sum FROM e GROUP BY 1",
+            ("client_unset", "event_id % 3 = 0", "COUNT(*)", "SUM(dur)"),
+            ("exceptions", _ERR),
+        )),
+        Leg("sfx", _tr_sfx, _trace_rows(
+            """SELECT event_type || '_' || CASE WHEN event_type IN ('click', 'view')
+                   THEN CASE WHEN event_id % 2 = 0 THEN 'int_gauge' ELSE 'double_gauge' END
+                   ELSE CASE WHEN event_id % 2 = 0 THEN 'int_sum_cumulative'
+                             ELSE 'double_sum_cumulative' END END AS "key",
+               COUNT(*) AS "count",
+               SUM(CASE WHEN event_id % 2 = 0 THEN CAST(dur AS DECIMAL(18,2))
+                        ELSE CAST(value AS DECIMAL(18,2)) END) AS value_sum
+               FROM e GROUP BY 1""",
+            ("dropped", "event_id % 97 = 0"),
+        )),
+        Leg("sapm", _tr_sapm, _trace_rows(
+            "SELECT CASE WHEN event_id % 2 = 0 THEN 'client_' ELSE 'server_' END "
+            "|| CASE WHEN event_type = 'error' THEN 'error' ELSE 'unset' END AS \"key\", "
+            "COUNT(*) AS \"count\", SUM(dur) AS value_sum FROM e GROUP BY 1",
+            ("parented", "event_id % 3 = 0"),
+            ("links", "event_id % 5 = 0"),
+            ("events", _ERR),
+        )),
+        Leg("xrayx", _tr_xrayx, _trace_rows(
+            ("n", "TRUE", "COUNT(*)", "SUM(dur)"),
+            ("subsegment", "event_id % 3 = 0 AND event_id % 2 = 1"),
+            ("fault", f"{_ERR} AND event_id % 5 <> 0"),
+            ("error", f"{_ERR} AND event_id % 5 = 0"),
+            ("throttle", f"{_ERR} AND event_id % 5 = 0"),
+            ("origin_ec2", "TRUE"),
+            ("ns_remote", "event_id % 2 = 1"),
+            ("name_peer", "event_id % 7 = 0"),
+            ("roundtrip", "TRUE"),
+        )),
+        Leg("tanzu", _tr_tanzu, _trace_rows(
+            ("n", "TRUE", "COUNT(*)", "SUM(CASE WHEN event_id % 11 = 0 THEN 0 ELSE dur END)"),
+            ("error_true", _ERR),
+            ("svc_named", "event_id % 2 = 0"),
+            ("svc_default", "event_id % 2 = 1"),
+            ("app_custom", "event_id % 5 = 0"),
+            ("tracestate", "event_id % 7 = 0"),
+            ("parented", "event_id % 3 = 0"),
+            ("zero_dur", "event_id % 11 = 0 OR dur = 0"),
+            ("msg_trunc", _ERR),
+            ("env_res", "TRUE"),
+            "SELECT 'kind_' || CASE event_id % 6 WHEN 0 THEN 'client' WHEN 1 THEN 'server' "
+            "WHEN 2 THEN 'producer' WHEN 3 THEN 'consumer' WHEN 4 THEN 'internal' ELSE 'unknown' END "
+            "AS \"key\", COUNT(*) AS \"count\" FROM e GROUP BY 1",
+        )),
+        Leg("azmon", _tr_azmon, _trace_rows(
+            ("requests", "(event_id // 4) % 2 = 0"),
+            ("dependencies", "(event_id // 4) % 2 = 1"),
+            ("inproc", "(event_id // 4) % 2 = 1 AND event_id % 10 = 1"),
+            ("type_http", "event_id % 4 = 0"),
+            ("type_rpc", "event_id % 4 = 1"),
+            ("type_database", "event_id % 4 = 2"),
+            ("type_messaging", "event_id % 4 = 3"),
+            ("http_fail", f"event_id % 4 = 0 AND {_ERR}"),
+            ("rpc_code_sum", "event_id % 4 = 1", "COALESCE(SUM(event_id % 17), 0)"),
+            ("db_target", "event_id % 4 = 2 AND (event_id // 4) % 2 = 1"),
+            ("msg_url_target", "event_id % 8 = 7"),
+            ("http_dep_target", "event_id % 4 = 0 AND (event_id // 4) % 2 = 1"),
+            ("cloud_role", "TRUE"),
+        )),
+        Leg("sentry", _tr_sentry, _trace_rows(
+            ("transactions", "TRUE", "COUNT(*) + COUNT_IF(event_id % 5 = 0)"),
+            ("orphans", "event_id % 5 = 0"),
+            ("children", "TRUE", "COUNT_IF(event_id % 3 = 0) + COUNT_IF(event_id % 9 = 0)"),
+            ("op_http_server", "TRUE"),
+            ("op_message", "event_id % 5 = 0"),
+            ("status_unknown", _ERR),
+        )),
+        Leg("honey", _tr_honey, _trace_rows(
+            ("spans", "TRUE", "COUNT(*)", "SUM(dur)"),
+            ("links", "event_id % 5 = 0"),
+            ("span_events", _ERR),
+            ("sample_rate_sum", "TRUE", "SUM(CASE WHEN event_id % 4 = 0 THEN event_id % 10 ELSE 1 END)"),
+            ("msg_unset", "event_type <> 'error'"),
+            ("msg_error", _ERR),
+        )),
+        Leg("nr", _tr_nr, _trace_rows(
+            ("spans", "event_id % 101 <> 0", "COUNT(*)", "SUM(dur)"),
+            ("invalid", "event_id % 101 = 0"),
+            ("status_error", f"event_id % 101 <> 0 AND {_ERR}"),
+            ("status_ok", "event_id % 101 <> 0 AND event_id % 13 = 0 AND event_type <> 'error'"),
+            ("desc", f"event_id % 101 <> 0 AND {_ERR}"),
+            ("kind_attr", "event_id % 101 <> 0 AND event_id % 6 <> 5"),
+            ("dropped_attr", "event_id % 101 <> 0 AND event_id % 9 = 0"),
+            ("peer_attr", "event_id % 101 <> 0 AND event_id % 4 = 0"),
+            ("parented", "event_id % 101 <> 0 AND event_id % 3 = 0"),
+            ("m_gauge", "event_type = 'view' OR (event_type IN ('purchase', 'signup') AND event_id % 2 = 1)"),
+            ("m_count", "event_type IN ('purchase', 'signup') AND event_id % 2 = 0", "COUNT(*)", "SUM(dur)"),
+            ("m_interval", "event_type IN ('purchase', 'signup') AND event_id % 2 = 0"),
+            ("m_summary", "event_type = 'click'"),
+            ("m_min_set", "event_type = 'click' AND event_id % 2 = 0"),
+            ("m_max_set", "event_type = 'click' AND event_id % 3 = 0"),
+            ("m_dropped", _ERR),
+            ("log_fallback", "event_id % 2 = 1"),
+            ("log_level", _ERR),
+            ("log_traced", "event_id % 3 = 0"),
+        )),
+        Leg("apm", _tr_apm, _trace_rows(
+            ("transactions", _APM_TX, "COUNT(*)", "SUM(dur)"),
+            ("spans", _APM_SPAN),
+            ("tx_request", f"{_APM_TX} AND event_id % 4 = 0"),
+            ("tx_failure", f"{_APM_TX} AND {_ERR}"),
+            ("tx_result_ok", f"{_APM_TX} AND event_id % 13 = 0 AND event_type <> 'error'"),
+            ("sp_external", f"{_APM_SPAN} AND event_id % 4 = 0"),
+            ("sp_db", f"{_APM_SPAN} AND event_id % 4 = 1"),
+            ("sp_app", f"{_APM_SPAN} AND event_id % 4 IN (2, 3)"),
+            ("dest_default_port", f"{_APM_SPAN} AND event_id % 4 = 0"),
+            ("remote", f"{_APM_TX} AND event_id % 28 = 0"),
+            ("labels_team", "TRUE"),
+            ("exc_frames", _ERR, "4 * COUNT_IF(event_id % 2 = 1)"),
+            ("exc_causes", f"{_ERR} AND event_id % 2 = 1"),
+            ("exc_fallback", f"{_ERR} AND event_id % 2 = 0"),
+        )),
+        Leg("jthrift", _tr_jthrift, _trace_rows(
+            ("spans", "event_id % 101 <> 0", "COUNT(*)", "SUM(dur)"),
+            ("dropped", "event_id % 101 = 0"),
+            ("kind_from_kind", "event_id % 101 <> 0 AND event_id % 9 <> 0"),
+            ("kind_preset", "event_id % 101 <> 0 AND event_id % 9 = 0"),
+            ("status_code_tag", f"event_id % 101 <> 0 AND ({_ERR} OR event_id % 13 = 0)"),
+            ("status_msg_tag", f"event_id % 101 <> 0 AND {_ERR}"),
+            ("child_of_refs", "event_id % 101 <> 0 AND event_id % 5 = 0"),
+            ("log_fields", f"event_id % 101 <> 0 AND {_ERR}", "2 * COUNT(*)"),
+            ("proc_svc", "event_id % 101 <> 0"),
+        )),
+        Leg("humio", _tr_humio, _trace_rows(
+            ("events", "TRUE"),
+            ("kind_server", "event_id % 6 = 0"),
+            ("status_ok", "event_id % 13 = 0 AND event_type <> 'error'"),
+            ("status_error", _ERR),
+            ("svc_hoisted", "TRUE"),
+            ("lib_attr", "TRUE"),
+            ("tagged", "TRUE"),
+            ("links", "TRUE", "COALESCE(SUM(event_id % 3), 0)"),
+            ("dropped_no_service", "event_id % 4 = 0"),
+        )),
+        Leg("uptr", _tr_uptr, _trace_rows(
+            ("n", "TRUE", "COUNT(*)", "SUM(dur)"),
+            ("id_byteswap", "TRUE"),
+            ("kind_internal", "event_id % 6 >= 4"),
+            ("status_ok", "event_id % 13 = 0 AND event_type <> 'error'"),
+            ("status_error", _ERR),
+            ("parented", "event_id % 3 = 0"),
+        )),
+        Leg("dd", _tr_dd, _trace_rows(
+            ("n", "TRUE", _ROOT_KID_ORPHAN,
+             "SUM(CASE WHEN event_id % 11 <> 0 THEN dur ELSE 0 END) "
+             "+ SUM(CASE WHEN event_id % 3 = 0 THEN dur ELSE 0 END)"),
+            ("ids_decoded", "TRUE", _ROOT_KID_ORPHAN),
+            ("svc_peer", "event_id % 7 = 0"),
+            ("svc_my", "TRUE", "COUNT_IF(event_id % 7 <> 0) + COUNT_IF(event_id % 3 = 0) + COUNT_IF(event_id % 5 = 0)"),
+            ("name_web_request", "event_id % 6 = 0"),
+            ("name_client", "TRUE", "COUNT_IF(event_id % 6 = 1) + COUNT_IF(event_id % 3 = 0)"),
+            ("name_unspec", "event_id % 6 = 5"),
+            ("res_get_api", "event_id % 8 = 0"),
+            ("res_get_grpc", "event_id % 16 = 4"),
+            ("res_get", "event_id % 16 = 12"),
+            ("res_send_queue", "event_id % 8 = 1"),
+            ("res_send", "event_id % 8 = 5"),
+            ("res_call_auth", "event_id % 8 = 2"),
+            ("res_call", "event_id % 8 = 6"),
+            ("res_fallback", "event_id % 4 = 3"),
+            ("type_web", "event_id % 6 = 0"),
+            ("type_cache", "event_id % 6 = 1 AND event_id % 10 = 5"),
+            ("type_db", "TRUE", "COUNT_IF(event_id % 6 = 1 AND event_id % 10 = 0) + COUNT_IF(event_id % 6 = 0)"),
+            ("type_http", "TRUE",
+             "COUNT_IF(event_id % 6 = 1 AND event_id % 10 NOT IN (0, 5)) "
+             "+ COUNT_IF(event_id % 3 = 0 AND event_id % 6 <> 0)"),
+            ("type_custom", "TRUE", "COUNT_IF(event_id % 6 IN (2, 3, 4, 5)) + COUNT_IF(event_id % 5 = 0)"),
+            ("err_n", "TRUE", f"COUNT_IF({_ERR}) + COUNT_IF(event_type <> 'error' AND event_id % 4 = 0 "
+                              "AND event_id % 6 = 1) + COUNT_IF(event_id % 15 = 0)"),
+            ("errmsg_m2", f"{_ERR} AND event_id % 2 = 0"),
+            ("errmsg_boom", f"{_ERR} AND event_id % 4 = 1"),
+            ("errmsg_503t", f"{_ERR} AND event_id % 8 = 3"),
+            ("errmsg_503", f"{_ERR} AND event_id % 8 = 7"),
+            ("errtype_e2", f"{_ERR} AND event_id % 2 = 0"),
+            ("err_nomsg", "TRUE", "COUNT_IF(event_type <> 'error' AND event_id % 4 = 0 AND event_id % 6 = 1) "
+                                  "+ COUNT_IF(event_id % 15 = 0)"),
+            ("version", "TRUE", _ROOT_KID_ORPHAN),
+            ("container", "TRUE", _ROOT_KID_ORPHAN),
+            ("tracestate", "event_id % 13 = 0"),
+            ("big_trunc", "event_id % 17 = 0"),
+            ("rate1", "TRUE", "2 * COUNT_IF(event_id % 9 = 0)"),
+            ("rate0", "event_id % 9 = 3"),
+            ("top_level", "TRUE",
+             "COUNT(*) + COUNT_IF(event_id % 5 = 0) "
+             "+ COUNT_IF(event_id % 3 = 0 AND (event_id % 9 = 0 OR event_id % 7 = 0))"),
+            ("env_prod", "TRUE", _ROOT_KID_ORPHAN),
+            ("deny_kept", "event_id % 13 <> 0"),
+        )),
+    ),
+    with_="WITH e AS (SELECT event_id, event_type, FLOOR(value) AS dur, value FROM events)",
+)
 
-        nlin = pa.table(
-            {
-                "body": pa.array(
-                    [f"b{e}" if e % 2 == 0 else "" for e in eid], pa.string()
-                ),
-                "log_name": pa.array(et, pa.string()),
-                "ts_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "severity_text": pa.array(
-                    ["ERROR" if t_ == "error" else "" for t_ in et], pa.string()
-                ),
-                "severity_number": pa.array(
-                    [17 if t_ == "error" else 0 for t_ in et], pa.int64()
-                ),
-                "trace_id": pa.array(
-                    [f"{e + 1:032x}" if e % 3 == 0 else "" for e in eid],
-                    pa.string(),
-                ),
-                "span_id": pa.array([""] * len(eid), pa.string()),
-                "dropped_attributes_count": pa.array([0] * len(eid), pa.int64()),
-            }
-        )
-        nlout = NewRelicLogTransformer()(nlin).to_pandas()
-        nlattrs = nlout["attrs"]
-        nr_rows += [
-            ("nr", "log_fallback",
-             int((~nlout["message"].str.startswith("b")).sum()), 0),
-            ("nr", "log_level",
-             int(nlattrs.str.contains("log.levelNum=17", regex=False).sum()), 0),
-            ("nr", "log_traced",
-             int(nlattrs.str.contains("trace.id=", regex=False).sum()), 0),
-        ]
 
-        # ---- elastic APM exporter leg (stages/elastic_apm.py) ----
-        # traces.go semantics under test: root-or-server → transaction,
-        # request typing from http attrs, outcome/result mapping,
-        # span typing external/db/app (db wins), destination service
-        # default-port resource rules, per-record-type label routing,
-        # java stacktrace parse incl. "Caused by" + "... N more" and
-        # the unparseable-stacktrace fallback
-        from opentelemetry_collector_contrib_ray.stages.elastic_apm import (
-            ElasticSpanEncoder,
-            exception_events_to_errors,
-        )
+def _q_trace_decoders(sf_dir: str):
+    """Trace-signal decoders and exporters: every ``_TRACE`` leg runs on
+    each events batch and emits (key, count, hundredths) rows for its
+    signal; the rows are summed per (signal, key)."""
+    from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
 
-        ein = pa.table(
-            {
-                "trace_id": pa.array([f"{e + 1:032x}" for e in eid], pa.string()),
-                "span_id": pa.array([f"{e + 1:016x}" for e in eid], pa.string()),
-                "parent_span_id": pa.array(
-                    [f"{e + 3:016x}" if e % 3 == 0 else None for e in eid],
-                    pa.string(),
-                ),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array(
-                    ["server" if e % 5 == 0 else "client" for e in eid], pa.string()
-                ),
-                "status_code": pa.array(
-                    [
-                        2 if t_ == "error" else (1 if e % 13 == 0 else 0)
-                        for e, t_ in zip(eid, et)
-                    ],
-                    pa.int64(),
-                ),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "http.url": pa.array(
-                    [
-                        f"https://api.example.com/v{e % 3}" if e % 4 == 0 else None
-                        for e in eid
-                    ],
-                    pa.string(),
-                ),
-                "db.system": pa.array(
-                    ["mysql" if e % 4 == 1 else None for e in eid], pa.string()
-                ),
-                "net.peer.ip": pa.array(
-                    ["10.0.0.9" if e % 7 == 0 else None for e in eid], pa.string()
-                ),
-                "net.peer.port": pa.array(
-                    [8080 if e % 7 == 0 else None for e in eid], pa.int64()
-                ),
-                "team": pa.array([f"t{e % 2}" for e in eid], pa.string()),
-            }
-        )
-        eout = ElasticSpanEncoder(
-            attr_cols=[
-                "http.url", "db.system", "net.peer.ip", "net.peer.port", "team",
-            ]
-        )(ein).to_pandas()
-        etx = eout[eout["record"] == "transaction"]
-        esp = eout[eout["record"] == "span"]
-        apm_rows = [
-            ("apm", "transactions", len(etx), int(etx["duration_ms"].sum()) // 10),
-            ("apm", "spans", len(esp), 0),
-            ("apm", "tx_request", int((etx["type"] == "request").sum()), 0),
-            ("apm", "tx_failure", int((etx["outcome"] == "failure").sum()), 0),
-            ("apm", "tx_result_ok", int((etx["result"] == "OK").sum()), 0),
-            ("apm", "sp_external", int((esp["type"] == "external").sum()), 0),
-            ("apm", "sp_db", int((esp["type"] == "db").sum()), 0),
-            ("apm", "sp_app", int((esp["type"] == "app").sum()), 0),
-            ("apm", "dest_default_port",
-             int(esp["dest_service_resource"].str.endswith(":443").sum()), 0),
-            ("apm", "remote",
-             int((etx["remote_addr"] == "10.0.0.9:8080").sum()), 0),
-            ("apm", "labels_team",
-             int(eout["labels"].str.contains("team=t", regex=False).sum()), 0),
-        ]
-
-        _GOOD_STACK = (
-            "HighLevelException: boom\n"
-            "\tat com.example.A.a(A.java:1)\n"
-            "\tat com.example.B.b(B.java:2)\n"
-            "Caused by: MidLevelException: low\n"
-            "\tat com.example.C.c(C.java:3)\n"
-            "\t... 1 more\n"
-        )  # 2 frames + (1 + 1 copied) = 4 total, 1 cause
-        err_mask = [t_ == "error" for t_ in et]
-        exdf = pd.DataFrame(
-            {
-                "event_name": ["exception"] * int(sum(err_mask)),
-                "exc_type": "E",
-                "exc_message": "m",
-                "exc_stacktrace": [
-                    _GOOD_STACK if e % 2 == 1 else "garbage\nnot a frame"
-                    for e, m_ in zip(eid, err_mask)
-                    if m_
-                ],
-                "exc_escaped": False,
-                "trace_id": "t",
-                "span_id": "s",
-            }
-        )
-        exout = exception_events_to_errors(exdf, language="java")
-        apm_rows += [
-            ("apm", "exc_frames", int(exout["n_frames"].sum()), 0),
-            ("apm", "exc_causes", int(exout["n_causes"].sum()), 0),
-            ("apm", "exc_fallback",
-             int((exout["stacktrace_attr"] != "").sum()), 0),
-        ]
-
-        # ---- jaeger-thrift exporter leg (sources/jaeger_thrift.py) --
-        # protospan_to_jaegerthrift.go semantics through a FULL
-        # TBinaryProtocol encode → decode round trip: zero-trace-id
-        # drop, µs times, span.kind only-when-absent, status tags
-        # only-when-absent, CHILD_OF/FOLLOWS_FROM references, logs
-        from opentelemetry_collector_contrib_ray.sources.jaeger_thrift import (
-            decode_batch,
-            encode_batch,
-            make_process,
-            span_rows_to_thrift_spans,
-        )
-
-        jrows = []
-        for e, t_, ep, d in zip(eid, et, epoch, dur):
-            row = {
-                "trace_id": ("0" * 32) if e % 101 == 0 else f"{e + 1:032x}",
-                "span_id": f"{e + 1:016x}",
-                "name": t_,
-                "kind": "server" if e % 2 == 0 else "client",
-                "start_ns": int(ep) * 1_000_000_000,
-                "end_ns": int(ep + d) * 1_000_000_000,
-                "attrs": {"team": f"t{e % 2}"},
-            }
-            if e % 9 == 0:
-                row["attrs"]["span.kind"] = "consumer"
-            if t_ == "error" or e % 13 == 0:
-                row["status_code"] = 2 if t_ == "error" else 0
-                if t_ == "error":
-                    row["status_message"] = "bad"
-            if e % 5 == 0:
-                row["links"] = [
-                    {"trace_id": f"{e + 7:032x}", "span_id": f"{e + 7:016x}",
-                     "type": "parent"}
-                ]
-            if t_ == "error":
-                row["events"] = [
-                    {"ts_ns": int(ep) * 1_000_000_000, "attrs": {"k": "v"},
-                     "description": "desc"}
-                ]
-            jrows.append(row)
-        jspans, jdropped = span_rows_to_thrift_spans(jrows)
-        jback = decode_batch(encode_batch(make_process("svc", {"env": "prod"}), jspans))
-        jtags = [
-            {t["key"]: t for t in s["tags"]} for s in jback["spans"]
-        ]
-        jthrift_rows = [
-            ("jthrift", "spans", len(jback["spans"]),
-             sum(s["duration_us"] for s in jback["spans"]) // 10_000),
-            ("jthrift", "dropped", jdropped, 0),
-            ("jthrift", "kind_from_kind",
-             sum(1 for tg in jtags
-                 if tg.get("span.kind", {}).get("value") in ("server", "client")),
-             0),
-            ("jthrift", "kind_preset",
-             sum(1 for tg in jtags
-                 if tg.get("span.kind", {}).get("value") == "consumer"), 0),
-            ("jthrift", "status_code_tag",
-             sum(1 for tg in jtags if "status.code" in tg), 0),
-            ("jthrift", "status_msg_tag",
-             sum(1 for tg in jtags if "status.message" in tg), 0),
-            ("jthrift", "child_of_refs",
-             sum(1 for s in jback["spans"]
-                 for r in s["references"] if r["ref_type"] == 0), 0),
-            ("jthrift", "log_fields",
-             sum(len(lg["fields"]) for s in jback["spans"] for lg in s["logs"]),
-             0),
-            ("jthrift", "proc_svc",
-             len(jback["spans"])
-             if jback["process"]["service_name"] == "svc" else 0, 0),
-        ]
-
-        # ---- humio + uptrace exporter legs (stages/humio.py) ----
-        from opentelemetry_collector_contrib_ray.stages.humio import (
-            HumioSpanEvents,
-            UptraceSpanTransformer,
-        )
-
-        hin = pa.table(
-            {
-                "trace_id": pa.array([f"{x + 1:032x}" for x in eid], pa.string()),
-                "span_id": pa.array([f"{x + 1:016x}" for x in eid], pa.string()),
-                "parent_span_id": pa.array(
-                    [f"{x + 3:016x}" if x % 3 == 0 else None for x in eid],
-                    pa.string(),
-                ),
-                "name": pa.array(et, pa.string()),
-                "kind": pa.array(
-                    [_NR_KINDS[x % 6] for x in eid], pa.string()
-                ),
-                "status_code": pa.array(
-                    [
-                        2 if t_ == "error" else (1 if x % 13 == 0 else 0)
-                        for x, t_ in zip(eid, et)
-                    ],
-                    pa.int64(),
-                ),
-                "status_message": pa.array(
-                    ["bad" if t_ == "error" else "" for t_ in et], pa.string()
-                ),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "http.method": pa.array(
-                    ["GET" if x % 4 == 0 else None for x in eid], pa.string()
-                ),
-                "n_links": pa.array((eid % 3).astype(np.int64), pa.int64()),
-            }
-        )
-        hout = HumioSpanEvents(
-            resource_attrs={"service.name": "svc", "env": "prod"},
-            instrumentation=("lib", "2.0"),
-            tag_strategy="service_name",
-            attr_cols=["http.method"],
-        )(hin).to_pandas()
-        hdrop = HumioSpanEvents(resource_attrs={"env": "prod"})(
-            hin.filter(pa.array((eid % 4 == 0).tolist()))
-        ).to_pandas()
-        humio_rows = [
-            ("humio", "events", len(hout), 0),
-            ("humio", "kind_server",
-             int((hout["kind"] == "SPAN_KIND_SERVER").sum()), 0),
-            ("humio", "status_ok",
-             int((hout["status_code"] == "STATUS_CODE_OK").sum()), 0),
-            ("humio", "status_error",
-             int((hout["status_code"] == "STATUS_CODE_ERROR").sum()), 0),
-            ("humio", "svc_hoisted",
-             int((~hout["attrs"].str.contains("service.name=", regex=False)).sum()),
-             0),
-            ("humio", "lib_attr",
-             int(hout["attrs"].str.contains(
-                 "instrumentation.library.name=lib", regex=False).sum()), 0),
-            ("humio", "tagged",
-             int((hout["tag"] == "svc").sum()), 0),
-            ("humio", "links", int(hout["n_links"].sum()), 0),
-            ("humio", "dropped_no_service", int(hdrop["n_dropped"].sum()), 0),
-        ]
-
-        uout = UptraceSpanTransformer(instrumentation=("tracer", "0.1"))(
-            hin
-        ).to_pandas()
-        expected_le = np.array(
-            [int(x) + 1 for x in eid], dtype=np.uint64
-        ).byteswap()
-        uptr_rows = [
-            ("uptr", "n", len(uout),
-             int((uout["end_ns"] - uout["start_ns"]).sum() // 1_000_000_000) * 100),
-            ("uptr", "id_byteswap",
-             int((uout["id"].to_numpy() == expected_le).sum()), 0),
-            ("uptr", "kind_internal",
-             int((uout["kind"] == "internal").sum()), 0),
-            ("uptr", "status_ok", int((uout["status_code"] == "ok").sum()), 0),
-            ("uptr", "status_error",
-             int((uout["status_code"] == "error").sum()), 0),
-            ("uptr", "parented", int((uout["parent_id"] != 0).sum()), 0),
-        ]
-
-        # ---- datadog exporter span-translation leg (stages/datadog.py) --
-        # translate_traces.go semantics under test: uint64 id decode
-        # (:457-474), operation name il.kind normalized + remap
-        # (:476-496,653-659), resource-name priority chain (:498-535),
-        # service precedence (resource > peer override, :230-242), type
-        # inference (:395-412), error propagation (status / http code
-        # windows / exception events with message fallback chain,
-        # :537-625), version + container tags (:245-254,369-384),
-        # analytics event sample rate (:434-440), top-level analyzed
-        # marks (model.go:45-74) and denylist trace drops
-        # (denylister.go:27-45). Traces are synthesized trace-complete
-        # per batch (root + child %3 + orphan %5), so the per-trace
-        # marks run batch-locally like the sentry leg.
-        from opentelemetry_collector_contrib_ray.stages.datadog import (
-            mark_analyzed as dd_mark,
-        )
-
-        _G = 1_000_000_000
-        err_np = np.array([t_ == "error" for t_ in et])
-        e4, e8, e16 = eid % 4, eid % 8, eid % 16
-        m3, m5 = eid % 3 == 0, eid % 5 == 0
-
-        def _opt(mask, val):
-            out = np.full(len(mask), None, dtype=object)
-            out[mask] = val
-            return out
-
-        def _opt2(mask1, val1, mask2, val2):
-            out = np.full(len(mask1), None, dtype=object)
-            out[mask1] = val1
-            out[mask2] = val2
-            return out
-
-        _DD_EVJ = _json.dumps(
-            [
-                {"name": "exception", "time": 1,
-                 "attributes": {"exception.type": "E1", "exception.message": "m1"}},
-                {"name": "exception", "time": 2,
-                 "attributes": {"exception.type": "E2", "exception.message": "m2"}},
-            ]
-        )
-        _DD_KINDS = np.array(
-            ["server", "client", "producer", "consumer", "internal", "unspec"],
-            dtype=object,
-        )
-        roots = pd.DataFrame(
-            {
-                "trace_id": [f"{x + 1:032x}" for x in eid],
-                "span_id": [f"{x + 1:016x}" for x in eid],
-                "parent_span_id": None,
-                "name": np.asarray(et, dtype=object),
-                "kind": _DD_KINDS[eid % 6],
-                "status_code": np.where(err_np, 2, 0),
-                "status_message": _opt(err_np & (e4 == 1), "boom"),
-                "start_ns": epoch * _G,
-                "end_ns": np.where(eid % 11 == 0, 0, (epoch + dur) * _G),
-                "trace_state": _opt(eid % 13 == 0, "k=v"),
-                "http.method": _opt(e4 == 0, "GET"),
-                "http.route": _opt(e8 == 0, "/api"),
-                "grpc.path": _opt(e16 == 4, "/pkg.Svc/M"),
-                "messaging.operation": _opt(e4 == 1, "send"),
-                "messaging.destination": _opt(e8 == 1, "queue"),
-                "rpc.method": _opt(e4 == 2, "Call"),
-                "rpc.service": _opt(e8 == 2, "Auth"),
-                "db.system": _opt2(eid % 10 == 5, "redis", eid % 10 == 0, "mysql"),
-                "peer.service": _opt(eid % 7 == 0, "peer-svc"),
-                "analytics.event": _opt2(eid % 9 == 0, "true", eid % 9 == 3, "false"),
-                "http.status_code": _opt2(
-                    err_np & (e4 == 3), "503", ~err_np & (e4 == 0), "404"
-                ),
-                "http.status_text": _opt(err_np & (e8 == 3), "SvcUnavail"),
-                "big": _opt(eid % 17 == 0, "M" * 6000),
-                "events_json": _opt(err_np & (eid % 2 == 0), _DD_EVJ),
-            }
-        )
-        kids = pd.DataFrame(
-            {
-                "trace_id": [f"{x + 1:032x}" for x in eid[m3]],
-                "span_id": [f"{x + 1 + (1 << 32):016x}" for x in eid[m3]],
-                "parent_span_id": [f"{x + 1:016x}" for x in eid[m3]],
-                "name": "child",
-                "kind": "client",
-                "status_code": 0,
-                "start_ns": epoch[m3] * _G,
-                "end_ns": (epoch[m3] + dur[m3]) * _G,
-                "db.system": _opt(eid[m3] % 6 == 0, "mysql"),
-                "analytics.event": _opt(eid[m3] % 9 == 0, "true"),
-                "http.status_code": _opt(eid[m3] % 15 == 0, "500"),
-            }
-        )
-        orph = pd.DataFrame(
-            {
-                "trace_id": [f"{x + 1:032x}" for x in eid[m5]],
-                "span_id": [f"{x + 1 + (1 << 33):016x}" for x in eid[m5]],
-                "parent_span_id": [f"{x + 1 + (1 << 34):016x}" for x in eid[m5]],
-                "name": "lost",
-                "kind": "internal",
-                "status_code": 0,
-                "start_ns": epoch[m5] * _G,
-                "end_ns": 0,
-            }
-        )
-        ddin = pd.concat([roots, kids, orph], ignore_index=True)
-        ddout = dd_mark(dd_translator(pa.Table.from_pandas(ddin, preserve_index=False)).to_pandas())
-        n_all = len(ddout)
-        meta_s = ddout["meta"]
-        exp_tid = np.concatenate([eid + 1, eid[m3] + 1, eid[m5] + 1]).astype(np.uint64)
-        exp_sid = np.concatenate(
-            [eid + 1, eid[m3] + 1 + (1 << 32), eid[m5] + 1 + (1 << 33)]
-        ).astype(np.uint64)
-        res_s = ddout["dd_resource"]
-        name_s = ddout["dd_name"]
-        typ_s = ddout["dd_type"]
-        svc_s = ddout["dd_service"]
-        dd_rows = [
-            ("dd", "n", n_all, int((ddout["duration_ns"] // _G).sum()) * 100),
-            ("dd", "ids_decoded",
-             int(((ddout["trace_id_u64"].to_numpy() == exp_tid)
-                  & (ddout["span_id_u64"].to_numpy() == exp_sid)).sum()), 0),
-            ("dd", "svc_peer", int((svc_s == "peer-svc").sum()), 0),
-            ("dd", "svc_my", int((svc_s == "my_service").sum()), 0),
-            ("dd", "name_web_request", int((name_s == "web.request").sum()), 0),
-            ("dd", "name_client", int((name_s == "requests.client").sum()), 0),
-            ("dd", "name_unspec", int((name_s == "requests.unspecified").sum()), 0),
-            ("dd", "res_get_api", int((res_s == "GET /api").sum()), 0),
-            ("dd", "res_get_grpc", int((res_s == "GET /pkg.Svc/M").sum()), 0),
-            ("dd", "res_get", int((res_s == "GET").sum()), 0),
-            ("dd", "res_send_queue", int((res_s == "send queue").sum()), 0),
-            ("dd", "res_send", int((res_s == "send").sum()), 0),
-            ("dd", "res_call_auth", int((res_s == "Call Auth").sum()), 0),
-            ("dd", "res_call", int((res_s == "Call").sum()), 0),
-            ("dd", "res_fallback",
-             int((res_s.to_numpy() == ddin["name"].to_numpy())[: len(eid)][e4 == 3].sum()), 0),
-            ("dd", "type_web", int((typ_s == "web").sum()), 0),
-            ("dd", "type_cache", int((typ_s == "cache").sum()), 0),
-            ("dd", "type_db", int((typ_s == "db").sum()), 0),
-            ("dd", "type_http", int((typ_s == "http").sum()), 0),
-            ("dd", "type_custom", int((typ_s == "custom").sum()), 0),
-            ("dd", "err_n", int(ddout["dd_error"].sum()), 0),
-            ("dd", "errmsg_m2",
-             int(meta_s.str.contains("error.msg=m2", regex=False).sum()), 0),
-            ("dd", "errmsg_boom",
-             int(meta_s.str.contains("error.msg=boom", regex=False).sum()), 0),
-            ("dd", "errmsg_503t",
-             int(meta_s.str.contains("error.msg=503 SvcUnavail", regex=False).sum()), 0),
-            ("dd", "errmsg_503",
-             int(meta_s.str.contains(r"error\.msg=503(?:;|$)", regex=True).sum()), 0),
-            ("dd", "errtype_e2",
-             int(meta_s.str.contains("error.type=E2", regex=False).sum()), 0),
-            ("dd", "err_nomsg",
-             int(((ddout["dd_error"] == 1)
-                  & ~meta_s.str.contains("error.msg=", regex=False)).sum()), 0),
-            ("dd", "version",
-             int(meta_s.str.contains("version=v1.2", regex=False).sum()), 0),
-            ("dd", "container",
-             int(meta_s.str.contains(
-                 "_dd.tags.container=container_id:c1,pod_name:p1",
-                 regex=False).sum()), 0),
-            ("dd", "tracestate",
-             int(meta_s.str.contains("w3c.tracestate=k=v", regex=False).sum()), 0),
-            ("dd", "big_trunc",
-             int((meta_s.str.extract(r"big=(M+)")[0].str.len() == 5000).sum()), 0),
-            ("dd", "rate1", int((ddout["event_sample_rate"] == 1.0).sum()), 0),
-            ("dd", "rate0", int((ddout["event_sample_rate"] == 0.0).sum()), 0),
-            ("dd", "top_level", int(ddout["top_level"].sum()), 0),
-            ("dd", "env_prod", int((ddout["env"] == "prod").sum()), 0),
-        ]
-        # denylist sub-leg: roots-only, resource = span name, '^deny'
-        # roots (%13) drop their whole trace (denylister.go:33-39)
-        deny_in = pd.DataFrame(
-            {
-                "trace_id": roots["trace_id"],
-                "span_id": roots["span_id"],
-                "parent_span_id": None,
-                "name": np.where(eid % 13 == 0, "deny", "keep").astype(object),
-                "kind": "server",
-                "status_code": 0,
-                "start_ns": 0,
-                "end_ns": 0,
-            }
-        )
-        deny_out = dd_apply_denylist(
-            dd_deny_translator(
-                pa.Table.from_pandas(deny_in, preserve_index=False)
-            ).to_pandas(),
-            dd_denylister,
-        )
-        dd_rows.append(("dd", "deny_kept", int(len(deny_out)), 0))
-
-        allrows = (
-            xray_rows + sfx_rows + sapm_rows + xrayx_rows + tanzu_rows + azmon_rows
-            + sentry_rows + honey_rows + nr_rows + apm_rows + jthrift_rows
-            + humio_rows + uptr_rows + dd_rows
-        )
-        return pa.table(
-            {
-                "signal": pa.array([r[0] for r in allrows], pa.string()),
-                "key": pa.array([r[1] for r in allrows], pa.string()),
-                "n": pa.array([r[2] for r in allrows], pa.int64()),
-                "s100": pa.array([r[3] for r in allrows], pa.int64()),
-            }
-        )
-
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "ts", "value"])
     agg = two_phase_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(_TRACE.batch(_TRACE.legs, _spans), batch_format="pyarrow"),
         ["signal", "key"],
-        {"n": ["sum"], "s100": ["sum"]},
+        {"count": ["sum"], "value_sum": ["sum"]},
         driver_finalize=True,
     )
-    df = agg.to_pandas() if hasattr(agg, "to_pandas") else agg
-    if isinstance(df, pa.Table):
-        df = df.to_pandas()
     return pa.table(
         {
-            "signal": pa.array(df["signal"], pa.string()),
-            "key": pa.array(df["key"], pa.string()),
-            "count": pa.array(df["n_sum"].astype(np.int64)),
-            "value_sum": pa.array(np.round(df["s100_sum"].astype(np.int64) / 100.0, 6)),
+            "signal": agg["signal"],
+            "key": agg["key"],
+            "count": pc.cast(agg["count_sum"], pa.int64()),
+            "value_sum": pa.array(np.round(agg["value_sum_sum"].to_numpy() / 100.0, 6)),
         }
     )
 
@@ -2695,73 +2838,517 @@ def _q_tail_sampling(sf_dir: str):
     return sampled.select_columns(["event_id"])
 
 
-def _q_loki_streams(sf_dir: str):
-    """Loki label-stream sink AND CloudWatch EMF render→parse
-    round-trips in one union query (driver 50-row window, same merge
-    pattern as `carbon_parse`). The EMF legs exercise the awsemf
-    translation (exporter/awsemfexporter/metric_translator.go):
-    a wide (service, shard, minute) metric table renders through
-    `EmfRenderer` twice — once bare (dimension-rollup path: full set +
-    zero-dim + per-label rollups = 4 sets) and once under a
-    `MetricDeclaration` with a label matcher (declared-dims path:
-    [service] + rollups deduped = 3 sets, click/view only, `requests`
-    dropped from the measurement by the name selector) — then the
-    emitted JSON events are parsed back and every field (labels,
-    metric values, dimension-set count, translated unit, namespace
-    presence) is value-checked against closed forms in SQL."""
+# ------------------------------------------------------------ loki_streams
+# Sinks rendered and value-checked per row: Loki label streams, CloudWatch
+# EMF render → parse back, dynatrace, alibaba SLS, CloudWatch Logs, the
+# datadog metric mapper, splunk HEC, carbon and influx line renders.
+
+
+def _emf_rows(msgs: pa.Table) -> list[tuple]:
+    """EMF JSON events parsed back to (key, n_dims, latency, requests,
+    unit) rows; an event whose declarations dropped every measurement
+    carries no ``_aws`` and no row."""
     import json as _json
 
-    from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
-    from opentelemetry_collector_contrib_ray.stages.emf import (
-        EmfRenderer,
-        LabelMatcher,
-        MetricDeclaration,
+    rows = []
+    for msg in msgs["message"].to_pylist():
+        obj = _json.loads(msg)
+        aws = obj.get("_aws")
+        if aws is None:
+            continue
+        cwm = aws["CloudWatchMetrics"][0]
+        assert cwm["Namespace"] == "otelray"
+        mu = {m["Name"]: m.get("Unit", "") for m in cwm["Metrics"]}
+        key = f"{obj['service']}@{obj['shard']}@{aws['Timestamp']}"
+        lat, req = int(obj["latency"]), int(obj["requests"])
+        rows.append((key, len(cwm["Dimensions"]), lat, req, mu.get("latency", "")))
+    return rows
+
+
+def _emf(t: pa.Table, declared: bool) -> list[tuple]:
+    """The awsemf translation (metric_translator.go) of a wide (service,
+    shard, minute) metric table, bare (dimension rollup: the full set,
+    zero-dim and per-label rollups = 4 sets) or under a MetricDeclaration
+    with a label matcher (declared dims: [service] + rollups deduped = 3
+    sets, click/view only, ``requests`` dropped from the measurement)."""
+    from opentelemetry_collector_contrib_ray.stages.emf import EmfRenderer, LabelMatcher, MetricDeclaration
+
+    decl = MetricDeclaration(
+        ["^latency$"], dimensions=[["service"]], label_matchers=[LabelMatcher(["service"], "^(click|view)$")]
+    )
+    render = EmfRenderer(
+        ["service", "shard"],
+        {"latency": "ms", "requests": ""},
+        namespace="otelray",
+        timestamp_col="ts_ms",
+        metric_declarations=[decl] if declared else None,
+    )
+    return _emf_rows(render(t))
+
+
+def _dt(x, name: str, **values) -> pa.Table:
+    """dynatrace line protocol (serialization.go) of one metric per event,
+    labelled id and host; the SQL composes the same strings, including
+    the float trim (format %.6f, then rtrim over "0.")."""
+    from opentelemetry_collector_contrib_ray.stages.sinks import render_dynatrace_lines
+
+    tbl = pa.table(
+        {
+            "name": pa.array([name] * x.n, pa.string()),
+            **values,
+            "id": pa.array(x.e.astype(str).astype(object), pa.string()),
+            "host": pa.array(np.char.add("h", x.u.astype(str)).astype(object), pa.string()),
+            "ts_ns": pa.array(x.epoch * _G, pa.int64()),
+        }
+    )
+    lines = render_dynatrace_lines(tbl, prefix="otel", label_cols=["id", "host"])["line"]
+    return pa.table({"key": lines, "requests": np.ones(len(lines), np.int64)})
+
+
+def _sls_log(x) -> pa.Table:
+    """alibaba SLS log fields: hex flags, attribute JSON, content, timeUnixNano."""
+    from opentelemetry_collector_contrib_ray.stages.alibaba_sls import SlsLogTranslator
+
+    lin = pa.table(
+        {
+            "ts_ns": pa.array(x.epoch * _G, pa.int64()),
+            "severity_number": pa.array(x.e % 25, pa.int64()),
+            "severity_text": pa.array(x.et, pa.string()),
+            "log_name": pa.array(x.et, pa.string()),
+            "body": pa.array([None if v % 7 == 0 else f"b{v}" for v in x.e], pa.string()),
+            "flags": pa.array(np.full(x.n, 255, np.int64), pa.int64()),
+            "k1": pa.array([f"v{v % 5}" for v in x.e], pa.string()),
+        }
+    )
+    lt = SlsLogTranslator(
+        resource_attrs={"host.name": "h1", "service.name": "svc"},
+        instrumentation=("lib", "1"),
+        attr_cols=["k1"],
+    )(lin).to_pandas()
+    keys = "log@" + lt["flags"] + "@" + lt["severityNumber"] + "@" + lt["attribute"] + "@" + lt["content"]
+    return pa.table({"key": keys + "@" + lt["timeUnixNano"], "requests": np.ones(len(lt), np.int64)})
+
+
+def _sls_span(x) -> pa.Table:
+    """alibaba SLS span fields: µs times, short kind, status strings, blank invalid parent."""
+    from opentelemetry_collector_contrib_ray.stages.alibaba_sls import SlsSpanTranslator
+
+    err = np.array([t_ == "error" for t_ in x.et], bool)
+    sin = pa.table(
+        {
+            "trace_id": pa.array([f"{v + 1:032x}" for v in x.e], pa.string()),
+            "span_id": pa.array([f"{v + 1:016x}" for v in x.e], pa.string()),
+            "parent_span_id": pa.array(["0" * 16] * x.n, pa.string()),
+            "kind": pa.array(["server" if v % 2 == 0 else "client" for v in x.e], pa.string()),
+            "name": pa.array(x.et, pa.string()),
+            "start_ns": pa.array(x.epoch * _G, pa.int64()),
+            "end_ns": pa.array((x.epoch + x.dur) * _G, pa.int64()),
+            "status_code": pa.array(np.where(err, 2, np.where(x.e % 13 == 0, 1, 0)), pa.int64()),
+        }
+    )
+    st = SlsSpanTranslator()(sin).to_pandas()
+    keys = "span@" + st["kind"] + "@" + st["start"] + "@" + st["duration"] + "@" + st["statusCode"]
+    return pa.table({"key": keys + "@" + st["parentSpanID"], "requests": np.ones(len(st), np.int64)})
+
+
+def _sls_m(x) -> pa.Table:
+    """alibaba SLS metric logs on %4: __name__ sanitized, sorted #$#
+    labels, histogram/summary expansion with le/quantile labels, Go %g
+    value strings."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.alibaba_sls import sls_metric_logs
+
+    m = x.e % 4 == 0
+    em, um = x.e[m], x.u[m]
+    ns = (x.epoch[m] * _G).astype(np.int64)
+    hosts = [f"h{v}" for v in um]
+    mdf = pd.concat(
+        [
+            pd.DataFrame(
+                {"name": "cpu.usage", "dtype": "gauge", "value": em + 0.5, "ts_ns": ns, "host": hosts}
+            ),
+            pd.DataFrame(
+                {"name": "lat", "dtype": "histogram", "value": 0.0, "ts_ns": ns, "sum": (em % 10) + 0.5,
+                 "count": np.full(len(em), 2, np.int64), "bounds": [[1.0, 5.0]] * len(em),
+                 "bucket_counts": [[int(v % 3), int(v % 2), 1] for v in em], "host": hosts}
+            ),
+            pd.DataFrame(
+                {"name": "rt", "dtype": "summary", "value": 0.0, "ts_ns": ns, "sum": (em % 9) + 0.25,
+                 "count": np.full(len(em), 3, np.int64), "quantiles": [[0.5, 0.99]] * len(em),
+                 "qvalues": [[v % 7 + 0.5, v % 11 + 0.5] for v in em], "host": hosts}
+            ),
+        ],
+        ignore_index=True,
+    )
+    mt = sls_metric_logs(mdf, label_cols=["host"])
+    keys = "m@" + mt["__name__"] + "@" + mt["__labels__"] + "@" + mt["__time_nano__"] + "@" + mt["__value__"]
+    return pa.table({"key": keys, "requests": np.ones(len(mt), np.int64)})
+
+
+def _cwl(x) -> pa.Table:
+    """awscloudwatchlogsexporter logToCWLog (exporter.go:117-193): the
+    InputLogEvent message JSON (struct-order members, omitempty, sorted
+    map keys, Go HTML-safe escaping) and the ms timestamp."""
+    from opentelemetry_collector_contrib_ray.stages.sinks import render_cloudwatch_logs
+
+    e, u, t = x.e, x.u, x.t
+    lin = pa.table(
+        {
+            "name": pc.binary_join_element_wise("ev-", t["event_type"], ""),
+            "body": pc.binary_join_element_wise("payload ", pc.cast(t["event_id"], pa.string()), ""),
+            "sev": pa.array(e % 25, pa.int64()),
+            "sevt": pa.array(np.where(e % 3 == 1, "INFO", np.where(e % 3 == 2, "ERROR", "")), pa.string()),
+            "drop": pa.array(e % 2, pa.int64()),
+            "flags": pa.array(e % 4, pa.int64()),
+            "tid": pa.array([f"{v:032x}" if v % 5 else "" for v in e], pa.string()),
+            "sid": pa.array([f"{v:016x}" if v % 7 else "" for v in e], pa.string()),
+            "et_a": t["event_type"],
+            "uid": pa.array(u, pa.int64()),
+            "host": pc.binary_join_element_wise("h", pa.array((u % 50).astype(str), pa.string()), ""),
+            "ts_ns": pa.array(x.epoch * _G, pa.int64()),
+        }
+    )
+    r = render_cloudwatch_logs(
+        lin,
+        ts_ns_col="ts_ns",
+        name_col="name",
+        body_col="body",
+        severity_number_col="sev",
+        severity_text_col="sevt",
+        dropped_count_col="drop",
+        flags_col="flags",
+        trace_id_col="tid",
+        span_id_col="sid",
+        attr_cols={"event_type": "et_a", "user_id": "uid"},
+        resource_cols={"host.name": "host"},
+    )
+    return pa.table(
+        {
+            "key": r["cw_message"],
+            "n_dims": r["sev"],
+            "latency": r["cw_timestamp"],
+            "requests": np.ones(len(r), np.int64),
+        }
+    )
+
+
+def _ddm(x) -> pa.Table:
+    """datadog metric mapper (metrics_translator.go:36-374,
+    metrics/utils.go, attributes/attributes.go): per event one point —
+    dtype cycles e%5, summary on %7, monotonic-cumulative sums on %13
+    routed out (the reference's ttlmap delta path) as 'mono|' marker
+    rows; labels shard/user with the empty → 'n/a' rule, env/version
+    resource tags and the host.name → h1 hostname chain, histogram
+    .count/.sum + per-bucket rows, summary .count/.sum + canonical
+    quantile tags, and the otel. prefix for system./process. names."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.datadog import DatadogMetricMapper
+
+    eid, epoch, dur = x.e, x.epoch, x.dur
+    prefix = np.where(eid % 3 == 0, "system.", np.where(eid % 3 == 1, "process.", "")).astype(object)
+    name = prefix + np.asarray(x.et, dtype=object)
+    cycle = np.array(["int_gauge", "double_gauge", "int_sum", "double_sum", "histogram"], dtype=object)
+    dtype = cycle[eid % 5]
+    dtype[eid % 7 == 0] = "summary"
+    mono = eid % 13 == 0
+    dtype[mono] = "int_sum"
+    is_hist = (eid % 5 == 4) & (eid % 7 != 0) & ~mono
+    is_summ = (eid % 7 == 0) & ~mono
+    df = pd.DataFrame(
+        {
+            "name": name,
+            "dtype": dtype,
+            "temporality": np.where(mono | (eid % 5 == 3), "cumulative", "delta").astype(object),
+            "monotonic": mono | (eid % 5 == 2),
+            "ts_ns": epoch * _G,
+            "value": dur.astype(np.float64),
+            "count": (eid % 10).astype(np.float64),
+            "sum": dur.astype(np.float64),
+            "bucket_counts": [[int(a), int(b)] if h else None for a, b, h in zip(eid % 3, eid % 4, is_hist)],
+            "quantiles": [[0.0, 0.5, 1.0] if s else None for s in is_summ],
+            "quantile_values": [[1.0, 2.0, 3.0] if s else None for s in is_summ],
+            "shard": "s" + pd.Series(eid % 4).astype(str),
+            "user": np.where(eid % 6 == 0, "", "u" + pd.Series(eid % 9).astype(str)).astype(object),
+        }
+    )
+    mapper = DatadogMetricMapper(
+        resource_attrs={"deployment.environment": "prod", "service.version": "2.0", "host.name": "h1"},
+        label_cols=["shard", "user"],
+        buckets=True,
+        quantiles=True,
+    )
+    out = mapper(df[~mono]).to_pandas()
+    keys = out["metric"] + "|" + out["tags"] + "|" + out["ts"].astype(str) + "|" + out["host"]
+    mono_keys = "mono|" + pd.Series(name[mono]) + "|" + pd.Series(epoch[mono]).astype(str)
+    all_keys = np.concatenate([keys.to_numpy(dtype=object), mono_keys.to_numpy(dtype=object)])
+    lat = np.concatenate([np.rint(out["value"].to_numpy() * 100).astype(np.int64), dur[mono] * 100])
+    return pa.table(
+        {"key": pa.array(all_keys, pa.string()), "latency": lat, "requests": np.ones(len(lat), np.int64)}
+    )
+
+
+def _hec(x) -> pa.Table:
+    """splunkhecexporter outbound mapping (logdata_to_splunk.go:41-95,130):
+    canonical attrs → host/source/sourcetype/index, body → event, ns →
+    epoch-seconds float time (whole seconds in ``latency``)."""
+    from opentelemetry_collector_contrib_ray.stages.sinks import splunk_hec_fields
+
+    e = x.e
+    hec = splunk_hec_fields(
+        pa.table(
+            {
+                "host.name": pa.array(np.char.add("h", (x.u % 50).astype(str))),
+                "com.splunk.source": pc.binary_join_element_wise("src-", x.t["event_type"], ""),
+                "com.splunk.sourcetype": pa.array(np.char.add("st", (e % 3).astype(str))),
+                "com.splunk.index": pa.array(np.char.add("idx", (e % 2).astype(str))),
+                "msg": pa.array(np.char.add("payload ", e.astype(str))),
+                "ts": pa.array(x.epoch * _G, pa.int64()),
+            }
+        ),
+        body_col="msg",
+    )
+    keys = pc.binary_join_element_wise(
+        hec["host"], hec["source"], hec["sourcetype"], hec["index"], hec["event"], "@"
+    )
+    latency = np.rint(hec["time"].to_numpy()).astype(np.int64)
+    return pa.table({"key": keys, "latency": latency, "requests": np.ones(x.n, np.int64)})
+
+
+def _carbonx(x) -> pa.Table:
+    """carbonexporter Graphite plaintext render: ``name value epoch``."""
+    from opentelemetry_collector_contrib_ray.stages.sinks import render_carbon_lines
+
+    t = x.t
+    lines = render_carbon_lines(
+        pa.table(
+            {
+                "metric_name": pc.binary_join_element_wise("carbon.", t["event_type"], ""),
+                "value": pc.cast(pc.floor(t["value"]), pa.int64()),
+                "timestamp": t["ts"],
+            }
+        )
+    )["line"]
+    return pa.table({"key": lines, "requests": np.ones(x.n, np.int64)})
+
+
+def _influxx(x) -> pa.Table:
+    """influxdbexporter line protocol ``measurement[,tags] k=v [ts]``,
+    with the empty-tag (%11) and absent-timestamp (%4) paths."""
+    from opentelemetry_collector_contrib_ray.stages.sinks import render_influx_lines
+
+    t, e = x.t, x.e
+    lines = render_influx_lines(
+        pa.table(
+            {
+                "measurement": pa.array(["ev"] * x.n, pa.string()),
+                "tags": pc.if_else(
+                    pa.array(e % 11 == 0),
+                    pa.scalar("", pa.string()),
+                    pc.binary_join_element_wise("type=", t["event_type"], ""),
+                ),
+                "field_key": pa.array(["v"] * x.n, pa.string()),
+                "field_value": pc.cast(pc.floor(t["value"]), pa.int64()),
+                "ts_ns": pa.array(x.epoch * _G, mask=(e % 4 == 0)),
+            }
+        )
+    )["line"]
+    return pa.table({"key": lines, "requests": np.ones(x.n, np.int64)})
+
+
+_TS_S = "CAST(FLOOR(epoch(ts)) AS BIGINT)"
+_TS_NS = f"CAST({_TS_S} * 1000000000 AS VARCHAR)"
+_EMF_KEY = "service || '@' || shard || '@' || CAST(ts_ms AS VARCHAR) AS \"key\""
+_SLS_M = ", ".join(  # the SQL of each expanded SLS metric log
+    f"'{m}@host#$#h' || u || '{lb}@' || {_TS_NS} || '@' || {v}"
+    for m, lb, v in (  # (metric, extra labels, value)
+        ("cpu_usage", "", "CAST(event_id AS VARCHAR) || '.5'"),
+        ("lat_sum", "", "CAST(event_id % 10 AS VARCHAR) || '.5'"),
+        ("lat_count", "", "'2'"),
+        ("lat_bucket", "|le#$#1", "CAST(event_id % 3 AS VARCHAR)"),
+        ("lat_bucket", "|le#$#5", "CAST(event_id % 2 AS VARCHAR)"),
+        ("lat_bucket", "|le#$#+Inf", "'1'"),
+        ("rt_sum", "", "CAST(event_id % 9 AS VARCHAR) || '.25'"),
+        ("rt_count", "", "'3'"),
+        ("rt", "|quantile#$#0.5", "CAST(event_id % 7 AS VARCHAR) || '.5'"),
+        ("rt", "|quantile#$#0.99", "CAST(event_id % 11 AS VARCHAR) || '.5'"),
+    )
+)
+_LOKI_EMF = (
+    Leg("emf", lambda t: _emf(t, False), f"""
+        SELECT {_EMF_KEY}, 4 AS n_dims, latency, requests, 'Milliseconds' AS unit FROM emf_wide"""),
+    Leg("emf_decl", lambda t: _emf(t, True), f"""
+        SELECT {_EMF_KEY}, 3 AS n_dims, latency, requests, 'Milliseconds' AS unit
+        FROM emf_wide WHERE service IN ('click', 'view')"""),
+)
+_LOKI_EVENTS = (
+    Leg("dt_int", lambda x: _dt(x, "evt", value_int=pa.array(x.dur, pa.int64())), f"""
+        SELECT 'otel.evt,id="' || CAST(event_id AS VARCHAR) || '",host="h' || CAST(user_id AS VARCHAR) || '" '
+               || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR) || ' ' || CAST({_TS_S} * 1000 AS VARCHAR) AS "key",
+               1 AS requests
+        FROM events"""),
+    # the histogram line's min=max=avg quirk and the %.6f-then-rtrim("0.") float format
+    Leg("dt_hist", lambda x: _dt(
+        x,
+        "lat",
+        hist_sum=pa.array((x.e % 10) + 0.5, pa.float64()),
+        hist_count=pa.array(np.full(x.n, 2, np.int64)),
+    ), f"""
+        SELECT 'otel.lat,id="' || CAST(event_id AS VARCHAR) || '",host="h' || CAST(user_id AS VARCHAR) || '" gauge,min='
+               || rtrim(format('{{:.6f}}', ((event_id % 10) + 0.5) / 2), '0.') || ',max='
+               || rtrim(format('{{:.6f}}', ((event_id % 10) + 0.5) / 2), '0.')
+               || ',sum=' || rtrim(format('{{:.6f}}', (event_id % 10) + 0.5), '0.') || ',count=2 '
+               || CAST({_TS_S} * 1000 AS VARCHAR) AS "key",
+               1 AS requests
+        FROM events"""),
+    Leg("sls_log", _sls_log, f"""
+        SELECT 'log@ff@' || CAST(event_id % 25 AS VARCHAR) || '@{{"k1":"v' || CAST(event_id % 5 AS VARCHAR)
+               || '"}}@b' || CAST(event_id AS VARCHAR) || '@' || {_TS_NS} AS "key", 1 AS requests
+        FROM events WHERE event_id % 7 <> 0"""),
+    Leg("sls_span", _sls_span, f"""
+        SELECT 'span@' || CASE WHEN event_id % 2 = 0 THEN 'server' ELSE 'client' END
+               || '@' || CAST({_TS_S} * 1000000 AS VARCHAR)
+               || '@' || CAST(CAST(FLOOR(value) AS BIGINT) * 1000000 AS VARCHAR)
+               || '@' || CASE WHEN event_type = 'error' THEN 'ERROR' WHEN event_id % 13 = 0 THEN 'OK'
+                              ELSE 'UNSET' END || '@' AS "key",
+               1 AS requests
+        FROM events"""),
+    Leg("sls_m", _sls_m, f"""
+        SELECT 'm@' || part AS "key", 1 AS requests
+        FROM (SELECT *, CAST(user_id AS VARCHAR) AS u FROM events), LATERAL (
+            SELECT unnest([{_SLS_M}]) AS part
+        ) parts
+        WHERE event_id % 4 = 0"""),
+    Leg("cwl", _cwl, f"""
+        SELECT '{{"name":"ev-' || event_type || '"' || ',"body":"payload ' || CAST(event_id AS VARCHAR) || '"'
+               || CASE WHEN event_id % 25 <> 0
+                       THEN ',"severity_number":' || CAST(event_id % 25 AS VARCHAR) ELSE '' END
+               || CASE WHEN event_id % 3 = 1 THEN ',"severity_text":"INFO"'
+                       WHEN event_id % 3 = 2 THEN ',"severity_text":"ERROR"' ELSE '' END
+               || CASE WHEN event_id % 2 <> 0 THEN ',"dropped_attributes_count":1' ELSE '' END
+               || CASE WHEN event_id % 4 <> 0 THEN ',"flags":' || CAST(event_id % 4 AS VARCHAR) ELSE '' END
+               || CASE WHEN event_id % 5 <> 0
+                       THEN ',"trace_id":"' || lpad(lower(to_hex(event_id)), 32, '0') || '"' ELSE '' END
+               || CASE WHEN event_id % 7 <> 0
+                       THEN ',"span_id":"' || lpad(lower(to_hex(event_id)), 16, '0') || '"' ELSE '' END
+               || ',"attributes":{{"event_type":"' || event_type
+               || '","user_id":' || CAST(user_id AS VARCHAR) || '}}'
+               || ',"resource":{{"host.name":"h' || CAST(user_id % 50 AS VARCHAR) || '"}}}}' AS "key",
+               event_id % 25 AS n_dims, {_TS_S} * 1000 AS latency, 1 AS requests
+        FROM events"""),
+    # per event: 'mono|' markers for %13 monotonic-cumulative sums; a
+    # summary on %7 expands to count/sum/3 canonical quantile tags, the
+    # %5=4 histogram to count/sum/2 bucket_idx rows, the rest to one gauge
+    Leg("ddm", _ddm, f"""
+        SELECT part.k AS "key", part.v AS latency, 1 AS requests
+        FROM (
+            SELECT event_id AS e,
+                   CASE WHEN event_id % 3 = 0 THEN 'otel.system.'
+                        WHEN event_id % 3 = 1 THEN 'otel.process.' ELSE '' END || event_type AS mb,
+                   CASE WHEN event_id % 3 = 0 THEN 'system.'
+                        WHEN event_id % 3 = 1 THEN 'process.' ELSE '' END || event_type AS raw,
+                   'shard:s' || CAST(event_id % 4 AS VARCHAR) || ',user:'
+                     || CASE WHEN event_id % 6 = 0 THEN 'n/a' ELSE 'u' || CAST(event_id % 9 AS VARCHAR) END
+                     || ',env:prod,version:2.0' AS tg,
+                   CAST({_TS_S} AS VARCHAR) AS tss,
+                   CAST(FLOOR(value) AS BIGINT) AS dur,
+                   event_id % 10 AS cnt
+            FROM events
+        ) ev, LATERAL (
+            SELECT 'mono|' || raw || '|' || tss AS k, dur * 100 AS v WHERE e % 13 = 0
+            UNION ALL SELECT mb || '.count|' || tg || '|' || tss || '|h1', cnt * 100
+                WHERE e % 7 = 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.sum|' || tg || '|' || tss || '|h1', dur * 100
+                WHERE e % 7 = 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.quantile|' || tg || ',quantile:0|' || tss || '|h1', 100
+                WHERE e % 7 = 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.quantile|' || tg || ',quantile:0.5|' || tss || '|h1', 200
+                WHERE e % 7 = 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.quantile|' || tg || ',quantile:1.0|' || tss || '|h1', 300
+                WHERE e % 7 = 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.count|' || tg || '|' || tss || '|h1', cnt * 100
+                WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.sum|' || tg || '|' || tss || '|h1', dur * 100
+                WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.count_per_bucket|' || tg || ',bucket_idx:0|' || tss || '|h1', (e % 3) * 100
+                WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '.count_per_bucket|' || tg || ',bucket_idx:1|' || tss || '|h1', (e % 4) * 100
+                WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
+            UNION ALL SELECT mb || '|' || tg || '|' || tss || '|h1', dur * 100
+                WHERE e % 5 < 4 AND e % 7 <> 0 AND e % 13 <> 0
+        ) part"""),
+    Leg("hec", _hec, f"""
+        SELECT 'h' || CAST(user_id % 50 AS VARCHAR) || '@src-' || event_type || '@st' || CAST(event_id % 3 AS VARCHAR)
+               || '@idx' || CAST(event_id % 2 AS VARCHAR) || '@payload ' || CAST(event_id AS VARCHAR) AS "key",
+               {_TS_S} AS latency, 1 AS requests
+        FROM events"""),
+    Leg("carbonx", _carbonx, f"""
+        SELECT 'carbon.' || event_type || ' ' || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR) || ' '
+               || CAST({_TS_S} AS VARCHAR) AS "key", 1 AS requests
+        FROM events"""),
+    Leg("influxx", _influxx, f"""
+        SELECT 'ev' || CASE WHEN event_id % 11 = 0 THEN '' ELSE ',type=' || event_type END
+               || ' v=' || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR)
+               || CASE WHEN event_id % 4 = 0 THEN '' ELSE ' ' || {_TS_NS} END AS "key",
+               1 AS requests
+        FROM events"""),
+)
+_LOKI_STREAM = Leg(
+    "loki",
+    lambda t: pa.table({"key": t["labels"], "requests": t["count"]}),
+    """SELECT '{"lang": "' || lang || '", "source": "' || source || '"}' AS "key", COUNT(*) AS requests
+       FROM documents GROUP BY 1""",
+)
+_LOKI = LegTable(
+    pa.schema(
+        [
+            ("sink", pa.string()),
+            ("key", pa.string()),
+            ("n_dims", pa.int64()),
+            ("latency", pa.int64()),
+            ("requests", pa.int64()),
+            ("unit", pa.string()),
+        ]
+    ),
+    (_LOKI_STREAM,) + _LOKI_EMF + _LOKI_EVENTS,
+    with_="""WITH emf_wide AS (
+        SELECT event_type AS service, 's' || CAST(user_id % 4 AS VARCHAR) AS shard,
+               CAST(epoch(date_trunc('minute', ts)) AS BIGINT) * 1000 AS ts_ms,
+               CAST(SUM(CAST(FLOOR(value) AS BIGINT)) AS BIGINT) AS latency, COUNT(*) AS requests
+        FROM events GROUP BY 1, 2, 3
+    )""",
+)
+
+
+def _q_loki_streams(sf_dir: str):
+    """Loki label streams (documents), the EMF legs over a wide (service,
+    shard, minute) aggregate of events, and every other ``_LOKI`` leg in
+    one pass over events."""
+    from opentelemetry_collector_contrib_ray.stages.aggregate import (
+        derived_num_partitions,
+        two_phase_agg,
     )
     from opentelemetry_collector_contrib_ray.stages.sinks import loki_streams
 
     docs = _read(sf_dir, "documents", ["lang", "source"])
     loki = loki_streams(docs, {"lang": "lang", "source": "source"})
-
-    def loki_align(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table(
-            {
-                "sink": pa.array(["loki"] * n, pa.string()),
-                "key": t["labels"],
-                "n_dims": pa.array(np.zeros(n, np.int64)),
-                "latency": pa.array(np.zeros(n, np.int64)),
-                "requests": pc.cast(t["count"], pa.int64()),
-                "unit": pa.array([""] * n, pa.string()),
-            }
-        )
-
-    loki = loki.map_batches(loki_align, batch_format="pyarrow")
-
-    ev = _read(sf_dir, "events", ["event_type", "user_id", "ts", "value"])
+    ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"])
 
     def widen(t: pa.Table) -> pa.Table:
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        shard = pc.binary_join_element_wise(
-            "s", pc.cast(pc.bit_wise_and(t["user_id"], 3), pa.string()), ""
-        )
+        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()).to_numpy()
         return pa.table(
             {
                 "service": t["event_type"],
-                "shard": shard,
+                "shard": pc.binary_join_element_wise(
+                    "s", pc.cast(pc.bit_wise_and(t["user_id"], 3), pa.string()), ""
+                ),
                 "ts_ms": pa.array((epoch // 60) * 60000),
                 "lat": pc.cast(pc.floor(t["value"]), pa.int64()),
             }
         )
 
-    wide = two_phase_agg(
-        ev.map_batches(widen, batch_format="pyarrow"),
-        ["service", "shard", "ts_ms"],
-        {"lat": ["sum"], "*": ["count"]},
-    )
-
-    def rename(t: pa.Table) -> pa.Table:
+    def named(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "service": t["service"],
@@ -2772,546 +3359,20 @@ def _q_loki_streams(sf_dir: str):
             }
         )
 
+    wide = two_phase_agg(
+        ev.map_batches(widen, batch_format="pyarrow"),
+        ["service", "shard", "ts_ms"],
+        {"lat": ["sum"], "*": ["count"]},
+    )
     # the agg leaves few blocks; spread the per-event JSON render/parse
     # across the cluster (rows are unique per (labels, ts) after the
     # agg, so splitting blocks cannot break first-wins merging)
-    from opentelemetry_collector_contrib_ray.stages.aggregate import (
-        derived_num_partitions,
+    emf = wide.repartition(derived_num_partitions()).map_batches(
+        _LOKI.batch(_LOKI_EMF, named), batch_format="pyarrow"
     )
-
-    wide = wide.map_batches(rename, batch_format="pyarrow").repartition(
-        derived_num_partitions()
-    )
-    render_bare = EmfRenderer(
-        ["service", "shard"],
-        {"latency": "ms", "requests": ""},
-        namespace="otelray",
-        timestamp_col="ts_ms",
-    )
-    decl = MetricDeclaration(
-        ["^latency$"],
-        dimensions=[["service"]],
-        label_matchers=[LabelMatcher(["service"], "^(click|view)$")],
-    )
-    render_decl = EmfRenderer(
-        ["service", "shard"],
-        {"latency": "ms", "requests": ""},
-        namespace="otelray",
-        timestamp_col="ts_ms",
-        metric_declarations=[decl],
-    )
-
-    def parse_back(sink: str):
-        def _p(t: pa.Table) -> pa.Table:
-            keys, nds, lats, reqs, units = [], [], [], [], []
-            for msg in t["message"].to_pylist():
-                obj = _json.loads(msg)
-                aws = obj.get("_aws")
-                if aws is None:  # declarations dropped every measurement
-                    continue
-                cwm = aws["CloudWatchMetrics"][0]
-                assert cwm["Namespace"] == "otelray"
-                mu = {m["Name"]: m.get("Unit", "") for m in cwm["Metrics"]}
-                keys.append(
-                    f"{obj['service']}@{obj['shard']}@{aws['Timestamp']}"
-                )
-                nds.append(len(cwm["Dimensions"]))
-                lats.append(int(obj["latency"]))
-                reqs.append(int(obj["requests"]))
-                units.append(mu.get("latency", ""))
-            return pa.table(
-                {
-                    "sink": pa.array([sink] * len(keys), pa.string()),
-                    "key": pa.array(keys, pa.string()),
-                    "n_dims": pa.array(nds, pa.int64()),
-                    "latency": pa.array(lats, pa.int64()),
-                    "requests": pa.array(reqs, pa.int64()),
-                    "unit": pa.array(units, pa.string()),
-                }
-            )
-
-        return _p
-
-    emf = wide.map_batches(render_bare, batch_format="pyarrow").map_batches(
-        parse_back("emf"), batch_format="pyarrow"
-    )
-    emf_decl = wide.map_batches(render_decl, batch_format="pyarrow").map_batches(
-        parse_back("emf_decl"), batch_format="pyarrow"
-    )
-
-    # dynatrace line-protocol legs (stages/sinks.render_dynatrace_lines,
-    # serialization.go): every rendered line is value-checked — the
-    # oracle composes the identical strings in SQL, including the
-    # quirky float trim (format %.6f then rtrim over the "0." charset)
-    def dt_legs(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from opentelemetry_collector_contrib_ray.stages.sinks import (
-            render_dynatrace_lines,
-        )
-
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.floor(t["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        ts_ns = (
-            pc.cast(pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64())
-            .to_numpy() * 1_000_000_000
-        )
-        ids = pd.Series(e).astype(str)
-        base = {
-            "id": pa.array(ids.to_numpy(dtype=object), pa.string()),
-            "host": pa.array(("h" + pd.Series(u).astype(str)).to_numpy(dtype=object), pa.string()),
-            "ts_ns": pa.array(ts_ns, pa.int64()),
-        }
-        ints = pa.table(
-            {"name": pa.array(["evt"] * len(e), pa.string()),
-             "value_int": pa.array(v, pa.int64()), **base}
-        )
-        hist = pa.table(
-            {"name": pa.array(["lat"] * len(e), pa.string()),
-             "hist_sum": pa.array((e % 10) + 0.5, pa.float64()),
-             "hist_count": pa.array(np.full(len(e), 2, np.int64), pa.int64()),
-             **base}
-        )
-        out_rows = []
-        for sink, tbl in (("dt_int", ints), ("dt_hist", hist)):
-            lines = render_dynatrace_lines(
-                tbl, prefix="otel", label_cols=["id", "host"]
-            )["line"].to_pylist()
-            out_rows.extend((sink, ln) for ln in lines)
-        return pa.table(
-            {
-                "sink": pa.array([r[0] for r in out_rows], pa.string()),
-                "key": pa.array([r[1] for r in out_rows], pa.string()),
-                "n_dims": pa.array([0] * len(out_rows), pa.int64()),
-                "latency": pa.array([0] * len(out_rows), pa.int64()),
-                "requests": pa.array([1] * len(out_rows), pa.int64()),
-                "unit": pa.array([""] * len(out_rows), pa.string()),
-            }
-        )
-
-    dt = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
-        dt_legs, batch_format="pyarrow"
-    )
-
-    # alibabacloudlogservice legs (stages/alibaba_sls.py): every
-    # rendered SLS field is value-checked — log fields (hex flags,
-    # attribute JSON, content, timeUnixNano), span fields (µs times,
-    # short kind, status strings, blank invalid parent), and metric
-    # logs (__name__ sanitize, sorted #$# labels, histogram/summary
-    # expansion with le/quantile labels, Go %g value strings)
-    def sls_legs(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from opentelemetry_collector_contrib_ray.stages.alibaba_sls import (
-            SlsLogTranslator,
-            SlsSpanTranslator,
-            sls_metric_logs,
-        )
-
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        et = t["event_type"].to_pylist()
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        dur = np.floor(t["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-
-        lin = pa.table(
-            {
-                "ts_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "severity_number": pa.array(e % 25, pa.int64()),
-                "severity_text": pa.array(et, pa.string()),
-                "log_name": pa.array(et, pa.string()),
-                "body": pa.array(
-                    [None if x % 7 == 0 else f"b{x}" for x in e], pa.string()
-                ),
-                "flags": pa.array(np.full(len(e), 255, np.int64), pa.int64()),
-                "k1": pa.array([f"v{x % 5}" for x in e], pa.string()),
-            }
-        )
-        lt = SlsLogTranslator(
-            resource_attrs={"host.name": "h1", "service.name": "svc"},
-            instrumentation=("lib", "1"),
-            attr_cols=["k1"],
-        )(lin).to_pandas()
-        log_keys = (
-            "log@" + lt["flags"] + "@" + lt["severityNumber"] + "@"
-            + lt["attribute"] + "@" + lt["content"] + "@" + lt["timeUnixNano"]
-        )
-
-        sin = pa.table(
-            {
-                "trace_id": pa.array([f"{x + 1:032x}" for x in e], pa.string()),
-                "span_id": pa.array([f"{x + 1:016x}" for x in e], pa.string()),
-                "parent_span_id": pa.array(["0" * 16] * len(e), pa.string()),
-                "kind": pa.array(
-                    ["server" if x % 2 == 0 else "client" for x in e], pa.string()
-                ),
-                "name": pa.array(et, pa.string()),
-                "start_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-                "end_ns": pa.array((epoch + dur) * 1_000_000_000, pa.int64()),
-                "status_code": pa.array(
-                    [
-                        2 if t_ == "error" else (1 if x % 13 == 0 else 0)
-                        for x, t_ in zip(e, et)
-                    ],
-                    pa.int64(),
-                ),
-            }
-        )
-        st = SlsSpanTranslator()(sin).to_pandas()
-        span_keys = (
-            "span@" + st["kind"] + "@" + st["start"] + "@" + st["duration"]
-            + "@" + st["statusCode"] + "@" + st["parentSpanID"]
-        )
-
-        m = e % 4 == 0
-        em, um = e[m], u[m]
-        ns = (epoch[m] * 1_000_000_000).astype(np.int64)
-        mdf = pd.concat(
-            [
-                pd.DataFrame(
-                    {"name": "cpu.usage", "dtype": "gauge",
-                     "value": em + 0.5, "ts_ns": ns,
-                     "host": [f"h{x}" for x in um]}
-                ),
-                pd.DataFrame(
-                    {"name": "lat", "dtype": "histogram", "value": 0.0,
-                     "ts_ns": ns, "sum": (em % 10) + 0.5,
-                     "count": np.full(len(em), 2, np.int64),
-                     "bounds": [[1.0, 5.0]] * len(em),
-                     "bucket_counts": [
-                         [int(x % 3), int(x % 2), 1] for x in em
-                     ],
-                     "host": [f"h{x}" for x in um]}
-                ),
-                pd.DataFrame(
-                    {"name": "rt", "dtype": "summary", "value": 0.0,
-                     "ts_ns": ns, "sum": (em % 9) + 0.25,
-                     "count": np.full(len(em), 3, np.int64),
-                     "quantiles": [[0.5, 0.99]] * len(em),
-                     "qvalues": [
-                         [x % 7 + 0.5, x % 11 + 0.5] for x in em
-                     ],
-                     "host": [f"h{x}" for x in um]}
-                ),
-            ],
-            ignore_index=True,
-        )
-        mt = sls_metric_logs(mdf, label_cols=["host"])
-        m_keys = (
-            "m@" + mt["__name__"] + "@" + mt["__labels__"] + "@"
-            + mt["__time_nano__"] + "@" + mt["__value__"]
-        )
-
-        sinks = (
-            ["sls_log"] * len(log_keys)
-            + ["sls_span"] * len(span_keys)
-            + ["sls_m"] * len(m_keys)
-        )
-        keys = list(log_keys) + list(span_keys) + list(m_keys)
-        nrows = len(keys)
-        return pa.table(
-            {
-                "sink": pa.array(sinks, pa.string()),
-                "key": pa.array(keys, pa.string()),
-                "n_dims": pa.array([0] * nrows, pa.int64()),
-                "latency": pa.array([0] * nrows, pa.int64()),
-                "requests": pa.array([1] * nrows, pa.int64()),
-                "unit": pa.array([""] * nrows, pa.string()),
-            }
-        )
-
-    sls = _read(
-        sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"]
-    ).map_batches(sls_legs, batch_format="pyarrow", batch_size=4096)
-
-    # cwl leg: awscloudwatchlogsexporter logToCWLog render
-    # (exporter.go:117-193) — the full InputLogEvent message JSON
-    # (struct-order members, omitempty, sorted map keys, Go HTML-safe
-    # escaping) value-checked against a SQL string closed form, plus
-    # the ms timestamp.
-    def cwl_leg(t: pa.Table) -> pa.Table:
-        from opentelemetry_collector_contrib_ray.stages.sinks import (
-            render_cloudwatch_logs,
-        )
-
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        sevt = np.where(e % 3 == 1, "INFO", np.where(e % 3 == 2, "ERROR", ""))
-        lin = pa.table(
-            {
-                "name": pc.binary_join_element_wise(
-                    "ev-", t["event_type"], ""
-                ),
-                "body": pc.binary_join_element_wise(
-                    "payload ", pc.cast(t["event_id"], pa.string()), ""
-                ),
-                "sev": pa.array(e % 25, pa.int64()),
-                "sevt": pa.array(sevt, pa.string()),
-                "drop": pa.array(e % 2, pa.int64()),
-                "flags": pa.array(e % 4, pa.int64()),
-                "tid": pa.array(
-                    [f"{x:032x}" if x % 5 else "" for x in e], pa.string()
-                ),
-                "sid": pa.array(
-                    [f"{x:016x}" if x % 7 else "" for x in e], pa.string()
-                ),
-                "et_a": t["event_type"],
-                "uid": pa.array(u, pa.int64()),
-                "host": pc.binary_join_element_wise(
-                    "h", pa.array((u % 50).astype(str), pa.string()), ""
-                ),
-                "ts_ns": pa.array(epoch * 1_000_000_000, pa.int64()),
-            }
-        )
-        r = render_cloudwatch_logs(
-            lin,
-            ts_ns_col="ts_ns",
-            name_col="name",
-            body_col="body",
-            severity_number_col="sev",
-            severity_text_col="sevt",
-            dropped_count_col="drop",
-            flags_col="flags",
-            trace_id_col="tid",
-            span_id_col="sid",
-            attr_cols={"event_type": "et_a", "user_id": "uid"},
-            resource_cols={"host.name": "host"},
-        )
-        n = len(r)
-        return pa.table(
-            {
-                "sink": pa.array(["cwl"] * n, pa.string()),
-                "key": r["cw_message"],
-                "n_dims": r["sev"],
-                "latency": r["cw_timestamp"],
-                "requests": pa.array(np.ones(n, np.int64)),
-                "unit": pa.array([""] * n, pa.string()),
-            }
-        )
-
-    cwl = _read(
-        sf_dir, "events", ["event_id", "user_id", "event_type", "ts"]
-    ).map_batches(cwl_leg, batch_format="pyarrow", batch_size=4096)
-
-    # datadog metric-mapper leg (stages/datadog.py,
-    # metrics_translator.go:36-374 + metrics/utils.go +
-    # attributes/attributes.go): per event one metric point — dtype
-    # cycles e%5 (summary overrides on %7; monotonic-cumulative sums
-    # on %13 are ROUTED OUT, the reference's ttlmap delta path, and
-    # surface as 'mono|' marker rows), labels shard/user with the
-    # empty→'n/a' rule, resource-attribute tags (env/version) plus the
-    # hostname chain (host.name → h1), histogram .count/.sum +
-    # per-bucket rows, summary .count/.sum + canonical quantile tags,
-    # and the otel. namespace prepend for system./process. names —
-    # every rendered (metric, tags, ts, host, value) tuple is
-    # value-checked PER ROW against the SQL closed form.
-    from opentelemetry_collector_contrib_ray.stages.datadog import (
-        DatadogMetricMapper,
-    )
-
-    ddm_mapper = DatadogMetricMapper(
-        resource_attrs={
-            "deployment.environment": "prod",
-            "service.version": "2.0",
-            "host.name": "h1",
-        },
-        label_cols=["shard", "user"],
-        buckets=True,
-        quantiles=True,
-    )
-
-    def ddm_leg(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        et = np.asarray(t["event_type"].to_pylist(), dtype=object)
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        dur = np.floor(t["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        prefix = np.where(
-            eid % 3 == 0, "system.", np.where(eid % 3 == 1, "process.", "")
-        ).astype(object)
-        name = prefix + et
-        base = np.array(
-            ["int_gauge", "double_gauge", "int_sum", "double_sum", "histogram"],
-            dtype=object,
-        )
-        dtype = base[eid % 5].copy()
-        dtype[eid % 7 == 0] = "summary"
-        mono = eid % 13 == 0
-        dtype[mono] = "int_sum"
-        is_hist = (eid % 5 == 4) & (eid % 7 != 0) & ~mono
-        is_summ = (eid % 7 == 0) & ~mono
-        df = pd.DataFrame(
-            {
-                "name": name,
-                "dtype": dtype,
-                "temporality": np.where(
-                    mono | (eid % 5 == 3), "cumulative", "delta"
-                ).astype(object),
-                "monotonic": mono | (eid % 5 == 2),
-                "ts_ns": epoch * 1_000_000_000,
-                "value": dur.astype(np.float64),
-                "count": (eid % 10).astype(np.float64),
-                "sum": dur.astype(np.float64),
-                "bucket_counts": [
-                    [int(a), int(b)] if h else None
-                    for a, b, h in zip(eid % 3, eid % 4, is_hist)
-                ],
-                "quantiles": [[0.0, 0.5, 1.0] if s else None for s in is_summ],
-                "quantile_values": [[1.0, 2.0, 3.0] if s else None for s in is_summ],
-                "shard": "s" + pd.Series(eid % 4).astype(str),
-                "user": np.where(
-                    eid % 6 == 0, "", "u" + pd.Series(eid % 9).astype(str)
-                ).astype(object),
-            }
-        )
-        out = ddm_mapper(df[~mono]).to_pandas()
-        keys = (
-            out["metric"] + "|" + out["tags"] + "|" + out["ts"].astype(str)
-            + "|" + out["host"]
-        )
-        lat = np.rint(out["value"].to_numpy() * 100).astype(np.int64)
-        mono_keys = (
-            "mono|" + pd.Series(name[mono]) + "|"
-            + pd.Series(epoch[mono]).astype(str)
-        )
-        all_keys = np.concatenate([keys.to_numpy(dtype=object),
-                                   mono_keys.to_numpy(dtype=object)])
-        all_lat = np.concatenate([lat, dur[mono] * 100])
-        n = len(all_keys)
-        return pa.table(
-            {
-                "sink": pa.array(["ddm"] * n, pa.string()),
-                "key": pa.array(all_keys, pa.string()),
-                "n_dims": pa.array(np.zeros(n, np.int64)),
-                "latency": pa.array(all_lat),
-                "requests": pa.array(np.ones(n, np.int64)),
-                "unit": pa.array([""] * n, pa.string()),
-            }
-        )
-
-    ddm = _read(
-        sf_dir, "events", ["event_id", "event_type", "ts", "value"]
-    ).map_batches(ddm_leg, batch_format="pyarrow", batch_size=4096)
-
-    # Round-5 legs (pytest-only → driver-oracled), one fused pass:
-    #
-    # hec — splunkhecexporter outbound mapping (logdata_to_splunk.go:
-    # 41-95,130 via stages/sinks.splunk_hec_fields): canonical attrs →
-    # host/source/sourcetype/index, body → event, ns → epoch-seconds
-    # float time; the mapped tuple value-checks per row (whole-second
-    # time lands in `latency`).
-    #
-    # carbonx — carbonexporter Graphite plaintext render
-    # (stages/sinks.render_carbon_lines, inverse of the carbonreceiver
-    # parser): every `name value epoch` line value-checked.
-    #
-    # influxx — influxdbexporter line protocol render
-    # (stages/sinks.render_influx_lines): `measurement[,tags] k=v [ts]`
-    # including the empty-tag (%11) and absent-timestamp (%4) paths.
-    def misc_sink_legs(t: pa.Table) -> pa.Table:
-        from opentelemetry_collector_contrib_ray.stages.sinks import (
-            render_carbon_lines,
-            render_influx_lines,
-            splunk_hec_fields,
-        )
-
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        epoch = pc.cast(
-            pc.cast(t["ts"], pa.timestamp("s"), safe=False), pa.int64()
-        ).to_numpy()
-        vint = pc.cast(pc.floor(t["value"]), pa.int64())
-        n = len(t)
-
-        hec_in = pa.table(
-            {
-                "host.name": pa.array(np.char.add("h", (u % 50).astype(str))),
-                "com.splunk.source": pc.binary_join_element_wise(
-                    "src-", t["event_type"], ""
-                ),
-                "com.splunk.sourcetype": pa.array(
-                    np.char.add("st", (e % 3).astype(str))
-                ),
-                "com.splunk.index": pa.array(
-                    np.char.add("idx", (e % 2).astype(str))
-                ),
-                "msg": pa.array(np.char.add("payload ", e.astype(str))),
-                "ts": pa.array(epoch * 1_000_000_000, pa.int64()),
-            }
-        )
-        hec = splunk_hec_fields(hec_in, body_col="msg")
-        hec_keys = pc.binary_join_element_wise(
-            hec["host"], hec["source"], hec["sourcetype"], hec["index"],
-            hec["event"], "@",
-        )
-        hec_lat = np.rint(hec["time"].to_numpy()).astype(np.int64)
-
-        carbon = render_carbon_lines(
-            pa.table(
-                {
-                    "metric_name": pc.binary_join_element_wise(
-                        "carbon.", t["event_type"], ""
-                    ),
-                    "value": vint,
-                    "timestamp": t["ts"],
-                }
-            )
-        )
-
-        influx = render_influx_lines(
-            pa.table(
-                {
-                    "measurement": pa.array(["ev"] * n, pa.string()),
-                    "tags": pc.if_else(
-                        pa.array(e % 11 == 0),
-                        pa.scalar("", pa.string()),
-                        pc.binary_join_element_wise("type=", t["event_type"], ""),
-                    ),
-                    "field_key": pa.array(["v"] * n, pa.string()),
-                    "field_value": vint,
-                    "ts_ns": pa.array(epoch * 1_000_000_000, mask=(e % 4 == 0)),
-                }
-            )
-        )
-
-        keys = np.concatenate(
-            [
-                hec_keys.to_numpy(zero_copy_only=False).astype(object),
-                carbon["line"].to_numpy(zero_copy_only=False).astype(object),
-                influx["line"].to_numpy(zero_copy_only=False).astype(object),
-            ]
-        )
-        lats = np.concatenate([hec_lat, np.zeros(n, np.int64), np.zeros(n, np.int64)])
-        sinks = np.array(
-            ["hec"] * n + ["carbonx"] * n + ["influxx"] * n, dtype=object
-        )
-        m = len(keys)
-        return pa.table(
-            {
-                "sink": pa.array(sinks, pa.string()),
-                "key": pa.array(keys, pa.string()),
-                "n_dims": pa.array(np.zeros(m, np.int64)),
-                "latency": pa.array(lats),
-                "requests": pa.array(np.ones(m, np.int64)),
-                "unit": pa.array([""] * m, pa.string()),
-            }
-        )
-
-    misc = _read(
-        sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"]
-    ).map_batches(misc_sink_legs, batch_format="pyarrow", batch_size=4096)
-    return (
-        loki.union(emf).union(emf_decl).union(dt).union(sls).union(cwl)
-        .union(ddm).union(misc)
+    return loki.map_batches(_LOKI.batch([_LOKI_STREAM]), batch_format="pyarrow").union(
+        emf,
+        ev.map_batches(_LOKI.batch(_LOKI_EVENTS, _ev), batch_format="pyarrow", batch_size=4096),
     )
 
 
@@ -3726,713 +3787,889 @@ def _q_sfx_translation(sf_dir: str):
     return _round_cols(agg.map_batches(clean, batch_format="pyarrow"), {"sum_double": 6})
 
 
-def _q_scraper_parse(sf_dir: str):
-    """Interval-scraper payload translation (the scrapers' parse half —
-    receiver/redisreceiver/info.go:32-74 + metric_functions.go,
-    zookeeperreceiver/scraper.go:144-181, memcachedreceiver/
-    scraper.go:75-92, nginxreceiver/scraper.go:81-93): render one
-    synthetic scrape payload per event row for each protocol, parse
-    with the vectorized parsers, aggregate per (leg, name, label) —
-    every count/sum is a closed form of event_id the oracle derives in
-    SQL. Exercises the skip rules: missing INFO keys, empty values,
-    int-metric float rejection, keyspace break-on-missing-db, unknown
-    mntr keys, non-integer mntr values, unmapped memcached stats."""
+# ------------------------------------------------------------ scraper_parse
+# Interval-scraper payload translation (the scrapers' parse half —
+# receiver/redisreceiver/info.go:32-74 + metric_functions.go,
+# zookeeperreceiver/scraper.go:144-181, memcachedreceiver/scraper.go:75-92,
+# nginxreceiver/scraper.go:81-93, ...): each leg renders one synthetic
+# payload per event, parses it with the vectorized parser, and the rows are
+# aggregated per (leg, name, label_value); every count and sum is a closed
+# form of event_id. The skip rules are exercised: missing INFO keys, empty
+# values, int-metric float rejection, keyspace break-on-missing-db,
+# unknown mntr keys, non-integer mntr values, unmapped memcached stats.
+# The ECS, k8s-object and container-insights translations are per-task
+# Python (nested documents with joins and rollups), so those legs
+# subsample to event_id % 4 == 0, mirrored in their SQL.
+
+
+def _js(v) -> "pd.Series":
+    """``v`` as a Series of decimal strings."""
     import pandas as pd
 
-    from opentelemetry_collector_contrib_ray.sources.scrapers import (
-        parse_docker_stats,
-        parse_ecs_task_stats,
-        parse_k8s_objects,
-        parse_kubelet_summary,
-        parse_memcached_stats,
-        parse_nginx_stub_status,
-        parse_prometheus_text,
-        parse_redis_info,
-        parse_zk_mntr,
+    return pd.Series(v).astype(str)
+
+
+def _scraped(parser, ids: np.ndarray, payload, post: Callable = lambda p: p) -> pa.Table:
+    """``parser`` over one payload per server id, ``post`` on its rows,
+    as (name, label_value, sum_int, sum_double): a resource attribute
+    reads as name ``resource/<key>``, a null value as 0."""
+    parsed = post(
+        parser(
+            pa.table(
+                {"server_id": pa.array(ids, pa.int64()), "payload": pa.array(payload.tolist(), pa.string())}
+            )
+        )
     )
+    return pa.table(
+        {
+            "name": pc.coalesce(
+                parsed["name"],
+                pc.binary_join_element_wise("resource/", pc.cast(parsed["label_key"], pa.string()), ""),
+            ),
+            "label_value": pc.coalesce(parsed["label_value"], pa.scalar("", pa.string())),
+            "sum_int": pc.coalesce(parsed["value_int"], pa.scalar(0, pa.int64())),
+            "sum_double": pc.coalesce(parsed["value_double"], pa.scalar(0.0, pa.float64())),
+        }
+    )
+
+
+def _scr_redis(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_redis_info
+
+    def when(cond, lines):
+        return np.where(cond, lines, "")
+
+    def db(k: int):
+        return (
+            "keys=" + _js((e + k) % 7) + ",expires=" + _js((e + k) % 5)
+            + ",avg_ttl=" + _js((e + k) % 11) + "\n"
+        )
+
+    payload = (
+        "# Server\n"
+        + "uptime_in_seconds:" + _js(e) + "\n"
+        + "used_cpu_sys:" + (_js(e % 100) + ".25") + "\n"
+        + "used_memory:" + _js(e * 10) + "\n"
+        + "mem_fragmentation_ratio:1.5\n"
+        + "connected_clients:" + _js(e % 100) + "\n"
+        + "keyspace_hits:" + _js(e * 2) + "\n"
+        + when(e % 3 != 0, "keyspace_misses:" + _js(e % 50) + "\n")
+        + "evicted_keys:" + when(e % 4 != 0, _js(e % 9)) + "\n"
+        + "db0:" + db(0)
+        + when(e % 3 >= 1, "db1:" + db(1))
+        + when(e % 3 == 2, "db2:" + db(2))
+        # beyond the gap: MUST be ignored by the break-on-missing loop
+        + "db9:keys=999,expires=999,avg_ttl=999\n"
+    )
+    return _scraped(parse_redis_info, e, payload)
+
+
+def _scr_zk(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_zk_mntr
+
+    payload = (
+        "zk_version\t3.4.14\n"
+        + "zk_server_state\t" + _js(np.where(e % 2 == 0, "follower", "leader")) + "\n"
+        + "zk_znode_count\t" + _js(e) + "\n"
+        + "zk_packets_received\t" + _js(e * 2) + "\n"
+        + "zk_avg_latency\t" + _js(e % 50) + "\n"
+        + "zk_outstanding_requests\tabc\n"  # non-int → dropped
+        + "zk_bogus_metric\t" + _js(e) + "\n"  # no descriptor → dropped
+    )
+    return _scraped(parse_zk_mntr, e, payload)
+
+
+def _scr_memcached(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_memcached_stats
+
+    payload = (
+        "STAT pid 123\n"
+        + "STAT bytes " + _js(e * 3) + "\n"
+        + "STAT curr_connections " + _js(e % 10) + "\n"
+        + "STAT total_connections " + _js(e + 1) + "\n"
+        + "STAT get_hits " + _js(e % 13) + "\n"
+        + "STAT get_misses " + _js(e % 17) + "\n"
+        + "STAT uptime " + _js(e) + "\nEND\n"  # unmapped → ignored
+    )
+    return _scraped(parse_memcached_stats, e, payload)
+
+
+def _scr_nginx(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_nginx_stub_status
+
+    payload = (
+        "Active connections: " + _js(e % 100) + "\n"
+        + "server accepts handled requests\n "
+        + _js(e) + " " + _js(e - e % 7) + " " + _js(e * 3) + "\n"
+        + "Reading: " + _js(e % 3) + " Writing: " + _js(e % 5) + " Waiting: " + _js(e % 11) + "\n"
+    )
+    return _scraped(parse_nginx_stub_status, e, payload)
+
+
+def _scr_prom(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_prometheus_text
+
+    payload = (
+        "# HELP req_total Total requests.\n"
+        + "# TYPE req_total counter\n"
+        + 'req_total{method="get",code="200"} ' + _js(e) + "\n"
+        # unsorted label body — canonicalization must sort it
+        + 'req_total{code="500",method="post"} ' + _js(e * 2) + "\n"
+        + "# TYPE temp gauge\n"
+        + "temp " + (_js(e % 50) + ".5") + "\n"
+        + "# TYPE lat histogram\n"
+        + 'lat_bucket{le="1"} ' + _js(e % 10) + "\n"
+        + 'lat_bucket{le="+Inf"} ' + _js(e % 10 + e % 3) + "\n"
+        + "lat_sum " + _js(e) + "\n"
+        + "lat_count " + _js(e % 10 + e % 3) + "\n"
+        + "this line is garbage and must be skipped\n"
+    )
+    return _scraped(parse_prometheus_text, e, payload)
+
+
+def _scr_docker(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_docker_stats
+
+    s = _js(e)
+    payload = (
+        '{"cpu_stats": {"cpu_usage": {"total_usage": ' + _js(1000 + e % 128)
+        + ', "usage_in_kernelmode": ' + s + ', "usage_in_usermode": ' + _js(e * 2)
+        + ', "percpu_usage": [1, 1]}, "system_cpu_usage": 1256, "online_cpus": 2,'
+        + ' "throttling_data": {"periods": ' + _js(e % 7)
+        + ', "throttled_periods": ' + _js(e % 5)
+        + ', "throttled_time": ' + _js(e % 3) + "}}, "
+        + '"precpu_stats": {"cpu_usage": {"total_usage": 1000}, "system_cpu_usage": 1000}, '
+        + '"memory_stats": {"usage": ' + _js(1000 + e % 512)
+        + ', "limit": 512, "max_usage": ' + _js(e * 3)
+        + ', "stats": {"cache": 1000, "total_cache": 300, "pgfault": ' + s
+        + ', "rss": ' + _js(e % 100) + "}}, "
+        + '"networks": {"eth0": {"rx_bytes": ' + s + ', "tx_bytes": ' + _js(e * 2) + "}}, "
+        + '"blkio_stats": {"io_service_bytes_recursive": ['
+        + '{"major": 8, "minor": 0, "op": "Read", "value": ' + s + "}, "
+        + '{"major": 8, "minor": 0, "op": "Write", "value": ' + _js(e * 2) + "}, "
+        + '{"major": 8, "minor": 0, "op": "", "value": 99}]}}'
+    )
+    return _scraped(parse_docker_stats, e, payload)
+
+
+def _scr_kubelet(e: np.ndarray) -> pa.Table:
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_kubelet_summary
+
+    # dyadic nanocore values: 1e9 = 1953125 * 512, so
+    # 1953125*e / 1e9 = e/512 — float sums stay exact/order-free
+    payload = (
+        '{"node": {"cpu": {"usageNanoCores": ' + _js(e * 1953125)
+        + ', "usageCoreNanoSeconds": ' + _js(e * 3906250) + "}, "
+        + '"memory": {"usageBytes": ' + _js(e * 2)
+        + ', "workingSetBytes": ' + _js(e % 64) + "}, "
+        + '"fs": {"usedBytes": ' + _js(e * 3) + "}, "
+        + '"network": {"name": "eth0", "rxBytes": ' + _js(e)
+        + ', "txBytes": ' + _js(e * 2) + "}}, "
+        + '"pods": [{"podRef": {"name": "p0", "namespace": "default"}, '
+        + '"cpu": {"usageNanoCores": ' + _js((e % 128) * 1953125) + "}, "
+        + '"memory": {"rssBytes": ' + _js(e % 32) + "}, "
+        + '"ephemeral-storage": {"capacityBytes": 1000}, '
+        + '"containers": [{"name": "c0", "memory": {"usageBytes": ' + _js(e % 16)
+        + '}, "rootfs": {"usedBytes": ' + _js(e % 8) + "}}], "
+        + '"volume": [{"name": "v0", "inodesUsed": ' + _js(e % 9) + "}]}]}"
+    )
+    return _scraped(parse_kubelet_summary, e, payload)
+
+
+def _scr_ecs(e: np.ndarray) -> pa.Table:
+    """ECS task with two running containers and one stopped: the
+    per-container math, the task rollup and the limit overrides; only
+    the task-level rows, the two division-semantics container rows and
+    the stopped duration are kept."""
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_ecs_task_stats
+
+    e = e[e % 4 == 0]
+
+    s = _js(e)
+    payload = (
+        '{"metadata": {"TaskARN": "arn:aws:ecs:us-west-2:123:task/t1", '
+        + '"Limits": {"Memory": 4096}, "Containers": ['
+        + '{"DockerId": "d1", "Name": "c1"}, '
+        + '{"DockerId": "d2", "Name": "c2", "Limits": {"CPU": 512, "Memory": 256}}, '
+        + '{"DockerId": "d3", "Name": "c3", "StartedAt": "2020-09-13T00:00:00Z", '
+        + '"FinishedAt": "2020-09-13T00:00:' + _js(e % 30).str.zfill(2) + 'Z"}]}, '
+        + '"stats": ['
+        + '{"id": "d1", "read": "2020-09-13T00:00:01Z", "preread": "2020-09-13T00:00:00Z", '
+        + '"memory_stats": {"usage": ' + _js(1048576 * (e % 7) + 1048576)
+        + ', "max_usage": ' + _js(e * 2) + ', "limit": 536870912, "stats": {"cache": 1048576}}, '
+        + '"cpu_stats": {"cpu_usage": {"total_usage": ' + _js(1953125 * (e % 128) + 1000000)
+        + ', "usage_in_kernelmode": ' + s + ', "usage_in_usermode": ' + _js(e * 2)
+        + ', "percpu_usage": [1, 1]}, "online_cpus": 2, "system_cpu_usage": ' + _js(e * 2) + "}, "
+        + '"precpu_stats": {"cpu_usage": {"total_usage": 1000000}}, '
+        + '"network_rate_stats": {"rx_bytes_per_sec": ' + _js(e * 0.25)
+        + ', "tx_bytes_per_sec": ' + _js(e * 0.5) + "}, "
+        + '"networks": {"eth0": {"rx_bytes": ' + s + ', "rx_packets": ' + _js(e % 3)
+        + ', "rx_errors": ' + _js(e % 5) + ', "rx_dropped": ' + _js(e % 7)
+        + ', "tx_bytes": ' + _js(e * 2) + ', "tx_packets": ' + _js(e % 11)
+        + ', "tx_errors": ' + _js(e % 13) + ', "tx_dropped": ' + _js(e % 17) + "}, "
+        + '"eth1": {"rx_bytes": 1, "rx_packets": 1, "rx_errors": 1, "rx_dropped": 1, '
+        + '"tx_bytes": 1, "tx_packets": 1, "tx_errors": 1, "tx_dropped": 1}}, '
+        + '"blkio_stats": {"io_service_bytes_recursive": ['
+        + '{"op": "Read", "value": ' + _js(e * 3) + '}, {"op": "Write", "value": ' + s
+        + '}, {"op": "Total", "value": 99}]}}, '
+        + '{"id": "d2", "read": "2020-09-13T00:00:01Z", "preread": "2020-09-13T00:00:00Z", '
+        + '"memory_stats": {"usage": 2097152, "max_usage": ' + _js(e * 4)
+        + ', "limit": 268435456, "stats": {"cache": 0}}, '
+        + '"cpu_stats": {"cpu_usage": {"total_usage": ' + _js(1953125 * (e % 64) + 5)
+        + ', "usage_in_kernelmode": ' + _js(e % 3) + ', "usage_in_usermode": ' + _js(e % 5)
+        + ', "percpu_usage": [1]}, "online_cpus": 1, "system_cpu_usage": ' + s + "}, "
+        + '"precpu_stats": {"cpu_usage": {"total_usage": 5}}, '
+        + '"network_rate_stats": {"rx_bytes_per_sec": ' + _js(e * 0.75)
+        + ', "tx_bytes_per_sec": ' + _js(e * 0.5) + "}, "
+        + '"networks": {"eth0": {"rx_bytes": 2, "rx_packets": 2, "rx_errors": 2, "rx_dropped": 2, '
+        + '"tx_bytes": 2, "tx_packets": 2, "tx_errors": 2, "tx_dropped": 2}}, '
+        + '"blkio_stats": {"io_service_bytes_recursive": ['
+        + '{"op": "Read", "value": ' + _js(e % 11) + '}, {"op": "Write", "value": ' + _js(e % 13)
+        + "}]}}]}"
+    )
+
+    def task_rows(p: pa.Table) -> pa.Table:
+        names = ["container.duration", "container.cpu.utilized"]
+        return p.filter((pc.field("label_value") == "task=t1") | pc.field("name").isin(names))
+
+    return _scraped(parse_ecs_task_stats, e, payload, task_rows)
+
+
+def _scr_k8sobj(e: np.ndarray) -> pa.Table:
+    """k8s cluster objects: pod phase cycle, container status + spec
+    resources (cpu in millicores), deployment replicas, node Ready
+    tri-state, namespace phase."""
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_k8s_objects
+
+    e = e[e % 4 == 0]
+
+    phase = _js(np.array(["Pending", "Running", "Succeeded", "Failed", "Unknown"], dtype=object)[e % 5])
+    cond = _js(np.array(["True", "False", "Unknown"], dtype=object)[e % 3])
+    payload = (
+        '[{"kind": "Pod", "metadata": {"name": "p0", "namespace": "default"}, '
+        + '"status": {"phase": "' + phase + '", "containerStatuses": ['
+        + '{"name": "c0", "containerID": "docker://x", "restartCount": ' + _js(e % 9)
+        + ', "ready": ' + _js(np.where(e % 2 == 0, "true", "false")) + "}, "
+        + '{"name": "ghost", "containerID": "", "restartCount": 99}]}, '
+        + '"spec": {"containers": [{"name": "c0", "resources": '
+        + '{"requests": {"cpu": "' + _js((e % 10) * 100) + 'm"}, '
+        + '"limits": {"memory": "' + _js(e % 3) + 'Gi"}}}]}}, '
+        + '{"kind": "Deployment", "metadata": {"name": "d0", "namespace": "default"}, '
+        + '"spec": {"replicas": ' + _js(e % 7) + '}, "status": {"availableReplicas": ' + _js(e % 5) + "}}, "
+        + '{"kind": "Node", "metadata": {"name": "n0"}, '
+        + '"status": {"conditions": [{"type": "Ready", "status": "' + cond + '"}]}}, '
+        + '{"kind": "Namespace", "metadata": {"name": "default"}, '
+        + '"status": {"phase": "' + _js(np.where(e % 2 == 0, "Active", "Terminating")) + '"}}]'
+    )
+    return _scraped(parse_k8s_objects, e, payload)
+
+
+def _scr_ci(e: np.ndarray) -> pa.Table:
+    """container-insights cluster snapshot (k8sapiserver.go:111-186): 3
+    nodes with pressure/network conditions, 4 pods across two
+    namespaces, 3 services with (q+j)%4 pod keys (q = e//4)."""
+    from opentelemetry_collector_contrib_ray.sources.scrapers import parse_container_insights
+
+    e = e[e % 4 == 0]
+
+    q = e // 4
+    pod_keys = np.array(['[]', '["p0"]', '["p0", "p1"]', '["p0", "p1", "p2"]'], dtype=object)
+
+    def node(j):
+        mp = _js(np.where((e + j) % 3 == 0, "True", "False"))
+        nu = _js(np.where((e + j) % 5 == 0, "Unknown", "False"))
+        return (
+            '{"status": {"conditions": [{"type": "MemoryPressure", "status": "' + mp
+            + '"}, {"type": "NetworkUnavailable", "status": "' + nu + '"}]}}'
+        )
+
+    def endpoint(j):
+        return '{"service": "svc%d", "namespace": "ns0", "podKeys": ' % j + _js(pod_keys[(q + j) % 4]) + "}"
+
+    def pod(j):
+        phase = _js(np.where((q + j) % 2 == 0, "Running", "Pending"))
+        return '{"namespace": "ns%d", "phase": "' % (j % 2) + phase + '"}'
+
+    payload = (
+        '{"cluster": "c1", "nodes": [' + node(0) + ", " + node(1) + ", " + node(2)
+        + '], "pods": [' + pod(0) + ", " + pod(1) + ", " + pod(2) + ", " + pod(3)
+        + '], "endpoints": [' + endpoint(0) + ", " + endpoint(1) + ", " + endpoint(2) + "]}"
+    )
+    return _scraped(parse_container_insights, e, payload)
+
+
+def _scr_ciotlp(e: np.ndarray) -> pa.Table:
+    """container-insights decorated metric → OTLP (internal/aws/
+    containerinsight/utils.go:30-216): four Type variants cycling on
+    (e//4)%4 — Pod folds SumFields over a list of maps (extra key
+    ignored, missing key skipped), NodeNet/Container strip the prefix
+    for the unit and dispatch int/double gauges, Bogus has the empty
+    prefix and skips bool/str fields; the Timestamp tag checks the ns →
+    ms rewrite. Units and kind fold into the label, "tag|unit|kind"."""
+    from opentelemetry_collector_contrib_ray.sources.scrapers import convert_ci_otlp
+
+    e = e[e % 4 == 0]
+
+    k = (e // 4) % 4
+    pod = (
+        '[{"pod_cpu_utilization": ' + _js(e % 64) + ".25"
+        + ', "pod_memory_pgfault": ' + _js(e % 16) + '.5}, '
+        + '{"pod_cpu_utilization": ' + _js(e % 32) + ".5"
+        + ', "pod_extra_ignored": 1.5}, '
+        + '{"pod_memory_pgfault": 2.25}]'
+    )
+    nodenet = (
+        '{"node_interface_network_rx_bytes": ' + _js(e % 128) + ".5"
+        + ', "node_interface_network_rx_packets": ' + _js(e % 9) + "}"
+    )
+    container = (
+        '{"container_diskio_io_serviced_read": ' + _js(e % 11)
+        + ', "container_memory_failcnt": ' + _js(e % 5) + "}"
+    )
+    bogus = '{"memory_usage": ' + _js(e % 17) + ', "custom_thing": 1.5, "flagged": true, "note": "x"}'
+    variant = [k == 0, k == 1, k == 2]
+    payload = (
+        '{"fields": ' + _js(np.select(variant, [pod, nodenet, container], default=bogus))
+        + ', "tags": {"Type": "' + _js(np.select(variant, ["Pod", "NodeNet", "Container"], default="Bogus"))
+        + '", "Timestamp": "1600000000123456789", "ClusterName": "c1"}}'
+    )
+
+    def fold_units(p: pa.Table) -> pa.Table:
+        lv = pc.binary_join_element_wise(
+            *(pc.coalesce(p[c], pa.scalar("", pa.string())) for c in ("label_value", "units", "mtype")), "|"
+        )
+        return p.set_column(p.schema.get_field_index("label_value"), "label_value", lv)
+
+    return _scraped(convert_ci_otlp, e, payload, fold_units)
+
+
+def _scr_dotnet(e: np.ndarray) -> pa.Table:
+    """dotnet EventPipe counters (sources/dotnet.py): a full IPC +
+    nettrace binary stream per event (Mean + Sum counters, stack/SP
+    blocks, an unregistered-metadata event on %3 that must be dropped)
+    decoded by the real parser. The codec is ~340 µs per event, so the
+    leg subsamples to %16."""
+    from opentelemetry_collector_contrib_ray.sources.dotnet import (
+        encode_counter_stream,
+        parse_dotnet_counters,
+    )
+
+    e = e[e % 16 == 0]
+    blobs = [
+        encode_counter_stream(
+            [
+                dict(name="cpu-usage", display="CPU Usage", counter_type="Mean", mean=float(v % 100) + 0.25,
+                     count=int(v % 10), units="%"),
+                dict(name="alloc-rate", display="Allocation Rate", counter_type="Sum", increment=float(v * 3),
+                     units="B"),
+            ],
+            unknown_event=(v % 3 == 0),
+        )
+        for v in e
+    ]
+    dt = parse_dotnet_counters(
+        pa.table({"server_id": pa.array(e, pa.int64()), "payload": pa.array(blobs, pa.binary())})
+    )
+    return dt.select(["name", "label_value", "value_int", "value_double"]).rename_columns(
+        ["name", "label_value", "sum_int", "sum_double"]
+    )
+
+
+def _scr_kafka(e: np.ndarray) -> pa.Table:
+    """kafkametrics (sources/kafka_lag.py): per event one mini cluster —
+    two consumed partitions on topic t<e> (p1's consumer offset -1 on
+    %5), one fully unconsumed idle topic, one regex-filtered group and
+    topic — through the consumer lag/offset math (the -1 sentinel rules,
+    unconsumed-topic suppression, group/topic filters) and the topic
+    partition gauges. The per-group members gauge is not summed."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.sources.kafka_lag import (
+        kafka_consumer_metrics,
+        kafka_topic_metrics,
+    )
+
+    n = len(e)
+    kid = pd.Series(e).astype(str)
+    g_ids = ("g" + kid).tolist()
+
+    def col(*parts) -> pa.Array:
+        return pa.array(np.concatenate(parts).astype(np.int64), pa.int64())
+
+    def full(v):
+        return np.full(n, v)
+
+    state = pa.table(
+        {
+            "group": pa.array(g_ids * 2 + g_ids + [f"skip{g}" for g in g_ids], pa.string()),
+            "topic": pa.array(
+                ("t" + kid).tolist() * 2 + ("idle" + kid).tolist() + ("zz" + kid).tolist(), pa.string()
+            ),
+            "partition": col(e * 3, e * 3 + 1, e * 3 + 2, e * 3),
+            # the zz topic's 10**6 offsets are excluded by the filters
+            "consumer_offset": col(e % 100, np.where(e % 5 == 0, -1, e % 50), full(-1), full(10**6)),
+            "partition_offset": col((e % 100) + (e % 7), (e % 50) + (e % 11), e % 9, full(10**6)),
+            "oldest_offset": col(e % 13, full(0), full(0), full(0)),
+            "replicas": col(full(3), full(3), full(1), full(9)),
+            "in_sync": col(np.where(e % 2 == 0, 2, 3), full(3), full(1), full(9)),
+            "group_members": col(full(4), full(4), full(4), full(4)),
+        }
+    )
+    kall = pa.concat_tables(
+        [
+            kafka_consumer_metrics(state, group_match=r"^g\d", topic_match=r"^(t|idle)\d"),
+            kafka_topic_metrics(state, topic_match=r"^(t|idle)\d"),
+        ]
+    )
+    kall = kall.filter(pc.field("name") != "kafka.consumer_group.members")
+    return pa.table({"name": kall["name"], "sum_int": kall["value"]})
+
+
+def _mk_pod(x: int, ip_net: int) -> dict:
+    """A k8s pod with a maybe-running (%5) http container and a running
+    metrics + dns container."""
+    return {
+        "uid": f"u{x}",
+        "name": f"pod{x}",
+        "namespace": f"ns{x % 3}",
+        "ip": f"10.{ip_net}.{x % 200}.{x % 100}",
+        "labels": {},
+        "annotations": {},
+        "containers": [
+            {
+                "name": "c0",
+                "running": x % 5 != 0,
+                "ports": [{"name": "http", "port": 8000 + x % 1000, "protocol": "TCP"}],
+            },
+            {
+                "name": "c1",
+                "running": True,
+                "ports": [
+                    {"name": "metrics", "port": 9000 + x % 500, "protocol": "UDP"},
+                    {"name": "dns", "port": 53, "protocol": ""},
+                ],
+            },
+        ],
+    }
+
+
+# The observer legs drive the real discovery code per subsampled pod
+# (%53 — PRIME, so the %2/%3/%4/%5/%7/%11/%13 branch conditions all vary
+# across the subsample; a %50 stride would freeze x%5 at 0 and make the
+# running-container and ServiceMatcher legs vacuous; ~200 pods at sf0.01).
+
+
+def _scr_observer(e: np.ndarray) -> list[tuple]:
+    """k8sobserver pod → endpoints (extension/observer/k8sobserver/
+    handler.go:46-109): the pod endpoint plus one per running container
+    port, tcp/udp/unknown transport."""
+    from opentelemetry_collector_contrib_ray.stages.observer import pod_to_endpoints
+
+    return [
+        (ep["id"], f"{ep['target']}|{ep.get('transport', '')}", ep.get("port", 0))
+        for x in e[e % 53 == 0].tolist()
+        for ep in pod_to_endpoints(_mk_pod(x, 0))
+    ]
+
+
+def _scr_observer_diff(e: np.ndarray) -> list[tuple]:
+    """k8sobserver OnUpdate diffing (handler.go:112-168): pods %53=13
+    added, %7 updated (ip bumped, so every endpoint's payload changes),
+    %11 removed."""
+    from opentelemetry_collector_contrib_ray.stages.observer import diff_endpoints, pod_to_endpoints
+
+    base = e[e % 53 == 0].tolist()
+    old = [ep for x in base for ep in pod_to_endpoints(_mk_pod(x, 0))]
+    new = [ep for x in base if x % 11 != 0 for ep in pod_to_endpoints(_mk_pod(x, 1 if x % 7 == 0 else 0))]
+    new += [ep for x in e[e % 53 == 13].tolist() for ep in pod_to_endpoints(_mk_pod(x, 0))]
+    added, updated, removed = diff_endpoints(old, new)
+    return [
+        (kind, ep["id"], ep.get("port", 0))
+        for kind, eps in (("added", added), ("updated", updated), ("removed", removed))
+        for ep in eps
+    ]
+
+
+def _scr_observer_ecs(e: np.ndarray) -> list[tuple]:
+    """ecsobserver matchers (docker_label.go:64-135, service.go:41-104,
+    task_definition.go:61-101, matcher.go:88-100,146-178): one ECS task
+    per subsampled event, three matchers in order, per-container
+    MergeTargets (existing wins on (port, metrics_path) — the service
+    9100 target survives only where the docker_label matcher did not
+    claim it), and the invalid-port-label error, collected rather than
+    aborting."""
+    from opentelemetry_collector_contrib_ray.stages.observer import (
+        DockerLabelMatcher,
+        ServiceMatcher,
+        TaskDefinitionMatcher,
+        match_containers,
+    )
+
+    def mk_task(x: int) -> dict:
+        return {
+            "service": f"svc-{x % 4}" if x % 5 != 0 else None,
+            "task_definition_arn": f"arn:aws:ecs:task-definition/app-{x % 3}:1",
+            "containers": [
+                {
+                    "name": "web",
+                    "port_mappings": [8080, 9100],
+                    "docker_labels": {
+                        "PROM_PORT": "9999" if x % 7 == 0 else ("bad" if x % 13 == 0 else "9100"),
+                        "PROM_PATH": "/m1",
+                        "PROM_JOB": f"job{x % 2}",
+                    },
+                },
+                {"name": "sidecar", "port_mappings": [9200], "docker_labels": {}},
+            ],
+        }
+
+    base = e[e % 53 == 0].tolist()
+    tasks = [mk_task(x) for x in base]
+    matchers = [
+        DockerLabelMatcher(
+            {"port_label": "PROM_PORT", "metrics_path_label": "PROM_PATH", "job_name_label": "PROM_JOB"}
+        ),
+        ServiceMatcher(
+            {"name_pattern": "^svc-[01]$", "container_name_pattern": "^web$", "metrics_ports": [8080, 9100],
+             "metrics_path": "/m1", "job_name": "sjob"}
+        ),
+        TaskDefinitionMatcher({"arn_pattern": "app-0:", "metrics_ports": [9200], "metrics_path": "/m3"}),
+    ]
+    merged: dict = {}
+    errors: list[str] = []
+    for mi, matcher in enumerate(matchers):
+        res, errs = match_containers(tasks, matcher, matcher_index=mi)
+        errors += errs
+        for mc in res["containers"]:
+            key = (mc.task_index, mc.container_index)
+            if key in merged:
+                merged[key].merge_targets(mc.targets)
+            else:
+                merged[key] = mc
+    rows = [
+        (tgt.matcher_type, f"{base[ti]}|{tgt.port}|{tgt.metrics_path}|{tgt.job}", tgt.port)
+        for (ti, _ci), mc in merged.items()
+        for tgt in mc.targets
+    ]
+    return rows + [("err", msg, 0) for msg in errors]
+
+
+def _scraper_rows(*rows) -> str:
+    """Count rows over events to (name, label_value, sum_int, sum_double,
+    count); a row is ``(name, label_value, where[, sum_int[, sum_double[,
+    count]]])``, the sums defaulting to 0 and count to COUNT(*)."""
+    measures = (("sum_int", "BIGINT", "0"), ("sum_double", "DOUBLE", "0"), ("count", "BIGINT", "COUNT(*)"))
+    return _count_sql("events", ("name", "label_value"), measures, rows)
+
+
+def _obs_sql(name: str, label: str, port: str, where: str) -> str:
+    """One observer row per qualifying event: its name and label are SQL
+    expressions, its sum_int the port."""
+    return (
+        f'SELECT {name} AS name, {label} AS label_value, 1 AS "count", {port} AS sum_int '
+        f"FROM events WHERE {where}"
+    )
+
+
+_E4 = "event_id % 4 = 0"
+_CI_K = "(event_id // 4) % 4"
+_CI_Q = "(event_id // 4)"
+_OBS_IP = "'10.0.' || CAST(event_id % 200 AS VARCHAR) || '.' || CAST(event_id % 100 AS VARCHAR)"
+_OBS_POD = "'k8s_observer/u' || CAST(event_id AS VARCHAR)"
+_OBS_HTTP, _OBS_METRICS = "(8000 + event_id % 1000)", "(9000 + event_id % 500)"
+# (endpoint id, target|transport label, port, condition) per pod endpoint;
+# the http endpoint exists only while its container runs (%5)
+_OBS_ENDPOINTS = [
+    (_OBS_POD, f"{_OBS_IP} || '|'", "0", "TRUE"),
+    (
+        f"{_OBS_POD} || '/http(' || CAST({_OBS_HTTP} AS VARCHAR) || ')'",
+        f"{_OBS_IP} || ':' || CAST({_OBS_HTTP} AS VARCHAR) || '|tcp'",
+        _OBS_HTTP,
+        "event_id % 5 <> 0",
+    ),
+    (
+        f"{_OBS_POD} || '/metrics(' || CAST({_OBS_METRICS} AS VARCHAR) || ')'",
+        f"{_OBS_IP} || ':' || CAST({_OBS_METRICS} AS VARCHAR) || '|udp'",
+        _OBS_METRICS,
+        "TRUE",
+    ),
+    (f"{_OBS_POD} || '/dns(53)'", f"{_OBS_IP} || ':53|unknown'", "53", "TRUE"),
+]
+_OBS_EID = "CAST(event_id AS VARCHAR)"
+_SCRAPER = LegTable(
+    # the engine rows carry their own sum_int/sum_double; count is the
+    # row count of the (leg, name, label_value) aggregate
+    pa.schema(
+        [
+            ("leg", pa.string()),
+            ("name", pa.string()),
+            ("label_value", pa.string()),
+            ("sum_int", pa.int64()),
+            ("sum_double", pa.float64()),
+            ("count", pa.int64()),
+        ]
+    ),
+    (
+        Leg("redis", _scr_redis, _scraper_rows(
+            ("redis/uptime", "", "TRUE", "SUM(event_id)"),
+            ("redis/cpu/time", "sys", "TRUE", "0", "SUM((event_id % 100) + 0.25)"),
+            ("redis/memory/used", "", "TRUE", "SUM(event_id * 10)"),
+            ("redis/memory/fragmentation_ratio", "", "TRUE", "0", "SUM(1.5)"),
+            ("redis/clients/connected", "", "TRUE", "SUM(event_id % 100)"),
+            ("redis/keyspace/hits", "", "TRUE", "SUM(event_id * 2)"),
+            ("redis/keyspace/misses", "", "event_id % 3 <> 0", "SUM(event_id % 50)"),
+            ("redis/keys/evicted", "", "event_id % 4 <> 0", "SUM(event_id % 9)"),
+            *[
+                (f"redis/db/{nm}", str(db), cond, f"SUM((event_id + {db}) % {mod})")
+                for nm, mod in (("keys", 7), ("expires", 5), ("avg_ttl", 11))
+                for db, cond in ((0, "TRUE"), (1, "event_id % 3 >= 1"), (2, "event_id % 3 = 2"))
+            ],
+        )),
+        Leg("zk", _scr_zk, _scraper_rows(
+            ("zookeeper.znodes", "", "TRUE", "SUM(event_id)"),
+            ("zookeeper.packets.received", "", "TRUE", "SUM(event_id * 2)"),
+            ("zookeeper.latency.avg", "", "TRUE", "SUM(event_id % 50)"),
+            ("resource/server.state", "follower", "event_id % 2 = 0"),
+            ("resource/server.state", "leader", "event_id % 2 = 1"),
+            ("resource/zk.version", "3.4.14", "TRUE"),
+        )),
+        Leg("memcached", _scr_memcached, _scraper_rows(
+            ("memcached.bytes", "", "TRUE", "SUM(event_id * 3)"),
+            ("memcached.current_connections", "", "TRUE", "SUM(event_id % 10)"),
+            ("memcached.total_connections", "", "TRUE", "SUM(event_id + 1)"),
+            ("memcached.get_hits", "", "TRUE", "SUM(event_id % 13)"),
+            ("memcached.get_misses", "", "TRUE", "SUM(event_id % 17)"),
+        )),
+        Leg("nginx", _scr_nginx, _scraper_rows(
+            ("nginx.requests", "", "TRUE", "SUM(event_id * 3)"),
+            ("nginx.connections_accepted", "", "TRUE", "SUM(event_id)"),
+            ("nginx.connections_handled", "", "TRUE", "SUM(event_id - (event_id % 7))"),
+            ("nginx.connections_current", "active", "TRUE", "SUM(event_id % 100)"),
+            ("nginx.connections_current", "reading", "TRUE", "SUM(event_id % 3)"),
+            ("nginx.connections_current", "writing", "TRUE", "SUM(event_id % 5)"),
+            ("nginx.connections_current", "waiting", "TRUE", "SUM(event_id % 11)"),
+        )),
+        Leg("prom", _scr_prom, _scraper_rows(
+            ("req_total", 'code="200",method="get"', "TRUE", "0", "SUM(event_id)"),
+            ("req_total", 'code="500",method="post"', "TRUE", "0", "SUM(event_id * 2)"),
+            ("temp", "", "TRUE", "0", "SUM((event_id % 50) + 0.5)"),
+            ("lat_bucket", 'le="1"', "TRUE", "0", "SUM(event_id % 10)"),
+            ("lat_bucket", 'le="+Inf"', "TRUE", "0", "SUM((event_id % 10) + (event_id % 3))"),
+            ("lat_sum", "", "TRUE", "0", "SUM(event_id)"),
+            ("lat_count", "", "TRUE", "0", "SUM((event_id % 10) + (event_id % 3))"),
+        )),
+        Leg("docker", _scr_docker, _scraper_rows(
+            ("cpu.usage.system", "", "TRUE", "SUM(1256)"),
+            ("cpu.usage.total", "", "TRUE", "SUM(1000 + (event_id % 128))"),
+            ("cpu.usage.kernelmode", "", "TRUE", "SUM(event_id)"),
+            ("cpu.usage.usermode", "", "TRUE", "SUM(event_id * 2)"),
+            ("cpu.throttling_data.periods", "", "TRUE", "SUM(event_id % 7)"),
+            ("cpu.throttling_data.throttled_periods", "", "TRUE", "SUM(event_id % 5)"),
+            ("cpu.throttling_data.throttled_time", "", "TRUE", "SUM(event_id % 3)"),
+            # cpuΔ=e%128, sysΔ=256, online=2 → (e%128)/256*2*100, 0 when Δ=0
+            ("cpu.percent", "", "TRUE", "0", "SUM((event_id % 128) * 0.78125)"),
+            ("memory.usage.limit", "", "TRUE", "SUM(512)"),
+            ("memory.usage.total", "", "TRUE", "SUM(700 + (event_id % 512))"),
+            # 100*(usage-cache)/limit = (e%512)*100/512
+            ("memory.percent", "", "TRUE", "0", "SUM((event_id % 512) * 0.1953125)"),
+            ("memory.usage.max", "", "TRUE", "SUM(event_id * 3)"),
+            ("memory.cache", "", "TRUE", "SUM(1000)"),
+            ("memory.total_cache", "", "TRUE", "SUM(300)"),
+            ("memory.pgfault", "", "TRUE", "SUM(event_id)"),
+            ("memory.rss", "", "TRUE", "SUM(event_id % 100)"),
+            ("network.io.usage.rx_bytes", "eth0", "TRUE", "SUM(event_id)"),
+            ("network.io.usage.tx_bytes", "eth0", "TRUE", "SUM(event_id * 2)"),
+            ("blockio.io_service_bytes_recursive.read", "device_major=8,device_minor=0", "TRUE", "SUM(event_id)"),
+            ("blockio.io_service_bytes_recursive.write", "device_major=8,device_minor=0", "TRUE", "SUM(event_id * 2)"),
+        )),
+        # 1953125*x/1e9 = x/512 (dyadic-exact doubles)
+        Leg("kubelet", _scr_kubelet, _scraper_rows(
+            ("k8s.node.cpu.utilization", "", "TRUE", "0", "SUM(event_id * 0.001953125)"),
+            ("k8s.node.cpu.time", "", "TRUE", "0", "SUM(event_id * 0.00390625)"),
+            ("k8s.node.memory.usage", "", "TRUE", "SUM(event_id * 2)"),
+            ("k8s.node.memory.working_set", "", "TRUE", "SUM(event_id % 64)"),
+            ("k8s.node.filesystem.usage", "", "TRUE", "SUM(event_id * 3)"),
+            ("k8s.node.network.io", "interface=eth0,direction=receive", "TRUE", "SUM(event_id)"),
+            ("k8s.node.network.io", "interface=eth0,direction=transmit", "TRUE", "SUM(event_id * 2)"),
+            ("k8s.pod.cpu.utilization", "ns=default,pod=p0", "TRUE", "0", "SUM((event_id % 128) * 0.001953125)"),
+            ("k8s.pod.memory.rss", "ns=default,pod=p0", "TRUE", "SUM(event_id % 32)"),
+            ("k8s.pod.filesystem.capacity", "ns=default,pod=p0", "TRUE", "SUM(1000)"),
+            ("container.memory.usage", "ns=default,pod=p0,container=c0", "TRUE", "SUM(event_id % 16)"),
+            ("container.filesystem.usage", "ns=default,pod=p0,container=c0", "TRUE", "SUM(event_id % 8)"),
+            ("k8s.volume.inodes.used", "ns=default,pod=p0,volume=v0", "TRUE", "SUM(event_id % 9)"),
+        )),
+        # task rollups + limit overrides (accumulator.go:92-112); vcpu =
+        # cpuΔ/1e9 with cpuΔ = 1953125*x → x/512 (dyadic)
+        Leg("ecs", _scr_ecs, _scraper_rows(
+            ("ecs.task.memory.usage", "task=t1", _E4, "SUM(1048576 * (event_id % 7) + 3145728)"),
+            ("ecs.task.memory.usage.max", "task=t1", _E4, "SUM(event_id * 6)"),
+            ("ecs.task.memory.usage.limit", "task=t1", _E4, "SUM(805306368)"),
+            ("ecs.task.memory.utilized", "task=t1", _E4, "SUM((event_id % 7) + 2)"),
+            ("ecs.task.memory.reserved", "task=t1", _E4, "SUM(4096)"),
+            ("ecs.task.cpu.usage.total", "task=t1", _E4,
+             "SUM(1953125 * ((event_id % 128) + (event_id % 64)) + 1000005)"),
+            ("ecs.task.cpu.usage.kernelmode", "task=t1", _E4, "SUM(event_id + (event_id % 3))"),
+            ("ecs.task.cpu.usage.usermode", "task=t1", _E4, "SUM(event_id * 2 + (event_id % 5))"),
+            ("ecs.task.cpu.cores", "task=t1", _E4, "SUM(3)"),
+            ("ecs.task.cpu.onlines", "task=t1", _E4, "SUM(3)"),
+            ("ecs.task.cpu.usage.system", "task=t1", _E4, "SUM(event_id * 3)"),
+            ("ecs.task.cpu.utilized", "task=t1", _E4, "0", "SUM(((event_id % 128) + (event_id % 64)) * 0.390625)"),
+            ("ecs.task.cpu.reserved", "task=t1", _E4, "0", "SUM(0.5)"),
+            ("ecs.task.cpu.usage.vcpu", "task=t1", _E4, "0",
+             "SUM(((event_id % 128) + (event_id % 64)) * 0.001953125)"),
+            ("ecs.task.network.rate.rx", "task=t1", _E4, "0", "SUM(event_id * 1.0)"),
+            ("ecs.task.network.rate.tx", "task=t1", _E4, "0", "SUM(event_id * 1.0)"),
+            ("ecs.task.network.io.usage.rx_bytes", "task=t1", _E4, "SUM(event_id + 3)"),
+            ("ecs.task.network.io.usage.rx_packets", "task=t1", _E4, "SUM((event_id % 3) + 3)"),
+            ("ecs.task.network.io.usage.rx_errors", "task=t1", _E4, "SUM((event_id % 5) + 3)"),
+            ("ecs.task.network.io.usage.rx_dropped", "task=t1", _E4, "SUM((event_id % 7) + 3)"),
+            ("ecs.task.network.io.usage.tx_bytes", "task=t1", _E4, "SUM(event_id * 2 + 3)"),
+            ("ecs.task.network.io.usage.tx_packets", "task=t1", _E4, "SUM((event_id % 11) + 3)"),
+            ("ecs.task.network.io.usage.tx_errors", "task=t1", _E4, "SUM((event_id % 13) + 3)"),
+            ("ecs.task.network.io.usage.tx_dropped", "task=t1", _E4, "SUM((event_id % 17) + 3)"),
+            ("ecs.task.storage.read_bytes", "task=t1", _E4, "SUM(event_id * 3 + (event_id % 11))"),
+            ("ecs.task.storage.write_bytes", "task=t1", _E4, "SUM(event_id + (event_id % 13))"),
+            ("container.duration", "container=c3,task=t1", _E4, "0", "SUM(event_id % 30)"),
+            ("container.cpu.utilized", "container=c1,task=t1", _E4, "0", "SUM((event_id % 128) * 0.1953125)"),
+            # container limit scaling: (vcpu*100)/512 (accumulator.go:87-89)
+            ("container.cpu.utilized", "container=c2,task=t1", _E4, "0", "SUM((event_id % 64) * 0.0003814697265625)"),
+        )),
+        # k8s cluster-object leg (k8sclusterreceiver/collection)
+        Leg("k8sobj", _scr_k8sobj, _scraper_rows(
+            ("k8s.pod.phase", "ns=default,pod=p0", _E4, "SUM((event_id % 5) + 1)"),
+            ("k8s.container.restarts", "ns=default,pod=p0,container=c0", _E4, "SUM(event_id % 9)"),
+            ("k8s.container.ready", "ns=default,pod=p0,container=c0", _E4, "COUNT_IF(event_id % 2 = 0)"),
+            ("k8s.container.cpu_request", "ns=default,pod=p0,container=c0", _E4, "SUM((event_id % 10) * 100)"),
+            ("k8s.container.memory_limit", "ns=default,pod=p0,container=c0", _E4, "SUM((event_id % 3) * 1073741824)"),
+            ("k8s.deployment.desired", "ns=default,deployment=d0", _E4, "SUM(event_id % 7)"),
+            ("k8s.deployment.available", "ns=default,deployment=d0", _E4, "SUM(event_id % 5)"),
+            ("k8s.node.condition_ready", "node=n0", _E4, "SUM(CASE event_id % 3 WHEN 0 THEN 1 WHEN 1 THEN 0 ELSE -1 END)"),
+            ("k8s.namespace.phase", "ns=default", _E4, "COUNT_IF(event_id % 2 = 0)"),
+        )),
+        # Node j fails when (e+j) % 3 = 0 (MemoryPressure True) or (e+j)
+        # % 5 = 0 (NetworkUnavailable Unknown); namespaces alternate on q
+        # parity (2 running pods each); service j has (q+j) % 4 pod keys
+        # and is dropped at 0
+        Leg("ci", _scr_ci, _scraper_rows(
+            ("ci.cluster_node_count", "cluster=c1", _E4, "SUM(3)"),
+            ("ci.cluster_failed_node_count", "cluster=c1", _E4, "SUM(" + " + ".join(
+                f"CASE WHEN (event_id + {j}) % 3 = 0 OR (event_id + {j}) % 5 = 0 THEN 1 ELSE 0 END"
+                for j in (0, 1, 2)
+            ) + ")"),
+            ("ci.namespace_number_of_running_pods", "cluster=c1,ns=ns0", f"{_E4} AND {_CI_Q} % 2 = 0", "SUM(2)"),
+            ("ci.namespace_number_of_running_pods", "cluster=c1,ns=ns1", f"{_E4} AND {_CI_Q} % 2 = 1", "SUM(2)"),
+            *[
+                ("ci.service_number_of_running_pods", f"cluster=c1,ns=ns0,service=svc{j}",
+                 f"{_E4} AND ({_CI_Q} + {j}) % 4 > 0", f"SUM(({_CI_Q} + {j}) % 4)")
+                for j in (0, 1, 2)
+            ],
+        )),
+        Leg("ciotlp", _scr_ciotlp, _scraper_rows(
+            ("resource/Timestamp", "1600000000123||resource", _E4),
+            ("resource/ClusterName", "c1||resource", _E4),
+            ("resource/Type", "Pod||resource", f"{_E4} AND {_CI_K} = 0"),
+            ("resource/Type", "NodeNet||resource", f"{_E4} AND {_CI_K} = 1"),
+            ("resource/Type", "Container||resource", f"{_E4} AND {_CI_K} = 2"),
+            ("resource/Type", "Bogus||resource", f"{_E4} AND {_CI_K} = 3"),
+            # Pod: SumFields over 3 maps — cpu = m0+m1, pgfault = m0+m2
+            ("pod_cpu_utilization", "Pod|Percent|double_gauge", f"{_E4} AND {_CI_K} = 0", "0",
+             "SUM((event_id % 64) + (event_id % 32) + 0.75)"),
+            ("pod_memory_pgfault", "Pod|Count/Second|double_gauge", f"{_E4} AND {_CI_K} = 0", "0",
+             "SUM((event_id % 16) + 2.75)"),
+            ("node_interface_network_rx_bytes", "NodeNet|Bytes/Second|double_gauge", f"{_E4} AND {_CI_K} = 1", "0",
+             "SUM((event_id % 128) + 0.5)"),
+            ("node_interface_network_rx_packets", "NodeNet|Count/Second|int_gauge", f"{_E4} AND {_CI_K} = 1",
+             "SUM(event_id % 9)"),
+            ("container_diskio_io_serviced_read", "Container|Count/Second|int_gauge", f"{_E4} AND {_CI_K} = 2",
+             "SUM(event_id % 11)"),
+            ("container_memory_failcnt", "Container|Count|int_gauge", f"{_E4} AND {_CI_K} = 2", "SUM(event_id % 5)"),
+            # Bogus: unknown Type → empty prefix; memory_usage still maps,
+            # custom_thing gets the empty unit; bool/str fields are skipped
+            ("memory_usage", "Bogus|Bytes|int_gauge", f"{_E4} AND {_CI_K} = 3", "SUM(event_id % 17)"),
+            ("custom_thing", "Bogus||double_gauge", f"{_E4} AND {_CI_K} = 3", "0", "SUM(1.5)"),
+        )),
+        # Mean → gauge with Count as the int sum; Sum → delta of e*3; units
+        # via converter.go mapUnits ("B" → "By")
+        Leg("dotnet", _scr_dotnet, _scraper_rows(
+            ("dotnet.cpu-usage.gauge", "%", "event_id % 16 = 0", "SUM(event_id % 10)", "SUM((event_id % 100) + 0.25)"),
+            ("dotnet.alloc-rate.sum_delta", "By", "event_id % 16 = 0", "0", "SUM(event_id * 3)"),
+        )),
+        # row multiplicities differ per metric, so counts are explicit
+        Leg("kafka", _scr_kafka, _scraper_rows(
+            ("kafka.consumer_group.offset", "", "TRUE",
+             "SUM((event_id % 100) + CASE WHEN event_id % 5 = 0 THEN -1 ELSE event_id % 50 END)", "0", "2 * COUNT(*)"),
+            ("kafka.consumer_group.lag", "", "TRUE",
+             "SUM((event_id % 7) + CASE WHEN event_id % 5 = 0 THEN -1 ELSE event_id % 11 END)", "0", "2 * COUNT(*)"),
+            ("kafka.consumer_group.offset_sum", "", "TRUE",
+             "SUM((event_id % 100) + CASE WHEN event_id % 5 = 0 THEN -1 ELSE event_id % 50 END)"),
+            ("kafka.consumer_group.lag_sum", "", "TRUE",
+             "SUM((event_id % 7) + CASE WHEN event_id % 5 = 0 THEN 0 ELSE event_id % 11 END)"),
+            ("kafka.topic.partitions", "", "TRUE", "SUM(3)", "0", "2 * COUNT(*)"),
+            ("kafka.partition.current_offset", "", "TRUE",
+             "SUM((event_id % 100) + (event_id % 7) + (event_id % 50) + (event_id % 11) + (event_id % 9))",
+             "0", "3 * COUNT(*)"),
+            ("kafka.partition.oldest_offset", "", "TRUE", "SUM(event_id % 13)", "0", "3 * COUNT(*)"),
+            ("kafka.partition.replicas", "", "TRUE", "SUM(7)", "0", "3 * COUNT(*)"),
+            ("kafka.partition.replicas_in_sync", "", "TRUE",
+             "SUM(CASE WHEN event_id % 2 = 0 THEN 2 ELSE 3 END + 4)", "0", "3 * COUNT(*)"),
+        )),
+        Leg("observer", _scr_observer, "\nUNION ALL BY NAME\n".join(
+            _obs_sql(ep, label, port, f"event_id % 53 = 0 AND {cond}")
+            for ep, label, port, cond in _OBS_ENDPOINTS
+        )),
+        Leg("observer_diff", _scr_observer_diff, "\nUNION ALL BY NAME\n".join(
+            _obs_sql(kind, ep, port, f"{where} AND {cond}")
+            for ep, _label, port, cond in _OBS_ENDPOINTS
+            for kind, where in (
+                ("'added'", "event_id % 53 = 13"),
+                ("'updated'", "event_id % 53 = 0 AND event_id % 7 = 0 AND event_id % 11 <> 0"),
+                ("'removed'", "event_id % 53 = 0 AND event_id % 11 = 0"),
+            )
+        )),
+        # the service 9100 target exists only where the docker_label
+        # matcher did not claim (9100, /m1); one aggregated error row
+        Leg("observer_ecs", _scr_observer_ecs, "\nUNION ALL BY NAME\n".join(
+            [
+                _obs_sql(name, label, port, f"event_id % 53 = 0 AND {cond}")
+                for name, label, port, cond in (
+                    ("'docker_label'", f"{_OBS_EID} || '|9100|/m1|job' || CAST(event_id % 2 AS VARCHAR)", "9100",
+                     "event_id % 7 <> 0 AND event_id % 13 <> 0"),
+                    ("'service'", f"{_OBS_EID} || '|8080|/m1|sjob'", "8080", "event_id % 5 <> 0 AND event_id % 4 < 2"),
+                    ("'service'", f"{_OBS_EID} || '|9100|/m1|sjob'", "9100",
+                     "event_id % 5 <> 0 AND event_id % 4 < 2 AND (event_id % 7 = 0 OR event_id % 13 = 0)"),
+                    ("'task_definition'", f"{_OBS_EID} || '|9200|/m3|'", "9200", "event_id % 3 = 0"),
+                )
+            ]
+            + [
+                "SELECT 'err' AS name, 'invalid port_label value, container=web labelKey=PROM_PORT labelValue=bad' "
+                'AS label_value, COUNT(*) AS "count" FROM events '
+                "WHERE event_id % 53 = 0 AND event_id % 7 <> 0 AND event_id % 13 = 0 HAVING COUNT(*) > 0"
+            ]
+        )),
+    ),
+)
+
+
+def _q_scraper_parse(sf_dir: str):
+    """Interval-scraper payload translation: every ``_SCRAPER`` leg on
+    each events batch, rows aggregated per (leg, name, label_value)."""
     from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
 
     ds = _read(sf_dir, "events", ["event_id"])
-
-    def render_and_parse(t: pa.Table) -> pa.Table:
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(e).astype(str)
-
-        def when(cond, lines):
-            return np.where(cond, lines, "")
-
-        redis = (
-            "# Server\n"
-            + "uptime_in_seconds:" + s + "\n"
-            + "used_cpu_sys:" + (pd.Series(e % 100).astype(str) + ".25") + "\n"
-            + "used_memory:" + pd.Series(e * 10).astype(str) + "\n"
-            + "mem_fragmentation_ratio:1.5\n"
-            + "connected_clients:" + pd.Series(e % 100).astype(str) + "\n"
-            + "keyspace_hits:" + pd.Series(e * 2).astype(str) + "\n"
-            + when(e % 3 != 0, "keyspace_misses:" + pd.Series(e % 50).astype(str) + "\n")
-            + "evicted_keys:" + when(e % 4 != 0, pd.Series(e % 9).astype(str)) + "\n"
-            + "db0:keys=" + pd.Series(e % 7).astype(str)
-            + ",expires=" + pd.Series(e % 5).astype(str)
-            + ",avg_ttl=" + pd.Series(e % 11).astype(str) + "\n"
-            + when(
-                e % 3 >= 1,
-                "db1:keys=" + pd.Series((e + 1) % 7).astype(str)
-                + ",expires=" + pd.Series((e + 1) % 5).astype(str)
-                + ",avg_ttl=" + pd.Series((e + 1) % 11).astype(str) + "\n",
-            )
-            + when(
-                e % 3 == 2,
-                "db2:keys=" + pd.Series((e + 2) % 7).astype(str)
-                + ",expires=" + pd.Series((e + 2) % 5).astype(str)
-                + ",avg_ttl=" + pd.Series((e + 2) % 11).astype(str) + "\n",
-            )
-            # beyond the gap: MUST be ignored by the break-on-missing loop
-            + "db9:keys=999,expires=999,avg_ttl=999\n"
-        )
-        zk = (
-            "zk_version\t3.4.14\n"
-            + "zk_server_state\t" + pd.Series(np.where(e % 2 == 0, "follower", "leader")) + "\n"
-            + "zk_znode_count\t" + s + "\n"
-            + "zk_packets_received\t" + pd.Series(e * 2).astype(str) + "\n"
-            + "zk_avg_latency\t" + pd.Series(e % 50).astype(str) + "\n"
-            + "zk_outstanding_requests\tabc\n"  # non-int → dropped
-            + "zk_bogus_metric\t" + s + "\n"  # no descriptor → dropped
-        )
-        mc = (
-            "STAT pid 123\n"
-            + "STAT bytes " + pd.Series(e * 3).astype(str) + "\n"
-            + "STAT curr_connections " + pd.Series(e % 10).astype(str) + "\n"
-            + "STAT total_connections " + pd.Series(e + 1).astype(str) + "\n"
-            + "STAT get_hits " + pd.Series(e % 13).astype(str) + "\n"
-            + "STAT get_misses " + pd.Series(e % 17).astype(str) + "\n"
-            + "STAT uptime " + s + "\nEND\n"  # unmapped → ignored
-        )
-        ng = (
-            "Active connections: " + pd.Series(e % 100).astype(str) + "\n"
-            + "server accepts handled requests\n "
-            + s + " " + pd.Series(e - e % 7).astype(str) + " "
-            + pd.Series(e * 3).astype(str) + "\n"
-            + "Reading: " + pd.Series(e % 3).astype(str)
-            + " Writing: " + pd.Series(e % 5).astype(str)
-            + " Waiting: " + pd.Series(e % 11).astype(str) + "\n"
-        )
-        prom = (
-            "# HELP req_total Total requests.\n"
-            + "# TYPE req_total counter\n"
-            + 'req_total{method="get",code="200"} ' + s + "\n"
-            # unsorted label body — canonicalization must sort it
-            + 'req_total{code="500",method="post"} ' + pd.Series(e * 2).astype(str) + "\n"
-            + "# TYPE temp gauge\n"
-            + "temp " + (pd.Series(e % 50).astype(str) + ".5") + "\n"
-            + "# TYPE lat histogram\n"
-            + 'lat_bucket{le="1"} ' + pd.Series(e % 10).astype(str) + "\n"
-            + 'lat_bucket{le="+Inf"} ' + pd.Series(e % 10 + e % 3).astype(str) + "\n"
-            + "lat_sum " + s + "\n"
-            + "lat_count " + pd.Series(e % 10 + e % 3).astype(str) + "\n"
-            + "this line is garbage and must be skipped\n"
-        )
-
-        def js(x):
-            return pd.Series(x).astype(str)
-
-        docker = (
-            '{"cpu_stats": {"cpu_usage": {"total_usage": ' + js(1000 + e % 128)
-            + ', "usage_in_kernelmode": ' + s + ', "usage_in_usermode": ' + js(e * 2)
-            + ', "percpu_usage": [1, 1]}, "system_cpu_usage": 1256, "online_cpus": 2,'
-            + ' "throttling_data": {"periods": ' + js(e % 7)
-            + ', "throttled_periods": ' + js(e % 5)
-            + ', "throttled_time": ' + js(e % 3) + "}}, "
-            + '"precpu_stats": {"cpu_usage": {"total_usage": 1000}, "system_cpu_usage": 1000}, '
-            + '"memory_stats": {"usage": ' + js(1000 + e % 512)
-            + ', "limit": 512, "max_usage": ' + js(e * 3)
-            + ', "stats": {"cache": 1000, "total_cache": 300, "pgfault": ' + s
-            + ', "rss": ' + js(e % 100) + "}}, "
-            + '"networks": {"eth0": {"rx_bytes": ' + s + ', "tx_bytes": ' + js(e * 2) + "}}, "
-            + '"blkio_stats": {"io_service_bytes_recursive": ['
-            + '{"major": 8, "minor": 0, "op": "Read", "value": ' + s + "}, "
-            + '{"major": 8, "minor": 0, "op": "Write", "value": ' + js(e * 2) + "}, "
-            + '{"major": 8, "minor": 0, "op": "", "value": 99}]}}'
-        )
-
-        # dyadic nanocore values: 1e9 = 1953125 * 512, so
-        # 1953125*e / 1e9 = e/512 — float sums stay exact/order-free
-        kubelet = (
-            '{"node": {"cpu": {"usageNanoCores": ' + js(e * 1953125)
-            + ', "usageCoreNanoSeconds": ' + js(e * 3906250) + "}, "
-            + '"memory": {"usageBytes": ' + js(e * 2)
-            + ', "workingSetBytes": ' + js(e % 64) + "}, "
-            + '"fs": {"usedBytes": ' + js(e * 3) + "}, "
-            + '"network": {"name": "eth0", "rxBytes": ' + s
-            + ', "txBytes": ' + js(e * 2) + "}}, "
-            + '"pods": [{"podRef": {"name": "p0", "namespace": "default"}, '
-            + '"cpu": {"usageNanoCores": ' + js((e % 128) * 1953125) + "}, "
-            + '"memory": {"rssBytes": ' + js(e % 32) + "}, "
-            + '"ephemeral-storage": {"capacityBytes": 1000}, '
-            + '"containers": [{"name": "c0", "memory": {"usageBytes": ' + js(e % 16)
-            + '}, "rootfs": {"usedBytes": ' + js(e % 8) + "}}], "
-            + '"volume": [{"name": "v0", "inodesUsed": ' + js(e % 9) + "}]}]}"
-        )
-
-        # ECS task (two running containers + one stopped): exercises the
-        # per-container math, the task rollup, and the limit overrides;
-        # the output is pruned to task-level rows + the two
-        # division-semantics container rows + the stopped duration
-        ecs = (
-            '{"metadata": {"TaskARN": "arn:aws:ecs:us-west-2:123:task/t1", '
-            + '"Limits": {"Memory": 4096}, "Containers": ['
-            + '{"DockerId": "d1", "Name": "c1"}, '
-            + '{"DockerId": "d2", "Name": "c2", "Limits": {"CPU": 512, "Memory": 256}}, '
-            + '{"DockerId": "d3", "Name": "c3", "StartedAt": "2020-09-13T00:00:00Z", '
-            + '"FinishedAt": "2020-09-13T00:00:' + pd.Series(e % 30).astype(str).str.zfill(2) + 'Z"}]}, '
-            + '"stats": ['
-            + '{"id": "d1", "read": "2020-09-13T00:00:01Z", "preread": "2020-09-13T00:00:00Z", '
-            + '"memory_stats": {"usage": ' + js(1048576 * (e % 7) + 1048576)
-            + ', "max_usage": ' + js(e * 2) + ', "limit": 536870912, "stats": {"cache": 1048576}}, '
-            + '"cpu_stats": {"cpu_usage": {"total_usage": ' + js(1953125 * (e % 128) + 1000000)
-            + ', "usage_in_kernelmode": ' + s + ', "usage_in_usermode": ' + js(e * 2)
-            + ', "percpu_usage": [1, 1]}, "online_cpus": 2, "system_cpu_usage": ' + js(e * 2) + "}, "
-            + '"precpu_stats": {"cpu_usage": {"total_usage": 1000000}}, '
-            + '"network_rate_stats": {"rx_bytes_per_sec": ' + pd.Series(e * 0.25).astype(str)
-            + ', "tx_bytes_per_sec": ' + pd.Series(e * 0.5).astype(str) + "}, "
-            + '"networks": {"eth0": {"rx_bytes": ' + s + ', "rx_packets": ' + js(e % 3)
-            + ', "rx_errors": ' + js(e % 5) + ', "rx_dropped": ' + js(e % 7)
-            + ', "tx_bytes": ' + js(e * 2) + ', "tx_packets": ' + js(e % 11)
-            + ', "tx_errors": ' + js(e % 13) + ', "tx_dropped": ' + js(e % 17) + "}, "
-            + '"eth1": {"rx_bytes": 1, "rx_packets": 1, "rx_errors": 1, "rx_dropped": 1, '
-            + '"tx_bytes": 1, "tx_packets": 1, "tx_errors": 1, "tx_dropped": 1}}, '
-            + '"blkio_stats": {"io_service_bytes_recursive": ['
-            + '{"op": "Read", "value": ' + js(e * 3) + '}, {"op": "Write", "value": ' + s
-            + '}, {"op": "Total", "value": 99}]}}, '
-            + '{"id": "d2", "read": "2020-09-13T00:00:01Z", "preread": "2020-09-13T00:00:00Z", '
-            + '"memory_stats": {"usage": 2097152, "max_usage": ' + js(e * 4)
-            + ', "limit": 268435456, "stats": {"cache": 0}}, '
-            + '"cpu_stats": {"cpu_usage": {"total_usage": ' + js(1953125 * (e % 64) + 5)
-            + ', "usage_in_kernelmode": ' + js(e % 3) + ', "usage_in_usermode": ' + js(e % 5)
-            + ', "percpu_usage": [1]}, "online_cpus": 1, "system_cpu_usage": ' + s + "}, "
-            + '"precpu_stats": {"cpu_usage": {"total_usage": 5}}, '
-            + '"network_rate_stats": {"rx_bytes_per_sec": ' + pd.Series(e * 0.75).astype(str)
-            + ', "tx_bytes_per_sec": ' + pd.Series(e * 0.5).astype(str) + "}, "
-            + '"networks": {"eth0": {"rx_bytes": 2, "rx_packets": 2, "rx_errors": 2, "rx_dropped": 2, '
-            + '"tx_bytes": 2, "tx_packets": 2, "tx_errors": 2, "tx_dropped": 2}}, '
-            + '"blkio_stats": {"io_service_bytes_recursive": ['
-            + '{"op": "Read", "value": ' + js(e % 11) + '}, {"op": "Write", "value": ' + js(e % 13)
-            + "}]}}]}"
-        )
-
-        # k8s cluster objects: pod phase cycle, container status+spec
-        # resources (cpu in millicores), deployment replicas, node
-        # Ready tri-state, namespace phase
-        phase = pd.Series(
-            np.array(["Pending", "Running", "Succeeded", "Failed", "Unknown"], dtype=object)[e % 5]
-        )
-        cond = pd.Series(np.array(["True", "False", "Unknown"], dtype=object)[e % 3])
-        nsphase = pd.Series(np.where(e % 2 == 0, "Active", "Terminating"))
-        k8sobj = (
-            '[{"kind": "Pod", "metadata": {"name": "p0", "namespace": "default"}, '
-            + '"status": {"phase": "' + phase + '", "containerStatuses": ['
-            + '{"name": "c0", "containerID": "docker://x", "restartCount": ' + js(e % 9)
-            + ', "ready": ' + pd.Series(np.where(e % 2 == 0, "true", "false")) + "}, "
-            + '{"name": "ghost", "containerID": "", "restartCount": 99}]}, '
-            + '"spec": {"containers": [{"name": "c0", "resources": '
-            + '{"requests": {"cpu": "' + js((e % 10) * 100) + 'm"}, '
-            + '"limits": {"memory": "' + js(e % 3) + 'Gi"}}}]}}, '
-            + '{"kind": "Deployment", "metadata": {"name": "d0", "namespace": "default"}, '
-            + '"spec": {"replicas": ' + js(e % 7) + '}, "status": {"availableReplicas": ' + js(e % 5) + "}}, "
-            + '{"kind": "Node", "metadata": {"name": "n0"}, '
-            + '"status": {"conditions": [{"type": "Ready", "status": "' + cond + '"}]}}, '
-            + '{"kind": "Namespace", "metadata": {"name": "default"}, '
-            + '"status": {"phase": "' + nsphase + '"}}]'
-        )
-
-        # container-insights cluster snapshot (k8sapiserver.go:111-186):
-        # 3 nodes with pressure/network conditions, 4 pods across two
-        # namespaces, 3 services with (q+j)%4 pod keys (q = e//4)
-        from opentelemetry_collector_contrib_ray.sources.scrapers import (
-            parse_container_insights,
-        )
-
-        ci_q = e // 4
-
-        def _ci_node(j):
-            mp = pd.Series(np.where((e + j) % 3 == 0, "True", "False"))
-            nu = pd.Series(np.where((e + j) % 5 == 0, "Unknown", "False"))
-            return (
-                '{"status": {"conditions": [{"type": "MemoryPressure", "status": "'
-                + mp
-                + '"}, {"type": "NetworkUnavailable", "status": "'
-                + nu
-                + '"}]}}'
-            )
-
-        _ci_pk = np.array(
-            ['[]', '["p0"]', '["p0", "p1"]', '["p0", "p1", "p2"]'], dtype=object
-        )
-
-        def _ci_ep(j):
-            return (
-                '{"service": "svc%d", "namespace": "ns0", "podKeys": ' % j
-                + pd.Series(_ci_pk[(ci_q + j) % 4])
-                + "}"
-            )
-
-        def _ci_pod(j):
-            ph = pd.Series(np.where((ci_q + j) % 2 == 0, "Running", "Pending"))
-            return '{"namespace": "ns%d", "phase": "' % (j % 2) + ph + '"}'
-
-        ci = (
-            '{"cluster": "c1", "nodes": ['
-            + _ci_node(0) + ", " + _ci_node(1) + ", " + _ci_node(2)
-            + '], "pods": ['
-            + _ci_pod(0) + ", " + _ci_pod(1) + ", " + _ci_pod(2) + ", " + _ci_pod(3)
-            + '], "endpoints": ['
-            + _ci_ep(0) + ", " + _ci_ep(1) + ", " + _ci_ep(2)
-            + "]}"
-        )
-
-        # container-insights decorated-metric → OTLP translation
-        # (internal/aws/containerinsight/utils.go:30-216): four Type
-        # variants cycling on (e//4)%4 — Pod exercises the SumFields
-        # list fold (extra key ignored, missing key skipped per map),
-        # NodeNet/Container the prefix-strip unit lookup and int/double
-        # gauge dispatch, Bogus the unknown-Type empty prefix plus the
-        # bool/str type-switch skips; Timestamp tag checks the ns→ms
-        # rewrite (truncation of the sub-ms digits)
-        ci_k = ci_q % 4
-        from opentelemetry_collector_contrib_ray.sources.scrapers import (
-            convert_ci_otlp,
-        )
-
-        _co_pod = (
-            '[{"pod_cpu_utilization": ' + js(e % 64) + ".25"
-            + ', "pod_memory_pgfault": ' + js(e % 16) + '.5}, '
-            + '{"pod_cpu_utilization": ' + js(e % 32) + ".5"
-            + ', "pod_extra_ignored": 1.5}, '
-            + '{"pod_memory_pgfault": 2.25}]'
-        )
-        _co_nodenet = (
-            '{"node_interface_network_rx_bytes": ' + js(e % 128) + ".5"
-            + ', "node_interface_network_rx_packets": ' + js(e % 9) + "}"
-        )
-        _co_container = (
-            '{"container_diskio_io_serviced_read": ' + js(e % 11)
-            + ', "container_memory_failcnt": ' + js(e % 5) + "}"
-        )
-        _co_bogus = (
-            '{"memory_usage": ' + js(e % 17)
-            + ', "custom_thing": 1.5, "flagged": true, "note": "x"}'
-        )
-        _co_type = pd.Series(
-            np.select(
-                [ci_k == 0, ci_k == 1, ci_k == 2],
-                ["Pod", "NodeNet", "Container"],
-                default="Bogus",
-            )
-        )
-        _co_fields = pd.Series(
-            np.select(
-                [ci_k == 0, ci_k == 1, ci_k == 2],
-                [_co_pod, _co_nodenet, _co_container],
-                default=_co_bogus,
-            )
-        )
-        ciotlp = (
-            '{"fields": ' + _co_fields
-            + ', "tags": {"Type": "' + _co_type
-            + '", "Timestamp": "1600000000123456789", "ClusterName": "c1"}}'
-        )
-
-        ids = pa.array(e, pa.int64())
-        # the ECS / k8s-object / container-insights translations are
-        # inherently per-task Python (nested docs with joins/rollups) —
-        # subsample those legs to event_id % 4 == 0 (mirrored in the
-        # oracle WHERE) so the query's cost stays dominated by the
-        # vectorized legs
-        sub = e % 4 == 0
-        ids_sub = pa.array(e[sub], pa.int64())
-        parts = []
-        for leg, parser, payload in (
-            ("redis", parse_redis_info, redis),
-            ("zk", parse_zk_mntr, zk),
-            ("memcached", parse_memcached_stats, mc),
-            ("nginx", parse_nginx_stub_status, ng),
-            ("prom", parse_prometheus_text, prom),
-            ("docker", parse_docker_stats, docker),
-            ("kubelet", parse_kubelet_summary, kubelet),
-            ("ecs", parse_ecs_task_stats, ecs),
-            ("k8sobj", parse_k8s_objects, k8sobj),
-            ("ci", parse_container_insights, ci),
-            ("ciotlp", convert_ci_otlp, ciotlp),
-        ):
-            if leg in ("ecs", "k8sobj", "ci", "ciotlp"):
-                leg_ids, pay = ids_sub, payload[sub]
-            else:
-                leg_ids, pay = ids, payload
-            parsed = parser(
-                pa.table({"server_id": leg_ids, "payload": pa.array(pay.to_numpy(dtype=object), pa.string())})
-            )
-            if leg == "ciotlp":
-                # fold units+kind into the label so the oracle
-                # value-checks the unit map and the gauge dispatch
-                lv2 = pc.binary_join_element_wise(
-                    pc.coalesce(parsed["label_value"], pa.scalar("", pa.string())),
-                    pc.coalesce(parsed["units"], pa.scalar("", pa.string())),
-                    pc.coalesce(parsed["mtype"], pa.scalar("", pa.string())),
-                    "|",
-                )
-                parsed = parsed.set_column(
-                    parsed.schema.get_field_index("label_value"), "label_value", lv2
-                )
-            if leg == "ecs":
-                import pandas as _pd
-
-                lv = _pd.Series(parsed["label_value"].to_numpy(zero_copy_only=False))
-                nm = _pd.Series(parsed["name"].to_numpy(zero_copy_only=False))
-                keep = (
-                    (lv == "task=t1")
-                    | (nm == "container.duration")
-                    | (nm == "container.cpu.utilized")
-                ).to_numpy(dtype=bool)
-                parsed = parsed.filter(pa.array(keep))
-            name = pc.coalesce(
-                parsed["name"],
-                pc.binary_join_element_wise(
-                    "resource/", pc.cast(parsed["label_key"], pa.string()), ""
-                ),
-            )
-            parts.append(
-                pa.table(
-                    {
-                        "leg": pa.array([leg] * parsed.num_rows, pa.string()),
-                        "name": name,
-                        "label_value": pc.coalesce(parsed["label_value"], pa.scalar("", pa.string())),
-                        "value_int": pc.coalesce(parsed["value_int"], pa.scalar(0, pa.int64())),
-                        "value_double": pc.coalesce(parsed["value_double"], pa.scalar(0.0, pa.float64())),
-                    }
-                )
-            )
-
-        # ---- dotnet EventPipe leg (sources/dotnet.py): render a full
-        # IPC+nettrace binary stream per event (Mean + Sum counters,
-        # stack/SP blocks, an unregistered-metadata event on %3 that
-        # must be dropped), decode with the real parser; the binary
-        # codec is ~340 µs/event of inherent per-record work, so this
-        # leg subsamples to %16 (mirrored in the oracle WHERE — still
-        # 625 round-tripped events at the driver's sf0.01) ----
-        from opentelemetry_collector_contrib_ray.sources.dotnet import (
-            encode_counter_stream,
-            parse_dotnet_counters,
-        )
-
-        esub = e[e % 16 == 0]
-        blobs = [
-            encode_counter_stream(
-                [
-                    dict(name="cpu-usage", display="CPU Usage",
-                         counter_type="Mean", mean=float(x % 100) + 0.25,
-                         count=int(x % 10), units="%"),
-                    dict(name="alloc-rate", display="Allocation Rate",
-                         counter_type="Sum", increment=float(x * 3),
-                         units="B"),
-                ],
-                unknown_event=(x % 3 == 0),
-            )
-            for x in esub
-        ]
-        dt = parse_dotnet_counters(
-            pa.table(
-                {
-                    "server_id": pa.array(esub, pa.int64()),
-                    "payload": pa.array(blobs, pa.binary()),
-                }
-            )
-        )
-        parts.append(
-            pa.table(
-                {
-                    "leg": pa.array(["dotnet"] * dt.num_rows, pa.string()),
-                    "name": dt["name"],
-                    "label_value": dt["label_value"],
-                    "value_int": dt["value_int"],
-                    "value_double": dt["value_double"],
-                }
-            )
-        )
-
-        # ---- kafkametrics leg (sources/kafka_lag.py): cluster-state
-        # rows → consumer lag/offset math (+ the -1 sentinel rules,
-        # unconsumed-topic suppression, group/topic regex filters) and
-        # topic-scraper partition gauges. Batch-additive rows only —
-        # the per-group members gauge is unit-tested, not summed. ----
-        from opentelemetry_collector_contrib_ray.sources.kafka_lag import (
-            kafka_consumer_metrics,
-            kafka_topic_metrics,
-        )
-
-        ke = e
-        n_k = len(ke)
-        kid = pd.Series(ke).astype(str)
-        g_ids = ("g" + kid).tolist()
-        t_ids = ("t" + kid).tolist()
-        idle_ids = ("idle" + kid).tolist()
-        zz_ids = ("zz" + kid).tolist()
-        state = pa.table(
-            {
-                "group": pa.array(
-                    g_ids * 2 + g_ids + [f"skip{g}" for g in g_ids], pa.string()
-                ),
-                "topic": pa.array(
-                    t_ids * 2 + idle_ids + zz_ids, pa.string()
-                ),
-                "partition": pa.array(
-                    np.concatenate(
-                        [ke * 3, ke * 3 + 1, ke * 3 + 2, ke * 3]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "consumer_offset": pa.array(
-                    np.concatenate(
-                        [
-                            ke % 100,
-                            np.where(ke % 5 == 0, -1, ke % 50),
-                            np.full(n_k, -1),
-                            np.full(n_k, 10**6),  # excluded by filters
-                        ]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "partition_offset": pa.array(
-                    np.concatenate(
-                        [
-                            (ke % 100) + (ke % 7),
-                            (ke % 50) + (ke % 11),
-                            ke % 9,
-                            np.full(n_k, 10**6),
-                        ]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "oldest_offset": pa.array(
-                    np.concatenate(
-                        [ke % 13, np.zeros(n_k), np.zeros(n_k), np.zeros(n_k)]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "replicas": pa.array(
-                    np.concatenate(
-                        [np.full(n_k, 3), np.full(n_k, 3), np.full(n_k, 1),
-                         np.full(n_k, 9)]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "in_sync": pa.array(
-                    np.concatenate(
-                        [
-                            np.where(ke % 2 == 0, 2, 3),
-                            np.full(n_k, 3),
-                            np.full(n_k, 1),
-                            np.full(n_k, 9),
-                        ]
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "group_members": pa.array(
-                    np.full(4 * n_k, 4).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-        kc = kafka_consumer_metrics(
-            state, group_match=r"^g\d", topic_match=r"^(t|idle)\d"
-        )
-        kt = kafka_topic_metrics(state, topic_match=r"^(t|idle)\d")
-        kall = pa.concat_tables([kc, kt])
-        knames = pd.Series(kall["name"].to_numpy(zero_copy_only=False))
-        keep_k = (knames != "kafka.consumer_group.members").to_numpy()
-        kall = kall.filter(pa.array(keep_k))
-        parts.append(
-            pa.table(
-                {
-                    "leg": pa.array(["kafka"] * kall.num_rows, pa.string()),
-                    "name": kall["name"],
-                    "label_value": pa.array([""] * kall.num_rows, pa.string()),
-                    "value_int": kall["value"],
-                    "value_double": pa.array(
-                        np.zeros(kall.num_rows), pa.float64()
-                    ),
-                }
-            )
-        )
-        return pa.concat_tables(parts)
-
-    # ---- observer-extension leg (round 5, pytest-only → driver-
-    # oracled): k8sobserver pod→endpoint conversion (extension/
-    # observer/k8sobserver/handler.go:46-109 — pod endpoint + one per
-    # running container port, tcp/udp/unknown transport) and OnUpdate
-    # diffing (:112-168 — added / updated-on-payload-change / removed),
-    # driven through the real discovery code per subsampled pod (%53 —
-    # PRIME, so the %2/%3/%4/%5/%7/%11/%13 branch conditions all vary
-    # across the subsample; a %50 stride would freeze x%5 at 0 and make
-    # the running-container and ServiceMatcher legs vacuous;
-    # discovery objects are inherently per-pod dicts, ~200 pods at the
-    # driver's sf0.01). Every endpoint id/target/transport/port and
-    # every diff membership is a closed form the oracle re-derives.
-    def observer_leg(t: pa.Table) -> pa.Table:
-        from opentelemetry_collector_contrib_ray.stages.observer import (
-            diff_endpoints,
-            pod_to_endpoints,
-        )
-
-        e = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-
-        def mk_pod(x: int, ip_net: int) -> dict:
-            return {
-                "uid": f"u{x}",
-                "name": f"pod{x}",
-                "namespace": f"ns{x % 3}",
-                "ip": f"10.{ip_net}.{x % 200}.{x % 100}",
-                "labels": {},
-                "annotations": {},
-                "containers": [
-                    {
-                        "name": "c0",
-                        "running": x % 5 != 0,
-                        "ports": [
-                            {"name": "http", "port": 8000 + x % 1000,
-                             "protocol": "TCP"}
-                        ],
-                    },
-                    {
-                        "name": "c1",
-                        "running": True,
-                        "ports": [
-                            {"name": "metrics", "port": 9000 + x % 500,
-                             "protocol": "UDP"},
-                            {"name": "dns", "port": 53, "protocol": ""},
-                        ],
-                    },
-                ],
-            }
-
-        base = [int(x) for x in e[e % 53 == 0]]
-        rows = [
-            ("observer", ep["id"],
-             f"{ep['target']}|{ep.get('transport', '')}", ep.get("port", 0))
-            for x in base
-            for ep in pod_to_endpoints(mk_pod(x, 0))
-        ]
-        old = [ep for x in base for ep in pod_to_endpoints(mk_pod(x, 0))]
-        new = [
-            ep
-            for x in base
-            if x % 11 != 0
-            for ep in pod_to_endpoints(mk_pod(x, 1 if x % 7 == 0 else 0))
-        ] + [
-            ep
-            for x in (int(x) for x in e[e % 53 == 13])
-            for ep in pod_to_endpoints(mk_pod(x, 0))
-        ]
-        added, updated, removed = diff_endpoints(old, new)
-        rows += [
-            ("observer_diff", kind, ep["id"], ep.get("port", 0))
-            for kind, eps in (
-                ("added", added), ("updated", updated), ("removed", removed)
-            )
-            for ep in eps
-        ]
-
-        # --- ecsobserver matcher sweep (docker_label.go:64-135,
-        # service.go:41-104, task_definition.go:61-101,
-        # matcher.go:88-100,146-178): one synthetic ECS task per
-        # subsampled event, three matchers in order, per-container
-        # MergeTargets (existing wins on (port, metrics_path) — proven
-        # by the service 9100 target that only survives when the
-        # docker_label matcher did NOT already claim it), and the
-        # invalid-port-label ERROR path (collected, not aborting).
-        from opentelemetry_collector_contrib_ray.stages.observer import (
-            DockerLabelMatcher,
-            ServiceMatcher,
-            TaskDefinitionMatcher,
-            match_containers,
-        )
-
-        def mk_task(x: int) -> dict:
-            return {
-                "service": f"svc-{x % 4}" if x % 5 != 0 else None,
-                "task_definition_arn": f"arn:aws:ecs:task-definition/app-{x % 3}:1",
-                "containers": [
-                    {
-                        "name": "web",
-                        "port_mappings": [8080, 9100],
-                        "docker_labels": {
-                            "PROM_PORT": (
-                                "9999" if x % 7 == 0
-                                else ("bad" if x % 13 == 0 else "9100")
-                            ),
-                            "PROM_PATH": "/m1",
-                            "PROM_JOB": f"job{x % 2}",
-                        },
-                    },
-                    {"name": "sidecar", "port_mappings": [9200],
-                     "docker_labels": {}},
-                ],
-            }
-
-        tasks = [mk_task(x) for x in base]
-        matchers = [
-            DockerLabelMatcher(
-                {"port_label": "PROM_PORT", "metrics_path_label": "PROM_PATH",
-                 "job_name_label": "PROM_JOB"}
-            ),
-            ServiceMatcher(
-                {"name_pattern": "^svc-[01]$",
-                 "container_name_pattern": "^web$",
-                 "metrics_ports": [8080, 9100], "metrics_path": "/m1",
-                 "job_name": "sjob"}
-            ),
-            TaskDefinitionMatcher(
-                {"arn_pattern": "app-0:", "metrics_ports": [9200],
-                 "metrics_path": "/m3"}
-            ),
-        ]
-        merged: dict = {}
-        errors: list[str] = []
-        for mi, mt_ in enumerate(matchers):
-            res, errs = match_containers(tasks, mt_, matcher_index=mi)
-            errors += errs
-            for mc in res["containers"]:
-                key = (mc.task_index, mc.container_index)
-                if key in merged:
-                    merged[key].merge_targets(mc.targets)
-                else:
-                    merged[key] = mc
-        for (ti, _ci), mc in merged.items():
-            x = base[ti]
-            rows += [
-                ("observer_ecs", tgt.matcher_type,
-                 f"{x}|{tgt.port}|{tgt.metrics_path}|{tgt.job}", tgt.port)
-                for tgt in mc.targets
-            ]
-        rows += [("observer_ecs", "err", msg, 0) for msg in errors]
-
-        n = len(rows)
-        return pa.table(
-            {
-                "leg": pa.array([r[0] for r in rows], pa.string()),
-                "name": pa.array([r[1] for r in rows], pa.string()),
-                "label_value": pa.array([r[2] for r in rows], pa.string()),
-                "value_int": pa.array([r[3] for r in rows], pa.int64()),
-                "value_double": pa.array(np.zeros(n), pa.float64()),
-            }
-        )
-
     # explicit small batch_size: the render+parse UDF costs ~0.3 ms/row,
     # and without it the fused chain inherits two_phase_agg's 64k batch
     # size, bundling the whole table into ~2 tasks (no parallelism)
-    parsed = ds.map_batches(render_and_parse, batch_format="pyarrow", batch_size=2048)
-    obs = ds.map_batches(observer_leg, batch_format="pyarrow", batch_size=2048)
+    rows = ds.map_batches(
+        _SCRAPER.batch(
+            _SCRAPER.legs, lambda t: t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ),
+        batch_format="pyarrow",
+        batch_size=2048,
+    )
     out = two_phase_agg(
-        parsed.union(obs),
+        rows,
         ["leg", "name", "label_value"],
-        {"value_int": ["sum"], "value_double": ["sum"]},
+        {"sum_int": ["sum"], "sum_double": ["sum"]},
         batch_size=16 * 1024,
     )
 
@@ -4443,8 +4680,8 @@ def _q_scraper_parse(sf_dir: str):
                 "name": t["name"],
                 "label_value": t["label_value"],
                 "count": pc.cast(t["count"], pa.int64()),
-                "sum_int": pc.cast(t["value_int_sum"], pa.int64()),
-                "sum_double": t["value_double_sum"],
+                "sum_int": pc.cast(t["sum_int_sum"], pa.int64()),
+                "sum_double": t["sum_double_sum"],
             }
         )
 
@@ -4475,156 +4712,247 @@ def _q_influx_parse(sf_dir: str):
     return _round_cols(out, {"field_value_sum": 6})
 
 
-def _q_llm_ops(sf_dir: str):
-    """Training-data ops (stages/llmdata.py) as two oracle-checked
-    legs: 'pii' injects deterministic PII into every document and
-    value-checks the full redacted string + per-kind counts against
-    DuckDB's chained regexp_replace; 'pack' runs the distributed
-    concat-and-chunk sequence packer (seq_len=64, per-source) and
-    checks chunk counts, full/tail split and the first/last packed
-    token per source against SQL closed forms."""
+# ------------------------------------------------------------------ llm_ops
+# Training-data ops (stages/llmdata.py, stages/dedup.py, pipelines/
+# corpus_prep.py), one leg per operator, each checked per document or per
+# group against SQL that re-derives it, mostly by a different algorithm
+# (strings where the engine hashes, list explosions where it runs flat
+# kernels). Legs read the documents table or the synth corpus (the
+# pre-tokenized list<int32> shape the oracle reads as __CORPUS__).
+
+
+class _LlmInputs:
+    """The inputs llm_ops' legs share, each built on first use."""
+
+    def __init__(self, sf_dir: str):
+        self.sf_dir = sf_dir
+
+    @cached_property
+    def docs(self):
+        return _read(self.sf_dir, "documents", ["doc_id", "text", "source"])
+
+    @cached_property
+    def corpus(self):
+        from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
+
+        # sf-dependent, the same path the oracle reads
+        return read_corpus(_corpus_dir(self.sf_dir), columns=["doc_id", "source", "tokens"])
+
+    @cached_property
+    def vocab(self) -> tuple[pa.Table, int]:
+        """The corpus top-50 words with their counts, and the word total."""
+        from opentelemetry_collector_contrib_ray.stages.llmdata import corpus_word_counts, top_vocab
+
+        counts = corpus_word_counts(self.docs)
+        return top_vocab(counts, 50), int(counts.sum("c") or 0)
+
+    @cached_property
+    def dup_docs(self):
+        """The documents with a fixed 40-word passage appended on doc_id % 25 == 0."""
+        import pandas as pd
+
+        passage = " ".join(f"zq{j}" for j in range(40))
+
+        def inject(t: pa.Table) -> pa.Table:
+            d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            s = _texts(t)
+            s = s.where(pd.Series(d % 25 != 0), s + " " + passage)
+            return pa.table({"doc_id": t["doc_id"], "text": pa.array(s.to_numpy(dtype=object), pa.string())})
+
+        return self.docs.select_columns(["doc_id", "text"]).map_batches(inject, batch_format="pyarrow")
+
+    @cached_property
+    def dup(self):
+        """Repeated 32-word windows of ``dup_docs`` (pandas)."""
+        from opentelemetry_collector_contrib_ray.stages.llmdata import duplicate_passages
+
+        return duplicate_passages(self.dup_docs, window=32).to_pandas()
+
+    @cached_property
+    def tok_docs(self):
+        """The corpus with injected token arrays: 16-token templates on
+        numeric(doc_id) % 13 (template d % 5) and one-token-mutated
+        64-token copies of 3 base sequences on % 17 (group d % 3)."""
+
+        def inject(t: pa.Table) -> pa.Table:
+            from opentelemetry_collector_contrib_ray.stages.llmdata import _flat_tokens
+
+            d = _dnum(t["doc_id"].to_numpy(zero_copy_only=False))
+            vals, offs = _flat_tokens(t, "tokens")
+            lens = np.diff(offs)
+            n = len(d)
+            a_mask = d % 13 == 0
+            b_mask = (~a_mask) & (d % 17 == 0)
+            o_mask = ~(a_mask | b_mask)
+            new_lens = np.where(a_mask, 16, np.where(b_mask, 64, lens)).astype(np.int64)
+            new_off = np.zeros(n + 1, np.int64)
+            np.cumsum(new_lens, out=new_off[1:])
+            out = np.zeros(int(new_off[-1]), np.int64)
+            # originals: scatter each kept row's values to its new offset
+            pos = np.arange(len(vals), dtype=np.int64) - np.repeat(offs[:-1], lens)
+            sel = np.repeat(o_mask, lens)
+            out[np.repeat(new_off[:-1], lens)[sel] + pos[sel]] = vals[sel]
+            # A: 16-token template per t = d % 5
+            if a_mask.any():
+                ta = d[a_mask] % 5
+                a_vals = (ta[:, None] * 7 + np.arange(1, 17, dtype=np.int64)[None, :]).ravel()
+                out[
+                    (new_off[:-1][a_mask][:, None] + np.arange(16, dtype=np.int64)[None, :]).ravel()
+                ] = a_vals
+            # B: 64-token base per t2 = d % 3 with ONE position mutated
+            if b_mask.any():
+                t2 = d[b_mask] % 3
+                brows = 100 + t2[:, None] * 3 + ((np.arange(64, dtype=np.int64) * 7) % 50)[None, :]
+                p = d[b_mask] % 64
+                brows[np.arange(len(p)), p] = 3000 + (d[b_mask] % 97)
+                out[
+                    (new_off[:-1][b_mask][:, None] + np.arange(64, dtype=np.int64)[None, :]).ravel()
+                ] = brows.ravel()
+            toks = pa.ListArray.from_arrays(
+                pa.array(new_off.astype(np.int32)), pa.array(out.astype(np.int32), pa.int32())
+            )
+            return pa.table({"doc_id": t["doc_id"], "tokens": toks})
+
+        return self.corpus.select_columns(["doc_id", "tokens"]).map_batches(inject, batch_format="pyarrow")
+
+
+def _texts(t: pa.Table) -> "pd.Series":
+    """The batch's text column as an object Series, null → ""."""
     import pandas as pd
 
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        pack_sequences,
-        redact_pii,
-    )
+    return pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
-    def inj_redact(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
+def _dnum(ids_obj) -> np.ndarray:
+    """The numeric part of synth corpus doc ids ("doc-123" → 123)."""
+    import pandas as pd
+
+    return pd.Series(ids_obj, dtype=object).str.slice(4).astype(np.int64).to_numpy()
+
+
+def _llm_pii(c: _LlmInputs) -> pa.Table:
+    """PII injected into every document, redacted (per-kind counts and the
+    full redacted string); the SQL chains the same RE2 patterns in the
+    same order, counting on the progressively redacted text."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.llmdata import redact_pii
+
+    def rows(t: pa.Table) -> pa.Table:
+        d = pd.Series(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
         injected = (
-            s
-            + " contact user" + pd.Series(d).astype(str) + "@example.com at 10."
-            + pd.Series(d % 200).astype(str) + ".3.4 call 555-"
-            + pd.Series(100 + d % 900).astype(str) + "-"
-            + pd.Series(1000 + d % 9000).astype(str)
+            _texts(t) + " contact user" + d.astype(str) + "@example.com at 10." + (d % 200).astype(str)
+            + ".3.4 call 555-" + (100 + d % 900).astype(str) + "-" + (1000 + d % 9000).astype(str)
         )
-        red = redact_pii(
-            pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "text": pa.array(injected.to_numpy(dtype=object), pa.string()),
-                }
-            )
-        )
+        text = pa.array(injected.to_numpy(dtype=object), pa.string())
+        red = redact_pii(pa.table({"doc_id": t["doc_id"], "text": text}))
         return pa.table(
             {
-                "leg": pa.array(["pii"] * len(d), pa.string()),
                 "key": pc.cast(red["doc_id"], pa.string()),
-                "n": pc.cast(red["n_email"], pa.int64()),
-                "n2": pc.cast(red["n_ip"], pa.int64()),
-                "n3": pc.cast(red["n_phone"], pa.int64()),
+                "n": red["n_email"],
+                "n2": red["n_ip"],
+                "n3": red["n_phone"],
                 "v_str": red["redacted"],
             }
         )
 
-    pii = docs.map_batches(inj_redact, batch_format="pyarrow").to_pandas()
+    return pa.table(c.docs.map_batches(rows, batch_format="pyarrow").to_pandas())
 
-    # --- decon leg: GPT-3-style test-set decontamination. Eval set =
-    # the 8-word span words[3:11] of every doc_id % 37 == 0 document
-    # (≥11 words); the ORACLE recomputes the same flag independently
-    # via word-boundary substring containment in SQL, so the engine's
-    # window-hash implementation is checked against a different
-    # algorithm, not a mirror of itself.
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        NgramDecontaminator,
-        build_eval_grams,
-    )
+
+def _llm_pack(c: _LlmInputs) -> pa.Table:
+    """The distributed concat-and-chunk packer (seq_len=64, per source):
+    chunk count, full/tail split and the first:last packed token."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import pack_sequences
+
+    chunks = pack_sequences(c.docs, "source", "doc_id", "text", seq_len=64).to_pandas()
+    return _pack_rows(chunks, 64)
+
+
+def _pack_rows(chunks, seq_len: int) -> list[tuple]:
+    """Per source: chunks, full chunks, tail tokens, "first:last" token."""
+    rows = []
+    for src, sub in chunks.groupby("source", sort=False):
+        sub = sub.sort_values("chunk_id")
+        lens = sub["chunk_len"]
+        rows.append(
+            (
+                src,
+                len(sub),
+                int((lens == seq_len).sum()),
+                int(lens[lens < seq_len].sum()),
+                f"{sub.iloc[0]['first_tok']}:{sub.iloc[-1]['last_tok']}",
+            )
+        )
+    return rows
+
+
+def _llm_decon(c: _LlmInputs) -> pa.Table:
+    """GPT-3-style test-set decontamination: the eval set is the 8-word
+    span words[3:11] of every doc_id % 37 == 0 document (≥ 11 words).
+    The engine hashes word windows; the SQL tests word-boundary
+    substring containment."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import NgramDecontaminator, build_eval_grams
 
     def eval_snips(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        txt = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        m = ids % 37 == 0
-        words = txt[m].str.split(" ")
+        words = _texts(t)[ids % 37 == 0].str.split(" ")
         snips = words[words.str.len() >= 11].map(lambda w: " ".join(w[3:11]))
         return pa.table({"snip": pa.array(snips.to_numpy(dtype=object), pa.string())})
 
-    snips = [
-        r["snip"]
-        for r in docs.map_batches(eval_snips, batch_format="pyarrow").take_all()
-    ]
-    grams = build_eval_grams(snips, n=8)
+    snips = [r["snip"] for r in c.docs.map_batches(eval_snips, batch_format="pyarrow").take_all()]
     decon = (
-        docs.map_batches(NgramDecontaminator(grams, n=8), batch_format="pyarrow")
+        c.docs.map_batches(NgramDecontaminator(build_eval_grams(snips, n=8), n=8), batch_format="pyarrow")
         .select_columns(["doc_id", "contaminated"])
         .to_pandas()
     )
-    decon_rows = pd.DataFrame(
-        {
-            "leg": "decon",
-            "key": decon["doc_id"].astype(str),
-            "n": decon["contaminated"].astype(np.int64),
-            "n2": 0,
-            "n3": 0,
-            "v_str": "",
-        }
-    )
+    return pa.table({"key": decon["doc_id"].astype(str), "n": decon["contaminated"]})
 
-    # --- c4 leg: C4-style line cleaning over deterministic injected
-    # multi-line docs; the oracle re-applies the same line rules with
-    # DuckDB list lambdas (different kernels, same public semantics)
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        c4_clean,
-        resample_mixture,
-    )
 
-    def inj_c4(t: pa.Table) -> pa.Table:
+def _llm_c4(c: _LlmInputs) -> pa.Table:
+    """C4-style line cleaning of injected multi-line documents; the SQL
+    re-applies the line rules with DuckDB list lambdas."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.llmdata import c4_clean
+
+    def rows(t: pa.Table) -> pa.Table:
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ds_ = pd.Series(d).astype(str)
-        last = np.where(
-            d % 3 == 0, "Third good line appears here.", "no terminal punct line"
-        )
+        last = np.where(d % 3 == 0, "Third good line appears here.", "no terminal punct line")
         txt = (
-            "Alpha line number one.\nDocument "
-            + ds_
+            "Alpha line number one.\nDocument " + pd.Series(d).astype(str)
             + " body line.\nbad { brace line.\ntiny line.\n"
-            + "Uses javascript inside here.\nlorem ipsum dolor sit amet.\n"
-            + pd.Series(last)
+            + "Uses javascript inside here.\nlorem ipsum dolor sit amet.\n" + pd.Series(last)
         )
-        cleaned = c4_clean(
-            pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "text": pa.array(txt.to_numpy(dtype=object), pa.string()),
-                }
-            )
-        )
+        text = pa.array(txt.to_numpy(dtype=object), pa.string())
+        cleaned = c4_clean(pa.table({"doc_id": t["doc_id"], "text": text}))
         return pa.table(
             {
-                "leg": pa.array(["c4"] * len(d), pa.string()),
                 "key": pc.cast(cleaned["doc_id"], pa.string()),
-                "n": pc.cast(cleaned["n_lines_kept"], pa.int64()),
-                "n2": pc.cast(pc.cast(cleaned["kept"], pa.int8()), pa.int64()),
-                "n3": pa.array(np.zeros(len(d), np.int64)),
+                "n": cleaned["n_lines_kept"],
+                "n2": pc.cast(cleaned["kept"], pa.int8()),
                 "v_str": cleaned["clean_text"],
             }
         )
 
-    c4_rows = docs.map_batches(inj_c4, batch_format="pyarrow").to_pandas()
+    return pa.table(c.docs.map_batches(rows, batch_format="pyarrow").to_pandas())
 
-    # --- mix leg: deterministic domain-mixture resampling, weight
-    # w(source) = (source index % 4) + 0.5 → floor copies + one more
-    # for ids with doc_id % 1000 < 500; per-source emitted and distinct
-    # counts are SQL closed forms
+
+def _llm_mix(c: _LlmInputs) -> pa.Table:
+    """Domain-mixture resampling with weight w(source) = (source index %
+    4) + 0.5: floor(w) copies plus one for doc_id % 1000 < 500; emitted
+    and distinct counts per source."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import resample_mixture
+
     u = (
-        docs.map_batches(
-            lambda t: pa.table({"source": pc.unique(t["source"])}),
-            batch_format="pyarrow",
-        )
+        c.docs.map_batches(lambda t: pa.table({"source": pc.unique(t["source"])}), batch_format="pyarrow")
         .to_pandas()["source"]
         .unique()
     )
-    mix_w = {s: (int(s[3:]) % 4) + 0.5 for s in u}
-    mixed = resample_mixture(
-        docs.select_columns(["doc_id", "source"]), mix_w, mod=1000
-    )
+    weights = {s: (int(s[3:]) % 4) + 0.5 for s in u}
+    mixed = resample_mixture(c.docs.select_columns(["doc_id", "source"]), weights, mod=1000)
 
-    def mix_part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby("source")["doc_id"].agg(["count", "nunique"]).reset_index()
+    def part(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby("source")["doc_id"].agg(["count", "nunique"]).reset_index()
         return pa.table(
             {
                 "source": pa.array(g["source"].to_numpy(dtype=object), pa.string()),
@@ -4633,181 +4961,108 @@ def _q_llm_ops(sf_dir: str):
             }
         )
 
-    mix_agg = (
-        mixed.map_batches(mix_part, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("source")[["count", "nunique"]]
-        .sum()
-        .reset_index()
-    )
-    mix_rows = pd.DataFrame(
-        {
-            "leg": "mix",
-            "key": mix_agg["source"],
-            "n": mix_agg["count"].astype(np.int64),
-            "n2": mix_agg["nunique"].astype(np.int64),
-            "n3": np.int64(0),
-            "v_str": "",
-        }
+    agg = mixed.map_batches(part, batch_format="pyarrow").to_pandas()
+    agg = agg.groupby("source")[["count", "nunique"]].sum().reset_index()
+    return pa.table({"key": agg["source"], "n": agg["count"], "n2": agg["nunique"]})
+
+
+def _llm_dup(c: _LlmInputs) -> pa.Table:
+    """Corpus-level repeated passages: repeated 32-word windows (the
+    injected passage and the corpus' own repeats), their max doc spread
+    and min owner id. The engine groups 64-bit window hashes, the SQL
+    the window strings."""
+    dup = c.dup
+    return pa.table(
+        {"key": ["passages"], "n": [len(dup)], "n2": [int(dup["n_docs"].max()) if len(dup) else 0],
+         "n3": [int(dup["min_doc_id"].min()) if len(dup) else -1]}
     )
 
-    # --- dup leg: corpus-level repeated-passage detection. A fixed
-    # 40-word passage is appended to every doc_id % 25 == 0 document;
-    # the engine groups 64-bit WINDOW HASHES while the oracle
-    # independently groups the window STRINGS in SQL (the organic
-    # corpus repeats windows too — both sides must find the same
-    # repeated-window count, max doc-spread and min owner id).
-    from opentelemetry_collector_contrib_ray.stages.llmdata import duplicate_passages
 
-    _PASSAGE = " ".join(f"zq{j}" for j in range(40))
-
-    def inj_dup(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        s = s.where(pd.Series(d % 25 != 0), s + " " + _PASSAGE)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "text": pa.array(s.to_numpy(dtype=object), pa.string()),
-            }
-        )
-
-    dup_out = duplicate_passages(
-        docs.map_batches(inj_dup, batch_format="pyarrow"), window=32
-    ).to_pandas()
-    dup_rows = pd.DataFrame(
-        {
-            "leg": ["dup"],
-            "key": ["passages"],
-            "n": np.array([len(dup_out)], np.int64),
-            "n2": np.array(
-                [int(dup_out["n_docs"].max()) if len(dup_out) else 0], np.int64
-            ),
-            "n3": np.array(
-                [int(dup_out["min_doc_id"].min()) if len(dup_out) else -1], np.int64
-            ),
-            "v_str": [""],
-        }
-    )
-
-    # --- dup2 leg: the REMOVAL half of ExactSubstr/passage dedup
-    # (stages/llmdata.PassageDeduper over the same injected corpus as
-    # the dup leg): every word covered by a corpus-duplicated 32-word
-    # window whose first owner is another doc is cut. The oracle
-    # recomputes coverage by exploding window STRINGS and positions in
-    # SQL (the engine uses 64-bit window hashes + a difference-array
-    # cumsum) and value-checks the full rebuilt clean_text.
+def _llm_dup2(c: _LlmInputs) -> pa.Table:
+    """The removal half of passage dedup (PassageDeduper over the dup
+    leg's corpus): every word covered by a duplicated window whose first
+    owner is another doc is cut. The SQL explodes window strings and
+    positions and rebuilds the full clean_text."""
     from opentelemetry_collector_contrib_ray.stages.llmdata import PassageDeduper
 
-    dup2 = (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(inj_dup, batch_format="pyarrow")
-        .map_batches(
-            PassageDeduper(
-                dup_out["gram_hash"].to_numpy(),
-                dup_out["min_doc_id"].to_numpy(),
-                window=32,
-            ),
+    dup = c.dup
+    out = (
+        c.dup_docs.map_batches(
+            PassageDeduper(dup["gram_hash"].to_numpy(), dup["min_doc_id"].to_numpy(), window=32),
             batch_format="pyarrow",
         )
-        .select_columns(
-            ["doc_id", "n_words", "n_removed_words", "n_dup_windows", "clean_text"]
-        )
+        .select_columns(["doc_id", "n_words", "n_removed_words", "n_dup_windows", "clean_text"])
         .to_pandas()
     )
-    dup2_rows = pd.DataFrame(
-        {
-            "leg": "dup2",
-            "key": dup2["doc_id"].astype(str),
-            "n": dup2["n_words"].astype(np.int64),
-            "n2": dup2["n_removed_words"].astype(np.int64),
-            "n3": dup2["n_dup_windows"].astype(np.int64),
-            "v_str": dup2["clean_text"],
-        }
+    return pa.table(
+        {"key": out["doc_id"].astype(str), "n": out["n_words"], "n2": out["n_removed_words"],
+         "n3": out["n_dup_windows"], "v_str": out["clean_text"]}
     )
 
-    # --- lm leg: CCNet-style unigram LM stats vs the corpus top-50
-    # vocabulary (distributed word-count groupby → per-block top-k →
-    # broadcast scorer). The oracle re-derives n_in_vocab / n_oov /
-    # sum_freq with an unnest + join in SQL — all-integer contracts.
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        UnigramScorer,
-        corpus_word_counts,
-        top_vocab,
-    )
 
-    counts = corpus_word_counts(docs)
-    total_words = int(counts.sum("c") or 0)
-    vocab = top_vocab(counts, 50)
+def _llm_lm(c: _LlmInputs) -> pa.Table:
+    """CCNet-style unigram LM stats against the corpus top-50 vocabulary
+    (distributed word counts → per-block top-k → broadcast scorer):
+    in-vocab and OOV counts and the summed corpus frequency."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import UnigramScorer
+
+    vocab, total = c.vocab
+    scorer = UnigramScorer(vocab["word"].to_numpy(), vocab["c"].to_numpy(), total)
     lm = (
-        docs.map_batches(
-            UnigramScorer(vocab["word"].to_numpy(), vocab["c"].to_numpy(), total_words),
-            batch_format="pyarrow",
-        )
+        c.docs.map_batches(scorer, batch_format="pyarrow")
         .select_columns(["doc_id", "n_in_vocab", "n_oov", "sum_freq"])
         .to_pandas()
     )
-    lm_rows = pd.DataFrame(
-        {
-            "leg": "lm",
-            "key": lm["doc_id"].astype(str),
-            "n": lm["n_in_vocab"].astype(np.int64),
-            "n2": lm["n_oov"].astype(np.int64),
-            "n3": lm["sum_freq"].astype(np.int64),
-            "v_str": "",
-        }
+    return pa.table(
+        {"key": lm["doc_id"].astype(str), "n": lm["n_in_vocab"], "n2": lm["n_oov"], "n3": lm["sum_freq"]}
     )
 
-    # --- lm2 leg: interpolated bigram LM (the CCNet n-gram upgrade):
-    # distributed bigram-count groupby → per-block top-100 → broadcast
-    # BigramScorer. Integer contracts (pairs / top-table hits / summed
-    # bigram counts) re-derived in SQL with the chr(31) pair key.
+
+def _llm_lm2(c: _LlmInputs) -> pa.Table:
+    """Interpolated bigram LM: distributed bigram counts → per-block
+    top-100 → broadcast BigramScorer; pair hits, summed bigram counts
+    and pairs per doc (the SQL keys pairs with chr(31))."""
     from opentelemetry_collector_contrib_ray.stages.llmdata import (
         BigramScorer,
         corpus_bigram_counts,
         top_bigrams,
     )
 
-    btop = top_bigrams(corpus_bigram_counts(docs), 100)
+    vocab, total = c.vocab
+    btop = top_bigrams(corpus_bigram_counts(c.docs), 100)
+    scorer = BigramScorer(
+        btop["pair"].to_numpy(), btop["c"].to_numpy(), vocab["word"].to_numpy(), vocab["c"].to_numpy(), total
+    )
     lm2 = (
-        docs.map_batches(
-            BigramScorer(
-                btop["pair"].to_numpy(),
-                btop["c"].to_numpy(),
-                vocab["word"].to_numpy(),
-                vocab["c"].to_numpy(),
-                total_words,
-            ),
-            batch_format="pyarrow",
-        )
+        c.docs.map_batches(scorer, batch_format="pyarrow")
         .select_columns(["doc_id", "n_pairs", "n_big_hits", "sum_big_freq"])
         .to_pandas()
     )
-    lm2_rows = pd.DataFrame(
+    return pa.table(
         {
-            "leg": "lm2",
             "key": lm2["doc_id"].astype(str),
-            "n": lm2["n_big_hits"].astype(np.int64),
-            "n2": lm2["sum_big_freq"].astype(np.int64),
-            "n3": lm2["n_pairs"].astype(np.int64),
-            "v_str": "",
+            "n": lm2["n_big_hits"],
+            "n2": lm2["sum_big_freq"],
+            "n3": lm2["n_pairs"],
         }
     )
 
-    # --- tok leg: VocabEncoder — text → list<int32> token ids from the
-    # same top-50 vocabulary (id = rank in (count DESC, word ASC); OOV
-    # id = 50). Per-doc sum-of-ids / OOV count / token count and the
-    # first:last ids are SQL re-derivable via a ROW_NUMBER vocab.
+
+def _llm_tok(c: _LlmInputs) -> pa.Table:
+    """VocabEncoder: text → list<int32> ids from the top-50 vocabulary
+    (id = rank by count DESC, word ASC; OOV id 50): per doc the id sum,
+    OOV and token counts, and "first:last" id."""
+    import pandas as pd
+
     from opentelemetry_collector_contrib_ray.stages.llmdata import VocabEncoder
 
-    def tok_stats(t: pa.Table) -> pa.Table:
+    def stats(t: pa.Table) -> pa.Table:
         col = t["tokens"]
         la = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         offs = la.offsets.to_numpy().astype(np.int64)
         vals = la.values.to_numpy().astype(np.int64)
         counts = np.diff(offs)
-        nrows = len(counts)
-        sid = np.zeros(nrows, np.int64)
+        sid = np.zeros(len(counts), np.int64)
         nz = counts > 0
         if nz.any() and len(vals):
             seg = np.add.reduceat(vals, np.minimum(offs[:-1], len(vals) - 1))
@@ -4816,93 +5071,66 @@ def _q_llm_ops(sf_dir: str):
         last = np.where(nz, vals[np.maximum(offs[1:] - 1, 0)], -1)
         fl = pd.Series(first).astype(str) + ":" + pd.Series(last).astype(str)
         return pa.table(
-            {
-                "leg": pa.array(["tok"] * nrows, pa.string()),
-                "key": pc.cast(t["doc_id"], pa.string()),
-                "n": pa.array(sid),
-                "n2": pc.cast(t["n_oov"], pa.int64()),
-                "n3": pc.cast(t["n_tok"], pa.int64()),
-                "v_str": pa.array(
-                    np.where(nz, fl.to_numpy(dtype=object), "").astype(object),
-                    pa.string(),
-                ),
-            }
+            {"key": pc.cast(t["doc_id"], pa.string()), "n": pa.array(sid), "n2": t["n_oov"], "n3": t["n_tok"],
+             "v_str": pa.array(np.where(nz, fl.to_numpy(dtype=object), "").astype(object), pa.string())}
         )
 
-    tok_rows = (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(VocabEncoder(vocab["word"].to_numpy()), batch_format="pyarrow")
-        .map_batches(tok_stats, batch_format="pyarrow")
+    return pa.table(
+        c.docs.select_columns(["doc_id", "text"])
+        .map_batches(VocabEncoder(c.vocab[0]["word"].to_numpy()), batch_format="pyarrow")
+        .map_batches(stats, batch_format="pyarrow")
         .to_pandas()
     )
 
-    # --- dsir leg: DSIR hashed-bigram importance scoring (target
-    # distribution = lang == 'en' docs). Integer probability-difference
-    # score Σ (tgt_c·N_raw − raw_c·N_tgt) over the doc's bigram
-    # buckets; the oracle recomputes buckets with the same
-    # SQL-expressible first-codepoint/length mix.
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        DsirScorer,
-        dsir_bucket_counts,
-    )
 
-    docs_l = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
+def _llm_dsir(c: _LlmInputs) -> pa.Table:
+    """DSIR hashed-bigram importance scoring against the lang == 'en'
+    target: the integer score Σ (tgt_c·N_raw − raw_c·N_tgt) over the
+    doc's bigram buckets, the keep flag and the bigram count; the SQL
+    recomputes buckets with the same first-codepoint/length mix."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import DsirScorer, dsir_bucket_counts
 
     def add_target(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "is_target", pc.equal(t["lang"], pa.scalar("en", pa.string()))
-        )
+        return t.append_column("is_target", pc.equal(t["lang"], pa.scalar("en", pa.string())))
 
-    docs_t = docs_l.map_batches(add_target, batch_format="pyarrow")
-    dcnt = dsir_bucket_counts(docs_t)
+    docs = _read(c.sf_dir, "documents", ["doc_id", "text", "lang"])
+    docs = docs.map_batches(add_target, batch_format="pyarrow")
+    dcnt = dsir_bucket_counts(docs)
     dsir = (
-        docs_t.map_batches(
-            DsirScorer(dcnt["raw_c"].to_numpy(), dcnt["tgt_c"].to_numpy()),
-            batch_format="pyarrow",
+        docs.map_batches(
+            DsirScorer(dcnt["raw_c"].to_numpy(), dcnt["tgt_c"].to_numpy()), batch_format="pyarrow"
         )
         .select_columns(["doc_id", "dsir_score", "dsir_keep", "n_bigrams"])
         .to_pandas()
     )
-    dsir_rows = pd.DataFrame(
+    return pa.table(
         {
-            "leg": "dsir",
             "key": dsir["doc_id"].astype(str),
-            "n": dsir["dsir_score"].astype(np.int64),
-            "n2": dsir["dsir_keep"].astype(np.int64),
-            "n3": dsir["n_bigrams"].astype(np.int64),
-            "v_str": "",
+            "n": dsir["dsir_score"],
+            "n2": dsir["dsir_keep"],
+            "n3": dsir["n_bigrams"],
         }
     )
 
-    # --- ldedup leg: RefinedWeb-style corpus-wide exact line dedup
-    # over injected multi-line docs (a header line shared by ALL docs
-    # + a doc_id%50 group line + the original text as one line); the
-    # engine groups 64-bit line hashes while the oracle groups the
-    # line STRINGS, and both apply first-owner-wins removal.
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        LineDeduper,
-        duplicate_lines,
-    )
 
-    def inj_lines(t: pa.Table) -> pa.Table:
+def _llm_ldedup(c: _LlmInputs) -> pa.Table:
+    """RefinedWeb-style corpus-wide exact line dedup over injected
+    multi-line docs (a header line in every doc, a doc_id % 50 group
+    line, then the text); the engine groups 64-bit line hashes, the SQL
+    the line strings, both first-owner-wins."""
+    import pandas as pd
+
+    from opentelemetry_collector_contrib_ray.stages.llmdata import LineDeduper, duplicate_lines
+
+    def inject(t: pa.Table) -> pa.Table:
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         txt = (
-            "Common header boilerplate line.\nGroup "
-            + pd.Series(d % 50).astype(str)
-            + " shared body line.\n"
-            + s.reset_index(drop=True)
+            "Common header boilerplate line.\nGroup " + pd.Series(d % 50).astype(str) + " shared body line.\n"
+            + _texts(t).reset_index(drop=True)
         )
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "text": pa.array(txt.to_numpy(dtype=object), pa.string()),
-            }
-        )
+        return pa.table({"doc_id": t["doc_id"], "text": pa.array(txt.to_numpy(dtype=object), pa.string())})
 
-    lined = docs.select_columns(["doc_id", "text"]).map_batches(
-        inj_lines, batch_format="pyarrow"
-    )
+    lined = c.docs.select_columns(["doc_id", "text"]).map_batches(inject, batch_format="pyarrow")
     ldup = duplicate_lines(lined).to_pandas()
     ld = (
         lined.map_batches(
@@ -4912,248 +5140,108 @@ def _q_llm_ops(sf_dir: str):
         .select_columns(["doc_id", "n_lines", "n_removed"])
         .to_pandas()
     )
-    ld_rows = pd.DataFrame(
-        {
-            "leg": "ldedup",
-            "key": ld["doc_id"].astype(str),
-            "n": ld["n_lines"].astype(np.int64),
-            "n2": ld["n_removed"].astype(np.int64),
-            "n3": np.int64(0),
-            "v_str": "",
-        }
-    )
+    return pa.table({"key": ld["doc_id"].astype(str), "n": ld["n_lines"], "n2": ld["n_removed"]})
 
-    # --- tpack leg: token-array-native packing over the deterministic
-    # synth corpus (the pre-tokenized list<int32> input shape): chunk
-    # math + first/last packed token id per source are SQL closed forms
-    # over the same corpus parquet the oracle reads.
-    from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
+
+def _llm_tpack(c: _LlmInputs) -> pa.Table:
+    """Token-array-native packing of the synth corpus (seq_len=2048 per
+    source): the chunk math and first:last packed token id."""
     from opentelemetry_collector_contrib_ray.stages.llmdata import pack_token_sequences
 
-    cpath = _corpus_dir(sf_dir)  # sf-dependent, same path the oracle reads
-    cds = read_corpus(cpath, columns=["doc_id", "source", "tokens"])
+    chunks = pack_token_sequences(c.corpus, "source", "doc_id", "tokens", seq_len=2048).to_pandas()
+    return _pack_rows(chunks, 2048)
 
-    # --- tstat leg: token-native corpus analytics over the
-    # pre-tokenized list<int32> shape (flat-buffer kernels; distincts
-    # move as pre-deduped pairs): per-source token count, distinct
-    # token ids, distinct adjacent bigrams, max token id, doc count —
-    # the oracle re-derives all five by exploding the token lists.
-    from opentelemetry_collector_contrib_ray.sources.synth import VOCAB_SIZE
-    from opentelemetry_collector_contrib_ray.stages.llmdata import token_corpus_stats
 
-    tstats = token_corpus_stats(cds, vocab_size=VOCAB_SIZE)
-    tstat_rows = pd.DataFrame(
-        {
-            "leg": "tstat",
-            "key": tstats["source"],
-            "n": tstats["n_tokens"].astype(np.int64),
-            "n2": tstats["n_distinct_tokens"].astype(np.int64),
-            "n3": tstats["n_distinct_bigrams"].astype(np.int64),
-            "v_str": tstats["max_tok"].astype(np.int64).astype(str)
-            + ":"
-            + tstats["n_docs"].astype(np.int64).astype(str),
-        }
-    )
-
-    tchunks = pack_token_sequences(cds, "source", "doc_id", "tokens", seq_len=2048).to_pandas()
-    tgrp = []
-    for src, sub in tchunks.groupby("source", sort=False):
-        sub = sub.sort_values("chunk_id")
-        tgrp.append(
-            {
-                "leg": "tpack",
-                "key": src,
-                "n": len(sub),
-                "n2": int((sub["chunk_len"] == 2048).sum()),
-                "n3": int(sub["chunk_len"][sub["chunk_len"] < 2048].sum()),
-                "v_str": f"{sub.iloc[0]['first_tok']}:{sub.iloc[-1]['last_tok']}",
-            }
-        )
-    tpack_rows = pd.DataFrame(tgrp)
-
-    # --- split leg: deterministic multiplicative-hash train/valid/test
-    # split (5%/5%/90%); the oracle recomputes the same BIGINT hash
-    # closed-form. Distributed agg via bucketed_aggregate (count+sum
-    # per split move, never rows).
+def _llm_split(c: _LlmInputs) -> pa.Table:
+    """The multiplicative-hash train/valid/test split (5%/5%/90%): count
+    and id sum per split through bucketed_aggregate (partials move,
+    never rows)."""
     from opentelemetry_collector_contrib_ray.stages.aggregate import bucketed_aggregate
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        assign_split,
-        stratified_sample,
-    )
+    from opentelemetry_collector_contrib_ray.stages.llmdata import assign_split
 
     spl = bucketed_aggregate(
-        docs.select_columns(["doc_id"]).map_batches(
-            assign_split, batch_format="pyarrow"
-        ),
+        c.docs.select_columns(["doc_id"]).map_batches(assign_split, batch_format="pyarrow"),
         ["split"],
         [("doc_id", "count", "cnt"), ("doc_id", "sum", "sid")],
     ).to_pandas()
-    split_rows = pd.DataFrame(
+    return pa.table({"key": spl["split"], "n": spl["cnt"], "n2": spl["sid"]})
+
+
+def _llm_samp(c: _LlmInputs) -> pa.Table:
+    """Per-source cap of 40 docs by (split hash, id) rank, the
+    RefinedWeb/LLaMA-style per-domain budget."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import stratified_sample
+
+    samp = stratified_sample(c.docs.select_columns(["doc_id", "source"]), 40).to_pandas()
+    rows = []
+    for src, sub in samp.groupby("source", sort=False):
+        sub = sub.sort_values("rank")
+        rows.append(
+            {"key": src, "n": len(sub), "n2": int(sub["doc_id"].sum()), "n3": int(sub["doc_id"].min()),
+             "v_str": str(int(sub.iloc[0]["doc_id"]))}
+        )
+    return pa.Table.from_pylist(rows)
+
+
+def _llm_tstat(c: _LlmInputs) -> pa.Table:
+    """Token-native corpus analytics (flat-buffer kernels; distincts move
+    as pre-deduped pairs): per source the token count, distinct ids,
+    distinct adjacent bigrams, and "max id:docs"."""
+    from opentelemetry_collector_contrib_ray.sources.synth import VOCAB_SIZE
+    from opentelemetry_collector_contrib_ray.stages.llmdata import token_corpus_stats
+
+    ts = token_corpus_stats(c.corpus, vocab_size=VOCAB_SIZE)
+    return pa.table(
         {
-            "leg": "split",
-            "key": spl["split"],
-            "n": spl["cnt"].astype(np.int64),
-            "n2": spl["sid"].astype(np.int64),
-            "n3": np.int64(0),
-            "v_str": "",
+            "key": ts["source"],
+            "n": ts["n_tokens"],
+            "n2": ts["n_distinct_tokens"],
+            "n3": ts["n_distinct_bigrams"],
+            "v_str": ts["max_tok"].astype(np.int64).astype(str)
+            + ":"
+            + ts["n_docs"].astype(np.int64).astype(str),
         }
     )
 
-    # --- samp leg: per-source cap of 40 docs by (split_hash, id) rank
-    # (RefinedWeb/LLaMA-style per-domain budget); oracle = ROW_NUMBER
-    # over the identical hash order.
-    samp = stratified_sample(
-        docs.select_columns(["doc_id", "source"]), 40
-    ).to_pandas()
-    sgrp = []
-    for src, sub in samp.groupby("source", sort=False):
-        sub = sub.sort_values("rank")
-        sgrp.append(
-            {
-                "leg": "samp",
-                "key": src,
-                "n": np.int64(len(sub)),
-                "n2": np.int64(sub["doc_id"].sum()),
-                "n3": np.int64(sub["doc_id"].min()),
-                "v_str": str(int(sub.iloc[0]["doc_id"])),
-            }
-        )
-    samp_rows = pd.DataFrame(sgrp)
 
-    chunks = pack_sequences(docs, "source", "doc_id", "text", seq_len=64).to_pandas()
-    grp = []
-    for src, sub in chunks.groupby("source", sort=False):
-        sub = sub.sort_values("chunk_id")
-        grp.append(
-            {
-                "leg": "pack",
-                "key": src,
-                "n": len(sub),
-                "n2": int((sub["chunk_len"] == 64).sum()),
-                "n3": int(sub["chunk_len"][sub["chunk_len"] < 64].sum()),
-                "v_str": f"{sub.iloc[0]['first_tok']}:{sub.iloc[-1]['last_tok']}",
-            }
-        )
-    # --- tdedup + tnear legs: token-NATIVE dedup over the corpus
-    # shape (list<int32>), no detokenization anywhere. tdedup injects
-    # exact-duplicate template token arrays (numeric(doc_id) % 13 → 5
-    # templates) and checks that exact_dedup_tokens collapses every
-    # template group to its min-id owner (the oracle groups the
-    # injected LISTS themselves in SQL); tnear injects one-token-
-    # mutated copies of 3 base sequences (% 17, % 3 → group) and
-    # asserts the LSH recall contract: every injected doc shares a
-    # band bucket with another SAME-group doc (deterministic given
-    # the fixed permutation seed — verified at both sf gates).
-    from opentelemetry_collector_contrib_ray.stages.dedup import (
-        exact_dedup_tokens,
-        token_minhash_lsh_groups,
-    )
-    from opentelemetry_collector_contrib_ray.stages.llmdata import _flat_tokens
+def _llm_tdedup(c: _LlmInputs) -> pa.Table:
+    """Token-native exact dedup over ``tok_docs``: survivors and removed
+    overall, then per template its injected count, min-id owner and
+    surviving copies (1 once collapsed); the SQL groups the injected
+    lists themselves."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import exact_dedup_tokens
 
-    def _dnum(ids_obj) -> np.ndarray:
-        return pd.Series(ids_obj, dtype=object).str.slice(4).astype(np.int64).to_numpy()
+    surv = _dnum(exact_dedup_tokens(c.tok_docs).to_pandas()["doc_id"])
+    inj_surv = np.sort(surv[surv % 13 == 0])
 
-    def inj_tok(t: pa.Table) -> pa.Table:
-        d = _dnum(t["doc_id"].to_numpy(zero_copy_only=False))
-        vals, offs = _flat_tokens(t, "tokens")
-        lens = np.diff(offs)
-        n = len(d)
-        a_mask = d % 13 == 0
-        b_mask = (~a_mask) & (d % 17 == 0)
-        o_mask = ~(a_mask | b_mask)
-        new_lens = np.where(a_mask, 16, np.where(b_mask, 64, lens)).astype(np.int64)
-        new_off = np.zeros(n + 1, np.int64)
-        np.cumsum(new_lens, out=new_off[1:])
-        out = np.zeros(int(new_off[-1]), np.int64)
-        # originals: scatter each kept row's values to its new offset
-        pos = np.arange(len(vals), dtype=np.int64) - np.repeat(offs[:-1], lens)
-        sel = np.repeat(o_mask, lens)
-        out[np.repeat(new_off[:-1], lens)[sel] + pos[sel]] = vals[sel]
-        # A: 16-token template per t = d % 5
-        if a_mask.any():
-            ta = d[a_mask] % 5
-            a_vals = (ta[:, None] * 7 + np.arange(1, 17, dtype=np.int64)[None, :]).ravel()
-            out[
-                (new_off[:-1][a_mask][:, None] + np.arange(16, dtype=np.int64)[None, :]).ravel()
-            ] = a_vals
-        # B: 64-token base per t2 = d % 3 with ONE position mutated
-        if b_mask.any():
-            t2 = d[b_mask] % 3
-            brows = 100 + t2[:, None] * 3 + ((np.arange(64, dtype=np.int64) * 7) % 50)[None, :]
-            p = d[b_mask] % 64
-            brows[np.arange(len(p)), p] = 3000 + (d[b_mask] % 97)
-            out[
-                (new_off[:-1][b_mask][:, None] + np.arange(64, dtype=np.int64)[None, :]).ravel()
-            ] = brows.ravel()
-        toks = pa.ListArray.from_arrays(
-            pa.array(new_off.astype(np.int32)), pa.array(out.astype(np.int32), pa.int32())
-        )
-        return pa.table({"doc_id": t["doc_id"], "tokens": toks})
-
-    tok_ds = cds.select_columns(["doc_id", "tokens"]).map_batches(
-        inj_tok, batch_format="pyarrow"
-    )
-    tok_total = cds.count()
-    surv = exact_dedup_tokens(tok_ds).to_pandas()
-    surv_d = _dnum(surv["doc_id"])
-    inj_surv = np.sort(surv_d[surv_d % 13 == 0])
-
-    # per-template injected counts, measured over the injected ds
     def tmpl_counts(t: pa.Table) -> pa.Table:
         d = _dnum(t["doc_id"].to_numpy(zero_copy_only=False))
         d = d[d % 13 == 0]
-        c = np.bincount(d % 5, minlength=5).astype(np.int64)
-        mn = np.full(5, np.iinfo(np.int64).max, np.int64)
-        for t5 in range(5):
-            sub = d[d % 5 == t5]
-            if len(sub):
-                mn[t5] = sub.min()
         return pa.table(
-            {"t": pa.array(np.arange(5, dtype=np.int64)), "c": pa.array(c), "mn": pa.array(mn)}
+            {"t": pa.array(np.arange(5, dtype=np.int64)), "c": pa.array(np.bincount(d % 5, minlength=5))}
         )
 
-    tc = (
-        tok_ds.map_batches(tmpl_counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("t")
-        .agg(c=("c", "sum"), mn=("mn", "min"))
-        .reset_index()
-    )
-    tded_rows = [
-        {
-            "leg": "tdedup",
-            "key": "all",
-            "n": np.int64(len(surv)),
-            "n2": np.int64(tok_total - len(surv)),
-            "n3": np.int64(0),
-            "v_str": "",
-        }
-    ]
+    tc = c.tok_docs.map_batches(tmpl_counts, batch_format="pyarrow").to_pandas().groupby("t")["c"].sum()
+    rows = [("all", len(surv), c.corpus.count() - len(surv))]
     for t5 in range(5):
         tmpl_surv = inj_surv[inj_surv % 5 == t5]
-        tded_rows.append(
-            {
-                "leg": "tdedup",
-                "key": f"tmpl{t5}",
-                "n": np.int64(tc.loc[tc["t"] == t5, "c"].iloc[0]),
-                "n2": np.int64(tmpl_surv.min()) if len(tmpl_surv) else np.int64(-1),
-                "n3": np.int64(len(tmpl_surv)),  # dedup collapsed → 1
-                "v_str": "",
-            }
-        )
-    tded_rows = pd.DataFrame(tded_rows)
+        owner = int(tmpl_surv.min()) if len(tmpl_surv) else -1
+        rows.append((f"tmpl{t5}", int(tc.get(t5, 0)), owner, len(tmpl_surv)))
+    return rows
 
-    # tnear: every injected near-dup doc must share a band bucket with
-    # another SAME-t2 doc (recall contract over the LSH groups output)
-    groups = token_minhash_lsh_groups(tok_ds, k=8, num_perm=64, bands=16)
+
+def _llm_tnear(c: _LlmInputs) -> pa.Table:
+    """The LSH recall contract over ``tok_docs``: every injected near-dup
+    doc shares a band bucket with another doc of its group (the
+    permutation seed is fixed, so this is deterministic)."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import token_minhash_lsh_groups
 
     def b_pairs(t: pa.Table) -> pa.Table:
         ids_col = t["ids"]
         la = ids_col.combine_chunks() if isinstance(ids_col, pa.ChunkedArray) else ids_col
-        flat_ids = la.flatten().to_numpy(zero_copy_only=False)
         counts = np.diff(la.offsets.to_numpy().astype(np.int64))
         bucket_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        d = _dnum(flat_ids)
+        d = _dnum(la.flatten().to_numpy(zero_copy_only=False))
         m = (d % 13 != 0) & (d % 17 == 0)
         d, bucket_of = d[m], bucket_of[m]
         t2 = d % 3
@@ -5165,152 +5253,105 @@ def _q_llm_ops(sf_dir: str):
         starts = np.flatnonzero(key_change)
         sizes = np.diff(np.append(starts, len(bb)))
         in_multi = np.repeat(sizes >= 2, sizes)
-        return pa.table(
-            {
-                "d": pa.array(dd[in_multi]),
-                "t2": pa.array(tt[in_multi]),
-            }
-        )
-
-    found = groups.map_batches(b_pairs, batch_format="pyarrow").to_pandas()
-    found = found.drop_duplicates()
-    n_found = found.groupby("t2")["d"].nunique()
+        return pa.table({"d": pa.array(dd[in_multi]), "t2": pa.array(tt[in_multi])})
 
     def b_counts(t: pa.Table) -> pa.Table:
         d = _dnum(t["doc_id"].to_numpy(zero_copy_only=False))
         d = d[(d % 13 != 0) & (d % 17 == 0)]
         return pa.table(
-            {
-                "t2": pa.array(np.arange(3, dtype=np.int64)),
-                "c": pa.array(np.bincount(d % 3, minlength=3).astype(np.int64)),
-            }
+            {"t2": pa.array(np.arange(3, dtype=np.int64)), "c": pa.array(np.bincount(d % 3, minlength=3))}
         )
 
-    bc = (
-        tok_ds.map_batches(b_counts, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("t2")["c"]
-        .sum()
-    )
-    tnear_rows = pd.DataFrame(
+    groups = token_minhash_lsh_groups(c.tok_docs, k=8, num_perm=64, bands=16)
+    found = groups.map_batches(b_pairs, batch_format="pyarrow").to_pandas().drop_duplicates()
+    n_found = found.groupby("t2")["d"].nunique()
+    bc = c.tok_docs.map_batches(b_counts, batch_format="pyarrow").to_pandas().groupby("t2")["c"].sum()
+    return pa.Table.from_pylist(
         [
-            {
-                "leg": "tnear",
-                "key": f"grp{t2}",
-                "n": np.int64(bc.get(t2, 0)),
-                "n2": np.int64(n_found.get(t2, 0)),
-                "n3": np.int64(1 if n_found.get(t2, 0) == bc.get(t2, 0) else 0),
-                "v_str": "",
-            }
+            {"key": f"grp{t2}", "n": int(bc.get(t2, 0)), "n2": int(n_found.get(t2, 0)),
+             "n3": int(n_found.get(t2, 0) == bc.get(t2, 0))}
             for t2 in range(3)
         ]
     )
 
-    # --- tqual leg: token-native Gopher repetition signals over the
-    # pre-tokenized corpus (no detokenization): per-doc distinct token
-    # ids, distinct adjacent bigrams, longest single-token run, token
-    # and bigram counts. The engine runs flat-buffer lexsort/reduceat
-    # kernels; the oracle re-derives all five by exploding the lists
-    # (list_distinct, COUNT(DISTINCT a*V+b), gaps-and-islands max run).
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        token_repetition_stats,
-    )
+
+def _llm_tqual(c: _LlmInputs) -> pa.Table:
+    """Token-native Gopher repetition signals (flat-buffer lexsort and
+    reduceat kernels): per doc distinct ids, distinct adjacent bigrams,
+    longest single-token run, and "tokens:bigrams"."""
+    from opentelemetry_collector_contrib_ray.sources.synth import VOCAB_SIZE
+    from opentelemetry_collector_contrib_ray.stages.llmdata import token_repetition_stats
 
     tq = (
-        token_repetition_stats(
-            cds.select_columns(["doc_id", "tokens"]), vocab_size=VOCAB_SIZE
-        )
-        .select_columns(
-            ["doc_id", "n_tok", "n_distinct_tok", "n_bigrams",
-             "n_distinct_bigrams", "max_run"]
-        )
+        token_repetition_stats(c.corpus.select_columns(["doc_id", "tokens"]), vocab_size=VOCAB_SIZE)
+        .select_columns(["doc_id", "n_tok", "n_distinct_tok", "n_bigrams", "n_distinct_bigrams", "max_run"])
         .to_pandas()
     )
-    tqual_rows = pd.DataFrame(
+    return pa.table(
         {
-            "leg": "tqual",
             "key": tq["doc_id"],
-            "n": tq["n_distinct_tok"].astype(np.int64),
-            "n2": tq["n_distinct_bigrams"].astype(np.int64),
-            "n3": tq["max_run"].astype(np.int64),
+            "n": tq["n_distinct_tok"],
+            "n2": tq["n_distinct_bigrams"],
+            "n3": tq["max_run"],
             "v_str": tq["n_tok"].astype(np.int64).astype(str)
             + ":"
             + tq["n_bigrams"].astype(np.int64).astype(str),
         }
     )
 
-    # --- tdecon leg: token-NATIVE test-set decontamination (GPT-3
-    # appendix C over token ids). Eval set = the 8-token span
-    # tokens[3:11] of every d % 37 == 0 corpus doc with ≥11 tokens;
-    # the engine scans window HASHES (shared polynomial kernel +
-    # broadcast sorted table) while the oracle joins window STRINGS
-    # (array_to_string slices) — different algorithms, same answer.
-    # Compared on the d % 7 == 0 slice to bound the oracle's
-    # window-string explosion.
+
+def _llm_tdecon(c: _LlmInputs) -> pa.Table:
+    """Token-native decontamination (GPT-3 appendix C over token ids):
+    the eval set is tokens[3:11] of every d % 37 == 0 corpus doc with ≥ 11
+    tokens; the engine scans window hashes (shared polynomial kernel,
+    broadcast sorted table), the SQL joins window strings. Compared on
+    the d % 7 == 0 slice to bound the SQL's window explosion."""
     from opentelemetry_collector_contrib_ray.stages.llmdata import (
         TokenDecontaminator,
+        _flat_tokens,
         build_eval_token_grams,
     )
 
     def ev_tok(t: pa.Table) -> pa.Table:
         d = _dnum(t["doc_id"].to_numpy(zero_copy_only=False))
         vals, offs = _flat_tokens(t, "tokens")
-        lens = np.diff(offs)
-        idx = np.flatnonzero((d % 37 == 0) & (lens >= 11))
+        idx = np.flatnonzero((d % 37 == 0) & (np.diff(offs) >= 11))
         if len(idx):
-            spans = vals[
-                offs[:-1][idx][:, None] + np.arange(3, 11, dtype=np.int64)[None, :]
-            ].astype(np.int32)
+            spans = vals[offs[:-1][idx][:, None] + np.arange(3, 11, dtype=np.int64)[None, :]].astype(np.int32)
         else:
             spans = np.empty((0, 8), np.int32)
         offs2 = np.arange(len(idx) + 1, dtype=np.int32) * 8
         return pa.table(
-            {
-                "span": pa.ListArray.from_arrays(
-                    pa.array(offs2), pa.array(spans.ravel(), pa.int32())
-                )
-            }
+            {"span": pa.ListArray.from_arrays(pa.array(offs2), pa.array(spans.ravel(), pa.int32()))}
         )
 
-    ev_spans = [
-        np.asarray(r["span"], np.int32)
-        for r in cds.select_columns(["doc_id", "tokens"])
-        .map_batches(ev_tok, batch_format="pyarrow")
-        .take_all()
-    ]
-    tgrams = build_eval_token_grams(ev_spans, n=8)
+    toks = c.corpus.select_columns(["doc_id", "tokens"])
+    ev = toks.map_batches(ev_tok, batch_format="pyarrow").take_all()
+    spans = [np.asarray(r["span"], np.int32) for r in ev]
     td = (
-        cds.select_columns(["doc_id", "tokens"])
-        .map_batches(TokenDecontaminator(tgrams, n=8), batch_format="pyarrow")
+        toks.map_batches(TokenDecontaminator(build_eval_token_grams(spans, n=8), n=8), batch_format="pyarrow")
         .select_columns(["doc_id", "contaminated", "n_contam_windows", "n_windows"])
         .to_pandas()
     )
     td = td[_dnum(td["doc_id"]) % 7 == 0]
-    tdecon_rows = pd.DataFrame(
-        {
-            "leg": "tdecon",
-            "key": td["doc_id"],
-            "n": td["contaminated"].astype(np.int64),
-            "n2": td["n_contam_windows"].astype(np.int64),
-            "n3": td["n_windows"].astype(np.int64),
-            "v_str": "",
-        }
+    return pa.table(
+        {"key": td["doc_id"], "n": td["contaminated"], "n2": td["n_contam_windows"], "n3": td["n_windows"]}
     )
 
-    # --- clf leg: model-based quality filtering — linear classifier
-    # over hashed bag-of-words features (GPT-3 appendix A LR filter /
-    # CCNet fastText). Deterministic integer weights stand in for the
-    # learned vector (identical pipeline shape: broadcast weights,
-    # flat bucket pass, per-doc scatter-add); per-doc integer score /
-    # keep flag / word count re-derived exactly in SQL from the same
-    # first/last-codepoint+length bucket mix.
+
+def _llm_clf(c: _LlmInputs) -> pa.Table:
+    """Model-based quality filtering: a linear classifier over hashed
+    bag-of-words features (GPT-3 appendix A, CCNet fastText), with
+    deterministic integer weights in place of a learned vector (the
+    same shape: broadcast weights, one flat bucket pass, per-doc
+    scatter-add); per doc the score, keep flag and word count."""
     from opentelemetry_collector_contrib_ray.stages.llmdata import (
         HashedQualityClassifier,
         default_clf_weights,
     )
 
     clf = (
-        docs.select_columns(["doc_id", "text"])
+        c.docs.select_columns(["doc_id", "text"])
         .map_batches(
             HashedQualityClassifier,
             batch_format="pyarrow",
@@ -5320,266 +5361,722 @@ def _q_llm_ops(sf_dir: str):
         .select_columns(["doc_id", "clf_score", "clf_keep", "n_words"])
         .to_pandas()
     )
-    clf_rows = pd.DataFrame(
-        {
-            "leg": "clf",
-            "key": clf["doc_id"].astype(str),
-            "n": clf["clf_score"].astype(np.int64),
-            "n2": clf["clf_keep"].astype(np.int64),
-            "n3": clf["n_words"].astype(np.int64),
-            "v_str": "",
-        }
+    return pa.table(
+        {"key": clf["doc_id"].astype(str), "n": clf["clf_score"], "n2": clf["clf_keep"], "n3": clf["n_words"]}
     )
 
-    # --- shuf leg: deterministic seeded global shuffle into training
-    # shards, checked through the ACTUAL writer path: the manifest
-    # write_training_shards returns (per-shard count, id sum, first and
-    # last id in shuffled read order) must equal the oracle's BIGINT
-    # closed forms (shard = rank % 16, rank = ((id+seed)%p)*K%p,
-    # first/last via arg_min/arg_max over the tie-free rank).
+
+def _llm_shuf(c: _LlmInputs) -> pa.Table:
+    """The seeded global shuffle into training shards, through the real
+    writer: the manifest's per-shard count, id sum and first and last id
+    in shuffled read order (shard = rank % 16, rank = ((id + seed) % p)
+    * K % p)."""
     import shutil as _sh
     import tempfile as _tf
 
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        write_training_shards,
-    )
+    from opentelemetry_collector_contrib_ray.stages.llmdata import write_training_shards
 
     shuf_dir = _tf.mkdtemp(prefix="otelray_shuf_")
     try:
-        man = write_training_shards(
-            docs.select_columns(["doc_id"]), shuf_dir, n_shards=16, seed=7
-        )
+        man = write_training_shards(c.docs.select_columns(["doc_id"]), shuf_dir, n_shards=16, seed=7)
     finally:
         _sh.rmtree(shuf_dir, ignore_errors=True)
-    shuf_rows = pd.DataFrame(
-        {
-            "leg": "shuf",
-            "key": "sh" + man["shard"].astype(np.int64).astype(str),
-            "n": man["n_rows"].astype(np.int64),
-            "n2": man["id_sum"].astype(np.int64),
-            "n3": man["first_id"].astype(np.int64),
-            "v_str": man["last_id"],
-        }
+    return pa.table(
+        {"key": "sh" + man["shard"].astype(np.int64).astype(str), "n": man["n_rows"], "n2": man["id_sum"],
+         "n3": man["first_id"], "v_str": man["last_id"]}
     )
 
-    # --- prep leg: the END-TO-END corpus-prep pipeline
-    # (pipelines/corpus_prep.prepare_corpus) over its SQL-expressible
-    # stage subset: injected exact-duplicate templates (doc_id%31→one
-    # of 7 quality-passing templates) → Gopher gate → PII redaction →
-    # exact dedup (first-owner-wins) → deterministic split → top-50
-    # vocab over the SURVIVING corpus → tokenize → pack per
-    # (source, split). The oracle recomposes every stage in SQL CTEs,
-    # so the COMPOSITION (stage order, survivors feeding the vocab,
-    # packing over final tokens) is what's checked — each stage alone
-    # is already covered by its own leg. Per-group closed forms:
-    # survivor count, id sum, packed chunk count,
-    # "sum_ntok:sum_noov:tail_chunk_len".
+
+def _llm_prep(c: _LlmInputs) -> pa.Table:
+    """The end-to-end corpus-prep pipeline (prepare_corpus) over its
+    SQL-expressible stages: injected exact-duplicate templates (doc_id %
+    31 → one of 7 quality-passing texts) → Gopher gate → PII redaction →
+    exact dedup → split → top-50 vocab over the survivors → tokenize →
+    pack per (source, split). Each stage has its own leg; this one checks
+    their composition: per group the survivors, id sum, chunks and
+    "tokens:oov:tail chunk length"."""
+    import pandas as pd
+
     from opentelemetry_collector_contrib_ray.pipelines.corpus_prep import (
         PACK_GROUP_SEP,
         PrepConfig,
         prepare_corpus,
     )
 
-    def inj_prep(t: pa.Table) -> pa.Table:
+    def inject(t: pa.Table) -> pa.Table:
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         tmpl = (
-            "shared duplicate template text number "
-            + pd.Series(d % 7).astype(str)
+            "shared duplicate template text number " + pd.Series(d % 7).astype(str)
             + " with plenty of distinct plain words inside"
         )
-        txt = s.where(pd.Series(d % 31 != 0), tmpl)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "source": t["source"],
-                "text": pa.array(txt.to_numpy(dtype=object), pa.string()),
-            }
-        )
+        txt = _texts(t).where(pd.Series(d % 31 != 0), tmpl)
+        text = pa.array(txt.to_numpy(dtype=object), pa.string())
+        return pa.table({"doc_id": t["doc_id"], "source": t["source"], "text": text})
 
     prep = prepare_corpus(
-        docs.map_batches(inj_prep, batch_format="pyarrow"),
-        PrepConfig(
-            quality=True,
-            pii=True,
-            exact_dedup=True,
-            split=True,
-            vocab_size=50,
-            seq_len=64,
-            pack=True,
-            pack_emit_tokens=False,
-        ),
+        c.docs.map_batches(inject, batch_format="pyarrow"),
+        PrepConfig(quality=True, pii=True, exact_dedup=True, split=True, vocab_size=50, seq_len=64, pack=True,
+                   pack_emit_tokens=False),
     )
 
-    def prep_doc_partials(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
+    def partials(t: pa.Table) -> pa.Table:
         g = (
-            df.groupby(["source", "split"], sort=False)
-            .agg(
-                cnt=("doc_id", "count"),
-                sid=("doc_id", "sum"),
-                ntok=("n_tok", "sum"),
-                noov=("n_oov", "sum"),
-            )
+            t.to_pandas()
+            .groupby(["source", "split"], sort=False)
+            .agg(cnt=("doc_id", "count"), sid=("doc_id", "sum"), ntok=("n_tok", "sum"), noov=("n_oov", "sum"))
             .reset_index()
         )
         return pa.table(
-            {
-                "source": pa.array(g["source"].to_numpy(dtype=object), pa.string()),
-                "split": pa.array(g["split"].to_numpy(dtype=object), pa.string()),
-                "cnt": pa.array(g["cnt"].to_numpy(np.int64)),
-                "sid": pa.array(g["sid"].to_numpy(np.int64)),
-                "ntok": pa.array(g["ntok"].to_numpy(np.int64)),
-                "noov": pa.array(g["noov"].to_numpy(np.int64)),
-            }
+            {"source": pa.array(g["source"].to_numpy(dtype=object), pa.string()),
+             "split": pa.array(g["split"].to_numpy(dtype=object), pa.string()),
+             **{k: pa.array(g[k].to_numpy(np.int64)) for k in ("cnt", "sid", "ntok", "noov")}}
         )
 
     pagg = (
         prep.documents.select_columns(["doc_id", "source", "split", "n_tok", "n_oov"])
-        .map_batches(prep_doc_partials, batch_format="pyarrow")
+        .map_batches(partials, batch_format="pyarrow")
         .to_pandas()
         .groupby(["source", "split"])[["cnt", "sid", "ntok", "noov"]]
         .sum()
         .reset_index()
     )
-    pchunk = prep.packed.to_pandas()  # chunk STATS only (no token arrays)
-    ch = pchunk.groupby("pack_group").agg(
-        n_chunks=("chunk_id", "count"), tail=("chunk_len", "min")
-    )
-    # the only non-full chunk is the last → min(chunk_len) IS the tail
-    # (when every chunk is full, tail == seq_len — same closed form)
+    # chunk stats only (no token arrays); the only non-full chunk is the
+    # last, so min(chunk_len) IS the tail (seq_len when every chunk is full)
+    ch = prep.packed.to_pandas().groupby("pack_group")
+    ch = ch.agg(n_chunks=("chunk_id", "count"), tail=("chunk_len", "min"))
     pagg["pg"] = pagg["source"] + PACK_GROUP_SEP + pagg["split"]
     pagg = pagg.join(ch, on="pg")
-    prep_rows = pd.DataFrame(
-        {
-            "leg": "prep",
-            "key": pagg["pg"],
-            "n": pagg["cnt"].astype(np.int64),
-            "n2": pagg["sid"].astype(np.int64),
-            "n3": pagg["n_chunks"].astype(np.int64),
-            "v_str": pagg["ntok"].astype(np.int64).astype(str)
-            + ":"
-            + pagg["noov"].astype(np.int64).astype(str)
-            + ":"
-            + pagg["tail"].astype(np.int64).astype(str),
-        }
+    return pa.table(
+        {"key": pagg["pg"], "n": pagg["cnt"], "n2": pagg["sid"], "n3": pagg["n_chunks"],
+         "v_str": pagg["ntok"].astype(np.int64).astype(str) + ":" + pagg["noov"].astype(np.int64).astype(str)
+         + ":" + pagg["tail"].astype(np.int64).astype(str)}
     )
 
-    # --- qbuck leg: CCNet-style quality bucketing (head/middle/tail
-    # terciles from the mergeable quantile sketch — Wenzek et al.
-    # 2020). The score is a tie-free deterministic hash of doc_id, so
-    # the true terciles are uniform and the contracts are tight:
-    # per-bucket mass within the sketch rank-error band (±10% of
-    # corpus), bucket score ranges strictly ordered and aligned with
-    # the boundaries, labels mapped head→0. The 'all' row carries the
-    # SQL-exact partition total (oracle COUNT(*)) and cardinality.
-    from opentelemetry_collector_contrib_ray.stages.llmdata import (
-        quality_buckets,
-        split_hash,
-    )
+
+def _llm_qbuck(c: _LlmInputs) -> pa.Table:
+    """CCNet-style quality buckets (head/middle/tail terciles from the
+    mergeable quantile sketch). The score is a tie-free hash of doc_id,
+    so the true terciles are uniform: per bucket, mass within the
+    sketch's rank-error band (±10% of the corpus), score ranges strictly
+    ordered and aligned with the boundaries, labels head → 0; the 'all'
+    row carries the exact total and the bucket cardinality."""
+    from opentelemetry_collector_contrib_ray.stages.llmdata import quality_buckets, split_hash
 
     def add_score(t: pa.Table) -> pa.Table:
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "score", pa.array(split_hash(d).astype(np.float64))
-        )
+        return t.append_column("score", pa.array(split_hash(d).astype(np.float64)))
 
-    qb_labeled, qb_bounds = quality_buckets(
-        docs.select_columns(["doc_id"]).map_batches(
-            add_score, batch_format="pyarrow"
-        ),
+    labeled, bounds = quality_buckets(
+        c.docs.select_columns(["doc_id"]).map_batches(add_score, batch_format="pyarrow"),
         "score",
         n_buckets=3,
         labels=("head", "middle", "tail"),
     )
 
-    def qb_partials(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = (
-            df.groupby(["bucket", "bucket_label"], sort=False)["score"]
-            .agg(["count", "min", "max"])
-            .reset_index()
-        )
+    def partials(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby(["bucket", "bucket_label"], sort=False)["score"]
+        g = g.agg(["count", "min", "max"]).reset_index()
         return pa.table(
-            {
-                "bucket": pa.array(g["bucket"].to_numpy(np.int64)),
-                "lbl": pa.array(g["bucket_label"].to_numpy(dtype=object), pa.string()),
-                "cnt": pa.array(g["count"].to_numpy(np.int64)),
-                "mn": pa.array(g["min"].to_numpy(np.float64)),
-                "mx": pa.array(g["max"].to_numpy(np.float64)),
-            }
+            {"bucket": pa.array(g["bucket"].to_numpy(np.int64)),
+             "lbl": pa.array(g["bucket_label"].to_numpy(dtype=object), pa.string()),
+             "cnt": pa.array(g["count"].to_numpy(np.int64)), "mn": pa.array(g["min"].to_numpy(np.float64)),
+             "mx": pa.array(g["max"].to_numpy(np.float64))}
         )
 
     qb = (
-        qb_labeled.map_batches(qb_partials, batch_format="pyarrow")
+        labeled.map_batches(partials, batch_format="pyarrow")
         .to_pandas()
         .groupby(["bucket", "lbl"])
         .agg(cnt=("cnt", "sum"), mn=("mn", "min"), mx=("mx", "max"))
         .reset_index()
         .sort_values("bucket")
     )
-    qb_total = int(qb["cnt"].sum())
+    total = int(qb["cnt"].sum())
     monotone = bool(
-        np.all(np.diff(qb_bounds) > 0)
-        and all(
-            qb.iloc[i]["mx"] <= qb_bounds[i] < qb.iloc[i + 1]["mn"]
-            for i in range(len(qb) - 1)
-        )
+        np.all(np.diff(bounds) > 0)
+        and all(qb.iloc[i]["mx"] <= bounds[i] < qb.iloc[i + 1]["mn"] for i in range(len(qb) - 1))
     )
     labels_ok = qb["lbl"].tolist() == ["head", "middle", "tail"]
-    qbuck_rows = pd.DataFrame(
-        [
-            {
-                "leg": "qbuck",
-                "key": "all",
-                "n": np.int64(qb_total),
-                "n2": np.int64(qb["bucket"].nunique()),
-                "n3": np.int64(labels_ok),
-                "v_str": "",
-            }
-        ]
-        + [
-            {
-                "leg": "qbuck",
-                "key": r["lbl"],
-                "n": np.int64(abs(r["cnt"] - qb_total / 3) <= 0.10 * qb_total),
-                "n2": np.int64(monotone),
-                "n3": np.int64(0),
-                "v_str": "",
-            }
-            for _, r in qb.iterrows()
-        ]
-    )
+    return [("all", total, qb["bucket"].nunique(), int(labels_ok))] + [
+        (r["lbl"], int(abs(r["cnt"] - total / 3) <= 0.10 * total), int(monotone)) for _, r in qb.iterrows()
+    ]
 
-    return pd.concat(
+
+_LLM = LegTable(
+    pa.schema(
         [
-            pii,
-            pd.DataFrame(grp),
-            decon_rows,
-            c4_rows,
-            mix_rows,
-            dup_rows,
-            dup2_rows,
-            lm_rows,
-            lm2_rows,
-            dsir_rows,
-            ld_rows,
-            tpack_rows,
-            tok_rows,
-            split_rows,
-            samp_rows,
-            tstat_rows,
-            tded_rows,
-            tnear_rows,
-            tqual_rows,
-            tdecon_rows,
-            clf_rows,
-            shuf_rows,
-            prep_rows,
-            qbuck_rows,
-        ],
-        ignore_index=True,
-    )
+            ("leg", pa.string()),
+            ("key", pa.string()),
+            ("n", pa.int64()),
+            ("n2", pa.int64()),
+            ("n3", pa.int64()),
+            ("v_str", pa.string()),
+        ]
+    ),
+    (
+        Leg("pii", _llm_pii, """
+            SELECT CAST(doc_id AS VARCHAR) AS "key", n_email AS n, n_ip AS n2, n_phone AS n3, txt AS v_str
+            FROM t3"""),
+        # closed-form chunk math per source + arg_min/max first/last token
+        Leg("pack", _llm_pack, """
+            SELECT source AS "key", CAST(CEIL(s / 64.0) AS BIGINT) AS n, CAST(s // 64 AS BIGINT) AS n2,
+                   CAST(s % 64 AS BIGINT) AS n3, fw || ':' || lw AS v_str
+            FROM pk"""),
+        # word-boundary substring containment (the engine hashes windows)
+        Leg("decon", _llm_decon, """
+            SELECT CAST(d.doc_id AS VARCHAR) AS "key",
+                   CASE WHEN EXISTS (
+                       SELECT 1 FROM (
+                           SELECT array_to_string(list_slice(string_split(text, ' '), 4, 11), ' ') AS gram
+                           FROM documents
+                           WHERE doc_id % 37 = 0 AND len(string_split(text, ' ')) >= 11
+                       ) ev
+                       WHERE contains(' ' || d.text || ' ', ' ' || ev.gram || ' ')
+                   ) THEN 1 ELSE 0 END AS n
+            FROM documents d"""),
+        # the line rules as DuckDB list lambdas (terminal punct, >= 3
+        # non-empty words, no javascript/lorem ipsum/brace); doc gate >= 3
+        Leg("c4", _llm_c4, """
+            SELECT CAST(doc_id AS VARCHAR) AS "key", len(kept_lines) AS n,
+                   CASE WHEN len(kept_lines) >= 3 THEN 1 ELSE 0 END AS n2,
+                   array_to_string(kept_lines, chr(10)) AS v_str
+            FROM (
+                SELECT doc_id, list_filter(
+                    string_split(
+                        'Alpha line number one.' || chr(10) ||
+                        'Document ' || CAST(doc_id AS VARCHAR) || ' body line.' || chr(10) ||
+                        'bad { brace line.' || chr(10) ||
+                        'tiny line.' || chr(10) ||
+                        'Uses javascript inside here.' || chr(10) ||
+                        'lorem ipsum dolor sit amet.' || chr(10) ||
+                        CASE WHEN doc_id % 3 = 0 THEN 'Third good line appears here.'
+                             ELSE 'no terminal punct line' END,
+                        chr(10)),
+                    x -> regexp_matches(x, '[.!?"]$')
+                         AND len(list_filter(string_split(x, ' '), w -> w <> '')) >= 3
+                         AND NOT contains(lower(x), 'javascript')
+                         AND NOT contains(lower(x), 'lorem ipsum')
+                         AND NOT contains(x, '{')
+                ) AS kept_lines
+                FROM documents
+            )"""),
+        # w(source) = (idx % 4) + 0.5 → floor(w) copies plus one when
+        # doc_id % 1000 < 500; emitted + distinct
+        Leg("mix", _llm_mix, """
+            SELECT source AS "key", SUM(reps) AS n, SUM(CASE WHEN reps > 0 THEN 1 ELSE 0 END) AS n2
+            FROM (
+                SELECT source, (CAST(SUBSTR(source, 4) AS INT) % 4)
+                       + CASE WHEN doc_id % 1000 < 500 THEN 1 ELSE 0 END AS reps
+                FROM documents
+            ) GROUP BY source"""),
+        Leg("dup", _llm_dup, f"""
+            SELECT 'passages' AS "key", COUNT(*) AS n, MAX(nd) AS n2, MIN(mid) AS n3
+            FROM (
+                SELECT win, COUNT(DISTINCT doc_id) AS nd, MIN(doc_id) AS mid
+                FROM (
+                    SELECT doc_id, array_to_string(list_slice(ws, i, i + 31), ' ') AS win
+                    FROM (
+                        SELECT doc_id,
+                               string_split(text || CASE WHEN doc_id % 25 = 0
+                                    THEN ' {" ".join(f"zq{j}" for j in range(40))}'
+                                    ELSE '' END, ' ') AS ws
+                        FROM documents
+                    ), unnest(generate_series(1, greatest(len(ws) - 31, 0))) AS t(i)
+                )
+                GROUP BY win
+                HAVING COUNT(DISTINCT doc_id) >= 2
+            )"""),
+        Leg("dup2", _llm_dup2, """
+            SELECT CAST(a.doc_id AS VARCHAR) AS "key", a.n_words AS n, a.n_removed AS n2, a.n_flagged AS n3,
+                   cl.ct AS v_str
+            FROM d2agg a JOIN d2clean cl ON a.doc_id = cl.doc_id"""),
+        Leg("lm", _llm_lm, """
+            SELECT CAST(d0.doc_id AS VARCHAR) AS "key", COALESCE(a.n_in, 0) AS n, COALESCE(a.n_oov, 0) AS n2,
+                   COALESCE(a.sf, 0) AS n3
+            FROM documents d0 LEFT JOIN lmagg a ON d0.doc_id = a.doc_id"""),
+        Leg("lm2", _llm_lm2, """
+            SELECT CAST(d0.doc_id AS VARCHAR) AS "key", COALESCE(a.nh, 0) AS n, COALESCE(a.sf, 0) AS n2,
+                   COALESCE(a.np, 0) AS n3
+            FROM documents d0 LEFT JOIN bagg a ON d0.doc_id = a.doc_id"""),
+        Leg("dsir", _llm_dsir, """
+            SELECT CAST(d0.doc_id AS VARCHAR) AS "key", COALESCE(s.score, 0) AS n,
+                   CASE WHEN COALESCE(s.score, 0) > 0 THEN 1 ELSE 0 END AS n2, COALESCE(s.nb, 0) AS n3
+            FROM documents d0 LEFT JOIN dsc s ON d0.doc_id = s.doc_id"""),
+        Leg("ldedup", _llm_ldedup, """
+            SELECT CAST(doc_id AS VARCHAR) AS "key", n_lines AS n, n_rm AS n2 FROM lagg"""),
+        Leg("tok", _llm_tok, """
+            SELECT CAST(e.doc_id AS VARCHAR) AS "key", COALESCE(a.sid, 0) AS n, COALESCE(a.noov, 0) AS n2,
+                   COALESCE(a.ntok, 0) AS n3,
+                   CASE WHEN e.nw > 0 THEN CAST(e.ft AS VARCHAR) || ':' || CAST(e.lt AS VARCHAR) ELSE '' END AS v_str
+            FROM tokends e LEFT JOIN tokagg a ON e.doc_id = a.doc_id"""),
+        # token-array packing closed forms (seq_len=2048 per source)
+        Leg("tpack", _llm_tpack, """
+            SELECT source AS "key", CAST(CEIL(s / 2048.0) AS BIGINT) AS n, CAST(s // 2048 AS BIGINT) AS n2,
+                   CAST(s % 2048 AS BIGINT) AS n3, fw || ':' || lw AS v_str
+            FROM (
+                SELECT source, CAST(SUM(n_tok) AS BIGINT) AS s,
+                       CAST(arg_min(tokens[1], doc_id) AS VARCHAR) AS fw,
+                       CAST(arg_max(tokens[-1], doc_id) AS VARCHAR) AS lw
+                FROM __CORPUS__ GROUP BY source
+            )"""),
+        # the engine's split_hash as a BIGINT closed form (intermediates < 2^63)
+        Leg("split", _llm_split, """
+            SELECT sp AS "key", COUNT(*) AS n, SUM(doc_id) AS n2
+            FROM (
+                SELECT doc_id,
+                       CASE WHEN r < 500 THEN 'test' WHEN r < 1000 THEN 'valid' ELSE 'train' END AS sp
+                FROM (
+                    SELECT doc_id, ((doc_id % 1000000007) * 2654435761) % 1000000007 % 10000 AS r
+                    FROM documents
+                )
+            ) GROUP BY sp"""),
+        Leg("samp", _llm_samp, """
+            SELECT source AS "key", COUNT(*) AS n, SUM(doc_id) AS n2, MIN(doc_id) AS n3,
+                   CAST(MIN(CASE WHEN rn = 1 THEN doc_id END) AS VARCHAR) AS v_str
+            FROM (
+                SELECT source, doc_id,
+                       ROW_NUMBER() OVER (
+                           PARTITION BY source
+                           ORDER BY ((doc_id % 1000000007) * 2654435761) % 1000000007, doc_id
+                       ) AS rn
+                FROM documents
+            ) WHERE rn <= 40 GROUP BY source"""),
+        # the corpus lists exploded (bigram key a*50257+b, adjacent
+        # positions within a doc; corpus docs are never empty, so
+        # COUNT(DISTINCT did) is the doc count)
+        Leg("tstat", _llm_tstat, """
+            SELECT source AS "key", COUNT(*) AS n, COUNT(DISTINCT a) AS n2,
+                   COUNT(DISTINCT CASE WHEN b IS NOT NULL THEN a * 50257 + b END) AS n3,
+                   CAST(MAX(a) AS VARCHAR) || ':' || CAST(COUNT(DISTINCT did) AS VARCHAR) AS v_str
+            FROM (
+                SELECT source, doc_id AS did, CAST(tokens[i] AS BIGINT) AS a,
+                       CASE WHEN i < len(tokens) THEN CAST(tokens[i + 1] AS BIGINT) ELSE NULL END AS b
+                FROM __CORPUS__, unnest(generate_series(1, len(tokens))) AS t(i)
+            ) GROUP BY source"""),
+        # distinct injected token lists = survivors; per template the
+        # group size, min-id owner and distinct lists
+        Leg("tdedup", _llm_tdedup, """
+            SELECT 'all' AS "key", (SELECT COUNT(*) FROM (SELECT DISTINCT toks FROM tinj)) AS n,
+                   (SELECT COUNT(*) FROM tinj) - (SELECT COUNT(*) FROM (SELECT DISTINCT toks FROM tinj)) AS n2
+            UNION ALL BY NAME
+            SELECT 'tmpl' || CAST(d % 5 AS VARCHAR) AS "key", COUNT(*) AS n, MIN(d) AS n2,
+                   COUNT(DISTINCT toks) AS n3
+            FROM tinj WHERE d % 13 = 0 GROUP BY d % 5"""),
+        # every injected near-dup doc finds a same-group candidate
+        Leg("tnear", _llm_tnear, """
+            SELECT 'grp' || CAST(d % 3 AS VARCHAR) AS "key", COUNT(*) AS n, COUNT(*) AS n2, 1 AS n3
+            FROM t0c WHERE d % 13 <> 0 AND d % 17 = 0 GROUP BY d % 3"""),
+        # distinct ids (list_distinct), distinct adjacent bigrams
+        # (a*50257+b), longest single-token run (gaps-and-islands)
+        Leg("tqual", _llm_tqual, """
+            SELECT c.doc_id AS "key", len(list_distinct(c.tokens)) AS n, COALESCE(db.nb, 0) AS n2,
+                   COALESCE(mr.m, 0) AS n3,
+                   CAST(len(c.tokens) AS VARCHAR) || ':' || CAST(GREATEST(len(c.tokens) - 1, 0) AS VARCHAR) AS v_str
+            FROM t0c c
+            LEFT JOIN (
+                SELECT doc_id,
+                       COUNT(DISTINCT CAST(tokens[i] AS BIGINT) * 50257 + CAST(tokens[i + 1] AS BIGINT)) AS nb
+                FROM t0c, unnest(generate_series(1, len(tokens) - 1)) AS t(i)
+                GROUP BY doc_id
+            ) db ON c.doc_id = db.doc_id
+            LEFT JOIN (
+                -- run LENGTHS as gaps between run-START positions
+                -- (i = 1 or value change); one LEAD per doc partition
+                -- beats ROW_NUMBER per (doc, token) partition ~30x
+                SELECT doc_id, MAX(nxt - i) AS m FROM (
+                    SELECT doc_id, i, LEAD(i, 1, maxlen + 1) OVER (PARTITION BY doc_id ORDER BY i) AS nxt
+                    FROM (
+                        SELECT doc_id, i, len(tokens) AS maxlen
+                        FROM t0c, unnest(generate_series(1, len(tokens))) AS t(i)
+                        WHERE i = 1 OR tokens[i] <> tokens[i - 1]
+                    )
+                ) GROUP BY doc_id
+            ) mr ON c.doc_id = mr.doc_id"""),
+        # window strings joined (the engine scans window hashes): eval =
+        # tokens[4:11] of d % 37 = 0 docs with >= 11 tokens; a d % 7 = 0
+        # doc is contaminated when any 8-token window string matches
+        Leg("tdecon", _llm_tdecon, """
+            SELECT c.doc_id AS "key", CASE WHEN COALESCE(h.nh, 0) > 0 THEN 1 ELSE 0 END AS n,
+                   COALESCE(h.nh, 0) AS n2, GREATEST(len(c.tokens) - 7, 0) AS n3
+            FROM t0c c
+            LEFT JOIN (
+                SELECT tw.did AS doc_id, CAST(COUNT(*) AS BIGINT) AS nh
+                FROM (
+                    SELECT doc_id AS did, array_to_string(tokens[i:i + 7], ' ') AS w
+                    FROM t0c, unnest(generate_series(1, len(tokens) - 7)) AS t(i)
+                    WHERE d % 7 = 0
+                ) tw
+                JOIN (
+                    SELECT DISTINCT array_to_string(tokens[4:11], ' ') AS w
+                    FROM t0c WHERE d % 37 = 0 AND len(tokens) >= 11
+                ) ev ON tw.w = ev.w
+                GROUP BY tw.did
+            ) h ON c.doc_id = h.doc_id
+            WHERE c.d % 7 = 0"""),
+        Leg("clf", _llm_clf, """
+            SELECT CAST(d.doc_id AS VARCHAR) AS "key", COALESCE(sc.s, 0) AS n,
+                   CASE WHEN COALESCE(sc.s, 0) > 0 THEN 1 ELSE 0 END AS n2, COALESCE(sc.nw, 0) AS n3
+            FROM documents d
+            LEFT JOIN (
+                SELECT doc_id,
+                       SUM((((unicode(w[1:1]) * 31 + length(w) * 3 + unicode(w[-1:])) % 64) * 37) % 21 - 10) AS s,
+                       COUNT(*) AS nw
+                FROM (
+                    SELECT doc_id, unnest(list_filter(string_split(text, ' '), x -> x <> '')) AS w
+                    FROM documents
+                ) GROUP BY doc_id
+            ) sc ON d.doc_id = sc.doc_id"""),
+        Leg("shuf", _llm_shuf, """
+            SELECT 'sh' || CAST(r % 16 AS VARCHAR) AS "key", COUNT(*) AS n, SUM(doc_id) AS n2,
+                   arg_min(doc_id, r) AS n3, CAST(arg_max(doc_id, r) AS VARCHAR) AS v_str
+            FROM (
+                SELECT doc_id, ((doc_id + 7) % 1000000007) * 2654435761 % 1000000007 AS r
+                FROM documents
+            ) GROUP BY r % 16"""),
+        Leg("prep", _llm_prep, """
+            SELECT source || chr(31) || split AS "key", cnt AS n, sid AS n2,
+                   CAST(CEIL(ntok / 64.0) AS BIGINT) AS n3,
+                   CAST(ntok AS VARCHAR) || ':' || CAST(noov AS VARCHAR)
+                       || ':' || CAST(((ntok - 1) % 64) + 1 AS VARCHAR) AS v_str
+            FROM (
+                WITH pdoc0 AS (
+                    SELECT doc_id, source,
+                           CASE WHEN doc_id % 31 = 0
+                                THEN 'shared duplicate template text number '
+                                     || CAST(doc_id % 7 AS VARCHAR)
+                                     || ' with plenty of distinct plain words inside'
+                                ELSE text END AS ptxt
+                    FROM documents
+                ),
+                pq AS (
+                    SELECT doc_id, source, ptxt,
+                           string_split(ptxt, ' ') AS ws,
+                           CAST(len(string_split(ptxt, ' ')) AS BIGINT) AS n_words,
+                           CAST(GREATEST(len(string_split(ptxt, ' ')), 1) AS DOUBLE) AS nz,
+                           (length(ptxt) - (len(string_split(ptxt, ' ')) - 1)) AS n_letters,
+                           CAST(len(regexp_extract_all(ptxt, '#')) +
+                                len(regexp_extract_all(ptxt, '\\.\\.\\.')) AS DOUBLE) AS syms
+                    FROM pdoc0
+                ),
+                pf AS (
+                    SELECT doc_id, source, ptxt FROM pq
+                    WHERE n_words >= 5
+                      AND n_letters / nz >= 3.0 AND n_letters / nz <= 10.0
+                      AND 1.0 - len(list_distinct(ws)) / nz < 0.5
+                      AND len(list_filter(ws, x -> regexp_matches(x, '[A-Za-z]'))) / nz > 0.8
+                      AND syms / nz < 0.1
+                ),
+                pr AS (
+                    SELECT doc_id, source,
+                           regexp_replace(
+                               regexp_replace(
+                                   regexp_replace(ptxt,
+                                       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
+                                       '<EMAIL>', 'g'),
+                                   '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b',
+                                   '<IP>', 'g'),
+                               '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}', '<PHONE>', 'g') AS txt
+                    FROM pf
+                ),
+                psv AS (
+                    SELECT doc_id, source, txt FROM (
+                        SELECT doc_id, source, txt,
+                               MIN(doc_id) OVER (PARTITION BY txt) AS owner
+                        FROM pr
+                    ) WHERE doc_id = owner
+                ),
+                psp AS (
+                    SELECT doc_id, source, txt,
+                           CASE WHEN ((doc_id % 1000000007) * 2654435761)
+                                         % 1000000007 % 10000 < 500 THEN 'test'
+                                WHEN ((doc_id % 1000000007) * 2654435761)
+                                         % 1000000007 % 10000 < 1000 THEN 'valid'
+                                ELSE 'train' END AS split
+                    FROM psv
+                ),
+                pw AS (
+                    SELECT doc_id,
+                           unnest(list_filter(string_split(txt, ' '), w -> w <> '')) AS w
+                    FROM psp
+                ),
+                pvoc AS (
+                    SELECT w FROM (
+                        SELECT w, COUNT(*) AS c FROM pw
+                        GROUP BY w ORDER BY c DESC, w ASC LIMIT 50
+                    )
+                ),
+                ptk AS (
+                    SELECT p.doc_id, CAST(COUNT(*) AS BIGINT) AS ntok,
+                           CAST(SUM(CASE WHEN v.w IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS noov
+                    FROM pw p LEFT JOIN pvoc v ON p.w = v.w
+                    GROUP BY p.doc_id
+                )
+                SELECT s.source, s.split,
+                       CAST(COUNT(*) AS BIGINT) AS cnt,
+                       CAST(SUM(s.doc_id) AS BIGINT) AS sid,
+                       CAST(SUM(COALESCE(t.ntok, 0)) AS BIGINT) AS ntok,
+                       CAST(SUM(COALESCE(t.noov, 0)) AS BIGINT) AS noov
+                FROM psp s LEFT JOIN ptk t ON s.doc_id = t.doc_id
+                GROUP BY s.source, s.split
+            )"""),
+        # 'all' is the exact partition total and the bucket count; the
+        # bucket rows are contract booleans the engine checks
+        Leg("qbuck", _llm_qbuck, """
+            SELECT 'all' AS "key", COUNT(*) AS n, 3 AS n2, 1 AS n3 FROM documents
+            UNION ALL BY NAME
+            SELECT lbl AS "key", 1 AS n, 1 AS n2 FROM (VALUES ('head'), ('middle'), ('tail')) q(lbl)"""),
+    ),
+    with_="""
+            WITH t0 AS (
+                SELECT doc_id,
+                       text || ' contact user' || CAST(doc_id AS VARCHAR)
+                            || '@example.com at 10.' || CAST(doc_id % 200 AS VARCHAR)
+                            || '.3.4 call 555-' || CAST(100 + doc_id % 900 AS VARCHAR)
+                            || '-' || CAST(1000 + doc_id % 9000 AS VARCHAR) AS txt
+                FROM documents
+            ),
+            t1 AS (
+                SELECT doc_id,
+                       CAST(len(regexp_extract_all(txt,
+                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}')) AS BIGINT) AS n_email,
+                       regexp_replace(txt,
+                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
+                            '<EMAIL>', 'g') AS txt
+                FROM t0
+            ),
+            t2 AS (
+                SELECT doc_id, n_email,
+                       CAST(len(regexp_extract_all(txt,
+                            '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b')) AS BIGINT) AS n_ip,
+                       regexp_replace(txt,
+                            '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b',
+                            '<IP>', 'g') AS txt
+                FROM t1
+            ),
+            t3 AS (
+                SELECT doc_id, n_email, n_ip,
+                       CAST(len(regexp_extract_all(txt,
+                            '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}')) AS BIGINT) AS n_phone,
+                       regexp_replace(txt, '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}',
+                            '<PHONE>', 'g') AS txt
+                FROM t2
+            ),
+            pk AS (
+                SELECT source,
+                       CAST(SUM(len(string_split(text, ' '))) AS BIGINT) AS s,
+                       arg_min(string_split(text, ' ')[1], doc_id) AS fw,
+                       arg_max(string_split(text, ' ')[-1], doc_id) AS lw
+                FROM documents GROUP BY source
+            ),
+            -- lm leg: corpus top-50 vocab by (count DESC, word ASC),
+            -- then per-doc in-vocab/oov occurrence counts + summed
+            -- corpus frequency (all integers)
+            wdoc AS (
+                SELECT doc_id,
+                       unnest(list_filter(string_split(text, ' '), w -> w <> '')) AS w
+                FROM documents
+            ),
+            wc AS (
+                SELECT w, CAST(COUNT(*) AS BIGINT) AS c FROM wdoc
+                GROUP BY w ORDER BY c DESC, w ASC LIMIT 50
+            ),
+            vid AS (
+                SELECT w, ROW_NUMBER() OVER (ORDER BY c DESC, w ASC) - 1 AS tid
+                FROM wc
+            ),
+            tokagg AS (
+                SELECT wd.doc_id,
+                       CAST(SUM(COALESCE(v.tid, 50)) AS BIGINT) AS sid,
+                       CAST(SUM(CASE WHEN v.tid IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS noov,
+                       CAST(COUNT(*) AS BIGINT) AS ntok
+                FROM wdoc wd LEFT JOIN vid v ON wd.w = v.w
+                GROUP BY wd.doc_id
+            ),
+            tokends AS (
+                SELECT d.doc_id,
+                       len(list_filter(string_split(d.text, ' '), w -> w <> '')) AS nw,
+                       COALESCE(vf.tid, 50) AS ft,
+                       COALESCE(vl.tid, 50) AS lt
+                FROM documents d
+                LEFT JOIN vid vf
+                  ON list_filter(string_split(d.text, ' '), w -> w <> '')[1] = vf.w
+                LEFT JOIN vid vl
+                  ON list_filter(string_split(d.text, ' '), w -> w <> '')[-1] = vl.w
+            ),
+            lmagg AS (
+                SELECT wd.doc_id,
+                       CAST(SUM(CASE WHEN wc.c IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_in,
+                       CAST(SUM(CASE WHEN wc.c IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_oov,
+                       CAST(SUM(COALESCE(wc.c, 0)) AS BIGINT) AS sf
+                FROM wdoc wd LEFT JOIN wc ON wd.w = wc.w
+                GROUP BY wd.doc_id
+            ),
+            -- lm2 leg: interpolated-bigram LM integer contracts — the
+            -- corpus top-100 adjacent-word bigrams by (count DESC,
+            -- pair ASC) with the chr(31) pair key, then per-doc pair
+            -- hits / summed counts via a join
+            bws AS (
+                SELECT doc_id,
+                       list_filter(string_split(text, ' '), w -> w <> '') AS ws
+                FROM documents
+            ),
+            bpair AS (
+                SELECT doc_id, ws[i] || chr(31) || ws[i + 1] AS pr
+                FROM bws,
+                     unnest(generate_series(1, greatest(len(ws) - 1, 0))) AS t(i)
+            ),
+            btab AS (
+                SELECT pr, CAST(COUNT(*) AS BIGINT) AS c FROM bpair
+                GROUP BY pr ORDER BY c DESC, pr ASC LIMIT 100
+            ),
+            bagg AS (
+                SELECT p.doc_id,
+                       CAST(SUM(CASE WHEN b.c IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT) AS nh,
+                       CAST(SUM(COALESCE(b.c, 0)) AS BIGINT) AS sf,
+                       CAST(COUNT(*) AS BIGINT) AS np
+                FROM bpair p LEFT JOIN btab b ON p.pr = b.pr
+                GROUP BY p.doc_id
+            ),
+            -- dsir leg: hashed-bigram buckets via the same
+            -- first-codepoint/length mix as the engine; target
+            -- distribution = lang = 'en'
+            dtok AS (
+                SELECT doc_id, lang,
+                       list_filter(string_split(text, ' '), w -> w <> '') AS ws
+                FROM documents
+            ),
+            dbig AS (
+                SELECT doc_id, lang,
+                       (ord(ws[i]) * 31 + ord(ws[i+1]) * 7
+                        + len(ws[i]) * 3 + len(ws[i+1])) % 64 AS b
+                FROM dtok,
+                     unnest(generate_series(1, greatest(len(ws) - 1, 0))) AS t(i)
+            ),
+            dcnt AS (
+                SELECT b, CAST(COUNT(*) AS BIGINT) AS raw_c,
+                       CAST(SUM(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT) AS tgt_c
+                FROM dbig GROUP BY b
+            ),
+            dtot AS (
+                SELECT CAST(SUM(raw_c) AS BIGINT) AS n_raw,
+                       CAST(SUM(tgt_c) AS BIGINT) AS n_tgt
+                FROM dcnt
+            ),
+            dsc AS (
+                SELECT g.doc_id,
+                       CAST(SUM(c.tgt_c * t.n_raw - c.raw_c * t.n_tgt) AS BIGINT) AS score,
+                       CAST(COUNT(*) AS BIGINT) AS nb
+                FROM dbig g JOIN dcnt c ON g.b = c.b CROSS JOIN dtot t
+                GROUP BY g.doc_id
+            ),
+            -- ldedup leg: same injected multi-line docs; duplicated =
+            -- line string in >= 2 distinct docs; first-owner-wins
+            llin AS (
+                SELECT doc_id, unnest(string_split(
+                    'Common header boilerplate line.' || chr(10) ||
+                    'Group ' || CAST(doc_id % 50 AS VARCHAR) || ' shared body line.'
+                    || chr(10) || text,
+                    chr(10))) AS ln
+                FROM documents
+            ),
+            ldup AS (
+                SELECT ln, MIN(doc_id) AS owner
+                FROM llin GROUP BY ln
+                HAVING COUNT(DISTINCT doc_id) >= 2
+            ),
+            lagg AS (
+                SELECT l.doc_id, CAST(COUNT(*) AS BIGINT) AS n_lines,
+                       CAST(SUM(CASE WHEN d.ln IS NOT NULL AND d.owner <> l.doc_id
+                                THEN 1 ELSE 0 END) AS BIGINT) AS n_rm
+                FROM llin l LEFT JOIN ldup d ON l.ln = d.ln
+                GROUP BY l.doc_id
+            ),
+            -- dup2 leg: passage-REMOVAL coverage over the dup leg's
+            -- injected corpus — window strings grouped in SQL, flagged
+            -- windows exploded to covered word positions, clean text
+            -- rebuilt with an ordered string_agg over kept positions
+            d2txt AS (
+                SELECT doc_id,
+                       string_split(text || CASE WHEN doc_id % 25 = 0
+                            THEN ' zq0 zq1 zq2 zq3 zq4 zq5 zq6 zq7 zq8 zq9 zq10 zq11 zq12 zq13 zq14 zq15 zq16 zq17 zq18 zq19 zq20 zq21 zq22 zq23 zq24 zq25 zq26 zq27 zq28 zq29 zq30 zq31 zq32 zq33 zq34 zq35 zq36 zq37 zq38 zq39'
+                            ELSE '' END, ' ') AS ws
+                FROM documents
+            ),
+            d2win AS (
+                SELECT doc_id, i,
+                       array_to_string(list_slice(ws, i, i + 31), ' ') AS win
+                FROM d2txt,
+                     unnest(generate_series(1, greatest(len(ws) - 31, 0))) AS t(i)
+            ),
+            d2dup AS (
+                SELECT win, MIN(doc_id) AS owner FROM d2win
+                GROUP BY win HAVING COUNT(DISTINCT doc_id) >= 2
+            ),
+            d2flag AS (
+                SELECT w.doc_id, w.i FROM d2win w
+                JOIN d2dup d ON w.win = d.win
+                WHERE d.owner <> w.doc_id
+            ),
+            d2cov AS (
+                SELECT DISTINCT f.doc_id, f.i + o AS p
+                FROM d2flag f, unnest(generate_series(0, 31)) AS t(o)
+            ),
+            d2agg AS (
+                SELECT t.doc_id,
+                       CAST(len(t.ws) AS BIGINT) AS n_words,
+                       CAST(COALESCE(c.ncov, 0) AS BIGINT) AS n_removed,
+                       CAST(COALESCE(f.nf, 0) AS BIGINT) AS n_flagged
+                FROM d2txt t
+                LEFT JOIN (SELECT doc_id, COUNT(*) AS ncov FROM d2cov
+                           GROUP BY doc_id) c ON t.doc_id = c.doc_id
+                LEFT JOIN (SELECT doc_id, COUNT(*) AS nf FROM d2flag
+                           GROUP BY doc_id) f ON t.doc_id = f.doc_id
+            ),
+            d2pos AS (
+                -- materialize (doc, position, word) first: a LEFT
+                -- JOIN against a correlated lateral unnest is not
+                -- supported, a join between plain CTEs is
+                SELECT doc_id, pp.p AS p, ws[pp.p] AS w
+                FROM d2txt,
+                     unnest(generate_series(1, len(ws))) AS pp(p)
+            ),
+            d2clean AS (
+                SELECT t.doc_id,
+                       COALESCE(string_agg(
+                           CASE WHEN c.p IS NULL THEN t.w END,
+                           ' ' ORDER BY t.p), '') AS ct
+                FROM d2pos t
+                LEFT JOIN d2cov c ON c.doc_id = t.doc_id AND c.p = t.p
+                GROUP BY t.doc_id
+            ),
+            -- tdedup/tnear legs: the corpus with injected duplicate
+            -- TOKEN ARRAYS (the oracle groups the lists themselves)
+            t0c AS (
+                SELECT doc_id, tokens,
+                       CAST(SUBSTR(doc_id, 5) AS BIGINT) AS d
+                FROM __CORPUS__
+            ),
+            tinj AS (
+                SELECT doc_id, d,
+                       CASE WHEN d % 13 = 0
+                            THEN list_transform(generate_series(1, 16),
+                                 i -> CAST((d % 5) * 7 + i AS INTEGER))
+                            WHEN d % 17 = 0
+                            THEN list_transform(generate_series(0, 63),
+                                 i -> CAST(CASE WHEN i = d % 64
+                                           THEN 3000 + d % 97
+                                           ELSE 100 + (d % 3) * 3 + (i * 7) % 50
+                                           END AS INTEGER))
+                            ELSE tokens END AS toks
+                FROM t0c
+            )""",
+)
+
+
+def _q_llm_ops(sf_dir: str):
+    """Training-data ops: every ``_LLM`` leg over shared inputs."""
+    c = _LlmInputs(sf_dir)
+    return pa.concat_tables([_LLM.align(leg.name, leg.fn(c)) for leg in _LLM.legs])
 
 
 def _q_splunk_hec_parse(sf_dir: str):
@@ -6123,348 +6620,9 @@ def _q_q1_pricing(sf_dir: str):
     return _round_cols(out, {"qty_sum": 4, "base_sum": 4, "disc_price_sum": 4, "qty_mean": 6})
 
 
-def _scraper_parse_oracle() -> str:
-    """Closed-form SQL mirror of _q_scraper_parse: one UNION ALL leg
-    per expected (leg, name, label_value) aggregate row, each derived
-    from event_id with the same modular forms the renderer used."""
-    e = "event_id"
-    legs: list[tuple[str, str, str, str, str, str]] = [
-        # (leg, name, label_value, where, sum_int expr, sum_double expr)
-        ("redis", "redis/uptime", "", "TRUE", f"SUM({e})", "0"),
-        ("redis", "redis/cpu/time", "sys", "TRUE", "0", f"SUM(({e} % 100) + 0.25)"),
-        ("redis", "redis/memory/used", "", "TRUE", f"SUM({e} * 10)", "0"),
-        ("redis", "redis/memory/fragmentation_ratio", "", "TRUE", "0", "SUM(1.5)"),
-        ("redis", "redis/clients/connected", "", "TRUE", f"SUM({e} % 100)", "0"),
-        ("redis", "redis/keyspace/hits", "", "TRUE", f"SUM({e} * 2)", "0"),
-        ("redis", "redis/keyspace/misses", "", f"{e} % 3 <> 0", f"SUM({e} % 50)", "0"),
-        ("redis", "redis/keys/evicted", "", f"{e} % 4 <> 0", f"SUM({e} % 9)", "0"),
-    ]
-    for nm, mod in (("keys", 7), ("expires", 5), ("avg_ttl", 11)):
-        legs.append(("redis", f"redis/db/{nm}", "0", "TRUE", f"SUM({e} % {mod})", "0"))
-        legs.append(
-            ("redis", f"redis/db/{nm}", "1", f"{e} % 3 >= 1", f"SUM(({e} + 1) % {mod})", "0")
-        )
-        legs.append(
-            ("redis", f"redis/db/{nm}", "2", f"{e} % 3 = 2", f"SUM(({e} + 2) % {mod})", "0")
-        )
-    legs += [
-        ("zk", "zookeeper.znodes", "", "TRUE", f"SUM({e})", "0"),
-        ("zk", "zookeeper.packets.received", "", "TRUE", f"SUM({e} * 2)", "0"),
-        ("zk", "zookeeper.latency.avg", "", "TRUE", f"SUM({e} % 50)", "0"),
-        ("zk", "resource/server.state", "follower", f"{e} % 2 = 0", "0", "0"),
-        ("zk", "resource/server.state", "leader", f"{e} % 2 = 1", "0", "0"),
-        ("zk", "resource/zk.version", "3.4.14", "TRUE", "0", "0"),
-        ("memcached", "memcached.bytes", "", "TRUE", f"SUM({e} * 3)", "0"),
-        ("memcached", "memcached.current_connections", "", "TRUE", f"SUM({e} % 10)", "0"),
-        ("memcached", "memcached.total_connections", "", "TRUE", f"SUM({e} + 1)", "0"),
-        ("memcached", "memcached.get_hits", "", "TRUE", f"SUM({e} % 13)", "0"),
-        ("memcached", "memcached.get_misses", "", "TRUE", f"SUM({e} % 17)", "0"),
-        ("nginx", "nginx.requests", "", "TRUE", f"SUM({e} * 3)", "0"),
-        ("nginx", "nginx.connections_accepted", "", "TRUE", f"SUM({e})", "0"),
-        ("nginx", "nginx.connections_handled", "", "TRUE", f"SUM({e} - ({e} % 7))", "0"),
-        ("nginx", "nginx.connections_current", "active", "TRUE", f"SUM({e} % 100)", "0"),
-        ("nginx", "nginx.connections_current", "reading", "TRUE", f"SUM({e} % 3)", "0"),
-        ("nginx", "nginx.connections_current", "writing", "TRUE", f"SUM({e} % 5)", "0"),
-        ("nginx", "nginx.connections_current", "waiting", "TRUE", f"SUM({e} % 11)", "0"),
-        ("prom", "req_total", 'code="200",method="get"', "TRUE", "0", f"SUM({e})"),
-        ("prom", "req_total", 'code="500",method="post"', "TRUE", "0", f"SUM({e} * 2)"),
-        ("prom", "temp", "", "TRUE", "0", f"SUM(({e} % 50) + 0.5)"),
-        ("prom", "lat_bucket", 'le="1"', "TRUE", "0", f"SUM({e} % 10)"),
-        ("prom", "lat_bucket", 'le="+Inf"', "TRUE", "0", f"SUM(({e} % 10) + ({e} % 3))"),
-        ("prom", "lat_sum", "", "TRUE", "0", f"SUM({e})"),
-        ("prom", "lat_count", "", "TRUE", "0", f"SUM(({e} % 10) + ({e} % 3))"),
-        ("docker", "cpu.usage.system", "", "TRUE", "SUM(1256)", "0"),
-        ("docker", "cpu.usage.total", "", "TRUE", f"SUM(1000 + ({e} % 128))", "0"),
-        ("docker", "cpu.usage.kernelmode", "", "TRUE", f"SUM({e})", "0"),
-        ("docker", "cpu.usage.usermode", "", "TRUE", f"SUM({e} * 2)", "0"),
-        ("docker", "cpu.throttling_data.periods", "", "TRUE", f"SUM({e} % 7)", "0"),
-        ("docker", "cpu.throttling_data.throttled_periods", "", "TRUE", f"SUM({e} % 5)", "0"),
-        ("docker", "cpu.throttling_data.throttled_time", "", "TRUE", f"SUM({e} % 3)", "0"),
-        # cpuΔ=e%128, sysΔ=256, online=2 → (e%128)/256*2*100, 0 when Δ=0
-        ("docker", "cpu.percent", "", "TRUE", "0", f"SUM(({e} % 128) * 0.78125)"),
-        ("docker", "memory.usage.limit", "", "TRUE", "SUM(512)", "0"),
-        ("docker", "memory.usage.total", "", "TRUE", f"SUM(700 + ({e} % 512))", "0"),
-        # 100*(usage-cache)/limit = (e%512)*100/512
-        ("docker", "memory.percent", "", "TRUE", "0", f"SUM(({e} % 512) * 0.1953125)"),
-        ("docker", "memory.usage.max", "", "TRUE", f"SUM({e} * 3)", "0"),
-        ("docker", "memory.cache", "", "TRUE", "SUM(1000)", "0"),
-        ("docker", "memory.total_cache", "", "TRUE", "SUM(300)", "0"),
-        ("docker", "memory.pgfault", "", "TRUE", f"SUM({e})", "0"),
-        ("docker", "memory.rss", "", "TRUE", f"SUM({e} % 100)", "0"),
-        ("docker", "network.io.usage.rx_bytes", "eth0", "TRUE", f"SUM({e})", "0"),
-        ("docker", "network.io.usage.tx_bytes", "eth0", "TRUE", f"SUM({e} * 2)", "0"),
-        ("docker", "blockio.io_service_bytes_recursive.read", "device_major=8,device_minor=0", "TRUE", f"SUM({e})", "0"),
-        ("docker", "blockio.io_service_bytes_recursive.write", "device_major=8,device_minor=0", "TRUE", f"SUM({e} * 2)", "0"),
-        # kubelet leg: 1953125*x/1e9 = x/512 (dyadic-exact doubles)
-        ("kubelet", "k8s.node.cpu.utilization", "", "TRUE", "0", f"SUM({e} * 0.001953125)"),
-        ("kubelet", "k8s.node.cpu.time", "", "TRUE", "0", f"SUM({e} * 0.00390625)"),
-        ("kubelet", "k8s.node.memory.usage", "", "TRUE", f"SUM({e} * 2)", "0"),
-        ("kubelet", "k8s.node.memory.working_set", "", "TRUE", f"SUM({e} % 64)", "0"),
-        ("kubelet", "k8s.node.filesystem.usage", "", "TRUE", f"SUM({e} * 3)", "0"),
-        ("kubelet", "k8s.node.network.io", "interface=eth0,direction=receive", "TRUE", f"SUM({e})", "0"),
-        ("kubelet", "k8s.node.network.io", "interface=eth0,direction=transmit", "TRUE", f"SUM({e} * 2)", "0"),
-        ("kubelet", "k8s.pod.cpu.utilization", "ns=default,pod=p0", "TRUE", "0", f"SUM(({e} % 128) * 0.001953125)"),
-        ("kubelet", "k8s.pod.memory.rss", "ns=default,pod=p0", "TRUE", f"SUM({e} % 32)", "0"),
-        ("kubelet", "k8s.pod.filesystem.capacity", "ns=default,pod=p0", "TRUE", "SUM(1000)", "0"),
-        ("kubelet", "container.memory.usage", "ns=default,pod=p0,container=c0", "TRUE", f"SUM({e} % 16)", "0"),
-        ("kubelet", "container.filesystem.usage", "ns=default,pod=p0,container=c0", "TRUE", f"SUM({e} % 8)", "0"),
-        ("kubelet", "k8s.volume.inodes.used", "ns=default,pod=p0,volume=v0", "TRUE", f"SUM({e} % 9)", "0"),
-        # ECS leg: task rollups + limit overrides (accumulator.go:92-112);
-        # vcpu = cpuΔ/1e9 with cpuΔ = 1953125*x → x/512 (dyadic)
-        ("ecs", "ecs.task.memory.usage", "task=t1", f"{e} % 4 = 0", f"SUM(1048576 * ({e} % 7) + 3145728)", "0"),
-        ("ecs", "ecs.task.memory.usage.max", "task=t1", f"{e} % 4 = 0", f"SUM({e} * 6)", "0"),
-        ("ecs", "ecs.task.memory.usage.limit", "task=t1", f"{e} % 4 = 0", "SUM(805306368)", "0"),
-        ("ecs", "ecs.task.memory.utilized", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 7) + 2)", "0"),
-        ("ecs", "ecs.task.memory.reserved", "task=t1", f"{e} % 4 = 0", "SUM(4096)", "0"),
-        ("ecs", "ecs.task.cpu.usage.total", "task=t1", f"{e} % 4 = 0", f"SUM(1953125 * (({e} % 128) + ({e} % 64)) + 1000005)", "0"),
-        ("ecs", "ecs.task.cpu.usage.kernelmode", "task=t1", f"{e} % 4 = 0", f"SUM({e} + ({e} % 3))", "0"),
-        ("ecs", "ecs.task.cpu.usage.usermode", "task=t1", f"{e} % 4 = 0", f"SUM({e} * 2 + ({e} % 5))", "0"),
-        ("ecs", "ecs.task.cpu.cores", "task=t1", f"{e} % 4 = 0", "SUM(3)", "0"),
-        ("ecs", "ecs.task.cpu.onlines", "task=t1", f"{e} % 4 = 0", "SUM(3)", "0"),
-        ("ecs", "ecs.task.cpu.usage.system", "task=t1", f"{e} % 4 = 0", f"SUM({e} * 3)", "0"),
-        ("ecs", "ecs.task.cpu.utilized", "task=t1", f"{e} % 4 = 0", "0", f"SUM((({e} % 128) + ({e} % 64)) * 0.390625)"),
-        ("ecs", "ecs.task.cpu.reserved", "task=t1", f"{e} % 4 = 0", "0", "SUM(0.5)"),
-        ("ecs", "ecs.task.cpu.usage.vcpu", "task=t1", f"{e} % 4 = 0", "0", f"SUM((({e} % 128) + ({e} % 64)) * 0.001953125)"),
-        ("ecs", "ecs.task.network.rate.rx", "task=t1", f"{e} % 4 = 0", "0", f"SUM({e} * 1.0)"),
-        ("ecs", "ecs.task.network.rate.tx", "task=t1", f"{e} % 4 = 0", "0", f"SUM({e} * 1.0)"),
-        ("ecs", "ecs.task.network.io.usage.rx_bytes", "task=t1", f"{e} % 4 = 0", f"SUM({e} + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.rx_packets", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 3) + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.rx_errors", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 5) + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.rx_dropped", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 7) + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.tx_bytes", "task=t1", f"{e} % 4 = 0", f"SUM({e} * 2 + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.tx_packets", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 11) + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.tx_errors", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 13) + 3)", "0"),
-        ("ecs", "ecs.task.network.io.usage.tx_dropped", "task=t1", f"{e} % 4 = 0", f"SUM(({e} % 17) + 3)", "0"),
-        ("ecs", "ecs.task.storage.read_bytes", "task=t1", f"{e} % 4 = 0", f"SUM({e} * 3 + ({e} % 11))", "0"),
-        ("ecs", "ecs.task.storage.write_bytes", "task=t1", f"{e} % 4 = 0", f"SUM({e} + ({e} % 13))", "0"),
-        ("ecs", "container.duration", "container=c3,task=t1", f"{e} % 4 = 0", "0", f"SUM({e} % 30)"),
-        ("ecs", "container.cpu.utilized", "container=c1,task=t1", f"{e} % 4 = 0", "0", f"SUM(({e} % 128) * 0.1953125)"),
-        # container limit scaling: (vcpu*100)/512 (accumulator.go:87-89)
-        ("ecs", "container.cpu.utilized", "container=c2,task=t1", f"{e} % 4 = 0", "0", f"SUM(({e} % 64) * 0.0003814697265625)"),
-        # k8s cluster-object leg (k8sclusterreceiver/collection)
-        ("k8sobj", "k8s.pod.phase", "ns=default,pod=p0", f"{e} % 4 = 0", f"SUM(({e} % 5) + 1)", "0"),
-        ("k8sobj", "k8s.container.restarts", "ns=default,pod=p0,container=c0", f"{e} % 4 = 0", f"SUM({e} % 9)", "0"),
-        ("k8sobj", "k8s.container.ready", "ns=default,pod=p0,container=c0", f"{e} % 4 = 0", f"SUM(CASE WHEN {e} % 2 = 0 THEN 1 ELSE 0 END)", "0"),
-        ("k8sobj", "k8s.container.cpu_request", "ns=default,pod=p0,container=c0", f"{e} % 4 = 0", f"SUM(({e} % 10) * 100)", "0"),
-        ("k8sobj", "k8s.container.memory_limit", "ns=default,pod=p0,container=c0", f"{e} % 4 = 0", f"SUM(({e} % 3) * 1073741824)", "0"),
-        ("k8sobj", "k8s.deployment.desired", "ns=default,deployment=d0", f"{e} % 4 = 0", f"SUM({e} % 7)", "0"),
-        ("k8sobj", "k8s.deployment.available", "ns=default,deployment=d0", f"{e} % 4 = 0", f"SUM({e} % 5)", "0"),
-        ("k8sobj", "k8s.node.condition_ready", "node=n0", f"{e} % 4 = 0", f"SUM(CASE {e} % 3 WHEN 0 THEN 1 WHEN 1 THEN 0 ELSE -1 END)", "0"),
-        ("k8sobj", "k8s.namespace.phase", "ns=default", f"{e} % 4 = 0", f"SUM(CASE WHEN {e} % 2 = 0 THEN 1 ELSE 0 END)", "0"),
-        # dotnet EventPipe counters (sources/dotnet.py): Mean → gauge
-        # with Count as the int sum; Sum → delta of e*3; units via
-        # converter.go mapUnits ("B" → "By")
-        ("dotnet", "dotnet.cpu-usage.gauge", "%", f"{e} % 16 = 0",
-         f"SUM({e} % 10)", f"SUM(({e} % 100) + 0.25)"),
-        ("dotnet", "dotnet.alloc-rate.sum_delta", "By", f"{e} % 16 = 0",
-         "0", f"SUM({e} * 3)"),
-    ]
-    # container-insights cluster metrics (awscontainerinsightreceiver
-    # k8sapiserver.go:111-186); q = e // 4 since the leg subsamples to
-    # e % 4 = 0. Node j fails when (e+j) % 3 = 0 (MemoryPressure True)
-    # or (e+j) % 5 = 0 (NetworkUnavailable Unknown); namespaces
-    # alternate on q parity (2 running pods each); service j has
-    # (q+j) % 4 pod keys and is dropped at 0.
-    q = f"({e} // 4)"
-    failed = " + ".join(
-        f"CASE WHEN ({e} + {j}) % 3 = 0 OR ({e} + {j}) % 5 = 0 THEN 1 ELSE 0 END"
-        for j in (0, 1, 2)
-    )
-    legs += [
-        ("ci", "ci.cluster_node_count", "cluster=c1", f"{e} % 4 = 0", "SUM(3)", "0"),
-        ("ci", "ci.cluster_failed_node_count", "cluster=c1", f"{e} % 4 = 0",
-         f"SUM({failed})", "0"),
-        ("ci", "ci.namespace_number_of_running_pods", "cluster=c1,ns=ns0",
-         f"{e} % 4 = 0 AND {q} % 2 = 0", "SUM(2)", "0"),
-        ("ci", "ci.namespace_number_of_running_pods", "cluster=c1,ns=ns1",
-         f"{e} % 4 = 0 AND {q} % 2 = 1", "SUM(2)", "0"),
-    ] + [
-        ("ci", "ci.service_number_of_running_pods",
-         f"cluster=c1,ns=ns0,service=svc{j}",
-         f"{e} % 4 = 0 AND ({q} + {j}) % 4 > 0", f"SUM(({q} + {j}) % 4)", "0")
-        for j in (0, 1, 2)
-    ]
-    # container-insights OTLP translation (internal/aws/containerinsight/
-    # utils.go:30-216): label_value carries "tagOrType|unit|kind" so the
-    # unit map, prefix strip, int/double dispatch, SumFields fold and the
-    # Timestamp ns→ms rewrite are all value-checked; k = (e//4)%4 picks
-    # the Type variant
-    e4 = f"{e} % 4 = 0"
-    kk = f"({e} // 4) % 4"
-    legs += [
-        ("ciotlp", "resource/Timestamp", "1600000000123||resource", e4, "0", "0"),
-        ("ciotlp", "resource/ClusterName", "c1||resource", e4, "0", "0"),
-        ("ciotlp", "resource/Type", "Pod||resource", f"{e4} AND {kk} = 0", "0", "0"),
-        ("ciotlp", "resource/Type", "NodeNet||resource", f"{e4} AND {kk} = 1", "0", "0"),
-        ("ciotlp", "resource/Type", "Container||resource", f"{e4} AND {kk} = 2", "0", "0"),
-        ("ciotlp", "resource/Type", "Bogus||resource", f"{e4} AND {kk} = 3", "0", "0"),
-        # Pod: SumFields over 3 maps — cpu = m0+m1, pgfault = m0+m2
-        ("ciotlp", "pod_cpu_utilization", "Pod|Percent|double_gauge",
-         f"{e4} AND {kk} = 0", "0", f"SUM(({e} % 64) + ({e} % 32) + 0.75)"),
-        ("ciotlp", "pod_memory_pgfault", "Pod|Count/Second|double_gauge",
-         f"{e4} AND {kk} = 0", "0", f"SUM(({e} % 16) + 2.75)"),
-        ("ciotlp", "node_interface_network_rx_bytes",
-         "NodeNet|Bytes/Second|double_gauge",
-         f"{e4} AND {kk} = 1", "0", f"SUM(({e} % 128) + 0.5)"),
-        ("ciotlp", "node_interface_network_rx_packets",
-         "NodeNet|Count/Second|int_gauge",
-         f"{e4} AND {kk} = 1", f"SUM({e} % 9)", "0"),
-        ("ciotlp", "container_diskio_io_serviced_read",
-         "Container|Count/Second|int_gauge",
-         f"{e4} AND {kk} = 2", f"SUM({e} % 11)", "0"),
-        ("ciotlp", "container_memory_failcnt", "Container|Count|int_gauge",
-         f"{e4} AND {kk} = 2", f"SUM({e} % 5)", "0"),
-        # Bogus: unknown Type → empty prefix; memory_usage still maps,
-        # custom_thing gets the empty unit; bool/str fields are skipped
-        ("ciotlp", "memory_usage", "Bogus|Bytes|int_gauge",
-         f"{e4} AND {kk} = 3", f"SUM({e} % 17)", "0"),
-        ("ciotlp", "custom_thing", "Bogus||double_gauge",
-         f"{e4} AND {kk} = 3", "0", "SUM(1.5)"),
-    ]
-    parts = [
-        f"SELECT '{leg}' AS leg, '{name}' AS name, '{lv}' AS label_value, "
-        f'COUNT(*) AS "count", CAST(COALESCE({si}, 0) AS BIGINT) AS sum_int, '
-        f"ROUND(CAST(COALESCE({sd}, 0) AS DOUBLE), 6) AS sum_double "
-        f"FROM events WHERE {where}"
-        for leg, name, lv, where, si, sd in legs
-    ]
-    # kafkametrics leg (sources/kafka_lag.py): per event one mini
-    # cluster — two consumed partitions on topic t<e> (p1's consumer
-    # offset -1 on %5), one fully-unconsumed idle topic (no consumer
-    # datapoints), one regex-filtered group+topic. Row multiplicities
-    # differ per metric, so counts are explicit.
-    kafka = [
-        ("kafka.consumer_group.offset", "2 * COUNT(*)",
-         f"SUM(({e} % 100) + CASE WHEN {e} % 5 = 0 THEN -1 ELSE {e} % 50 END)"),
-        ("kafka.consumer_group.lag", "2 * COUNT(*)",
-         f"SUM(({e} % 7) + CASE WHEN {e} % 5 = 0 THEN -1 ELSE {e} % 11 END)"),
-        ("kafka.consumer_group.offset_sum", "COUNT(*)",
-         f"SUM(({e} % 100) + CASE WHEN {e} % 5 = 0 THEN -1 ELSE {e} % 50 END)"),
-        ("kafka.consumer_group.lag_sum", "COUNT(*)",
-         f"SUM(({e} % 7) + CASE WHEN {e} % 5 = 0 THEN 0 ELSE {e} % 11 END)"),
-        ("kafka.topic.partitions", "2 * COUNT(*)", "SUM(3)"),
-        ("kafka.partition.current_offset", "3 * COUNT(*)",
-         f"SUM(({e} % 100) + ({e} % 7) + ({e} % 50) + ({e} % 11) + ({e} % 9))"),
-        ("kafka.partition.oldest_offset", "3 * COUNT(*)", f"SUM({e} % 13)"),
-        ("kafka.partition.replicas", "3 * COUNT(*)", "SUM(7)"),
-        ("kafka.partition.replicas_in_sync", "3 * COUNT(*)",
-         f"SUM(CASE WHEN {e} % 2 = 0 THEN 2 ELSE 3 END + 4)"),
-    ]
-    parts += [
-        f"SELECT 'kafka' AS leg, '{name}' AS name, '' AS label_value, "
-        f'CAST({cnt} AS BIGINT) AS "count", '
-        f"CAST(COALESCE({si}, 0) AS BIGINT) AS sum_int, "
-        f"ROUND(CAST(0 AS DOUBLE), 6) AS sum_double FROM events"
-        for name, cnt, si in kafka
-    ]
-
-    # observer legs (k8sobserver handler.go:46-109 conversion +
-    # :112-168 diff): per subsampled pod (%53, prime — see the engine
-    # leg comment) one endpoint row per
-    # (pod, running-container port) with target|transport label, plus
-    # diff membership rows — added = the %53=13 new-only pods, updated
-    # = %7 ip-bumped pods (payload change → every endpoint), removed =
-    # %11 dropped pods. The http endpoint only exists while its
-    # container is RUNNING (%5).
-    ip = (
-        "'10.0.' || CAST(event_id % 200 AS VARCHAR) || '.' "
-        "|| CAST(event_id % 100 AS VARCHAR)"
-    )
-    pod_id = "'k8s_observer/u' || CAST(event_id AS VARCHAR)"
-    http_port = "(8000 + event_id % 1000)"
-    met_port = "(9000 + event_id % 500)"
-    endpoints = [
-        (pod_id, f"{ip} || '|'", "0", "TRUE"),
-        (
-            f"{pod_id} || '/http(' || CAST({http_port} AS VARCHAR) || ')'",
-            f"{ip} || ':' || CAST({http_port} AS VARCHAR) || '|tcp'",
-            http_port,
-            "event_id % 5 <> 0",
-        ),
-        (
-            f"{pod_id} || '/metrics(' || CAST({met_port} AS VARCHAR) || ')'",
-            f"{ip} || ':' || CAST({met_port} AS VARCHAR) || '|udp'",
-            met_port,
-            "TRUE",
-        ),
-        (f"{pod_id} || '/dns(53)'", f"{ip} || ':53|unknown'", "53", "TRUE"),
-    ]
-
-    def obs_row(leg: str, name: str, label: str, port: str, where: str) -> str:
-        return (
-            f"SELECT '{leg}' AS leg, {name} AS name, {label} AS label_value, "
-            f'CAST(1 AS BIGINT) AS "count", CAST({port} AS BIGINT) AS sum_int, '
-            f"ROUND(CAST(0 AS DOUBLE), 6) AS sum_double FROM events WHERE {where}"
-        )
-
-    for ep_id, target_label, port, cond in endpoints:
-        parts.append(
-            obs_row("observer", ep_id, target_label, port,
-                    f"event_id % 53 = 0 AND {cond}")
-        )
-        parts.append(
-            obs_row("observer_diff", "'added'", ep_id, port,
-                    f"event_id % 53 = 13 AND {cond}")
-        )
-        parts.append(
-            obs_row(
-                "observer_diff", "'updated'", ep_id, port,
-                f"event_id % 53 = 0 AND event_id % 7 = 0 "
-                f"AND event_id % 11 <> 0 AND {cond}",
-            )
-        )
-        parts.append(
-            obs_row(
-                "observer_diff", "'removed'", ep_id, port,
-                f"event_id % 53 = 0 AND event_id % 11 = 0 AND {cond}",
-            )
-        )
-
-    # ecsobserver matcher legs: docker_label target (port-mapping
-    # membership required, config job overrides... here label job),
-    # the two service targets — the 9100 one exists ONLY when the
-    # docker_label matcher did not already claim (9100, /m1)
-    # (MergeTargets keep-existing proof) — the task-definition target
-    # on the ARN regex, and the single aggregated invalid-port-label
-    # error row (exact message text, count = qualifying events).
-    eid_s = "CAST(event_id AS VARCHAR)"
-    ecs = [
-        ("'docker_label'",
-         f"{eid_s} || '|9100|/m1|job' || CAST(event_id % 2 AS VARCHAR)",
-         "9100", "event_id % 7 <> 0 AND event_id % 13 <> 0"),
-        ("'service'", f"{eid_s} || '|8080|/m1|sjob'", "8080",
-         "event_id % 5 <> 0 AND event_id % 4 < 2"),
-        ("'service'", f"{eid_s} || '|9100|/m1|sjob'", "9100",
-         "event_id % 5 <> 0 AND event_id % 4 < 2 "
-         "AND (event_id % 7 = 0 OR event_id % 13 = 0)"),
-        ("'task_definition'", f"{eid_s} || '|9200|/m3|'", "9200",
-         "event_id % 3 = 0"),
-    ]
-    for name, label, port, cond in ecs:
-        parts.append(
-            obs_row("observer_ecs", name, label, port,
-                    f"event_id % 53 = 0 AND {cond}")
-        )
-    parts.append(
-        "SELECT 'observer_ecs' AS leg, 'err' AS name, "
-        "'invalid port_label value, container=web labelKey=PROM_PORT "
-        "labelValue=bad' AS label_value, "
-        'CAST(COUNT(*) AS BIGINT) AS "count", CAST(0 AS BIGINT) AS sum_int, '
-        "ROUND(CAST(0 AS DOUBLE), 6) AS sum_double FROM events "
-        "WHERE event_id % 53 = 0 AND event_id % 7 <> 0 AND event_id % 13 = 0 "
-        "HAVING COUNT(*) > 0"
-    )
-    return " UNION ALL ".join(parts)
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    # Exactly 50 entries, every one oracle-backed (value oracle or
-    # contract-boolean oracle) — the driver checks the FIRST 50 dict
-    # entries, so nothing may fall outside the window (VERDICT r2 #2).
-    # Round-3 merges: simhash → minhash_dedup; bpe_token_count →
-    # token_count; hll_distinct_users + value_quantiles +
-    # rolling_fingerprint → sketch_contracts; probabilistic_sample +
-    # consistent_hash_route → sampling_contracts.
+    # Exactly 50 entries, each with an oracle_sql() twin (a value oracle
+    # or a contract-boolean one): the driver checks the first 50 entries.
     return {
         "flagship_route_counts": _q_flagship_route_counts,
         "flagship_token_equality": _q_flagship_token_equality,
@@ -6864,30 +7022,7 @@ def oracle_sql() -> dict[str, str]:
                 (SELECT embedding FROM embeddings WHERE vec_id = 0)) DESC
             LIMIT 10
         """,
-        "carbon_parse": """
-            -- per-event carbon + wavefront round trips, plus the
-            -- round-5 packet-framing leg: each event's TWO-line packet
-            -- (trailing newline) must explode into exactly the pa./pb.
-            -- rows — the tcplog/udplog batch-source framing model
-            SELECT event_id, 'metric.' || event_type AS metric_name,
-                   CAST(FLOOR(value) AS BIGINT) AS value,
-                   'm.' || event_type AS wf_metric,
-                   CAST(FLOOR(value) AS BIGINT) AS wf_value,
-                   'u' || CAST(user_id AS VARCHAR) AS wf_source
-            FROM events
-            UNION ALL
-            SELECT event_id, 'pa.' || event_type,
-                   CAST(FLOOR(value) AS BIGINT),
-                   'pkt', CAST(0 AS BIGINT),
-                   'u' || CAST(user_id AS VARCHAR)
-            FROM events
-            UNION ALL
-            SELECT event_id, 'pb.' || event_type,
-                   CAST(FLOOR(value) AS BIGINT) + 1,
-                   'pkt', CAST(0 AS BIGINT),
-                   'u' || CAST(user_id AS VARCHAR)
-            FROM events
-        """,
+        "carbon_parse": _CARBON.sql(),
         "tail_sampling": """
             SELECT event_id FROM events e
             WHERE EXISTS (
@@ -6895,263 +7030,7 @@ def oracle_sql() -> dict[str, str]:
                 WHERE s.user_id = e.user_id AND s.value BETWEEN 150.0 AND 200.0
             )
         """,
-        "loki_streams": """
-            -- union of the Loki stream counts and the two EMF legs'
-            -- closed forms (see _q_loki_streams): bare render → 4
-            -- dimension sets ([service,shard] + zero-dim + 2 single
-            -- rollups), declaration render → 3 ([service] + zero-dim +
-            -- [shard] after dedup), click/view only, 'ms'→'Milliseconds'
-            WITH emf_wide AS (
-                SELECT event_type AS service,
-                       's' || CAST(user_id % 4 AS VARCHAR) AS shard,
-                       (CAST(epoch(date_trunc('minute', ts)) AS BIGINT)) * 1000
-                           AS ts_ms,
-                       CAST(SUM(CAST(FLOOR(value) AS BIGINT)) AS BIGINT)
-                           AS latency,
-                       COUNT(*) AS requests
-                FROM events GROUP BY 1, 2, 3
-            )
-            SELECT 'loki' AS sink,
-                   '{"lang": "' || lang || '", "source": "' || source || '"}'
-                       AS "key",
-                   CAST(0 AS BIGINT) AS n_dims, CAST(0 AS BIGINT) AS latency,
-                   COUNT(*) AS requests, '' AS unit
-            FROM documents GROUP BY 2
-            UNION ALL
-            SELECT 'emf', service || '@' || shard || '@' || CAST(ts_ms AS VARCHAR),
-                   CAST(4 AS BIGINT), latency, requests, 'Milliseconds'
-            FROM emf_wide
-            UNION ALL
-            SELECT 'emf_decl',
-                   service || '@' || shard || '@' || CAST(ts_ms AS VARCHAR),
-                   CAST(3 AS BIGINT), latency, requests, 'Milliseconds'
-            FROM emf_wide WHERE service IN ('click', 'view')
-            UNION ALL
-            -- dynatrace int lines: otel.evt,id="..",host=".." v ts_ms
-            SELECT 'dt_int',
-                   'otel.evt,id="' || CAST(event_id AS VARCHAR)
-                     || '",host="h' || CAST(user_id AS VARCHAR) || '" '
-                     || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR) || ' '
-                     || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000 AS VARCHAR),
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events
-            UNION ALL
-            -- dynatrace histogram lines (min=max=avg quirk + the
-            -- %.6f-then-rtrim("0.") float format)
-            SELECT 'dt_hist',
-                   'otel.lat,id="' || CAST(event_id AS VARCHAR) || '",host="h'
-                     || CAST(user_id AS VARCHAR) || '" gauge,min='
-                     || rtrim(format('{:.6f}', ((event_id % 10) + 0.5) / 2), '0.')
-                     || ',max='
-                     || rtrim(format('{:.6f}', ((event_id % 10) + 0.5) / 2), '0.')
-                     || ',sum=' || rtrim(format('{:.6f}', (event_id % 10) + 0.5), '0.')
-                     || ',count=2 '
-                     || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000 AS VARCHAR),
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events
-            -- alibaba SLS legs: every rendered field composed in SQL
-            UNION ALL
-            SELECT 'sls_log',
-                   'log@ff@' || CAST(event_id % 25 AS VARCHAR)
-                     || '@{"k1":"v' || CAST(event_id % 5 AS VARCHAR) || '"}@b'
-                     || CAST(event_id AS VARCHAR) || '@'
-                     || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR),
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events WHERE event_id % 7 <> 0
-            UNION ALL
-            SELECT 'sls_span',
-                   'span@'
-                     || CASE WHEN event_id % 2 = 0 THEN 'server' ELSE 'client' END
-                     || '@' || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000 AS VARCHAR)
-                     || '@' || CAST(CAST(FLOOR(value) AS BIGINT) * 1000000 AS VARCHAR)
-                     || '@' || CASE WHEN event_type = 'error' THEN 'ERROR'
-                                    WHEN event_id % 13 = 0 THEN 'OK'
-                                    ELSE 'UNSET' END
-                     || '@',
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events
-            UNION ALL
-            SELECT 'sls_m', 'm@' || part, CAST(0 AS BIGINT), CAST(0 AS BIGINT),
-                   1, ''
-            FROM events, LATERAL (
-                SELECT unnest(ARRAY[
-                    'cpu_usage@host#$#h' || CAST(user_id AS VARCHAR) || '@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id AS VARCHAR) || '.5',
-                    'lat_sum@host#$#h' || CAST(user_id AS VARCHAR) || '@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 10 AS VARCHAR) || '.5',
-                    'lat_count@host#$#h' || CAST(user_id AS VARCHAR) || '@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@2',
-                    'lat_bucket@host#$#h' || CAST(user_id AS VARCHAR) || '|le#$#1@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 3 AS VARCHAR),
-                    'lat_bucket@host#$#h' || CAST(user_id AS VARCHAR) || '|le#$#5@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 2 AS VARCHAR),
-                    'lat_bucket@host#$#h' || CAST(user_id AS VARCHAR) || '|le#$#+Inf@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@1',
-                    'rt_sum@host#$#h' || CAST(user_id AS VARCHAR) || '@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 9 AS VARCHAR) || '.25',
-                    'rt_count@host#$#h' || CAST(user_id AS VARCHAR) || '@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@3',
-                    'rt@host#$#h' || CAST(user_id AS VARCHAR) || '|quantile#$#0.5@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 7 AS VARCHAR) || '.5',
-                    'rt@host#$#h' || CAST(user_id AS VARCHAR) || '|quantile#$#0.99@'
-                      || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000000000 AS VARCHAR)
-                      || '@' || CAST(event_id % 11 AS VARCHAR) || '.5'
-                ]) AS part
-            ) parts
-            WHERE event_id % 4 = 0
-            UNION ALL
-            -- cwl leg: awscloudwatchlogsexporter logToCWLog message
-            -- JSON closed form (struct-order members + omitempty +
-            -- sorted map keys) and the ms timestamp
-            SELECT 'cwl',
-                   '{"name":"ev-' || event_type || '"'
-                     || ',"body":"payload ' || CAST(event_id AS VARCHAR) || '"'
-                     || CASE WHEN event_id % 25 <> 0
-                             THEN ',"severity_number":' || CAST(event_id % 25 AS VARCHAR)
-                             ELSE '' END
-                     || CASE WHEN event_id % 3 = 1 THEN ',"severity_text":"INFO"'
-                             WHEN event_id % 3 = 2 THEN ',"severity_text":"ERROR"'
-                             ELSE '' END
-                     || CASE WHEN event_id % 2 <> 0
-                             THEN ',"dropped_attributes_count":1' ELSE '' END
-                     || CASE WHEN event_id % 4 <> 0
-                             THEN ',"flags":' || CAST(event_id % 4 AS VARCHAR)
-                             ELSE '' END
-                     || CASE WHEN event_id % 5 <> 0
-                             THEN ',"trace_id":"'
-                                  || lpad(lower(to_hex(event_id)), 32, '0') || '"'
-                             ELSE '' END
-                     || CASE WHEN event_id % 7 <> 0
-                             THEN ',"span_id":"'
-                                  || lpad(lower(to_hex(event_id)), 16, '0') || '"'
-                             ELSE '' END
-                     || ',"attributes":{"event_type":"' || event_type
-                     || '","user_id":' || CAST(user_id AS VARCHAR) || '}'
-                     || ',"resource":{"host.name":"h'
-                     || CAST(user_id % 50 AS VARCHAR) || '"}}',
-                   CAST(event_id % 25 AS BIGINT),
-                   CAST(FLOOR(epoch(ts)) AS BIGINT) * 1000, 1, ''
-            FROM events
-            -- datadog metric-mapper legs (metrics_translator.go):
-            -- per-event rendered rows — metric|tags|ts|host keys with
-            -- the otel. namespace prepend, shard/user labels (user
-            -- 'n/a' on %6=0), env/version attribute tags; summary on
-            -- %7 expands to count/sum/3 canonical quantile tags, the
-            -- %5=4 histogram to count/sum/2 bucket_idx rows, plain
-            -- cycle rows to one gauge; %13=0 monotonic-cumulative
-            -- sums route to the delta path → 'mono|' marker rows
-            UNION ALL
-            SELECT 'ddm', part.k, CAST(0 AS BIGINT), part.v, 1, ''
-            FROM (
-                SELECT event_id AS e,
-                       CASE WHEN event_id % 3 = 0 THEN 'otel.system.'
-                            WHEN event_id % 3 = 1 THEN 'otel.process.'
-                            ELSE '' END || event_type AS mb,
-                       CASE WHEN event_id % 3 = 0 THEN 'system.'
-                            WHEN event_id % 3 = 1 THEN 'process.'
-                            ELSE '' END || event_type AS raw,
-                       'shard:s' || CAST(event_id % 4 AS VARCHAR) || ',user:'
-                         || CASE WHEN event_id % 6 = 0 THEN 'n/a'
-                                 ELSE 'u' || CAST(event_id % 9 AS VARCHAR) END
-                         || ',env:prod,version:2.0' AS tg,
-                       CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) AS VARCHAR) AS tss,
-                       CAST(FLOOR(value) AS BIGINT) AS dur,
-                       event_id % 10 AS cnt
-                FROM events
-            ) ev, LATERAL (
-                SELECT * FROM (
-                    -- monotonic-cumulative marker (%13=0)
-                    SELECT 'mono|' || raw || '|' || tss AS k,
-                           dur * 100 AS v, 1 AS gate
-                    WHERE e % 13 = 0
-                    UNION ALL
-                    -- summary (%7=0, not mono)
-                    SELECT mb || '.count|' || tg || '|' || tss || '|h1',
-                           cnt * 100, 1
-                    WHERE e % 7 = 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.sum|' || tg || '|' || tss || '|h1',
-                           dur * 100, 1
-                    WHERE e % 7 = 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.quantile|' || tg || ',quantile:0|' || tss
-                             || '|h1', 100, 1
-                    WHERE e % 7 = 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.quantile|' || tg || ',quantile:0.5|' || tss
-                             || '|h1', 200, 1
-                    WHERE e % 7 = 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.quantile|' || tg || ',quantile:1.0|' || tss
-                             || '|h1', 300, 1
-                    WHERE e % 7 = 0 AND e % 13 <> 0
-                    UNION ALL
-                    -- histogram (%5=4, not summary, not mono)
-                    SELECT mb || '.count|' || tg || '|' || tss || '|h1',
-                           cnt * 100, 1
-                    WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.sum|' || tg || '|' || tss || '|h1',
-                           dur * 100, 1
-                    WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.count_per_bucket|' || tg || ',bucket_idx:0|'
-                             || tss || '|h1', (e % 3) * 100, 1
-                    WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
-                    UNION ALL
-                    SELECT mb || '.count_per_bucket|' || tg || ',bucket_idx:1|'
-                             || tss || '|h1', (e % 4) * 100, 1
-                    WHERE e % 5 = 4 AND e % 7 <> 0 AND e % 13 <> 0
-                    UNION ALL
-                    -- gauges: int/double gauge + delta/non-mono sums
-                    SELECT mb || '|' || tg || '|' || tss || '|h1',
-                           dur * 100, 1
-                    WHERE e % 5 < 4 AND e % 7 <> 0 AND e % 13 <> 0
-                )
-            ) part
-            UNION ALL
-            -- hec leg: splunkhecexporter outbound mapping closed form
-            -- (host/source/sourcetype/index/event tuple + whole-second
-            -- time in latency)
-            SELECT 'hec',
-                   'h' || CAST(user_id % 50 AS VARCHAR)
-                     || '@src-' || event_type
-                     || '@st' || CAST(event_id % 3 AS VARCHAR)
-                     || '@idx' || CAST(event_id % 2 AS VARCHAR)
-                     || '@payload ' || CAST(event_id AS VARCHAR),
-                   CAST(0 AS BIGINT), CAST(FLOOR(epoch(ts)) AS BIGINT), 1, ''
-            FROM events
-            UNION ALL
-            -- carbonx leg: Graphite plaintext `name value epoch`
-            SELECT 'carbonx',
-                   'carbon.' || event_type || ' '
-                     || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR) || ' '
-                     || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT) AS VARCHAR),
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events
-            UNION ALL
-            -- influxx leg: line protocol `measurement[,tags] k=v [ts]`
-            -- incl. the empty-tag (%11) and absent-timestamp (%4) paths
-            SELECT 'influxx',
-                   'ev'
-                     || CASE WHEN event_id % 11 = 0 THEN ''
-                             ELSE ',type=' || event_type END
-                     || ' v=' || CAST(CAST(FLOOR(value) AS BIGINT) AS VARCHAR)
-                     || CASE WHEN event_id % 4 = 0 THEN ''
-                             ELSE ' ' || CAST(CAST(FLOOR(epoch(ts)) AS BIGINT)
-                                              * 1000000000 AS VARCHAR) END,
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), 1, ''
-            FROM events
-        """,
+        "loki_streams": _LOKI.sql(),
         "mt_aggregate_label_values": """
             SELECT CASE WHEN event_type IN ('click', 'view') THEN 'engagement'
                         ELSE event_type END AS event_type,
@@ -7194,639 +7073,7 @@ def oracle_sql() -> dict[str, str]:
                 FROM events
             ) WHERE rn = 1
         """,
-        "trace_decoders": """
-            -- closed forms of the rendered-then-decoded X-Ray segments
-            -- and SignalFx datapoints (see _q_trace_decoders): root
-            -- spans are server kind (error events → error status via
-            -- http 500 + Cause), every event_id % 3 = 0 adds an
-            -- aws-namespace client subsegment, one exception event per
-            -- error; sfx datapoints are gauge for click/view else
-            -- cumulative, int datum on even ids / double on odd, ENUM
-            -- datapoints (event_id % 97 = 0) dropped
-            WITH e AS (
-                SELECT event_id, event_type, FLOOR(value) AS dur, value
-                FROM events
-            ),
-            x AS (
-                SELECT 'xray' AS signal,
-                       'server_' || CASE WHEN event_type = 'error'
-                                         THEN 'error' ELSE 'unset' END AS "key",
-                       COUNT(*) AS cnt,
-                       CAST(SUM(dur) AS DECIMAL(18,2)) AS vsum
-                FROM e GROUP BY 2
-                UNION ALL
-                SELECT 'xray', 'client_unset', COUNT(*),
-                       CAST(SUM(dur) AS DECIMAL(18,2))
-                FROM e WHERE event_id % 3 = 0
-                UNION ALL
-                SELECT 'xray', 'exceptions', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error'
-            ),
-            s AS (
-                SELECT 'sfx' AS signal,
-                       event_type || '_' ||
-                         CASE WHEN event_type IN ('click', 'view') THEN
-                           CASE WHEN event_id % 2 = 0
-                                THEN 'int_gauge' ELSE 'double_gauge' END
-                         ELSE
-                           CASE WHEN event_id % 2 = 0
-                                THEN 'int_sum_cumulative'
-                                ELSE 'double_sum_cumulative' END
-                         END AS "key",
-                       COUNT(*) AS cnt,
-                       SUM(CASE WHEN event_id % 2 = 0
-                                THEN CAST(dur AS DECIMAL(18,2))
-                                ELSE CAST(value AS DECIMAL(18,2)) END) AS vsum
-                FROM e GROUP BY 2
-                UNION ALL
-                SELECT 'sfx', 'dropped', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 97 = 0
-            ),
-            -- sapm jaeger spans: span.kind tag client on even ids /
-            -- server on odd; bool error tag on error events → error
-            -- status; CHILD_OF ref (%3) → parent; FOLLOWS_FROM ref
-            -- (%5) → link; one log per error event → event
-            p AS (
-                SELECT 'sapm' AS signal,
-                       CASE WHEN event_id % 2 = 0
-                            THEN 'client_' ELSE 'server_' END ||
-                       CASE WHEN event_type = 'error'
-                            THEN 'error' ELSE 'unset' END AS "key",
-                       COUNT(*) AS cnt,
-                       CAST(SUM(dur) AS DECIMAL(18,2)) AS vsum
-                FROM e GROUP BY 2
-                UNION ALL
-                SELECT 'sapm', 'parented', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 3 = 0
-                UNION ALL
-                SELECT 'sapm', 'links', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 5 = 0
-                UNION ALL
-                SELECT 'sapm', 'events', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error'
-            ),
-            -- X-Ray EXPORTER leg (stages/xray_export.py, segment.go
-            -- semantics): subsegment = client (odd id) with parent (%3);
-            -- error events carry http 429 on %5 (error+throttle) else
-            -- 500 (fault); resource cloud.platform EC2 → EC2 origin on
-            -- every span; client spans → remote namespace; peer.service
-            -- (%7) overrides the name; roundtrip counts spans whose
-            -- encode→decode preserves trace id + start + duration
-            xx AS (
-                SELECT 'xrayx' AS signal, 'n' AS "key", COUNT(*) AS cnt,
-                       CAST(SUM(dur) AS DECIMAL(18,2)) AS vsum FROM e
-                UNION ALL
-                SELECT 'xrayx', 'subsegment', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 3 = 0 AND event_id % 2 = 1
-                UNION ALL
-                SELECT 'xrayx', 'fault', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error' AND event_id % 5 <> 0
-                UNION ALL
-                SELECT 'xrayx', 'error', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error' AND event_id % 5 = 0
-                UNION ALL
-                SELECT 'xrayx', 'throttle', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error' AND event_id % 5 = 0
-                UNION ALL
-                SELECT 'xrayx', 'origin_ec2', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e
-                UNION ALL
-                SELECT 'xrayx', 'ns_remote', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 2 = 1
-                UNION ALL
-                SELECT 'xrayx', 'name_peer', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 7 = 0
-                UNION ALL
-                SELECT 'xrayx', 'roundtrip', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e
-            ),
-            -- tanzuobservability exporter leg (transformer.go): kinds
-            -- cycle e%6 (5 → 'unknown'), service.name consumed on even
-            -- ids else defaultService, application=myapp on %5, error
-            -- spans carry error=true + 240-char truncated message, end
-            -- unset on %11 → zero duration, parent on %3, tracestate
-            -- on %7, resource env=prod on every span
-            tz AS (
-                SELECT 'tanzu' AS signal, 'n' AS "key", COUNT(*) AS cnt,
-                       CAST(SUM(CASE WHEN event_id % 11 = 0 THEN 0 ELSE dur END)
-                            AS DECIMAL(18,2)) AS vsum
-                FROM e
-                UNION ALL
-                SELECT 'tanzu', 'error_true', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error'
-                UNION ALL
-                SELECT 'tanzu', 'svc_named', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 2 = 0
-                UNION ALL
-                SELECT 'tanzu', 'svc_default', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 2 = 1
-                UNION ALL
-                SELECT 'tanzu', 'app_custom', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 5 = 0
-                UNION ALL
-                SELECT 'tanzu', 'tracestate', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 7 = 0
-                UNION ALL
-                SELECT 'tanzu', 'parented', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 3 = 0
-                UNION ALL
-                SELECT 'tanzu', 'zero_dur', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_id % 11 = 0 OR dur = 0
-                UNION ALL
-                SELECT 'tanzu', 'msg_trunc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e WHERE event_type = 'error'
-                UNION ALL
-                SELECT 'tanzu', 'env_res', COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e
-                UNION ALL
-                SELECT 'tanzu', 'kind_' ||
-                       CASE event_id % 6 WHEN 0 THEN 'client' WHEN 1 THEN 'server'
-                            WHEN 2 THEN 'producer' WHEN 3 THEN 'consumer'
-                            WHEN 4 THEN 'internal' ELSE 'unknown' END,
-                       COUNT(*), CAST(0 AS DECIMAL(18,2))
-                FROM e GROUP BY 2
-            )
-            SELECT signal, "key", CAST(cnt AS BIGINT) AS "count",
-                   ROUND(CAST(vsum AS DOUBLE), 6) AS value_sum
-            FROM (SELECT * FROM x UNION ALL SELECT * FROM s
-                  UNION ALL SELECT * FROM p UNION ALL SELECT * FROM xx
-                  UNION ALL SELECT * FROM tz
-            -- azuremonitor leg (trace_to_envelope.go): kind from
-            -- (e//4)%2 (internal on %10=1), span type from e%4,
-            -- http 500 on errors, grpc code e%17, db/messaging/http
-            -- dependency targets
-            UNION ALL
-            SELECT 'azmon', 'requests', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id // 4) % 2 = 0
-            UNION ALL
-            SELECT 'azmon', 'dependencies', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id // 4) % 2 = 1
-            UNION ALL
-            SELECT 'azmon', 'inproc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id // 4) % 2 = 1 AND event_id % 10 = 1
-            UNION ALL
-            SELECT 'azmon', 'type_http', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 0
-            UNION ALL
-            SELECT 'azmon', 'type_rpc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 1
-            UNION ALL
-            SELECT 'azmon', 'type_database', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 2
-            UNION ALL
-            SELECT 'azmon', 'type_messaging', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 3
-            UNION ALL
-            SELECT 'azmon', 'http_fail', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 0 AND event_type = 'error'
-            UNION ALL
-            SELECT 'azmon', 'rpc_code_sum',
-                   CAST(COALESCE(SUM(event_id % 17), 0) AS BIGINT),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 1
-            UNION ALL
-            SELECT 'azmon', 'db_target', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 2 AND (event_id // 4) % 2 = 1
-            UNION ALL
-            SELECT 'azmon', 'msg_url_target', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 3 AND (event_id // 4) % 2 = 1
-            UNION ALL
-            SELECT 'azmon', 'http_dep_target', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 0 AND (event_id // 4) % 2 = 1
-            UNION ALL
-            SELECT 'azmon', 'cloud_role', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e
-            -- sentry leg: one root per event (+1 db child on %3, +1
-            -- grandchild on %9, +1 orphan on %5); transactions = roots
-            -- + orphans; children = attached (incl. transitive) spans
-            UNION ALL
-            SELECT 'sentry', 'transactions',
-                   COUNT(*) + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'sentry', 'orphans', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 5 = 0
-            UNION ALL
-            SELECT 'sentry', 'children',
-                   CAST(SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                        + SUM(CASE WHEN event_id % 9 = 0 THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'sentry', 'op_http_server', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'sentry', 'op_message', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 5 = 0
-            UNION ALL
-            SELECT 'sentry', 'status_unknown', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            -- honeycomb leg: per-span main events, link/span_event
-            -- fan-out, int-only sample-rate attribute on %4 ids
-            UNION ALL
-            SELECT 'honey', 'spans', COUNT(*), CAST(SUM(dur) AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'honey', 'links', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 5 = 0
-            UNION ALL
-            SELECT 'honey', 'span_events', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'honey', 'sample_rate_sum',
-                   CAST(SUM(CASE WHEN event_id % 4 = 0 THEN event_id % 10 ELSE 1 END) AS BIGINT),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'honey', 'msg_unset', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type <> 'error'
-            UNION ALL
-            SELECT 'honey', 'msg_error', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            -- newrelic leg (transformer.go): %101 ids invalid → error,
-            -- status ERROR on error events / OK on %13, span.kind attr
-            -- unless the %6 cycle hits 'unspecified', dropped-attrs on
-            -- %9, peer attr on %4, parent on %3; metrics: delta sums
-            -- (even ids) → Count w/ 60s interval, cumulative → Gauge,
-            -- view gauges, click summaries (min iff q0 present = even,
-            -- max iff q1 present = %3), error histograms dropped; logs:
-            -- empty body (odd ids) falls back to the record name
-            UNION ALL
-            SELECT 'nr', 'spans', COUNT(*), CAST(SUM(dur) AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0
-            UNION ALL
-            SELECT 'nr', 'invalid', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 = 0
-            UNION ALL
-            SELECT 'nr', 'status_error', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_type = 'error'
-            UNION ALL
-            SELECT 'nr', 'status_ok', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 13 = 0
-                      AND event_type <> 'error'
-            UNION ALL
-            SELECT 'nr', 'desc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_type = 'error'
-            UNION ALL
-            SELECT 'nr', 'kind_attr', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 6 <> 5
-            UNION ALL
-            SELECT 'nr', 'dropped_attr', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 9 = 0
-            UNION ALL
-            SELECT 'nr', 'peer_attr', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 4 = 0
-            UNION ALL
-            SELECT 'nr', 'parented', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 3 = 0
-            UNION ALL
-            SELECT 'nr', 'm_gauge', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'view'
-                 OR (event_type IN ('purchase', 'signup') AND event_id % 2 = 1)
-            UNION ALL
-            SELECT 'nr', 'm_count', COUNT(*), CAST(SUM(dur) AS DECIMAL(18,2))
-            FROM e WHERE event_type IN ('purchase', 'signup') AND event_id % 2 = 0
-            UNION ALL
-            SELECT 'nr', 'm_interval', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type IN ('purchase', 'signup') AND event_id % 2 = 0
-            UNION ALL
-            SELECT 'nr', 'm_summary', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'click'
-            UNION ALL
-            SELECT 'nr', 'm_min_set', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'click' AND event_id % 2 = 0
-            UNION ALL
-            SELECT 'nr', 'm_max_set', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'click' AND event_id % 3 = 0
-            UNION ALL
-            SELECT 'nr', 'm_dropped', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'nr', 'log_fallback', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 2 = 1
-            UNION ALL
-            SELECT 'nr', 'log_level', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'nr', 'log_traced', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0
-            -- elastic APM leg (traces.go): transaction = root (%3<>0)
-            -- or server kind (%5=0); http.url on %4=0 → request type /
-            -- external span with default-port dest resource; db.system
-            -- on %4=1 → db span; peer ip+port on %7=0 → remote addr on
-            -- requests; team label on every row; java stacktraces: 4
-            -- frames + 1 cause on odd error ids, garbage fallback on
-            -- even error ids
-            UNION ALL
-            SELECT 'apm', 'transactions', COUNT(*),
-                   CAST(SUM(dur) AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 <> 0 OR event_id % 5 = 0
-            UNION ALL
-            SELECT 'apm', 'spans', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0 AND event_id % 5 <> 0
-            UNION ALL
-            SELECT 'apm', 'tx_request', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id % 3 <> 0 OR event_id % 5 = 0)
-                     AND event_id % 4 = 0
-            UNION ALL
-            SELECT 'apm', 'tx_failure', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id % 3 <> 0 OR event_id % 5 = 0)
-                     AND event_type = 'error'
-            UNION ALL
-            SELECT 'apm', 'tx_result_ok', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id % 3 <> 0 OR event_id % 5 = 0)
-                     AND event_id % 13 = 0 AND event_type <> 'error'
-            UNION ALL
-            SELECT 'apm', 'sp_external', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0 AND event_id % 5 <> 0
-                     AND event_id % 4 = 0
-            UNION ALL
-            SELECT 'apm', 'sp_db', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0 AND event_id % 5 <> 0
-                     AND event_id % 4 = 1
-            UNION ALL
-            SELECT 'apm', 'sp_app', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0 AND event_id % 5 <> 0
-                     AND event_id % 4 IN (2, 3)
-            UNION ALL
-            SELECT 'apm', 'dest_default_port', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0 AND event_id % 5 <> 0
-                     AND event_id % 4 = 0
-            UNION ALL
-            SELECT 'apm', 'remote', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE (event_id % 3 <> 0 OR event_id % 5 = 0)
-                     AND event_id % 28 = 0
-            UNION ALL
-            SELECT 'apm', 'labels_team', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'apm', 'exc_frames',
-                   CAST(4 * COALESCE(SUM(CASE WHEN event_id % 2 = 1
-                                              THEN 1 ELSE 0 END), 0) AS BIGINT),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'apm', 'exc_causes', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 2 = 1
-            UNION ALL
-            SELECT 'apm', 'exc_fallback', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 2 = 0
-            -- jaeger-thrift leg (protospan_to_jaegerthrift.go through a
-            -- TBinaryProtocol round trip): %101 → zero trace id dropped,
-            -- span.kind preset on %9 wins, status tags on error/%13,
-            -- CHILD_OF ref on %5, 2 log fields per error span
-            UNION ALL
-            SELECT 'jthrift', 'spans', COUNT(*), CAST(SUM(dur) AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0
-            UNION ALL
-            SELECT 'jthrift', 'dropped', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 = 0
-            UNION ALL
-            SELECT 'jthrift', 'kind_from_kind', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 9 <> 0
-            UNION ALL
-            SELECT 'jthrift', 'kind_preset', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 9 = 0
-            UNION ALL
-            SELECT 'jthrift', 'status_code_tag', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0
-                     AND (event_type = 'error' OR event_id % 13 = 0)
-            UNION ALL
-            SELECT 'jthrift', 'status_msg_tag', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_type = 'error'
-            UNION ALL
-            SELECT 'jthrift', 'child_of_refs', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_id % 5 = 0
-            UNION ALL
-            SELECT 'jthrift', 'log_fields',
-                   CAST(2 * COUNT(*) AS BIGINT), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0 AND event_type = 'error'
-            UNION ALL
-            SELECT 'jthrift', 'proc_svc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 101 <> 0
-            -- humio leg (traces_exporter.go): service.name hoisted out
-            -- of attrs, enum-name kind/status strings, service_name
-            -- tagging, missing-service resource drop (%4 subsample)
-            UNION ALL
-            SELECT 'humio', 'events', COUNT(*), CAST(0 AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'humio', 'kind_server', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 = 0
-            UNION ALL
-            SELECT 'humio', 'status_ok', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 13 = 0 AND event_type <> 'error'
-            UNION ALL
-            SELECT 'humio', 'status_error', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'humio', 'svc_hoisted', COUNT(*), CAST(0 AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'humio', 'lib_attr', COUNT(*), CAST(0 AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'humio', 'tagged', COUNT(*), CAST(0 AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'humio', 'links', CAST(COALESCE(SUM(event_id % 3), 0) AS BIGINT),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'humio', 'dropped_no_service', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 0
-            -- uptrace leg (exporter.go/translator.go): little-endian
-            -- uint64 ids, internal-collapsed kinds, lowercase status
-            UNION ALL
-            SELECT 'uptr', 'n', COUNT(*), CAST(SUM(dur) AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'uptr', 'id_byteswap', COUNT(*), CAST(0 AS DECIMAL(18,2)) FROM e
-            UNION ALL
-            SELECT 'uptr', 'kind_internal', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 >= 4
-            UNION ALL
-            SELECT 'uptr', 'status_ok', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 13 = 0 AND event_type <> 'error'
-            UNION ALL
-            SELECT 'uptr', 'status_error', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error'
-            UNION ALL
-            SELECT 'uptr', 'parented', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 3 = 0
-            -- datadog span-translation leg (translate_traces.go): per
-            -- event a root (kind cycle e%6, resource attrs from the
-            -- %4/%8/%16 grids), a same-service client child on %3
-            -- (mysql on %6=0, http 500 on %15=0, analytics on %9=0)
-            -- and an unknown-parent orphan on %5; resource service "My
-            -- Service" (peer-svc override on %7), version v1.2,
-            -- container tags, error roots carry exception events on
-            -- even ids / status message on %4=1 / http 503(+text %8=3)
-            -- on %4=3; non-error roots get http 404 on %4=0 (error
-            -- only for client kind %6=1); spans = roots+children+orphans
-            UNION ALL
-            SELECT 'dd', 'n',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(SUM(CASE WHEN event_id % 11 <> 0 THEN dur ELSE 0 END)
-                        + SUM(CASE WHEN event_id % 3 = 0 THEN dur ELSE 0 END)
-                        AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'ids_decoded',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'svc_peer', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 7 = 0
-            UNION ALL
-            SELECT 'dd', 'svc_my',
-                   SUM(CASE WHEN event_id % 7 <> 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'name_web_request', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 = 0
-            UNION ALL
-            SELECT 'dd', 'name_client',
-                   SUM(CASE WHEN event_id % 6 = 1 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'name_unspec', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 = 5
-            UNION ALL
-            SELECT 'dd', 'res_get_api', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 0
-            UNION ALL
-            SELECT 'dd', 'res_get_grpc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 16 = 4
-            UNION ALL
-            SELECT 'dd', 'res_get', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 16 = 12
-            UNION ALL
-            SELECT 'dd', 'res_send_queue', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 1
-            UNION ALL
-            SELECT 'dd', 'res_send', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 5
-            UNION ALL
-            SELECT 'dd', 'res_call_auth', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 2
-            UNION ALL
-            SELECT 'dd', 'res_call', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 8 = 6
-            UNION ALL
-            SELECT 'dd', 'res_fallback', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 4 = 3
-            UNION ALL
-            SELECT 'dd', 'type_web', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 = 0
-            UNION ALL
-            SELECT 'dd', 'type_cache', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 6 = 1 AND event_id % 10 = 5
-            UNION ALL
-            SELECT 'dd', 'type_db',
-                   SUM(CASE WHEN event_id % 6 = 1 AND event_id % 10 = 0
-                        THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 3 = 0 AND event_id % 6 = 0
-                        THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'type_http',
-                   SUM(CASE WHEN event_id % 6 = 1
-                        AND event_id % 10 NOT IN (0, 5) THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 3 = 0 AND event_id % 6 <> 0
-                        THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'type_custom',
-                   SUM(CASE WHEN event_id % 6 IN (2, 3, 4, 5) THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'err_n',
-                   SUM(CASE WHEN event_type = 'error' THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_type <> 'error' AND event_id % 4 = 0
-                        AND event_id % 6 = 1 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 15 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'errmsg_m2', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 2 = 0
-            UNION ALL
-            SELECT 'dd', 'errmsg_boom', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 4 = 1
-            UNION ALL
-            SELECT 'dd', 'errmsg_503t', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 8 = 3
-            UNION ALL
-            SELECT 'dd', 'errmsg_503', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 8 = 7
-            UNION ALL
-            SELECT 'dd', 'errtype_e2', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_type = 'error' AND event_id % 2 = 0
-            UNION ALL
-            SELECT 'dd', 'err_nomsg',
-                   SUM(CASE WHEN event_type <> 'error' AND event_id % 4 = 0
-                        AND event_id % 6 = 1 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 15 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'version',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'container',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'tracestate', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 13 = 0
-            UNION ALL
-            SELECT 'dd', 'big_trunc', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 17 = 0
-            UNION ALL
-            SELECT 'dd', 'rate1',
-                   2 * SUM(CASE WHEN event_id % 9 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'rate0', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 9 = 3
-            UNION ALL
-            SELECT 'dd', 'top_level',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 3 = 0
-                        AND (event_id % 9 = 0 OR event_id % 7 = 0)
-                        THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'env_prod',
-                   COUNT(*)
-                   + SUM(CASE WHEN event_id % 3 = 0 THEN 1 ELSE 0 END)
-                   + SUM(CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END),
-                   CAST(0 AS DECIMAL(18,2))
-            FROM e
-            UNION ALL
-            SELECT 'dd', 'deny_kept', COUNT(*), CAST(0 AS DECIMAL(18,2))
-            FROM e WHERE event_id % 13 <> 0)
-        """,
+        "trace_decoders": _TRACE.sql(),
         "statsd_parse_agg": """
             -- leg 'agg': DECIMAL sum = exact integer arithmetic matching
             -- the engine's int64-scaled deterministic sum; leg 'parse':
@@ -7843,678 +7090,8 @@ def oracle_sql() -> dict[str, str]:
                    0.0, 0.0, 0.0
             FROM events GROUP BY 2
         """,
-        "scraper_parse": _scraper_parse_oracle(),
-        "llm_ops": """
-            -- pii leg: DuckDB chains the same RE2 patterns in the same
-            -- order (counts taken on the progressively redacted text);
-            -- pack leg: closed-form chunk math per source + arg_min/max
-            -- first/last packed token
-            WITH t0 AS (
-                SELECT doc_id,
-                       text || ' contact user' || CAST(doc_id AS VARCHAR)
-                            || '@example.com at 10.' || CAST(doc_id % 200 AS VARCHAR)
-                            || '.3.4 call 555-' || CAST(100 + doc_id % 900 AS VARCHAR)
-                            || '-' || CAST(1000 + doc_id % 9000 AS VARCHAR) AS txt
-                FROM documents
-            ),
-            t1 AS (
-                SELECT doc_id,
-                       CAST(len(regexp_extract_all(txt,
-                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}')) AS BIGINT) AS n_email,
-                       regexp_replace(txt,
-                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
-                            '<EMAIL>', 'g') AS txt
-                FROM t0
-            ),
-            t2 AS (
-                SELECT doc_id, n_email,
-                       CAST(len(regexp_extract_all(txt,
-                            '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b')) AS BIGINT) AS n_ip,
-                       regexp_replace(txt,
-                            '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b',
-                            '<IP>', 'g') AS txt
-                FROM t1
-            ),
-            t3 AS (
-                SELECT doc_id, n_email, n_ip,
-                       CAST(len(regexp_extract_all(txt,
-                            '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}')) AS BIGINT) AS n_phone,
-                       regexp_replace(txt, '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}',
-                            '<PHONE>', 'g') AS txt
-                FROM t2
-            ),
-            pk AS (
-                SELECT source,
-                       CAST(SUM(len(string_split(text, ' '))) AS BIGINT) AS s,
-                       arg_min(string_split(text, ' ')[1], doc_id) AS fw,
-                       arg_max(string_split(text, ' ')[-1], doc_id) AS lw
-                FROM documents GROUP BY source
-            ),
-            -- lm leg: corpus top-50 vocab by (count DESC, word ASC),
-            -- then per-doc in-vocab/oov occurrence counts + summed
-            -- corpus frequency (all integers)
-            wdoc AS (
-                SELECT doc_id,
-                       unnest(list_filter(string_split(text, ' '), w -> w <> '')) AS w
-                FROM documents
-            ),
-            wc AS (
-                SELECT w, CAST(COUNT(*) AS BIGINT) AS c FROM wdoc
-                GROUP BY w ORDER BY c DESC, w ASC LIMIT 50
-            ),
-            vid AS (
-                SELECT w, ROW_NUMBER() OVER (ORDER BY c DESC, w ASC) - 1 AS tid
-                FROM wc
-            ),
-            tokagg AS (
-                SELECT wd.doc_id,
-                       CAST(SUM(COALESCE(v.tid, 50)) AS BIGINT) AS sid,
-                       CAST(SUM(CASE WHEN v.tid IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS noov,
-                       CAST(COUNT(*) AS BIGINT) AS ntok
-                FROM wdoc wd LEFT JOIN vid v ON wd.w = v.w
-                GROUP BY wd.doc_id
-            ),
-            tokends AS (
-                SELECT d.doc_id,
-                       len(list_filter(string_split(d.text, ' '), w -> w <> '')) AS nw,
-                       COALESCE(vf.tid, 50) AS ft,
-                       COALESCE(vl.tid, 50) AS lt
-                FROM documents d
-                LEFT JOIN vid vf
-                  ON list_filter(string_split(d.text, ' '), w -> w <> '')[1] = vf.w
-                LEFT JOIN vid vl
-                  ON list_filter(string_split(d.text, ' '), w -> w <> '')[-1] = vl.w
-            ),
-            lmagg AS (
-                SELECT wd.doc_id,
-                       CAST(SUM(CASE WHEN wc.c IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_in,
-                       CAST(SUM(CASE WHEN wc.c IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_oov,
-                       CAST(SUM(COALESCE(wc.c, 0)) AS BIGINT) AS sf
-                FROM wdoc wd LEFT JOIN wc ON wd.w = wc.w
-                GROUP BY wd.doc_id
-            ),
-            -- lm2 leg: interpolated-bigram LM integer contracts — the
-            -- corpus top-100 adjacent-word bigrams by (count DESC,
-            -- pair ASC) with the chr(31) pair key, then per-doc pair
-            -- hits / summed counts via a join
-            bws AS (
-                SELECT doc_id,
-                       list_filter(string_split(text, ' '), w -> w <> '') AS ws
-                FROM documents
-            ),
-            bpair AS (
-                SELECT doc_id, ws[i] || chr(31) || ws[i + 1] AS pr
-                FROM bws,
-                     unnest(generate_series(1, greatest(len(ws) - 1, 0))) AS t(i)
-            ),
-            btab AS (
-                SELECT pr, CAST(COUNT(*) AS BIGINT) AS c FROM bpair
-                GROUP BY pr ORDER BY c DESC, pr ASC LIMIT 100
-            ),
-            bagg AS (
-                SELECT p.doc_id,
-                       CAST(SUM(CASE WHEN b.c IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT) AS nh,
-                       CAST(SUM(COALESCE(b.c, 0)) AS BIGINT) AS sf,
-                       CAST(COUNT(*) AS BIGINT) AS np
-                FROM bpair p LEFT JOIN btab b ON p.pr = b.pr
-                GROUP BY p.doc_id
-            ),
-            -- dsir leg: hashed-bigram buckets via the same
-            -- first-codepoint/length mix as the engine; target
-            -- distribution = lang = 'en'
-            dtok AS (
-                SELECT doc_id, lang,
-                       list_filter(string_split(text, ' '), w -> w <> '') AS ws
-                FROM documents
-            ),
-            dbig AS (
-                SELECT doc_id, lang,
-                       (ord(ws[i]) * 31 + ord(ws[i+1]) * 7
-                        + len(ws[i]) * 3 + len(ws[i+1])) % 64 AS b
-                FROM dtok,
-                     unnest(generate_series(1, greatest(len(ws) - 1, 0))) AS t(i)
-            ),
-            dcnt AS (
-                SELECT b, CAST(COUNT(*) AS BIGINT) AS raw_c,
-                       CAST(SUM(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT) AS tgt_c
-                FROM dbig GROUP BY b
-            ),
-            dtot AS (
-                SELECT CAST(SUM(raw_c) AS BIGINT) AS n_raw,
-                       CAST(SUM(tgt_c) AS BIGINT) AS n_tgt
-                FROM dcnt
-            ),
-            dsc AS (
-                SELECT g.doc_id,
-                       CAST(SUM(c.tgt_c * t.n_raw - c.raw_c * t.n_tgt) AS BIGINT) AS score,
-                       CAST(COUNT(*) AS BIGINT) AS nb
-                FROM dbig g JOIN dcnt c ON g.b = c.b CROSS JOIN dtot t
-                GROUP BY g.doc_id
-            ),
-            -- ldedup leg: same injected multi-line docs; duplicated =
-            -- line string in >= 2 distinct docs; first-owner-wins
-            llin AS (
-                SELECT doc_id, unnest(string_split(
-                    'Common header boilerplate line.' || chr(10) ||
-                    'Group ' || CAST(doc_id % 50 AS VARCHAR) || ' shared body line.'
-                    || chr(10) || text,
-                    chr(10))) AS ln
-                FROM documents
-            ),
-            ldup AS (
-                SELECT ln, MIN(doc_id) AS owner
-                FROM llin GROUP BY ln
-                HAVING COUNT(DISTINCT doc_id) >= 2
-            ),
-            lagg AS (
-                SELECT l.doc_id, CAST(COUNT(*) AS BIGINT) AS n_lines,
-                       CAST(SUM(CASE WHEN d.ln IS NOT NULL AND d.owner <> l.doc_id
-                                THEN 1 ELSE 0 END) AS BIGINT) AS n_rm
-                FROM llin l LEFT JOIN ldup d ON l.ln = d.ln
-                GROUP BY l.doc_id
-            ),
-            -- dup2 leg: passage-REMOVAL coverage over the dup leg's
-            -- injected corpus — window strings grouped in SQL, flagged
-            -- windows exploded to covered word positions, clean text
-            -- rebuilt with an ordered string_agg over kept positions
-            d2txt AS (
-                SELECT doc_id,
-                       string_split(text || CASE WHEN doc_id % 25 = 0
-                            THEN ' zq0 zq1 zq2 zq3 zq4 zq5 zq6 zq7 zq8 zq9 zq10 zq11 zq12 zq13 zq14 zq15 zq16 zq17 zq18 zq19 zq20 zq21 zq22 zq23 zq24 zq25 zq26 zq27 zq28 zq29 zq30 zq31 zq32 zq33 zq34 zq35 zq36 zq37 zq38 zq39'
-                            ELSE '' END, ' ') AS ws
-                FROM documents
-            ),
-            d2win AS (
-                SELECT doc_id, i,
-                       array_to_string(list_slice(ws, i, i + 31), ' ') AS win
-                FROM d2txt,
-                     unnest(generate_series(1, greatest(len(ws) - 31, 0))) AS t(i)
-            ),
-            d2dup AS (
-                SELECT win, MIN(doc_id) AS owner FROM d2win
-                GROUP BY win HAVING COUNT(DISTINCT doc_id) >= 2
-            ),
-            d2flag AS (
-                SELECT w.doc_id, w.i FROM d2win w
-                JOIN d2dup d ON w.win = d.win
-                WHERE d.owner <> w.doc_id
-            ),
-            d2cov AS (
-                SELECT DISTINCT f.doc_id, f.i + o AS p
-                FROM d2flag f, unnest(generate_series(0, 31)) AS t(o)
-            ),
-            d2agg AS (
-                SELECT t.doc_id,
-                       CAST(len(t.ws) AS BIGINT) AS n_words,
-                       CAST(COALESCE(c.ncov, 0) AS BIGINT) AS n_removed,
-                       CAST(COALESCE(f.nf, 0) AS BIGINT) AS n_flagged
-                FROM d2txt t
-                LEFT JOIN (SELECT doc_id, COUNT(*) AS ncov FROM d2cov
-                           GROUP BY doc_id) c ON t.doc_id = c.doc_id
-                LEFT JOIN (SELECT doc_id, COUNT(*) AS nf FROM d2flag
-                           GROUP BY doc_id) f ON t.doc_id = f.doc_id
-            ),
-            d2pos AS (
-                -- materialize (doc, position, word) first: a LEFT
-                -- JOIN against a correlated lateral unnest is not
-                -- supported, a join between plain CTEs is
-                SELECT doc_id, pp.p AS p, ws[pp.p] AS w
-                FROM d2txt,
-                     unnest(generate_series(1, len(ws))) AS pp(p)
-            ),
-            d2clean AS (
-                SELECT t.doc_id,
-                       COALESCE(string_agg(
-                           CASE WHEN c.p IS NULL THEN t.w END,
-                           ' ' ORDER BY t.p), '') AS ct
-                FROM d2pos t
-                LEFT JOIN d2cov c ON c.doc_id = t.doc_id AND c.p = t.p
-                GROUP BY t.doc_id
-            ),
-            -- tdedup/tnear legs: the corpus with injected duplicate
-            -- TOKEN ARRAYS (the oracle groups the lists themselves)
-            t0c AS (
-                SELECT doc_id, tokens,
-                       CAST(SUBSTR(doc_id, 5) AS BIGINT) AS d
-                FROM __CORPUS__
-            ),
-            tinj AS (
-                SELECT doc_id, d,
-                       CASE WHEN d % 13 = 0
-                            THEN list_transform(generate_series(1, 16),
-                                 i -> CAST((d % 5) * 7 + i AS INTEGER))
-                            WHEN d % 17 = 0
-                            THEN list_transform(generate_series(0, 63),
-                                 i -> CAST(CASE WHEN i = d % 64
-                                           THEN 3000 + d % 97
-                                           ELSE 100 + (d % 3) * 3 + (i * 7) % 50
-                                           END AS INTEGER))
-                            ELSE tokens END AS toks
-                FROM t0c
-            )
-            SELECT 'pii' AS leg, CAST(doc_id AS VARCHAR) AS "key",
-                   n_email AS n, n_ip AS n2, n_phone AS n3, txt AS v_str
-            FROM t3
-            UNION ALL
-            SELECT 'pack', source, CAST(CEIL(s / 64.0) AS BIGINT),
-                   CAST(s // 64 AS BIGINT), CAST(s % 64 AS BIGINT),
-                   fw || ':' || lw
-            FROM pk
-            UNION ALL
-            -- decon leg: independent re-derivation via word-boundary
-            -- substring containment (the engine hashes word windows)
-            SELECT 'decon', CAST(d.doc_id AS VARCHAR),
-                   CASE WHEN EXISTS (
-                       SELECT 1 FROM (
-                           SELECT array_to_string(
-                               list_slice(string_split(text, ' '), 4, 11), ' ') AS gram
-                           FROM documents
-                           WHERE doc_id % 37 = 0
-                             AND len(string_split(text, ' ')) >= 11
-                       ) ev
-                       WHERE contains(' ' || d.text || ' ', ' ' || ev.gram || ' ')
-                   ) THEN 1 ELSE 0 END,
-                   CAST(0 AS BIGINT), CAST(0 AS BIGINT), ''
-            FROM documents d
-            UNION ALL
-            -- c4 leg: same injected multi-line doc, line rules applied
-            -- with DuckDB list lambdas (terminal punct, >=3 non-empty
-            -- words, no javascript/lorem ipsum/brace); doc gate >= 3
-            SELECT 'c4', CAST(doc_id AS VARCHAR),
-                   CAST(len(kept_lines) AS BIGINT),
-                   CAST(CASE WHEN len(kept_lines) >= 3 THEN 1 ELSE 0 END AS BIGINT),
-                   CAST(0 AS BIGINT),
-                   array_to_string(kept_lines, chr(10))
-            FROM (
-                SELECT doc_id, list_filter(
-                    string_split(
-                        'Alpha line number one.' || chr(10) ||
-                        'Document ' || CAST(doc_id AS VARCHAR) || ' body line.' || chr(10) ||
-                        'bad { brace line.' || chr(10) ||
-                        'tiny line.' || chr(10) ||
-                        'Uses javascript inside here.' || chr(10) ||
-                        'lorem ipsum dolor sit amet.' || chr(10) ||
-                        CASE WHEN doc_id % 3 = 0 THEN 'Third good line appears here.'
-                             ELSE 'no terminal punct line' END,
-                        chr(10)),
-                    x -> regexp_matches(x, '[.!?"]$')
-                         AND len(list_filter(string_split(x, ' '), w -> w <> '')) >= 3
-                         AND NOT contains(lower(x), 'javascript')
-                         AND NOT contains(lower(x), 'lorem ipsum')
-                         AND NOT contains(x, '{')
-                ) AS kept_lines
-                FROM documents
-            )
-            UNION ALL
-            -- mix leg: w(source) = (idx % 4) + 0.5 → floor(w) copies
-            -- plus one when doc_id % 1000 < 500; emitted + distinct
-            SELECT 'mix', source,
-                   CAST(SUM(reps) AS BIGINT),
-                   CAST(SUM(CASE WHEN reps > 0 THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(0 AS BIGINT), ''
-            FROM (
-                SELECT source, (CAST(SUBSTR(source, 4) AS INT) % 4)
-                       + CASE WHEN doc_id % 1000 < 500 THEN 1 ELSE 0 END AS reps
-                FROM documents
-            ) GROUP BY source
-            UNION ALL
-            -- dup leg: repeated 32-word windows across documents (with
-            -- the injected 40-word passage on doc_id % 25 == 0),
-            -- INDEPENDENTLY derived by exact string grouping — the
-            -- engine groups 64-bit window hashes, the oracle groups
-            -- the window strings themselves
-            SELECT 'dup', 'passages',
-                   CAST(COUNT(*) AS BIGINT),
-                   CAST(MAX(nd) AS BIGINT),
-                   CAST(MIN(mid) AS BIGINT), ''
-            FROM (
-                SELECT win, COUNT(DISTINCT doc_id) AS nd, MIN(doc_id) AS mid
-                FROM (
-                    SELECT doc_id,
-                           array_to_string(list_slice(ws, i, i + 31), ' ') AS win
-                    FROM (
-                        SELECT doc_id,
-                               string_split(text || CASE WHEN doc_id % 25 = 0
-                                    THEN ' zq0 zq1 zq2 zq3 zq4 zq5 zq6 zq7 zq8 zq9 zq10 zq11 zq12 zq13 zq14 zq15 zq16 zq17 zq18 zq19 zq20 zq21 zq22 zq23 zq24 zq25 zq26 zq27 zq28 zq29 zq30 zq31 zq32 zq33 zq34 zq35 zq36 zq37 zq38 zq39'
-                                    ELSE '' END, ' ') AS ws
-                        FROM documents
-                    ), unnest(generate_series(1, greatest(len(ws) - 31, 0))) AS t(i)
-                )
-                GROUP BY win
-                HAVING COUNT(DISTINCT doc_id) >= 2
-            )
-            UNION ALL
-            SELECT 'dup2', CAST(a.doc_id AS VARCHAR),
-                   a.n_words, a.n_removed, a.n_flagged, cl.ct
-            FROM d2agg a JOIN d2clean cl ON a.doc_id = cl.doc_id
-            UNION ALL
-            SELECT 'lm', CAST(d0.doc_id AS VARCHAR),
-                   CAST(COALESCE(a.n_in, 0) AS BIGINT),
-                   CAST(COALESCE(a.n_oov, 0) AS BIGINT),
-                   CAST(COALESCE(a.sf, 0) AS BIGINT), ''
-            FROM documents d0 LEFT JOIN lmagg a ON d0.doc_id = a.doc_id
-            UNION ALL
-            SELECT 'lm2', CAST(d0.doc_id AS VARCHAR),
-                   CAST(COALESCE(a.nh, 0) AS BIGINT),
-                   CAST(COALESCE(a.sf, 0) AS BIGINT),
-                   CAST(COALESCE(a.np, 0) AS BIGINT), ''
-            FROM documents d0 LEFT JOIN bagg a ON d0.doc_id = a.doc_id
-            UNION ALL
-            SELECT 'dsir', CAST(d0.doc_id AS VARCHAR),
-                   CAST(COALESCE(s.score, 0) AS BIGINT),
-                   CAST(CASE WHEN COALESCE(s.score, 0) > 0 THEN 1 ELSE 0 END AS BIGINT),
-                   CAST(COALESCE(s.nb, 0) AS BIGINT), ''
-            FROM documents d0 LEFT JOIN dsc s ON d0.doc_id = s.doc_id
-            UNION ALL
-            SELECT 'ldedup', CAST(doc_id AS VARCHAR), n_lines, n_rm,
-                   CAST(0 AS BIGINT), ''
-            FROM lagg
-            UNION ALL
-            SELECT 'tok', CAST(e.doc_id AS VARCHAR),
-                   CAST(COALESCE(a.sid, 0) AS BIGINT),
-                   CAST(COALESCE(a.noov, 0) AS BIGINT),
-                   CAST(COALESCE(a.ntok, 0) AS BIGINT),
-                   CASE WHEN e.nw > 0
-                        THEN CAST(e.ft AS VARCHAR) || ':' || CAST(e.lt AS VARCHAR)
-                        ELSE '' END
-            FROM tokends e LEFT JOIN tokagg a ON e.doc_id = a.doc_id
-            UNION ALL
-            -- tpack leg: token-array packing closed forms over the
-            -- deterministic synth corpus (seq_len=2048 per source)
-            SELECT 'tpack', source,
-                   CAST(CEIL(s / 2048.0) AS BIGINT),
-                   CAST(s // 2048 AS BIGINT),
-                   CAST(s % 2048 AS BIGINT),
-                   fw || ':' || lw
-            FROM (
-                SELECT source, CAST(SUM(n_tok) AS BIGINT) AS s,
-                       CAST(arg_min(tokens[1], doc_id) AS VARCHAR) AS fw,
-                       CAST(arg_max(tokens[-1], doc_id) AS VARCHAR) AS lw
-                FROM __CORPUS__ GROUP BY source
-            )
-            UNION ALL
-            -- split leg: deterministic multiplicative-hash 5/5/90
-            -- train/valid/test split (same BIGINT closed form as the
-            -- engine's split_hash; intermediates stay < 2^63)
-            SELECT 'split', sp, CAST(COUNT(*) AS BIGINT),
-                   CAST(SUM(doc_id) AS BIGINT), CAST(0 AS BIGINT), ''
-            FROM (
-                SELECT doc_id,
-                       CASE WHEN r < 500 THEN 'test'
-                            WHEN r < 1000 THEN 'valid'
-                            ELSE 'train' END AS sp
-                FROM (
-                    SELECT doc_id,
-                           ((doc_id % 1000000007) * 2654435761)
-                               % 1000000007 % 10000 AS r
-                    FROM documents
-                )
-            ) GROUP BY sp
-            UNION ALL
-            -- samp leg: per-source cap of 40 by (hash, id) rank
-            SELECT 'samp', source, CAST(COUNT(*) AS BIGINT),
-                   CAST(SUM(doc_id) AS BIGINT),
-                   CAST(MIN(doc_id) AS BIGINT),
-                   CAST(MIN(CASE WHEN rn = 1 THEN doc_id END) AS VARCHAR)
-            FROM (
-                SELECT source, doc_id,
-                       ROW_NUMBER() OVER (
-                           PARTITION BY source
-                           ORDER BY ((doc_id % 1000000007) * 2654435761)
-                                        % 1000000007, doc_id
-                       ) AS rn
-                FROM documents
-            ) WHERE rn <= 40 GROUP BY source
-            UNION ALL
-            -- tstat leg: token-native stats re-derived by exploding
-            -- the pre-tokenized corpus lists (bigram key a*50257+b,
-            -- adjacent positions within a doc; corpus docs are never
-            -- empty so COUNT(DISTINCT did) equals the doc count)
-            SELECT 'tstat', source,
-                   CAST(COUNT(*) AS BIGINT),
-                   CAST(COUNT(DISTINCT a) AS BIGINT),
-                   CAST(COUNT(DISTINCT CASE WHEN b IS NOT NULL
-                                            THEN a * 50257 + b END) AS BIGINT),
-                   CAST(MAX(a) AS VARCHAR) || ':'
-                       || CAST(COUNT(DISTINCT did) AS VARCHAR)
-            FROM (
-                SELECT source, doc_id AS did,
-                       CAST(tokens[i] AS BIGINT) AS a,
-                       CASE WHEN i < len(tokens)
-                            THEN CAST(tokens[i + 1] AS BIGINT)
-                            ELSE NULL END AS b
-                FROM __CORPUS__,
-                     unnest(generate_series(1, len(tokens))) AS t(i)
-            ) GROUP BY source
-            UNION ALL
-            -- tdedup: distinct injected token lists = survivors;
-            -- per-template group size / min-id owner / distinct lists
-            SELECT 'tdedup', 'all',
-                   CAST((SELECT COUNT(*) FROM (SELECT DISTINCT toks FROM tinj)) AS BIGINT),
-                   CAST((SELECT COUNT(*) FROM tinj)
-                        - (SELECT COUNT(*) FROM (SELECT DISTINCT toks FROM tinj)) AS BIGINT),
-                   CAST(0 AS BIGINT), ''
-            UNION ALL
-            SELECT 'tdedup', 'tmpl' || CAST(d % 5 AS VARCHAR),
-                   CAST(COUNT(*) AS BIGINT), CAST(MIN(d) AS BIGINT),
-                   CAST(COUNT(DISTINCT toks) AS BIGINT), ''
-            FROM tinj WHERE d % 13 = 0 GROUP BY d % 5
-            UNION ALL
-            -- tnear: LSH recall contract — every injected near-dup
-            -- doc finds a same-group candidate (n2 = n, flag = 1)
-            SELECT 'tnear', 'grp' || CAST(d % 3 AS VARCHAR),
-                   CAST(COUNT(*) AS BIGINT), CAST(COUNT(*) AS BIGINT),
-                   CAST(1 AS BIGINT), ''
-            FROM t0c WHERE d % 13 <> 0 AND d % 17 = 0 GROUP BY d % 3
-            UNION ALL
-            -- tqual: token-native Gopher repetition signals, re-derived
-            -- by exploding the lists: distinct ids (list_distinct),
-            -- distinct adjacent bigrams (a*50257+b), longest
-            -- single-token run (gaps-and-islands), token/bigram counts
-            SELECT 'tqual', c.doc_id,
-                   CAST(len(list_distinct(c.tokens)) AS BIGINT),
-                   CAST(COALESCE(db.nb, 0) AS BIGINT),
-                   CAST(COALESCE(mr.m, 0) AS BIGINT),
-                   CAST(len(c.tokens) AS VARCHAR) || ':'
-                       || CAST(GREATEST(len(c.tokens) - 1, 0) AS VARCHAR)
-            FROM t0c c
-            LEFT JOIN (
-                SELECT doc_id,
-                       COUNT(DISTINCT CAST(tokens[i] AS BIGINT) * 50257
-                             + CAST(tokens[i + 1] AS BIGINT)) AS nb
-                FROM t0c,
-                     unnest(generate_series(1, len(tokens) - 1)) AS t(i)
-                GROUP BY doc_id
-            ) db ON c.doc_id = db.doc_id
-            LEFT JOIN (
-                -- run LENGTHS as gaps between run-START positions
-                -- (i = 1 or value change); one LEAD per doc partition
-                -- beats ROW_NUMBER per (doc, token) partition ~30x
-                SELECT doc_id, MAX(nxt - i) AS m FROM (
-                    SELECT doc_id, i,
-                           LEAD(i, 1, maxlen + 1) OVER (
-                               PARTITION BY doc_id ORDER BY i) AS nxt
-                    FROM (
-                        SELECT doc_id, i, len(tokens) AS maxlen
-                        FROM t0c,
-                             unnest(generate_series(1, len(tokens))) AS t(i)
-                        WHERE i = 1 OR tokens[i] <> tokens[i - 1]
-                    )
-                ) GROUP BY doc_id
-            ) mr ON c.doc_id = mr.doc_id
-            UNION ALL
-            -- tdecon: token-native decontamination — the oracle joins
-            -- window STRINGS (the engine scans window hashes): eval =
-            -- tokens[4:11] of d % 37 = 0 docs with >= 11 tokens; a
-            -- d % 7 = 0 doc is contaminated when any 8-token window
-            -- string matches an eval string
-            SELECT 'tdecon', c.doc_id,
-                   CAST(CASE WHEN COALESCE(h.nh, 0) > 0
-                        THEN 1 ELSE 0 END AS BIGINT),
-                   CAST(COALESCE(h.nh, 0) AS BIGINT),
-                   CAST(GREATEST(len(c.tokens) - 7, 0) AS BIGINT), ''
-            FROM t0c c
-            LEFT JOIN (
-                SELECT tw.did AS doc_id, CAST(COUNT(*) AS BIGINT) AS nh
-                FROM (
-                    SELECT doc_id AS did,
-                           array_to_string(tokens[i:i + 7], ' ') AS w
-                    FROM t0c,
-                         unnest(generate_series(1, len(tokens) - 7)) AS t(i)
-                    WHERE d % 7 = 0
-                ) tw
-                JOIN (
-                    SELECT DISTINCT array_to_string(tokens[4:11], ' ') AS w
-                    FROM t0c
-                    WHERE d % 37 = 0 AND len(tokens) >= 11
-                ) ev ON tw.w = ev.w
-                GROUP BY tw.did
-            ) h ON c.doc_id = h.doc_id
-            WHERE c.d % 7 = 0
-            UNION ALL
-            -- prep leg: the END-TO-END pipeline recomposed in SQL —
-            -- injected duplicate templates → Gopher gate → PII chain
-            -- → exact dedup (first-owner-wins per text) → split hash
-            -- → top-50 vocab over SURVIVORS → token/OOV counts →
-            -- chunk math per (source, split)
-            SELECT 'prep', source || chr(31) || split,
-                   cnt, sid,
-                   CAST(CEIL(ntok / 64.0) AS BIGINT),
-                   CAST(ntok AS VARCHAR) || ':' || CAST(noov AS VARCHAR)
-                       || ':' || CAST(((ntok - 1) % 64) + 1 AS VARCHAR)
-            FROM (
-                WITH pdoc0 AS (
-                    SELECT doc_id, source,
-                           CASE WHEN doc_id % 31 = 0
-                                THEN 'shared duplicate template text number '
-                                     || CAST(doc_id % 7 AS VARCHAR)
-                                     || ' with plenty of distinct plain words inside'
-                                ELSE text END AS ptxt
-                    FROM documents
-                ),
-                pq AS (
-                    SELECT doc_id, source, ptxt,
-                           string_split(ptxt, ' ') AS ws,
-                           CAST(len(string_split(ptxt, ' ')) AS BIGINT) AS n_words,
-                           CAST(GREATEST(len(string_split(ptxt, ' ')), 1) AS DOUBLE) AS nz,
-                           (length(ptxt) - (len(string_split(ptxt, ' ')) - 1)) AS n_letters,
-                           CAST(len(regexp_extract_all(ptxt, '#')) +
-                                len(regexp_extract_all(ptxt, '\\.\\.\\.')) AS DOUBLE) AS syms
-                    FROM pdoc0
-                ),
-                pf AS (
-                    SELECT doc_id, source, ptxt FROM pq
-                    WHERE n_words >= 5
-                      AND n_letters / nz >= 3.0 AND n_letters / nz <= 10.0
-                      AND 1.0 - len(list_distinct(ws)) / nz < 0.5
-                      AND len(list_filter(ws, x -> regexp_matches(x, '[A-Za-z]'))) / nz > 0.8
-                      AND syms / nz < 0.1
-                ),
-                pr AS (
-                    SELECT doc_id, source,
-                           regexp_replace(
-                               regexp_replace(
-                                   regexp_replace(ptxt,
-                                       '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
-                                       '<EMAIL>', 'g'),
-                                   '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b',
-                                   '<IP>', 'g'),
-                               '\\+?\\d{3}[-.]\\d{3}[-.]\\d{4}', '<PHONE>', 'g') AS txt
-                    FROM pf
-                ),
-                psv AS (
-                    SELECT doc_id, source, txt FROM (
-                        SELECT doc_id, source, txt,
-                               MIN(doc_id) OVER (PARTITION BY txt) AS owner
-                        FROM pr
-                    ) WHERE doc_id = owner
-                ),
-                psp AS (
-                    SELECT doc_id, source, txt,
-                           CASE WHEN ((doc_id % 1000000007) * 2654435761)
-                                         % 1000000007 % 10000 < 500 THEN 'test'
-                                WHEN ((doc_id % 1000000007) * 2654435761)
-                                         % 1000000007 % 10000 < 1000 THEN 'valid'
-                                ELSE 'train' END AS split
-                    FROM psv
-                ),
-                pw AS (
-                    SELECT doc_id,
-                           unnest(list_filter(string_split(txt, ' '), w -> w <> '')) AS w
-                    FROM psp
-                ),
-                pvoc AS (
-                    SELECT w FROM (
-                        SELECT w, COUNT(*) AS c FROM pw
-                        GROUP BY w ORDER BY c DESC, w ASC LIMIT 50
-                    )
-                ),
-                ptk AS (
-                    SELECT p.doc_id, CAST(COUNT(*) AS BIGINT) AS ntok,
-                           CAST(SUM(CASE WHEN v.w IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS noov
-                    FROM pw p LEFT JOIN pvoc v ON p.w = v.w
-                    GROUP BY p.doc_id
-                )
-                SELECT s.source, s.split,
-                       CAST(COUNT(*) AS BIGINT) AS cnt,
-                       CAST(SUM(s.doc_id) AS BIGINT) AS sid,
-                       CAST(SUM(COALESCE(t.ntok, 0)) AS BIGINT) AS ntok,
-                       CAST(SUM(COALESCE(t.noov, 0)) AS BIGINT) AS noov
-                FROM psp s LEFT JOIN ptk t ON s.doc_id = t.doc_id
-                GROUP BY s.source, s.split
-            )
-            UNION ALL
-            -- clf: hashed-feature linear quality classifier — the
-            -- oracle recomputes bucket (first/last codepoint + length
-            -- mix % 64), the closed-form weight ((b*37)%21 - 10) and
-            -- the per-doc integer score
-            SELECT 'clf', CAST(d.doc_id AS VARCHAR),
-                   CAST(COALESCE(sc.s, 0) AS BIGINT),
-                   CAST(CASE WHEN COALESCE(sc.s, 0) > 0
-                        THEN 1 ELSE 0 END AS BIGINT),
-                   CAST(COALESCE(sc.nw, 0) AS BIGINT), ''
-            FROM documents d
-            LEFT JOIN (
-                SELECT doc_id,
-                       SUM((((unicode(w[1:1]) * 31 + length(w) * 3
-                              + unicode(w[-1:])) % 64) * 37) % 21 - 10) AS s,
-                       COUNT(*) AS nw
-                FROM (
-                    SELECT doc_id,
-                           unnest(list_filter(string_split(text, ' '),
-                                  x -> x <> '')) AS w
-                    FROM documents
-                ) GROUP BY doc_id
-            ) sc ON d.doc_id = sc.doc_id
-            UNION ALL
-            -- shuf: seeded shard shuffle closed forms — shard and
-            -- read order derive from the same BIGINT-safe
-            -- multiplicative hash the engine uses (seed 7, 16 shards)
-            SELECT 'shuf', 'sh' || CAST(r % 16 AS VARCHAR),
-                   CAST(COUNT(*) AS BIGINT),
-                   CAST(SUM(doc_id) AS BIGINT),
-                   CAST(arg_min(doc_id, r) AS BIGINT),
-                   CAST(arg_max(doc_id, r) AS VARCHAR)
-            FROM (
-                SELECT doc_id,
-                       ((doc_id + 7) % 1000000007) * 2654435761
-                           % 1000000007 AS r
-                FROM documents
-            ) GROUP BY r % 16
-            UNION ALL
-            -- qbuck: CCNet quality-bucketing contracts. 'all' carries
-            -- the exact partition total + bucket cardinality; the
-            -- per-bucket rows are contract booleans the engine
-            -- verifies against the sketch boundaries (mass within the
-            -- rank-error band, strictly ordered score ranges).
-            SELECT 'qbuck', 'all', CAST(COUNT(*) AS BIGINT),
-                   CAST(3 AS BIGINT), CAST(1 AS BIGINT), ''
-            FROM documents
-            UNION ALL
-            SELECT 'qbuck', lbl, CAST(1 AS BIGINT), CAST(1 AS BIGINT),
-                   CAST(0 AS BIGINT), ''
-            FROM (VALUES ('head'), ('middle'), ('tail')) q(lbl)
-        """,
+        "scraper_parse": _SCRAPER.sql(),
+        "llm_ops": _LLM.sql(),
         "sfx_translation": """
             -- closed forms of the 8-rule chain in _q_sfx_translation:
             -- read/write split with x2 scaling, write aggregated per
