@@ -1392,8 +1392,8 @@ def _q_minhash_dedup(sf_dir: str):
 
 def _q_near_dedup_survivors(sf_dir: str):
     """End-to-end near-dedup CLOSER contract on injected duplicates:
-    LSH candidates → distributed Jaccard verify → connected components
-    (auto driver/distributed switch) → survivors. Every injected dup id
+    LSH candidates → distributed Jaccard verify → driver connected
+    components over the verified edges → survivors. Every injected dup id
     must be dropped, its cluster root must be an original (min-id-wins),
     and the drop count must equal the injection count — all counts the
     oracle derives in SQL from the documents table."""
@@ -1407,9 +1407,8 @@ def _q_near_dedup_survivors(sf_dir: str):
     n_injected = _count_injected(sf_dir)
     n_original = _read(sf_dir, "documents", ["doc_id"]).count()
     n_dups_survived = int((surv_ids >= _DUP_OFFSET).sum())
-    roots_ok = all(
-        int(r) < _DUP_OFFSET for x, r in clusters.items() if int(x) >= _DUP_OFFSET
-    )
+    x, r = (clusters[c].to_numpy().astype(np.int64) for c in ("doc_id", "root"))
+    roots_ok = bool((r[x >= _DUP_OFFSET] < _DUP_OFFSET).all())
     return pd.DataFrame(
         {
             "n_original": np.array([n_original], np.int64),

@@ -216,8 +216,8 @@ def _exact_drop_ids(ds, text_col: str, id_col: str, *, num_buckets=None) -> np.n
     per content hash).  One shuffle of (hash, id) pairs: each bucket
     sorts once by (hash, id); the first row of each hash's run is its
     winner, and every row whose id differs from its winner's is emitted.
-    Returns the drop-id array — O(duplicate count) on the driver, same
-    bound as ``near_dedup``, capped by ``_util.COLLECT_MAX_ROWS``."""
+    Returns the drop-id array — O(duplicate count) on the driver,
+    capped by ``_util.COLLECT_MAX_ROWS``."""
     from ..stages.aggregate import keyed_apply
     from ..stages.dedup import add_content_hash
 
@@ -242,6 +242,29 @@ def _exact_drop_ids(ds, text_col: str, id_col: str, *, num_buckets=None) -> np.n
     return (
         pa.concat_tables(batches)[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     )
+
+
+def _rewrite_text(docs, dup, stage: str, key: str, make_deduper, added: list[str]):
+    """Collect the ``(key, n_docs, min_doc_id)`` duplicate table ``dup``
+    of line or passage dedup, broadcast it as ``make_deduper(hashes,
+    owners)`` (the instance, one sorted copy of the table, is serialized
+    once with the operator) and fold the deduper's ``clean_text`` back
+    into ``text``, dropping it and the ``added`` stat columns. Returns
+    the rewritten docs and the duplicate count."""
+    batches = collect(dup, stage)
+    if batches:
+        tbl = pa.concat_tables(batches)
+        hashes, owners = (tbl[c].to_numpy(zero_copy_only=False) for c in (key, "min_doc_id"))
+    else:
+        hashes, owners = np.empty(0, np.uint64), np.empty(0, np.int64)
+
+    def fold_clean(batch: pa.Table) -> pa.Table:
+        idx = batch.column_names.index("text")
+        batch = batch.set_column(idx, "text", batch["clean_text"])
+        return batch.drop_columns(["clean_text", *added])
+
+    docs = docs.map_batches(make_deduper(hashes, owners), batch_format="pyarrow")
+    return docs.map_batches(fold_clean, batch_format="pyarrow"), len(hashes)
 
 
 _ARTIFACTS = ("documents", "packed", "vocab.parquet")
@@ -355,32 +378,9 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dup = duplicate_lines(docs, num_buckets=cfg.num_buckets)
-        batches = collect(dup, "line dedup")
-        dup_tbl = (
-            pa.concat_tables(batches)
-            if batches
-            else pa.table(
-                {"line_hash": pa.array([], pa.uint64()),
-                 "n_docs": pa.array([], pa.int64()),
-                 "min_doc_id": pa.array([], pa.int64())}
-            )
+        docs, stats["dup_lines"] = _rewrite_text(
+            docs, dup, "line dedup", "line_hash", LineDeduper, ["n_lines", "n_removed"]
         )
-        stats["dup_lines"] = int(len(dup_tbl))
-        # the instance (one sorted copy of the dup-line table) is
-        # serialized once with the operator: the broadcast
-        deduper = LineDeduper(
-            dup_tbl["line_hash"].to_numpy(zero_copy_only=False),
-            dup_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-        )
-        docs = docs.map_batches(deduper, batch_format="pyarrow")
-        idx_fn_cols = ["clean_text", "n_lines", "n_removed"]
-
-        def fold_clean(batch: pa.Table) -> pa.Table:
-            idx = batch.column_names.index("text")
-            batch = batch.set_column(idx, "text", batch["clean_text"])
-            return batch.drop_columns(idx_fn_cols)
-
-        docs = docs.map_batches(fold_clean, batch_format="pyarrow")
 
     # ---- stage 3b: ExactSubstr-style duplicated-passage removal
     if cfg.passage_dedup:
@@ -388,41 +388,19 @@ def prepare_corpus(ds, cfg: PrepConfig | None = None, out_dir: str | None = None
 
         costly = True
         dupp = duplicate_passages(docs, window=cfg.passage_window, num_buckets=cfg.num_buckets)
-        batches = collect(dupp, "passage dedup")
-        dupp_tbl = (
-            pa.concat_tables(batches)
-            if batches
-            else pa.table(
-                {"gram_hash": pa.array([], pa.uint64()),
-                 "n_docs": pa.array([], pa.int64()),
-                 "min_doc_id": pa.array([], pa.int64())}
-            )
+        docs, stats["dup_passages"] = _rewrite_text(
+            docs, dupp, "passage dedup", "gram_hash",
+            lambda h, o: PassageDeduper(h, o, window=cfg.passage_window),
+            ["n_words", "n_removed_words", "n_dup_windows"],
         )
-        stats["dup_passages"] = int(len(dupp_tbl))
-        deduper = PassageDeduper(
-            dupp_tbl["gram_hash"].to_numpy(zero_copy_only=False),
-            dupp_tbl["min_doc_id"].to_numpy(zero_copy_only=False),
-            window=cfg.passage_window,
-        )
-        docs = docs.map_batches(deduper, batch_format="pyarrow")
-
-        def fold_passage(batch: pa.Table) -> pa.Table:
-            idx = batch.column_names.index("text")
-            batch = batch.set_column(idx, "text", batch["clean_text"])
-            return batch.drop_columns(
-                ["clean_text", "n_words", "n_removed_words", "n_dup_windows"]
-            )
-
-        docs = docs.map_batches(fold_passage, batch_format="pyarrow")
 
     # ---- stage 4: MinHash near-dedup (anti-filter by cluster non-roots)
     if cfg.near_dedup:
         from ..stages.dedup import near_dedup_clusters
 
         clusters = near_dedup_clusters(docs, jaccard_threshold=cfg.near_threshold)
-        drop = np.asarray(
-            sorted(x for x, root in clusters.items() if root != x), dtype=np.int64
-        )
+        non_root = pc.not_equal(clusters["doc_id"], clusters["root"])
+        drop = np.array(clusters["doc_id"].filter(non_root), dtype=np.int64)
         stats["near_dropped"] = int(len(drop))
         costly |= len(drop) > cfg.drop_broadcast_max
         docs = _anti_filter_ids(

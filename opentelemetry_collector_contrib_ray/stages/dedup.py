@@ -2,45 +2,41 @@
 
 Not present in the reference (SURVEY.md §2.8 — the ES exporter dedups
 field keys only); these are first-class engine additions. All follow
-the same scale shape: vectorized per-batch signature computation in
-``map_batches``, then ONE shuffle on the signature key, then per-BUCKET
-(not per-key) resolution. Nothing materializes the corpus — or any
-O(corpus)-sized structure — on the driver:
+the same scale shape: vectorized per-batch hashing (MinHash, SimHash) in
+``map_batches``, then ONE shuffle on the band or hash key, then per-BUCKET
+(not per-key) resolution. The corpus never reaches the driver; only
+``near_dedup``'s survivor ids and verified edges do, each through
+``_util.collect`` and its row cap:
 
-- signature kernels (shingles, MinHash, SimHash) run one strided numpy
+- hash kernels (shingles, MinHash, SimHash) run one strided numpy
   pass over the batch's concatenated bytes — no per-document Python;
 - LSH bucket resolution and candidate-pair generation happen inside
-  one ``keyed_apply`` shuffle (one Python call per bucket, each a
-  vectorized pass), not via driver-side collection;
+  one ``keyed_apply`` shuffle (one Arrow sort per bucket), not via
+  driver-side collection;
 - pair verification is a distributed join of the pair list against the
   corpus texts (two bucketed shuffles of pairs+texts);
-- connected components default to driver union-find over the VERIFIED
-  edge set (orders smaller than the corpus) with a distributed
-  min-label-propagation implementation for dup-heavy corpora.
+- connected components run on the driver over the VERIFIED edge set
+  (orders smaller than the corpus): vectorized min-label hooking and
+  pointer jumping, run until nothing changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .._util import splitmix64
+from .._util import collect, hash_str_u64, splitmix64
+from .aggregate import bucketed_aggregate, keyed_apply, sorted_runs
+from .join import bucketed_hash_join
 
 _MERSENNE = (1 << 61) - 1
 _SHINGLE_P = np.uint64(1099511628211)
 
 
-def _text_hash64(texts: pd.Series) -> np.ndarray:
-    """Vectorized 64-bit content hash of a string column."""
-    return splitmix64(
-        np.asarray(pd.util.hash_array(texts.to_numpy(dtype=object)), dtype=np.uint64)
-    )
-
-
 def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object)
-    return batch.append_column("content_hash", pa.array(_text_hash64(s).astype(np.int64)))
+    h = hash_str_u64(batch[text_col].to_numpy(zero_copy_only=False))
+    return batch.append_column("content_hash", pa.array(h.astype(np.int64)))
 
 
 # ------------------------------------------------------- shingle kernel
@@ -61,7 +57,7 @@ def _shingle_hashes_flat(
     contiguous UTF-8 byte run; a single rolling polynomial-hash pass
     computes every window, and windows crossing document boundaries are
     excluded by construction. Docs shorter than ``k`` are zero-padded
-    (identical to the per-doc reference kernel). Returns
+    to one window. Returns
     ``(flat_hashes uint64, per_doc_counts int64)`` — feed ``counts``
     boundaries to ``np.minimum.reduceat`` for per-doc minima.
     """
@@ -71,8 +67,6 @@ def _shingle_hashes_flat(
     if n == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     if arr.null_count:
-        import pyarrow.compute as pc
-
         arr = pc.fill_null(arr, "")
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     bufs = arr.buffers()
@@ -110,15 +104,8 @@ def _shingle_hashes_flat(
     return splitmix64(h[starts]), counts
 
 
-def _shingle_hashes(text: str, k: int) -> np.ndarray:
-    """Single-doc shingle hashes (unique'd) — thin wrapper over the
-    batch kernel, kept for signature()/tests API compatibility."""
-    flat, _ = _shingle_hashes_flat(pa.array([text or ""], pa.string()), k)
-    return np.unique(flat)
-
-
 class MinHasher:
-    """Per-batch MinHash signatures (k-shingles, n permutations).
+    """Per-batch MinHash sketches (k-shingles, n permutations).
 
     Stateless task-pool stage: permutation parameters built in
     __init__; per batch ONE strided shingle pass over the concatenated
@@ -135,13 +122,6 @@ class MinHasher:
         self.num_perm = num_perm
         self.text_col = text_col
 
-    def signature(self, text: str) -> np.ndarray:
-        sh = _shingle_hashes(text, self.k)
-        with np.errstate(over="ignore"):
-            # (a*x+b) mod Mersenne61 per permutation; min over shingles
-            vals = (self.a[None, :] * sh[:, None] + self.b[None, :]) % np.uint64(_MERSENNE)
-        return vals.min(axis=0)
-
     # max shingles per (num_perm × shingles) matrix: bounds the temp
     # allocation to ~ num_perm × _CHUNK × 8B (≈128 MB at 128 × 128k)
     _CHUNK = 128 * 1024
@@ -149,7 +129,7 @@ class MinHasher:
     def _flat_hashes(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         """Hash source hook: byte shingles over the text column.
         ``TokenMinHasher`` overrides with token-window hashes so the
-        same signature/LSH machinery runs on pre-tokenized corpora."""
+        same MinHash/LSH machinery runs on pre-tokenized corpora."""
         return _shingle_hashes_flat(batch[self.text_col], self.k)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -224,7 +204,7 @@ def _token_window_hashes_flat(
 
 
 class TokenMinHasher(MinHasher):
-    """MinHash signatures over the PRE-TOKENIZED ``tokens`` column
+    """MinHash sketches over the PRE-TOKENIZED ``tokens`` column
     (``list<int32>``, the corpus-native shape) by swapping the
     byte-shingle source for k-token window hashes; permutations,
     chunking and LSH banding are inherited unchanged from
@@ -261,7 +241,6 @@ def exact_dedup_tokens(ds):
     pairs, never token arrays. Hash equality equals
     sequence equality up to negligible 64-bit collisions (same
     contract as the text-hash path)."""
-    from .aggregate import bucketed_aggregate
     from .llmdata import _flat_tokens
 
     def hash_rows(t: pa.Table) -> pa.Table:
@@ -335,52 +314,33 @@ def _lsh_explode(ds, text_col, id_col, *, k, num_perm, bands, hasher=None):
     return mh.map_batches(explode, batch_format="pyarrow")
 
 
+def _band_runs(g: pa.Table, id_col: str) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """``g`` sorted on (band_id, band_hash, id), with the start row and
+    the size of each band bucket (run of one band key): the one sort
+    both LSH bucket functions share."""
+    g = g.take(pc.sort_indices(g, [("band_id", "ascending"), ("band_hash", "ascending"), (id_col, "ascending")]))
+    starts = sorted_runs(g, ["band_id", "band_hash"])
+    return g, starts, np.diff(np.append(starts, len(g)))
+
+
 def _resolve_buckets(exploded, id_col: str, *, num_buckets: int | None = None):
     """(band_id, band_hash, id) triples → multi-member buckets with
     sorted member lists — DISTRIBUTED: one shuffle on a hash bucket of
-    the band key, then per-bucket vectorized resolution (filter groups
+    the band key, then per-bucket vectorized resolution (keep buckets
     of size ≥2, build the id lists directly as an Arrow ListArray). No
     driver-side bucket-count table, no per-row Python membership."""
-    from .aggregate import keyed_apply
 
     def resolve(g: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "band_id": g["band_id"].to_numpy(zero_copy_only=False),
-                "band_hash": g["band_hash"].to_numpy(zero_copy_only=False),
-                id_col: g[id_col].to_numpy(zero_copy_only=False),
-            }
-        )
-        df = df.sort_values(["band_id", "band_hash", id_col], kind="stable")
-        sizes = df.groupby(["band_id", "band_hash"], sort=False)[id_col].transform("size")
-        df = df[sizes.to_numpy() >= 2]
-        id_type = g.schema.field(id_col).type
-        if df.empty:
-            return pa.table(
-                {
-                    "band_id": pa.array([], pa.int32()),
-                    "band_hash": pa.array([], pa.int64()),
-                    "ids": pa.array([], pa.list_(id_type)),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        # group boundaries on the sorted frame → ListArray, zero loops
-        key_change = (
-            (df["band_id"].to_numpy()[1:] != df["band_id"].to_numpy()[:-1])
-            | (df["band_hash"].to_numpy()[1:] != df["band_hash"].to_numpy()[:-1])
-        )
-        starts = np.concatenate([[0], np.flatnonzero(key_change) + 1])
-        bounds = np.concatenate([starts, [len(df)]]).astype(np.int32)
-        ids_arr = pa.array(df[id_col].to_numpy(), id_type)
-        lists = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), ids_arr)
+        g, starts, sizes = _band_runs(g, id_col)
+        multi = sizes >= 2
+        g = g.filter(pa.array(np.repeat(multi, sizes)))
+        bounds = pa.array(_cumsum0(sizes[multi]).astype(np.int32))
         return pa.table(
             {
-                "band_id": pa.array(
-                    df["band_id"].to_numpy()[starts].astype(np.int32)
-                ),
-                "band_hash": pa.array(df["band_hash"].to_numpy()[starts].astype(np.int64)),
-                "ids": lists,
-                "n": pa.array(np.diff(bounds).astype(np.int64)),
+                "band_id": g["band_id"].take(bounds[:-1]),
+                "band_hash": g["band_hash"].take(bounds[:-1]),
+                "ids": pa.ListArray.from_arrays(bounds, g[id_col].combine_chunks()),
+                "n": pa.array(sizes[multi].astype(np.int64)),
             }
         )
 
@@ -390,55 +350,30 @@ def _resolve_buckets(exploded, id_col: str, *, num_buckets: int | None = None):
 def lsh_candidate_pairs(exploded, id_col: str):
     """(band_id, band_hash, id) triples → globally-unique candidate
     pairs (id_a < id_b), fully distributed: pairs are generated inside
-    the bucketed groupby (size-2 groups vectorized; larger groups —
-    rare by LSH construction — via a bounded per-group expansion), then
+    the bucketed groupby (size-2 buckets vectorized; larger buckets —
+    rare by LSH construction — by a triangular expansion each), then
     deduped across bands with a second keyed shuffle of the pairs."""
-    from .aggregate import bucketed_aggregate, keyed_apply
 
     def band_pairs(g: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "band_id": g["band_id"].to_numpy(zero_copy_only=False),
-                "band_hash": g["band_hash"].to_numpy(zero_copy_only=False),
-                id_col: g[id_col].to_numpy(zero_copy_only=False),
-            }
-        )
-        df = df.sort_values(["band_id", "band_hash", id_col], kind="stable")
-        grp = df.groupby(["band_id", "band_hash"], sort=False)[id_col]
-        sizes = grp.transform("size").to_numpy()
-        ids = df[id_col].to_numpy()
-        id_type = g.schema.field(id_col).type
-        out_a, out_b = [], []
-        # size-2 groups (the common case): consecutive rows, vectorized
-        m2 = sizes == 2
-        if m2.any():
-            pos = np.flatnonzero(m2)
-            first = pos[::2]  # sorted frame → the two members are adjacent
-            out_a.append(ids[first])
-            out_b.append(ids[first + 1])
-        # larger groups: per-group triangular expansion (rare; bounded
-        # by LSH bucket sizes — all inside this distributed task)
-        mlarge = sizes > 2
-        if mlarge.any():
-            dfl = df[mlarge]
-            for _, members in dfl.groupby(["band_id", "band_hash"], sort=False)[id_col]:
-                vals = members.to_numpy()
-                ia, ib = np.triu_indices(len(vals), k=1)
-                out_a.append(vals[ia])
-                out_b.append(vals[ib])
-        if not out_a:
-            return pa.table({"id_a": pa.array([], id_type), "id_b": pa.array([], id_type)})
+        g, starts, sizes = _band_runs(g, id_col)
+        ids = g[id_col].to_numpy(zero_copy_only=False)
+        # size-2 buckets (the common case): the two members are adjacent
+        first = starts[sizes == 2]
+        out_a, out_b = [ids[first]], [ids[first + 1]]
+        for s, n in zip(starts[sizes > 2], sizes[sizes > 2]):
+            ia, ib = np.triu_indices(n, k=1)
+            out_a.append(ids[s + ia])
+            out_b.append(ids[s + ib])
         a = np.concatenate(out_a)
         b = np.concatenate(out_b)
         # local dedupe first (same pair can recur within this bucket):
-        # lexsort + neighbor equality — exact, and avoids the per-pair
-        # np.char string concatenation (Python-level per element)
+        # lexsort + neighbor equality
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
         keep = np.ones(len(a), bool)
         keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        a, b = a[keep], b[keep]
-        return pa.table({"id_a": pa.array(a, id_type), "id_b": pa.array(b, id_type)})
+        id_type = g.schema.field(id_col).type
+        return pa.table({"id_a": pa.array(a[keep], id_type), "id_b": pa.array(b[keep], id_type)})
 
     pairs = keyed_apply(exploded, ["band_id", "band_hash"], band_pairs)
 
@@ -449,50 +384,54 @@ def lsh_candidate_pairs(exploded, id_col: str):
 
 # -------------------------------------------------------------------- SimHash
 
-_GRAM_SENT1 = np.uint64(0xC2B2AE3D27D4EB4F)
-_GRAM_SENT2 = np.uint64(0x165667B19E3779F9)
+_GRAM_SENT = np.uint64(0xC2B2AE3D27D4EB4F)
+
+
+def _word_gram_hashes(texts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every word-n-gram hash of each text, FLAT with per-doc counts
+    (``(flat uint64, counts int64)``, the shape of the shingle kernel):
+    words split on whitespace as ``str.split`` does and hashed with
+    ``hash_str_u64``, then n-1 strided folds of the following words'
+    hashes. A doc of fewer than n words is one gram padded with
+    sentinels; an empty or null text is one empty word."""
+    words = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(pc.fill_null(texts, "")))
+    nw = pc.list_value_length(words).to_numpy().astype(np.int64)
+    word_h = hash_str_u64(pc.list_flatten(words).to_numpy(zero_copy_only=False))
+    word_off = _cumsum0(nw)
+    g_counts = np.maximum(nw - n + 1, 1)
+    g_off = _cumsum0(g_counts)
+    pos = (
+        np.arange(int(g_off[-1]), dtype=np.int64)
+        - np.repeat(g_off[:-1], g_counts)
+        + np.repeat(word_off[:-1], g_counts)
+    )
+    doc_end = np.repeat(word_off[1:], g_counts)
+    gh = word_h[pos]
+    with np.errstate(over="ignore"):
+        for j in range(1, n):
+            ij = pos + j
+            hj = np.where(ij < doc_end, word_h[np.minimum(ij, len(word_h) - 1)], np.uint64(j) * _GRAM_SENT)
+            gh = splitmix64(gh ^ hj)
+    return gh, g_counts
 
 
 class SimHasher:
     """64-bit SimHash over word 3-grams; adds ``simhash`` column.
 
-    Fully batch-vectorized: words hashed once (pandas hash_array over
-    the exploded word list), 3-gram hashes mixed from consecutive word
-    hashes, bit counting via ``unpackbits`` + per-doc ``reduceat`` — no
+    Fully batch-vectorized: the gram hashes of ``_word_gram_hashes``,
+    bit counting via ``unpackbits`` + per-doc ``reduceat`` — no
     per-document Python loop. Near-dups share low Hamming distance.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return batch.append_column("simhash", pa.array([], pa.int64()))
-        s = pd.Series(batch["text"].to_numpy(zero_copy_only=False), dtype=object)
-        words = s.fillna("").str.split()
-        # explode: one row per word; empty docs yield one NaN row → ""
-        flat = words.explode().fillna("").to_numpy(dtype=object)
-        nw = np.maximum(words.str.len().to_numpy(dtype=np.int64), 1)
-        word_h = splitmix64(np.asarray(pd.util.hash_array(flat), dtype=np.uint64))
-        word_off = _cumsum0(nw)
-        g_counts = np.maximum(nw - 2, 1)
-        g_off = _cumsum0(g_counts)
-        pos = (
-            np.arange(int(g_counts.sum()), dtype=np.int64)
-            - np.repeat(g_off[:-1], g_counts)
-            + np.repeat(word_off[:-1], g_counts)
-        )
-        doc_end = np.repeat(word_off[1:], g_counts)
-        h0 = word_h[pos]
-        i1, i2 = pos + 1, pos + 2
-        v1, v2 = i1 < doc_end, i2 < doc_end
-        h1 = np.where(v1, word_h[np.minimum(i1, len(word_h) - 1)], _GRAM_SENT1)
-        h2 = np.where(v2, word_h[np.minimum(i2, len(word_h) - 1)], _GRAM_SENT2)
-        with np.errstate(over="ignore"):
-            gh = splitmix64(h0 ^ splitmix64(h1 ^ splitmix64(h2)))
+        gh, g_counts = _word_gram_hashes(batch["text"], 3)
         # bit matrix (G × 64) via unpackbits on the little-endian bytes
         bits = np.unpackbits(
             gh.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
         ).astype(np.int32)
-        ones = np.add.reduceat(bits, g_off[:-1], axis=0)
+        ones = np.add.reduceat(bits, _cumsum0(g_counts)[:-1], axis=0)
         v = 2 * ones - g_counts[:, None]
         sim = ((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)[None, :]).sum(
             axis=1
@@ -543,8 +482,6 @@ def verify_cos_pairs_ds(ds, pairs_ds, *, threshold: float = 0.95):
     nothing collected to the driver — then one vectorized dot per pair.
     Returns (id_a, id_b, cos) with cos ≥ threshold; the embedding-side
     twin of the text path's ``verify_pairs_ds``."""
-    from .join import bucketed_hash_join
-
     vecs = normalized_vec_ds(ds)
     va = vecs.map_batches(
         lambda t: t.rename_columns(["id_a", "vec_a"]), batch_format="pyarrow"
@@ -640,41 +577,21 @@ def embedding_neardup_pairs(ds, *, threshold=0.95):
 # ------------------------------------------------- end-to-end near-dedup
 
 
-def _jaccard_hash_sets(texts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _jaccard_hash_sets(texts: pa.Array, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-text sorted unique word-n-gram hash sets, returned FLAT:
     ``(flat, offsets)`` where doc i's set is ``flat[offsets[i]:offsets[i+1]]``
     (sorted, unique). Flat layout keeps downstream pairwise work fully
     vectorized (gather + lexsort) with no per-doc Python objects."""
-    s = pd.Series(texts, dtype=object)
-    words = s.fillna("").str.split()
-    flat = words.explode().fillna("").to_numpy(dtype=object)
-    nw = np.maximum(words.str.len().to_numpy(dtype=np.int64), 1)
-    word_h = splitmix64(np.asarray(pd.util.hash_array(flat), dtype=np.uint64))
-    word_off = _cumsum0(nw)
-    g_counts = np.maximum(nw - n + 1, 1)
-    g_off = _cumsum0(g_counts)
-    pos = (
-        np.arange(int(g_counts.sum()), dtype=np.int64)
-        - np.repeat(g_off[:-1], g_counts)
-        + np.repeat(word_off[:-1], g_counts)
-    )
-    doc_end = np.repeat(word_off[1:], g_counts)
-    gh = word_h[pos].copy()
-    with np.errstate(over="ignore"):
-        for j in range(1, n):
-            ij = pos + j
-            vj = ij < doc_end
-            hj = np.where(vj, word_h[np.minimum(ij, len(word_h) - 1)], np.uint64(j) * _GRAM_SENT1)
-            gh = splitmix64(gh ^ hj)
+    gh, g_counts = _word_gram_hashes(texts, n)
     # unique-per-doc without a per-doc Python loop: sort (doc, hash),
     # drop equal neighbors within a doc
-    doc_of = np.repeat(np.arange(len(nw), dtype=np.int64), g_counts)
+    doc_of = np.repeat(np.arange(len(g_counts), dtype=np.int64), g_counts)
     order = np.lexsort((gh, doc_of))
     sd, sh = doc_of[order], gh[order]
     keep = np.ones(len(sh), dtype=bool)
     keep[1:] = (sd[1:] != sd[:-1]) | (sh[1:] != sh[:-1])
     sd, sh = sd[keep], sh[keep]
-    out_counts = np.bincount(sd, minlength=len(nw)).astype(np.int64)
+    out_counts = np.bincount(sd, minlength=len(g_counts)).astype(np.int64)
     return sh, _cumsum0(out_counts)
 
 
@@ -688,8 +605,6 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     The n-grams are compared as 64-bit hashes (collision probability
     negligible), equivalent to word-n-gram Jaccard on tuple sets.
     """
-    from .join import bucketed_hash_join
-
     texts = ds.map_batches(
         lambda t: t.select(["doc_id", "text"]), batch_format="pyarrow"
     )
@@ -718,16 +633,11 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
                 batch["id_b"].to_numpy(zero_copy_only=False),
             ]
         )
-        txts = np.concatenate(
-            [
-                batch["text_a"].to_numpy(zero_copy_only=False),
-                batch["text_b"].to_numpy(zero_copy_only=False),
-            ]
-        )
+        txts = pa.chunked_array(batch["text_a"].chunks + batch["text_b"].chunks)
         uniq_ids, inv = np.unique(ids.astype(str), return_inverse=True)
         first = np.zeros(len(uniq_ids), dtype=np.int64)
         first[inv[::-1]] = np.arange(len(ids) - 1, -1, -1)
-        flat, offs = _jaccard_hash_sets(txts[first], 3)
+        flat, offs = _jaccard_hash_sets(txts.take(first), 3)
         doc_lens = np.diff(offs)
         m = len(batch)
 
@@ -768,129 +678,31 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
     return j.map_batches(score, batch_format="pyarrow")
 
 
-def connected_components(edges: list[tuple]) -> dict:
-    """Union-find over verified duplicate edges → {id: cluster_root}.
+def _cluster_roots(edges: pa.Table) -> pa.Table:
+    """(doc_id, root) of every node of the ``(id_a, id_b)`` edge table,
+    root being the smallest id of the node's connected component.
 
-    Driver-side: the edge set is the VERIFIED near-duplicate graph,
-    orders of magnitude smaller than the corpus. For corpora where even
-    that is too large, use ``connected_components_ds`` (distributed
-    min-label propagation — same roots)."""
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, *_ in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # smaller root wins → deterministic cluster ids
-            lo, hi = sorted((ra, rb))
-            parent[hi] = lo
-    return {x: find(x) for x in parent}
-
-
-def connected_components_ds(edges_ds):
-    """Distributed connected components over an edge Dataset
-    (id_a, id_b) via iterative min-label propagation: each round every
-    node takes the min of its own label and its neighbors' labels (two
-    grouped merges over the edge list — no driver-side graph). Labels
-    converge to the component's min id — identical roots to the
-    union-find path. Iterations ≈ graph diameter; near-dup clusters
-    are shallow, so a handful of rounds suffices (at most 20 run).
-
-    Returns a Dataset (id, root) covering every node that appears in
-    an edge. Scale shape: each round shuffles |edges| label messages.
-    """
-    import pyarrow.compute as pc
-
-    from .aggregate import bucketed_aggregate
-
-    def _min_ew(a, b):
-        # element-wise min that also works for string ids
-        return pc.if_else(pc.less_equal(a, b), a, b)
-
-    def to_msgs(batch: pa.Table) -> pa.Table:
-        # seed: each endpoint proposes min(a, b) to both endpoints
-        a, b = batch["id_a"].combine_chunks(), batch["id_b"].combine_chunks()
-        lo = _min_ew(a, b)
-        return pa.table(
-            {
-                "id": pa.concat_arrays([a, b]),
-                "label": pa.concat_arrays([lo, lo]),
-            }
-        )
-
-    # node count ~ dup-graph size → bucketed merge each round, not Ray
-    # native agg (per-group Python at the sort boundary)
-    labels = bucketed_aggregate(
-        edges_ds.map_batches(to_msgs, batch_format="pyarrow"),
-        ["id"],
-        [("label", "min", "label")],
-    ).materialize()
-    edges = edges_ds.materialize()
-    prev_sig = None
-    for _ in range(20):
-        from .join import bucketed_hash_join  # labels can be large: bucketed join
-
-        la = labels.map_batches(
-            lambda t: t.rename_columns(["id_a", "label_a"]), batch_format="pyarrow"
-        )
-        j = bucketed_hash_join(edges, la, "id_a")
-        lb = labels.map_batches(
-            lambda t: t.rename_columns(["id_b", "label_b"]), batch_format="pyarrow"
-        )
-        j = bucketed_hash_join(j, lb, "id_b")
-
-        def msgs(df: pd.DataFrame) -> pd.DataFrame:
-            # every node appears in an incident edge, so emitting
-            # min(label_a, label_b) to BOTH endpoints already includes
-            # each node's own label — no union with `labels` needed
-            m = np.minimum(df["label_a"].to_numpy(), df["label_b"].to_numpy())
-            return pd.DataFrame(
-                {
-                    "id": np.concatenate([df["id_a"].to_numpy(), df["id_b"].to_numpy()]),
-                    "label": np.concatenate([m, m]),
-                }
-            )
-
-        new_labels = bucketed_aggregate(
-            j.map_batches(msgs, batch_format="pandas"),
-            ["id"],
-            [("label", "min", "label")],
-        ).materialize()
-        # convergence: order-insensitive checksum of (id, label)
-        def sig_batch(t: pa.Table) -> pa.Table:
-            h = _text_hash64(
-                pd.Series(t["id"].to_pylist(), dtype=object).astype(str)
-                + "\x00"
-                + pd.Series(t["label"].to_pylist(), dtype=object).astype(str)
-            )
-            return pa.table({"x": pa.array([int(np.bitwise_xor.reduce(h))], pa.uint64())})
-
-        parts = new_labels.map_batches(sig_batch, batch_format="pyarrow").take_all()
-        sig = 0
-        for r in parts:
-            sig ^= int(r["x"])
-        labels = new_labels
-        if sig == prev_sig:
-            break
-        prev_sig = sig
-    return labels.map_batches(
-        lambda t: t.rename_columns(["id", "root"]), batch_format="pyarrow"
-    )
-
-
-# verified-edge count past which near_dedup_clusters runs connected
-# components distributed instead of on the driver
-CC_EDGE_THRESHOLD = 100_000
+    Vectorized over the edges: ids are coded as their rank among the
+    sorted distinct nodes; each round hooks the larger root of
+    every edge whose ends differ onto the smaller (``np.minimum.at``),
+    then follows every label to its root (pointer jumping). Labels only
+    decrease, so the rounds end; there is no round cap."""
+    nodes = pc.unique(pa.chunked_array(edges["id_a"].chunks + edges["id_b"].chunks))
+    nodes = nodes.take(pc.sort_indices(nodes))
+    ia = pc.index_in(edges["id_a"], value_set=nodes).to_numpy()
+    ib = pc.index_in(edges["id_b"], value_set=nodes).to_numpy()
+    label = np.arange(len(nodes))
+    while True:
+        ra, rb = label[ia], label[ib]
+        if (ra == rb).all():
+            return pa.table({"doc_id": nodes, "root": nodes.take(label)})
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while (label[label] != label).any():
+            label = label[label]
 
 
 def near_dedup(ds, *, bands: int = 16, jaccard_threshold: float = 0.8):
-    """End-to-end near-duplicate removal, distributed at every step:
+    """End-to-end near-duplicate removal:
 
     MinHash+LSH candidate pairs (bucketed groupby — no driver bucket
     table) → exact n-gram-Jaccard verification (distributed join of
@@ -906,74 +718,39 @@ def near_dedup(ds, *, bands: int = 16, jaccard_threshold: float = 0.8):
     from 5.2k docs). Candidate count, not hashing, is the scale cost:
     every candidate crosses the verify join. Lower ``bands`` (wider
     rows) further for higher thresholds; raise it for recall at low
-    thresholds. Connected components run as ``near_dedup_clusters``
-    chooses. Returns (survivor_ids_table, clusters dict
-    {dup_id: root_id}).
+    thresholds. Returns ``(survivors, clusters)``: the survivors' ids
+    as a ``doc_id`` table collected on the driver (O(corpus), capped
+    by ``_util.COLLECT_MAX_ROWS``) and ``near_dedup_clusters``' table.
     """
     clusters = near_dedup_clusters(ds, bands=bands, jaccard_threshold=jaccard_threshold)
-    drop = {x for x, root in clusters.items() if root != x}
-    import ray
-
-    drop_ref = ray.put(np.asarray(sorted(drop), dtype=object))
+    non_root = pc.not_equal(clusters["doc_id"], clusters["root"])
+    drop = clusters["doc_id"].filter(non_root).combine_chunks()
 
     def survivors(batch: pa.Table) -> pa.Table:
-        ids = pd.Series(batch["doc_id"].to_numpy(zero_copy_only=False))
-        dropped = ray.get(drop_ref)
-        mask = ~ids.isin(dropped).to_numpy()  # vectorized membership
-        return batch.select(["doc_id"]).filter(pa.array(mask))
+        # cast: an edge-free corpus gives an int64 cluster table
+        ids = batch["doc_id"]
+        return batch.select(["doc_id"]).filter(pc.invert(pc.is_in(ids, value_set=drop.cast(ids.type))))
 
-    surv = pa.concat_tables(
-        ds.map_batches(survivors, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    return surv, clusters
+    surv = collect(ds.map_batches(survivors, batch_format="pyarrow"), "near dedup survivors")
+    return pa.concat_tables(surv), clusters
 
 
 def near_dedup_clusters(ds, *, bands: int = 16, jaccard_threshold: float = 0.8):
     """The discovery half of ``near_dedup``: LSH candidates → verified
-    edges → connected components, returning only the cluster map
-    ``{dup_id: root_id}`` (one entry per node touching a verified
-    edge — O(duplicates), never O(corpus)). Callers that need the
-    filtered corpus apply their own anti-filter so the text is not
-    re-read (``pipelines/corpus_prep.py`` composes this). LSH runs
-    5-byte shingles through 128 permutations in ``bands`` bands.
+    edges → connected components, returning only the ``(doc_id, root)``
+    table (one row per node touching a verified edge, sorted by id —
+    O(duplicates), never O(corpus)); the non-root rows are the
+    duplicates to drop. Callers that need the filtered corpus apply
+    their own anti-filter so the text is not re-read
+    (``pipelines/corpus_prep.py`` composes this). LSH runs 5-byte
+    shingles through 128 permutations in ``bands`` bands.
 
-    Connected components run as union-find over the collected edges
-    (O(edges) on the driver) while the verified edges number at most
-    ``CC_EDGE_THRESHOLD``; past it they run as min-label propagation
-    (``connected_components_ds``) and the driver holds only the
-    O(dup-nodes) label map — so a dup-heavy corpus never ships its
-    edge set to the driver."""
+    The verified edges come to the driver through ``_util.collect``,
+    which raises past ``COLLECT_MAX_ROWS`` edges; ``_cluster_roots``
+    then finds the components there."""
     exploded = _lsh_explode(ds, "text", "doc_id", k=5, num_perm=128, bands=bands)
     pairs = lsh_candidate_pairs(exploded, "doc_id")
-    edges_ds = verify_pairs_ds(ds, pairs, threshold=jaccard_threshold).materialize()
-    if edges_ds.count() > CC_EDGE_THRESHOLD:
-        labels = connected_components_ds(
-            edges_ds.map_batches(
-                lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
-            )
-        )
-        lab_batches = list(
-            labels.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        clusters = {}
-        for lb in lab_batches:  # one entry per dup-graph NODE (≪ edges)
-            clusters.update(zip(lb["id"].to_pylist(), lb["root"].to_pylist()))
-    else:
-        edge_batches = list(
-            edges_ds.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        if edge_batches:
-            edges_tbl = pa.concat_tables(edge_batches, promote_options="permissive")
-            edges = list(
-                zip(
-                    edges_tbl["id_a"].to_pylist(),
-                    edges_tbl["id_b"].to_pylist(),
-                    edges_tbl["jaccard"].to_pylist(),
-                )
-            )
-        else:
-            edges = []
-        clusters = connected_components(edges)
-    return clusters
+    edges = collect(verify_pairs_ds(ds, pairs, threshold=jaccard_threshold), "near dedup edges")
+    none = pa.array([], pa.int64())
+    edges = edges or [pa.table({"id_a": none, "id_b": none})]
+    return _cluster_roots(pa.concat_tables(edges, promote_options="permissive"))

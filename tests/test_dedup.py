@@ -1,11 +1,13 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
 
 from opentelemetry_collector_contrib_ray.stages.dedup import (
     MinHasher,
     SimHasher,
+    _cluster_roots,
     _lsh_explode,
     _resolve_buckets,
 )
@@ -38,12 +40,8 @@ def _docs():
 
 
 def test_minhash_similarity_reflects_jaccard():
-    mh = MinHasher(num_perm=128)
-    docs = _docs()
-    s0 = mh.signature(docs["text"][0])
-    s1 = mh.signature(docs["text"][1])
-    s2 = mh.signature(docs["text"][2])
-    s3 = mh.signature(docs["text"][3])
+    sigs = MinHasher(num_perm=128)(pa.table({"text": _docs()["text"].tolist()}))["minhash"]
+    s0, s1, s2, s3 = (np.asarray(s) for s in sigs.to_pylist())
     assert (s0 == s1).mean() == 1.0
     assert (s0 == s2).mean() > 0.5  # near dup
     assert (s0 == s3).mean() < 0.3  # unrelated
@@ -109,8 +107,19 @@ def test_near_dedup_end_to_end():
     assert "d0" in surv
     assert {"d1", "d2", "d5"} & surv == set()
     assert {"d3", "d4"} <= surv  # unrelated docs untouched
-    roots = {clusters[k] for k in ("d1", "d2", "d5")}
-    assert roots == {"d0"}
+    roots = dict(zip(clusters["doc_id"].to_pylist(), clusters["root"].to_pylist()))
+    assert {roots[k] for k in ("d1", "d2", "d5")} == {"d0"}
+
+
+def test_near_dedup_without_verified_edges_keeps_every_doc():
+    """LSH pairs d0 with its near dup, but none passes verification:
+    no cluster, and every string id survives."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup
+
+    docs = _docs().iloc[[0, 2, 3]]
+    survivors, clusters = near_dedup(ray.data.from_pandas(docs), jaccard_threshold=0.999, bands=32)
+    assert sorted(survivors["doc_id"].to_pylist()) == ["d0", "d2", "d3"]
+    assert clusters.num_rows == 0
 
 
 def test_lsh_candidate_pairs_distributed():
@@ -152,23 +161,49 @@ def test_verify_pairs_ds_matches_ngram_jaccard():
         assert abs(got[k] - want[k]) < 1e-12  # hash-set Jaccard == tuple-set Jaccard
 
 
-def test_connected_components_ds_matches_union_find():
-    from opentelemetry_collector_contrib_ray.stages.dedup import (
-        connected_components,
-        connected_components_ds,
-    )
+def union_find(edges) -> dict:
+    """Reference components: {node: smallest id of its component}."""
+    parent = {}
 
-    edges = [("b", "c", 1.0), ("a", "b", 1.0), ("x", "y", 1.0), ("c", "d", 1.0)]
-    uf = connected_components(edges)
-    eds = ray.data.from_pandas(
-        pd.DataFrame({"id_a": [e[0] for e in edges], "id_b": [e[1] for e in edges]})
-    )
-    lp = connected_components_ds(eds).to_pandas()
-    got = dict(zip(lp["id"], lp["root"]))
-    # label propagation converges to the component min id — same as
-    # union-find smaller-root-wins
-    assert got == {k: uf[k] for k in got}
-    assert got["d"] == "a" and got["y"] == "x"
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
+def _roots(edges, typ) -> dict:
+    t = pa.table({"id_a": pa.array([a for a, _ in edges], typ), "id_b": pa.array([b for _, b in edges], typ)})
+    got = _cluster_roots(t)
+    assert got["doc_id"].to_pylist() == sorted(got["doc_id"].to_pylist())
+    return dict(zip(got["doc_id"].to_pylist(), got["root"].to_pylist()))
+
+
+@pytest.mark.parametrize("typ", [pa.int64(), pa.string()], ids=["int", "string"])
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_roots_match_union_find(typ, seed):
+    """Random graphs with duplicate and self edges, in two edge orders."""
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 5, 40, 300, 2000][seed]
+    ids = rng.permutation(10 * max(n, 1))[: max(n, 1)]
+    ids = ids.tolist() if typ == pa.int64() else [f"d{i}" for i in ids]
+    edges = [(ids[i], ids[j]) for i, j in rng.integers(0, len(ids), size=(n, 2))]
+    edges += edges[: n // 4] + [(x, x) for x in ids[: n // 8]]
+    want = union_find(edges)
+    assert _roots(edges, typ) == want
+    assert _roots([edges[i][::-1] for i in rng.permutation(len(edges))], typ) == want
+
+
+def test_cluster_roots_one_root_for_a_long_chain():
+    """A 1,000-node chain, edges listed from the far end, is one
+    component however long its diameter."""
+    edges = [(i + 1, i) for i in reversed(range(999))]
+    assert set(_roots(edges, pa.int64()).values()) == {0}
 
 
 def test_embedding_neardup_multitable_recall():
@@ -198,14 +233,9 @@ def test_embedding_neardup_multitable_recall():
     assert len(got & true_pairs) / len(true_pairs) >= 0.8  # multi-table recall
 
 
-def test_near_dedup_distributed_cc_matches_driver_cc(monkeypatch):
-    """Dup-heavy corpus (>50% duplicates): the distributed label-prop CC
-    path (taken past ``CC_EDGE_THRESHOLD`` verified edges, forced here
-    with a threshold of 0) must produce identical survivors and cluster
-    roots to the driver union-find path."""
-    from opentelemetry_collector_contrib_ray.stages import dedup
-    from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup
-
+def _dup_heavy_docs() -> pd.DataFrame:
+    """12 random bases with 2 near-dup variants each: ~2/3 of the corpus
+    is duplicate."""
     rng = np.random.default_rng(7)
     words = [f"w{i}" for i in range(200)]
     bases = [
@@ -214,26 +244,32 @@ def test_near_dedup_distributed_cc_matches_driver_cc(monkeypatch):
     rows = []
     for i, b in enumerate(bases):
         rows.append((f"d{i:03d}_0", b))
-        # 2 near-dup variants per base → ~2/3 of the corpus is duplicate
         toks = b.split()
         for v in range(1, 3):
             t = list(toks)
             t[v] = f"alt{v}"
             rows.append((f"d{i:03d}_{v}", " ".join(t)))
-    docs = pd.DataFrame(rows, columns=["doc_id", "text"])
+    return pd.DataFrame(rows, columns=["doc_id", "text"])
 
-    ds = ray.data.from_pandas(docs)
-    surv_drv, clus_drv = near_dedup(ds, jaccard_threshold=0.5)
-    monkeypatch.setattr(dedup, "CC_EDGE_THRESHOLD", 0)
-    surv_dst, clus_dst = near_dedup(ds, jaccard_threshold=0.5)
-    assert sorted(surv_drv["doc_id"].to_pylist()) == sorted(
-        surv_dst["doc_id"].to_pylist()
-    )
-    assert clus_drv == clus_dst
-    # every base's variants collapsed onto the min id
-    surv = set(surv_dst["doc_id"].to_pylist())
-    assert all(f"d{i:03d}_0" in surv for i in range(12))
-    assert not any(f"d{i:03d}_{v}" in surv for i in range(12) for v in (1, 2))
+
+def test_near_dedup_dup_heavy_corpus():
+    """Every base's variants collapse onto the base, the min id of the
+    cluster: only the bases survive, and each variant's root is its base."""
+    from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup
+
+    surv, clusters = near_dedup(ray.data.from_pandas(_dup_heavy_docs()), jaccard_threshold=0.5)
+    assert sorted(surv["doc_id"].to_pylist()) == [f"d{i:03d}_0" for i in range(12)]
+    roots = dict(zip(clusters["doc_id"].to_pylist(), clusters["root"].to_pylist()))
+    assert roots == {f"d{i:03d}_{v}": f"d{i:03d}_0" for i in range(12) for v in range(3)}
+
+
+def test_near_dedup_clusters_edge_collect_is_capped(monkeypatch):
+    from opentelemetry_collector_contrib_ray import _util
+    from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup_clusters
+
+    monkeypatch.setattr(_util, "COLLECT_MAX_ROWS", 3)
+    with pytest.raises(RuntimeError, match="near dedup edges"):
+        near_dedup_clusters(ray.data.from_pandas(_dup_heavy_docs()), jaccard_threshold=0.5)
 
 
 class TestTokenDedup:

@@ -15,6 +15,11 @@ Dataset's own ``join`` method is a second hash shuffle, run by
 aggregator actors; a ``.join(`` call that passes ``num_partitions=``
 (its signature — pyarrow's ``Table.join`` takes no such argument)
 fails these tests.
+
+A driver collect of a package Dataset goes through ``_util.collect``,
+which raises past ``COLLECT_MAX_ROWS`` rows. Any other package
+``.iter_batches(`` or ``.take_all(`` call must be on ``BOUNDED_COLLECTS``
+with the reason its row count is bounded.
 """
 
 import ast
@@ -57,3 +62,27 @@ def test_no_dataset_join():
         if any(k.arg == "num_partitions" for k in n.keywords)
     ]
     assert hits == []
+
+
+PKG = "opentelemetry_collector_contrib_ray/"
+
+# (file, enclosing function): why the collect there is bounded
+BOUNDED_COLLECTS = {
+    ("_util.py", "collect"): "the capped collect itself",
+    ("stages/aggregate.py", "_collect_partials"): "raises past MAX_DRIVER_PARTIAL_ROWS",
+    ("stages/sketch.py", "hll_distinct"): "one row per key tuple and FAN_IN partition",
+    ("stages/sketch.py", "quantiles"): "one sketch per FAN_IN partition",
+    ("stages/sketch.py", "bloom_build"): "one bit array per FAN_IN partition",
+    ("stages/ann.py", "embedding_quant_params"): "one (min, max) row per block",
+    ("functions/tokens.py", "corpus_checksum"): "one digest row per block",
+}
+
+
+def test_package_collects_are_capped_or_bounded():
+    hits = [
+        (p.relative_to(ROOT).as_posix().removeprefix(PKG), owner, n.lineno)
+        for name in ("iter_batches", "take_all")
+        for p, owner, n in _method_calls(name)
+        if p.relative_to(ROOT).as_posix().startswith(PKG)
+    ]
+    assert [h for h in hits if h[:2] not in BOUNDED_COLLECTS] == []

@@ -549,6 +549,34 @@ def test_exact_drop_ids_invariant(num_buckets, layout, monkeypatch):
     assert len(want) >= 35 and got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_lsh_buckets_and_pairs_invariant(num_buckets, layout, monkeypatch):
+    # LSH bucket resolution and candidate pairs: band 0 buckets rows by
+    # key, band 1 by (key, k2), so band 1's pairs repeat band 0's and
+    # must come out once
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+    from opentelemetry_collector_contrib_ray.stages.dedup import _resolve_buckets, lsh_candidate_pairs
+
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    half = _events(layout).iloc[:24]
+    h = pd.util.hash_array(half["k"].to_numpy()).view(np.int64)
+    df = pd.DataFrame(
+        {
+            "band_id": np.repeat(np.int32([0, 1]), 24),
+            "band_hash": np.concatenate([h, h ^ half["k2"].to_numpy()]),
+            "doc_id": np.tile(half["v"].to_numpy(), 2),
+        }
+    )
+    groups = df.groupby(["band_id", "band_hash"])["doc_id"].agg(lambda x: tuple(sorted(x)))
+    want = {(b, h, ids) for (b, h), ids in groups.items() if len(ids) >= 2}
+    got = _resolve_buckets(_dataset(df, layout), "doc_id").to_pandas()
+    assert {(b, h, tuple(ids)) for b, h, ids in zip(got["band_id"], got["band_hash"], got["ids"])} == want
+    assert len(got) == len(want) and (got["n"] == got["ids"].map(len)).all()
+    pairs = lsh_candidate_pairs(_dataset(df, layout), "doc_id").to_pandas()
+    want_pairs = sorted({(a, b) for *_, ids in want for i, a in enumerate(ids) for b in ids[i + 1 :]})
+    assert want_pairs and sorted(zip(pairs["id_a"], pairs["id_b"])) == want_pairs
+
+
 def test_keyed_apply_refuses_a_two_bucket_block():
     from opentelemetry_collector_contrib_ray.stages.aggregate import _per_bucket
 
