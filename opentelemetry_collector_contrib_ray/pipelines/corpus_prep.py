@@ -33,13 +33,15 @@ Execution shape (designed for the 100 TB case):
   (hash, id) pairs; (3) anti-filter → word-count partials → word
   shuffle → ``block_top``; (4) anti-filter → encode → pack shuffle of
   (group, id, tokens). Every shuffle is ``keyed_apply``: one
-  fixed-boundary sort, or one ``repartition(1)`` on a 1-CPU cluster.
+  fixed-boundary sort, or, on a 1-CPU cluster, one map task that
+  holds every row, with the execution's map chain fused into it.
 * An input read with ``read_corpus`` arrives in ``2 × cluster CPUs``
   blocks whatever its size, so the cache holds that many blocks and
-  every later stage and shuffle map runs that many tasks: 2 on one
-  CPU, where Ray's byte-sized default made 7 of a 7 MB input. Each
-  shuffle then runs one task per bucket, and the derived bucket
-  count is never above the CPU count: 1 on one CPU.
+  every later stage and shuffle map runs that many tasks (Ray's
+  byte-sized default made 7 of a 7 MB input). Each shuffle then runs
+  one task per bucket, and the derived bucket count is never above
+  the CPU count. On one CPU that is one bucket, so each shuffle
+  execution is one task and a default pass runs 5 tasks.
 * Each dedup stage shuffles skinny key tables only — (hash, id)
   pairs for exact dedup, (band, hash, id) triples for MinHash,
   (line_hash, id) for line dedup — never document text.  Removal is

@@ -24,8 +24,8 @@ per-row Python objects, and by default the batch is the whole block, so
 the combine fuses into the task that read it), phase 2 merges the
 partials on the driver (``driver_finalize``) or through
 ``keyed_apply``, the engine's one keyed shuffle: one fixed-boundary
-sort into B reducers (one ``repartition(1)`` when B = 1), whose bucket
-functions take and return Arrow tables. Skew note: per-batch
+sort into B reducers (when B = 1, one map task that holds every row),
+whose bucket functions take and return Arrow tables. Skew note: per-batch
 combining already bounds the phase-2 input for ANY key (hot or not)
 to ≤ #blocks partial rows, so nothing is salted.
 
@@ -79,6 +79,11 @@ def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.nda
     return (h % np.uint64(num_buckets)).astype(np.int64)
 
 
+# Above any Dataset's row count: B = 1's batch size, so Ray's bundler
+# hands every block to one task and its batcher makes them one batch.
+ONE_BUCKET_ROWS = 1 << 62
+
+
 def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None):
     """The engine's one keyed shuffle: co-locate every row of each key
     tuple and call ``fn`` once per BUCKET, not once per key.
@@ -88,8 +93,13 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None):
     ``derived_num_partitions()``. That domain is known, so the shuffle
     is ONE sort on the fixed boundaries ``1 .. B-1``: B reducers, no
     boundary-sampling round, and reducer ``b`` holds exactly bucket
-    ``b``. ``B = 1`` is one ``repartition(1)``: its single block is
-    the bucket.
+    ``b``. ``B = 1`` hashes and shuffles nothing: one ``map_batches``
+    whose batch size (``ONE_BUCKET_ROWS``) exceeds any row count, so
+    Ray bundles every input block into one task and calls ``fn`` once
+    with all rows, which that task holds in memory at once. Ray
+    fuses an upstream task-pool map chain into that task, so with an
+    explicit ``num_buckets=1`` on a multi-CPU session that chain runs
+    in the one task too.
     ``per_bucket`` then hands ``fn`` each non-empty bucket as one
     ``pa.Table`` without ``_bucket``, and ``fn`` returns a ``pa.Table``.
     ``fn`` runs a vectorized group-by over the bucket itself, so
@@ -100,32 +110,39 @@ def keyed_apply(ds, keys, fn, *, num_buckets: int | None = None):
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     P = int(num_buckets or derived_num_partitions())
+    if P == 1:
+        return ds.map_batches(
+            _per_bucket(fn), batch_size=ONE_BUCKET_ROWS, zero_copy_batch=True, batch_format="pyarrow"
+        )
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("_bucket", pa.array(bucket_ids(batch, keys, P)))
 
     ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    ds = ds.repartition(1) if P == 1 else ds.sort("_bucket", boundaries=list(range(1, P)))
+    ds = ds.sort("_bucket", boundaries=list(range(1, P)))
     return ds.map_batches(_per_bucket(fn), batch_size=None, batch_format="pyarrow")
 
 
 def _per_bucket(fn):
     """Wrap ``fn`` as ``keyed_apply``'s per-block UDF: skip empty
     blocks, refuse a block that carries two ``_bucket`` values (each
-    reducer of the fixed-boundary sort, and the one block of B = 1, is
-    exactly one bucket, so this never groups silently), call ``fn`` on
-    the bucket's table without ``_bucket``, raise ``TypeError`` naming
-    ``fn`` when it returns anything but a ``pa.Table``, and emit the
-    result without schema metadata (a pandas blob that rode in on the
-    input makes the next shuffle's schema dedup fail)."""
+    reducer of the fixed-boundary sort is exactly one bucket, so this
+    never groups silently; B = 1's one batch has no ``_bucket``), call
+    ``fn`` on the bucket's table without ``_bucket``, raise
+    ``TypeError`` naming ``fn`` when it returns anything but a
+    ``pa.Table``, and emit the result without schema metadata (a
+    pandas blob that rode in on the input makes the next shuffle's
+    schema dedup fail)."""
 
     def per_bucket(t: pa.Table):
         if len(t) == 0:
             return
-        b = np.asarray(t["_bucket"])
-        if b.min() != b.max():
-            raise RuntimeError(f"keyed_apply: one block holds buckets {b.min()} to {b.max()}")
-        out = fn(t.drop_columns(["_bucket"]))
+        if "_bucket" in t.column_names:
+            b = np.asarray(t["_bucket"])
+            if b.min() != b.max():
+                raise RuntimeError(f"keyed_apply: one block holds buckets {b.min()} to {b.max()}")
+            t = t.drop_columns(["_bucket"])
+        out = fn(t)
         if not isinstance(out, pa.Table):
             name = getattr(fn, "__qualname__", fn)
             raise TypeError(f"keyed_apply: {name} returned {type(out).__name__}, not a pyarrow.Table")

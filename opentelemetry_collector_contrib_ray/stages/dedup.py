@@ -604,7 +604,11 @@ def verify_pairs_ds(ds, pairs_ds, *, threshold: float = 0.8):
 
     The n-grams are compared as 64-bit hashes (collision probability
     negligible), equivalent to word-n-gram Jaccard on tuple sets.
+    A ``pairs_ds`` with no blocks (LSH paired no two docs) has no
+    schema to join on and is returned as is: no pair, no edge.
     """
+    if pairs_ds.schema() is None:
+        return pairs_ds
     texts = ds.map_batches(
         lambda t: t.select(["doc_id", "text"]), batch_format="pyarrow"
     )

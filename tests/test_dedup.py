@@ -122,6 +122,27 @@ def test_near_dedup_without_verified_edges_keeps_every_doc():
     assert clusters.num_rows == 0
 
 
+@pytest.mark.parametrize("num_buckets", [1, 7])
+def test_near_dedup_without_candidate_pairs_keeps_every_doc(num_buckets, monkeypatch):
+    """LSH pairs no two docs: the pairs Dataset has no blocks and no
+    schema, the cluster table is empty and every doc survives."""
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+    from opentelemetry_collector_contrib_ray.stages.dedup import near_dedup, near_dedup_clusters
+
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    docs = pd.DataFrame(
+        {
+            "doc_id": ["a", "b", "c"],
+            "text": ["red fox jumps high", "quiet river flows past old mills", "seven small green apples fell"],
+        }
+    )
+    clusters = near_dedup_clusters(ray.data.from_pandas(docs))
+    assert clusters.column_names == ["doc_id", "root"] and clusters.num_rows == 0
+    survivors, clusters = near_dedup(ray.data.from_pandas(docs))
+    assert sorted(survivors["doc_id"].to_pylist()) == ["a", "b", "c"]
+    assert clusters.num_rows == 0
+
+
 def test_lsh_candidate_pairs_distributed():
     """Pairs generated inside the bucketed groupby equal every
     unordered pair of each resolved LSH bucket, deduped across bands."""

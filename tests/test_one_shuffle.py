@@ -4,8 +4,9 @@ Every keyed shuffle in the package and the driver contract goes
 through it. ``keyed_apply`` sorts on the fixed bucket boundaries, so no
 ``.map_groups(`` call (a sort that samples its boundaries) appears
 anywhere, and the one ``.sort(..., boundaries=...)`` call is inside
-``keyed_apply``. A one-bucket shuffle is a ``repartition(1)``, also
-inside ``keyed_apply``: its one block is the bucket. A hand-rolled
+``keyed_apply``. A one-bucket shuffle is one ``map_batches`` call,
+also inside ``keyed_apply``, whose batch size exceeds any row count:
+its one batch is the bucket. A hand-rolled
 ``groupby(...).map_groups`` site, or a second fixed-boundary sort with
 its own bucket hash and bucket count, fails these tests.
 

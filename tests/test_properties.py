@@ -618,6 +618,21 @@ def test_one_bucket_of_nothing_calls_nothing(blocks):
     assert keyed_apply(ds, "k", never, num_buckets=1).take_all() == []
 
 
+def test_one_bucket_is_one_call_with_every_row():
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.aggregate import keyed_apply
+
+    sizes = [5, 0, 17, 3, 0, 40, 1, 0, 9]
+    tables = [pa.table({"k": pa.array(np.arange(n) % 4), "v": pa.array(np.ones(n))}) for n in sizes]
+    ds = ray.data.from_arrow(tables)
+
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({"n": [len(t)]})
+
+    assert keyed_apply(ds, "k", rows, num_buckets=1).take_all() == [{"n": sum(sizes)}]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5, 8, 16, 1024, 4096])
 def test_derived_num_partitions_never_exceeds_the_cpus(cpus, monkeypatch):
     # cluster_cpus is patched: no session of that size starts
