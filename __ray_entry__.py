@@ -3324,10 +3324,7 @@ def _q_loki_streams(sf_dir: str):
     """Loki label streams (documents), the EMF legs over a wide (service,
     shard, minute) aggregate of events, and every other ``_LOKI`` leg in
     one pass over events."""
-    from opentelemetry_collector_contrib_ray.stages.aggregate import (
-        derived_num_partitions,
-        two_phase_agg,
-    )
+    from opentelemetry_collector_contrib_ray.stages.aggregate import two_phase_agg
     from opentelemetry_collector_contrib_ray.stages.sinks import loki_streams
 
     docs = _read(sf_dir, "documents", ["lang", "source"])
@@ -3363,12 +3360,7 @@ def _q_loki_streams(sf_dir: str):
         ["service", "shard", "ts_ms"],
         {"lat": ["sum"], "*": ["count"]},
     )
-    # the agg leaves few blocks; spread the per-event JSON render/parse
-    # across the cluster (rows are unique per (labels, ts) after the
-    # agg, so splitting blocks cannot break first-wins merging)
-    emf = wide.repartition(derived_num_partitions()).map_batches(
-        _LOKI.batch(_LOKI_EMF, named), batch_format="pyarrow"
-    )
+    emf = wide.map_batches(_LOKI.batch(_LOKI_EMF, named), batch_format="pyarrow")
     return loki.map_batches(_LOKI.batch([_LOKI_STREAM]), batch_format="pyarrow").union(
         emf,
         ev.map_batches(_LOKI.batch(_LOKI_EVENTS, _ev), batch_format="pyarrow", batch_size=4096),
@@ -5351,12 +5343,7 @@ def _llm_clf(c: _LlmInputs) -> pa.Table:
 
     clf = (
         c.docs.select_columns(["doc_id", "text"])
-        .map_batches(
-            HashedQualityClassifier,
-            batch_format="pyarrow",
-            fn_constructor_args=(default_clf_weights(),),
-            concurrency=(1, 8),
-        )
+        .map_batches(HashedQualityClassifier(default_clf_weights()), batch_format="pyarrow")
         .select_columns(["doc_id", "clf_score", "clf_keep", "n_words"])
         .to_pandas()
     )

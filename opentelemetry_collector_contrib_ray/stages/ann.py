@@ -2,9 +2,9 @@
 
 Engine additions (no reference analogue). Two paths:
 
-- ``brute_force_topk``: exact baseline — broadcast the (few) query
-  vectors once via ray.put, per-batch normalized matmul + local top-k
-  partials, one tiny final merge. Scales linearly; the shuffle carries
+- ``brute_force_topk``: exact baseline — the (few) query vectors ship
+  once with the ``_TopkPartial`` operator, per-batch normalized matmul
+  + local top-k partials, one tiny final merge. Scales linearly; the shuffle carries
   only k rows per (batch, query).
 - ``IvfIndex`` / ``ivf_topk``: the scale path — k-means-style coarse
   quantizer trained on a sample (driver-side, small), vectors assigned
@@ -14,6 +14,8 @@ Engine additions (no reference analogue). Two paths:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -41,39 +43,49 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
 
 
+def _codes_mat(batch: pa.Table, quant: "EmbeddingQuantizer") -> np.ndarray:
+    """The decoded (n, d) float32 matrix of a batch's ``codes`` column."""
+    col = batch["codes"]
+    la = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    offs = la.offsets.to_numpy().astype(np.int64)
+    vals = la.values.to_numpy(zero_copy_only=False)
+    d = int(offs[1] - offs[0]) if len(offs) > 1 else len(vals)
+    codes = vals[offs[0]:].reshape(-1, d) if d else vals.reshape(0, 0)
+    return quant.decode(codes)
+
+
+class _TopkPartial:
+    """Per-batch cosine top-k partial of every query: one normalized
+    matmul and one column-wise ``argpartition``, emitted query by query
+    as ``(query_idx, vec_id, cos)`` rows. ``matrix`` reads a batch's
+    (n, d) vectors. Pass an instance to ``map_batches``: the (few)
+    query vectors are serialized once with the operator."""
+
+    def __init__(self, queries: np.ndarray, k: int, matrix):
+        self.q = _normalize(np.asarray(queries, dtype=np.float32))
+        self.k = k
+        self.matrix = matrix
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        sims = _normalize(self.matrix(batch)) @ self.q.T  # (n, nq)
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
+        kk = min(self.k, sims.shape[0])
+        idx = np.argpartition(-sims, kk - 1, axis=0)[:kk].T  # (nq, kk)
+        return pa.table(
+            {
+                "query_idx": pa.array(np.repeat(np.arange(sims.shape[1]), kk), pa.int32()),
+                "vec_id": pa.array(ids[idx.ravel()]),
+                "cos": pa.array(np.take_along_axis(sims.T, idx, axis=1).ravel().astype(np.float64)),
+            }
+        )
+
+
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10):
     """Exact cosine top-k for each query row over a (vec_id, embedding)
     Dataset. Returns a Dataset with
     (query_idx, vec_id, cos), k rows per query."""
-    import ray
-
-    qn = _normalize(np.asarray(queries, dtype=np.float32))
-    qref = ray.put(qn)
-
-    class Partial:
-        def __init__(self):
-            self.q = ray.get(qref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _normalize(_mat(batch, "embedding"))
-            sims = mat @ self.q.T  # (n, nq)
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-            out_q, out_id, out_cos = [], [], []
-            kk = min(k, sims.shape[0])
-            for qi in range(sims.shape[1]):
-                idx = np.argpartition(-sims[:, qi], kk - 1)[:kk]
-                out_q.extend([qi] * kk)
-                out_id.extend(ids[idx])
-                out_cos.extend(sims[idx, qi].astype(np.float64))
-            return pa.table(
-                {
-                    "query_idx": pa.array(out_q, pa.int32()),
-                    "vec_id": pa.array(out_id),
-                    "cos": pa.array(out_cos),
-                }
-            )
-
-    return _merge_topk(ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8)), k)
+    partial = _TopkPartial(queries, k, functools.partial(_mat, emb_col="embedding"))
+    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"), k)
 
 
 def _merge_topk(partials, k: int):
@@ -219,8 +231,8 @@ class EmbeddingQuantizer:
     ``code = round((v - min) / scale)`` into uint8; reconstruction
     error per dim is ≤ scale/2 = (max-min)/510 by construction.
 
-    Actor-pool stage: (mins, scale) broadcast once per actor; encode
-    replaces the float list with ``codes`` (list<uint8>). ``decode``
+    Broadcast stage: pass an instance to ``map_batches`` and (mins,
+    scale) are serialized once with the operator; encode replaces the float list with ``codes`` (list<uint8>). ``decode``
     reverses for search/verification."""
 
     def __init__(self, mins: np.ndarray, maxs: np.ndarray):
@@ -253,40 +265,5 @@ def quantized_topk(
     as ``brute_force_topk`` — the IO/memory win is upstream (the store
     holds 1/4 the bytes); recall loss is bounded by the SQ8
     reconstruction error."""
-    import ray
-
-    qn = _normalize(np.asarray(queries, dtype=np.float32))
-    qref = ray.put(qn)
-    quant_ref = ray.put(quant)
-
-    class Partial:
-        def __init__(self):
-            self.q = ray.get(qref)
-            self.quant = ray.get(quant_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            col = batch["codes"]
-            la = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            offs = la.offsets.to_numpy().astype(np.int64)
-            vals = la.values.to_numpy(zero_copy_only=False)
-            d = int(offs[1] - offs[0]) if len(offs) > 1 else len(vals)
-            codes = vals[offs[0]:].reshape(-1, d) if d else vals.reshape(0, 0)
-            mat = _normalize(self.quant.decode(codes))
-            sims = mat @ self.q.T
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-            out_q, out_id, out_cos = [], [], []
-            kk = min(k, sims.shape[0])
-            for qi in range(sims.shape[1]):
-                idx = np.argpartition(-sims[:, qi], kk - 1)[:kk]
-                out_q.extend([qi] * kk)
-                out_id.extend(ids[idx])
-                out_cos.extend(sims[idx, qi].astype(np.float64))
-            return pa.table(
-                {
-                    "query_idx": pa.array(out_q, pa.int32()),
-                    "vec_id": pa.array(out_id),
-                    "cos": pa.array(out_cos),
-                }
-            )
-
-    return _merge_topk(codes_ds.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 8)), k)
+    partial = _TopkPartial(queries, k, functools.partial(_codes_mat, quant=quant))
+    return _merge_topk(codes_ds.map_batches(partial, batch_format="pyarrow"), k)

@@ -192,9 +192,8 @@ def _token_window_hashes_flat(
         vals, offs = out, out_off
         lens = np.diff(offs)
     n_wins = lens - k + 1
-    starts = np.repeat(offs[:-1], n_wins) + np.concatenate(
-        [np.arange(w, dtype=np.int64) for w in n_wins]
-    ) if n_wins.sum() else np.empty(0, np.int64)
+    first_win = np.repeat(_cumsum0(n_wins)[:-1], n_wins)
+    starts = np.repeat(offs[:-1], n_wins) + np.arange(len(first_win), dtype=np.int64) - first_win
     u = vals.astype(np.uint64)
     h = np.zeros(len(starts), dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -32,8 +32,7 @@ would need"). Public-knowledge semantics:
   group key; each bucket sorts once by (group, order) and cuts every
   group's chunks from one flat token array. Partitioning assumption:
   one group's tokens fit one task (bound seq_len × chunks per group;
-  hot groups land in one bucket — salt upstream if a single source
-  dominates).
+  a hot group lands in one bucket).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._util import collect, table_from_pandas
+from .._util import collect
 
 # RE2 patterns: Arrow's regex kernels and DuckDB's regexp_replace run
 # the same engine, so an SQL oracle mirrors them exactly (``\d`` and
@@ -66,21 +65,41 @@ def _text(col) -> pa.Array:
     return pc.fill_null(col, "")
 
 
+def _split(text, sep: str) -> tuple[pa.Array, np.ndarray, np.ndarray]:
+    """Split every document on ``sep`` in Arrow C++ — the
+    ``str.split(sep)`` rule, null text read as ``""``. Returns ``(flat,
+    doc_of, n_parts)``: the flat ``string`` part array, each part's
+    document index (int64) and the part count per document (int64).
+    ``sep`` is ``"\\n"`` for lines."""
+    lists = pc.split_pattern(_text(text), sep)
+    return (
+        pc.list_flatten(lists),
+        pc.list_parent_indices(lists).to_numpy().astype(np.int64),
+        pc.list_value_length(lists).to_numpy().astype(np.int64),
+    )
+
+
 def _split_words(text, *, drop_empty: bool = False) -> tuple[pa.Array, np.ndarray, np.ndarray]:
-    """Split every document on single spaces in Arrow C++ — the
-    ``str.split(" ")`` rule, null text read as ``""``. Returns ``(flat,
-    doc_of, n_words)``: the flat ``string`` word array, each word's
-    document index (int64) and the word count per document (int64).
+    """``_split`` on single spaces: ``(flat, doc_of, n_words)``.
     ``drop_empty`` removes the empty words that leading, trailing and
     repeated spaces leave, and counts only the remaining words."""
-    lists = pc.split_pattern(_text(text), " ")
-    flat = pc.list_flatten(lists)
-    doc_of = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
+    flat, doc_of, n_words = _split(text, " ")
     if not drop_empty:
-        return flat, doc_of, pc.list_value_length(lists).to_numpy().astype(np.int64)
+        return flat, doc_of, n_words
     keep = pc.not_equal(flat, "")
     doc_of = doc_of[keep.to_numpy(zero_copy_only=False)]
-    return flat.filter(keep), doc_of, np.bincount(doc_of, minlength=len(lists)).astype(np.int64)
+    return flat.filter(keep), doc_of, np.bincount(doc_of, minlength=len(n_words)).astype(np.int64)
+
+
+def _join_kept(parts: pa.Array, doc_of: np.ndarray, kept: np.ndarray, n: int, sep: str):
+    """Rejoin each document's kept parts (``kept`` is a bool mask over
+    the flat ``parts``, in document order) with ``sep``: one
+    ``ListArray.from_arrays`` and one ``binary_join``. Returns the joined
+    ``string`` array and the kept count per document (int64)."""
+    kept_counts = np.bincount(doc_of[kept], minlength=n).astype(np.int64)
+    offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
+    joined = pc.binary_join(pa.ListArray.from_arrays(offs, parts.filter(pa.array(kept))), sep)
+    return joined, kept_counts
 
 
 def redact_pii(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -162,22 +181,9 @@ def build_eval_grams(texts, n: int = 8) -> np.ndarray:
     """Hash every n-word window of the held-out texts (the small side
     of decontamination). Returns a SORTED uint64 array to broadcast
     with ray.put — the lookup side of the scan uses np.isin against
-    it, so the eval set never re-ships per batch."""
-    from .._util import hash_str_u64
-
-    grams: list[np.ndarray] = []
-    for t in texts:
-        words = (t or "").split(" ")
-        if len(words) < n:
-            continue
-        joined = np.array(
-            [" ".join(words[i : i + n]) for i in range(len(words) - n + 1)],
-            dtype=object,
-        )
-        grams.append(hash_str_u64(joined))
-    if not grams:
-        return np.array([], dtype=np.uint64)
-    return np.sort(np.unique(np.concatenate(grams)))
+    it, so the eval set never re-ships per batch. The hashes are
+    ``_window_hashes``', the train-side scan's own kernel."""
+    return np.unique(_window_hashes(texts, n)[0])
 
 
 class NgramDecontaminator:
@@ -203,38 +209,100 @@ class NgramDecontaminator:
         return t.append_column("contaminated", pa.array(flags, pa.bool_()))
 
 
-def _window_hashes_full(
-    text, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hash every n-word window of every document of the ``text``
-    column in one flat pass. Returns ``(hashes uint64, doc_index
-    int64, flat_start int64, flat_words object, word_lens int64)`` —
-    the window render is positional string adds over the flat word
-    array, the same joined-string hashing as ``build_eval_grams``;
-    ``flat_start`` is each window's first-word index into
-    ``flat_words`` (the concatenation of every doc's space-split
-    words)."""
+def _word_windows(words: pa.Array, lens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hash every n-word window of the flat space-split ``words`` of
+    documents with ``lens`` words each, in one flat pass. Returns
+    ``(hashes uint64, doc_index int64, flat_start int64)``: a window is
+    its words joined by single spaces (positional string adds over the
+    flat word array), and ``flat_start`` is its first word's index into
+    ``words``."""
     from .._util import hash_str_u64
 
-    flat, _, lens = _split_words(text)
-    flat_words = flat.to_numpy(zero_copy_only=False)
     n_wins = np.maximum(lens - n + 1, 0)
     total = int(n_wins.sum())
     if total == 0:
         empty = np.empty(0, np.int64)
-        return np.empty(0, np.uint64), empty, empty, flat_words, lens
+        return np.empty(0, np.uint64), empty, empty
+    flat_words = words.to_numpy(zero_copy_only=False)
     first_win = np.repeat(np.cumsum(n_wins) - n_wins, n_wins)
     starts = np.repeat(np.cumsum(lens) - lens, n_wins) + np.arange(total) - first_win
     doc_of = np.repeat(np.arange(len(lens), dtype=np.int64), n_wins)
     win = flat_words[starts].astype(object)
     for off in range(1, n):
         win = win + " " + flat_words[starts + off]
-    return hash_str_u64(win.astype(object)), doc_of, starts, flat_words, lens
+    return hash_str_u64(win.astype(object)), doc_of, starts
 
 
 def _window_hashes(text, n: int) -> tuple[np.ndarray, np.ndarray]:
-    h, doc_of, _, _, _ = _window_hashes_full(text, n)
-    return h, doc_of
+    """``(hashes, doc_index)`` of every n-word window of the ``text``
+    column."""
+    words, _, lens = _split_words(text)
+    return _word_windows(words, lens, n)[:2]
+
+
+def _unit_partials(h: np.ndarray, doc_of: np.ndarray, ids: np.ndarray, hash_col: str) -> pa.Table:
+    """One batch's partial of a duplicate-discovery job: the unit hashes
+    ``h`` (lines or word windows) of documents ``doc_of`` become one
+    ``(hash_col, n_docs, min_doc_id)`` row per distinct hash — distinct
+    documents and the smallest owner id among them. lexsort + reduceat;
+    a document's units live in one batch, so per-batch distinct-doc
+    counts sum exactly."""
+    order = np.lexsort((doc_of, h))
+    hs, ds_ = h[order], doc_of[order]
+    keep = np.ones(len(hs), bool)
+    keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
+    hs, ds_ = hs[keep], ds_[keep]
+    bounds = np.ones(len(hs), bool)
+    bounds[1:] = hs[1:] != hs[:-1]
+    starts = np.flatnonzero(bounds)
+    did = ids[ds_].astype(np.int64)
+    return pa.table(
+        {
+            hash_col: pa.array(hs[starts], pa.uint64()),
+            "n_docs": pa.array(np.diff(np.append(starts, len(hs))).astype(np.int64)),
+            "min_doc_id": pa.array(np.minimum.reduceat(did, starts)),
+        }
+    )
+
+
+def _shared_units(ds, partials, hash_col: str, min_docs: int, num_buckets: int | None):
+    """Merge the per-batch ``_unit_partials`` of ``partials`` with one
+    bucketed groupby on ``hash_col`` (sum of ``n_docs``, min of
+    ``min_doc_id``) and keep the hashes seen in ``min_docs`` or more
+    distinct documents."""
+    from .aggregate import bucketed_aggregate
+
+    merged = bucketed_aggregate(
+        ds.map_batches(partials, batch_format="pyarrow"),
+        [hash_col],
+        [("n_docs", "sum", "n_docs"), ("min_doc_id", "min", "min_doc_id")],
+        num_buckets=num_buckets,
+    )
+    return merged.map_batches(
+        lambda t: t.filter(pc.greater_equal(t["n_docs"], min_docs)),
+        batch_format="pyarrow",
+    )
+
+
+class _OwnerLookup:
+    """The removal half of a duplicate-discovery job: a broadcast table
+    of duplicated unit hashes and their first owner's doc id, sorted
+    once (pass an instance to ``map_batches`` and it is serialized once
+    with the operator). A unit occurrence is removed iff its hash is in
+    the table AND its document is not the owner (first-owner-wins)."""
+
+    def __init__(self, dup_hashes, dup_owners):
+        order = np.argsort(np.asarray(dup_hashes, dtype=np.uint64))
+        self.hashes = np.asarray(dup_hashes, dtype=np.uint64)[order]
+        self.owners = np.asarray(dup_owners, dtype=np.int64)[order]
+
+    def _removed(self, h: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
+        """Bool mask over the unit hashes ``h`` of documents ``doc_ids``:
+        one ``searchsorted`` against the sorted table."""
+        if not (len(self.hashes) and len(h)):
+            return np.zeros(len(h), dtype=bool)
+        pos = np.clip(np.searchsorted(self.hashes, h), 0, len(self.hashes) - 1)
+        return (self.hashes[pos] == h) & (self.owners[pos] != doc_ids)
 
 
 def duplicate_passages(
@@ -251,61 +319,20 @@ def duplicate_passages(
     documents (boilerplate, licence blocks, templated headers).
 
     Shuffle-light: each batch hashes its windows in one flat pass and
-    PRE-AGGREGATES to (hash, distinct-docs-in-batch, min-id-in-batch)
-    triples via lexsort + reduceat — a document's windows live in one
-    batch, so per-batch distinct-doc counts sum exactly. One bucketed
-    groupby on the hash merges partials; only triples move, never text.
-    Returns a Dataset ``(gram_hash, n_docs, min_doc_id)`` filtered to
-    ``n_docs >= min_docs``.
+    pre-aggregates them (``_unit_partials``); one bucketed groupby on
+    the hash merges partials (``_shared_units``), so only (hash, count,
+    id) triples move, never text. Returns a Dataset ``(gram_hash,
+    n_docs, min_doc_id)`` filtered to ``n_docs >= min_docs``.
     """
-    from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         h, doc_of = _window_hashes(t["text"], window)
-        if not len(h):
-            return pa.table(
-                {
-                    "gram_hash": pa.array([], pa.uint64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "min_doc_id": pa.array([], pa.int64()),
-                }
-            )
-        # unique (hash, doc) pairs, then distinct-doc count per hash
-        order = np.lexsort((doc_of, h))
-        hs, ds_ = h[order], doc_of[order]
-        keep = np.ones(len(hs), bool)
-        keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
-        hs, ds_ = hs[keep], ds_[keep]
-        bounds = np.ones(len(hs), bool)
-        bounds[1:] = hs[1:] != hs[:-1]
-        starts = np.flatnonzero(bounds)
-        counts = np.diff(np.append(starts, len(hs)))
-        did = ids[ds_].astype(np.int64)
-        min_ids = np.minimum.reduceat(did, starts)
-        return pa.table(
-            {
-                "gram_hash": pa.array(hs[starts], pa.uint64()),
-                "n_docs": pa.array(counts.astype(np.int64)),
-                "min_doc_id": pa.array(min_ids),
-            }
-        )
+        return _unit_partials(h, doc_of, t["doc_id"].to_numpy(zero_copy_only=False), "gram_hash")
 
-    parts = ds.map_batches(partials, batch_format="pyarrow")
-    merged = bucketed_aggregate(
-        parts,
-        ["gram_hash"],
-        [("n_docs", "sum", "n_docs"), ("min_doc_id", "min", "min_doc_id")],
-        num_buckets=num_buckets,
-    )
-
-    return merged.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n_docs"], min_docs)),
-        batch_format="pyarrow",
-    )
+    return _shared_units(ds, partials, "gram_hash", min_docs, num_buckets)
 
 
-class PassageDeduper:
+class PassageDeduper(_OwnerLookup):
     """The REMOVAL half of ExactSubstr/passage dedup (Lee et al. 2021
     §4 remove all but one occurrence of every duplicated span): cut
     every WORD covered by a corpus-duplicated ``window``-word span
@@ -313,56 +340,34 @@ class PassageDeduper:
     its copy (first-owner-wins, the same convention as
     ``LineDeduper``).
 
-    Broadcast stage holding the ``duplicate_passages`` output (sorted
-    gram hashes + owner ids; pass an instance to ``map_batches`` and
-    it is serialized once with the operator). Per batch: ONE flat
-    window-hash pass, a ``searchsorted`` membership test, and a
-    difference-array cumsum to turn flagged window starts into
-    per-word coverage — windows never cross document boundaries, so
-    the cumsum cannot bleed between docs. Adds ``n_words``,
+    Broadcast stage holding the ``duplicate_passages`` output
+    (``_OwnerLookup``). Per batch: ONE flat window-hash pass, the owner
+    lookup, and a difference-array cumsum to turn flagged window starts
+    into per-word coverage — windows never cross document boundaries,
+    so the cumsum cannot bleed between docs. Adds ``n_words``,
     ``n_removed_words``, ``n_dup_windows`` and the rebuilt
-    ``clean_text`` (Arrow ``binary_join``, no per-row Python)."""
+    ``clean_text`` (``_join_kept``, no per-row Python)."""
 
     def __init__(self, dup_hashes, dup_owners, window: int = 32):
-        order = np.argsort(np.asarray(dup_hashes, dtype=np.uint64))
-        self.hashes = np.asarray(dup_hashes, dtype=np.uint64)[order]
-        self.owners = np.asarray(dup_owners, dtype=np.int64)[order]
+        super().__init__(dup_hashes, dup_owners)
         self.window = window
 
     def __call__(self, t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(t)
-        h, doc_of, starts, flat_words, lens = _window_hashes_full(t["text"], self.window)
-        total = len(flat_words)
-        covered = np.zeros(total, dtype=bool)
-        n_flagged = np.zeros(n, dtype=np.int64)
-        if len(self.hashes) and len(h):
-            pos = np.clip(np.searchsorted(self.hashes, h), 0, len(self.hashes) - 1)
-            dup = self.hashes[pos] == h
-            rm = dup & (self.owners[pos] != ids[doc_of])
-            if rm.any():
-                st = starts[rm]
-                diff = np.zeros(total + 1, dtype=np.int64)
-                np.add.at(diff, st, 1)
-                np.add.at(diff, st + self.window, -1)
-                covered = np.cumsum(diff[:-1]) > 0
-                n_flagged = np.bincount(doc_of[rm], minlength=n).astype(np.int64)
-        kept = ~covered
-        word_doc = np.repeat(np.arange(n, dtype=np.int64), lens)
-        kept_counts = np.bincount(word_doc[kept], minlength=n).astype(np.int64)
-        offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(
-                offs, pa.array(flat_words[kept], pa.string())
-            ),
-            " ",
-        )
+        words, word_doc, lens = _split_words(t["text"])
+        h, doc_of, starts = _word_windows(words, lens, self.window)
+        rm = self._removed(h, ids[doc_of])
+        st = starts[rm]
+        diff = np.zeros(len(words) + 1, dtype=np.int64)
+        np.add.at(diff, st, 1)
+        np.add.at(diff, st + self.window, -1)
+        covered = np.cumsum(diff[:-1]) > 0
+        clean, kept_counts = _join_kept(words, word_doc, ~covered, n, " ")
         t = t.append_column("n_words", pa.array(lens, pa.int64()))
-        t = t.append_column(
-            "n_removed_words", pa.array((lens - kept_counts).astype(np.int64))
-        )
-        t = t.append_column("n_dup_windows", pa.array(n_flagged, pa.int64()))
-        return t.append_column("clean_text", joined)
+        t = t.append_column("n_removed_words", pa.array((lens - kept_counts).astype(np.int64)))
+        t = t.append_column("n_dup_windows", pa.array(np.bincount(doc_of[rm], minlength=n).astype(np.int64)))
+        return t.append_column("clean_text", clean)
 
 
 def _pack_bucket(t: pa.Table, group_col, order_col, seq_len, emit_tokens, flatten, tok_type=None):
@@ -478,35 +483,27 @@ def c4_clean(
     min_words: int = 3,
     min_lines: int = 3,
 ) -> pa.Table:
-    """C4-style line-level cleaning, fully vectorized: one explode of
-    the newline-split lines (Arrow list offsets), pandas str kernels
-    for every predicate over the FLAT line array, and an Arrow
-    ``binary_join`` to reassemble kept lines per document — no per-row
-    Python. Adds ``out_col`` (cleaned text), ``n_lines_kept`` and
-    ``kept`` (doc-level gate)."""
-    s = pd.Series(batch[text_col].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-    n = len(s)
-    lines = s.str.split("\n")
-    counts = lines.str.len().to_numpy().astype(np.int64) if n else np.empty(0, np.int64)
-    flat = pd.Series(
-        np.concatenate(lines.to_numpy()) if n else np.empty(0, object), dtype=object
-    )
-    ok = flat.str.endswith(C4_TERMINAL).to_numpy(dtype=bool)
+    """C4-style line-level cleaning, fully vectorized: one Arrow split
+    of the lines (``_split``), Arrow kernels for every predicate over
+    the FLAT line array, and ``_join_kept`` to reassemble kept lines
+    per document — no per-row Python. Adds ``out_col`` (cleaned text),
+    ``n_lines_kept`` and ``kept`` (doc-level gate)."""
+    lines, doc_of, _ = _split(batch[text_col], "\n")
+    ok = pc.ends_with(lines, C4_TERMINAL[0])
+    for end in C4_TERMINAL[1:]:
+        ok = pc.or_(ok, pc.ends_with(lines, end))
     # word count = runs of non-space chars (mirrors SQL list_filter of
     # non-empty tokens after a split on ' ')
-    ok &= (flat.str.count(r"[^ ]+") >= min_words).to_numpy(dtype=bool)
-    low = flat.str.lower()
+    ok = pc.and_(ok, pc.greater_equal(pc.count_substring_regex(lines, "[^ ]+"), min_words))
+    # Python's str.lower maps U+0130 to "i" + U+0307 where utf8_lower
+    # maps it to "i": spell it out first so the bad-substring tests
+    # match what a str.lower-based cleaner matches
+    low = pc.utf8_lower(pc.replace_substring(lines, "\u0130", "i\u0307"))
     for bad in C4_BAD_LOWER:
-        ok &= ~low.str.contains(bad, regex=False).to_numpy(dtype=bool)
+        ok = pc.and_(ok, pc.invert(pc.match_substring(low, bad)))
     for bad in C4_BAD_RAW:
-        ok &= ~flat.str.contains(bad, regex=False).to_numpy(dtype=bool)
-    doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    kept_counts = np.bincount(doc_idx[ok], minlength=n).astype(np.int64)
-    kept_lines = pa.array(flat.to_numpy()[ok], pa.string())
-    offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-    joined = pc.binary_join(
-        pa.ListArray.from_arrays(offs, kept_lines), "\n"
-    )
+        ok = pc.and_(ok, pc.invert(pc.match_substring(lines, bad)))
+    joined, kept_counts = _join_kept(lines, doc_of, ok.to_numpy(zero_copy_only=False), len(batch), "\n")
     batch = batch.append_column(out_col, joined)
     batch = batch.append_column("n_lines_kept", pa.array(kept_counts, pa.int64()))
     return batch.append_column("kept", pa.array(kept_counts >= min_lines))
@@ -538,35 +535,42 @@ def corpus_word_counts(ds, text_col: str = "text", num_buckets: int | None = Non
     return bucketed_aggregate(parts, ["word"], [("c", "sum", "c")], num_buckets=num_buckets)
 
 
-def top_vocab(counts_ds, v: int) -> pd.DataFrame:
-    """Top-``v`` vocabulary by (count DESC, word ASC) from a
-    ``corpus_word_counts`` Dataset. Distributed top-k: each block
-    contributes its own top-``v`` partial (a block's non-top-v words
-    can never reach the global top-v), the driver merges only
-    ``num_blocks × v`` rows — never the full vocabulary — through the
-    capped ``collect``."""
+def _top_k(counts_ds, key: str, k: int, stage: str) -> pd.DataFrame:
+    """Top-``k`` rows of a ``(key, c)`` counts Dataset by (c DESC, key
+    ASC). Distributed top-k: each block is cut to its own top-``k`` by
+    one Arrow ``sort_indices`` (a block's other rows can never reach the
+    global top-k), the driver merges only ``num_blocks × k`` rows —
+    never the full table — through the capped ``collect`` named
+    ``stage``, and cuts the merge the same way."""
+    order = [("c", "descending"), (key, "ascending")]
 
     def block_top(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            ["c", "word"], ascending=[False, True], kind="stable"
-        )
-        return table_from_pandas(df.head(v))
+        return t.take(pc.sort_indices(t, sort_keys=order)[:k])
 
-    tops = collect(counts_ds.map_batches(block_top, batch_format="pyarrow"), "top_vocab")
-    merged = pa.concat_tables(tops, promote_options="permissive").to_pandas()
-    return (
-        merged.sort_values(["c", "word"], ascending=[False, True], kind="stable")
-        .head(v)
-        .reset_index(drop=True)
-    )
+    tops = collect(counts_ds.map_batches(block_top, batch_format="pyarrow"), stage)
+    return block_top(pa.concat_tables(tops, promote_options="permissive")).to_pandas()
+
+
+def top_vocab(counts_ds, v: int) -> pd.DataFrame:
+    """Top-``v`` vocabulary by (count DESC, word ASC) from a
+    ``corpus_word_counts`` Dataset (``_top_k``)."""
+    return _top_k(counts_ds, "word", v, "top_vocab")
+
+
+def _index_in(keys: pa.Array, value_set: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """One Arrow ``index_in`` lookup of ``keys`` in ``value_set``:
+    ``(hit, pos)`` — a bool mask over ``keys`` and the int64 position
+    in ``value_set`` of each hit, in key order."""
+    idx = pc.index_in(keys, value_set=value_set)
+    return idx.is_valid().to_numpy(zero_copy_only=False), pc.drop_null(idx).to_numpy().astype(np.int64)
 
 
 class UnigramScorer:
-    """CCNet-style unigram LM scoring as an actor-pool stage: the
-    top-V vocabulary (word → corpus count) is broadcast once per actor
-    (pass a ``ray.put`` handle; Ray de-references it in ``__init__``),
-    each batch splits its words and looks them up with one Arrow
-    ``index_in`` pass. Adds per-document columns:
+    """CCNet-style unigram LM scoring as a broadcast stage: pass an
+    instance to ``map_batches`` and the top-V vocabulary (word → corpus
+    count) is serialized once with the operator; each batch splits its
+    words and looks them up with one Arrow ``index_in`` pass
+    (``_index_in``). Adds per-document columns:
 
     * ``n_in_vocab`` / ``n_oov`` — word OCCURRENCES in/out of vocab;
     * ``sum_freq`` — int64 sum of the corpus counts of in-vocab
@@ -585,9 +589,7 @@ class UnigramScorer:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         flat, doc_of, n_tok = _split_words(t["text"], drop_empty=True)
-        idx = pc.index_in(flat, value_set=self.words)
-        hit = idx.is_valid().to_numpy(zero_copy_only=False)
-        pos = pc.drop_null(idx).to_numpy().astype(np.int64)
+        hit, pos = _index_in(flat, self.words)
         n = len(t)
         n_in = np.bincount(doc_of[hit], minlength=n).astype(np.int64)
         sum_freq = np.zeros(n, dtype=np.int64)
@@ -642,6 +644,33 @@ class VocabEncoder:
 DSIR_NUM_BUCKETS = 64
 
 
+def _code_points(chars: pa.Array) -> np.ndarray:
+    """The code point (int64) of every one-character string of
+    ``chars``: its UTF-8 bytes decoded in numpy."""
+    if not len(chars):
+        return np.empty(0, np.int64)
+    offs = np.frombuffer(chars.buffers()[1], np.int32)[chars.offset : chars.offset + len(chars) + 1]
+    data = np.frombuffer(chars.buffers()[2], np.uint8)
+    start, n_bytes = offs[:-1], np.diff(offs)
+    cp = data[start].astype(np.int64) & np.array([0, 0x7F, 0x1F, 0x0F, 0x07])[n_bytes]
+    for k in range(1, 4):
+        more = n_bytes > k
+        cp[more] = (cp[more] << 6) | (data[start[more] + k] & 0x3F)
+    return cp
+
+
+def _word_shapes(words: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(first code point, last code point, length in code points)``
+    of every non-empty word, all int64 — the inputs of the
+    SQL-expressible feature hashes of ``_dsir_bigram_buckets`` and
+    ``_unigram_buckets``."""
+    return (
+        _code_points(pc.utf8_slice_codeunits(words, 0, 1)),
+        _code_points(pc.utf8_slice_codeunits(words, -1)),
+        pc.utf8_length(words).to_numpy().astype(np.int64),
+    )
+
+
 def _dsir_bigram_buckets(text) -> tuple[np.ndarray, np.ndarray]:
     """Hashed word-bigram features per document (DSIR, Xie et al.
     2023: importance resampling on hashed n-gram counts). Returns
@@ -651,24 +680,16 @@ def _dsir_bigram_buckets(text) -> tuple[np.ndarray, np.ndarray]:
     can recompute buckets exactly; swap in ``hash_str_u64`` for
     production corpora (same downstream shape)."""
     words, doc_flat, _ = _split_words(text, drop_empty=True)
-    flat = words.to_numpy(zero_copy_only=False)
     # consecutive kept words within the same doc form the bigrams
-    pair = doc_flat[1:] == doc_flat[:-1]
-    if not pair.any():
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = np.flatnonzero(pair)
-    doc_of = doc_flat[starts]
-    first_cp = np.array(
-        pd.Series(flat).str.slice(0, 1).tolist(), dtype="U1"
-    ).view(np.uint32).astype(np.int64)
-    wlen = pd.Series(flat).str.len().to_numpy(dtype=np.int64)
+    starts = np.flatnonzero(doc_flat[1:] == doc_flat[:-1])
+    first_cp, _, wlen = _word_shapes(words)
     b = (
         first_cp[starts] * 31
         + first_cp[starts + 1] * 7
         + wlen[starts] * 3
         + wlen[starts + 1]
     ) % DSIR_NUM_BUCKETS
-    return b, doc_of
+    return b, doc_flat[starts]
 
 
 def dsir_bucket_counts(ds):
@@ -704,9 +725,10 @@ def dsir_bucket_counts(ds):
 
 
 class DsirScorer:
-    """DSIR importance scoring as an actor-pool stage: the two bucket
-    count vectors are broadcast once per actor; each batch runs one
-    flat bigram-bucket pass and two per-doc scatter-adds. Adds:
+    """DSIR importance scoring as a broadcast stage: pass an instance
+    to ``map_batches`` and the two bucket count vectors are serialized
+    once with the operator; each batch runs one flat bigram-bucket pass
+    and two per-doc scatter-adds. Adds:
 
     * ``dsir_score`` — int64 Σ over the doc's bigrams of
       ``tgt_c[b]·N_raw − raw_c[b]·N_tgt`` (the sign of the
@@ -758,61 +780,22 @@ def duplicate_lines(ds, *, num_buckets: int | None = None):
     at least 2 distinct documents — ``min_doc_id`` is the
     occurrence that survives dedup (first-owner-wins)."""
     from .._util import hash_str_u64
-    from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lines = s.str.split("\n")
-        counts = lines.str.len().to_numpy(dtype=np.int64) if len(s) else np.empty(0, np.int64)
-        if counts.sum() == 0:
-            return pa.table(
-                {
-                    "line_hash": pa.array([], pa.uint64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "min_doc_id": pa.array([], pa.int64()),
-                }
-            )
-        flat = np.concatenate(lines.to_numpy())
-        doc_of = np.repeat(np.arange(len(s), dtype=np.int64), counts)
-        h = hash_str_u64(flat.astype(object))
-        order = np.lexsort((doc_of, h))
-        hs, ds_ = h[order], doc_of[order]
-        keep = np.ones(len(hs), bool)
-        keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
-        hs, ds_ = hs[keep], ds_[keep]
-        bounds = np.ones(len(hs), bool)
-        bounds[1:] = hs[1:] != hs[:-1]
-        starts = np.flatnonzero(bounds)
-        return pa.table(
-            {
-                "line_hash": pa.array(hs[starts], pa.uint64()),
-                "n_docs": pa.array(np.diff(np.append(starts, len(hs))).astype(np.int64)),
-                "min_doc_id": pa.array(np.minimum.reduceat(ids[ds_], starts)),
-            }
-        )
+        lines, doc_of, _ = _split(t["text"], "\n")
+        h = hash_str_u64(lines.to_numpy(zero_copy_only=False))
+        return _unit_partials(h, doc_of, t["doc_id"].to_numpy(zero_copy_only=False), "line_hash")
 
-    merged = bucketed_aggregate(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["line_hash"],
-        [("n_docs", "sum", "n_docs"), ("min_doc_id", "min", "min_doc_id")],
-        num_buckets=num_buckets,
-    )
-    return merged.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n_docs"], 2)),
-        batch_format="pyarrow",
-    )
+    return _shared_units(ds, partials, "line_hash", 2, num_buckets)
 
 
-class LineDeduper:
+class LineDeduper(_OwnerLookup):
     """The removal half of exact line dedup: a broadcast stage holding
-    the duplicated-line table (sorted hashes + first-owner doc ids —
-    pass an instance to ``map_batches`` and it is serialized once with
-    the operator). A line occurrence
-    is removed iff its line is corpus-duplicated AND this document is
-    not the first owner; the owner keeps every occurrence. Adds
+    the duplicated-line table (``_OwnerLookup``). A line occurrence is
+    removed iff its line is corpus-duplicated AND this document is not
+    the first owner; the owner keeps every occurrence. Adds
     ``n_lines``, ``n_removed`` and the reassembled ``clean_text``
-    (Arrow ``binary_join``, no per-row Python).
+    (``_join_kept``, no per-row Python).
 
     Partitioning note: broadcast is right while the duplicated-line
     table fits a worker heap (it holds only lines seen in ≥2 docs).
@@ -821,41 +804,16 @@ class LineDeduper:
     ``duplicate_lines`` output on the hash — the stage's semantics
     are unchanged."""
 
-    def __init__(self, dup_hashes, dup_owners):
-        order = np.argsort(np.asarray(dup_hashes, dtype=np.uint64))
-        self.hashes = np.asarray(dup_hashes, dtype=np.uint64)[order]
-        self.owners = np.asarray(dup_owners, dtype=np.int64)[order]
-
     def __call__(self, t: pa.Table) -> pa.Table:
         from .._util import hash_str_u64
 
-        s = pd.Series(t["text"].to_numpy(zero_copy_only=False), dtype=object).fillna("")
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(s)
-        lines = s.str.split("\n")
-        counts = lines.str.len().to_numpy(dtype=np.int64) if n else np.empty(0, np.int64)
-        flat = (
-            np.concatenate(lines.to_numpy()) if counts.sum() else np.empty(0, object)
-        )
-        doc_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        if len(self.hashes) and len(flat):
-            h = hash_str_u64(flat.astype(object))
-            pos = np.clip(np.searchsorted(self.hashes, h), 0, len(self.hashes) - 1)
-            dup = self.hashes[pos] == h
-            removed = dup & (self.owners[pos] != ids[doc_of])
-        else:
-            removed = np.zeros(len(flat), dtype=bool)
-        kept = ~removed
-        kept_counts = np.bincount(doc_of[kept], minlength=n).astype(np.int64)
-        offs = pa.array(np.concatenate([[0], np.cumsum(kept_counts)]).astype(np.int32))
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(offs, pa.array(flat[kept], pa.string())), "\n"
-        )
-        t = t.append_column("n_lines", pa.array(counts, pa.int64()))
-        t = t.append_column(
-            "n_removed", pa.array(np.bincount(doc_of[removed], minlength=n).astype(np.int64))
-        )
-        return t.append_column("clean_text", joined)
+        lines, doc_of, n_lines = _split(t["text"], "\n")
+        removed = self._removed(hash_str_u64(lines.to_numpy(zero_copy_only=False)), ids[doc_of])
+        clean, kept_counts = _join_kept(lines, doc_of, ~removed, len(t), "\n")
+        t = t.append_column("n_lines", pa.array(n_lines, pa.int64()))
+        t = t.append_column("n_removed", pa.array(n_lines - kept_counts))
+        return t.append_column("clean_text", clean)
 
 
 def resample_mixture(ds, weights: dict[str, float], *, mod: int = 1000):
@@ -1132,64 +1090,46 @@ def token_corpus_stats(ds, *, vocab_size: int):
 _PAIR_SEP = "\x1f"  # NUL-safe composite-key joiner (engine convention)
 
 
-def _adjacent_pairs(text) -> tuple[np.ndarray, np.ndarray]:
-    """Flat '<w1>\\x1f<w2>' strings for every adjacent non-empty word
-    pair, plus each pair's doc index. Empty tokens are dropped at the
-    flat level BEFORE pairing (same rule as the DSIR bigrams and the
-    SQL list_filter mirror)."""
-    flat, doc_flat, _ = _split_words(text, drop_empty=True)
-    starts = np.flatnonzero(doc_flat[1:] == doc_flat[:-1])
-    pairs = pc.binary_join_element_wise(flat.take(starts), flat.take(starts + 1), _PAIR_SEP)
-    return pairs.to_numpy(zero_copy_only=False), doc_flat[starts]
+def _adjacent_pairs(text) -> tuple[pa.Array, np.ndarray, pa.Array, np.ndarray]:
+    """Every adjacent non-empty word pair: ``(pairs, doc_of, words,
+    first)`` — the flat ``'<w1>\\x1f<w2>'`` strings, each pair's doc
+    index, the flat non-empty word array and each pair's first-word
+    index into it (its second word is at ``first + 1``). Empty tokens
+    are dropped at the flat level BEFORE pairing (same rule as the DSIR
+    bigrams and the SQL list_filter mirror)."""
+    words, doc_flat, _ = _split_words(text, drop_empty=True)
+    first = np.flatnonzero(doc_flat[1:] == doc_flat[:-1])
+    pairs = pc.binary_join_element_wise(words.take(first), words.take(first + 1), _PAIR_SEP)
+    return pairs, doc_flat[first], words, first
 
 
 def corpus_bigram_counts(ds):
     """Corpus-wide adjacent-word-bigram frequency table as a Dataset
     ``(pair, c)`` with pair = ``w1\\x1fw2``. Same shuffle discipline as
-    ``corpus_word_counts``: per-batch ``np.unique`` pre-aggregation so
-    (pair, partial-count) rows move, never text; one bucketed hash
-    groupby merges."""
+    ``corpus_word_counts``: per-batch Arrow ``value_counts``
+    pre-aggregation so (pair, partial-count) rows move, never text; one
+    bucketed hash groupby merges."""
     from .aggregate import bucketed_aggregate
 
     def partials(t: pa.Table) -> pa.Table:
-        pairs, _ = _adjacent_pairs(t["text"])
-        uniq, counts = np.unique(pairs.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "pair": pa.array(uniq.astype(object), pa.string()),
-                "c": pa.array(counts.astype(np.int64)),
-            }
-        )
+        vc = pc.value_counts(_adjacent_pairs(t["text"])[0])
+        return pa.table({"pair": vc.field("values"), "c": vc.field("counts")})
 
     parts = ds.map_batches(partials, batch_format="pyarrow")
     return bucketed_aggregate(parts, ["pair"], [("c", "sum", "c")])
 
 
 def top_bigrams(counts_ds, b: int) -> pd.DataFrame:
-    """Top-``b`` bigrams by (count DESC, pair ASC) — distributed
-    partial top-k exactly like ``top_vocab`` (each block's non-top-b
-    pairs can never reach the global top-b)."""
-
-    def block_top(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            ["c", "pair"], ascending=[False, True], kind="stable"
-        )
-        return table_from_pandas(df.head(b))
-
-    tops = collect(counts_ds.map_batches(block_top, batch_format="pyarrow"), "top_bigrams")
-    merged = pa.concat_tables(tops, promote_options="permissive").to_pandas()
-    return (
-        merged.sort_values(["c", "pair"], ascending=[False, True], kind="stable")
-        .head(b)
-        .reset_index(drop=True)
-    )
+    """Top-``b`` bigrams by (count DESC, pair ASC) from a
+    ``corpus_bigram_counts`` Dataset (``_top_k``)."""
+    return _top_k(counts_ds, "pair", b, "top_bigrams")
 
 
 BIGRAM_LAM = 0.7  # weight of the bigram MLE against the add-1 unigram
 
 
 class BigramScorer:
-    """Interpolated bigram LM scoring as an actor-pool stage — the
+    """Interpolated bigram LM scoring as a broadcast stage — the
     bigram upgrade of ``UnigramScorer`` (CCNet uses a KenLM n-gram
     model; this is the same shape with an in-table bigram MLE
     interpolated against the add-1 unigram):
@@ -1200,8 +1140,10 @@ class BigramScorer:
     tables. Per-document outputs: ``n_pairs`` (adjacent non-empty word
     pairs), ``n_big_hits`` / ``sum_big_freq`` (occurrences and summed
     corpus counts of pairs found in the top-B table — exact integer
-    contracts), ``mean_bigram_logprob`` (the float score). Both tables
-    broadcast once per actor (pass ray.put handles)."""
+    contracts), ``mean_bigram_logprob`` (the float score). Pass an
+    instance to ``map_batches``: both tables are serialized once with
+    the operator, and each batch looks up its pairs and its words with
+    one Arrow ``index_in`` each (``_index_in``)."""
 
     def __init__(
         self,
@@ -1211,38 +1153,22 @@ class BigramScorer:
         vocab_counts,
         total_words: int,
     ):
-        order = np.argsort(np.asarray(bigram_pairs, dtype=object))
-        self.pairs = np.asarray(bigram_pairs, dtype=object)[order]
-        self.pair_c = np.asarray(bigram_counts, dtype=np.int64)[order]
-        worder = np.argsort(np.asarray(vocab_words, dtype=object))
-        self.words = np.asarray(vocab_words, dtype=object)[worder]
-        self.word_c = np.asarray(vocab_counts, dtype=np.int64)[worder]
+        self.pairs = pa.array(np.asarray(bigram_pairs, dtype=object), pa.string())
+        self.pair_c = np.asarray(bigram_counts, dtype=np.int64)
+        self.words = pa.array(np.asarray(vocab_words, dtype=object), pa.string())
+        self.word_c = np.asarray(vocab_counts, dtype=np.int64)
         self.total = int(total_words)
 
-    def _lookup(self, table: np.ndarray, values: np.ndarray, keys: np.ndarray):
-        pos = np.searchsorted(table, keys)
-        pos_c = np.clip(pos, 0, max(len(table) - 1, 0))
-        hit = (table[pos_c] == keys) if len(table) else np.zeros(len(keys), bool)
-        out = np.zeros(len(keys), np.int64)
-        out[hit] = values[pos_c[hit]]
-        return out, hit
-
     def __call__(self, t: pa.Table) -> pa.Table:
-        pairs, doc_of = _adjacent_pairs(t["text"])
+        pairs, doc_of, words, first = _adjacent_pairs(t["text"])
         n = len(t)
-        bc, bhit = self._lookup(self.pairs, self.pair_c, pairs)
-        w1 = (
-            pd.Series(pairs).str.split(_PAIR_SEP).str[0].to_numpy(dtype=object)
-            if len(pairs)
-            else np.empty(0, object)
-        )
-        w2 = (
-            pd.Series(pairs).str.split(_PAIR_SEP).str[1].to_numpy(dtype=object)
-            if len(pairs)
-            else np.empty(0, object)
-        )
-        c1, h1 = self._lookup(self.words, self.word_c, w1)
-        c2, _ = self._lookup(self.words, self.word_c, w2)
+        bhit, pos = _index_in(pairs, self.pairs)
+        bc = np.zeros(len(pairs), np.int64)
+        bc[bhit] = self.pair_c[pos]
+        whit, pos = _index_in(words, self.words)
+        wc = np.zeros(len(words), np.int64)
+        wc[whit] = self.word_c[pos]
+        c1, h1, c2 = wc[first], whit[first], wc[first + 1]
         v = len(self.words)
         p_uni = (c2 + 1.0) / (self.total + v + 1.0)
         p_bi = np.where(bhit & h1 & (c1 > 0), bc / np.maximum(c1, 1), 0.0)
@@ -1376,8 +1302,9 @@ class TokenDecontaminator:
     of words): flag a training document when ANY of its n-token
     windows appears in the held-out set's window table.
 
-    Actor-pool stage: the sorted uint64 window-hash table is held once
-    per actor (pass a ``ray.put`` handle); ``__call__`` runs one
+    Broadcast stage: pass an instance to ``map_batches`` and the
+    sorted uint64 window-hash table is serialized once with the
+    operator; ``__call__`` runs one
     strided window-hash pass per batch (the shared
     ``_token_window_hashes_flat`` kernel) and an ``np.isin``
     membership. Adds ``contaminated`` (bool), ``n_contam_windows`` and
@@ -1539,10 +1466,7 @@ def _unigram_buckets(text) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     length, so a DuckDB oracle recomputes buckets exactly); swap in
     ``hash_str_u64`` for production corpora."""
     words, doc_of, n_words = _split_words(text, drop_empty=True)
-    fs = pd.Series(words.to_numpy(zero_copy_only=False), dtype=object)
-    first_cp = np.array(fs.str.slice(0, 1).tolist(), dtype="U1").view(np.uint32).astype(np.int64)
-    last_cp = np.array(fs.str.slice(-1).tolist(), dtype="U1").view(np.uint32).astype(np.int64)
-    wlen = fs.str.len().to_numpy(dtype=np.int64)
+    first_cp, last_cp, wlen = _word_shapes(words)
     b = (first_cp * 31 + wlen * 3 + last_cp) % QUALITY_CLF_BUCKETS
     return b, doc_of, n_words
 
@@ -1561,9 +1485,10 @@ class HashedQualityClassifier:
     hashed bag-of-words features — the fastText/logistic-regression
     quality gate of the GPT-3 / CCNet / FineWeb pipelines (Brown et
     al. 2020 appendix A filter docs by a trained LR over hashed
-    features; CCNet uses a fastText linear model). The WEIGHT VECTOR
-    broadcasts once per actor (``ray.put`` handle or constructor arg);
-    each batch runs one flat bucket pass + one scatter-add per doc.
+    features; CCNet uses a fastText linear model). Pass an instance to
+    ``map_batches``: the WEIGHT VECTOR is serialized once with the
+    operator, and each batch runs one flat bucket pass + one
+    scatter-add per doc.
 
     Adds ``clf_score`` (Σ weights[bucket(word)] — int64 when the
     weights are integer, so an SQL oracle matches exactly),

@@ -358,3 +358,30 @@ class TestTokenDedup:
         )
         assert together
         assert not any(3 in set(g) and len(set(g)) > 1 for g in groups["ids"])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_token_window_hashes_match_a_per_document_fold(k):
+    """The flat window-start arithmetic gives every document's windows
+    in order: docs of length 0, < k, = k and > k, a sliced list column,
+    each against a per-document polynomial fold over its zero-padded
+    tokens."""
+    from opentelemetry_collector_contrib_ray._util import splitmix64
+    from opentelemetry_collector_contrib_ray.stages.dedup import _POS_MIX, _token_window_hashes_flat
+
+    docs = [[], [7], [1, 2, 3, 4, 5], list(range(11, 11 + k)), [9, 8, 7, 6, 5, 4, 3, 2], [], [2] * (k + 2)]
+    col = pa.array([[0, 0]] + docs, pa.list_(pa.int32())).slice(1)
+    h, n_wins = _token_window_hashes_flat(pa.table({"tokens": col}), "tokens", k)
+    want_h, want_n = [], []
+    for d in docs:
+        padded = np.array(d + [0] * max(k - len(d), 0), np.uint64)
+        wins = [padded[s : s + k] for s in range(len(padded) - k + 1)]
+        for w in wins:
+            acc = np.zeros(1, np.uint64)
+            with np.errstate(over="ignore"):
+                for tok in w:
+                    acc = splitmix64(acc * _POS_MIX + tok)
+            want_h.append(acc[0])
+        want_n.append(len(wins))
+    assert n_wins.tolist() == want_n
+    assert h.tolist() == [int(x) for x in want_h]

@@ -225,6 +225,15 @@ class TestC4Clean:
         out = self._run(["a  b  c."], min_lines=1)
         assert out["n_lines_kept"][0].as_py() == 1
 
+    def test_bad_substrings_follow_python_lower(self):
+        # str.lower maps U+0130 to "i" + U+0307, so "JavaScr\u0130pt"
+        # holds no "javascript" and its line stays
+        lines = ["Uses JavaScrİpt for this.", "Uses JAVASCRIPT for this.", "Lorem İpsum dolor sit.", "Now Keep this line."]
+        out = self._run(["\n".join(lines)], min_lines=1)
+        want = [ln for ln in lines if not any(b in ln.lower() for b in ("javascript", "lorem ipsum"))]
+        assert want == [lines[0], lines[2], lines[3]]
+        assert out["clean_text"][0].as_py() == "\n".join(want)
+
 
 class TestResampleMixture:
     def test_multiplicities(self, ray_session):

@@ -3,7 +3,8 @@ a per-row reference, severity conversion totality, token checksum sensitivity,
 the Arrow aggregate and histogram combines against their pandas
 predecessors;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
-``two_phase_agg``, ``bucketed_hash_join``, exact dedup's drop ids):
+``two_phase_agg``, ``bucketed_hash_join``, exact dedup's drop ids) and
+of the LLM-data keyed jobs (line and passage discovery, token packing):
 results do not depend on bucket count, input order, block layout or key
 skew."""
 
@@ -547,6 +548,97 @@ def test_exact_drop_ids_invariant(num_buckets, layout, monkeypatch):
     got = np.sort(_exact_drop_ids(_dataset(df, layout), "text", "doc_id"))
     want = np.sort(df.loc[df["doc_id"] != df.groupby("text")["doc_id"].transform("min"), "doc_id"].to_numpy())
     assert len(want) >= 35 and got.tolist() == want.tolist()
+
+
+# (bucket count, input layout) for the LLM-data keyed jobs: "hot" gives
+# every document one same line and every row one group
+LLM_CASES = [
+    pytest.param(1, "base", id="buckets1"),
+    pytest.param(7, "base", id="buckets7"),
+    pytest.param(7, "permuted", id="permuted"),
+    pytest.param(7, "blocks", id="many_blocks_some_empty"),
+    pytest.param(7, "hot", id="one_hot_line"),
+]
+
+
+def _llm_docs(layout: str) -> pd.DataFrame:
+    """24 documents whose lines and 4-word passages repeat inside some
+    of them and across others, each with a token list and a source
+    group."""
+    i = np.arange(24)
+    text = [f"line {j % 5} here\nown {j} words\nshared tail {j % 3} a b c d" for j in i]
+    text = [t + (f"\nline {j % 5} here" if j % 6 == 0 else "") for j, t in zip(i, text)]  # repeats inside a doc
+    if layout == "hot":
+        text = ["the hot line\n" + t for t in text]
+    df = pd.DataFrame(
+        {
+            "doc_id": (i * 5 + 3).astype(np.int64),
+            "text": text,
+            "source": ["hot"] * 24 if layout == "hot" else [f"s{j % 4}" for j in i],
+            "tokens": [list(range(j, j + j % 7)) for j in i],
+        }
+    )
+    return df.sample(frac=1.0, random_state=7) if layout == "permuted" else df
+
+
+def _shared_units_reference(df: pd.DataFrame, units, min_docs: int) -> pd.DataFrame:
+    """(hash, n_docs, min_doc_id) of every unit string of ``units(text)``
+    seen in ``min_docs`` or more distinct documents, by a dict."""
+    from opentelemetry_collector_contrib_ray._util import hash_str_u64
+
+    owners: dict = {}
+    for doc_id, text in zip(df["doc_id"], df["text"]):
+        for u in units(text):
+            owners.setdefault(u, set()).add(int(doc_id))
+    rows = [(u, len(d), min(d)) for u, d in owners.items() if len(d) >= min_docs]
+    h = hash_str_u64(np.array([u for u, _, _ in rows], dtype=object))
+    return pd.DataFrame({"hash": h, "n_docs": [n for _, n, _ in rows], "min_doc_id": [m for *_, m in rows]})
+
+
+def _windows(text: str, n: int) -> list:
+    w = text.split(" ")
+    return [" ".join(w[s : s + n]) for s in range(len(w) - n + 1)]
+
+
+def _pack_reference(df: pd.DataFrame, seq_len: int) -> pd.DataFrame:
+    rows = []
+    for src, g in df.sort_values("doc_id").groupby("source"):
+        flat = [tok for toks in g["tokens"] for tok in toks]
+        for c, s in enumerate(range(0, len(flat), seq_len)):
+            chunk = flat[s : s + seq_len]
+            rows.append((src, c, len(chunk), chunk[0], chunk[-1], tuple(chunk)))
+    return pd.DataFrame(rows, columns=["source", "chunk_id", "chunk_len", "first_tok", "last_tok", "tokens"])
+
+
+@pytest.mark.parametrize("num_buckets, layout", LLM_CASES)
+@pytest.mark.parametrize("job", ["lines", "passages", "pack"])
+def test_llm_keyed_jobs_invariant(job, num_buckets, layout):
+    # line and passage discovery and token packing give the dict
+    # reference's rows whatever the bucket count, row order, block
+    # layout or skew
+    from opentelemetry_collector_contrib_ray.stages.llmdata import (
+        duplicate_lines,
+        duplicate_passages,
+        pack_token_sequences,
+    )
+
+    df = _llm_docs(layout)
+    ds = _dataset(df, layout)
+    if job == "pack":
+        got = pack_token_sequences(ds, seq_len=4, emit_tokens=True, num_buckets=num_buckets).to_pandas()
+        got["tokens"] = got["tokens"].map(tuple)
+        want = _pack_reference(df, 4)
+        assert len(want) > 10 and (layout != "hot" or want["source"].nunique() == 1)
+    else:
+        if job == "lines":
+            got = duplicate_lines(ds, num_buckets=num_buckets).to_pandas().rename(columns={"line_hash": "hash"})
+            want = _shared_units_reference(df, lambda t: t.split("\n"), 2)
+            assert layout != "hot" or want["n_docs"].max() == 24
+        else:
+            got = duplicate_passages(ds, window=4, num_buckets=num_buckets).to_pandas().rename(columns={"gram_hash": "hash"})
+            want = _shared_units_reference(df, lambda t: _windows(t, 4), 2)
+        assert len(want) >= 5
+    _assert_same_multiset(got, want)
 
 
 @pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
