@@ -1035,8 +1035,8 @@ def _q_sketch_contracts(sf_dir: str):
     #2). Rows (check, within_bound):
 
     - ``hll_<event_type>``: |HLL(p=12) − exact| / exact ≤ 5% per key
-      (standard error ≈ 1.6%); exact side is the distributed pair-dedup
-      count, sketches merge without row shuffles.
+      (standard error ≈ 1.6%); exact side is ``distinct_count``'s one
+      pair shuffle, sketches merge without row shuffles.
     - ``kll_<q>``: the KLL sketch's answer for q ∈ {0.5, 0.9, 0.99}
       sits within 5% CDF rank of q (one distributed counting pass).
     - ``rolling_append_monotone``: winnowing rolling-hash fingerprint
@@ -4713,21 +4713,23 @@ def _q_influx_parse(sf_dir: str):
 
 
 class _LlmInputs:
-    """The inputs llm_ops' legs share, each built on first use."""
+    """The inputs llm_ops' legs share, each built on first use. The
+    Datasets that two or more legs read are materialized there, so one
+    call reads and derives each of them once."""
 
     def __init__(self, sf_dir: str):
         self.sf_dir = sf_dir
 
     @cached_property
     def docs(self):
-        return _read(self.sf_dir, "documents", ["doc_id", "text", "source"])
+        return _read(self.sf_dir, "documents", ["doc_id", "text", "source"]).materialize()
 
     @cached_property
     def corpus(self):
         from opentelemetry_collector_contrib_ray.sources.parquet import read_corpus
 
         # sf-dependent, the same path the oracle reads
-        return read_corpus(_corpus_dir(self.sf_dir), columns=["doc_id", "source", "tokens"])
+        return read_corpus(_corpus_dir(self.sf_dir), columns=["doc_id", "source", "tokens"]).materialize()
 
     @cached_property
     def vocab(self) -> tuple[pa.Table, int]:
@@ -4750,7 +4752,7 @@ class _LlmInputs:
             s = s.where(pd.Series(d % 25 != 0), s + " " + passage)
             return pa.table({"doc_id": t["doc_id"], "text": pa.array(s.to_numpy(dtype=object), pa.string())})
 
-        return self.docs.select_columns(["doc_id", "text"]).map_batches(inject, batch_format="pyarrow")
+        return self.docs.select_columns(["doc_id", "text"]).map_batches(inject, batch_format="pyarrow").materialize()
 
     @cached_property
     def dup(self):
@@ -4804,7 +4806,7 @@ class _LlmInputs:
             )
             return pa.table({"doc_id": t["doc_id"], "tokens": toks})
 
-        return self.corpus.select_columns(["doc_id", "tokens"]).map_batches(inject, batch_format="pyarrow")
+        return self.corpus.select_columns(["doc_id", "tokens"]).map_batches(inject, batch_format="pyarrow").materialize()
 
 
 def _texts(t: pa.Table) -> "pd.Series":
@@ -5175,9 +5177,10 @@ def _llm_samp(c: _LlmInputs) -> pa.Table:
 
 
 def _llm_tstat(c: _LlmInputs) -> pa.Table:
-    """Token-native corpus analytics (flat-buffer kernels; distincts move
-    as pre-deduped pairs): per source the token count, distinct ids,
-    distinct adjacent bigrams, and "max id:docs"."""
+    """Token-native corpus analytics (flat-buffer kernels; both distincts
+    are one ``distinct_count`` over per-batch pre-deduped pairs): per
+    source the token count, distinct ids, distinct adjacent bigrams,
+    and "max id:docs"."""
     from opentelemetry_collector_contrib_ray.sources.synth import VOCAB_SIZE
     from opentelemetry_collector_contrib_ray.stages.llmdata import token_corpus_stats
 
@@ -6192,7 +6195,7 @@ def _q_collectd_parse(sf_dir: str):
 
 
 def _q_distinct_users(sf_dir: str):
-    """Exact distinct users per event type (two-stage pair dedupe)."""
+    """Exact distinct users per event type (one pair shuffle)."""
     from opentelemetry_collector_contrib_ray.stages.sketch import distinct_count
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])

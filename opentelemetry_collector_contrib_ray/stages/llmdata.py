@@ -52,6 +52,7 @@ PII_PATTERNS = [
     ("ip", r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b", "<IP>"),
     ("phone", r"\+?\d{3}[-.]\d{3}[-.]\d{4}", "<PHONE>"),
 ]
+_PII_ANY = "|".join(f"(?:{pattern})" for _, pattern, _ in PII_PATTERNS)
 
 
 def _text(col) -> pa.Array:
@@ -109,16 +110,19 @@ def redact_pii(batch: pa.Table, text_col: str = "text") -> pa.Table:
     engine behind DuckDB's ``regexp_replace``; patterns apply in
     PII_PATTERNS order (email before ip before phone) — an oracle must
     chain its ``regexp_replace(..., 'g')`` calls in the same order.
-    Every pattern is counted on every row; the rewrite runs only on the
-    rows whose count is positive (a row with no match is already its
-    own replacement) and is written back with ``replace_with_mask``."""
+    One match of the patterns' alternation picks the rows with any PII;
+    the ordered count-and-replace chain runs on those rows only and is
+    written back with ``replace_with_mask``. A row no pattern matches
+    is its own replacement, with zero counts."""
     s = _text(batch[text_col])
+    hit = pc.match_substring_regex(s, _PII_ANY)
+    zeros = pa.array(np.zeros(len(s), np.int64))
+    sub = s.filter(hit)
     for kind, pattern, repl in PII_PATTERNS:
-        n = pc.count_substring_regex(s, pattern).cast(pa.int64())
-        hit = pc.greater(n, 0)
-        s = pc.replace_with_mask(s, hit, pc.replace_substring_regex(s.filter(hit), pattern, repl))
-        batch = batch.append_column(f"n_{kind}", n)
-    return batch.append_column("redacted", s)
+        n = pc.count_substring_regex(sub, pattern).cast(pa.int64())
+        sub = pc.replace_substring_regex(sub, pattern, repl)
+        batch = batch.append_column(f"n_{kind}", pc.replace_with_mask(zeros, hit, n))
+    return batch.append_column("redacted", pc.replace_with_mask(s, hit, sub))
 
 
 def gopher_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -515,9 +519,11 @@ def c4_clean(
 def word_counts(t: pa.Table, text_col: str = "text") -> pa.Table:
     """One batch's ``(word, c)`` counts of its non-empty whitespace
     words (Arrow ``value_counts``) — the partials of
-    ``corpus_word_counts``."""
-    vc = pc.value_counts(_split_words(t[text_col], drop_empty=True)[0])
-    return pa.table({"word": vc.field("values"), "c": vc.field("counts")})
+    ``corpus_word_counts``. The empty word is counted with the others
+    and its one entry dropped."""
+    vc = pc.value_counts(_split(t[text_col], " ")[0])
+    words = pa.table({"word": vc.field("values"), "c": vc.field("counts")})
+    return words.filter(pc.not_equal(words["word"], ""))
 
 
 def corpus_word_counts(ds, text_col: str = "text", num_buckets: int | None = None):
@@ -984,6 +990,10 @@ def _flat_tokens(t: pa.Table, tokens_col: str):
     return vals[offs[0] : offs[-1]], offs - offs[0]
 
 
+# token_corpus_stats' distinct columns, by the pairs' ``kind``
+_DISTINCT_KINDS = ["n_distinct_tokens", "n_distinct_bigrams"]
+
+
 def token_corpus_stats(ds, *, vocab_size: int):
     """Token-native corpus analytics over the pre-tokenized input shape
     (``tokens: list<int32>``): per ``source`` — document count, token
@@ -993,12 +1003,15 @@ def token_corpus_stats(ds, *, vocab_size: int):
 
     Every kernel runs on the flat Arrow list values/offsets buffers
     (zero-copy, no per-doc Python). Shuffle discipline: sums/max move
-    as per-batch partials; distincts move as per-batch PRE-DEDUPED
-    (group, key) pairs through one bucketed distinct each — bounded by
-    true cardinality, never the token stream. Distincts are exact;
-    at extreme cardinalities swap the pair legs for the mergeable HLL
-    in ``stages/sketch``. Returns a small pandas frame."""
+    as per-batch partials. Both distincts come from one read and one
+    ``sketch.distinct_count``: each batch emits its PRE-DEDUPED
+    ``(source, kind, key)`` pairs (``kind`` 0 for a token id, 1 for a
+    bigram key), so the shuffle is bounded by true cardinality, never
+    the token stream. Distincts are exact; at extreme cardinalities
+    swap the pairs for the mergeable HLL in ``stages/sketch``. Returns
+    a small pandas frame."""
     from .aggregate import bucketed_aggregate
+    from .sketch import distinct_count
 
     def sums(t: pa.Table) -> pa.Table:
         vals, offs = _flat_tokens(t, "tokens")
@@ -1036,52 +1049,29 @@ def token_corpus_stats(ds, *, vocab_size: int):
         ],
     ).to_pandas()
 
-    def pair_emitter(bigram: bool):
-        def pairs(t: pa.Table) -> pa.Table:
-            vals, offs = _flat_tokens(t, "tokens")
-            src = pd.Series(
-                t["source"].to_numpy(zero_copy_only=False), dtype=object
-            )
-            codes, uniq = pd.factorize(src)
-            lens = np.diff(offs)
-            doc_of = np.repeat(np.arange(len(src), dtype=np.int64), lens)
-            if bigram:
-                same = doc_of[1:] == doc_of[:-1] if len(doc_of) else np.empty(0, bool)
-                key = vals[:-1][same] * np.int64(vocab_size) + vals[1:][same]
-                code_of = codes[doc_of[:-1][same]]
-            else:
-                key = vals
-                code_of = codes[doc_of]
-            # pre-dedup inside the batch before anything shuffles
-            # (bigram keys < vocab_size² < 2^33 for GPT-2-sized vocabs)
-            u = np.unique((code_of.astype(np.int64) << np.int64(33)) | key)
-            return pa.table(
-                {
-                    "source": pa.array(
-                        uniq.to_numpy(dtype=object)[(u >> 33).astype(np.int64)],
-                        pa.string(),
-                    ),
-                    "key": pa.array(u & np.int64((1 << 33) - 1)),
-                }
-            )
-
-        return pairs
-
-    def distinct_count(bigram: bool, out: str) -> pd.DataFrame:
-        uniq = bucketed_aggregate(
-            ds.map_batches(pair_emitter(bigram), batch_format="pyarrow"),
-            ["source", "key"],
-            [],
-        )
-        return (
-            bucketed_aggregate(uniq, ["source"], [("key", "count", out)])
-            .to_pandas()
-            .set_index("source")[out]
+    def pairs(t: pa.Table) -> pa.Table:
+        vals, offs = _flat_tokens(t, "tokens")
+        src = pc.dictionary_encode(t["source"].combine_chunks())
+        codes = src.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        doc_of = np.repeat(np.arange(len(t), dtype=np.int64), np.diff(offs))
+        same = doc_of[1:] == doc_of[:-1]
+        # token keys, then bigram keys (< vocab_size² < 2^33 for
+        # GPT-2-sized vocabs) flagged by bit 33, the source code above
+        # them: pre-dedup inside the batch before anything shuffles
+        key = np.concatenate([vals, (vals[:-1][same] * np.int64(vocab_size) + vals[1:][same]) | (1 << 33)])
+        u = np.unique((np.concatenate([codes[doc_of], codes[doc_of[:-1][same]]]) << 34) | key)
+        return pa.table(
+            {
+                "source": src.dictionary.take(pa.array(u >> 34)),
+                "kind": pa.array(((u >> 33) & 1).astype(np.int8)),
+                "key": pa.array(u & ((1 << 33) - 1)),
+            }
         )
 
+    counts = distinct_count(ds.map_batches(pairs, batch_format="pyarrow"), ["source", "kind"], "key").to_pandas()
     base = base.set_index("source")
-    base["n_distinct_tokens"] = distinct_count(False, "n_distinct_tokens")
-    base["n_distinct_bigrams"] = distinct_count(True, "n_distinct_bigrams")
+    for kind, name in enumerate(_DISTINCT_KINDS):
+        base[name] = counts[counts["kind"] == kind].set_index("source")["distinct"]
     return base.reset_index()
 
 

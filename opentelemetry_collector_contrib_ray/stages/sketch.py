@@ -13,8 +13,9 @@ small merge — the shuffle moves sketches, never rows.
   bounded sorted sample per level; rank error ≲ 1.5/k per level.
   Deterministic for a fixed partitioning; document that merge order
   across blocks may vary results within the error bound.
-- ``distinct_count``: exact two-stage distinct — per-batch unique
-  pairs, global pair dedupe, per-key count.
+- ``distinct_count``: exact distinct per key — one shuffle hashed on
+  the whole (key, value) pair, per-bucket Arrow ``count_distinct``
+  partials summed per key.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .._util import hash_str_u64, splitmix64, table_from_pandas
+from .._util import hash_str_u64, splitmix64
+from .aggregate import _group_by, bucketed_aggregate, keyed_apply
 
 FAN_IN = 32  # partitions a sketch tree-merge coalesces into
 
@@ -159,37 +162,25 @@ def hll_distinct(ds, key_cols, value_col: str):
 
 def distinct_count(ds, key_cols, value_col: str):
     """EXACT distinct(value) per key tuple, as a Dataset of the key
-    columns plus ``distinct``.
+    columns plus int64 ``distinct``. A null value counts once, and a
+    null key tuple is one group.
 
-    Stage 1 (map_batches): per-batch unique (key, value) pairs — the
-    only rows entering the shuffle. Stage 2: global pair dedupe +
-    per-key count, two ``bucketed_aggregate`` passes — the result's
-    size is the key cardinality, and nothing O(distinct pairs) ever
-    reaches the driver.
+    One shuffle hashes the whole (key, value) tuple, so every copy of
+    a tuple lands in one bucket and that bucket's per-key Arrow
+    ``count_distinct`` is an exact partial. A ``bucketed_aggregate``
+    sums the at most keys × buckets partials; nothing O(distinct
+    pairs) ever reaches the driver. Batches that repeat tuples can be
+    deduplicated by the caller before the shuffle, as
+    ``llmdata.token_corpus_stats`` does.
     """
-    from .aggregate import bucketed_aggregate
-
     key_cols = list(key_cols)
 
-    def uniq(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {c: batch[c].to_numpy(zero_copy_only=False) for c in key_cols + [value_col]}
-        )
-        return table_from_pandas(df.drop_duplicates())
+    def count(t: pa.Table) -> pa.Table:
+        c = _group_by(t, key_cols, [(value_col, "count_distinct", pc.CountOptions(mode="all"))])
+        return c.select(key_cols).append_column("distinct", c[f"{value_col}_count_distinct"])
 
-    pairs = ds.map_batches(uniq, batch_format="pyarrow")
-    # both groupbys have ~distinct-pair cardinality → bucketed merges
-    # (empty plan = distinct key tuples), not Ray native agg
-    deduped = bucketed_aggregate(pairs, key_cols + [value_col], [])
-
-    def add_one(t: pa.Table) -> pa.Table:
-        return t.append_column("_one", pa.array(np.ones(len(t), np.int64)))
-
-    return bucketed_aggregate(
-        deduped.map_batches(add_one, batch_format="pyarrow"),
-        key_cols,
-        [("_one", "sum", "distinct")],
-    )
+    partials = keyed_apply(ds, key_cols + [value_col], count)
+    return bucketed_aggregate(partials, key_cols, [("distinct", "sum", "distinct")])
 
 
 class QuantileSketch:

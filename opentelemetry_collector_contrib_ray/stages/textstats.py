@@ -2,9 +2,10 @@
 counting, document fingerprinting.
 
 Engine additions for training-data pipelines (no reference analogue;
-SURVEY.md build mandate). All are vectorized/actor-pool map_batches
-stages over the ``documents`` table schema
-(doc_id, text, lang, source, n_chars).
+SURVEY.md build mandate). All are vectorized map_batches stages over
+the ``documents`` table schema (doc_id, text, lang, source,
+n_chars); ``LangId`` is passed as a callable instance, which runs in
+the task pool.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ class LangId:
 
     Deterministic scoring into ``lang_pred``: presence counts of
     language-marker character sequences + CJK codepoint ratio.
-    Actor-pool stage: marker tables compiled once per actor. (A real
-    model would load fastText here — same stage shape.)"""
+    Callable instance: the caller passes ``LangId()`` to
+    ``map_batches``, so the marker regexes compiled in ``__init__``
+    are serialized once with the operator and run in task-pool
+    tasks. (A real model would load fastText here — same stage
+    shape.)"""
 
     MARKERS = {
         "en": [" the ", " and ", " of ", " is ", " to "],

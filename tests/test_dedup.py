@@ -65,7 +65,7 @@ def test_minhash_lsh_buckets_near_dups_together():
 def test_simhash_hamming():
     t = pa.table({"text": _docs()["text"].tolist()})
     out = SimHasher()(t)
-    h = [np.uint64(x) for x in out["simhash"].to_pylist()]
+    h = out["simhash"].to_numpy().view(np.uint64)
     def ham(a, b):
         return bin(int(a) ^ int(b)).count("1")
     assert ham(h[0], h[1]) == 0

@@ -4,7 +4,9 @@ the Arrow aggregate and histogram combines against their pandas
 predecessors;
 and metamorphic tests of the keyed shuffle (``keyed_apply``,
 ``two_phase_agg``, ``bucketed_hash_join``, exact dedup's drop ids) and
-of the LLM-data keyed jobs (line and passage discovery, token packing):
+of the LLM-data keyed jobs (line and passage discovery, token packing)
+and of the exact distinct counts (``distinct_count``,
+``token_corpus_stats``):
 results do not depend on bucket count, input order, block layout or key
 skew."""
 
@@ -641,6 +643,85 @@ def test_llm_keyed_jobs_invariant(job, num_buckets, layout):
     _assert_same_multiset(got, want)
 
 
+def _arrow_all(ds) -> pa.Table:
+    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+
+
+@pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
+def test_distinct_count_matches_set_reference(num_buckets, layout, monkeypatch):
+    # exact distinct values per key tuple, a null value counted once and
+    # a null key tuple one group, whatever the bucket count, row order,
+    # block layout or skew
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+    from opentelemetry_collector_contrib_ray.stages.sketch import distinct_count
+
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    df = _events(layout)
+    pos = np.arange(len(df))
+    hot = layout == "hot"  # one key tuple holds every row
+    df = df.assign(
+        k=df["k"] if hot else df["k"].mask(pos % 11 == 5, None),
+        k2=pd.array(np.where(hot, 0, np.where(pos % 13 == 4, None, df["k2"])), "Int64"),
+        v=pd.array(np.where(pos % 7 == 3, None, df["v"] % 11), "Int64"),
+    )
+    want: dict = collections.defaultdict(set)
+    for r in pa.Table.from_pandas(df, preserve_index=False).to_pylist():
+        want[(r["k"], r["k2"])].add(r["v"])
+    got = _arrow_all(distinct_count(_dataset(df, layout), ["k", "k2"], "v")).to_pylist()
+    assert len(got) == len(want)  # no key tuple twice
+    assert {(r["k"], r["k2"]): r["distinct"] for r in got} == {k: len(v) for k, v in want.items()}
+    assert len(want) == 1 if hot else sum(None in k for k in want) >= 4
+
+
+def test_distinct_count_single_key_nulls():
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages.sketch import distinct_count
+
+    t = pa.table({"k": ["a", "a", "a", None, None, "b"], "v": [1, 1, None, 2, 2, None]})
+    got = _arrow_all(distinct_count(ray.data.from_arrow(t).repartition(3), ["k"], "v"))
+    assert got.schema.field("distinct").type == pa.int64()
+    assert {r["k"]: r["distinct"] for r in got.to_pylist()} == {"a": 2, None: 1, "b": 1}
+
+
+def _token_stats_reference(df: pd.DataFrame) -> dict:
+    """Per source: documents, tokens, max token id, distinct token ids
+    and distinct adjacent pairs inside one document."""
+    out = {}
+    for src, g in df.groupby("source"):
+        toks = [list(t) for t in g["tokens"]]
+        flat = [x for t in toks for x in t]
+        out[src] = {
+            "n_docs": len(toks),
+            "n_tokens": len(flat),
+            "max_tok": max(flat, default=-1),
+            "n_distinct_tokens": len(set(flat)),
+            "n_distinct_bigrams": len({p for t in toks for p in zip(t[:-1], t[1:])}),
+        }
+    return out
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7])
+def test_token_corpus_stats_matches_reference(num_buckets, monkeypatch):
+    # a document's first token (100 + j % 50) appears nowhere else, so
+    # a bigram across a document boundary would be a new pair
+    import ray.data
+
+    from opentelemetry_collector_contrib_ray.stages import aggregate
+    from opentelemetry_collector_contrib_ray.stages.llmdata import token_corpus_stats
+
+    monkeypatch.setattr(aggregate, "derived_num_partitions", lambda: num_buckets)
+    rng = np.random.default_rng(5)
+    toks = [[100 + j % 50, *rng.integers(0, 20, j % 9)] if j % 10 else [] for j in range(300)]
+    df = pd.DataFrame({"doc_id": np.arange(300), "source": [f"s{j % 3}" for j in range(300)], "tokens": toks})
+    t = pa.Table.from_pandas(df, preserve_index=False).cast(
+        pa.schema([("doc_id", pa.int64()), ("source", pa.string()), ("tokens", pa.list_(pa.int32()))])
+    )
+    ds = ray.data.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow", batch_size=41)
+    got = token_corpus_stats(ds, vocab_size=200).set_index("source")
+    assert got.astype(np.int64).to_dict("index") == _token_stats_reference(df)
+
+
 @pytest.mark.parametrize("num_buckets, layout", SHUFFLE_CASES)
 def test_lsh_buckets_and_pairs_invariant(num_buckets, layout, monkeypatch):
     # LSH bucket resolution and candidate pairs: band 0 buckets rows by
@@ -667,6 +748,17 @@ def test_lsh_buckets_and_pairs_invariant(num_buckets, layout, monkeypatch):
     pairs = lsh_candidate_pairs(_dataset(df, layout), "doc_id").to_pandas()
     want_pairs = sorted({(a, b) for *_, ids in want for i, a in enumerate(ids) for b in ids[i + 1 :]})
     assert want_pairs and sorted(zip(pairs["id_a"], pairs["id_b"])) == want_pairs
+
+
+def test_bucket_ids_ignore_a_null_elsewhere_in_the_batch():
+    # an int64 key past 2**53 and a string key hash the same whether or
+    # not their batch also holds a null, so one key never spans buckets
+    from opentelemetry_collector_contrib_ray.stages.aggregate import bucket_ids
+
+    k, s = [2**53 + 1, -5, 7], ["a", "b", "a"]
+    alone = pa.table({"k": pa.array(k, pa.int64()), "s": s})
+    with_null = pa.table({"k": pa.array(k + [None], pa.int64()), "s": s + [None]})
+    assert bucket_ids(with_null, ["k", "s"], 2**31)[:3].tolist() == bucket_ids(alone, ["k", "s"], 2**31).tolist()
 
 
 def test_keyed_apply_refuses_a_two_bucket_block():

@@ -46,7 +46,7 @@ def test_distinct_count_exact():
 
 
 def test_distinct_count_paths_agree():
-    # the distributed two-pass finalize == pandas groupby().nunique()
+    # the one-shuffle distributed count == pandas groupby().nunique()
     rng = np.random.default_rng(11)
     df = pd.DataFrame(
         {

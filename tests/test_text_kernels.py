@@ -1,7 +1,8 @@
 """Arrow text kernels of stages/llmdata.py against per-row references.
 
 ``redact_pii`` is checked against DuckDB's chained
-``regexp_replace(..., 'g')`` (the SQL oracle's engine, RE2);
+``regexp_replace(..., 'g')`` (the SQL oracle's engine, RE2) and against
+its ordered count-and-replace chain run on every row;
 ``gopher_stats``, the ``word_counts`` partials and ``VocabEncoder`` are
 checked against small pure-Python per-row references on edge batches:
 zero rows, null and empty text, stray spaces and tabs, symbol and dot
@@ -14,6 +15,7 @@ import re
 
 import duckdb
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from opentelemetry_collector_contrib_ray.stages.llmdata import (
@@ -198,3 +200,35 @@ def test_redact_pii_no_row_matches():
 
 def test_redact_pii_multi_chunk_column():
     _redact_matches_duckdb(pa.chunked_array([PII_TEXTS[:3], PII_TEXTS[3:4], PII_TEXTS[4:]], pa.string()))
+
+
+# repeated emails, two and three kinds of PII in one row, rows with none
+PII_MIXED = [
+    "a@b.com and a@b.com again a@b.com",
+    "mail c@d.io from 10.1.2.3",
+    "10.0.0.1 then +123-456-7890",
+    "none here",
+    "",
+    None,
+    "x@y.org 1.2.3.4 555.123.4567 x@y.org",
+]
+
+
+def _sequential_chain(batch: pa.Table) -> pa.Table:
+    """Every pattern counted and replaced on every row, in order, on the
+    text the earlier patterns left."""
+    s = pc.fill_null(batch["text"], "")
+    for kind, pattern, repl in PII_PATTERNS:
+        batch = batch.append_column(f"n_{kind}", pc.count_substring_regex(s, pattern).cast(pa.int64()))
+        s = pc.replace_substring_regex(s, pattern, repl)
+    return batch.append_column("redacted", s)
+
+
+@pytest.mark.parametrize(
+    "texts, n_pii", [(PII_MIXED, 11), (PII_MIXED[3:6], 0), ([], 0)], ids=["mixed", "no_match", "empty"]
+)
+def test_redact_pii_matches_the_sequential_chain(texts, n_pii):
+    batch = pa.table({"text": pa.array(texts, pa.string())})
+    out = redact_pii(batch)
+    assert out.equals(_sequential_chain(batch))
+    assert sum(sum(out[f"n_{k}"].to_pylist()) for k, _, _ in PII_PATTERNS) == n_pii

@@ -1,8 +1,10 @@
 """Local mirror of the driver's correctness gate: run every queries()
 entry and its oracle_sql() side-by-side, compare row count + sorted
-values. Each [OK] line ends with the sha256 of the query's canonical
-result (``digest``: values and dtypes), so two runs compare with a
-plain diff. Usage: python tools/check_correctness.py [sf_dir] [names...]
+values. Each [OK] line carries the sha256 of the query's canonical
+result (``digest``: values and dtypes), and every [OK], [FAIL] and
+[rows-only] line ends with the query's engine wall time, ``(12.34 s)``;
+two runs compare with a diff of their [OK] lines with that time cut
+off. Usage: python tools/check_correctness.py [sf_dir] [names...]
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -109,29 +112,31 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
-            print(f"[FAIL] {name}: query raised {type(e).__name__}: {e}")
+            print(f"[FAIL] {name}: query raised {type(e).__name__}: {e} ({time.perf_counter() - t0:.2f} s)")
             failures += 1
             continue
+        wall = f"({time.perf_counter() - t0:.2f} s)"
         if name not in oracles:
-            print(f"[rows-only] {name}: {len(ray_df)} rows, cols={sorted(ray_df.columns)}")
+            print(f"[rows-only] {name}: {len(ray_df)} rows, cols={sorted(ray_df.columns)} {wall}")
             continue
         try:
             sql_df = con.sql(oracles[name]).df()
         except Exception as e:  # noqa: BLE001
-            print(f"[FAIL] {name}: oracle raised {e}")
+            print(f"[FAIL] {name}: oracle raised {e} {wall}")
             failures += 1
             continue
         problems = compare(name, ray_df, sql_df)
         if problems:
             failures += 1
-            print(f"[FAIL] {name}:")
+            print(f"[FAIL] {name}: {wall}")
             for p in problems:
                 print(f"    {p}")
         else:
-            print(f"[OK]   {name}: {len(ray_df)} rows match sha256={digest(ray_df)}")
+            print(f"[OK]   {name}: {len(ray_df)} rows match sha256={digest(ray_df)} {wall}")
     print(f"\n{failures} failures")
     sys.exit(1 if failures else 0)
 
