@@ -64,25 +64,24 @@ def derived_num_partitions() -> int:
 def bucket_ids(batch: pa.Table, keys: Sequence[str], num_buckets: int) -> np.ndarray:
     """``keyed_apply``'s int64 bucket of each row: the splitmix64 chain
     over the key tuple (numeric null or NaN → −1, strings via
-    ``hash_str_u64``, once per distinct string) modulo ``num_buckets``.
-    A row's bucket does not depend on the other rows of its batch."""
+    ``hash_str_u64``) modulo ``num_buckets``. A row's bucket does not
+    depend on the other rows of its batch."""
     h = np.zeros(len(batch), dtype=np.uint64)
     with np.errstate(over="ignore", invalid="ignore"):
         for kcol in keys:
             col = batch[kcol]
-            if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-                d = pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
-                ch = hash_str_u64(d.dictionary.to_numpy(zero_copy_only=False))[d.indices.to_numpy()]
+            if pa.types.is_integer(col.type) and col.null_count:
+                # a null would make the column float64, inexact past 2**53;
+                # fill it with −1's 64 bits instead
+                signed = pa.types.is_signed_integer(col.type)
+                col = pc.fill_null(col.cast(pa.int64() if signed else pa.uint64()), -1 if signed else 2**64 - 1)
+            vals = col.to_numpy(zero_copy_only=False)
+            if np.issubdtype(vals.dtype, np.number):
+                if vals.dtype.kind == "f":  # nulls arrive as NaN
+                    vals = np.nan_to_num(vals, nan=-1.0)
+                ch = splitmix64(vals.astype(np.uint64))
             else:
-                if pa.types.is_signed_integer(col.type):  # nulls would make it float64, inexact past 2**53
-                    col = pc.fill_null(col, -1)
-                vals = col.to_numpy(zero_copy_only=False)
-                if np.issubdtype(vals.dtype, np.number):
-                    if vals.dtype.kind == "f":  # nulls arrive as NaN
-                        vals = np.nan_to_num(vals, nan=-1.0)
-                    ch = splitmix64(vals.astype(np.uint64))
-                else:
-                    ch = hash_str_u64(vals)
+                ch = hash_str_u64(vals)
             h = splitmix64(h ^ ch)
     return (h % np.uint64(num_buckets)).astype(np.int64)
 

@@ -1005,11 +1005,12 @@ def token_corpus_stats(ds, *, vocab_size: int):
     (zero-copy, no per-doc Python). Shuffle discipline: sums/max move
     as per-batch partials. Both distincts come from one read and one
     ``sketch.distinct_count``: each batch emits its PRE-DEDUPED
-    ``(source, kind, key)`` pairs (``kind`` 0 for a token id, 1 for a
-    bigram key), so the shuffle is bounded by true cardinality, never
-    the token stream. Distincts are exact; at extreme cardinalities
-    swap the pairs for the mergeable HLL in ``stages/sketch``. Returns
-    a small pandas frame."""
+    ``(src, kind, key)`` pairs (``src`` the source's row among the
+    sums, ``kind`` 0 for a token id, 1 for a bigram key), so the
+    shuffle is bounded by true cardinality, never the token stream.
+    Distincts are exact; at extreme cardinalities swap the pairs for
+    the mergeable HLL in ``stages/sketch``. Returns a small pandas
+    frame."""
     from .aggregate import bucketed_aggregate
     from .sketch import distinct_count
 
@@ -1049,10 +1050,13 @@ def token_corpus_stats(ds, *, vocab_size: int):
         ],
     ).to_pandas()
 
+    sources = pa.array(base["source"], pa.string())
+
     def pairs(t: pa.Table) -> pa.Table:
         vals, offs = _flat_tokens(t, "tokens")
-        src = pc.dictionary_encode(t["source"].combine_chunks())
-        codes = src.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        # a source's row in ``base`` is its code in every batch
+        codes = pc.index_in(t["source"], value_set=sources, skip_nulls=False)
+        codes = codes.to_numpy(zero_copy_only=False).astype(np.int64)
         doc_of = np.repeat(np.arange(len(t), dtype=np.int64), np.diff(offs))
         same = doc_of[1:] == doc_of[:-1]
         # token keys, then bigram keys (< vocab_size² < 2^33 for
@@ -1062,17 +1066,16 @@ def token_corpus_stats(ds, *, vocab_size: int):
         u = np.unique((np.concatenate([codes[doc_of], codes[doc_of[:-1][same]]]) << 34) | key)
         return pa.table(
             {
-                "source": src.dictionary.take(pa.array(u >> 34)),
+                "src": pa.array(u >> 34),
                 "kind": pa.array(((u >> 33) & 1).astype(np.int8)),
                 "key": pa.array(u & ((1 << 33) - 1)),
             }
         )
 
-    counts = distinct_count(ds.map_batches(pairs, batch_format="pyarrow"), ["source", "kind"], "key").to_pandas()
-    base = base.set_index("source")
+    counts = distinct_count(ds.map_batches(pairs, batch_format="pyarrow"), ["src", "kind"], "key").to_pandas()
     for kind, name in enumerate(_DISTINCT_KINDS):
-        base[name] = counts[counts["kind"] == kind].set_index("source")["distinct"]
-    return base.reset_index()
+        base[name] = counts[counts["kind"] == kind].set_index("src")["distinct"]
+    return base
 
 
 # --- bigram LM quality scoring (the CCNet n-gram upgrade) ------------

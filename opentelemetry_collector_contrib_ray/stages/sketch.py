@@ -165,13 +165,13 @@ def distinct_count(ds, key_cols, value_col: str):
     columns plus int64 ``distinct``. A null value counts once, and a
     null key tuple is one group.
 
-    One shuffle hashes the whole (key, value) tuple, so every copy of
-    a tuple lands in one bucket and that bucket's per-key Arrow
-    ``count_distinct`` is an exact partial. A ``bucketed_aggregate``
-    sums the at most keys × buckets partials; nothing O(distinct
-    pairs) ever reaches the driver. Batches that repeat tuples can be
-    deduplicated by the caller before the shuffle, as
-    ``llmdata.token_corpus_stats`` does.
+    One shuffle of the key and value columns hashes the whole
+    (key, value) tuple, so every copy of a tuple lands in one bucket
+    and that bucket's per-key Arrow ``count_distinct`` is an exact
+    partial. A ``bucketed_aggregate`` sums the at most keys × buckets
+    partials; nothing O(distinct pairs) ever reaches the driver. A
+    caller whose batches repeat tuples many times can deduplicate them
+    before the shuffle, as ``llmdata.token_corpus_stats`` does.
     """
     key_cols = list(key_cols)
 
@@ -179,7 +179,8 @@ def distinct_count(ds, key_cols, value_col: str):
         c = _group_by(t, key_cols, [(value_col, "count_distinct", pc.CountOptions(mode="all"))])
         return c.select(key_cols).append_column("distinct", c[f"{value_col}_count_distinct"])
 
-    partials = keyed_apply(ds, key_cols + [value_col], count)
+    cols = key_cols + [value_col]
+    partials = keyed_apply(ds.select_columns(cols), cols, count)
     return bucketed_aggregate(partials, key_cols, [("distinct", "sum", "distinct")])
 
 

@@ -751,14 +751,20 @@ def test_lsh_buckets_and_pairs_invariant(num_buckets, layout, monkeypatch):
 
 
 def test_bucket_ids_ignore_a_null_elsewhere_in_the_batch():
-    # an int64 key past 2**53 and a string key hash the same whether or
-    # not their batch also holds a null, so one key never spans buckets
+    # signed and unsigned integer keys past 2**53 and a string key hash
+    # the same whether or not their batch also holds a null, so one key
+    # never spans buckets; a null integer hashes as a null float (−1)
     from opentelemetry_collector_contrib_ray.stages.aggregate import bucket_ids
 
-    k, s = [2**53 + 1, -5, 7], ["a", "b", "a"]
-    alone = pa.table({"k": pa.array(k, pa.int64()), "s": s})
-    with_null = pa.table({"k": pa.array(k + [None], pa.int64()), "s": s + [None]})
-    assert bucket_ids(with_null, ["k", "s"], 2**31)[:3].tolist() == bucket_ids(alone, ["k", "s"], 2**31).tolist()
+    k, u, s = [2**53 + 1, -5, 7], [2**64 - 3, 5, 2**53 + 1], ["a", "b", "a"]
+    alone = pa.table({"k": pa.array(k, pa.int64()), "u": pa.array(u, pa.uint64()), "s": s})
+    with_null = pa.table(
+        {"k": pa.array(k + [None], pa.int64()), "u": pa.array(u + [None], pa.uint64()), "s": s + [None]}
+    )
+    assert bucket_ids(with_null, ["k", "u", "s"], 2**31)[:3].tolist() == bucket_ids(alone, ["k", "u", "s"], 2**31).tolist()
+    null_float = bucket_ids(pa.table({"k": pa.array([None, 1.0])}), ["k"], 2**31)[0]
+    for typ in (pa.int8(), pa.int64(), pa.uint16(), pa.uint64()):
+        assert bucket_ids(pa.table({"k": pa.array([None, 1], typ)}), ["k"], 2**31)[0] == null_float
 
 
 def test_keyed_apply_refuses_a_two_bucket_block():
