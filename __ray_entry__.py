@@ -2012,12 +2012,12 @@ def _tr_sentry(x):
     root per event, a db child on %3, a grandchild on %9 (transitive
     attachment), an orphan on %5 (its own transaction); descriptor
     priority and status mapping. Traces are per event, so the batch is
-    trace-complete and the per-bucket closure runs in-batch."""
+    trace-complete and the bucket function ``transactions`` runs in-batch."""
     import pandas as pd
 
     from opentelemetry_collector_contrib_ray.stages.sentry import (
-        _per_bucket_transactions,
         generate_span_descriptors,
+        transactions,
     )
 
     srows = []
@@ -2041,7 +2041,7 @@ def _tr_sentry(x):
               "messaging.system", "faas.trigger", "parent_span_id"):
         if c not in sdf.columns:
             sdf[c] = None
-    tx = _per_bucket_transactions(generate_span_descriptors(sdf))
+    tx = transactions(pa.Table.from_pandas(generate_span_descriptors(sdf), preserve_index=False)).to_pandas()
     return [
         ("transactions", len(tx)),
         ("orphans", int(tx["is_orphan"].sum())),
@@ -2507,7 +2507,7 @@ def _tr_dd(x):
             "http.status_text", "big",
         ],
     )
-    ddout = mark_analyzed(translator(pa.Table.from_pandas(ddin, preserve_index=False)).to_pandas())
+    ddout = mark_analyzed(translator(pa.Table.from_pandas(ddin, preserve_index=False))).to_pandas()
     meta = ddout["meta"]
     exp_tid = np.concatenate([eid + 1, eid[m3] + 1, eid[m5] + 1]).astype(np.uint64)
     exp_sid = np.concatenate([eid + 1, eid[m3] + 1 + (1 << 32), eid[m5] + 1 + (1 << 33)]).astype(np.uint64)
@@ -2569,7 +2569,7 @@ def _tr_dd(x):
         }
     )
     deny_out = apply_denylist(
-        DatadogSpanTranslator()(pa.Table.from_pandas(deny_in, preserve_index=False)).to_pandas(),
+        DatadogSpanTranslator()(pa.Table.from_pandas(deny_in, preserve_index=False)),
         Denylister(["^deny"]),
     )
     return rows + [("deny_kept", len(deny_out))]

@@ -166,6 +166,29 @@ def sorted_runs(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return np.unique(np.concatenate([[0], *ends]))[:-1]
 
 
+def span_parents(trace, span, parent, has_parent) -> np.ndarray:
+    """Row of each row's parent within its trace: the first row of the
+    same ``trace`` whose ``span`` equals its ``parent``; -1 where
+    ``has_parent`` is false, -2 where the parent is not in the trace.
+    Ids are Arrow arrays of any one hashable type (strings, uint64); a
+    null is one more id. One composite (trace, id) code per row, one
+    stable sort and one binary search."""
+    if len(span) == 0:
+        return np.zeros(0, np.int64)
+    trace, span, parent = (a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in (trace, span, parent))
+    parent = parent.cast(span.type)
+    tcode = pc.dictionary_encode(trace, null_encoding="encode").indices.to_numpy(zero_copy_only=False)
+    ids = pc.unique(pa.concat_arrays([span, parent]))
+    base = tcode.astype(np.int64) * len(ids)
+    skey, pkey = (base + pc.index_in(a, value_set=ids).to_numpy(zero_copy_only=False) for a in (span, parent))
+    order = np.argsort(skey, kind="stable")
+    ordered = skey[order]
+    pos = np.minimum(np.searchsorted(ordered, pkey), len(skey) - 1)
+    out = np.where(ordered[pos] == pkey, order[pos], -2)
+    out[~np.asarray(has_parent, bool)] = -1
+    return out
+
+
 def sorted_groups(t: pa.Table, keys: Sequence[str], order: Sequence = ()) -> list[pa.Table]:
     """``t`` sorted by ``keys`` then ``order`` (``pc.sort_indices`` sort
     keys; stable) and cut into one slice per key tuple."""

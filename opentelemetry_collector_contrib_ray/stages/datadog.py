@@ -29,8 +29,9 @@ Reference semantics re-expressed Ray-Data-first:
 
 Execution shape: row-local translation is one vectorized
 ``map_batches`` pass; the per-TRACE steps (root/denylist/top-level)
-are a bucketed ``hash(trace_id)`` group apply — a single skinny
-shuffle, never one Ray group per trace.
+run per bucket of one ``hash(trace_id)`` shuffle, over every trace of
+the bucket at once (``aggregate.span_parents``), never one Ray group
+or one Python call per trace.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._util import table_from_pandas
+from .aggregate import keyed_apply, span_parents
 
 MAX_TAG_LENGTH = 200  # utils/trace_helpers.go:29
 MAX_META_VAL_LEN = 5000  # translate_traces.go:60
@@ -127,18 +130,17 @@ def normalize_span_kind(kind) -> str:
 
 
 def truncate_utf8(s: str, limit: int) -> str:
-    """trace_helpers.go:181-195 TruncateUTF8 (byte limit, whole runes)."""
+    """trace_helpers.go:181-195 TruncateUTF8 (byte limit, whole runes):
+    Go cuts at the last rune start at or before ``limit`` once a rune
+    starts past it, so ``s`` is kept whole when only continuation bytes
+    follow byte ``limit``."""
     b = s.encode("utf-8", errors="surrogatepass")
-    if len(b) <= limit:
+    if len(b) <= limit or all(0x80 <= c < 0xC0 for c in b[limit + 1 :]):
         return s
-    last_valid = 0
-    i = 0
-    for ch in s:
-        if i > limit:
-            return s[: len(b[:last_valid].decode("utf-8", errors="surrogatepass"))]
-        last_valid = i
-        i += len(ch.encode("utf-8", errors="surrogatepass"))
-    return s
+    cut = limit
+    while cut and 0x80 <= b[cut] < 0xC0:
+        cut -= 1
+    return b[:cut].decode("utf-8", errors="surrogatepass")
 
 
 def normalize_tag(v: str) -> str:
@@ -398,14 +400,13 @@ class Denylister:
     def __init__(self, exprs: Sequence[str]):
         self.patterns = [re.compile(e) for e in exprs or []]
 
-    def allows(self, resource: str) -> bool:
-        return not any(p.search(resource) for p in self.patterns)
-
-    def allows_series(self, resources: pd.Series) -> pd.Series:
-        ok = pd.Series(True, index=resources.index)
-        for p in self.patterns:
-            ok &= ~resources.str.contains(p, na=False)
-        return ok
+    def allowed(self, resources: pa.Array) -> np.ndarray:
+        """Per value: no pattern matches it (a null never matches);
+        each distinct value is matched once."""
+        enc = pc.dictionary_encode(resources, null_encoding="encode")
+        words = enc.dictionary.to_pylist()
+        ok = np.array([w is None or not any(p.search(w) for p in self.patterns) for w in words], bool)
+        return ok[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 class DatadogSpanTranslator:
@@ -689,56 +690,46 @@ class DatadogSpanTranslator:
         return table_from_pandas(out.reset_index(drop=True))
 
 
-def get_root(g: pd.DataFrame) -> int:
-    """utils/trace_helpers.go:139-175 GetRoot over one trace's translated
-    spans (positional index into g). Go's random-map fallback order is
-    made deterministic: first span (in order) whose parent is absent."""
-    if len(g) == 0:
-        return -1
-    parent = g["parent_id_u64"].to_numpy()
-    span = g["span_id_u64"].to_numpy()
-    roots = np.flatnonzero(parent == 0)
-    if len(roots):
-        return int(roots[-1])  # scan from the end (:152-157)
-    known = np.isin(parent, span)
-    orphans = np.flatnonzero(~known)
-    if len(orphans):
-        return int(orphans[0])
-    return len(g) - 1  # gracefully fail with the last span (:174)
+def _parents(t: pa.Table) -> np.ndarray:
+    """Each span's parent row in its trace (``span_parents``); parent
+    id 0 means none."""
+    has_parent = pc.not_equal(t["parent_id_u64"], 0).to_numpy(zero_copy_only=False)
+    return span_parents(t["trace_id_u64"], t["span_id_u64"], t["parent_id_u64"], has_parent)
 
 
-def mark_analyzed(df: pd.DataFrame) -> pd.DataFrame:
-    """model.go:45-74 getAnalyzedSpans, vectorized per batch of whole
-    traces: a span is top-level (analyzed) unless its parent exists in
-    the same trace with the SAME service and the span was not extracted
-    by the event-sample-rate metric (rate > 0)."""
-    left = df[["trace_id_u64", "parent_id_u64", "span_id_u64", "dd_service", "event_sample_rate"]].copy()
-    lookup = df[["trace_id_u64", "span_id_u64", "dd_service"]].rename(
-        columns={"span_id_u64": "parent_id_u64", "dd_service": "_parent_service"}
-    ).drop_duplicates(["trace_id_u64", "parent_id_u64"])
-    m = left.merge(lookup, on=["trace_id_u64", "parent_id_u64"], how="left")
-    extracted = m["event_sample_rate"].to_numpy() > 0
-    same_service = (m["_parent_service"] == m["dd_service"]).to_numpy()
-    has_parent = (m["parent_id_u64"].to_numpy() != 0) & m["_parent_service"].notna().to_numpy()
-    top = ~(has_parent & same_service & ~extracted)
-    out = df.copy()
-    out["top_level"] = top
-    return out
+def mark_analyzed(t: pa.Table) -> pa.Table:
+    """model.go:45-74 getAnalyzedSpans over whole traces: a span is
+    top-level (analyzed) unless its parent exists in the same trace with
+    the SAME service and the span was not extracted by the
+    event-sample-rate metric (rate > 0)."""
+    p = _parents(t)
+    has_parent = p >= 0
+    service = t["dd_service"]
+    same_service = pc.equal(service, service.take(np.where(has_parent, p, 0)))
+    extracted = pc.greater(t["event_sample_rate"], 0)
+    inherits = pc.and_not(pc.fill_null(same_service, False), pc.fill_null(extracted, False))
+    return t.append_column("top_level", pa.array(~(has_parent & inherits.to_numpy(zero_copy_only=False))))
 
 
-def apply_denylist(df: pd.DataFrame, denylister: Denylister) -> pd.DataFrame:
+def apply_denylist(t: pa.Table, denylister: Denylister) -> pa.Table:
     """resourceSpansToDatadogSpans :184-213: drop a whole trace when its
-    ROOT span's Resource matches the denylist."""
-    if not denylister.patterns or len(df) == 0:
-        return df
-    root_res = (
-        df.groupby("trace_id_u64", sort=False)
-        .apply(lambda g: g["dd_resource"].iloc[get_root(g.reset_index(drop=True))], include_groups=False)
-        .rename("_root_resource")
-    )
-    allowed = denylister.allows_series(root_res)
-    keep = df["trace_id_u64"].map(allowed)
-    return df[keep.fillna(True)]
+    ROOT span's Resource matches the denylist. The root is GetRoot's
+    (utils/trace_helpers.go:139-175): the trace's last span without a
+    parent, else its first span whose parent is absent, else its last
+    span (Go's random-map fallback order made deterministic)."""
+    if not denylister.patterns or t.num_rows == 0:
+        return t
+    p = _parents(t)
+    trace = pc.dictionary_encode(t["trace_id_u64"].combine_chunks()).indices.to_numpy(zero_copy_only=False)
+    k, row = trace.max() + 1, np.arange(t.num_rows)
+    last_root, last = np.full(k, -1), np.full(k, -1)
+    first_orphan = np.full(k, t.num_rows)
+    np.maximum.at(last_root, trace[p == -1], row[p == -1])
+    np.minimum.at(first_orphan, trace[p == -2], row[p == -2])
+    np.maximum.at(last, trace, row)
+    root = np.where(last_root >= 0, last_root, np.where(first_orphan < t.num_rows, first_orphan, last))
+    allowed = denylister.allowed(t["dd_resource"].combine_chunks().take(root))
+    return t.filter(pa.array(allowed[trace]))
 
 
 def datadog_trace_translate(
@@ -750,18 +741,13 @@ def datadog_trace_translate(
 ):
     """Full trace pipeline: row-local translation (one streaming
     ``map_batches``) then the per-trace steps through ONE bucketed
-    ``hash(trace_id)`` shuffle (traces co-locate per bucket; the marks
-    run vectorized inside each bucket task)."""
-    from .aggregate import keyed_apply
-
+    ``hash(trace_id)`` shuffle (traces co-locate per bucket; each bucket
+    finds its parent rows with one ``span_parents`` call per step)."""
     blk = Denylister(denylist)
     translated = ds.map_batches(translator, batch_format="pyarrow")
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        # the root lookup and the parent merge are pandas kernels
-        return table_from_pandas(mark_analyzed(apply_denylist(t.to_pandas(), blk)))
-
-    return keyed_apply(translated, "trace_id_u64", per_bucket, num_buckets=num_buckets)
+    return keyed_apply(
+        translated, "trace_id_u64", lambda t: mark_analyzed(apply_denylist(t, blk)), num_buckets=num_buckets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +905,6 @@ def split_monotonic(ds):
     routing): returns (gauge_ds, monotonic_ds). The monotonic half
     feeds ``stages/aggregate.delta_convert`` (already driver-checked as
     ``delta_conversion``)."""
-    import pyarrow.compute as pc
 
     def is_mono(t: pa.Table) -> pa.Table:
         m = pc.and_(

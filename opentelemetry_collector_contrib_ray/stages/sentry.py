@@ -18,9 +18,9 @@ Re-expresses `exporter/sentryexporter/sentry_exporter.go`:
   reached a real root).
 
 Scale shape: one bucketed shuffle on ``trace_id`` co-locates each
-trace; the per-trace closure is a memoized parent-walk inside the
-bucket task (bounded by trace size — the same per-trace state bound
-the reference's maps have per consume call).
+trace; each bucket resolves every span's parent row with one
+``aggregate.span_parents`` call and finds each span's root by pointer
+jumping over those rows, with no per-trace Python.
 
 Output: one row per TRANSACTION: (trace_id, root_span_id, op,
 description, status, n_child_spans, is_orphan).
@@ -31,12 +31,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._util import table_from_pandas
-
-# sentry span status by OTLP code (sentry_exporter.go:36-42,284-293):
-# 0 → Undefined, 1 → OK, 2 → Unknown; out-of-range → Unknown
-_CANONICAL = {0: "undefined", 1: "ok", 2: "unknown"}
+from .aggregate import keyed_apply, span_parents
 
 
 def generate_span_descriptors(df: pd.DataFrame) -> pd.DataFrame:
@@ -75,81 +73,52 @@ def generate_span_descriptors(df: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def _per_bucket_transactions(df: pd.DataFrame) -> pd.DataFrame:
-    rows = []
-    for tid, g in df.groupby("trace_id", sort=False):
-        ids = g["span_id"].tolist()
-        parents = g["parent_span_id"].fillna("").tolist()
-        parent_of = dict(zip(ids, parents))
-        present = set(ids)
-        root_of: dict[str, str | None] = {}
-
-        def resolve(sid: str) -> str | None:
-            chain = []
-            cur = sid
-            while True:
-                if cur in root_of:
-                    r = root_of[cur]
-                    break
-                chain.append(cur)
-                p = parent_of.get(cur, "")
-                if p == "":
-                    r = cur  # root span (:295-298)
-                    break
-                if p not in present:
-                    r = None  # orphan chain (:131-148)
-                    break
-                cur = p
-                if cur in chain:  # cycle guard
-                    r = None
-                    break
-            for c in chain:
-                root_of[c] = r
-            return r
-
-        n_children: dict[str, int] = {}
-        orphans = []
-        for sid in ids:
-            r = resolve(sid)
-            if r is None:
-                orphans.append(sid)
-            elif r != sid:
-                n_children[r] = n_children.get(r, 0) + 1
-
-        meta = g.set_index("span_id")
-        for sid in ids:
-            is_root = parent_of.get(sid, "") == ""
-            if not is_root and sid not in orphans:
-                continue
-            row = meta.loc[sid]
-            rows.append(
-                {
-                    "trace_id": tid,
-                    "root_span_id": sid,
-                    "op": row["op"],
-                    "description": row["description"],
-                    "status": _CANONICAL.get(int(row.get("status_code", 0) or 0), "unknown"),
-                    "n_child_spans": n_children.get(sid, 0) if is_root else 0,
-                    "is_orphan": not is_root,
-                }
-            )
-    return pd.DataFrame(
-        rows,
-        columns=["trace_id", "root_span_id", "op", "description", "status", "n_child_spans", "is_orphan"],
+def transactions(t: pa.Table) -> pa.Table:
+    """One row per transaction of ``t``, spans of whole traces with their
+    descriptors (``generate_span_descriptors``): each root, and each
+    orphan as its own transaction. A row is a span; a parent id names
+    the first row of the trace with that span id (``span_parents``).
+    Pointer jumping takes every span to the end of its parent chain in
+    at most ``n.bit_length()`` rounds (2**k hops after k rounds); an end
+    with no parent is the span's root, any other end (a missing parent
+    or a cycle) makes the span an orphan."""
+    n = t.num_rows
+    parent = t["parent_span_id"]
+    has_parent = pc.fill_null(pc.not_equal(parent.cast(t["span_id"].type), ""), False).to_numpy(zero_copy_only=False)
+    p = span_parents(t["trace_id"], t["span_id"], parent, has_parent)
+    end = np.where(p >= 0, p, np.arange(n))
+    for _ in range(n.bit_length()):
+        nxt = end[end]
+        if np.array_equal(nxt, end):
+            break
+        end = nxt
+    is_root = p == -1
+    in_tx = is_root[end]
+    rows = np.flatnonzero(is_root | ~in_tx)
+    children = np.bincount(end[in_tx], minlength=n) - 1  # a root reaches itself
+    # sentry span status by OTLP code (sentry_exporter.go:36-42,284-293):
+    # 0 → Undefined, 1 → OK, 2 → Unknown; out-of-range → Unknown
+    code = np.asarray(t["status_code"].to_numpy(zero_copy_only=False), dtype=float)
+    status = np.select([np.isnan(code) | (code == 0), code == 1], ["undefined", "ok"], "unknown")
+    return pa.table(
+        {
+            "trace_id": t["trace_id"].take(rows),
+            "root_span_id": t["span_id"].take(rows),
+            "op": t["op"].take(rows),
+            "description": t["description"].take(rows),
+            "status": pa.array(status[rows], pa.string()),
+            "n_child_spans": pa.array(np.where(is_root, children, 0)[rows], pa.int64()),
+            "is_orphan": pa.array(~is_root[rows]),
+        }
     )
 
 
 def sentry_transactions(ds):
     """Distributed transaction assembly: descriptor pass fused into the
-    bucketing map, one shuffle on trace_id, per-bucket closure."""
-    from .aggregate import keyed_apply
+    bucketing map, one shuffle on trace_id, ``transactions`` per bucket."""
 
     def prep(t: pa.Table) -> pa.Table:
         return table_from_pandas(generate_span_descriptors(t.to_pandas()))
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        # the root walk is per-trace Python over pandas groups
-        return table_from_pandas(_per_bucket_transactions(t.to_pandas()))
-
     withdesc = ds.map_batches(prep, batch_format="pyarrow")
-    return keyed_apply(withdesc, "trace_id", per_bucket)
+    return keyed_apply(withdesc, "trace_id", transactions)

@@ -10,6 +10,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_span_parents import get_root
 
 from opentelemetry_collector_contrib_ray.stages.datadog import (
     DEFAULT_SERVICE_NAME,
@@ -20,7 +23,6 @@ from opentelemetry_collector_contrib_ray.stages.datadog import (
     datadog_trace_translate,
     decode_apm_id_series,
     get_quantile_tag,
-    get_root,
     hostname_from_attributes,
     mark_analyzed,
     normalize_service_name,
@@ -118,6 +120,33 @@ def test_truncate_utf8():
     assert truncate_utf8("ééééé", 18) == "ééééé"
     assert truncate_utf8("ééééé", 10) == "ééééé"
     assert truncate_utf8("ééééé", 6) == "ééé"
+
+
+def go_truncate_utf8(s: str, limit: int) -> str:
+    """TruncateUTF8's per-rune loop (trace_helpers.go:181-195), the
+    reference for ``truncate_utf8``: cut at the last rune start at or
+    before ``limit`` once a rune starts past it."""
+    b = s.encode("utf-8", errors="surrogatepass")
+    if len(b) <= limit:
+        return s
+    last_valid = 0
+    i = 0
+    for ch in s:
+        if i > limit:
+            return s[: len(b[:last_valid].decode("utf-8", errors="surrogatepass"))]
+        last_valid = i
+        i += len(ch.encode("utf-8", errors="surrogatepass"))
+    return s
+
+
+# ASCII, 2-, 3- and 4-byte runes and lone surrogates (surrogatepass)
+RUNES = st.one_of(st.sampled_from(["a", "é", "€", "𝄞", "\ud800", "\udfff"]), st.characters(exclude_categories=()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(RUNES, max_size=24), st.integers(0, 80))
+def test_truncate_utf8_matches_the_rune_loop(s, limit):
+    assert truncate_utf8(s, limit) == go_truncate_utf8(s, limit)
 
 
 def test_decode_apm_id():
@@ -345,7 +374,7 @@ class TestTraceLevel:
     def _df(self):
         # trace_helpers_test.go:29-70 GetRoot fixtures
         return pd.DataFrame({
-            "trace_id_u64": [1234] * 5,
+            "trace_id_u64": np.array([1234] * 5, np.uint64),
             "span_id_u64": np.array([12341, 12342, 12343, 12344, 12345], np.uint64),
             "parent_id_u64": np.array([0, 12341, 12341, 12342, 12344], np.uint64),
             "dd_service": ["s1", "s1", "s1", "s2", "s2"],
@@ -353,31 +382,42 @@ class TestTraceLevel:
             "event_sample_rate": [np.nan] * 5,
         })
 
+    @staticmethod
+    def _engine_root(d: pd.DataFrame) -> int:
+        """The span id whose resource ``apply_denylist`` reads: the
+        engine's GetRoot of the one trace ``d``."""
+        d = d.assign(dd_resource=[f"r{s}" for s in d["span_id_u64"]])
+        t = pa.Table.from_pandas(d, preserve_index=False)
+        dropped = [s for s in d["span_id_u64"] if apply_denylist(t, Denylister([f"^r{s}$"])).num_rows == 0]
+        assert len(dropped) == 1 and apply_denylist(t, Denylister(["^x"])).num_rows == len(d)
+        return dropped[0]
+
     def test_get_root_complete_and_partial(self):
-        assert self._df().pipe(lambda d: d.iloc[get_root(d)]["span_id_u64"]) == 12341
-        part = pd.DataFrame({
-            "span_id_u64": np.array([12341, 12342, 12343], np.uint64),
-            "parent_id_u64": np.array([12340, 12341, 12342], np.uint64),
-        })
-        assert part.iloc[get_root(part)]["span_id_u64"] == 12341
+        d = self._df()
+        assert d["span_id_u64"][get_root(d["parent_id_u64"], d["span_id_u64"])] == 12341
+        assert self._engine_root(d) == 12341
+        part = d.iloc[:3].assign(parent_id_u64=np.array([12340, 12341, 12342], np.uint64))
+        assert part["span_id_u64"][get_root(part["parent_id_u64"], part["span_id_u64"])] == 12341
+        assert self._engine_root(part) == 12341
 
     def test_mark_analyzed(self):
-        out = mark_analyzed(self._df())
+        def top(d):
+            return mark_analyzed(pa.Table.from_pandas(d, preserve_index=False))["top_level"].to_pylist()
+
         # root top; children of same service not; 12344 parent in other
         # service → top ("local root"); 12345 same-service child → not
-        assert list(out["top_level"]) == [True, False, False, True, False]
+        assert top(self._df()) == [True, False, False, True, False]
         # extracted-by-metric child becomes analyzed
         d = self._df()
         d.loc[1, "event_sample_rate"] = 1.0
-        assert list(mark_analyzed(d)["top_level"]) == [True, True, False, True, False]
+        assert top(d) == [True, True, False, True, False]
 
     def test_denylist_drops_by_root_resource(self):
         d = self._df()
         d["dd_resource"] = ["DENY-this", "x", "x", "x", "x"]
-        out = apply_denylist(d, Denylister(["^DENY"]))
-        assert len(out) == 0
-        out2 = apply_denylist(d, Denylister(["^nomatch"]))
-        assert len(out2) == 5
+        t = pa.Table.from_pandas(d, preserve_index=False)
+        assert apply_denylist(t, Denylister(["^DENY"])).num_rows == 0
+        assert apply_denylist(t, Denylister(["^nomatch"])).num_rows == 5
 
     def test_distributed_pipeline_matches_local(self):
         import ray.data as rd

@@ -17,6 +17,9 @@ aggregator actors; a ``.join(`` call that passes ``num_partitions=``
 (its signature — pyarrow's ``Table.join`` takes no such argument)
 fails these tests.
 
+A pandas ``groupby(...).apply`` runs a Python callback per group
+inside a bucket, so no such call appears anywhere either.
+
 A driver collect of a package Dataset goes through ``_util.collect``,
 which raises past ``COLLECT_MAX_ROWS`` rows. Any other package
 ``.iter_batches(`` or ``.take_all(`` call must be on ``BOUNDED_COLLECTS``
@@ -62,6 +65,19 @@ def test_no_dataset_join():
         for p, _, n in _method_calls("join")
         if any(k.arg == "num_partitions" for k in n.keywords)
     ]
+    assert hits == []
+
+
+def test_no_groupby_apply():
+    """A pandas ``groupby(...).apply`` (or ``groupby(...)[col].apply``)
+    runs a Python callback per group; a bucket function runs one
+    vectorized kernel over all its groups instead."""
+
+    def on_groupby(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "groupby"
+
+    hits = [(p.relative_to(ROOT).as_posix(), n.lineno) for p, _, n in _method_calls("apply") if on_groupby(n.func.value)]
     assert hits == []
 
 

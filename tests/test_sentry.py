@@ -86,6 +86,19 @@ class TestTransactions:
         assert set(orphans["root_span_id"]) == {"o", "oc"}
         assert (orphans["n_child_spans"] == 0).all()
 
+    def test_duplicate_span_ids(self, ray_session):
+        # each row is a span; a parent id names the first row with that id
+        out = self._run(
+            [
+                {"span_id": "r", "parent_span_id": None, "name": "first"},
+                {"span_id": "r", "parent_span_id": None, "name": "second"},
+                {"span_id": "c", "parent_span_id": "r"},
+                {"span_id": "c", "parent_span_id": "r"},
+            ]
+        )
+        got = sorted(zip(out["description"], out["n_child_spans"], out["is_orphan"]))
+        assert got == [("first", 2, False), ("second", 0, False)]
+
     def test_multiple_traces_isolated(self, ray_session):
         out = self._run(
             [
@@ -106,7 +119,8 @@ class TestTransactions:
                 {"span_id": "a", "status_code": 0},
                 {"trace_id": "t2", "span_id": "b", "status_code": 1},
                 {"trace_id": "t3", "span_id": "c", "status_code": 2},
+                {"trace_id": "t4", "span_id": "d", "status_code": None},  # unset
             ]
         )
         got = dict(zip(out["root_span_id"], out["status"]))
-        assert got == {"a": "undefined", "b": "ok", "c": "unknown"}
+        assert got == {"a": "undefined", "b": "ok", "c": "unknown", "d": "undefined"}
